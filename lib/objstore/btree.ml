@@ -8,11 +8,18 @@ type value = Imm of int64 | Ptr of int
    block: leaf entries are 17 bytes, internal entries 16. *)
 let max_entries = 200
 
+(* A node is parallel arrays plus a live count [n]: keys.(0 .. n-1)
+   ascending, with vals.(i) beside each key in a leaf, or n+1 children
+   around the n separator keys of an internal node (child i covers
+   [keys.(i-1), keys.(i))). Slots at and past [n] are stale. A node
+   the current epoch owns has room for one entry past [max_entries], so
+   an insert lands in place and then splits; a decoded node is
+   exact-size. Only owned nodes are ever mutated. *)
 type node =
-  | Leaf of (int64 * value) list        (* sorted by key *)
-  | Internal of int64 list * int list   (* n keys, n+1 children *)
+  | Leaf of { mutable n : int; keys : int64 array; vals : value array }
+  | Internal of { mutable n : int; keys : int64 array; children : int array }
 
-type cached = { mutable node : node; mutable epoch : int; mutable dirty : bool }
+type cached = { block : int; node : node; epoch : int; mutable dirty : bool }
 
 type t = {
   dev : Devarray.t;
@@ -34,59 +41,78 @@ let set_reader t f = t.reader <- Some f
 
 let begin_epoch t n = t.current_epoch <- n
 
+(* Filler for stale value slots. *)
+let no_value = Imm 0L
+
 (* --- node encoding ------------------------------------------------- *)
 
 let encode_node node =
   let w = Serial.writer () in
   (match node with
-   | Leaf entries ->
+   | Leaf l ->
      Serial.w_u8 w 0;
-     Serial.w_list w (fun w (k, v) ->
-         Serial.w_int64 w k;
-         match v with
-         | Imm x ->
-           Serial.w_u8 w 0;
-           Serial.w_int64 w x
-         | Ptr b ->
-           Serial.w_u8 w 1;
-           Serial.w_int w b)
-       entries
-   | Internal (keys, children) ->
+     Serial.w_int w l.n;
+     for i = 0 to l.n - 1 do
+       Serial.w_int64 w l.keys.(i);
+       match l.vals.(i) with
+       | Imm x ->
+         Serial.w_u8 w 0;
+         Serial.w_int64 w x
+       | Ptr b ->
+         Serial.w_u8 w 1;
+         Serial.w_int w b
+     done
+   | Internal nd ->
      Serial.w_u8 w 1;
-     Serial.w_list w Serial.w_int64 keys;
-     Serial.w_list w Serial.w_int children);
+     Serial.w_int w nd.n;
+     for i = 0 to nd.n - 1 do
+       Serial.w_int64 w nd.keys.(i)
+     done;
+     Serial.w_int w (nd.n + 1);
+     for i = 0 to nd.n do
+       Serial.w_int w nd.children.(i)
+     done);
   let s = Serial.contents w in
   assert (String.length s <= Blockdev.block_size);
   s
+
+(* Counts are checked before anything is allocated from them. *)
+let r_count r what =
+  let n = Serial.r_int r in
+  if n < 0 || n > max_entries + 1 then
+    raise (Serial.Corrupt (Printf.sprintf "Btree: %s count %d out of range" what n));
+  n
 
 let decode_node data =
   let r = Serial.reader data in
   match Serial.r_u8 r with
   | 0 ->
-    Leaf
-      (Serial.r_list r (fun r ->
-           let k = Serial.r_int64 r in
-           let v =
-             match Serial.r_u8 r with
-             | 0 -> Imm (Serial.r_int64 r)
-             | 1 -> Ptr (Serial.r_int r)
-             | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag))
-           in
-           (k, v)))
+    let n = r_count r "leaf entry" in
+    let keys = Array.make n 0L and vals = Array.make n no_value in
+    for i = 0 to n - 1 do
+      keys.(i) <- Serial.r_int64 r;
+      vals.(i) <-
+        (match Serial.r_u8 r with
+         | 0 -> Imm (Serial.r_int64 r)
+         | 1 -> Ptr (Serial.r_int r)
+         | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag)))
+    done;
+    Leaf { n; keys; vals }
   | 1 ->
-    let keys = Serial.r_list r Serial.r_int64 in
-    let children = Serial.r_list r Serial.r_int in
-    if List.length children <> List.length keys + 1 then
+    let n = r_count r "internal key" in
+    let keys = Array.init n (fun _ -> Serial.r_int64 r) in
+    if Serial.r_int r <> n + 1 then
       raise (Serial.Corrupt "Btree: child/key count mismatch");
-    Internal (keys, children)
+    let children = Array.init (n + 1) (fun _ -> Serial.r_int r) in
+    Internal { n; keys; children }
   | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad node tag %d" tag))
 
 (* --- cache --------------------------------------------------------- *)
 
 let read_cached t block =
-  match Hashtbl.find_opt t.cache block with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.cache block with
+  | c -> c
+  | exception Not_found ->
     let raw =
       match t.reader with
       | Some f -> f block
@@ -98,50 +124,94 @@ let read_cached t block =
       | Blockdev.Seed _ | Blockdev.Zero ->
         raise (Serial.Corrupt (Printf.sprintf "Btree: block %d is not a node" block))
     in
-    let c = { node; epoch = -1; dirty = false } in
+    let c = { block; node; epoch = -1; dirty = false } in
     Hashtbl.replace t.cache block c;
     c
 
 let new_node t node =
   let block = Alloc.alloc t.alloc in
-  Hashtbl.replace t.cache block { node; epoch = t.current_epoch; dirty = true };
-  block
+  let c = { block; node; epoch = t.current_epoch; dirty = true } in
+  Hashtbl.replace t.cache block c;
+  c
 
-let empty_root t = new_node t (Leaf [])
+(* An epoch-owned node holding [count] entries copied from [keys] and
+   [vals] (or children) starting at [pos], with room for one more entry
+   than either [max_entries] or [count] (a decoded node can be
+   oversized). *)
+let capacity count = max (max_entries + 1) (count + 1)
+
+let owned_leaf keys vals pos count =
+  let cap = capacity count in
+  let k = Array.make cap 0L and v = Array.make cap no_value in
+  Array.blit keys pos k 0 count;
+  Array.blit vals pos v 0 count;
+  Leaf { n = count; keys = k; vals = v }
+
+let owned_internal keys children pos count =
+  let cap = capacity count in
+  let k = Array.make cap 0L and c = Array.make (cap + 1) 0 in
+  Array.blit keys pos k 0 count;
+  Array.blit children pos c 0 (count + 1);
+  Internal { n = count; keys = k; children = c }
+
+let empty_root t = (new_node t (owned_leaf [||] [||] 0 0)).block
 
 (* Reference bookkeeping: the tree holds one reference per edge
    (parent -> child) and per Ptr value stored in a leaf. Copying a
    node duplicates all its outgoing references. *)
 let incref_contents t = function
-  | Leaf entries ->
-    List.iter (function _, Ptr b -> Alloc.incref t.alloc b | _, Imm _ -> ()) entries
-  | Internal (_, children) -> List.iter (Alloc.incref t.alloc) children
+  | Leaf l ->
+    for i = 0 to l.n - 1 do
+      match l.vals.(i) with Ptr b -> Alloc.incref t.alloc b | Imm _ -> ()
+    done
+  | Internal nd ->
+    for i = 0 to nd.n do
+      Alloc.incref t.alloc nd.children.(i)
+    done
 
 (* Make the node at [block] writable in the current epoch; returns the
-   block to use (either the same, or a private copy). The caller owns
-   fixing up the parent edge (and decreffing [block] if the edge
-   moves). *)
+   cache entry to use (either the same block, or a private copy). The
+   caller owns fixing up the parent edge (and decreffing [block] if the
+   edge moves). The copy is the only one this node gets this epoch: it
+   is owned from then on and mutated in place. *)
 let cow t block =
   let c = read_cached t block in
-  if c.epoch = t.current_epoch then block
+  if c.epoch = t.current_epoch then c
   else begin
     incref_contents t c.node;
-    new_node t c.node
+    new_node t
+      (match c.node with
+       | Leaf l -> owned_leaf l.keys l.vals 0 l.n
+       | Internal nd -> owned_internal nd.keys nd.children 0 nd.n)
   end
 
 (* --- search -------------------------------------------------------- *)
 
-let rec child_index keys key i =
-  match keys with
-  | [] -> i
-  | k :: rest -> if key < k then i else child_index rest key (i + 1)
+(* First index in [0, n) whose key is >= [key], or [n]. *)
+let lower_bound keys n key =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Int64.compare keys.(mid) key < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* First index in [0, n) whose key is > [key], or [n]: the child of an
+   internal node that covers [key]. *)
+let upper_bound keys n key =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Int64.compare keys.(mid) key <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let rec find t ~root key =
   match (read_cached t root).node with
-  | Leaf entries -> List.assoc_opt key entries
-  | Internal (keys, children) ->
-    let idx = child_index keys key 0 in
-    find t ~root:(List.nth children idx) key
+  | Leaf l ->
+    let i = lower_bound l.keys l.n key in
+    if i < l.n && Int64.equal l.keys.(i) key then Some l.vals.(i) else None
+  | Internal nd -> find t ~root:nd.children.(upper_bound nd.keys nd.n key) key
 
 (* --- release / retain ---------------------------------------------- *)
 
@@ -152,109 +222,79 @@ let rec release_root t block =
   let node = (read_cached t block).node in
   if Alloc.refcount t.alloc block = 1 then begin
     (match node with
-     | Leaf entries ->
-       List.iter (function _, Ptr b -> Alloc.decref t.alloc b | _, Imm _ -> ()) entries
-     | Internal (_, children) -> List.iter (release_root t) children);
+     | Leaf l ->
+       for i = 0 to l.n - 1 do
+         match l.vals.(i) with Ptr b -> Alloc.decref t.alloc b | Imm _ -> ()
+       done
+     | Internal nd ->
+       for i = 0 to nd.n do
+         release_root t nd.children.(i)
+       done);
     Alloc.decref t.alloc block
   end
   else Alloc.decref t.alloc block
 
 (* --- insert -------------------------------------------------------- *)
 
-let split_leaf entries =
-  let n = List.length entries in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else
-        let l, r = take (i - 1) rest in
-        (x :: l, r)
-  in
-  let left, right = take (n / 2) entries in
-  match right with
-  | (sep, _) :: _ -> (left, sep, right)
-  | [] -> invalid_arg "split_leaf: empty right half"
-
-let split_internal keys children =
-  (* Promote the middle key; left keeps [0, mid), right keeps
-     (mid, n). *)
-  let ka = Array.of_list keys and ca = Array.of_list children in
-  let mid = Array.length ka / 2 in
-  let sep = ka.(mid) in
-  let lkeys = Array.to_list (Array.sub ka 0 mid) in
-  let lchildren = Array.to_list (Array.sub ca 0 (mid + 1)) in
-  let rkeys = Array.to_list (Array.sub ka (mid + 1) (Array.length ka - mid - 1)) in
-  let rchildren = Array.to_list (Array.sub ca (mid + 1) (Array.length ca - mid - 1)) in
-  (lkeys, lchildren, sep, rkeys, rchildren)
-
 (* Insert into the subtree at [block]; returns the new block for this
    subtree plus an optional (separator, right sibling) when it split.
    The caller owns the edge to [block]: if the returned block differs,
-   the caller must decref [block] and point its edge at the new one. *)
+   the caller must decref [block] and point its edge at the new one.
+   A split leaf keeps [0, n/2) and the right sibling gets the rest; a
+   split internal node promotes keys.(n/2). *)
 let rec insert_rec t block key value =
-  let wblock = cow t block in
-  let c = read_cached t wblock in
+  let c = cow t block in
   match c.node with
-  | Leaf entries ->
-    let replaced = List.assoc_opt key entries in
-    (match replaced with
-     | Some (Ptr old) -> Alloc.decref t.alloc old
-     | Some (Imm _) | None -> ());
-    let entries =
-      let without = if replaced = None then entries else List.remove_assoc key entries in
-      List.merge (fun (a, _) (b, _) -> Int64.compare a b) without [ (key, value) ]
-    in
-    if List.length entries <= max_entries then begin
-      c.node <- Leaf entries;
-      c.dirty <- true;
-      (wblock, None)
+  | Leaf l ->
+    let i = lower_bound l.keys l.n key in
+    if i < l.n && Int64.equal l.keys.(i) key then begin
+      (match l.vals.(i) with
+       | Ptr old -> Alloc.decref t.alloc old
+       | Imm _ -> ());
+      l.vals.(i) <- value
     end
     else begin
-      let left, sep, right = split_leaf entries in
-      c.node <- Leaf left;
-      c.dirty <- true;
-      let rblock = new_node t (Leaf right) in
-      (wblock, Some (sep, rblock))
+      Array.blit l.keys i l.keys (i + 1) (l.n - i);
+      Array.blit l.vals i l.vals (i + 1) (l.n - i);
+      l.keys.(i) <- key;
+      l.vals.(i) <- value;
+      l.n <- l.n + 1
+    end;
+    c.dirty <- true;
+    if l.n <= max_entries then (c.block, None)
+    else begin
+      let n = l.n and mid = l.n / 2 in
+      l.n <- mid;
+      let right = new_node t (owned_leaf l.keys l.vals mid (n - mid)) in
+      (c.block, Some (l.keys.(mid), right.block))
     end
-  | Internal (keys, children) ->
-    let idx = child_index keys key 0 in
-    let old_child = List.nth children idx in
+  | Internal nd ->
+    let idx = upper_bound nd.keys nd.n key in
+    let old_child = nd.children.(idx) in
     let new_child, split = insert_rec t old_child key value in
-    let children =
-      if new_child == old_child then children
-      else begin
-        (* The edge moved to the private copy; dropping the old edge
-           may orphan a whole subtree (cascade). *)
-        release_root t old_child;
-        List.mapi (fun i ch -> if i = idx then new_child else ch) children
-      end
-    in
-    let keys, children =
-      match split with
-      | None -> (keys, children)
-      | Some (sep, rblock) ->
-        let rec insert_at i ks cs =
-          match (ks, cs) with
-          | ks, c0 :: crest when i = 0 -> (sep :: ks, c0 :: rblock :: crest)
-          | k0 :: krest, c0 :: crest ->
-            let ks', cs' = insert_at (i - 1) krest crest in
-            (k0 :: ks', c0 :: cs')
-          | _ -> invalid_arg "Btree: malformed internal node"
-        in
-        insert_at idx keys children
-    in
-    if List.length keys <= max_entries then begin
-      c.node <- Internal (keys, children);
-      c.dirty <- true;
-      (wblock, None)
-    end
+    if new_child <> old_child then begin
+      (* The edge moved to the private copy; dropping the old edge
+         may orphan a whole subtree (cascade). *)
+      release_root t old_child;
+      nd.children.(idx) <- new_child
+    end;
+    (match split with
+     | None -> ()
+     | Some (sep, rblock) ->
+       Array.blit nd.keys idx nd.keys (idx + 1) (nd.n - idx);
+       Array.blit nd.children (idx + 1) nd.children (idx + 2) (nd.n - idx);
+       nd.keys.(idx) <- sep;
+       nd.children.(idx + 1) <- rblock;
+       nd.n <- nd.n + 1);
+    c.dirty <- true;
+    if nd.n <= max_entries then (c.block, None)
     else begin
-      let lkeys, lchildren, sep, rkeys, rchildren = split_internal keys children in
-      c.node <- Internal (lkeys, lchildren);
-      c.dirty <- true;
-      let rblock = new_node t (Internal (rkeys, rchildren)) in
-      (wblock, Some (sep, rblock))
+      (* Promote the middle key; left keeps keys [0, mid), right keeps
+         (mid, n). *)
+      let n = nd.n and mid = nd.n / 2 in
+      nd.n <- mid;
+      let right = new_node t (owned_internal nd.keys nd.children (mid + 1) (n - mid - 1)) in
+      (c.block, Some (nd.keys.(mid), right.block))
     end
 
 (* Consumes the caller's reference on [root]; the returned root carries
@@ -270,29 +310,25 @@ let insert t ~root ~key value =
   | Some (sep, rblock) ->
     (* The children's existing references become the new root's edges;
        the caller's reference is the fresh node itself. *)
-    new_node t (Internal ([ sep ], [ new_root; rblock ]))
+    (new_node t (owned_internal [| sep |] [| new_root; rblock |] 0 1)).block
 
 (* --- traversal ----------------------------------------------------- *)
 
 let rec fold_range t ~root ~lo ~hi ~init ~f =
   match (read_cached t root).node with
-  | Leaf entries ->
-    List.fold_left
-      (fun acc (k, v) -> if k >= lo && k <= hi then f acc k v else acc)
-      init entries
-  | Internal (keys, children) ->
-    (* Visit children whose key range intersects [lo, hi]. Child i
-       covers keys in [keys.(i-1), keys.(i)). *)
-    let ka = Array.of_list keys in
-    let n = Array.length ka in
+  | Leaf l ->
+    let acc = ref init and i = ref (lower_bound l.keys l.n lo) in
+    while !i < l.n && Int64.compare l.keys.(!i) hi <= 0 do
+      acc := f !acc l.keys.(!i) l.vals.(!i);
+      incr i
+    done;
+    !acc
+  | Internal nd ->
+    (* Exactly the children whose key range intersects [lo, hi]. *)
     let acc = ref init in
-    List.iteri
-      (fun i child ->
-        let child_lo = if i = 0 then Int64.min_int else ka.(i - 1) in
-        let child_hi = if i = n then Int64.max_int else ka.(i) in
-        if child_lo <= hi && lo < child_hi then
-          acc := fold_range t ~root:child ~lo ~hi ~init:!acc ~f)
-      children;
+    for i = upper_bound nd.keys nd.n lo to upper_bound nd.keys nd.n hi do
+      acc := fold_range t ~root:nd.children.(i) ~lo ~hi ~init:!acc ~f
+    done;
     !acc
 
 (* --- flushing / cache management ----------------------------------- *)
@@ -325,10 +361,10 @@ type view = Leaf_view of (int64 * value) list | Internal_view of int list
 
 let view t block =
   match (read_cached t block).node with
-  | Leaf entries -> Leaf_view entries
-  | Internal (_, children) -> Internal_view children
+  | Leaf l -> Leaf_view (List.init l.n (fun i -> (l.keys.(i), l.vals.(i))))
+  | Internal nd -> Internal_view (List.init (nd.n + 1) (fun i -> nd.children.(i)))
 
 let rec node_depth t ~root =
   match (read_cached t root).node with
   | Leaf _ -> 1
-  | Internal (_, children) -> 1 + node_depth t ~root:(List.hd children)
+  | Internal nd -> 1 + node_depth t ~root:nd.children.(0)

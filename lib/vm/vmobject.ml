@@ -205,15 +205,59 @@ let age_heat t =
     (fun (k, v) -> if v = 0 then Hashtbl.remove t.heat k else Hashtbl.replace t.heat k v)
     halved
 
+(* Hottest first: heat descending, ties by page index ascending. *)
+let hotter (ka, va) (kb, vb) = match Int.compare vb va with 0 -> Int.compare ka kb | c -> c
+
 let hot_pages t ~limit =
   if limit < 0 then invalid_arg "Vmobject.hot_pages: negative limit";
-  let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.heat [] in
-  let sorted =
-    List.sort (fun (ka, va) (kb, vb) ->
-        match Int.compare vb va with 0 -> Int.compare ka kb | c -> c)
-      all
-  in
-  List.filteri (fun i _ -> i < limit) sorted |> List.map fst
+  if limit >= Hashtbl.length t.heat then
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.heat [] |> List.sort hotter |> List.map fst
+  else if limit = 0 then []
+  else begin
+    (* A binary min-heap of the [limit] hottest pages seen so far, the
+       coldest at the root, so only [limit] entries are ever sorted. *)
+    let keys = Array.make limit 0 and heats = Array.make limit 0 in
+    let size = ref 0 in
+    (* Page [ka] at heat [va] ranks after page [kb] at heat [vb]. *)
+    let colder ka va kb vb = va < vb || (va = vb && ka > kb) in
+    let set i k v =
+      keys.(i) <- k;
+      heats.(i) <- v
+    in
+    (* Both place page [k] at heat [v] into the hole at slot [i]. *)
+    let rec sift_up i k v =
+      let p = (i - 1) / 2 in
+      if i > 0 && colder k v keys.(p) heats.(p) then begin
+        set i keys.(p) heats.(p);
+        sift_up p k v
+      end
+      else set i k v
+    in
+    let rec sift_down i k v =
+      let l = (2 * i) + 1 in
+      if l >= limit then set i k v
+      else begin
+        let c =
+          if l + 1 < limit && colder keys.(l + 1) heats.(l + 1) keys.(l) heats.(l) then l + 1
+          else l
+        in
+        if colder keys.(c) heats.(c) k v then begin
+          set i keys.(c) heats.(c);
+          sift_down c k v
+        end
+        else set i k v
+      end
+    in
+    Hashtbl.iter
+      (fun k v ->
+        if !size < limit then begin
+          sift_up !size k v;
+          incr size
+        end
+        else if colder keys.(0) heats.(0) k v then sift_down 0 k v)
+      t.heat;
+    List.init limit (fun i -> (keys.(i), heats.(i))) |> List.sort hotter |> List.map fst
+  end
 
 (* --- iteration / stats -------------------------------------------- *)
 

@@ -209,55 +209,225 @@ let test_btree_fold_range () =
     [ 100; 101; 102; 103; 104; 105; 106; 107; 108; 109; 110 ]
     (List.rev_map Int64.to_int keys)
 
-let prop_btree_matches_hashtable =
-  QCheck.Test.make ~name:"btree agrees with a model hashtable" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 400) (pair (int_bound 150) small_int))
-    (fun ops ->
-      let _, _, t = mktree () in
-      Btree.begin_epoch t 1;
-      let root = ref (Btree.empty_root t) in
-      let model = Hashtbl.create 64 in
+(* Runs each epoch's inserts in its own generation over key spaces of
+   thousands of keys, so leaves and internal nodes split across epochs,
+   and retains every epoch's final root beside a copy of the model at
+   that point. Even values are stored as [Imm], odd ones as a fresh
+   [Ptr] block the tree takes over. Returns the snapshots and a
+   [release] that drops every root and reports whether the allocator is
+   back to its starting live count (no node or value leaked or freed
+   twice — a double free raises). *)
+let build_epochs epochs =
+  let _, alloc, t = mktree () in
+  let live0 = Alloc.live_blocks alloc in
+  let model = Hashtbl.create 1024 in
+  Btree.begin_epoch t 1;
+  let root = ref (Btree.empty_root t) in
+  let snaps = ref [] in
+  List.iteri
+    (fun e ops ->
+      Btree.begin_epoch t (e + 1);
       List.iter
         (fun (k, v) ->
-          Hashtbl.replace model k v;
-          root :=
-            Btree.insert t ~root:!root ~key:(Int64.of_int k) (Btree.Imm (Int64.of_int v)))
+          let value =
+            if v mod 2 = 0 then Btree.Imm (Int64.of_int v) else Btree.Ptr (Alloc.alloc alloc)
+          in
+          Hashtbl.replace model k value;
+          root := Btree.insert t ~root:!root ~key:(Int64.of_int k) value)
         ops;
-      Hashtbl.fold
-        (fun k v acc ->
-          acc
-          &&
-          match Btree.find t ~root:!root (Int64.of_int k) with
-          | Some (Btree.Imm x) -> Int64.to_int x = v
-          | _ -> false)
-        model true)
+      Btree.retain_root t !root;
+      snaps := (!root, Hashtbl.copy model) :: !snaps)
+    epochs;
+  let release () =
+    List.iter (fun (r, _) -> Btree.release_root t r) !snaps;
+    Btree.release_root t !root;
+    Alloc.live_blocks alloc = live0
+  in
+  (t, List.rev !snaps, release)
 
+let model_range model ~lo ~hi =
+  Hashtbl.fold (fun k v acc -> if k >= lo && k <= hi then (k, v) :: acc else acc) model []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let tree_range t root ~lo ~hi =
+  Btree.fold_range t ~root ~lo:(Int64.of_int lo) ~hi:(Int64.of_int hi) ~init:[]
+    ~f:(fun acc k v -> (Int64.to_int k, v) :: acc)
+  |> List.rev
+
+let epochs_gen ops = QCheck.(list_of_size Gen.(int_range 2 4) ops)
+
+let prop_btree_matches_hashtable =
+  QCheck.Test.make ~name:"btree agrees with a model hashtable" ~count:40
+    (epochs_gen QCheck.(list_of_size Gen.(int_range 1 1500) (pair (int_bound 5000) small_int)))
+    (fun epochs ->
+      let t, snaps, release = build_epochs epochs in
+      let reads_own_version (root, model) =
+        Hashtbl.fold
+          (fun k v ok -> ok && Btree.find t ~root (Int64.of_int k) = Some v)
+          model true
+        && Btree.find t ~root (-1L) = None
+        && Btree.find t ~root 5001L = None
+        && tree_range t root ~lo:0 ~hi:5000 = model_range model ~lo:0 ~hi:5000
+      in
+      let ok = List.for_all reads_own_version snaps in
+      release () && ok)
 
 let prop_btree_fold_range_matches_model =
-  QCheck.Test.make ~name:"fold_range returns exactly the model's keys in order" ~count:50
+  QCheck.Test.make ~name:"fold_range returns exactly the model's keys in order" ~count:40
     QCheck.(triple
-              (list_of_size Gen.(int_range 1 300) (int_bound 500))
-              (int_bound 500) (int_bound 500))
-    (fun (keys, a, b) ->
+              (epochs_gen (list_of_size Gen.(int_range 1 1500)
+                             (pair (int_bound 5000) small_int)))
+              (int_bound 5000) (int_bound 5000))
+    (fun (epochs, a, b) ->
       let lo = min a b and hi = max a b in
-      let _, _, t = mktree () in
-      Btree.begin_epoch t 1;
-      let root = ref (Btree.empty_root t) in
+      let t, snaps, release = build_epochs epochs in
+      let ok =
+        List.for_all
+          (fun (root, model) -> tree_range t root ~lo ~hi = model_range model ~lo ~hi)
+          snaps
+      in
+      release () && ok)
+
+(* Pins the on-disk node format and the allocation order. A fixed
+   three-epoch sequence — leaf and internal splits, Imm and Ptr
+   replacements, and a released snapshot whose blocks are then reused —
+   is hashed over every (block, bytes) pair the flushes write. Another
+   digest means existing images would decode differently or nodes
+   would land on other blocks. *)
+let test_btree_golden_format () =
+  let _, dev = mkdev () in
+  let alloc = Alloc.create ~first_block:2 () in
+  let t = Btree.create ~dev ~alloc in
+  let log = Buffer.create 65536 in
+  let flush () =
+    let tee writes =
       List.iter
-        (fun k ->
-          root := Btree.insert t ~root:!root ~key:(Int64.of_int k)
-              (Btree.Imm (Int64.of_int k)))
-        keys;
-      let expected =
-        List.sort_uniq Int.compare keys
-        |> List.filter (fun k -> k >= lo && k <= hi)
-      in
-      let got =
-        Btree.fold_range t ~root:!root ~lo:(Int64.of_int lo) ~hi:(Int64.of_int hi)
-          ~init:[] ~f:(fun acc k _ -> Int64.to_int k :: acc)
-        |> List.rev
-      in
-      got = expected)
+        (fun (b, c) ->
+          match c with
+          | Blockdev.Data s -> Printf.bprintf log "%d:%s\n" b (Digest.to_hex (Digest.string s))
+          | Blockdev.Seed _ | Blockdev.Zero -> Alcotest.failf "block %d is not a node" b)
+        writes;
+      []
+    in
+    Devarray.await dev (Btree.flush_dirty ~tee t)
+  in
+  let root = ref 0 in
+  let ins k v = root := Btree.insert t ~root:!root ~key:(Int64.of_int k) v in
+  Btree.begin_epoch t 1;
+  root := Btree.empty_root t;
+  (* Ascending even keys: past about 20,200 the root internal node
+     splits too. *)
+  for i = 0 to 21_999 do
+    ins (2 * i) (if i mod 5 = 0 then Btree.Ptr (Alloc.alloc alloc) else Btree.Imm (Int64.of_int i))
+  done;
+  flush ();
+  let gen1 = !root in
+  Btree.retain_root t gen1;
+  Btree.begin_epoch t 2;
+  (* Scattered replacements of even keys (dropping Ptr values) and new
+     odd keys that split copied leaves. *)
+  for i = 0 to 2_999 do
+    ins ((i * 7_919) mod 44_000)
+      (if i mod 3 = 0 then Btree.Ptr (Alloc.alloc alloc) else Btree.Imm (Int64.of_int (-i)))
+  done;
+  flush ();
+  (* Blocks only generation 1 used are freed and reused below. *)
+  Btree.release_root t gen1;
+  Btree.begin_epoch t 3;
+  for i = 0 to 1_999 do
+    ins (50_001 + (2 * i)) (Btree.Imm 7L)
+  done;
+  flush ();
+  Printf.bprintf log "root %d live %d\n" !root (Alloc.live_blocks alloc);
+  Alcotest.(check string) "flushed nodes digest" "64d39cfaf8c3d82806ca395d0d733a90"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
+(* A depth-2 tree written straight to the device in the node format:
+   an internal root over [leaves] leaves of [fill] entries each, leaf j
+   holding keys 1000j + 2i. *)
+let encoded_tree dev alloc ~leaves ~fill =
+  let module S = Aurora_posix.Serial in
+  let put f =
+    let w = S.writer () in
+    f w;
+    let b = Alloc.alloc alloc in
+    Devarray.write dev b (Blockdev.Data (S.contents w));
+    b
+  in
+  let leaf j w =
+    S.w_u8 w 0;
+    S.w_int w fill;
+    for i = 0 to fill - 1 do
+      S.w_int64 w (Int64.of_int ((1000 * j) + (2 * i)));
+      S.w_u8 w 0;
+      S.w_int64 w 1L
+    done
+  in
+  let children = List.init leaves (fun j -> put (leaf j)) in
+  put (fun w ->
+      S.w_u8 w 1;
+      S.w_list w S.w_int64 (List.init (leaves - 1) (fun j -> Int64.of_int (1000 * (j + 1))));
+      S.w_list w S.w_int children)
+
+(* Node counts come from the device. One past [max_entries] still
+   decodes and takes inserts (the copy gets room for one more); beyond
+   that the node is corrupt, reported as [Serial.Corrupt] for the
+   store's heal path rather than an allocation of whatever size the
+   block claims. *)
+let test_btree_node_count_bounds () =
+  let tree ~fill =
+    let _, dev = mkdev () in
+    let alloc = Alloc.create ~first_block:2 () in
+    let t = Btree.create ~dev ~alloc in
+    (t, encoded_tree dev alloc ~leaves:2 ~fill)
+  in
+  let t, root = tree ~fill:201 in
+  Btree.begin_epoch t 1;
+  let root = Btree.insert t ~root ~key:1L (Btree.Imm 5L) in
+  check_bool "inserted" true (Btree.find t ~root 1L = Some (Btree.Imm 5L));
+  check_int "all keys kept" 403
+    (Btree.fold_range t ~root ~lo:0L ~hi:2000L ~init:0 ~f:(fun n _ _ -> n + 1));
+  let t, root = tree ~fill:202 in
+  check_bool "oversized leaf is corrupt" true
+    (match Btree.find t ~root 0L with
+     | _ -> false
+     | exception Aurora_posix.Serial.Corrupt _ -> true)
+
+(* Minor-heap words per insert into a depth-2 tree whose nodes the
+   epoch already owns: 1,000 inserts, 8 per leaf, none splitting. The
+   tuple each level returns is all an insert may allocate; nothing may
+   grow with the leaf's size. *)
+let insert_words ~fill =
+  let _, dev = mkdev () in
+  let alloc = Alloc.create ~first_block:2 () in
+  let t = Btree.create ~dev ~alloc in
+  let leaves = 125 in
+  let root = ref (encoded_tree dev alloc ~leaves ~fill) in
+  Btree.begin_epoch t 1;
+  (* One insert per leaf copies the root and every leaf into the epoch. *)
+  for j = 0 to leaves - 1 do
+    root := Btree.insert t ~root:!root ~key:(Int64.of_int ((1000 * j) + 1)) (Btree.Imm 0L)
+  done;
+  let keys =
+    (* Above every key already in the leaf, so a list-based leaf would
+       be copied whole. *)
+    Array.init (8 * leaves) (fun n -> Int64.of_int ((1000 * (n mod leaves)) + 999 - (2 * (n / leaves))))
+  in
+  let v = Btree.Imm 2L in
+  (* OCaml 5 counts words exactly only right after a minor collection. *)
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  Array.iter (fun key -> root := Btree.insert t ~root:!root ~key v) keys;
+  Gc.minor ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length keys) in
+  check_int "depth" 2 (Btree.node_depth t ~root:!root);
+  words
+
+let test_btree_insert_alloc () =
+  let w10 = insert_words ~fill:10 and w190 = insert_words ~fill:190 in
+  check_bool (Printf.sprintf "at most 16 words per insert (%.1f)" w190) true (w190 <= 16.);
+  check_bool (Printf.sprintf "independent of leaf fill (%.1f vs %.1f)" w10 w190) true
+    (w10 = w190)
 
 (* ------------------------------------------------------------------ *)
 (* Store: generations                                                  *)
@@ -948,6 +1118,11 @@ let () =
           Alcotest.test_case "fold_range" `Quick test_btree_fold_range;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
+          Alcotest.test_case "golden format and allocation order" `Quick
+            test_btree_golden_format;
+          Alcotest.test_case "insert allocation is fill-independent" `Quick
+            test_btree_insert_alloc;
+          Alcotest.test_case "decoded node count bounds" `Quick test_btree_node_count_bounds;
         ] );
       ( "store",
         [

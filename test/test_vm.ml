@@ -546,6 +546,30 @@ let test_hot_set_ranking () =
   Clockalg.age ~objects:[ e.Vmmap.obj ];
   check_int "aged" (before / 2) (Vmobject.heat e.Vmmap.obj (e.Vmmap.obj_offset + 2))
 
+(* The bounded top-k must rank exactly like the full sort it replaces:
+   heat descending, ties by page index ascending. Heats come from a
+   small range so ties are the common case. *)
+let prop_hot_pages_matches_full_sort =
+  QCheck.Test.make ~name:"hot_pages equals the full-sort reference" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 0 300) (pair (int_bound 400) (int_range 1 4)))
+              (int_bound 350))
+    (fun (touches, limit) ->
+      let pool = Frame.create_pool () in
+      let o = Vmobject.create ~pool Vmobject.Anonymous in
+      List.iter (fun (p, n) -> for _ = 1 to n do Vmobject.touch o p done) touches;
+      let pages = List.sort_uniq Int.compare (List.map fst touches) in
+      let reference =
+        List.map (fun p -> (p, Vmobject.heat o p)) pages
+        |> List.sort (fun (ka, va) (kb, vb) ->
+               match Int.compare vb va with 0 -> Int.compare ka kb | c -> c)
+        |> List.map fst
+      in
+      let take n l = List.filteri (fun i _ -> i < n) l in
+      (* [limit] below, at and above the number of hot pages. *)
+      List.for_all
+        (fun limit -> Vmobject.hot_pages o ~limit = take limit reference)
+        [ 0; 1; limit; List.length pages; List.length pages + 1; max_int ])
+
 let test_swap_rebalance () =
   let clock = Clock.create () in
   let pool = Frame.create_pool ~capacity_pages:8 () in
@@ -649,6 +673,7 @@ let () =
         [
           Alcotest.test_case "second chance" `Quick test_clock_second_chance;
           Alcotest.test_case "hot set ranking" `Quick test_hot_set_ranking;
+          qt prop_hot_pages_matches_full_sort;
           Alcotest.test_case "rebalance under pressure" `Quick test_swap_rebalance;
           Alcotest.test_case "swap roundtrip" `Quick test_swap_roundtrip_content;
         ] );
