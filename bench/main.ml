@@ -32,11 +32,10 @@ let row fmt = Printf.printf fmt
 
 (* --- optional JSON results sink (--json <file>) -------------------- *)
 
-(* Each target appends (key, rendered-value) pairs under its own name;
-   the driver writes one flat two-level object at exit. Values are
-   pre-rendered JSON scalars so no dependency is needed. *)
+(* Each target appends (key, value) pairs under its own name; the
+   driver writes one flat two-level object at exit. *)
 let json_path : string option ref = ref None
-let json_acc : (string * (string * string) list ref) list ref = ref []
+let json_acc : (string * (string * Json.t) list ref) list ref = ref []
 
 let json_record target kvs =
   if !json_path <> None then begin
@@ -51,10 +50,8 @@ let json_record target kvs =
     bucket := !bucket @ kvs
   end
 
-let jnum v =
-  if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
-let jint = string_of_int
+let jnum = Json.fixed 3
+let jint v = Json.Int v
 
 (* Summarize one histogram from a metrics registry into the target's
    JSON bucket as <key>_count / <key>_mean_us / <key>_p50_us /
@@ -65,12 +62,10 @@ let json_hist m target ~key name =
   match Metrics.find m name with
   | Some (Metrics.Histogram { count; bounds; counts; _ }) when count > 0 ->
     let h = Metrics.histogram m name in
-    let buckets =
-      String.concat ", "
-        (List.init (Array.length counts) (fun i ->
-             Printf.sprintf "{\"le\": %s, \"count\": %d}"
-               (if i < Array.length bounds then jnum bounds.(i) else "\"+inf\"")
-               counts.(i)))
+    let bucket i =
+      Json.Obj
+        [ ("le", if i < Array.length bounds then jnum bounds.(i) else String "+inf");
+          ("count", Int counts.(i)) ]
     in
     json_record target
       [
@@ -78,7 +73,7 @@ let json_hist m target ~key name =
         (key ^ "_mean_us", jnum (Metrics.hist_mean h));
         (key ^ "_p50_us", jnum (Metrics.quantile h 0.5));
         (key ^ "_p99_us", jnum (Metrics.quantile h 0.99));
-        (key ^ "_buckets", "[" ^ buckets ^ "]");
+        (key ^ "_buckets", List (List.init (Array.length counts) bucket));
       ]
   | _ -> ()
 
@@ -86,26 +81,13 @@ let json_write () =
   match !json_path with
   | None -> ()
   | Some path ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{";
-    List.iteri
-      (fun i (target, kvs) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\n  %S: {" target);
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: %s" k v))
-          !kvs;
-        Buffer.add_string buf "\n  }")
-      !json_acc;
-    Buffer.add_string buf "\n}\n";
+    let doc = Json.Obj (List.map (fun (target, kvs) -> (target, Json.Obj !kvs)) !json_acc) in
     (* Write-then-rename so a crash (or a concurrent reader — CI tails
        the file while the bench runs) never sees a truncated document. *)
     let tmp = path ^ ".tmp" in
     (match open_out tmp with
      | oc ->
-       Buffer.output_buffer oc buf;
+       output_string oc (Json.to_string doc ^ "\n");
        close_out oc;
        Sys.rename tmp path;
        Printf.printf "\n[json results written to %s]\n" path
@@ -1444,7 +1426,7 @@ let critpath () =
             (key ^ "_segments", jint (List.length r.Critpath.cp_segments));
             (key ^ "_stop_match", jint (if stop_ok then 1 else 0));
             ( key ^ "_top_antagonist",
-              Printf.sprintf "%S"
+              String
                 (match Critpath.top_antagonist r with
                  | Some a -> a.Critpath.an_name
                  | None -> "none") );

@@ -58,7 +58,7 @@ let () =
   in
   let arrival = Netlink.send link ~from_:`A image in
   say "shipped %d KiB image over 10 GbE (arrives %.1f us later)"
-    (Sendrecv.image_bytes image / 1024)
+    (String.length image / 1024)
     (Duration.to_us (Duration.sub arrival (Machine.now src)));
 
   (* The destination machine receives and resumes it. *)
@@ -89,6 +89,6 @@ let () =
   in
   say "";
   say "continuous replication: next increment is %d KiB (vs %d KiB full) - %s"
-    (Sendrecv.image_bytes delta / 1024)
-    (Sendrecv.image_bytes image / 1024)
+    (String.length delta / 1024)
+    (String.length image / 1024)
     "'continually feed incremental checkpoints to a remote host'"

@@ -136,7 +136,9 @@ let fresh () =
 (* --- command implementations ------------------------------------------ *)
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
-let jbool b = if b then "true" else "false"
+let say_json j = say "%s" (Json.to_string j)
+let jopt f = function Some v -> f v | None -> Json.Null
+let jints l = Json.List (List.map (fun i -> Json.Int i) l)
 
 let cmd_init path =
   let u = fresh () in
@@ -277,9 +279,7 @@ let cmd_detach path pgid backend =
    | "memory" ->
      entry.app_backends <- List.filter (fun b -> b <> "memory") entry.app_backends;
      g.Types.backends <-
-       List.filter
-         (function Types.Local { kind = `Memory; _ } -> false | _ -> true)
-         g.Types.backends
+       List.filter (fun b -> b.Types.kind <> `Memory) g.Types.backends
    | "disk" -> failwith "cannot detach the primary disk backend"
    | other -> failwith (Printf.sprintf "unknown backend %S" other));
   say "%s: backends now [%s]" entry.app_name (String.concat "; " entry.app_backends);
@@ -375,25 +375,21 @@ let cmd_trace path out =
 
 (* --- forensics commands ------------------------------------------------ *)
 
-let json_attrs attrs =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%S: %S" k v) attrs)
+let json_attrs attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) attrs)
+
+let json_us ~digits d = Json.fixed digits (Duration.to_us d)
 
 let json_event (e : Recorder.event) =
-  Printf.sprintf
-    "{\"seq\": %d, \"at_us\": %.1f, \"kind\": %S, \"gen\": %s, \
-     \"detail\": %S, \"attrs\": {%s}}"
-    e.Recorder.ev_seq
-    (Duration.to_us e.Recorder.ev_at)
-    e.Recorder.ev_kind
-    (if e.Recorder.ev_gen < 0 then "null" else string_of_int e.Recorder.ev_gen)
-    e.Recorder.ev_detail
-    (json_attrs e.Recorder.ev_attrs)
+  Json.Obj
+    [ ("seq", Int e.Recorder.ev_seq); ("at_us", json_us ~digits:1 e.Recorder.ev_at);
+      ("kind", String e.Recorder.ev_kind);
+      ("gen", if e.Recorder.ev_gen < 0 then Null else Int e.Recorder.ev_gen);
+      ("detail", String e.Recorder.ev_detail); ("attrs", json_attrs e.Recorder.ev_attrs) ]
 
 let json_mark (m : Recorder.capture_mark) =
-  Printf.sprintf "{\"gen\": %d, \"pgid\": %d, \"at_us\": %.1f}"
-    m.Recorder.cm_gen m.Recorder.cm_pgid
-    (Duration.to_us m.Recorder.cm_at)
+  Json.Obj
+    [ ("gen", Int m.Recorder.cm_gen); ("pgid", Int m.Recorder.cm_pgid);
+      ("at_us", json_us ~digits:1 m.Recorder.cm_at) ]
 
 (* `sls postmortem`: what the previous incarnation left in flight. The
    report was computed when this load booted the machine — diffing the
@@ -403,7 +399,7 @@ let cmd_postmortem path json =
   let u = load path in
   match Machine.postmortem u.machine with
   | None ->
-    if json then say "{\"postmortem\": null}"
+    if json then say_json (Obj [ ("postmortem", Null) ])
     else
       say "no post-mortem: fresh store, or no recoverable flight recorder";
     0
@@ -423,30 +419,22 @@ let cmd_postmortem path json =
          = List.sort_uniq Int.compare pm.Machine.pm_unacked_gens
     in
     if json then
-      say
-        "{\"crash_reason\": %s, \"recovered_gen\": %s, \"bbox_at_us\": %s, \
-         \"pending_epochs\": [%s], \"unacked_gens\": [%s], \
-         \"open_spans\": [%s], \"last_alerts\": [%s], \"ring\": \
-         {\"events\": %d, \"occupancy\": %d, \"dropped\": %d}, \
-         \"checks_ok\": %s}"
-        (match pm.Machine.pm_crash_reason with
-         | Some r -> Printf.sprintf "%S" r
-         | None -> "null")
-        (match pm.Machine.pm_recovered_gen with
-         | Some g -> string_of_int g
-         | None -> "null")
-        (match pm.Machine.pm_bbox_at with
-         | Some d -> Printf.sprintf "%.1f" (Duration.to_us d)
-         | None -> "null")
-        (String.concat ", " (List.map json_mark pm.Machine.pm_pending_epochs))
-        (String.concat ", "
-           (List.map string_of_int pm.Machine.pm_unacked_gens))
-        (String.concat ", "
-           (List.map (Printf.sprintf "%S") pm.Machine.pm_open_spans))
-        (String.concat ", " (List.map json_event pm.Machine.pm_last_alerts))
-        (List.length pm.Machine.pm_events)
-        (Recorder.occupancy rec_) (Recorder.dropped rec_)
-        (jbool checks_ok)
+      say_json
+        (Obj
+           [ ("crash_reason", jopt (fun r -> Json.String r) pm.Machine.pm_crash_reason);
+             ("recovered_gen", jopt (fun g -> Json.Int g) pm.Machine.pm_recovered_gen);
+             ("bbox_at_us", jopt (json_us ~digits:1) pm.Machine.pm_bbox_at);
+             ("pending_epochs", List (List.map json_mark pm.Machine.pm_pending_epochs));
+             ("unacked_gens", jints pm.Machine.pm_unacked_gens);
+             ( "open_spans",
+               List (List.map (fun s -> Json.String s) pm.Machine.pm_open_spans) );
+             ("last_alerts", List (List.map json_event pm.Machine.pm_last_alerts));
+             ( "ring",
+               Obj
+                 [ ("events", Int (List.length pm.Machine.pm_events));
+                   ("occupancy", Int (Recorder.occupancy rec_));
+                   ("dropped", Int (Recorder.dropped rec_)) ] );
+             ("checks_ok", Bool checks_ok) ])
     else begin
       say "post-mortem of the previous incarnation";
       say "  crash reason:   %s"
@@ -546,31 +534,22 @@ let cmd_timeline path dst out =
   let acked = List.fold_left (fun a (p, _, _) -> max a p) 0 mapped in
   let pgens = Store.generations pu.machine.Machine.disk_store in
   let rpo = List.length (List.filter (fun g -> g > acked) pgens) in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string b ",\n " in
-  let meta ~pid ~name what =
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\": %S, \"ph\": \"M\", \"pid\": %d, \"args\": {\"name\": %S}}"
-         what pid name)
+  let process ~pid name =
+    Json.Obj
+      [ ("name", String "process_name"); ("ph", String "M"); ("pid", Int pid);
+        ("args", Obj [ ("name", String name) ]) ]
   in
   let thread ~pid ~tid name =
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d, \
-          \"args\": {\"name\": %S}}"
-         pid tid name)
+    Json.Obj
+      [ ("name", String "thread_name"); ("ph", String "M"); ("pid", Int pid);
+        ("tid", Int tid); ("args", Obj [ ("name", String name) ]) ]
   in
-  meta ~pid:1 ~name:"primary" "process_name";
-  meta ~pid:2 ~name:"standby" "process_name";
   let tracks = [ ("ckpt", 1); ("repl", 2); ("slo", 3); ("metrics", 4) ] in
-  List.iter (fun (name, tid) -> thread ~pid:1 ~tid name) tracks;
-  thread ~pid:1 ~tid:5 "events";
-  thread ~pid:2 ~tid:1 "repl";
+  let metadata =
+    [ process ~pid:1 "primary"; process ~pid:2 "standby" ]
+    @ List.map (fun (name, tid) -> thread ~pid:1 ~tid name) tracks
+    @ [ thread ~pid:1 ~tid:5 "events"; thread ~pid:2 ~tid:1 "repl" ]
+  in
   let tid_of kind =
     match String.index_opt kind '.' with
     | None -> 5
@@ -579,55 +558,65 @@ let cmd_timeline path dst out =
       | Some tid -> tid
       | None -> 5)
   in
-  let emit ~pid ~tid ~ts ~name args =
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\": %S, \"cat\": \"aurora\", \"ph\": \"X\", \"ts\": %.3f, \
-          \"dur\": 1, \"pid\": %d, \"tid\": %d, \"args\": {%s}}"
-         name ts pid tid args)
+  let event ~pid ~tid ~ts ~name args =
+    Json.Obj
+      [ ("name", String name); ("cat", String "aurora"); ("ph", String "X");
+        ("ts", Json.fixed 3 ts); ("dur", Int 1); ("pid", Int pid); ("tid", Int tid);
+        ("args", json_attrs args) ]
   in
-  List.iter
-    (fun (e : Recorder.event) ->
-      let args =
-        json_attrs
-          ((if e.Recorder.ev_gen >= 0 then
-              [ ("gen", string_of_int e.Recorder.ev_gen) ]
-            else [])
+  let primary_events =
+    List.map
+      (fun (e : Recorder.event) ->
+        let args =
+          (if e.Recorder.ev_gen >= 0 then
+             [ ("gen", string_of_int e.Recorder.ev_gen) ]
+           else [])
           @ [ ("detail", e.Recorder.ev_detail) ]
-          @ e.Recorder.ev_attrs)
-      in
-      emit ~pid:1 ~tid:(tid_of e.Recorder.ev_kind)
-        ~ts:(Duration.to_us e.Recorder.ev_at)
-        ~name:e.Recorder.ev_kind args)
-    pevents;
-  List.iter
-    (fun ((pgen, sgen, corr) as m) ->
-      let ts = match stamp m with Some ts -> ts | None -> floor_us in
-      let args =
-        json_attrs
-          ([ ("primary_gen", string_of_int pgen);
-             ("standby_gen", string_of_int sgen) ]
-          @ (match corr with Some c -> [ ("corr", c) ] | None -> []))
-      in
-      emit ~pid:2 ~tid:1 ~ts ~name:"repl.import" args)
-    mapped;
+          @ e.Recorder.ev_attrs
+        in
+        event ~pid:1 ~tid:(tid_of e.Recorder.ev_kind)
+          ~ts:(Duration.to_us e.Recorder.ev_at)
+          ~name:e.Recorder.ev_kind args)
+      pevents
+  in
+  let standby_events =
+    List.map
+      (fun ((pgen, sgen, corr) as m) ->
+        let ts = match stamp m with Some ts -> ts | None -> floor_us in
+        let args =
+          [ ("primary_gen", string_of_int pgen);
+            ("standby_gen", string_of_int sgen) ]
+          @ (match corr with Some c -> [ ("corr", c) ] | None -> [])
+        in
+        event ~pid:2 ~tid:1 ~ts ~name:"repl.import" args)
+      mapped
+  in
   (* The failover edge: what promoting this standby right now costs. *)
-  sep ();
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\": %S, \"ph\": \"i\", \"s\": \"g\", \"ts\": %.3f, \"pid\": 2, \
-        \"tid\": 1, \"args\": {\"rpo_generations\": \"%d\", \
-        \"acked_primary_gen\": \"%d\"}}"
-       (Printf.sprintf "failover edge: RPO %d generation%s" rpo
-          (if rpo = 1 then "" else "s"))
-       (List.fold_left
-          (fun a m -> match stamp m with Some ts -> Float.max a ts | None -> a)
-          floor_us mapped)
-       rpo acked);
-  Buffer.add_string b "]}\n";
+  let edge =
+    Json.Obj
+      [ ( "name",
+          String
+            (Printf.sprintf "failover edge: RPO %d generation%s" rpo
+               (if rpo = 1 then "" else "s")) );
+        ("ph", String "i"); ("s", String "g");
+        ( "ts",
+          Json.fixed 3
+            (List.fold_left
+               (fun a m -> match stamp m with Some ts -> Float.max a ts | None -> a)
+               floor_us mapped) );
+        ("pid", Int 2); ("tid", Int 1);
+        ( "args",
+          json_attrs
+            [ ("rpo_generations", string_of_int rpo);
+              ("acked_primary_gen", string_of_int acked) ] ) ]
+  in
+  let trace =
+    Json.Obj
+      [ ("displayTimeUnit", String "ms");
+        ("traceEvents", List (metadata @ primary_events @ standby_events @ [ edge ])) ]
+  in
   let oc = open_out out in
-  Buffer.output_buffer oc b;
+  output_string oc (Json.to_string trace ^ "\n");
   close_out oc;
   say "wrote %s: %d primary events + %d standby imports (%d beyond the ring \
        horizon), RPO %d"
@@ -639,21 +628,19 @@ let cmd_timeline path dst out =
 (* --- provenance commands ---------------------------------------------- *)
 
 let json_obj_attr (a : Types.obj_attribution) =
-  Printf.sprintf
-    "{\"oid\": %d, \"store_oid\": %d, \"owner_pid\": %s, \"pages\": %d, \
-     \"bytes\": %d, \"metadata_bytes\": %d, \"cow_breaks\": %d, \
-     \"chain_depth\": %d}"
-    a.Types.a_oid a.Types.a_store_oid
-    (match a.Types.a_owner_pid with Some p -> string_of_int p | None -> "null")
-    a.Types.a_pages a.Types.a_bytes a.Types.a_metadata_bytes a.Types.a_cow_breaks
-    a.Types.a_chain_depth
+  Json.Obj
+    [ ("oid", Int a.Types.a_oid); ("store_oid", Int a.Types.a_store_oid);
+      ("owner_pid", jopt (fun p -> Json.Int p) a.Types.a_owner_pid);
+      ("pages", Int a.Types.a_pages); ("bytes", Int a.Types.a_bytes);
+      ("metadata_bytes", Int a.Types.a_metadata_bytes);
+      ("cow_breaks", Int a.Types.a_cow_breaks); ("chain_depth", Int a.Types.a_chain_depth) ]
 
 let json_proc_attr (p : Types.proc_attribution) =
-  Printf.sprintf
-    "{\"pid\": %d, \"name\": %S, \"pages\": %d, \"bytes\": %d, \
-     \"metadata_bytes\": %d, \"cow_breaks\": %d, \"objects\": %d}"
-    p.Types.p_pid p.Types.p_name p.Types.p_pages p.Types.p_bytes
-    p.Types.p_metadata_bytes p.Types.p_cow_breaks p.Types.p_objects
+  Json.Obj
+    [ ("pid", Int p.Types.p_pid); ("name", String p.Types.p_name);
+      ("pages", Int p.Types.p_pages); ("bytes", Int p.Types.p_bytes);
+      ("metadata_bytes", Int p.Types.p_metadata_bytes);
+      ("cow_breaks", Int p.Types.p_cow_breaks); ("objects", Int p.Types.p_objects) ]
 
 (* `sls top`: live who-pays-for-checkpoints. A measurement, not a
    mutation: each group is checkpointed to refresh its attribution, the
@@ -685,19 +672,16 @@ let cmd_top path json k =
   in
   if json then begin
     let jrow (entry, g, (b : Types.ckpt_breakdown), a) =
-      Printf.sprintf
-        "{\"pgid\": %d, \"app\": %S, \"gen\": %d, \"stop_us\": %.1f, \
-         \"pages\": %d, \"bytes\": %d, \"metadata_bytes\": %d, \
-         \"sums_exact\": %s, \"top_procs\": [%s], \"top_objects\": [%s]}"
-        g.Types.pgid entry.app_name b.Types.gen
-        (Duration.to_us b.Types.stop_time)
-        a.Types.at_pages_total a.Types.at_bytes_total
-        a.Types.at_metadata_bytes_total
-        (jbool (exact a))
-        (String.concat ", " (List.map json_proc_attr (Types.top_procs ~k a)))
-        (String.concat ", " (List.map json_obj_attr (Types.top_objects ~k a)))
+      Json.Obj
+        [ ("pgid", Int g.Types.pgid); ("app", String entry.app_name);
+          ("gen", Int b.Types.gen); ("stop_us", json_us ~digits:1 b.Types.stop_time);
+          ("pages", Int a.Types.at_pages_total); ("bytes", Int a.Types.at_bytes_total);
+          ("metadata_bytes", Int a.Types.at_metadata_bytes_total);
+          ("sums_exact", Bool (exact a));
+          ("top_procs", List (List.map json_proc_attr (Types.top_procs ~k a)));
+          ("top_objects", List (List.map json_obj_attr (Types.top_objects ~k a))) ]
     in
-    say "{\"groups\": [%s]}" (String.concat ", " (List.map jrow rows))
+    say_json (Obj [ ("groups", List (List.map jrow rows)) ])
   end
   else
     List.iter
@@ -728,15 +712,15 @@ let cmd_top path json k =
   else failwith "attribution rows do not sum to the checkpoint breakdown"
 
 let json_provenance (p : Store.provenance) =
-  Printf.sprintf
-    "{\"records\": %d, \"pages\": %d, \"blobs\": %d, \"logical_bytes\": %d, \
-     \"data_blocks\": %d, \"meta_blocks\": %d, \"mirror_blocks\": %d, \
-     \"commit_blocks\": %d, \"dedup_hits\": %d, \"dedup_saved_bytes\": %d, \
-     \"bytes_written\": %d}"
-    p.Store.pv_records p.Store.pv_pages p.Store.pv_blobs p.Store.pv_logical_bytes
-    p.Store.pv_data_blocks p.Store.pv_meta_blocks p.Store.pv_mirror_blocks
-    p.Store.pv_commit_blocks p.Store.pv_dedup_hits p.Store.pv_dedup_saved_bytes
-    (Store.bytes_written p)
+  Json.Obj
+    [ ("records", Int p.Store.pv_records); ("pages", Int p.Store.pv_pages);
+      ("blobs", Int p.Store.pv_blobs); ("logical_bytes", Int p.Store.pv_logical_bytes);
+      ("data_blocks", Int p.Store.pv_data_blocks); ("meta_blocks", Int p.Store.pv_meta_blocks);
+      ("mirror_blocks", Int p.Store.pv_mirror_blocks);
+      ("commit_blocks", Int p.Store.pv_commit_blocks);
+      ("dedup_hits", Int p.Store.pv_dedup_hits);
+      ("dedup_saved_bytes", Int p.Store.pv_dedup_saved_bytes);
+      ("bytes_written", Int (Store.bytes_written p)) ]
 
 (* `sls explain <gen>`: the storage provenance of one generation, from
    both sides — the write-time accumulation persisted in the generation
@@ -761,23 +745,27 @@ let cmd_explain path gen json =
   let prov = Store.gen_provenance store gen in
   let x = Store.crosscheck store in
   if json then
-    say
-      "{\"gen\": %d, \"provenance\": %s, \"report\": {\"meta_blocks\": %d, \
-       \"data_blocks\": %d, \"mirror_blocks\": %d, \"records\": %d, \
-       \"pages\": %d, \"blobs\": %d, \"record_bytes\": %d, \
-       \"logical_bytes\": %d, \"exclusive_blocks\": %d, \"shared_blocks\": %d}, \
-       \"crosscheck\": {\"reachable_blocks\": %d, \"live_blocks\": %d, \
-       \"within_1pct\": %s}, \"capacity_blocks\": %s}"
-      gen
-      (match prov with Some p -> json_provenance p | None -> "null")
-      r.Store.r_meta_blocks r.Store.r_data_blocks r.Store.r_mirror_blocks
-      r.Store.r_record_entries r.Store.r_page_entries r.Store.r_blob_entries
-      r.Store.r_record_bytes r.Store.r_logical_bytes r.Store.r_exclusive_blocks
-      r.Store.r_shared_blocks x.Store.x_reachable_blocks x.Store.x_live_blocks
-      (jbool x.Store.x_within_1pct)
-      (match Store.capacity_blocks store with
-       | Some c -> string_of_int c
-       | None -> "null")
+    say_json
+      (Obj
+         [ ("gen", Int gen); ("provenance", jopt json_provenance prov);
+           ( "report",
+             Obj
+               [ ("meta_blocks", Int r.Store.r_meta_blocks);
+                 ("data_blocks", Int r.Store.r_data_blocks);
+                 ("mirror_blocks", Int r.Store.r_mirror_blocks);
+                 ("records", Int r.Store.r_record_entries);
+                 ("pages", Int r.Store.r_page_entries);
+                 ("blobs", Int r.Store.r_blob_entries);
+                 ("record_bytes", Int r.Store.r_record_bytes);
+                 ("logical_bytes", Int r.Store.r_logical_bytes);
+                 ("exclusive_blocks", Int r.Store.r_exclusive_blocks);
+                 ("shared_blocks", Int r.Store.r_shared_blocks) ] );
+           ( "crosscheck",
+             Obj
+               [ ("reachable_blocks", Int x.Store.x_reachable_blocks);
+                 ("live_blocks", Int x.Store.x_live_blocks);
+                 ("within_1pct", Bool x.Store.x_within_1pct) ] );
+           ("capacity_blocks", jopt (fun c -> Json.Int c) (Store.capacity_blocks store)) ])
   else begin
     say "generation %d" gen;
     (match prov with
@@ -817,24 +805,23 @@ let cmd_diff path gen_a gen_b json =
   let d = Store.diff store ~from_gen:gen_a ~to_gen:gen_b in
   if json then begin
     let jdelta (c : Store.oid_delta) =
-      Printf.sprintf
-        "{\"oid\": %d, \"pages_added\": %d, \"pages_removed\": %d, \
-         \"pages_changed\": %d}"
-        c.Store.d_oid c.Store.d_pages_added c.Store.d_pages_removed
-        c.Store.d_pages_changed
+      Json.Obj
+        [ ("oid", Int c.Store.d_oid); ("pages_added", Int c.Store.d_pages_added);
+          ("pages_removed", Int c.Store.d_pages_removed);
+          ("pages_changed", Int c.Store.d_pages_changed) ]
     in
-    say
-      "{\"from\": %d, \"to\": %d, \"oids_added\": [%s], \"oids_removed\": [%s], \
-       \"changed\": [%s], \"pages_added\": %d, \"pages_removed\": %d, \
-       \"pages_changed\": %d, \"bytes_delta\": %d, \"dedup_hits_delta\": %d, \
-       \"dedup_saved_delta\": %d}"
-      d.Store.df_from d.Store.df_to
-      (String.concat ", " (List.map string_of_int d.Store.df_oids_added))
-      (String.concat ", " (List.map string_of_int d.Store.df_oids_removed))
-      (String.concat ", " (List.map jdelta d.Store.df_changed))
-      d.Store.df_pages_added d.Store.df_pages_removed d.Store.df_pages_changed
-      d.Store.df_bytes_delta d.Store.df_dedup_hits_delta
-      d.Store.df_dedup_saved_delta
+    say_json
+      (Obj
+         [ ("from", Int d.Store.df_from); ("to", Int d.Store.df_to);
+           ("oids_added", jints d.Store.df_oids_added);
+           ("oids_removed", jints d.Store.df_oids_removed);
+           ("changed", List (List.map jdelta d.Store.df_changed));
+           ("pages_added", Int d.Store.df_pages_added);
+           ("pages_removed", Int d.Store.df_pages_removed);
+           ("pages_changed", Int d.Store.df_pages_changed);
+           ("bytes_delta", Int d.Store.df_bytes_delta);
+           ("dedup_hits_delta", Int d.Store.df_dedup_hits_delta);
+           ("dedup_saved_delta", Int d.Store.df_dedup_saved_delta) ])
   end
   else begin
     say "generation %d -> %d" d.Store.df_from d.Store.df_to;
@@ -905,15 +892,18 @@ let cmd_replicate path dst pgid loss seed json =
     | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
   in
   if json then
-    say
-      "{\"app\": %S, \"generations\": %d, \"acked\": %d, \"state\": %S, \
-       \"lag\": %d, \"full_images\": %d, \"delta_images\": %d, \
-       \"retransmits\": %d, \"resyncs\": %d, \"corrupt_rejects\": %d, \
-       \"duplicate_frames\": %d, \"wire_bytes\": %d, \"ack_rtt_us_mean\": %.1f}"
-      entry.app_name (List.length pgens) st.Replica.acked state lag
-      st.Replica.full_images st.Replica.delta_images st.Replica.retransmits
-      st.Replica.resyncs st.Replica.corrupt_rejects st.Replica.duplicate_frames
-      st.Replica.wire_bytes rtt_mean
+    say_json
+      (Obj
+         [ ("app", String entry.app_name); ("generations", Int (List.length pgens));
+           ("acked", Int st.Replica.acked); ("state", String state); ("lag", Int lag);
+           ("full_images", Int st.Replica.full_images);
+           ("delta_images", Int st.Replica.delta_images);
+           ("retransmits", Int st.Replica.retransmits);
+           ("resyncs", Int st.Replica.resyncs);
+           ("corrupt_rejects", Int st.Replica.corrupt_rejects);
+           ("duplicate_frames", Int st.Replica.duplicate_frames);
+           ("wire_bytes", Int st.Replica.wire_bytes);
+           ("ack_rtt_us_mean", Json.fixed 1 rtt_mean) ])
   else begin
     List.iter
       (fun (r : Replica.ship_report) ->
@@ -966,13 +956,13 @@ let cmd_failover primary dst json =
   let promoted_gen = Store.latest sstore in
   let pids = List.map (fun (pid, _, _, _) -> pid) (Machine.ps du.machine) in
   if json then
-    say
-      "{\"state\": %S, \"replicated_generations\": %d, \"acked_primary_gen\": %d, \
-       \"rpo_generations\": %d, \"promoted_gen\": %s, \"restored_pids\": [%s]}"
-      (if rpo = 0 then "converged" else "degraded")
-      (List.length mapped) acked rpo
-      (match promoted_gen with Some gn -> string_of_int gn | None -> "null")
-      (String.concat ", " (List.map string_of_int pids))
+    say_json
+      (Obj
+         [ ("state", String (if rpo = 0 then "converged" else "degraded"));
+           ("replicated_generations", Int (List.length mapped));
+           ("acked_primary_gen", Int acked); ("rpo_generations", Int rpo);
+           ("promoted_gen", jopt (fun gn -> Json.Int gn) promoted_gen);
+           ("restored_pids", jints pids) ])
   else begin
     say "promoted standby %s: %d replicated generations, last acked primary generation %d"
       dst (List.length mapped) acked;

@@ -28,7 +28,6 @@ type t = {
   mutable next_pid : int;
   containers : (int, Container.t) Hashtbl.t;
   mutable next_cid : int;
-  trace : Tracelog.t;
   metrics : Metrics.t;
   spans : Span.t;
   recorder : Recorder.t;
@@ -45,7 +44,7 @@ let create ?clock ?fs ?capacity_pages ?(seed = 0xA407AL) () =
     { clock; pool = Frame.create_pool ?capacity_pages (); registry = Registry.create ();
       netstack = Netstack.create (); fs; unix_ns = Hashtbl.create 8;
       procs = Hashtbl.create 16; next_pid = 1; containers = Hashtbl.create 4;
-      next_cid = 1; trace = Tracelog.create clock; metrics = Metrics.create clock;
+      next_cid = 1; metrics = Metrics.create clock;
       spans = Span.create clock; recorder = Recorder.create clock;
       probes = Probe.create ();
       prng = Prng.create ~seed;
@@ -64,8 +63,6 @@ let spawn t ?(container = 0) ?(parent = 0) ~name ~program () =
   let vm = Vmmap.create ~clock:t.clock ~pool:t.pool () in
   let p = Process.create ~pid ~ppid:parent ~name ~container ~vm ~program in
   Hashtbl.replace t.procs pid p;
-  Tracelog.recordf t.trace ~subsystem:"proc" "spawn pid=%d name=%s program=%s" pid name
-    program;
   p
 
 let proc t pid = Hashtbl.find_opt t.procs pid

@@ -42,7 +42,6 @@ type t = {
   mutable next_pid : int;
   containers : (int, Container.t) Hashtbl.t;
   mutable next_cid : int;
-  trace : Tracelog.t;
   metrics : Metrics.t;  (** the machine-wide metrics registry *)
   spans : Span.t;       (** the machine-wide span recorder *)
   recorder : Recorder.t;

@@ -1,4 +1,3 @@
-open Aurora_simtime
 open Aurora_device
 open Aurora_vm
 open Aurora_posix
@@ -463,7 +462,6 @@ let fork k (p : Process.t) (calling : Thread.t) =
   Context.set_reg child_main.Thread.context 0 0L;
   Context.set_reg calling.Thread.context 0 (Int64.of_int pid);
   Hashtbl.replace k.Kernel.procs pid child;
-  Tracelog.recordf k.Kernel.trace ~subsystem:"proc" "fork %d -> %d" p.Process.pid pid;
   child
 
 let exit_process k (p : Process.t) code =
@@ -479,9 +477,7 @@ let exit_process k (p : Process.t) code =
     List.iter
       (fun th -> if not (Thread.is_exited th) then th.Thread.state <- Thread.Exited code)
       p.Process.threads;
-    p.Process.exit_status <- Some code;
-    Tracelog.recordf k.Kernel.trace ~subsystem:"proc" "exit pid=%d status=%d"
-      p.Process.pid code
+    p.Process.exit_status <- Some code
   end
 
 let waitpid k (p : Process.t) want =

@@ -320,52 +320,22 @@ let render r =
     | [] -> ());
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"gen\":%d,\"pgid\":%d,\"barrier_at_us\":%.3f,\"durable_at_us\":%.3f,\
-        \"stop_us\":%.3f,\"total_us\":%.3f,\"segments\":["
-       r.cp_gen r.cp_pgid
-       (Duration.to_us r.cp_barrier_at)
-       (Duration.to_us r.cp_durable_at)
-       r.cp_stop_us r.cp_total_us);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"track\":\"%s\",\"start_us\":%.3f,\
-            \"end_us\":%.3f,\"us\":%.3f,\"pct\":%.3f}"
-           (json_escape s.sg_name) (json_escape s.sg_track)
-           (Duration.to_us s.sg_start)
-           (Duration.to_us s.sg_end)
-           s.sg_us s.sg_pct))
-    r.cp_segments;
-  Buffer.add_string buf "],\"antagonists\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"us\":%.3f}" (json_escape a.an_name)
-           a.an_us))
-    r.cp_antagonists;
-  Buffer.add_string buf "],\"top_antagonist\":";
-  (match top_antagonist r with
-  | Some a -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape a.an_name))
-  | None -> Buffer.add_string buf "null");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let num = Json.fixed 3 in
+  let at d = num (Duration.to_us d) in
+  let segment s =
+    Json.Obj
+      [ ("name", String s.sg_name); ("track", String s.sg_track);
+        ("start_us", at s.sg_start); ("end_us", at s.sg_end); ("us", num s.sg_us);
+        ("pct", num s.sg_pct) ]
+  in
+  let antagonist a = Json.Obj [ ("name", String a.an_name); ("us", num a.an_us) ] in
+  Json.to_string
+    (Obj
+       [ ("gen", Int r.cp_gen); ("pgid", Int r.cp_pgid);
+         ("barrier_at_us", at r.cp_barrier_at); ("durable_at_us", at r.cp_durable_at);
+         ("stop_us", num r.cp_stop_us); ("total_us", num r.cp_total_us);
+         ("segments", List (List.map segment r.cp_segments));
+         ("antagonists", List (List.map antagonist r.cp_antagonists));
+         ( "top_antagonist",
+           match top_antagonist r with Some a -> String a.an_name | None -> Null ) ])

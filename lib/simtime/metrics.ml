@@ -209,66 +209,31 @@ let find t name =
   run_hooks t;
   Option.map value_of (Hashtbl.find_opt t.tbl name)
 
-let jfloat b v =
-  if Float.is_finite v then
-    (* %.17g roundtrips but is noisy; 6 significant digits is plenty
-       for microsecond-scale values. *)
-    Buffer.add_string b (Printf.sprintf "%.6g" v)
-  else Buffer.add_string b "null"
-
-let jstring b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let json_of_value : value -> Json.t = function
+  | Counter c -> Obj [ ("type", String "counter"); ("value", Int c) ]
+  | Gauge g -> Obj [ ("type", String "gauge"); ("value", Float g) ]
+  | Histogram { bounds; counts; count; sum; max_seen } ->
+    let nb = Array.length bounds in
+    let quantiles =
+      List.map
+        (fun q ->
+          ( Printf.sprintf "p%g" (q *. 100.),
+            Json.Float (quantile_of ~bounds ~counts ~n:count ~max_seen q) ))
+        [ 0.5; 0.95; 0.99 ]
+    in
+    let bucket i =
+      Json.Obj
+        [ ("le", if i < nb then Float bounds.(i) else String "+inf");
+          ("count", Int counts.(i)) ]
+    in
+    Obj
+      ([ ("type", Json.String "histogram"); ("count", Int count); ("sum", Float sum);
+         ("mean", Float (if count = 0 then Float.nan else sum /. float_of_int count));
+         ("max", Float max_seen) ]
+      @ quantiles
+      @ [ ("buckets", List (List.init (nb + 1) bucket)) ])
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"at_us\": ";
-  jfloat b (Duration.to_us (Clock.now t.clock));
-  Buffer.add_string b ", \"metrics\": {";
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      if !first then first := false else Buffer.add_string b ", ";
-      jstring b name;
-      Buffer.add_string b ": ";
-      match v with
-      | Counter c -> Buffer.add_string b (Printf.sprintf "{\"type\": \"counter\", \"value\": %d}" c)
-      | Gauge g ->
-        Buffer.add_string b "{\"type\": \"gauge\", \"value\": ";
-        jfloat b g;
-        Buffer.add_char b '}'
-      | Histogram { bounds; counts; count; sum; max_seen } ->
-        Buffer.add_string b (Printf.sprintf "{\"type\": \"histogram\", \"count\": %d, \"sum\": " count);
-        jfloat b sum;
-        Buffer.add_string b ", \"mean\": ";
-        jfloat b (if count = 0 then Float.nan else sum /. float_of_int count);
-        Buffer.add_string b ", \"max\": ";
-        jfloat b max_seen;
-        List.iter
-          (fun q ->
-            Buffer.add_string b (Printf.sprintf ", \"p%g\": " (q *. 100.));
-            jfloat b (quantile_of ~bounds ~counts ~n:count ~max_seen q))
-          [ 0.5; 0.95; 0.99 ];
-        Buffer.add_string b ", \"buckets\": [";
-        let nb = Array.length bounds in
-        for i = 0 to nb do
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b "{\"le\": ";
-          if i < nb then jfloat b bounds.(i) else Buffer.add_string b "\"+inf\"";
-          Buffer.add_string b (Printf.sprintf ", \"count\": %d}" counts.(i))
-        done;
-        Buffer.add_string b "]}")
-    (snapshot t);
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let at_us = Duration.to_us (Clock.now t.clock) in
+  let metrics = List.map (fun (name, v) -> (name, json_of_value v)) (snapshot t) in
+  Json.to_string (Obj [ ("at_us", Float at_us); ("metrics", Obj metrics) ])

@@ -107,4 +107,5 @@ val to_json : t -> string
 (** The snapshot as a JSON object:
     [{"at_us": <now>, "metrics": {<name>: {...}, ...}}].
     Histograms include count/sum/mean/p50/p95/p99 and the bucket
-    array. Non-finite floats are emitted as [null]. *)
+    array. Printed by {!Json}: floats at full precision, non-finite
+    ones as [null]. *)

@@ -703,57 +703,22 @@ let render rp =
   if rp.rp_rows = [] then Buffer.add_string buf "  (no matching events)\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_num v =
-  if Float.is_finite v then Printf.sprintf "%g" v else "null"
-
 let report_json rp =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"id\":%d,\"query\":\"%s\",\"point\":\"%s\",\"fired\":%d,\"matched\":%d,\"rows\":["
-       rp.rp_id
-       (json_escape (print rp.rp_spec))
-       (point_name rp.rp_spec.sp_point)
-       rp.rp_fired rp.rp_matched);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"key\":\"%s\",\"n\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
-           (json_escape r.r_key) r.r_n (json_num r.r_sum) (json_num r.r_min)
-           (json_num r.r_max));
-      if Array.length r.r_buckets > 0 then begin
-        Buffer.add_string buf ",\"buckets\":[";
-        let first = ref true in
-        Array.iteri
-          (fun i c ->
-            if c > 0 then begin
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              Buffer.add_string buf
-                (Printf.sprintf "{\"ge\":%s,\"count\":%d}"
-                   (json_num (quantize_lower i))
-                   c)
-            end)
-          r.r_buckets;
-        Buffer.add_char buf ']'
-      end;
-      Buffer.add_char buf '}')
-    rp.rp_rows;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let bucket i c : Json.t list =
+    if c > 0 then [ Obj [ ("ge", Float (quantize_lower i)); ("count", Int c) ] ] else []
+  in
+  let row r =
+    let fields : (string * Json.t) list =
+      [ ("key", String r.r_key); ("n", Int r.r_n); ("sum", Float r.r_sum);
+        ("min", Float r.r_min); ("max", Float r.r_max) ]
+    in
+    if Array.length r.r_buckets = 0 then Json.Obj fields
+    else
+      let buckets = List.concat (List.mapi bucket (Array.to_list r.r_buckets)) in
+      Json.Obj (fields @ [ ("buckets", List buckets) ])
+  in
+  Json.to_string
+    (Obj
+       [ ("id", Int rp.rp_id); ("query", String (print rp.rp_spec));
+         ("point", String (point_name rp.rp_spec.sp_point)); ("fired", Int rp.rp_fired);
+         ("matched", Int rp.rp_matched); ("rows", List (List.map row rp.rp_rows)) ])

@@ -133,22 +133,8 @@ let clear t =
 
 (* --- Chrome trace_event export --------------------------------------- *)
 
-let escape b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_chrome_json t =
   let now = Clock.now t.clock in
-  let b = Buffer.create 8192 in
   let tids = Hashtbl.create 8 in
   let tid_order = ref [] in
   let tid_of track =
@@ -162,45 +148,23 @@ let to_chrome_json t =
   in
   (* Assign tids in first-use order before emitting metadata. *)
   List.iter (fun s -> ignore (tid_of s.track)) (spans t);
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string b ",\n " in
-  List.iter
-    (fun (track, tid) ->
-      sep ();
-      Buffer.add_string b
-        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ", \"args\": {\"name\": \"";
-      escape b track;
-      Buffer.add_string b "\"}}")
-    (List.rev !tid_order);
-  List.iter
-    (fun s ->
-      sep ();
-      let end_at = if s.closed then s.end_at else now in
-      let dur = Duration.to_us (Duration.sub end_at s.start_at) in
-      Buffer.add_string b "{\"name\": \"";
-      escape b s.name;
-      Buffer.add_string b "\", \"cat\": \"aurora\", \"ph\": \"X\", \"ts\": ";
-      Buffer.add_string b (Printf.sprintf "%.3f" (Duration.to_us s.start_at));
-      Buffer.add_string b ", \"dur\": ";
-      Buffer.add_string b (Printf.sprintf "%.3f" dur);
-      Buffer.add_string b ", \"pid\": 1, \"tid\": ";
-      Buffer.add_string b (string_of_int (tid_of s.track));
-      Buffer.add_string b ", \"args\": {\"id\": ";
-      Buffer.add_string b (string_of_int s.id);
-      Buffer.add_string b ", \"parent\": ";
-      Buffer.add_string b (string_of_int s.parent);
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b ", \"";
-          escape b k;
-          Buffer.add_string b "\": \"";
-          escape b v;
-          Buffer.add_string b "\"")
-        s.attrs;
-      Buffer.add_string b "}}")
-    (spans t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let us d = Json.fixed 3 (Duration.to_us d) in
+  let thread_name (track, tid) =
+    Json.Obj
+      [ ("name", String "thread_name"); ("ph", String "M"); ("pid", Int 1);
+        ("tid", Int tid); ("args", Obj [ ("name", String track) ]) ]
+  in
+  let event s =
+    let end_at = if s.closed then s.end_at else now in
+    let args = List.map (fun (k, v) -> (k, Json.String v)) s.attrs in
+    Json.Obj
+      [ ("name", String s.name); ("cat", String "aurora"); ("ph", String "X");
+        ("ts", us s.start_at); ("dur", us (Duration.sub end_at s.start_at));
+        ("pid", Int 1); ("tid", Int (tid_of s.track));
+        ("args", Obj (("id", Int s.id) :: ("parent", Int s.parent) :: args)) ]
+  in
+  let metadata = List.map thread_name (List.rev !tid_order) in
+  Json.to_string
+    (Obj
+       [ ("displayTimeUnit", String "ms");
+         ("traceEvents", List (metadata @ List.map event (spans t))) ])

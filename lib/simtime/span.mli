@@ -1,7 +1,7 @@
 (** Typed spans: nested, sim-time-stamped intervals.
 
-    Where {!Tracelog} records point events as strings, a span records
-    a named interval with a parent, so a checkpoint becomes a tree —
+    A span records a named interval with a parent, so a checkpoint
+    becomes a tree —
     [ckpt] containing [ckpt.quiesce], [ckpt.serialize],
     [ckpt.cow_mark], with the background [store.flush] hanging off the
     same root. The recorder keeps a stack of open spans; {!start}

@@ -37,14 +37,13 @@ let sorted t =
     t.sorted <- Some a;
     a
 
-let percentile t p =
+let percentile_of sorted p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]";
-  if t.count = 0 then Float.nan
-  else begin
-    let a = sorted t in
-    let rank = int_of_float (Float.round (p /. 100.0 *. float_of_int (t.count - 1))) in
-    a.(rank)
-  end
+  let n = Array.length sorted in
+  if n = 0 then Float.nan
+  else sorted.(int_of_float (Float.round (p /. 100.0 *. float_of_int (n - 1))))
+
+let percentile t p = percentile_of (sorted t) p
 
 let median t = percentile t 50.0
 

@@ -23,6 +23,10 @@ val percentile : t -> float -> float
     sample. [nan] when empty. Raises [Invalid_argument] for [p] outside
     [0,100]. *)
 
+val percentile_of : float array -> float -> float
+(** {!percentile} over an ascending array of samples: the one exact
+    quantile, shared with the SLO watchdog's sample windows. *)
+
 val median : t -> float
 val stddev : t -> float
 val pp_summary : Format.formatter -> t -> unit

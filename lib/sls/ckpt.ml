@@ -429,11 +429,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
     fire "cow_mark" lazy_data_copy;
     fire "stop" stop_time
   end;
-  Tracelog.recordf k.Kernel.trace ~subsystem:"ckpt"
-    "pgroup %d gen %d %s stop=%.1fus pages=%d%s" g.Types.pgid gen
-    (match mode with `Full -> "full" | `Incremental -> "incr")
-    (Duration.to_us stop_time) pages_captured
-    (match status with `Ok -> "" | `Degraded r -> " degraded: " ^ r);
   breakdown
 
 (* Completion side of the pipeline: runs when the clock has passed the

@@ -124,7 +124,6 @@ let sync_metrics t =
          set ("repl.link." ^ label ^ ".partition_drops") st.Netlink.partition_drops)
        [ ("tx", (`A : Netlink.side)); ("rx", `B) ]
    | None -> ());
-  set "trace.events_dropped" (Tracelog.dropped t.kernel.Kernel.trace);
   set "trace.spans_dropped" (Span.dropped (spans t));
   set "trace.span_orphans" (Span.orphan_finishes (spans t));
   set "recorder.capacity" (Recorder.capacity (recorder t));
@@ -198,8 +197,8 @@ let create ?(storage_profile = Profile.optane_900p) ?stripes ?capacity_pages
 
 (* --- persistence groups --------------------------------------------- *)
 
-let disk_backend t = Types.Local { store = t.disk_store; kind = `Disk }
-let memory_backend t = Types.Local { store = t.mem_store; kind = `Memory }
+let disk_backend t = { Types.store = t.disk_store; kind = `Disk }
+let memory_backend t = { Types.store = t.mem_store; kind = `Memory }
 
 let persist_unattached t ?(interval = Duration.milliseconds 10) target =
   let g = Types.make_pgroup ~pgid:t.next_pgid ~target ~interval in
@@ -337,29 +336,22 @@ let checkpoint_now t g ?mode ?name () =
        ~durable_at:b.Types.durable_at;
      (* The checkpoint bounds the record/replay journal. *)
      if List.memq g t.recorded then Rr.on_checkpoint g;
-     (* Secondary backends: memory stores get their own generation (same
-        engine, separate store); remotes receive the exported image.
-        Exports run barrier-side — they read the primary's current
-        device content, which is valid while the flush drains. *)
-     let primary = Types.primary_store g in
-     let is_primary backend =
-       match (backend, primary) with
-       | Types.Local { store; _ }, Some p -> store == p
-       | _ -> false
-     in
-     List.iter
-       (fun backend ->
-         if not (is_primary backend) then
-           match (backend, primary) with
-           | Types.Local { store = secondary; _ }, Some p ->
-             (* Mirror the image into the secondary store (memory
-                backends for debugging, an NVDIMM tier, ...). *)
-             let image = Sendrecv.export p ~gen:b.Types.gen ~pgid:g.Types.pgid () in
-             ignore (Sendrecv.import secondary image)
-           | Types.Remote { link; side }, Some p ->
-             ignore (Sendrecv.ship link ~from_:side p ~gen:b.Types.gen ~pgid:g.Types.pgid ())
-           | _, None -> ())
-       g.Types.backends;
+     (* Secondary backends (memory stores for debugging, an NVDIMM
+        tier, ...) get their own generation: the same image, mirrored
+        into a separate store. Exports run barrier-side — they read the
+        primary's current device content, which is valid while the
+        flush drains. *)
+     Option.iter
+       (fun primary ->
+         List.iter
+           (fun (backend : Types.backend) ->
+             if backend.Types.store != primary then
+               let image =
+                 Sendrecv.export primary ~gen:b.Types.gen ~pgid:g.Types.pgid ()
+               in
+               ignore (Sendrecv.import backend.Types.store image))
+           g.Types.backends)
+       (Types.primary_store g);
      (* Auto-ship to the hot standby: the replication session drives
         the image to durable acknowledgement (or gives up after its
         retry budget — a later checkpoint resynchronizes). Runs
@@ -570,17 +562,10 @@ let enable_recording t g =
 
 (* --- restore / clone -------------------------------------------------- *)
 
-let store_of_backend = function
-  | Types.Local { store; _ } -> Some store
-  | Types.Remote _ -> None
-
 let restore_group t g ?gen ?policy ?from () =
   let store =
     match from with
-    | Some b -> (
-      match store_of_backend b with
-      | Some s -> s
-      | None -> invalid_arg "Machine.restore_group: remote backends cannot restore")
+    | Some (b : Types.backend) -> b.Types.store
     | None -> (
       match Types.primary_store g with
       | Some s -> s

@@ -174,8 +174,9 @@ val checkpoint_now :
   t -> Types.pgroup -> ?mode:[ `Full | `Incremental ] -> ?name:string -> unit ->
   Types.ckpt_breakdown
 (** `sls checkpoint`: barrier + capture to every attached backend
-    (remotes receive the exported image) and enqueue the epoch on the
-    flush pipeline. Also stamps the external-consistency buffer.
+    (secondary stores receive the exported image), ship it to the hot
+    standby if one is attached, and enqueue the epoch on the flush
+    pipeline. Also stamps the external-consistency buffer.
     Returns as soon as the in-flight window has room again (see
     [max_inflight_ckpts]); the returned breakdown's [durable_at] may
     be in the future. Epochs that already landed are retired first —

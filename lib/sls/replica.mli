@@ -1,7 +1,8 @@
 (** Hot-standby checkpoint replication over a faulty link.
 
-    Replaces {!Sendrecv.ship}'s fire-and-forget with a session: framed,
-    checksummed, sequence-numbered messages with explicit ACK/NAK. The
+    The one path that carries {!Sendrecv} images to another machine: a
+    session of framed, checksummed, sequence-numbered messages with
+    explicit ACK/NAK. The
     primary streams delta exports against the last {e acked}
     generation, retransmits on timeout with exponential backoff plus
     jitter (all charged to simulated time), and falls back to a full

@@ -416,10 +416,6 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
     (Metrics.histogram metrics "restore.metadata_us")
     metadata_phase;
   Metrics.observe_duration (Metrics.histogram metrics "restore.pagein_us") pagein_phase;
-  Tracelog.recordf k.Kernel.trace ~subsystem:"restore"
-    "gen %d pgroup %d -> pids [%s] total=%.1fus" gen pgid
-    (String.concat ";" (List.map string_of_int pids))
-    (Duration.to_us total_latency);
   ( pids,
     {
       Types.objstore_read;

@@ -207,14 +207,3 @@ let import store image =
       List.iter (fun (index, data) -> Store.put_blob store ~oid ~index data) bs)
     blobs;
   Store.commit store ()
-
-let ship link ~from_ store ~gen ~pgid ?base () =
-  let image = export store ~gen ~pgid ?base () in
-  Netlink.send link ~from_ image
-
-let receive link ~side store =
-  match Netlink.recv link ~side with
-  | None -> None
-  | Some image -> Some (import store image)
-
-let image_bytes image = String.length image

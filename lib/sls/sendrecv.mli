@@ -3,9 +3,9 @@
     A checkpoint generation is exported as one self-contained byte
     image — "all information required to recreate the application,
     even across reboots and machines" — and imported into another
-    store as a fresh generation. Shipping it over a {!Netlink.t}
-    models live migration and remote persistence; writing it to a
-    file (the CLI's pipe mode) is the same bytes.
+    store as a fresh generation. Writing it to a file (the CLI's pipe
+    mode) models migration; {!Replica} carries the same bytes over a
+    network link for remote persistence.
 
     Incremental feeds simply export successive generations: the
     receiving store's content-addressed deduplication collapses the
@@ -14,7 +14,6 @@
     avoids even that). *)
 
 open Aurora_simtime
-open Aurora_device
 open Aurora_objstore
 
 val export :
@@ -38,14 +37,3 @@ val checksum : string -> int64
 (** The 64-bit FNV-1a digest {!export} seals images with (and
     {!import} verifies). Exposed for the replication layer, which uses
     the same construction over its protocol frames. *)
-
-val ship :
-  Netlink.t -> from_:Netlink.side -> Store.t -> gen:Store.gen -> pgid:int ->
-  ?base:Store.gen -> unit -> Duration.t
-(** Export and transmit; returns the arrival time at the peer. *)
-
-val receive : Netlink.t -> side:Netlink.side -> Store.t -> (Store.gen * Duration.t) option
-(** Import the next arrived image, if any. *)
-
-val image_bytes : string -> int
-(** Size accessor for benches (identity on the payload length). *)

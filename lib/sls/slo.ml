@@ -29,15 +29,9 @@ let window_add w v =
   if w.n < Array.length w.buf then w.n <- w.n + 1
 
 let window_quantile w p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Slo.quantile: p outside [0,100]";
-  if w.n = 0 then Float.nan
-  else begin
-    let s = Array.sub w.buf 0 w.n in
-    Array.sort Float.compare s;
-    (* Nearest rank, matching Stats.percentile. *)
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int w.n)) in
-    s.(Int.max 0 (Int.min (w.n - 1) (rank - 1)))
-  end
+  let s = Array.sub w.buf 0 w.n in
+  Array.sort Float.compare s;
+  Stats.percentile_of s p
 
 type t = {
   mutable stop_target : Duration.t option;

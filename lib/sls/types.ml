@@ -1,11 +1,8 @@
 open Aurora_simtime
-open Aurora_device
 open Aurora_proc
 open Aurora_objstore
 
-type backend =
-  | Local of { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
-  | Remote of { link : Netlink.t; side : Netlink.side }
+type backend = { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
 
 type target = [ `Container of int | `Pids of int list ]
 
@@ -95,12 +92,7 @@ let make_pgroup ~pgid ~target ~interval =
     last_attribution = None; log_counts = []; stop_stats = Stats.create () }
 
 let primary_store g =
-  List.find_map (function Local { store; _ } -> Some store | Remote _ -> None) g.backends
-
-let remotes g =
-  List.filter_map
-    (function Remote { link; side } -> Some (link, side) | Local _ -> None)
-    g.backends
+  match g.backends with b :: _ -> Some b.store | [] -> None
 
 let member kernel g (p : Process.t) =
   ignore kernel;

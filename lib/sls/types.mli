@@ -4,20 +4,16 @@
     "Aurora provides persistence for individual processes, process
     trees or containers"); it carries one or more attached backends —
     the paper's `sls attach` allows "attaching multiple backends at
-    the same time, e.g., sending an application's incremental
-    checkpoints to both a local disk and a remote machine". *)
+    the same time". A remote machine is reached through the hot-standby
+    replication session ({!Machine.attach_standby}), not a backend. *)
 
 open Aurora_simtime
-open Aurora_device
 open Aurora_proc
 open Aurora_objstore
 
-type backend =
-  | Local of { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
-      (** object store on a local device; the first Local backend of a
-          group is its primary (restore source) *)
-  | Remote of { link : Netlink.t; side : Netlink.side }
-      (** stream serialized checkpoints to a peer host *)
+type backend = { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
+(** An object store on a local device. The first backend of a group is
+    its primary (restore source). *)
 
 type target = [ `Container of int | `Pids of int list ]
 
@@ -115,7 +111,6 @@ type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }
 
 val make_pgroup : pgid:int -> target:target -> interval:Duration.t -> pgroup
 val primary_store : pgroup -> Store.t option
-val remotes : pgroup -> (Aurora_device.Netlink.t * Aurora_device.Netlink.side) list
 val member : Kernel.t -> pgroup -> Process.t -> bool
 val member_pids : Kernel.t -> pgroup -> int list
 (** Live pids in the group, ascending (zombies excluded). *)

@@ -1,5 +1,4 @@
 type t = {
-  id : int;
   mutable content : Content.t;
   mutable refcount : int;
   mutable accessed : bool;
@@ -7,26 +6,20 @@ type t = {
 
 type pool = {
   capacity : int option;
-  mutable next_id : int;
   mutable resident : int;
   mutable total_allocated : int;
-  live : (int, t) Hashtbl.t;
 }
 
 let create_pool ?capacity_pages () =
   (match capacity_pages with
    | Some c when c <= 0 -> invalid_arg "Frame.create_pool: capacity <= 0"
    | _ -> ());
-  { capacity = capacity_pages; next_id = 0; resident = 0; total_allocated = 0;
-    live = Hashtbl.create 4096 }
+  { capacity = capacity_pages; resident = 0; total_allocated = 0 }
 
 let alloc pool content =
-  let f = { id = pool.next_id; content; refcount = 1; accessed = true } in
-  pool.next_id <- pool.next_id + 1;
   pool.resident <- pool.resident + 1;
   pool.total_allocated <- pool.total_allocated + 1;
-  Hashtbl.replace pool.live f.id f;
-  f
+  { content; refcount = 1; accessed = true }
 
 let incref f =
   if f.refcount <= 0 then invalid_arg "Frame.incref: dead frame";
@@ -35,10 +28,7 @@ let incref f =
 let decref pool f =
   if f.refcount <= 0 then invalid_arg "Frame.decref: dead frame";
   f.refcount <- f.refcount - 1;
-  if f.refcount = 0 then begin
-    pool.resident <- pool.resident - 1;
-    Hashtbl.remove pool.live f.id
-  end
+  if f.refcount = 0 then pool.resident <- pool.resident - 1
 
 let resident pool = pool.resident
 let total_allocated pool = pool.total_allocated
@@ -48,7 +38,3 @@ let over_capacity pool =
   match pool.capacity with
   | None -> 0
   | Some c -> if pool.resident > c then pool.resident - c else 0
-
-let live_frames pool =
-  let frames = Hashtbl.fold (fun _ f acc -> f :: acc) pool.live [] in
-  List.sort (fun a b -> Int.compare a.id b.id) frames

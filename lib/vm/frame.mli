@@ -8,7 +8,6 @@
     swap machinery. *)
 
 type t = {
-  id : int;
   mutable content : Content.t;
   mutable refcount : int;
   mutable accessed : bool;
@@ -40,7 +39,3 @@ val capacity : pool -> int option
 val over_capacity : pool -> int
 (** How many pages beyond capacity are resident (0 when unbounded or
     under capacity). *)
-
-val live_frames : pool -> t list
-(** Snapshot of live frames, in allocation order; used by the clock
-    sweep. *)

@@ -313,6 +313,22 @@ let test_slo_unit () =
   check_int "clear drops alerts" 0 (List.length (Slo.alerts slo));
   check_bool "clear keeps targets" true (Slo.stop_target slo <> None)
 
+(* The watchdog's window quantile is Stats' nearest rank, not a second
+   estimator: for 1..10 and 1..4 the median is the upper middle. *)
+let test_slo_quantile_is_stats_percentile () =
+  List.iter
+    (fun (n, want) ->
+      let stats = Stats.create () in
+      let slo = Slo.create ~window:n () in
+      for i = 1 to n do
+        Stats.add stats (float_of_int i);
+        ignore (Slo.observe_stop slo ~pgid:1 ~now:Duration.zero (Duration.microseconds i))
+      done;
+      let label = Printf.sprintf "p50 of 1..%d" n in
+      Alcotest.(check (float 0.)) (label ^ ": stats") want (Stats.percentile stats 50.);
+      Alcotest.(check (float 0.)) (label ^ ": slo") want (Slo.quantile slo Slo.Stop_time 50.))
+    [ (10, 6.); (4, 3.) ]
+
 let test_slo_machine_integration () =
   let m, g, _, _ = machine_with_app () in
   (* A 1 ns stop budget: every checkpoint breaches. *)
@@ -401,6 +417,8 @@ let () =
       ( "slo",
         [
           Alcotest.test_case "watchdog unit" `Quick test_slo_unit;
+          Alcotest.test_case "quantile is Stats.percentile" `Quick
+            test_slo_quantile_is_stats_percentile;
           Alcotest.test_case "machine integration" `Quick test_slo_machine_integration;
         ] );
       ( "autosync",

@@ -353,6 +353,67 @@ let test_timeline_without_replication_exits_2 () =
             (sls [ "timeline"; dst; "--out"; tl; "-u"; u ]);
           if Sys.file_exists tl then Sys.remove tl))
 
+(* Every machine-readable output stays valid JSON whatever the
+   application is called: UTF-8, quotes, a backslash, a TAB, a raw
+   control byte and a byte that is not UTF-8 (printed as U+FFFD). *)
+let test_json_any_app_name () =
+  let name = "caf\xc3\xa9 \"q\" \\\t\x01\xff" in
+  let printed = "caf\xc3\xa9 \"q\" \\\t\x01\xef\xbf\xbd" in
+  with_universe "cli-json-name.universe" (fun u ->
+      let dst = tmp "cli-json-name-standby.universe" in
+      let trace = tmp "cli-json-name-trace.json" in
+      let timeline = tmp "cli-json-name-timeline.json" in
+      let cleanup () =
+        List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ dst; trace; timeline ]
+      in
+      cleanup ();
+      Fun.protect ~finally:cleanup (fun () ->
+          check_int "spawn" 0 (sls [ "spawn"; name; "--app"; "counter"; "-u"; u ]);
+          check_int "run" 0 (sls [ "run"; "--ms"; "30"; "-u"; u ]);
+          check_int "checkpoint" 0 (sls [ "checkpoint"; "-u"; u ]);
+          let json args =
+            let what = String.concat " " args in
+            let rc, out = capture (fun () -> sls (args @ [ "--json"; "-u"; u ])) in
+            check_int what 0 rc;
+            Strict_json.parse_exn ~what out
+          in
+          let file what path =
+            let ic = open_in_bin path in
+            let text = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            ignore (Strict_json.parse_exn ~what text)
+          in
+          let app_of doc = Strict_json.member "app" doc in
+          (match Strict_json.member "groups" (json [ "top" ]) with
+           | Aurora_simtime.Json.List [ group ] ->
+             check_bool "top app name" true (app_of group = String printed)
+           | _ -> Alcotest.fail "top: expected one group");
+          ignore (json [ "stats" ]);
+          let latest =
+            match Strict_json.member "gen" (json [ "explain" ]) with
+            | Int g -> g
+            | _ -> Alcotest.fail "explain: no generation"
+          in
+          let _, gens_out = capture (fun () -> sls [ "gens"; "-u"; u ]) in
+          let first_line = List.hd (String.split_on_char '\n' gens_out) in
+          let older =
+            List.filter_map int_of_string_opt
+              (String.split_on_char ' ' (String.map (fun c -> if c = ',' then ' ' else c) first_line))
+            |> List.filter (fun g -> g < latest)
+          in
+          (match List.rev older with
+           | prev :: _ -> ignore (json [ "diff"; string_of_int prev; string_of_int latest ])
+           | [] -> Alcotest.fail "gens listed a single generation");
+          ignore (json [ "probe"; "dev.io agg count by op" ]);
+          ignore (json [ "critical-path" ]);
+          check_int "trace" 0 (sls [ "trace"; "--out"; trace; "-u"; u ]);
+          file "sls trace" trace;
+          check_bool "replicate app name" true (app_of (json [ "replicate"; dst ]) = String printed);
+          check_int "timeline" 0 (sls [ "timeline"; dst; "--out"; timeline; "-u"; u ]);
+          file "sls timeline" timeline;
+          ignore (json [ "postmortem" ]);
+          ignore (json [ "failover"; dst ])))
+
 let test_failover_nothing_to_promote () =
   with_universe "cli-nopromote.universe" (fun u ->
       with_universe "cli-nopromote-dst.universe" (fun dst ->
@@ -390,5 +451,6 @@ let () =
             test_postmortem_and_timeline;
           Alcotest.test_case "timeline without replication exits 2" `Quick
             test_timeline_without_replication_exits_2;
+          Alcotest.test_case "valid JSON for any app name" `Quick test_json_any_app_name;
         ] );
     ]

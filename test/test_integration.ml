@@ -192,10 +192,11 @@ let test_mctl_exclusion () =
 (* ------------------------------------------------------------------ *)
 
 let test_remote_replication_failover () =
-  (* Machine A persists to local disk AND streams every checkpoint to
-     machine B ("sending an application's incremental checkpoints to
-     both a local disk and a remote machine for replication"). A dies;
-     B resurrects the application from the replicated images. *)
+  (* Machine A persists to local disk AND replicates every checkpoint
+     to a hot standby ("sending an application's incremental
+     checkpoints to both a local disk and a remote machine for
+     replication"). A dies; the promoted standby resurrects the
+     application from the replicated images. *)
   let a = Machine.create () in
   let ka = a.Machine.kernel in
   let c = Kernel.new_container ka ~name:"svc" in
@@ -203,36 +204,19 @@ let test_remote_replication_failover () =
   let mem = Syscall.mmap_anon ka p ~npages:4 in
   Syscall.mem_write ka p ~vpn:mem.Vmmap.start_vpn ~offset:0 ~value:31337L;
   let content = Vmmap.read p.Process.vm ~vpn:mem.Vmmap.start_vpn in
-  let link = Aurora_device.Netlink.create ~clock:(Machine.clock a)
-      ~profile:Aurora_device.Profile.net_10gbe () in
   let g = Machine.persist a (`Container c.Container.cid) in
-  Machine.attach a g (Types.Remote { link; side = `A });
-  (* Three checkpoint cycles, each shipping an image. *)
+  let repl = Machine.attach_standby a g in
+  (* Three checkpoint cycles, each shipped and acknowledged. *)
   for _ = 1 to 3 do
     ignore (Machine.checkpoint_now a g ())
   done;
-  check_int "three images on the wire" 3
-    (Aurora_device.Netlink.pending link ~side:`B);
-  (* Machine A is lost entirely. Machine B ingests the stream. *)
-  let bm = Machine.create () in
-  Clock.advance_to (Machine.clock bm) (Duration.seconds 1);
-  Clock.advance_to (Machine.clock a) (Duration.seconds 1);
-  let last = ref None in
-  let rec ingest () =
-    match Sendrecv.receive link ~side:`B bm.Machine.disk_store with
-    | Some (gen, durable) ->
-      Store.wait_durable bm.Machine.disk_store durable;
-      last := Some gen;
-      ingest ()
-    | None -> ()
-  in
-  ingest ();
-  let gen = Option.get !last in
-  bm.Machine.kernel.Kernel.fs <-
-    Aurora_slsfs.Slsfs.restore_fs bm.Machine.disk_store gen;
-  let g' = Machine.persist bm (`Container c.Container.cid) in
-  let pids, _ = Machine.restore_group bm g' ~gen () in
-  let p' = Kernel.proc_exn bm.Machine.kernel (List.hd pids) in
+  check_int "three generations acked" 3 (Replica.stats repl).Replica.acked;
+  (* Machine A is lost entirely; the standby takes over. *)
+  let b, report = Machine.failover a in
+  check_int "no acknowledged generation lost" 0 report.Machine.fo_rpo;
+  let g' = Machine.persist b (`Container c.Container.cid) in
+  let pids, _ = Machine.restore_group b g' () in
+  let p' = Kernel.proc_exn b.Machine.kernel (List.hd pids) in
   check_bool "replicated state intact on the replica" true
     (Content.equal content (Vmmap.read p'.Process.vm ~vpn:mem.Vmmap.start_vpn))
 

@@ -1,7 +1,7 @@
 (* Tests for the observability layer: the metrics registry (counters,
    gauges, fixed-bucket histograms), the span recorder (nesting,
-   orphans, Chrome export), the tracelog drop counter, and the
-   end-to-end checkpoint/restore phase trees a Machine produces. *)
+   orphans, Chrome export), the JSON emitter, and the end-to-end
+   checkpoint/restore phase trees a Machine produces. *)
 
 open Aurora_simtime
 open Aurora_objstore
@@ -155,7 +155,14 @@ let test_snapshot_and_json () =
   check_bool "sim-time stamp" true (has "\"at_us\": 42");
   check_bool "counter" true (has "\"c1\"");
   check_bool "histogram quantiles" true (has "\"p99\"");
-  check_bool "overflow bucket edge" true (has "\"+inf\"")
+  check_bool "overflow bucket edge" true (has "\"+inf\"");
+  (* Gauges export at full precision: 6 significant digits would print
+     2.68435e+08. *)
+  Metrics.set_int (Metrics.gauge m "big") 268_435_457;
+  let doc = Strict_json.parse_exn ~what:"Metrics.to_json" (Metrics.to_json m) in
+  check_bool "gauge exact" true
+    (Strict_json.(member "value" (member "big" (member "metrics" doc)))
+     = Json.Int 268_435_457)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -232,25 +239,101 @@ let test_span_chrome_json () =
   check_bool "traceEvents array" true (has "\"traceEvents\"");
   check_bool "complete event" true (has "\"ph\": \"X\"");
   check_bool "track name metadata" true (has "thread_name");
-  check_bool "span name present" true (has "\"outer\"")
+  check_bool "span name present" true (has "\"outer\"");
+  ignore (Strict_json.parse_exn ~what:"Span.to_chrome_json" json)
 
 (* ------------------------------------------------------------------ *)
-(* Tracelog: bounded buffer accounting                                 *)
+(* Json: the one emitter                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_tracelog_dropped () =
-  let clock = Clock.create () in
-  let t = Tracelog.create ~capacity:2 clock in
-  Tracelog.record t ~subsystem:"t" "a";
-  Tracelog.record t ~subsystem:"t" "b";
-  check_int "nothing dropped yet" 0 (Tracelog.dropped t);
-  Tracelog.record t ~subsystem:"t" "c";
-  check_int "overwrite counted" 1 (Tracelog.dropped t);
-  check_int "ring keeps the newest" 2 (List.length (Tracelog.events t));
-  check_bool "events memoized between records" true
-    (Tracelog.events t == Tracelog.events t);
-  Tracelog.record t ~subsystem:"t" "d";
-  check_int "cache invalidated on record" 2 (List.length (Tracelog.events t))
+let test_json_printer_rules () =
+  let p v = Json.to_string v in
+  check_string "escapes and controls" "\"a\\\"b\\\\c\\u000a\\u0001\\u001f\x7f\""
+    (p (String "a\"b\\c\n\x01\x1f\x7f"));
+  check_string "valid UTF-8 passes through" "\"caf\xc3\xa9 \xe2\x82\xac\"" (p (String "caf\xc3\xa9 \xe2\x82\xac"));
+  check_string "invalid bytes become U+FFFD" "\"a\xef\xbf\xbdb\xef\xbf\xbd\"" (p (String "a\xffb\xc3"));
+  check_string "short float" "0.1" (p (Float 0.1));
+  check_string "exact float" "0.33333333333333331" (p (Float (1. /. 3.)));
+  check_string "integral float" "268435457" (p (Float 268435457.));
+  List.iter
+    (fun v -> check_string "non-finite" "null" (p (Float v)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check_string "fixed keeps the rounding" "2.5" (p (Json.fixed 3 2.4999999));
+  check_string "layout" "{\"a\": [1, true, null], \"b\": {}}"
+    (p (Obj [ ("a", List [ Int 1; Bool true; Null ]); ("b", Obj []) ]))
+
+(* The reference for strings: each maximal ill-formed subsequence
+   becomes one U+FFFD, everything else is kept. *)
+let sanitize s =
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i < String.length s then begin
+      let d = String.get_utf_8_uchar s i in
+      Buffer.add_utf_8_uchar b (Uchar.utf_decode_uchar d);
+      go (i + Uchar.utf_decode_length d)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* What a printed value must parse back to: sanitized strings, null
+   for non-finite floats. *)
+let rec expected : Json.t -> Json.t = function
+  | String s -> String (sanitize s)
+  | Float f when not (Float.is_finite f) -> Null
+  | List l -> List (List.map expected l)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (sanitize k, expected v)) kvs)
+  | v -> v
+
+(* Integral floats print without a fraction and parse back as ints. *)
+let rec same (a : Json.t) (b : Json.t) =
+  match (a, b) with
+  | Int i, Float f | Float f, Int i -> float_of_int i = f
+  | List xs, List ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+  | Obj xs, Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') xs ys
+  | a, b -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [ string_size ~gen:char (int_bound 12);
+        map (String.concat "")
+          (list_size (int_bound 6)
+             (oneofl
+                [ "a"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\""; "\\"; "\n";
+                  "\x01"; "\x7f"; "\xff"; "\xc3"; "\xed\xa0\x80"; "\xf4\x90\x80\x80" ])) ]
+  in
+  let num =
+    oneof
+      [ float; map Int64.float_of_bits int64;
+        oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; 0.1; 5e-324 ] ]
+  in
+  sized
+  @@ fix (fun self size ->
+         let leaf =
+           oneof
+             [ return Json.Null; map (fun b -> Json.Bool b) bool; map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) num; map (fun s -> Json.String s) str ]
+         in
+         if size <= 0 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (size / 4))));
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair str (self (size / 4)))) ) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"printed JSON parses and round-trips"
+    (QCheck.make ~print:(fun v -> String.escaped (Json.to_string v)) gen_json)
+    (fun v ->
+      match Strict_json.parse (Json.to_string v) with
+      | parsed -> same parsed (expected v)
+      | exception Strict_json.Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: a Machine's checkpoint/restore span tree                *)
@@ -397,8 +480,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_span_capacity;
           Alcotest.test_case "chrome json" `Quick test_span_chrome_json;
         ] );
-      ( "tracelog",
-        [ Alcotest.test_case "dropped + cache" `Quick test_tracelog_dropped ] );
+      ( "json",
+        [
+          Alcotest.test_case "printer rules" `Quick test_json_printer_rules;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+        ] );
       ( "machine",
         [
           Alcotest.test_case "ckpt span tree" `Quick test_ckpt_span_tree;

@@ -1,5 +1,5 @@
 (* Unit and property tests for the simulated-time substrate:
-   durations, clock, PRNG, statistics, trace log. *)
+   durations, clock, PRNG, statistics. *)
 
 open Aurora_simtime
 
@@ -211,51 +211,6 @@ let prop_stats_mean_bounded =
       Stats.mean s >= Stats.min_value s -. 1e-9
       && Stats.mean s <= Stats.max_value s +. 1e-9)
 
-(* ------------------------------------------------------------------ *)
-(* Tracelog                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_order () =
-  let clock = Clock.create () in
-  let log = Tracelog.create clock in
-  Tracelog.record log ~subsystem:"a" "first";
-  Clock.advance clock (Duration.microseconds 1);
-  Tracelog.record log ~subsystem:"b" "second";
-  match Tracelog.events log with
-  | [ e1; e2 ] ->
-    Alcotest.(check string) "first msg" "first" e1.Tracelog.message;
-    Alcotest.(check string) "second msg" "second" e2.Tracelog.message;
-    check_bool "time order" true Duration.(e1.Tracelog.at <= e2.Tracelog.at)
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
-
-let test_trace_find () =
-  let clock = Clock.create () in
-  let log = Tracelog.create clock in
-  Tracelog.recordf log ~subsystem:"ckpt" "generation %d durable" 7;
-  check_bool "found" true
-    (Tracelog.find log ~subsystem:"ckpt" ~substring:"generation 7" <> None);
-  check_bool "wrong subsystem" true
-    (Tracelog.find log ~subsystem:"vm" ~substring:"generation 7" = None)
-
-let test_trace_ring_overflow () =
-  let clock = Clock.create () in
-  let log = Tracelog.create ~capacity:4 clock in
-  for i = 1 to 10 do
-    Tracelog.recordf log ~subsystem:"x" "event %d" i
-  done;
-  let evs = Tracelog.events log in
-  check_int "keeps capacity" 4 (List.length evs);
-  match evs with
-  | first :: _ -> Alcotest.(check string) "oldest kept" "event 7" first.Tracelog.message
-  | [] -> Alcotest.fail "empty"
-
-let test_trace_clear () =
-  let clock = Clock.create () in
-  let log = Tracelog.create clock in
-  Tracelog.record log ~subsystem:"x" "e";
-  Tracelog.clear log;
-  check_int "cleared" 0 (List.length (Tracelog.events log))
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -294,12 +249,5 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "durations in us" `Quick test_stats_duration;
           qt prop_stats_mean_bounded;
-        ] );
-      ( "tracelog",
-        [
-          Alcotest.test_case "ordering" `Quick test_trace_order;
-          Alcotest.test_case "find" `Quick test_trace_find;
-          Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
         ] );
     ]

@@ -509,7 +509,7 @@ let test_fdctl_disables_buffering () =
   | _ -> Alcotest.fail "reply should bypass the consistency buffer"
 
 (* ------------------------------------------------------------------ *)
-(* Migration / remote backends                                         *)
+(* Migration                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_send_recv_migration () =
@@ -520,35 +520,24 @@ let test_send_recv_migration () =
   let ctx = (Process.main_thread p).Thread.context in
   let steps = Context.reg_int ctx 4 in
   let b = Machine.checkpoint_now src g () in
-  (* Ship the image over a 10GbE link into a second machine. *)
-  let link =
-    Aurora_device.Netlink.create ~clock:(Machine.clock src)
-      ~profile:Aurora_device.Profile.net_10gbe ()
-  in
-  let arrival =
-    Sendrecv.ship link ~from_:`A src.Machine.disk_store ~gen:b.Types.gen
-      ~pgid:g.Types.pgid ()
+  (* Export the image and import it into a second machine. *)
+  let image =
+    Sendrecv.export src.Machine.disk_store ~gen:b.Types.gen ~pgid:g.Types.pgid ()
   in
   let dst = Machine.create () in
-  (* Same universe clock assumption: advance destination to arrival. *)
-  Clock.advance_to (Machine.clock dst) (Duration.sub arrival Duration.zero);
-  Clock.advance_to (Machine.clock src) arrival;
-  (match Sendrecv.receive link ~side:`B dst.Machine.disk_store with
-   | None -> Alcotest.fail "image did not arrive"
-   | Some (gen, durable) ->
-     Store.wait_durable dst.Machine.disk_store durable;
-     (* The destination needs the restored file system too. *)
-     dst.Machine.kernel.Kernel.fs <-
-       Aurora_slsfs.Slsfs.restore_fs dst.Machine.disk_store gen;
-     let g' = Machine.persist dst (`Container c.Container.cid) in
-     let pids, _ = Machine.restore_group dst g' ~gen () in
-     let p' = Kernel.proc_exn dst.Machine.kernel (List.hd pids) in
-     check_int "execution state migrated" steps
-       (Context.reg_int (Process.main_thread p').Thread.context 4);
-     (* It keeps running on the destination. *)
-     Context.set_reg_int (Process.main_thread p').Thread.context 3 (steps + 5);
-     ignore (Scheduler.run_until_idle dst.Machine.kernel ());
-     check_int "finished on destination" 0 (Option.get p'.Process.exit_status))
+  let gen, durable = Sendrecv.import dst.Machine.disk_store image in
+  Store.wait_durable dst.Machine.disk_store durable;
+  (* The destination needs the restored file system too. *)
+  dst.Machine.kernel.Kernel.fs <- Aurora_slsfs.Slsfs.restore_fs dst.Machine.disk_store gen;
+  let g' = Machine.persist dst (`Container c.Container.cid) in
+  let pids, _ = Machine.restore_group dst g' ~gen () in
+  let p' = Kernel.proc_exn dst.Machine.kernel (List.hd pids) in
+  check_int "execution state migrated" steps
+    (Context.reg_int (Process.main_thread p').Thread.context 4);
+  (* It keeps running on the destination. *)
+  Context.set_reg_int (Process.main_thread p').Thread.context 3 (steps + 5);
+  ignore (Scheduler.run_until_idle dst.Machine.kernel ());
+  check_int "finished on destination" 0 (Option.get p'.Process.exit_status)
 
 let test_incremental_ship_smaller () =
   let m = Machine.create () in
@@ -566,7 +555,7 @@ let test_incremental_ship_smaller () =
       ~base:b1.Types.gen ()
   in
   check_bool "delta much smaller" true
-    (Sendrecv.image_bytes delta * 2 < Sendrecv.image_bytes full)
+    (String.length delta * 2 < String.length full)
 
 (* ------------------------------------------------------------------ *)
 (* Replication                                                         *)
@@ -915,16 +904,15 @@ let test_trace_records_checkpoints () =
   let c, _ = spawn_walker m ~npages:8 ~limit:1_000_000 in
   let g = Machine.persist m (`Container c.Container.cid) in
   let b = Machine.checkpoint_now m g () in
-  let trace = m.Machine.kernel.Kernel.trace in
-  check_bool "checkpoint traced" true
-    (Tracelog.find trace ~subsystem:"ckpt"
-       ~substring:(Printf.sprintf "gen %d" b.Types.gen)
-     <> None);
+  let traced name =
+    List.exists
+      (fun (s : Span.span) ->
+        List.assoc_opt "gen" s.Span.attrs = Some (string_of_int b.Types.gen))
+      (Span.find_all (Machine.spans m) ~name)
+  in
+  check_bool "checkpoint traced" true (traced "ckpt");
   ignore (Machine.restore_group m g ());
-  check_bool "restore traced" true
-    (Tracelog.find trace ~subsystem:"restore"
-       ~substring:(Printf.sprintf "gen %d" b.Types.gen)
-     <> None);
+  check_bool "restore traced" true (traced "restore");
   (* The pipeline observability surface: once the epoch is retired,
      its flush lives on the ckpt.pipeline span track and the
      flush/lag/backpressure histograms have samples. *)
