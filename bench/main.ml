@@ -749,13 +749,12 @@ let fault_sweep () =
              else Some { Store.verify = false; mirror = false })
           ~dev ()
       in
-      (* A bench-local registry: no Machine here, so bind instrumentation
-         to the raw array and store directly — device transfers and
-         commit flushes under fault injection get measured too. *)
-      let fm = Metrics.create clock in
-      let fspans = Span.create clock in
-      Devarray.set_observability dev ~metrics:fm ~spans:fspans ();
-      Store.set_observability s ~metrics:fm ~spans:fspans ();
+      (* Bench-local sinks: no Machine here, so bind instrumentation to
+         the raw array and store directly — device transfers and commit
+         flushes under fault injection get measured too. *)
+      let obs = Obs.create clock in
+      Devarray.set_obs dev (Some obs);
+      Store.set_obs s (Some obs);
       let reference = Hashtbl.create 8 in
       for gnum = 0 to gens_per_run - 1 do
         ignore (Store.begin_generation s ());
@@ -825,15 +824,15 @@ let fault_sweep () =
             (key ^ "_injected_latent_reads", jint fs.Fault.latent_reads);
             (key ^ "_injected_corruptions", jint fs.Fault.corruptions);
             ( key ^ "_flush_spans",
-              jint (List.length (Span.find_all fspans ~name:"store.flush")) );
+              jint (List.length (Span.find_all obs.Obs.spans ~name:"store.flush")) );
           ];
-        json_hist fm "fault-sweep" ~key:(key ^ "_store_flush")
+        json_hist obs.Obs.metrics "fault-sweep" ~key:(key ^ "_store_flush")
           "store.nvme.flush_us";
         (* Per-stripe transfer-time distributions: retries and repairs
            show up as a fattened tail as the error rate climbs. *)
         Array.iteri
           (fun i _ ->
-            json_hist fm "fault-sweep"
+            json_hist obs.Obs.metrics "fault-sweep"
               ~key:(Printf.sprintf "%s_dev%d_xfer" key i)
               (Printf.sprintf "dev.nvme.%d.xfer_us" i))
           (Devarray.devices dev);
@@ -1455,7 +1454,7 @@ let critpath () =
       Machine.persist m ~interval:(Duration.milliseconds 10)
         (`Container c.Container.cid)
     in
-    let probes = m.Machine.kernel.Kernel.probes in
+    let probes = m.Machine.kernel.Kernel.obs.Obs.probes in
     if subscribed then
       List.iter
         (fun q ->

@@ -39,11 +39,11 @@ let save path (u : universe) =
         Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
       end)
     u.apps;
-  (* Detach instrumentation before marshaling: the span recorder and
-     metrics registry are per-boot state (Machine.boot rebinds them),
-     and marshaling them would drag the whole retained trace into the
+  (* Detach instrumentation before marshaling: the devices' spans and
+     metric cells are per-boot state (Machine.boot rebinds them), and
+     marshaling them would drag the whole retained trace into the
      universe file. *)
-  Devarray.set_observability u.machine.Machine.nvme ();
+  Devarray.set_obs u.machine.Machine.nvme None;
   let oc = open_out_bin path in
   Marshal.to_channel oc
     { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
@@ -844,7 +844,7 @@ let cmd_diff path gen_a gen_b json =
 (* --- replication commands --------------------------------------------- *)
 
 let write_universe_file path ~nvme ~apps =
-  Devarray.set_observability nvme ();
+  Devarray.set_obs nvme None;
   let oc = open_out_bin path in
   Marshal.to_channel oc { uf_nvme = nvme; uf_apps = apps } [];
   close_out oc
@@ -869,12 +869,7 @@ let cmd_replicate path dst pgid loss seed json =
   in
   if pgens = [] then failwith "no committed generations to replicate";
   let reports =
-    List.map
-      (fun gen ->
-        let r = Replica.ship_exn repl ~gen ~pgid:g.Types.pgid in
-        Machine.note_ship_report u.machine r;
-        r)
-      pgens
+    List.map (fun gen -> Replica.ship_exn repl ~gen ~pgid:g.Types.pgid) pgens
   in
   let st = Replica.stats repl in
   let lag = Replica.lag repl in
@@ -992,7 +987,7 @@ let cmd_crash path mid_pipeline =
   end;
   Machine.crash u.machine;
   (* Save WITHOUT quiescing: exactly what the power failure left. *)
-  Devarray.set_observability u.machine.Machine.nvme ();
+  Devarray.set_obs u.machine.Machine.nvme None;
   let oc = open_out_bin path in
   Marshal.to_channel oc
     { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
@@ -1012,7 +1007,7 @@ let cmd_probe path expr json watch =
     1
   | Ok spec ->
     let u = load path in
-    let probes = u.machine.Machine.kernel.Kernel.probes in
+    let probes = u.machine.Machine.kernel.Kernel.obs.Obs.probes in
     let id = Probe.subscribe probes spec in
     let rounds = if watch then 5 else 1 in
     let round () =

@@ -22,15 +22,22 @@ type stats = {
    [done_at]; a crash before that drops them. *)
 type batch = { done_at : Duration.t; writes : (int * content) list }
 
-(* Metric handles for one device. Plain data only (mutable ints and
-   arrays): the CLI marshals whole device arrays into the universe
-   file, so nothing reachable from a device may hold a closure. *)
-type counters = {
-  c_commands : Metrics.counter;
-  c_blocks_read : Metrics.counter;
-  c_blocks_written : Metrics.counter;
-  c_xfer_us : Metrics.histogram;
+(* A device's instrumentation, resolved once at bind time. Plain data
+   only (metric cells, the span tree, the probe registry; never
+   [Metrics.t], whose snapshot hooks are closures): the CLI marshals
+   whole device arrays into the universe file, so nothing reachable
+   from a device may hold a closure. *)
+type sink = {
+  commands : Metrics.counter;
+  read_blocks : Metrics.counter;
+  written_blocks : Metrics.counter;
+  xfer_us : Metrics.histogram;
+  spans : Span.t;
+  probes : Probe.t;
 }
+
+(* Command paths: sync read/write, batched read, extent write, out-of-band write. *)
+type command = Read | Write | Batch_read | Extents | Oob
 
 type t = {
   name : string;
@@ -42,31 +49,24 @@ type t = {
   mutable pending : batch list;        (* in-flight batches, newest first *)
   mutable st : stats;
   mutable faults : Fault.injector option;
-  mutable obs_counters : counters option;
-  mutable obs_spans : Span.t option;
-  mutable obs_probes : Probe.t option;
+  mutable sink : sink option;
 }
 
 let zero_stats = { reads = 0; writes = 0; blocks_read = 0; blocks_written = 0; flushes = 0 }
 
-let make_counters name m =
-  let pre = "dev." ^ name ^ "." in
-  { c_commands = Metrics.counter m (pre ^ "commands");
-    c_blocks_read = Metrics.counter m (pre ^ "blocks_read");
-    c_blocks_written = Metrics.counter m (pre ^ "blocks_written");
-    c_xfer_us = Metrics.histogram m (pre ^ "xfer_us") }
+let bind name (o : Obs.t) =
+  let m = o.Obs.metrics and pre = "dev." ^ name ^ "." in
+  { commands = Metrics.counter m (pre ^ "commands");
+    read_blocks = Metrics.counter m (pre ^ "blocks_read");
+    written_blocks = Metrics.counter m (pre ^ "blocks_written");
+    xfer_us = Metrics.histogram m (pre ^ "xfer_us");
+    spans = o.Obs.spans; probes = o.Obs.probes }
 
-let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ?metrics ?spans ?probes
-    ~clock ~profile name =
+let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ~clock ~profile name =
   { name; clock; profile; capacity_blocks; slots = Hashtbl.create 4096;
-    sched = Iosched.create sched; pending = []; st = zero_stats; faults;
-    obs_counters = Option.map (make_counters name) metrics;
-    obs_spans = spans; obs_probes = probes }
+    sched = Iosched.create sched; pending = []; st = zero_stats; faults; sink = None }
 
-let set_observability t ?metrics ?spans ?probes () =
-  t.obs_counters <- Option.map (make_counters t.name) metrics;
-  t.obs_spans <- spans;
-  t.obs_probes <- probes
+let set_obs t obs = t.sink <- Option.map (bind t.name) obs
 
 let name t = t.name
 let profile t = t.profile
@@ -93,29 +93,54 @@ let slot t i =
     Hashtbl.replace t.slots i s;
     s
 
+(* Every command's instrumentation, in one place: the metric cells,
+   the [dev.io] tracepoint and, for a queued transfer (running from
+   [start_at] to [end_at] on the device timeline), a [dev.<op>] span on
+   the device's track. [commands] counts transfers: one per extent. *)
+let note_command t cmd ~cls ~commands ~blocks ~start_at ~end_at cost =
+  match t.sink with
+  | None -> ()
+  | Some o ->
+    let cls = Iosched.cls_name cls in
+    Metrics.add o.commands commands;
+    Metrics.observe_duration o.xfer_us cost;
+    (match cmd with
+     | Read | Batch_read -> Metrics.add o.read_blocks blocks
+     | Write | Extents | Oob -> Metrics.add o.written_blocks blocks);
+    (match cmd with
+     | Read | Write -> ()
+     | Batch_read ->
+       Span.record o.spans ~track:t.name ~name:"dev.read"
+         ~attrs:[ ("blocks", string_of_int blocks); ("cls", cls) ] ~start_at ~end_at ()
+     | Extents ->
+       Span.record o.spans ~track:t.name ~name:"dev.write"
+         ~attrs:
+           [ ("blocks", string_of_int blocks); ("extents", string_of_int commands);
+             ("cls", cls) ]
+         ~start_at ~end_at ()
+     | Oob ->
+       (* The critical-path analyzer must see black-box traffic
+          overlapping the flush window to blame it. *)
+       Span.record o.spans ~track:t.name ~name:"dev.oob"
+         ~attrs:[ ("blocks", string_of_int blocks); ("cls", "bg") ] ~start_at ~end_at ());
+    if Probe.enabled o.probes Probe.Dev_io then
+      Probe.fire o.probes Probe.Dev_io ~dev:t.name
+        ~op:
+          (match cmd with
+           | Read | Batch_read -> "read"
+           | Write | Extents -> "write"
+           | Oob -> "oob")
+        ~cls ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks
+
 (* Charge a synchronous command: the device may still be draining its
    queue, so completion is max(now, busy_until) + cost. *)
-let note_command t ~op ~blocks cost =
-  match t.obs_counters with
-  | None -> ()
-  | Some c ->
-    Metrics.incr c.c_commands;
-    Metrics.observe_duration c.c_xfer_us cost;
-    (match op with
-     | `Read -> Metrics.add c.c_blocks_read blocks
-     | `Write -> Metrics.add c.c_blocks_written blocks)
-
 let charge_sync t ~cls ~op ~blocks =
   let cost = Profile.transfer_cost t.profile ~op ~bytes:(blocks * block_size) in
-  let _start, completion =
+  let start, completion =
     Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks
   in
-  note_command t ~op ~blocks cost;
-  if Probe.on t.obs_probes Probe.Dev_io then
-    Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name
-      ~op:(match op with `Read -> "read" | `Write -> "write")
-      ~cls:(Iosched.cls_name cls)
-      ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks;
+  note_command t (match op with `Read -> Read | `Write -> Write) ~cls ~commands:1
+    ~blocks ~start_at:start ~end_at:completion cost;
   Clock.advance_to t.clock completion
 
 (* The command's time is charged before the fault surfaces: a failed
@@ -167,17 +192,8 @@ let read_many_async ?(cls = Iosched.Foreground) t indices =
         Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks:n
       in
       t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + n };
-      note_command t ~op:`Read ~blocks:n cost;
-      (match t.obs_spans with
-       | None -> ()
-       | Some spans ->
-         Span.record spans ~track:t.name ~name:"dev.read"
-           ~attrs:[ ("blocks", string_of_int n); ("cls", Iosched.cls_name cls) ]
-           ~start_at:start ~end_at:completion ());
-      if Probe.on t.obs_probes Probe.Dev_io then
-        Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name
-          ~op:"read" ~cls:(Iosched.cls_name cls)
-          ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:n;
+      note_command t Batch_read ~cls ~commands:1 ~blocks:n ~start_at:start
+        ~end_at:completion cost;
       completion
     end
   in
@@ -306,24 +322,8 @@ let write_extents ?not_before ?(cls = Iosched.Flush) t extents =
     in
     t.st <- { t.st with writes = t.st.writes + nextents;
                         blocks_written = t.st.blocks_written + nblocks };
-    (match t.obs_counters with
-     | None -> ()
-     | Some c ->
-       Metrics.add c.c_commands nextents;
-       Metrics.add c.c_blocks_written nblocks;
-       Metrics.observe_duration c.c_xfer_us cost);
-    (match t.obs_spans with
-     | None -> ()
-     | Some spans ->
-       Span.record spans ~track:t.name ~name:"dev.write"
-         ~attrs:
-           [ ("blocks", string_of_int nblocks); ("extents", string_of_int nextents);
-             ("cls", Iosched.cls_name cls) ]
-         ~start_at:start ~end_at:completion ());
-    if Probe.on t.obs_probes Probe.Dev_io then
-      Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name ~op:"write"
-        ~cls:(Iosched.cls_name cls)
-        ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:nblocks;
+    note_command t Extents ~cls ~commands:nextents ~blocks:nblocks
+      ~start_at:start ~end_at:completion cost;
     (* Content is visible immediately (the store serializes access),
        but the batch is remembered as in-flight so a crash before
        completion can drop it; completion also gates durability on
@@ -358,24 +358,8 @@ let write_oob t writes =
     Iosched.note_unscheduled t.sched ~cls:Iosched.Background ~cost ~blocks:n;
     t.st <- { t.st with writes = t.st.writes + 1;
                         blocks_written = t.st.blocks_written + n };
-    (match t.obs_counters with
-     | None -> ()
-     | Some c ->
-       Metrics.add c.c_commands 1;
-       Metrics.add c.c_blocks_written n;
-       Metrics.observe_duration c.c_xfer_us cost);
-    (* OOB writes get their own span: the critical-path analyzer must
-       see black-box traffic overlapping the flush window to blame it. *)
-    (match t.obs_spans with
-     | None -> ()
-     | Some spans ->
-       Span.record spans ~track:t.name ~name:"dev.oob"
-         ~attrs:[ ("blocks", string_of_int n); ("cls", "bg") ]
-         ~start_at:start ~end_at:completion ());
-    if Probe.on t.obs_probes Probe.Dev_io then
-      Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name ~op:"oob"
-        ~cls:"bg"
-        ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:n;
+    note_command t Oob ~cls:Iosched.Background ~commands:1 ~blocks:n
+      ~start_at:start ~end_at:completion cost;
     List.iter (store_block t ~completed:false) writes;
     t.pending <- { done_at = completion; writes } :: t.pending;
     completion

@@ -28,28 +28,23 @@ type content =
 type t
 
 val create :
-  ?sched:Iosched.config ->
-  ?capacity_blocks:int -> ?faults:Fault.injector -> ?metrics:Metrics.t ->
-  ?spans:Span.t -> ?probes:Probe.t -> clock:Clock.t -> profile:Profile.t ->
-  string -> t
+  ?sched:Iosched.config -> ?capacity_blocks:int -> ?faults:Fault.injector ->
+  clock:Clock.t -> profile:Profile.t -> string -> t
 (** [create ~clock ~profile name]. [sched] selects the I/O scheduler
     ({!Iosched.Fifo} by default — the historical single-queue timing,
     bit-exact). [capacity_blocks] defaults to unlimited; when set,
     writes past the capacity raise [Invalid_argument]. [faults]
-    attaches a media-fault injector (default: a perfect device).
-    [metrics] registers per-device counters ([dev.<name>.commands],
-    [.blocks_read], [.blocks_written]) and a transfer-duration
-    histogram ([dev.<name>.xfer_us]); [spans] records batched
-    transfers ([dev.read] / [dev.write] / [dev.oob]) on a track named
-    after the device, each carrying a [cls] attribute; [probes] fires
-    the [dev.io] tracepoint per command ([op] read/write/oob, [cls]
-    fg/flush/bg/deadline). *)
+    attaches a media-fault injector (default: a perfect device). *)
 
-val set_observability :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t -> unit -> unit
-(** Rebind (or, with no arguments, detach) the instrumentation. A
-    machine booted on an existing device calls this so the device
-    reports into the new kernel's registry. *)
+val set_obs : t -> Obs.t option -> unit
+(** Bind the instrumentation ([None] detaches it; a machine booted on
+    an existing device rebinds it to the new kernel's sinks). Binding
+    registers per-device counters ([dev.<name>.commands],
+    [.blocks_read], [.blocks_written]) and a transfer-duration
+    histogram ([dev.<name>.xfer_us]); queued transfers become spans
+    ([dev.read] / [dev.write] / [dev.oob], with a [cls] attribute) on a
+    track named after the device; every command fires the [dev.io]
+    tracepoint ([op] read/write/oob, [cls] fg/flush/bg/deadline). *)
 
 val name : t -> string
 val profile : t -> Profile.t

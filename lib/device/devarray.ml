@@ -5,12 +5,8 @@ open Aurora_simtime
    that epoch's I/O instead of [busy_until] of everything (which would
    also cover unrelated app traffic and younger epochs). Plain data —
    device arrays are marshalled into CLI universe files, so no
-   closures here. *)
-type group = {
-  done_at : Duration.t array; (* per-stripe completion horizon *)
-  mutable g_extents : int;
-  mutable g_blocks : int;
-}
+   closures here. One completion horizon per stripe. *)
+type group = Duration.t array
 
 type t = {
   name : string;
@@ -19,8 +15,7 @@ type t = {
   mutable current : group option;
 }
 
-let create ?sched ?stripes ?capacity_blocks ?faults ?metrics ?spans ?probes ~clock
-    ~profile name =
+let create ?sched ?stripes ?capacity_blocks ?faults ~clock ~profile name =
   let stripes =
     match stripes with Some n -> n | None -> profile.Profile.stripes
   in
@@ -57,15 +52,12 @@ let create ?sched ?stripes ?capacity_blocks ?faults ?metrics ?spans ?probes ~clo
   let devs =
     Array.init stripes (fun i ->
         Blockdev.create ?sched ?capacity_blocks:per_dev_capacity
-          ?faults:injectors.(i) ?metrics ?spans ?probes ~clock ~profile
+          ?faults:injectors.(i) ~clock ~profile
           (Printf.sprintf "%s.%d" name i))
   in
   { name; stripes; devs; current = None }
 
-let set_observability t ?metrics ?spans ?probes () =
-  Array.iter
-    (fun dev -> Blockdev.set_observability dev ?metrics ?spans ?probes ())
-    t.devs
+let set_obs t obs = Array.iter (fun dev -> Blockdev.set_obs dev obs) t.devs
 
 let stripes t = t.stripes
 let devices t = t.devs
@@ -194,10 +186,7 @@ let submit ?not_before ?cls t writes =
         completion := Duration.max !completion done_at;
         match t.current with
         | None -> ()
-        | Some g ->
-          g.done_at.(d) <- Duration.max g.done_at.(d) done_at;
-          g.g_extents <- g.g_extents + List.length exts;
-          g.g_blocks <- g.g_blocks + List.length dev_writes
+        | Some g -> g.(d) <- Duration.max g.(d) done_at
       end)
     per_dev;
   !completion
@@ -219,9 +208,7 @@ let write_oob t writes =
 (* --- completion groups ----------------------------------------------- *)
 
 let begin_group t =
-  let g =
-    { done_at = Array.make t.stripes Duration.zero; g_extents = 0; g_blocks = 0 }
-  in
+  let g = Array.make t.stripes Duration.zero in
   t.current <- Some g;
   g
 
@@ -234,9 +221,7 @@ let end_group t =
 
 let discard_group t = t.current <- None
 
-let group_completion g = Array.fold_left Duration.max Duration.zero g.done_at
-let group_extents g = g.g_extents
-let group_blocks g = g.g_blocks
+let group_completion g = Array.fold_left Duration.max Duration.zero g
 
 let busy_until t =
   Array.fold_left
@@ -255,8 +240,6 @@ let write_barrier ?cls t writes =
 let await t completion =
   Clock.advance_to (clock t) completion;
   Array.iter Blockdev.settle t.devs
-
-let await_group t g = await t (group_completion g)
 
 let write_many ?cls t writes = await t (write_async ?cls t writes)
 

@@ -25,9 +25,7 @@ open Aurora_simtime
 type t
 
 val create : ?sched:Iosched.config -> ?stripes:int -> ?capacity_blocks:int ->
-  ?faults:Fault.plan ->
-  ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t ->
-  clock:Clock.t -> profile:Profile.t -> string -> t
+  ?faults:Fault.plan -> clock:Clock.t -> profile:Profile.t -> string -> t
 (** [create ~clock ~profile name] builds devices [name.0] ..
     [name.n-1]. [sched] selects each device's I/O scheduler
     ({!Iosched.Fifo} by default). [stripes] defaults to the profile's
@@ -37,10 +35,9 @@ val create : ?sched:Iosched.config -> ?stripes:int -> ?capacity_blocks:int ->
     latent blocks and dropped stripe indices are resolved through the
     stripe map. Raises [Invalid_argument] when [stripes < 1]. *)
 
-val set_observability :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t -> unit -> unit
-(** Rebind (or detach) instrumentation on every stripe — see
-    {!Blockdev.set_observability}. *)
+val set_obs : t -> Obs.t option -> unit
+(** Bind (or, with [None], detach) every stripe's instrumentation —
+    see {!Blockdev.set_obs}. *)
 
 val stripes : t -> int
 val devices : t -> Blockdev.t array
@@ -128,13 +125,6 @@ val discard_group : t -> unit
 val group_completion : group -> Duration.t
 (** Max completion over the group's stripes — when all of the epoch's
     writes are durable. [Duration.zero] for an empty group. *)
-
-val await_group : t -> group -> unit
-(** Advance the clock to {!group_completion} and settle the devices. *)
-
-val group_extents : group -> int
-val group_blocks : group -> int
-(** Transfer and block counts attributed to the group. *)
 
 val await : t -> Duration.t -> unit
 val flush : t -> unit

@@ -56,11 +56,14 @@ type io_stats = {
   mutable lost_blocks : int;
 }
 
-type counters = {
-  c_commits : Metrics.counter;
-  c_records_put : Metrics.counter;
-  c_pages_put : Metrics.counter;
-  c_flush_us : Metrics.histogram;
+(* The store's instrumentation, with its counters resolved once at
+   bind time. *)
+type sink = {
+  obs : Obs.t;
+  commits : Metrics.counter;
+  records_put : Metrics.counter;
+  pages_put : Metrics.counter;
+  flush_us : Metrics.histogram;
 }
 
 (* Per-generation storage provenance, accumulated at write time (from
@@ -119,9 +122,7 @@ type t = {
   mutable repair_log : (int * repair_origin) list;
   mutable quarantined : (gen * string) list;
   provs : (gen, provenance) Hashtbl.t;
-  mutable obs_counters : counters option;
-  mutable obs_spans : Span.t option;
-  mutable obs_probes : Probe.t option;
+  mutable sink : sink option;
   gen_durable : (gen, Duration.t) Hashtbl.t;
   (* Committed generation -> when its superblock (hence everything it
      references) is durable. The pipeline's per-generation horizon:
@@ -269,6 +270,20 @@ let verified_read t block =
    monotone (each is ordered after the previous), so from then on no
    recoverable state references the block. *)
 
+(* [alloc.defer], fired per deferred-free stage. Sites guard with
+   [defer_probed]: arguments are computed only for a subscriber. *)
+let defer_probed t =
+  match t.sink with
+  | Some s -> Probe.enabled s.obs.Obs.probes Probe.Alloc_defer
+  | None -> false
+
+let fire_defer t ~op ~us ~blocks =
+  match t.sink with
+  | Some s ->
+    Probe.fire s.obs.Obs.probes Probe.Alloc_defer ~dev:(Devarray.name t.dev) ~op
+      ~gen:(-1) ~pgid:(-1) ~us ~blocks
+  | None -> ()
+
 let release_ready_frees t =
   let now = Clock.now (Devarray.clock t.dev) in
   let ready, waiting =
@@ -276,9 +291,8 @@ let release_ready_frees t =
   in
   t.deferred <- waiting;
   List.iter (fun (_, blocks) -> Alloc.release t.alloc blocks) ready;
-  if ready <> [] && Probe.on t.obs_probes Probe.Alloc_defer then
-    Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-      ~dev:(Devarray.name t.dev) ~op:"release" ~gen:(-1) ~pgid:(-1) ~us:0.
+  if ready <> [] && defer_probed t then
+    fire_defer t ~op:"release" ~us:0.
       ~blocks:(List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 ready);
   ready <> []
 
@@ -292,11 +306,8 @@ let settle_deferred_frees t =
   | (at, _) :: _ ->
     let now = Clock.now (Devarray.clock t.dev) in
     Devarray.await t.dev at;
-    if Probe.on t.obs_probes Probe.Alloc_defer then
-      Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-        ~dev:(Devarray.name t.dev) ~op:"settle" ~gen:(-1) ~pgid:(-1)
-        ~us:(Duration.to_us (Duration.sub at now))
-        ~blocks:0;
+    if defer_probed t then
+      fire_defer t ~op:"settle" ~us:(Duration.to_us (Duration.sub at now)) ~blocks:0;
     ignore (release_ready_frees t);
     true
 
@@ -397,7 +408,7 @@ let make ?(dedup = true) ?prot dev =
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
       repair_log = []; quarantined = []; provs = Hashtbl.create 16;
-      obs_counters = None; obs_spans = None; obs_probes = None;
+      sink = None;
       gen_durable = Hashtbl.create 16; sb_horizon = Duration.zero;
       deferred = []; bbox_seq = 0; read_cls = Iosched.Foreground }
   in
@@ -570,18 +581,16 @@ let protection t = t.prot
 let read_class t = t.read_cls
 let set_read_class t cls = t.read_cls <- cls
 
-let set_observability t ?metrics ?spans ?probes () =
-  t.obs_counters <-
+let set_obs t obs =
+  t.sink <-
     Option.map
-      (fun m ->
-        let pre = "store." ^ Devarray.name t.dev ^ "." in
-        { c_commits = Metrics.counter m (pre ^ "commits");
-          c_records_put = Metrics.counter m (pre ^ "records_put");
-          c_pages_put = Metrics.counter m (pre ^ "pages_put");
-          c_flush_us = Metrics.histogram m (pre ^ "flush_us") })
-      metrics;
-  t.obs_spans <- spans;
-  t.obs_probes <- probes
+      (fun (o : Obs.t) ->
+        let m = o.Obs.metrics and pre = "store." ^ Devarray.name t.dev ^ "." in
+        { obs = o; commits = Metrics.counter m (pre ^ "commits");
+          records_put = Metrics.counter m (pre ^ "records_put");
+          pages_put = Metrics.counter m (pre ^ "pages_put");
+          flush_us = Metrics.histogram m (pre ^ "flush_us") })
+      obs
 
 (* --- commit ---------------------------------------------------------- *)
 
@@ -669,9 +678,7 @@ let note_dedup_saved t ~hits ~bytes =
 
 let put_record t ~oid data =
   let _, root = require_open t in
-  (match t.obs_counters with
-   | Some c -> Metrics.incr c.c_records_put
-   | None -> ());
+  (match t.sink with Some s -> Metrics.incr s.records_put | None -> ());
   (match open_prov t with
    | Some p ->
      p.pv_records <- p.pv_records + 1;
@@ -706,9 +713,7 @@ let put_record t ~oid data =
 
 let put_page t ~oid ~pindex ~seed =
   let _ = require_open t in
-  (match t.obs_counters with
-   | Some c -> Metrics.incr c.c_pages_put
-   | None -> ());
+  (match t.sink with Some s -> Metrics.incr s.pages_put | None -> ());
   (match open_prov t with
    | Some p ->
      p.pv_pages <- p.pv_pages + 1;
@@ -737,9 +742,7 @@ let put_page t ~oid ~pindex ~seed =
 let put_pages t ~oid pages =
   let _ = require_open t in
   let n = Array.length pages in
-  (match t.obs_counters with
-   | Some c -> Metrics.add c.c_pages_put n
-   | None -> ());
+  (match t.sink with Some s -> Metrics.add s.pages_put n | None -> ());
   (match open_prov t with
    | Some p ->
      p.pv_pages <- p.pv_pages + n;
@@ -899,10 +902,7 @@ let write_superblock ?(after = Duration.zero) t =
   (match Alloc.take_parked t.alloc with
    | [] -> ()
    | parked ->
-     if Probe.on t.obs_probes Probe.Alloc_defer then
-       Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-         ~dev:(Devarray.name t.dev) ~op:"park" ~gen:(-1) ~pgid:(-1) ~us:0.
-         ~blocks:(List.length parked);
+     if defer_probed t then fire_defer t ~op:"park" ~us:0. ~blocks:(List.length parked);
      t.deferred <- t.deferred @ [ (durable_at, parked) ]);
   t.sb_horizon <- durable_at;
   ignore (release_ready_frees t);
@@ -1022,23 +1022,19 @@ let rebuild t =
 (* --- commit (continued) ---------------------------------------------- *)
 
 let note_flush t ~gen ~started ~durable_at ~data_blocks =
-  (match t.obs_counters with
-   | Some c ->
-     Metrics.incr c.c_commits;
-     Metrics.observe_duration c.c_flush_us (Duration.sub durable_at started)
-   | None -> ());
-  (match t.obs_spans with
-   | Some spans ->
-     Span.record spans ~track:("store." ^ Devarray.name t.dev) ~name:"store.flush"
-       ~attrs:
-         [ ("gen", string_of_int gen); ("data_blocks", string_of_int data_blocks) ]
-       ~start_at:started ~end_at:durable_at ()
-   | None -> ());
-  if Probe.on t.obs_probes Probe.Store_commit then
-    Probe.fire (Option.get t.obs_probes) Probe.Store_commit
-      ~dev:(Devarray.name t.dev) ~op:"commit" ~gen ~pgid:(-1)
-      ~us:(Duration.to_us (Duration.sub durable_at started))
-      ~blocks:data_blocks
+  match t.sink with
+  | None -> ()
+  | Some s ->
+    let flush = Duration.sub durable_at started in
+    Metrics.incr s.commits;
+    Metrics.observe_duration s.flush_us flush;
+    Span.record s.obs.Obs.spans ~track:("store." ^ Devarray.name t.dev)
+      ~name:"store.flush"
+      ~attrs:[ ("gen", string_of_int gen); ("data_blocks", string_of_int data_blocks) ]
+      ~start_at:started ~end_at:durable_at ();
+    if Probe.enabled s.obs.Obs.probes Probe.Store_commit then
+      Probe.fire s.obs.Obs.probes Probe.Store_commit ~dev:(Devarray.name t.dev)
+        ~op:"commit" ~gen ~pgid:(-1) ~us:(Duration.to_us flush) ~blocks:data_blocks
 
 let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   let g, root = require_open t in

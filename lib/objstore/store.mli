@@ -103,16 +103,14 @@ val set_read_class : t -> Iosched.cls -> unit
     after, so verification traffic never competes with application
     reads for the scheduler's reserved slack. *)
 
-val set_observability :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t -> unit -> unit
-(** Rebind (or, with no arguments, detach) instrumentation. With
-    [metrics], the store registers [store.<dev>.commits],
-    [.records_put], [.pages_put] counters and a [.flush_us] histogram;
-    with [spans], every commit records a [store.flush] span from
-    commit entry to the superblock's durability instant, parented to
-    whatever span is open at the time (the checkpoint root during a
-    checkpoint); with [probes], commits fire [store.commit] and the
-    deferred-free pen fires [alloc.defer] (op park/release/settle). *)
+val set_obs : t -> Obs.t option -> unit
+(** Bind (or, with [None], detach) instrumentation. Binding registers
+    [store.<dev>.commits], [.records_put], [.pages_put] counters and a
+    [.flush_us] histogram. Every commit then records a [store.flush]
+    span from commit entry to the superblock's durability instant,
+    parented to whatever span is open at the time (the checkpoint root
+    during a checkpoint), and fires [store.commit]; the deferred-free
+    pen fires [alloc.defer] (op park/release/settle). *)
 
 (* --- building a generation ----------------------------------------- *)
 

@@ -28,10 +28,7 @@ type t = {
   mutable next_pid : int;
   containers : (int, Container.t) Hashtbl.t;
   mutable next_cid : int;
-  metrics : Metrics.t;
-  spans : Span.t;
-  recorder : Recorder.t;
-  probes : Probe.t;
+  obs : Obs.t;
   prng : Prng.t;
   mutable send_hook : send_hook option;
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;
@@ -44,10 +41,7 @@ let create ?clock ?fs ?capacity_pages ?(seed = 0xA407AL) () =
     { clock; pool = Frame.create_pool ?capacity_pages (); registry = Registry.create ();
       netstack = Netstack.create (); fs; unix_ns = Hashtbl.create 8;
       procs = Hashtbl.create 16; next_pid = 1; containers = Hashtbl.create 4;
-      next_cid = 1; metrics = Metrics.create clock;
-      spans = Span.create clock; recorder = Recorder.create clock;
-      probes = Probe.create ();
-      prng = Prng.create ~seed;
+      next_cid = 1; obs = Obs.create clock; prng = Prng.create ~seed;
       send_hook = None; sls_ops = None }
   in
   Hashtbl.replace t.containers 0 Container.host;

@@ -42,14 +42,9 @@ type t = {
   mutable next_pid : int;
   containers : (int, Container.t) Hashtbl.t;
   mutable next_cid : int;
-  metrics : Metrics.t;  (** the machine-wide metrics registry *)
-  spans : Span.t;       (** the machine-wide span recorder *)
-  recorder : Recorder.t;
-  (** the crash-surviving flight recorder; the checkpoint engine
-      persists it through the store each epoch *)
-  probes : Probe.t;
-  (** the machine-wide dynamic-tracepoint registry; devices, the
-      store, the checkpoint engine and replication fire into it *)
+  obs : Obs.t;
+  (** the machine-wide sinks; devices, stores, replication and the SLO
+      watchdog are bound to this same handle *)
   prng : Prng.t;
   mutable send_hook : send_hook option;
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;

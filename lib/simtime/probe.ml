@@ -488,8 +488,6 @@ let create () =
 
 let enabled t p = Array.unsafe_get t.enabled_arr (index p)
 
-let on o p = match o with None -> false | Some t -> enabled t p
-
 let recompute_enabled t =
   Array.fill t.enabled_arr 0 npoints false;
   List.iter

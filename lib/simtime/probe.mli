@@ -3,11 +3,11 @@
     A registry holds a fixed set of named tracepoints ({!point}); the
     instrumented subsystems fire them with a flat argument record
     (device name, operation, generation, process-group id, duration in
-    microseconds, block count). Firing sites guard on {!enabled} (or
-    {!on} for an optional registry), which is a single array-indexed
-    boolean read — with no subscriptions the disabled path performs no
-    allocation and no call beyond that check, so probes compiled into
-    the hot paths are free until someone asks a question.
+    microseconds, block count). Firing sites guard on {!enabled}, which
+    is a single array-indexed boolean read — with no subscriptions the
+    disabled path performs no allocation and no call beyond that
+    check, so probes compiled into the hot paths are free until someone
+    asks a question.
 
     Questions are posed in a tiny expression DSL, one subscription per
     query:
@@ -48,16 +48,12 @@ val enabled : t -> point -> bool
 (** True iff at least one live subscription targets the point. A plain
     array read; the intended firing-site guard. *)
 
-val on : t option -> point -> bool
-(** [on (Some t) p] is [enabled t p]; [on None p] is [false]. For
-    subsystems that hold an optional registry. *)
-
 val fire :
   ?cls:string -> t -> point ->
   dev:string -> op:string -> gen:int -> pgid:int -> us:float ->
   blocks:int -> unit
 (** Deliver one event to every subscription on the point. Callers must
-    only reach this under an {!enabled}/{!on} guard so argument
+    only reach this under an {!enabled} guard so argument
     computation is skipped on the disabled path. Fields that do not
     apply use [""] / [-1]. [cls] is the I/O scheduling class on
     [dev.io] events (["fg"] / ["flush"] / ["bg"] / ["deadline"]);

@@ -134,7 +134,6 @@ let set_crash_reason t reason =
   t.crash <- Some reason;
   log t ~kind:"crash" reason
 
-let last_capture t = match t.marks with [] -> None | m :: _ -> Some m
 let captures t = List.rev t.marks
 let repl_attached t = t.repl
 let set_repl_attached t v = t.repl <- v

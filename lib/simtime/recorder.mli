@@ -125,9 +125,6 @@ val set_crash_reason : t -> string -> unit
 
 (* --- black-box accessors --------------------------------------------- *)
 
-val last_capture : t -> capture_mark option
-(** Newest capture mark, if any. *)
-
 val captures : t -> capture_mark list
 (** Retained capture marks, oldest first (bounded). *)
 

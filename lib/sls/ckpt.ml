@@ -174,8 +174,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
     | None -> if g.Types.incremental then `Incremental else `Full
   in
   let clock = k.Kernel.clock in
-  let spans = k.Kernel.spans in
-  let metrics = k.Kernel.metrics in
+  let { Obs.spans; metrics; recorder; probes } = k.Kernel.obs in
   let barrier_at = Clock.now clock in
   let root =
     Span.start spans "ckpt"
@@ -238,7 +237,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
      that was not committed by the time the ring was stored. The copy
      is charged here — off the stop path — and tracked against its own
      budget (the ckpt-rate sweep gates it at <1% of stop time). *)
-  let recorder = k.Kernel.recorder in
   (* Snapshot the spans still open at this capture (the checkpoint's
      own root included): after a crash they are the intervals that
      never finished, which is exactly what the post-mortem reports. *)
@@ -419,9 +417,9 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
     }
   in
   g.Types.last_breakdown <- Some breakdown;
-  if Probe.enabled k.Kernel.probes Probe.Ckpt_phase then begin
+  if Probe.enabled probes Probe.Ckpt_phase then begin
     let fire op d =
-      Probe.fire k.Kernel.probes Probe.Ckpt_phase ~dev:"" ~op ~gen
+      Probe.fire probes Probe.Ckpt_phase ~dev:"" ~op ~gen
         ~pgid:g.Types.pgid ~us:(Duration.to_us d) ~blocks:pages_captured
     in
     fire "quiesce" quiesce;
@@ -439,9 +437,9 @@ let finalize (k : Kernel.t) (g : Types.pgroup) (b : Types.ckpt_breakdown) =
   match b.Types.status with
   | `Degraded _ -> ()
   | `Ok ->
-    let metrics = k.Kernel.metrics in
+    let { Obs.metrics; spans; recorder; probes } = k.Kernel.obs in
     Kernel.charge k Costmodel.ckpt_retire;
-    Recorder.note_retire k.Kernel.recorder ~gen:b.Types.gen;
+    Recorder.note_retire recorder ~gen:b.Types.gen;
     let flush_started = Duration.add b.Types.barrier_at b.Types.stop_time in
     (* Background-flush window: end of the stop window to durability. *)
     Metrics.observe_duration
@@ -451,13 +449,13 @@ let finalize (k : Kernel.t) (g : Types.pgroup) (b : Types.ckpt_breakdown) =
     Metrics.observe_duration
       (Metrics.histogram metrics "ckpt.durable_lag_us")
       (Duration.sub b.Types.durable_at b.Types.barrier_at);
-    Span.record k.Kernel.spans ~track:"ckpt.pipeline" ~name:"ckpt.flush"
+    Span.record spans ~track:"ckpt.pipeline" ~name:"ckpt.flush"
       ~attrs:
         [ ("pgid", string_of_int g.Types.pgid);
           ("gen", string_of_int b.Types.gen) ]
       ~start_at:flush_started ~end_at:b.Types.durable_at ();
-    if Probe.enabled k.Kernel.probes Probe.Ckpt_phase then
-      Probe.fire k.Kernel.probes Probe.Ckpt_phase ~dev:"" ~op:"flush"
+    if Probe.enabled probes Probe.Ckpt_phase then
+      Probe.fire probes Probe.Ckpt_phase ~dev:"" ~op:"flush"
         ~gen:b.Types.gen ~pgid:g.Types.pgid
         ~us:(Duration.to_us (Duration.sub b.Types.durable_at flush_started))
         ~blocks:b.Types.pages_captured

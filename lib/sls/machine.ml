@@ -47,9 +47,10 @@ and postmortem = {
 
 let clock t = t.kernel.Kernel.clock
 let now t = Clock.now (clock t)
-let metrics t = t.kernel.Kernel.metrics
-let spans t = t.kernel.Kernel.spans
-let recorder t = t.kernel.Kernel.recorder
+let obs t = t.kernel.Kernel.obs
+let metrics t = (obs t).Obs.metrics
+let spans t = (obs t).Obs.spans
+let recorder t = (obs t).Obs.recorder
 let postmortem t = t.postmortem
 
 (* Fold the pull-style counters (device/fault/store state kept by each
@@ -138,20 +139,19 @@ let sync_metrics t =
 
 let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
     ~mem_store () =
-  (* (Re)bind every layer's instrumentation to this kernel's registry
-     and span recorder. On [boot] the devices survive from the previous
-     incarnation (possibly unmarshaled from a universe file) and must
-     not keep reporting into the dead kernel's handles. *)
-  let metrics = kernel.Kernel.metrics and spans = kernel.Kernel.spans in
-  let probes = kernel.Kernel.probes in
-  Devarray.set_observability nvme ~metrics ~spans ~probes ();
-  Devarray.set_observability memdev ~metrics ~spans ~probes ();
-  Store.set_observability disk_store ~metrics ~spans ~probes ();
-  Store.set_observability mem_store ~metrics ~spans ~probes ();
+  (* (Re)bind every layer's instrumentation to this kernel's sinks. On
+     [boot] the devices survive from the previous incarnation (possibly
+     unmarshaled from a universe file) and must not keep reporting into
+     the dead kernel's handles. *)
+  let obs = kernel.Kernel.obs in
+  Devarray.set_obs nvme (Some obs);
+  Devarray.set_obs memdev (Some obs);
+  Store.set_obs disk_store (Some obs);
+  Store.set_obs mem_store (Some obs);
   let swap_dev =
-    Blockdev.create ~metrics ~spans ~probes ~clock:kernel.Kernel.clock
-      ~profile:(Devarray.profile nvme) "swap0"
+    Blockdev.create ~clock:kernel.Kernel.clock ~profile:(Devarray.profile nvme) "swap0"
   in
+  Blockdev.set_obs swap_dev (Some obs);
   let swap = Swap.create ~dev:swap_dev ~pool:kernel.Kernel.pool in
   let rec t =
     lazy
@@ -171,7 +171,7 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
   in
   let m = Lazy.force t in
   (* Gauges derived from layer state refresh on every export. *)
-  Metrics.on_snapshot metrics (fun () -> sync_metrics m);
+  Metrics.on_snapshot obs.Obs.metrics (fun () -> sync_metrics m);
   m
 
 let create ?(storage_profile = Profile.optane_900p) ?stripes ?capacity_pages
@@ -274,25 +274,6 @@ let drain_storage t =
   Store.wait_all_durable t.disk_store;
   Store.wait_all_durable t.mem_store
 
-(* Fold a ship's outcome into the flight recorder: the ring gets the
-   ship/ack events (correlation id included, for [sls timeline]) and
-   the black-box ack horizon advances — shared by the auto-ship path
-   below and by CLI-driven replication. *)
-let note_ship_report t (r : Replica.ship_report) =
-  let rec_ = recorder t in
-  match r.Replica.sh_outcome with
-  | `Acked ->
-    Recorder.note_ship rec_ ~gen:r.Replica.sh_gen ~corr:r.Replica.sh_corr
-      ~outcome:"acked";
-    Recorder.note_ack rec_ ~gen:r.Replica.sh_gen ~corr:r.Replica.sh_corr
-  | `Gave_up ->
-    Recorder.note_ship rec_ ~gen:r.Replica.sh_gen ~corr:r.Replica.sh_corr
-      ~outcome:"gave_up";
-    Recorder.note_transition rec_ ~subsystem:"repl"
-      (Printf.sprintf "session degraded: generation %d unacknowledged"
-         r.Replica.sh_gen)
-  | `Skipped -> ()
-
 let checkpoint_now t g ?mode ?name () =
   (* Retire anything that landed since the last barrier first: keeps
      the history window tight and the in-flight window honest. *)
@@ -310,19 +291,11 @@ let checkpoint_now t g ?mode ?name () =
   in
   let b = Ckpt.capture t.kernel g ?mode ?name ~flush_cls () in
   (* Feed the watchdog before any secondary-backend work moves the
-     clock: the stop window ends when the application resumes. Breaches
-     also land in the flight recorder, so they survive the crash they
-     often precede. *)
-  (if b.Types.status = `Ok then
-     match
-       Slo.observe_stop t.slo ~metrics:(metrics t) ~spans:(spans t)
-         ~pgid:g.Types.pgid ?attribution:g.Types.last_attribution ~now:(now t)
-         b.Types.stop_time
-     with
-     | Some al ->
-       Recorder.note_alert (recorder t) ~kind:"stop_time" ~pgid:al.Slo.al_pgid
-         ~observed_us:al.Slo.al_observed_us ~target_us:al.Slo.al_target_us
-     | None -> ());
+     clock: the stop window ends when the application resumes. *)
+  if b.Types.status = `Ok then
+    ignore
+      (Slo.observe t.slo ~obs:(obs t) Slo.Stop_time ~pgid:g.Types.pgid
+         ?attribution:g.Types.last_attribution ~now:(now t) b.Types.stop_time);
   let backpressure = ref Duration.zero in
   (match b.Types.status with
    | `Degraded _ ->
@@ -358,7 +331,7 @@ let checkpoint_now t g ?mode ?name () =
         barrier-side like the other secondary backends. *)
      (match t.standby with
       | Some (pgid, repl) when pgid = g.Types.pgid ->
-        note_ship_report t (Replica.ship repl ~gen:b.Types.gen ~pgid);
+        ignore (Replica.ship repl ~gen:b.Types.gen ~pgid);
         (* Refresh the black box with the post-ship ack horizon: the
            copy written at capture predates this ship, and a crash from
            here on should not report an acked generation as unacked. *)
@@ -583,16 +556,9 @@ let restore_group t g ?gen ?policy ?from () =
   let pids, rb =
     Restore.restore t.kernel ~store ~gen ~pgid:g.Types.pgid ?policy ()
   in
-  (match
-     Slo.observe_restore t.slo ~metrics:(metrics t) ~spans:(spans t)
-       ~pgid:g.Types.pgid ?attribution:g.Types.last_attribution ~now:(now t)
-       rb.Types.total_latency
-   with
-   | Some al ->
-     Recorder.note_alert (recorder t) ~kind:"restore_latency"
-       ~pgid:al.Slo.al_pgid ~observed_us:al.Slo.al_observed_us
-       ~target_us:al.Slo.al_target_us
-   | None -> ());
+  ignore
+    (Slo.observe t.slo ~obs:(obs t) Slo.Restore_latency ~pgid:g.Types.pgid
+       ?attribution:g.Types.last_attribution ~now:(now t) rb.Types.total_latency);
   (pids, rb)
 
 let clone_group t g ?gen ?policy () =
@@ -663,7 +629,7 @@ let crash t =
    generation loss a suffix, so [> tip] is exact (and immune to
    history GC, which only removes generations at or below the tip). *)
 let forensics ~kernel ~disk_store =
-  let recorder = kernel.Kernel.recorder in
+  let recorder = kernel.Kernel.obs.Obs.recorder in
   let recovered_gen =
     match Store.latest disk_store with
     | Some gen -> (
@@ -801,8 +767,7 @@ let attach_standby t ?faults ?(link_profile = Profile.net_10gbe) ?ack_timeout
       Store.format ~dev ()
   in
   let repl =
-    Replica.establish ?ack_timeout ?max_attempts ~metrics:(metrics t)
-      ~spans:(spans t) ~probes:t.kernel.Kernel.probes ~link ~primary_side:`A
+    Replica.establish ?ack_timeout ?max_attempts ~obs:(obs t) ~link ~primary_side:`A
       ~primary:t.disk_store ~standby:store ()
   in
   t.standby <- Some (g.Types.pgid, repl);

@@ -132,7 +132,7 @@ val postmortem : t -> postmortem option
 
 val sync_metrics : t -> unit
 (** Fold pull-style state — device/fault counters, store IO-repair and
-    dedup/occupancy stats, tracelog/span drop counts — into gauges in
+    dedup/occupancy stats, span drop counts — into gauges in
     {!metrics}. Registered as a [Metrics.on_snapshot] hook at build
     time, so every snapshot/export already sees fresh values; calling
     it explicitly is only needed to refresh a gauge handle read
@@ -259,12 +259,6 @@ val standby_session : t -> Replica.t option
 
 val detach_standby : t -> unit
 (** Stop auto-shipping; the session and its store are abandoned. *)
-
-val note_ship_report : t -> Replica.ship_report -> unit
-(** Fold a ship's outcome into the flight recorder: ring events
-    (correlation id included) plus the black-box ack horizon. The
-    auto-ship path does this itself; callers driving {!Replica.ship}
-    directly (e.g. the CLI) use this to keep the recorder honest. *)
 
 type failover_report = {
   fo_rpo : int;

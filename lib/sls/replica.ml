@@ -140,9 +140,7 @@ type t = {
   max_attempts : int;
   max_backoff : Duration.t;
   prng : Prng.t;  (* retransmission jitter *)
-  metrics : Metrics.t option;
-  spans : Span.t option;
-  probes : Probe.t option;
+  obs : Obs.t option;
   mutable next_seq : int;
   (* primary-side transmitter state *)
   mutable acked : Store.gen option;  (* last primary gen acked durable *)
@@ -204,10 +202,10 @@ let session_counter = ref 0
 let bump t f = t.st <- f t.st
 
 let metric_incr t name =
-  Option.iter (fun m -> Metrics.incr (Metrics.counter m name)) t.metrics
+  Option.iter (fun (o : Obs.t) -> Metrics.incr (Metrics.counter o.Obs.metrics name)) t.obs
 
 let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
-    ?(max_backoff = Duration.milliseconds 40) ?metrics ?spans ?probes ~link
+    ?(max_backoff = Duration.milliseconds 40) ?obs ~link
     ~primary_side ~primary ~standby () =
   if max_attempts < 1 then invalid_arg "Replica.establish: max_attempts < 1";
   incr session_counter;
@@ -229,8 +227,9 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
     else (standby, map)
   in
   let latest = match List.rev map with (p, _) :: _ -> Some p | [] -> None in
-  (match metrics with
-   | Some m when ahead -> Metrics.incr (Metrics.counter m "repl.quarantines")
+  (match obs with
+   | Some o when ahead ->
+     Metrics.incr (Metrics.counter o.Obs.metrics "repl.quarantines")
    | _ -> ());
   {
     link; primary_side; primary; standby;
@@ -238,7 +237,7 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
     sid = !session_counter;
     ack_timeout; max_attempts; max_backoff;
     prng = Prng.create ~seed:(Int64.of_int (0x5EED + !session_counter));
-    metrics; spans; probes;
+    obs;
     next_seq = 1;
     acked = latest;
     state = `Idle;
@@ -270,16 +269,17 @@ let standby_side t : Netlink.side =
 let send_frame t ~from_ p =
   let raw = encode_frame ~sid:t.sid p in
   bump t (fun s -> { s with wire_bytes = s.wire_bytes + String.length raw });
-  if Probe.on t.probes Repl_msg then begin
-    let op, gen, pgid =
-      match p with
-      | Data { primary_gen; pgid; _ } -> ("data", primary_gen, pgid)
-      | Ack { primary_gen; _ } -> ("ack", primary_gen, -1)
-      | Nak { have; _ } -> ("nak", Option.value have ~default:(-1), -1)
-    in
-    Probe.fire (Option.get t.probes) Repl_msg ~dev:"link" ~op ~gen ~pgid
-      ~us:0.0 ~blocks:(String.length raw)
-  end;
+  (match t.obs with
+   | Some o when Probe.enabled o.Obs.probes Repl_msg ->
+     let op, gen, pgid =
+       match p with
+       | Data { primary_gen; pgid; _ } -> ("data", primary_gen, pgid)
+       | Ack { primary_gen; _ } -> ("ack", primary_gen, -1)
+       | Nak { have; _ } -> ("nak", Option.value have ~default:(-1), -1)
+     in
+     Probe.fire o.Obs.probes Repl_msg ~dev:"link" ~op ~gen ~pgid ~us:0.0
+       ~blocks:(String.length raw)
+   | Some _ | None -> ());
   ignore (Netlink.send t.link ~from_ raw)
 
 (* --- standby end ------------------------------------------------------ *)
@@ -446,14 +446,6 @@ let choose_mode t ~gen =
   | Some a when a < gen && List.mem a (Store.generations t.primary) -> `Delta a
   | Some _ | None -> `Full
 
-let observe_rtt t rtt =
-  Option.iter
-    (fun m -> Metrics.observe_duration (Metrics.histogram m "repl.ack_rtt_us") rtt)
-    t.metrics
-
-let set_lag_gauge t =
-  Option.iter (fun m -> Metrics.set_int (Metrics.gauge m "repl.lag") (lag t)) t.metrics
-
 let ship t ~gen ~pgid =
   let already = match t.acked with Some a -> gen <= a | None -> false in
   if already then begin
@@ -538,31 +530,40 @@ let ship t ~gen ~pgid =
       await (Duration.add (Clock.now t.clock) (Duration.add !timeout (jitter ())))
     in
     let rtt = Duration.sub (Clock.now t.clock) started in
+    let outcome_name = match outcome with `Acked -> "acked" | `Gave_up -> "gave_up" in
     (match outcome with
      | `Acked ->
        t.state <- `Idle;
-       bump t (fun s -> { s with acked = s.acked + 1 });
-       metric_incr t "repl.acked";
-       observe_rtt t rtt
+       bump t (fun s -> { s with acked = s.acked + 1 })
      | `Gave_up ->
        t.state <- `Degraded;
-       bump t (fun s -> { s with gave_up = s.gave_up + 1 });
-       metric_incr t "repl.gave_up");
-    set_lag_gauge t;
-    if Probe.on t.probes Repl_msg then
-      Probe.fire (Option.get t.probes) Repl_msg ~dev:"link" ~op:"ship" ~gen
-        ~pgid ~us:(Duration.to_us rtt) ~blocks:!bytes;
-    Option.iter
-      (fun sp ->
-        Span.record sp ~track:"repl" ~name:"repl.ship"
-          ~attrs:
-            [ ("gen", string_of_int gen);
-              ("corr", corr_id t ~gen);
-              ("mode", match !mode with `Full -> "full" | `Delta b -> Printf.sprintf "delta(%d)" b);
-              ("attempts", string_of_int !attempts);
-              ("outcome", match outcome with `Acked -> "acked" | `Gave_up -> "gave_up") ]
-          ~start_at:started ~end_at:(Clock.now t.clock) ())
-      t.spans;
+       bump t (fun s -> { s with gave_up = s.gave_up + 1 }));
+    (match t.obs with
+     | None -> ()
+     | Some { Obs.metrics; spans; probes; recorder } ->
+       let corr = corr_id t ~gen in
+       Metrics.incr (Metrics.counter metrics ("repl." ^ outcome_name));
+       if outcome = `Acked then
+         Metrics.observe_duration (Metrics.histogram metrics "repl.ack_rtt_us") rtt;
+       Metrics.set_int (Metrics.gauge metrics "repl.lag") (lag t);
+       if Probe.enabled probes Repl_msg then
+         Probe.fire probes Repl_msg ~dev:"link" ~op:"ship" ~gen ~pgid
+           ~us:(Duration.to_us rtt) ~blocks:!bytes;
+       Span.record spans ~track:"repl" ~name:"repl.ship"
+         ~attrs:
+           [ ("gen", string_of_int gen);
+             ("corr", corr);
+             ("mode", match !mode with `Full -> "full" | `Delta b -> Printf.sprintf "delta(%d)" b);
+             ("attempts", string_of_int !attempts);
+             ("outcome", outcome_name) ]
+         ~start_at:started ~end_at:(Clock.now t.clock) ();
+       (* Ship/ack ring events carry the correlation id [sls timeline] joins on. *)
+       Recorder.note_ship recorder ~gen ~corr ~outcome:outcome_name;
+       match outcome with
+       | `Acked -> Recorder.note_ack recorder ~gen ~corr
+       | `Gave_up ->
+         Recorder.note_transition recorder ~subsystem:"repl"
+           (Printf.sprintf "session degraded: generation %d unacknowledged" gen));
     { sh_gen = gen; sh_outcome = (outcome :> [ `Acked | `Gave_up | `Skipped ]);
       sh_mode = !mode; sh_attempts = !attempts; sh_resyncs = !resyncs;
       sh_rtt = rtt; sh_bytes = !bytes; sh_corr = corr_id t ~gen }

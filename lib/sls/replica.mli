@@ -51,9 +51,7 @@ val establish :
   ?ack_timeout:Duration.t ->
   ?max_attempts:int ->
   ?max_backoff:Duration.t ->
-  ?metrics:Metrics.t ->
-  ?spans:Span.t ->
-  ?probes:Probe.t ->
+  ?obs:Obs.t ->
   link:Netlink.t ->
   primary_side:Netlink.side ->
   primary:Store.t ->
@@ -66,11 +64,12 @@ val establish :
     (default 10) bounds transmissions of one frame. Replication state
     the standby store already carries (["repl.gen:*"] names) is
     recovered, so the session resumes where a predecessor stopped.
-    [metrics]/[spans] attach the [repl.*] counters, the ack-RTT
-    histogram and the ["repl"] span track; [probes] attaches the
-    [repl.msg] tracepoint (fired per frame sent — op [data]/[ack]/[nak]
-    with the wire size in [blocks] — and once per completed ship with
-    op [ship] and the RTT in [us]).
+    [obs] attaches the instrumentation: the [repl.*] counters, the
+    ack-RTT histogram and lag gauge, the ["repl"] span track, the
+    flight recorder's ship/ack entries, and the [repl.msg] tracepoint
+    (fired per frame sent — op [data]/[ack]/[nak] with the wire size
+    in [blocks] — and once per completed ship with op [ship] and the
+    RTT in [us]).
 
     A standby carrying acknowledgements for generations the primary no
     longer holds is {e ahead} of it (the primary recovered to an older
@@ -96,7 +95,8 @@ val ship : t -> gen:Store.gen -> pgid:int -> ship_report
     simulated clock advances — until the standby acknowledges
     durability or the retry budget runs out. [`Gave_up] leaves the
     session [`Degraded]; a later ship (e.g. after a partition heals)
-    resynchronizes. *)
+    resynchronizes. A ship that transmitted logs its span and its
+    flight-recorder ship/ack events (and ack horizon) itself. *)
 
 val ship_exn : t -> gen:Store.gen -> pgid:int -> ship_report
 (** {!ship}, raising {!Session_failed} on [`Gave_up]. *)

@@ -96,12 +96,12 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
         Store.read_pages_batch store gen ~oid:store_oid ~pindexes:eager_indexes)
   in
   if n_eager > 0 then begin
-    Span.record k.Kernel.spans ~name:"restore.prefetch"
+    Span.record k.Kernel.obs.Obs.spans ~name:"restore.prefetch"
       ~attrs:[ ("pages", string_of_int (Array.length batch)) ]
       ~start_at:prefetch_started
       ~end_at:(Clock.now k.Kernel.clock) ();
     Metrics.observe_duration
-      (Metrics.histogram k.Kernel.metrics "restore.prefetch_us")
+      (Metrics.histogram k.Kernel.obs.Obs.metrics "restore.prefetch_us")
       read_time
   end;
   Array.iter
@@ -123,8 +123,7 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
 let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
     ~new_pids ~root () =
   let clock = k.Kernel.clock in
-  let spans = k.Kernel.spans in
-  let metrics = k.Kernel.metrics in
+  let { Obs.spans; metrics; _ } = k.Kernel.obs in
   let started = Clock.now clock in
   let s_meta = Span.start spans "restore.metadata" in
   let dev = Store.device store in
@@ -429,7 +428,7 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
 
 let restore (k : Kernel.t) ~store ~gen ~pgid ?(policy = Types.Lazy_prefetch) ?from_disk
     ?(new_pids = false) () =
-  let spans = k.Kernel.spans in
+  let spans = k.Kernel.obs.Obs.spans in
   let root =
     Span.start spans "restore"
       ~attrs:[ ("gen", string_of_int gen); ("pgid", string_of_int pgid) ]

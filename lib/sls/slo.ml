@@ -80,7 +80,7 @@ let retain t alert =
   in
   t.alerts <- alert :: kept
 
-let observe t ~kind ?metrics ?spans ~pgid ?attribution ~now observed =
+let observe t ?obs kind ~pgid ?attribution ~now observed =
   let w = window_of t kind in
   let observed_us = Duration.to_us observed in
   window_add w observed_us;
@@ -105,32 +105,27 @@ let observe t ~kind ?metrics ?spans ~pgid ?attribution ~now observed =
         al_top_procs = top_procs; al_top_objects = top_objects }
     in
     retain t alert;
-    Option.iter
-      (fun m -> Metrics.incr (Metrics.counter m ("slo.breach." ^ kind_label kind)))
-      metrics;
-    Option.iter
-      (fun s ->
-        let start_at =
-          if Duration.(now > observed) then Duration.sub now observed
-          else Duration.zero
-        in
-        Span.record s ~track:"slo"
-          ~attrs:
-            [ ("kind", kind_label kind);
-              ("pgid", string_of_int pgid);
-              ("observed_us", Printf.sprintf "%.1f" observed_us);
-              ("target_us", Printf.sprintf "%.1f" alert.al_target_us) ]
-          ~name:("slo.breach." ^ kind_label kind)
-          ~start_at ~end_at:now ())
-      spans;
+    (match obs with
+     | None -> ()
+     | Some (o : Obs.t) ->
+       let label = kind_label kind in
+       let start_at =
+         if Duration.(now > observed) then Duration.sub now observed
+         else Duration.zero
+       in
+       Metrics.incr (Metrics.counter o.Obs.metrics ("slo.breach." ^ label));
+       Span.record o.Obs.spans ~track:"slo"
+         ~attrs:
+           [ ("kind", label);
+             ("pgid", string_of_int pgid);
+             ("observed_us", Printf.sprintf "%.1f" observed_us);
+             ("target_us", Printf.sprintf "%.1f" alert.al_target_us) ]
+         ~name:("slo.breach." ^ label) ~start_at ~end_at:now ();
+       (* Breaches survive the crash they often precede. *)
+       Recorder.note_alert o.Obs.recorder ~kind:label ~pgid ~observed_us
+         ~target_us:alert.al_target_us);
     Some alert
   | Some _ | None -> None
-
-let observe_stop t ?metrics ?spans ~pgid ?attribution ~now observed =
-  observe t ~kind:Stop_time ?metrics ?spans ~pgid ?attribution ~now observed
-
-let observe_restore t ?metrics ?spans ~pgid ?attribution ~now observed =
-  observe t ~kind:Restore_latency ?metrics ?spans ~pgid ?attribution ~now observed
 
 let clear t =
   t.stop_window.n <- 0;

@@ -10,11 +10,11 @@
     not just "the stop time blew the budget" but "and these processes
     / VM objects paid for it".
 
-    Breaches are also pushed into the observability plane: a
-    [slo.breach.stop_time] / [slo.breach.restore_latency] counter in
-    the metrics registry and an interval on the ["slo"] span track
-    (visible in the Chrome trace next to the checkpoint that caused
-    it). Targets are unset by default: an unconfigured watchdog only
+    With an {!Obs.t}, a breach is also pushed into every sink: a
+    [slo.breach.stop_time] / [slo.breach.restore_latency] counter, an
+    interval on the ["slo"] span track (next to the checkpoint that
+    caused it in the Chrome trace), and an [slo.alert] recorder event.
+    Targets are unset by default: an unconfigured watchdog only
     accumulates quantiles. *)
 
 open Aurora_simtime
@@ -50,19 +50,14 @@ val set_restore_target : t -> Duration.t option -> unit
 val stop_target : t -> Duration.t option
 val restore_target : t -> Duration.t option
 
-val observe_stop :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> pgid:int ->
-  ?attribution:Types.ckpt_attribution -> now:Duration.t -> Duration.t ->
-  alert option
-(** Record one checkpoint stop-time sample; returns the alert when the
-    sample exceeds the target. [now] is the instant the sample ended
-    (the breach interval [now - observed, now] is what lands on the
-    ["slo"] span track). *)
-
-val observe_restore :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> pgid:int ->
-  ?attribution:Types.ckpt_attribution -> now:Duration.t -> Duration.t ->
-  alert option
+val observe :
+  t -> ?obs:Obs.t -> kind -> pgid:int -> ?attribution:Types.ckpt_attribution ->
+  now:Duration.t -> Duration.t -> alert option
+(** Record one sample of [kind] (a checkpoint's stop time or a
+    restore's total latency); returns the alert when the sample
+    exceeds the target. [now] is the instant the sample ended (the
+    breach interval [now - observed, now] is what lands on the ["slo"]
+    span track). *)
 
 val alerts : t -> alert list
 (** Newest first, at most [max_alerts]. *)

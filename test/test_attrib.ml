@@ -285,12 +285,12 @@ let test_slo_unit () =
   let t0 = Duration.microseconds 100 in
   (* Unconfigured: samples accumulate, nothing alerts. *)
   check_bool "no target, no alert" true
-    (Slo.observe_stop slo ~pgid:1 ~now:t0 (Duration.microseconds 50) = None);
+    (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 50) = None);
   check_int "sample windowed" 1 (Slo.samples slo Slo.Stop_time);
   Slo.set_stop_target slo (Some (Duration.microseconds 10));
   check_bool "under target" true
-    (Slo.observe_stop slo ~pgid:1 ~now:t0 (Duration.microseconds 5) = None);
-  (match Slo.observe_stop slo ~pgid:1 ~now:t0 (Duration.microseconds 20) with
+    (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 5) = None);
+  (match Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 20) with
    | Some al ->
      check_bool "kind" true (al.Slo.al_kind = Slo.Stop_time);
      check_int "pgid" 1 al.Slo.al_pgid;
@@ -300,7 +300,7 @@ let test_slo_unit () =
   check_int "breach counted" 1 (Slo.breaches slo Slo.Stop_time);
   (* Alert retention is bounded; breach counting is not. *)
   for _ = 1 to 4 do
-    ignore (Slo.observe_stop slo ~pgid:1 ~now:t0 (Duration.microseconds 30))
+    ignore (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 30))
   done;
   check_int "alerts capped" 2 (List.length (Slo.alerts slo));
   check_int "all breaches counted" 5 (Slo.breaches slo Slo.Stop_time);
@@ -322,7 +322,9 @@ let test_slo_quantile_is_stats_percentile () =
       let slo = Slo.create ~window:n () in
       for i = 1 to n do
         Stats.add stats (float_of_int i);
-        ignore (Slo.observe_stop slo ~pgid:1 ~now:Duration.zero (Duration.microseconds i))
+        ignore
+          (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:Duration.zero
+             (Duration.microseconds i))
       done;
       let label = Printf.sprintf "p50 of 1..%d" n in
       Alcotest.(check (float 0.)) (label ^ ": stats") want (Stats.percentile stats 50.);

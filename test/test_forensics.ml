@@ -391,6 +391,28 @@ let test_correlation_ids_match () =
            ring))
     mapped
 
+(* A ship driven through [Replica.ship] directly, not by the machine's
+   auto-ship, still logs into the machine's recorder: the ring's ack
+   event and the black box's ack horizon. *)
+let test_direct_ship_logged () =
+  let m = Machine.create () in
+  let c, p, e = spawn_dirty m ~npages:8 in
+  let g =
+    Machine.persist m ~interval:(Duration.seconds 10)
+      (`Container c.Container.cid)
+  in
+  dirty_all m p e;
+  let gen = (Machine.checkpoint_now m g ()).Types.gen in
+  let repl = Machine.attach_standby m g in
+  let r = Replica.ship repl ~gen ~pgid:g.Types.pgid in
+  check_bool "shipped and acked" true (r.Replica.sh_outcome = `Acked);
+  let rec_ = Machine.recorder m in
+  check_bool "ack horizon advanced" true (Recorder.acked_gen rec_ = Some gen);
+  check_bool "ring logged the ack" true
+    (List.exists
+       (fun ev -> ev.Recorder.ev_kind = "repl.ack" && ev.Recorder.ev_gen = gen)
+       (Recorder.events rec_))
+
 let test_recorder_gauges () =
   let m = Machine.create () in
   let c, p, e = spawn_dirty m ~npages:8 in
@@ -438,6 +460,8 @@ let () =
             test_acceptance_mid_pipeline_crash_with_standby;
           Alcotest.test_case "correlation ids join primary and standby" `Quick
             test_correlation_ids_match;
+          Alcotest.test_case "direct ship logged in the recorder" `Quick
+            test_direct_ship_logged;
           Alcotest.test_case "recorder gauges in the registry" `Quick
             test_recorder_gauges;
         ] );

@@ -1,7 +1,8 @@
-(* Tests for the observability layer: the metrics registry (counters,
-   gauges, fixed-bucket histograms), the span recorder (nesting,
-   orphans, Chrome export), the JSON emitter, and the end-to-end
-   checkpoint/restore phase trees a Machine produces. *)
+(* Tests for the observability layer: a golden digest of every byte the
+   sinks export, the metrics registry (counters, gauges, fixed-bucket
+   histograms), the span recorder (nesting, orphans, Chrome export), the
+   JSON emitter, and the end-to-end checkpoint/restore phase trees a
+   Machine produces. *)
 
 open Aurora_simtime
 open Aurora_objstore
@@ -455,9 +456,223 @@ let test_restore_typed_error () =
   check_bool "describe is human-readable" true
     (String.length (Restore.describe_error (Restore.Bad_image "x")) > 0)
 
+(* A bound device array stays marshalable: the CLI writes the live
+   array into the universe file, so a device's instrumentation may hold
+   metric cells, spans and probes, but never a closure. *)
+let test_bound_device_marshals () =
+  let m, g = machine_with_app () in
+  ignore (Machine.checkpoint_now m g ());
+  let dev : Aurora_device.Devarray.t =
+    Marshal.from_string (Marshal.to_string m.Machine.nvme []) 0
+  in
+  check_string "array round-trips" "nvme" (Aurora_device.Devarray.name dev)
+
+(* ------------------------------------------------------------------ *)
+(* Golden outputs                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Five scenarios that between them produce every metric family, span
+   kind, tracepoint and recorder event kind a machine emits. Their
+   exported bytes hash to one digest, which moves on any change to
+   metric registration order, span order, parents or attributes, probe
+   firing order or recorder contents. Object and address-space ids come
+   from process-wide counters, so this group runs first in the suite. *)
+
+let () =
+  Program.register ~name:"obs/walker" (fun k p th ->
+      let ctx = th.Thread.context in
+      if ctx.Context.pc = 0 then begin
+        let e = Syscall.mmap_anon k p ~npages:(Context.reg_int ctx 2) in
+        Context.set_reg_int ctx 1 e.Aurora_vm.Vmmap.start_vpn;
+        ctx.Context.pc <- 1;
+        Program.Continue
+      end
+      else begin
+        let step = Context.reg_int ctx 4 in
+        Syscall.mem_write k p
+          ~vpn:(Context.reg_int ctx 1 + (step mod Context.reg_int ctx 2))
+          ~offset:0 ~value:(Int64.of_int (1000 + step));
+        Context.set_reg_int ctx 4 (step + 1);
+        Program.Continue
+      end);
+  Program.register ~name:"obs/parked" (fun _ _ _ -> Program.Block Thread.Wait_forever)
+
+let spawn_golden m ~program ~npages =
+  let k = m.Machine.kernel in
+  let c = Kernel.new_container k ~name:"golden" in
+  let p = Kernel.spawn k ~container:c.Container.cid ~name:"golden" ~program () in
+  Context.set_reg_int (Process.main_thread p).Thread.context 2 npages;
+  (c, p)
+
+(* One subscription per tracepoint, in [Probe.points] order. Sums of
+   floats depend on firing order, so the reports pin it. *)
+let subscribe_all probes =
+  List.map
+    (fun pt ->
+      match Probe.parse (Probe.point_name pt ^ " agg sum(us) by op") with
+      | Ok spec -> Probe.subscribe probes spec
+      | Error e -> Alcotest.fail e)
+    Probe.points
+
+let golden_probes m = m.Machine.kernel.Kernel.obs.Obs.probes
+
+(* Every exported byte of one set of sinks; [fired] accumulates the
+   per-point firing counts. *)
+let golden_export ~fired (o : Obs.t) ids =
+  let reports =
+    List.mapi
+      (fun i id ->
+        let r = Option.get (Probe.report o.Obs.probes id) in
+        fired.(i) <- fired.(i) + r.Probe.rp_fired;
+        Probe.report_json r)
+      ids
+  in
+  Metrics.to_json o.Obs.metrics :: Span.to_chrome_json o.Obs.spans
+  :: Recorder.export o.Obs.recorder :: reports
+
+let golden_machine ~fired m ids = golden_export ~fired m.Machine.kernel.Kernel.obs ids
+
+(* Pipeline window 2, a standby behind a link dropping 5% of frames,
+   1 ns SLO targets (every sample breaches), a two-generation history,
+   a lazy-prefetch restore, a clone, and a failover. *)
+let golden_replicated ~fired =
+  let m = Machine.create ~stripes:2 ~max_inflight_ckpts:2 () in
+  let ids = subscribe_all (golden_probes m) in
+  m.Machine.history_window <- 2;
+  Machine.set_slo_targets m ~stop_time:(Duration.nanoseconds 1)
+    ~restore_latency:(Duration.nanoseconds 1) ();
+  let c, _ = spawn_golden m ~program:"obs/walker" ~npages:64 in
+  let g =
+    Machine.persist m ~interval:(Duration.milliseconds 1) (`Container c.Container.cid)
+  in
+  ignore
+    (Machine.attach_standby m
+       ~faults:(Aurora_device.Netlink.fault_plan ~seed:5L ~drop:0.05 ())
+       g);
+  Machine.run m (Duration.milliseconds 20);
+  Machine.drain_storage m;
+  ignore (Machine.restore_group m g ~policy:Types.Lazy_prefetch ());
+  ignore (Machine.clone_group m g ());
+  Machine.run m (Duration.milliseconds 2);
+  Machine.drain_storage m;
+  let promoted, _ = Machine.failover m in
+  golden_machine ~fired m ids
+  @ golden_machine ~fired promoted (subscribe_all (golden_probes promoted))
+
+(* Window 3, two full captures still in flight at the power failure,
+   then recovery and its post-mortem. *)
+let golden_crash ~fired =
+  let m = Machine.create ~stripes:1 ~max_inflight_ckpts:3 () in
+  let ids = subscribe_all (golden_probes m) in
+  m.Machine.history_window <- 1_000;
+  let npages = 2048 in
+  let c, p = spawn_golden m ~program:"obs/parked" ~npages in
+  let k = m.Machine.kernel in
+  let e = Syscall.mmap_anon k p ~npages in
+  let dirty () =
+    for i = 0 to npages - 1 do
+      Syscall.mem_write k p ~vpn:(e.Aurora_vm.Vmmap.start_vpn + i) ~offset:0
+        ~value:(Int64.of_int (Duration.to_ns (Machine.now m) + i))
+    done
+  in
+  let g =
+    Machine.persist m ~interval:(Duration.seconds 10) (`Container c.Container.cid)
+  in
+  dirty ();
+  ignore (Machine.checkpoint_now m g ~mode:`Full ());
+  Machine.drain_storage m;
+  dirty ();
+  ignore (Machine.checkpoint_now m g ~mode:`Full ());
+  ignore (Machine.checkpoint_now m g ~mode:`Full ());
+  Machine.run m (Duration.microseconds 30);
+  let before = golden_machine ~fired m ids in
+  Machine.crash m;
+  let m' = Machine.recover m in
+  let pm =
+    match Machine.postmortem m' with
+    | Some pm -> pm
+    | None -> Alcotest.fail "no postmortem"
+  in
+  check_int "two epochs in flight" 2 (List.length pm.Machine.pm_pending_epochs);
+  before
+  @ golden_machine ~fired m' (subscribe_all (golden_probes m'))
+  @ [ String.concat ","
+        (List.map
+           (fun mk -> string_of_int mk.Recorder.cm_gen)
+           pm.Machine.pm_pending_epochs);
+      Option.value pm.Machine.pm_crash_reason ~default:"-" ]
+
+(* A 256-block device: full checkpoints until one degrades. *)
+let golden_degrade ~fired =
+  let m = Machine.create ~storage_blocks:256 () in
+  let ids = subscribe_all (golden_probes m) in
+  m.Machine.history_window <- 1_000;
+  let c, _ = spawn_golden m ~program:"obs/walker" ~npages:8 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  let rec loop n =
+    Machine.run m (Duration.milliseconds 1);
+    match (Machine.checkpoint_now m g ~mode:`Full ()).Types.status with
+    | `Degraded _ -> ()
+    | `Ok -> if n = 0 then Alcotest.fail "device never filled" else loop (n - 1)
+  in
+  loop 60;
+  golden_machine ~fired m ids
+
+(* A raw device array and store, bound to a handle of their own. *)
+let golden_raw ~fired =
+  let open Aurora_device in
+  let clock = Clock.create () in
+  let dev = Devarray.create ~stripes:2 ~clock ~profile:Profile.optane_900p "raw" in
+  let s = Store.format ~dev () in
+  let obs = Obs.create clock in
+  Devarray.set_obs dev (Some obs);
+  Store.set_obs s (Some obs);
+  let ids = subscribe_all obs.Obs.probes in
+  for round = 0 to 5 do
+    ignore (Store.begin_generation s ());
+    Store.put_pages s ~oid:1
+      (Array.init 48 (fun i -> (i, Int64.of_int ((round * 16) + i))));
+    Store.put_record s ~oid:2 (Printf.sprintf "record %d" round);
+    let gen, _ = Store.commit s () in
+    ignore (Store.gc s ~keep:[ gen ]);
+    Store.drop_caches s;
+    ignore (Store.read_pages_batch s gen ~oid:1 ~pindexes:(Array.init 8 Fun.id))
+  done;
+  Store.wait_all_durable s;
+  golden_export ~fired obs ids
+
+(* The synchronous engine: every barrier waits out its own flush. *)
+let golden_sync ~fired =
+  let m = Machine.create ~max_inflight_ckpts:1 () in
+  let ids = subscribe_all (golden_probes m) in
+  let c, _ = spawn_golden m ~program:"obs/walker" ~npages:64 in
+  ignore
+    (Machine.persist m ~interval:(Duration.milliseconds 1) (`Container c.Container.cid));
+  Machine.run m (Duration.milliseconds 5);
+  Machine.drain_storage m;
+  check_bool "backpressure span" true
+    (Span.find (Machine.spans m) ~name:"ckpt.backpressure" <> None);
+  golden_machine ~fired m ids
+
+let golden_digest = "ff273a310d5329f716c997929f4869ce"
+
+let test_golden () =
+  let fired = Array.make (List.length Probe.points) 0 in
+  let parts =
+    List.concat_map
+      (fun scenario -> scenario ~fired)
+      [ golden_replicated; golden_crash; golden_degrade; golden_raw; golden_sync ]
+  in
+  List.iteri
+    (fun i pt -> check_bool (Probe.point_name pt ^ " fired") true (fired.(i) > 0))
+    Probe.points;
+  check_string "golden digest" golden_digest
+    (Digest.to_hex (Digest.string (String.concat "\000" parts)))
+
 let () =
   Alcotest.run "obs"
     [
+      ("golden", [ Alcotest.test_case "observability outputs" `Quick test_golden ]);
       ( "metrics",
         [
           Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -491,5 +706,7 @@ let () =
           Alcotest.test_case "restore span tree" `Quick test_restore_span_tree;
           Alcotest.test_case "metrics flow" `Quick test_machine_metrics_flow;
           Alcotest.test_case "typed restore error" `Quick test_restore_typed_error;
+          Alcotest.test_case "bound device marshals" `Quick
+            test_bound_device_marshals;
         ] );
     ]

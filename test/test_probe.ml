@@ -218,11 +218,9 @@ let test_agg_quantize () =
 let test_enable_disable () =
   let t = Probe.create () in
   check_bool "fresh registry disabled" false (Probe.enabled t Probe.Dev_io);
-  check_bool "on None is false" false (Probe.on None Probe.Dev_io);
   let id = Probe.subscribe t (parse_exn "dev.io agg count") in
   check_bool "subscription enables the point" true (Probe.enabled t Probe.Dev_io);
   check_bool "other points stay disabled" false (Probe.enabled t Probe.Repl_msg);
-  check_bool "on Some follows enabled" true (Probe.on (Some t) Probe.Dev_io);
   Probe.unsubscribe t id;
   check_bool "last unsubscribe disables" false (Probe.enabled t Probe.Dev_io);
   check_int "no subscriptions left" 0 (List.length (Probe.subscriptions t))
@@ -287,7 +285,7 @@ let machine_with_app () =
 
 let test_machine_probes_fire () =
   let m, g = machine_with_app () in
-  let probes = m.Machine.kernel.Kernel.probes in
+  let probes = m.Machine.kernel.Kernel.obs.Obs.probes in
   let io = Probe.subscribe probes (parse_exn "dev.io agg count by op") in
   let ph = Probe.subscribe probes (parse_exn "ckpt.phase agg max(us) by op") in
   let sc = Probe.subscribe probes (parse_exn "store.commit agg sum(blocks)") in
@@ -318,7 +316,8 @@ let test_probes_do_not_perturb () =
     let m, g = machine_with_app () in
     if subscribed then
       List.iter
-        (fun q -> ignore (Probe.subscribe m.Machine.kernel.Kernel.probes (parse_exn q)))
+        (fun q ->
+          ignore (Probe.subscribe m.Machine.kernel.Kernel.obs.Obs.probes (parse_exn q)))
         [ "dev.io agg quantize(us) by op"; "ckpt.phase agg sum(us) by op";
           "store.commit agg count"; "alloc.defer agg count by op" ];
     let b = Machine.checkpoint_now m g () in
