@@ -7,8 +7,6 @@ type content =
   | Seed of int64
   | Zero
 
-type slot = { mutable current : content; mutable durable : content }
-
 type stats = {
   reads : int;
   writes : int;
@@ -44,7 +42,8 @@ type t = {
   clock : Clock.t;
   profile : Profile.t;
   capacity_blocks : int option;
-  slots : (int, slot) Hashtbl.t;
+  current : content Blockvec.t;        (* what reads see *)
+  durable : content Blockvec.t;        (* what survives a crash *)
   sched : Iosched.t;                   (* queue state; horizon = busy_until *)
   mutable pending : batch list;        (* in-flight batches, newest first *)
   mutable st : stats;
@@ -63,7 +62,8 @@ let bind name (o : Obs.t) =
     spans = o.Obs.spans; probes = o.Obs.probes }
 
 let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ~clock ~profile name =
-  { name; clock; profile; capacity_blocks; slots = Hashtbl.create 4096;
+  { name; clock; profile; capacity_blocks; current = Blockvec.create Zero;
+    durable = Blockvec.create Zero;
     sched = Iosched.create sched; pending = []; st = zero_stats; faults; sink = None }
 
 let set_obs t obs = t.sink <- Option.map (bind t.name) obs
@@ -84,14 +84,9 @@ let check_index t i =
     invalid_arg (Printf.sprintf "Blockdev %s: block %d beyond capacity %d" t.name i cap)
   | _ -> ()
 
-let slot t i =
+let stored t i =
   check_index t i;
-  match Hashtbl.find_opt t.slots i with
-  | Some s -> s
-  | None ->
-    let s = { current = Zero; durable = Zero } in
-    Hashtbl.replace t.slots i s;
-    s
+  Blockvec.get t.current i
 
 (* Every command's instrumentation, in one place: the metric cells,
    the [dev.io] tracepoint and, for a queued transfer (running from
@@ -161,9 +156,9 @@ let read ?(cls = Iosched.Foreground) t i =
   charge_sync t ~cls ~op:`Read ~blocks:1;
   t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + 1 };
   inject_read_fault t i;
-  (slot t i).current
+  stored t i
 
-let peek t i = (slot t i).current
+let peek t i = stored t i
 
 (* Batch reads are best-effort DMA: a dropped device or latent sector
    yields [Zero] for the affected blocks instead of failing the whole
@@ -173,14 +168,14 @@ let peek t i = (slot t i).current
    surface faults. *)
 let batch_content t i =
   match t.faults with
-  | None -> (slot t i).current
+  | None -> stored t i
   | Some inj ->
     if Fault.is_dropped inj then Zero
     else if Fault.is_latent inj i then begin
       Fault.note_latent inj;
       Zero
     end
-    else (slot t i).current
+    else stored t i
 
 let read_many_async ?(cls = Iosched.Foreground) t indices =
   let n = List.length indices in
@@ -209,9 +204,9 @@ let store_block t ~completed (i, c) =
    | Data s when String.length s > block_size ->
      invalid_arg "Blockdev.write: content larger than a block"
    | Data _ | Seed _ | Zero -> ());
-  let s = slot t i in
-  s.current <- c;
-  if completed && not t.profile.Profile.volatile_cache then s.durable <- c
+  check_index t i;
+  Blockvec.set t.current i c;
+  if completed && not t.profile.Profile.volatile_cache then Blockvec.set t.durable i c
 
 let corrupt_content inj = function
   | Data s when String.length s > 0 ->
@@ -375,7 +370,7 @@ let settle_pending t =
   in
   if not t.profile.Profile.volatile_cache then
     List.iter
-      (fun batch -> List.iter (fun (i, c) -> (slot t i).durable <- c) batch.writes)
+      (fun batch -> List.iter (fun (i, c) -> Blockvec.set t.durable i c) batch.writes)
       (List.rev done_);
   t.pending <- still
 
@@ -390,7 +385,9 @@ let flush t =
   Clock.advance t.clock t.profile.Profile.flush_latency;
   t.pending <- [];
   t.st <- { t.st with flushes = t.st.flushes + 1 };
-  Hashtbl.iter (fun _ s -> s.durable <- s.current) t.slots
+  for i = 0 to Blockvec.length t.current - 1 do
+    Blockvec.set t.durable i (Blockvec.get t.current i)
+  done
 
 let crash t =
   (* Batches that completed (in simulated time) before the failure are
@@ -398,10 +395,16 @@ let crash t =
   settle_pending t;
   t.pending <- [];
   Iosched.reset_to t.sched (Clock.now t.clock);
-  Hashtbl.iter (fun _ s -> s.current <- s.durable) t.slots
+  for i = 0 to Blockvec.length t.current - 1 do
+    Blockvec.set t.current i (Blockvec.get t.durable i)
+  done
 
 let stats t = t.st
 let reset_stats t = t.st <- zero_stats
 
 let used_blocks t =
-  Hashtbl.fold (fun _ s acc -> match s.current with Zero -> acc | _ -> acc + 1) t.slots 0
+  let n = ref 0 in
+  for i = 0 to Blockvec.length t.current - 1 do
+    match Blockvec.get t.current i with Zero -> () | Data _ | Seed _ -> incr n
+  done;
+  !n

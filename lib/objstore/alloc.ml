@@ -1,8 +1,10 @@
+open Aurora_device
+
 type t = {
   first_block : int;
   capacity_blocks : int option;
   stripes : int;
-  refs : (int, int) Hashtbl.t;
+  refs : int Blockvec.t; (* by block; 0 = free *)
   mutable free_list : int list;
   mutable next_fresh : int;
   mutable live : int;
@@ -17,7 +19,7 @@ exception Out_of_space
 let create ~first_block ?capacity_blocks ?(stripes = 1) () =
   if first_block < 0 then invalid_arg "Alloc.create: negative first_block";
   if stripes < 1 then invalid_arg "Alloc.create: stripe count must be >= 1";
-  { first_block; capacity_blocks; stripes; refs = Hashtbl.create 4096;
+  { first_block; capacity_blocks; stripes; refs = Blockvec.create 0;
     free_list = []; next_fresh = first_block; live = 0; on_free = [];
     defer_frees = false; parked = []; on_pressure = None }
 
@@ -47,7 +49,7 @@ let rec alloc t =
   match t.free_list with
   | b :: rest ->
     t.free_list <- rest;
-    Hashtbl.replace t.refs b 1;
+    Blockvec.set t.refs b 1;
     t.live <- t.live + 1;
     b
   | [] ->
@@ -57,7 +59,7 @@ let rec alloc t =
        if under_pressure t then alloc t else raise Out_of_space
      | _ ->
        t.next_fresh <- b + 1;
-       Hashtbl.replace t.refs b 1;
+       Blockvec.set t.refs b 1;
        t.live <- t.live + 1;
        b)
 
@@ -96,22 +98,22 @@ let rec alloc_extent t n =
       t.live <- t.live + n;
       Array.init n (fun i ->
           let b = start + i in
-          Hashtbl.replace t.refs b 1;
+          Blockvec.set t.refs b 1;
           b)
   end
 
-let refcount t block = Option.value ~default:0 (Hashtbl.find_opt t.refs block)
+let refcount t block = Blockvec.get t.refs block
 
 let incref t block =
-  match Hashtbl.find_opt t.refs block with
-  | Some n when n > 0 -> Hashtbl.replace t.refs block (n + 1)
-  | Some _ | None -> invalid_arg (Printf.sprintf "Alloc.incref: dead block %d" block)
+  let n = Blockvec.get t.refs block in
+  if n > 0 then Blockvec.set t.refs block (n + 1)
+  else invalid_arg (Printf.sprintf "Alloc.incref: dead block %d" block)
 
 let decref t block =
-  match Hashtbl.find_opt t.refs block with
-  | Some n when n > 1 -> Hashtbl.replace t.refs block (n - 1)
-  | Some 1 ->
-    Hashtbl.remove t.refs block;
+  match Blockvec.get t.refs block with
+  | n when n > 1 -> Blockvec.set t.refs block (n - 1)
+  | 1 ->
+    Blockvec.set t.refs block 0;
     (* Side tables (checksums, dedup, mirrors) are cleaned at free
        time either way; deferral only gates when the block becomes
        reusable (see Store's superblock-durability pen). *)
@@ -119,22 +121,20 @@ let decref t block =
     else t.free_list <- block :: t.free_list;
     t.live <- t.live - 1;
     List.iter (fun f -> f block) t.on_free
-  | Some _ | None -> invalid_arg (Printf.sprintf "Alloc.decref: dead block %d" block)
+  | _ -> invalid_arg (Printf.sprintf "Alloc.decref: dead block %d" block)
 
 let live_blocks t = t.live
 
 let bump_fresh t block = if block >= t.next_fresh then t.next_fresh <- block + 1
 
 let mark_live t block =
-  (match Hashtbl.find_opt t.refs block with
-   | Some n -> Hashtbl.replace t.refs block (n + 1)
-   | None ->
-     Hashtbl.replace t.refs block 1;
-     t.live <- t.live + 1);
+  let n = Blockvec.get t.refs block in
+  Blockvec.set t.refs block (n + 1);
+  if n = 0 then t.live <- t.live + 1;
   if block >= t.next_fresh then t.next_fresh <- block + 1
 
 let reset t =
-  Hashtbl.reset t.refs;
+  Blockvec.clear t.refs;
   t.free_list <- [];
   t.parked <- [];
   t.next_fresh <- t.first_block;

@@ -49,7 +49,7 @@ val decref : t -> int -> unit
     hook fires). Raises [Invalid_argument] on a dead block. *)
 
 val refcount : t -> int -> int
-(** 0 for unallocated blocks. *)
+(** 0 for unallocated blocks, negative block numbers included. *)
 
 val live_blocks : t -> int
 val add_on_free : t -> (int -> unit) -> unit

@@ -21,20 +21,29 @@ type node =
 
 type cached = { block : int; node : node; epoch : int; mutable dirty : bool }
 
+(* The filler of every empty cache slot. *)
+let absent = { block = -1; node = Leaf { n = 0; keys = [||]; vals = [||] }; epoch = -1;
+               dirty = false }
+
 type t = {
   dev : Devarray.t;
   alloc : Alloc.t;
-  cache : (int, cached) Hashtbl.t;
+  cache : cached Blockvec.t; (* by block; [absent] where not cached *)
+  mutable dirty_nodes : cached list;
+  (* Every node marked dirty since the last flush, newest first. A node
+     freed or evicted since then no longer fills its cache slot and is
+     skipped. *)
   mutable current_epoch : int;
   mutable reader : (int -> Blockdev.content) option;
 }
 
 let create ~dev ~alloc =
-  let t = { dev; alloc; cache = Hashtbl.create 1024; current_epoch = 0;
+  let t = { dev; alloc; cache = Blockvec.create absent; dirty_nodes = []; current_epoch = 0;
             reader = None } in
   (* Freed blocks must leave the cache: a freed block index can be
      reallocated with new content. *)
-  Alloc.add_on_free alloc (fun b -> Hashtbl.remove t.cache b);
+  Alloc.add_on_free alloc (fun b ->
+      if Blockvec.get t.cache b != absent then Blockvec.set t.cache b absent);
   t
 
 let set_reader t f = t.reader <- Some f
@@ -110,9 +119,9 @@ let decode_node data =
 (* --- cache --------------------------------------------------------- *)
 
 let read_cached t block =
-  match Hashtbl.find t.cache block with
-  | c -> c
-  | exception Not_found ->
+  let c = Blockvec.get t.cache block in
+  if c != absent then c
+  else begin
     let raw =
       match t.reader with
       | Some f -> f block
@@ -125,14 +134,22 @@ let read_cached t block =
         raise (Serial.Corrupt (Printf.sprintf "Btree: block %d is not a node" block))
     in
     let c = { block; node; epoch = -1; dirty = false } in
-    Hashtbl.replace t.cache block c;
+    Blockvec.set t.cache block c;
     c
+  end
 
 let new_node t node =
   let block = Alloc.alloc t.alloc in
   let c = { block; node; epoch = t.current_epoch; dirty = true } in
-  Hashtbl.replace t.cache block c;
+  Blockvec.set t.cache block c;
+  t.dirty_nodes <- c :: t.dirty_nodes;
   c
+
+let mark_dirty t c =
+  if not c.dirty then begin
+    c.dirty <- true;
+    t.dirty_nodes <- c :: t.dirty_nodes
+  end
 
 (* An epoch-owned node holding [count] entries copied from [keys] and
    [vals] (or children) starting at [pos], with room for one more entry
@@ -260,7 +277,7 @@ let rec insert_rec t block key value =
       l.vals.(i) <- value;
       l.n <- l.n + 1
     end;
-    c.dirty <- true;
+    mark_dirty t c;
     if l.n <= max_entries then (c.block, None)
     else begin
       let n = l.n and mid = l.n / 2 in
@@ -286,7 +303,7 @@ let rec insert_rec t block key value =
        nd.keys.(idx) <- sep;
        nd.children.(idx + 1) <- rblock;
        nd.n <- nd.n + 1);
-    c.dirty <- true;
+    mark_dirty t c;
     if nd.n <= max_entries then (c.block, None)
     else begin
       (* Promote the middle key; left keeps keys [0, mid), right keeps
@@ -333,13 +350,14 @@ let rec fold_range t ~root ~lo ~hi ~init ~f =
 
 (* --- flushing / cache management ----------------------------------- *)
 
+let still_cached t c = Blockvec.get t.cache c.block == c
+
 let flush_dirty ?tee ?cls t =
-  let dirty =
-    Hashtbl.fold (fun b c acc -> if c.dirty then (b, c) :: acc else acc) t.cache []
-  in
-  let dirty = List.sort (fun (a, _) (b, _) -> Int.compare a b) dirty in
-  let writes = List.map (fun (b, c) -> (b, Blockdev.Data (encode_node c.node))) dirty in
-  List.iter (fun (_, c) -> c.dirty <- false) dirty;
+  let dirty = List.filter (still_cached t) t.dirty_nodes in
+  t.dirty_nodes <- [];
+  let dirty = List.sort (fun a b -> Int.compare a.block b.block) dirty in
+  let writes = List.map (fun c -> (c.block, Blockdev.Data (encode_node c.node))) dirty in
+  List.iter (fun c -> c.dirty <- false) dirty;
   let writes =
     match tee with
     | Some f -> writes @ f writes
@@ -348,14 +366,22 @@ let flush_dirty ?tee ?cls t =
   if writes = [] then Clock.now (Devarray.clock t.dev)
   else Devarray.write_async ?cls t.dev writes
 
-let dirty_count t = Hashtbl.fold (fun _ c n -> if c.dirty then n + 1 else n) t.cache 0
-let cached_count t = Hashtbl.length t.cache
+let dirty_count t = List.length (List.filter (still_cached t) t.dirty_nodes)
+
+let cached_count t =
+  let n = ref 0 in
+  for b = 0 to Blockvec.length t.cache - 1 do
+    if Blockvec.get t.cache b != absent then incr n
+  done;
+  !n
+
+let reset_cache t =
+  Blockvec.clear t.cache;
+  t.dirty_nodes <- []
 
 let drop_cache t =
   if dirty_count t > 0 then invalid_arg "Btree.drop_cache: dirty nodes remain";
-  Hashtbl.reset t.cache
-
-let reset_cache t = Hashtbl.reset t.cache
+  reset_cache t
 
 type view = Leaf_view of (int64 * value) list | Internal_view of int list
 

@@ -45,6 +45,13 @@ Guarded metrics:
                                         (lower is better)
   qos-sweep    / p99_improve_pct        scheduler-on improvement over
                                         FIFO (higher is better)
+  table3       / full_stop_us, incr_stop_us
+                                        the paper's Table 3 application
+                                        stop times (lower is better)
+  table4       / redis_memory_total_us, serverless_memory_total_us,
+                 serverless_disk_total_us
+                                        the paper's Table 4 restore
+                                        latencies (lower is better)
 
 Absolute limits (no baseline needed — the value itself is the gate):
   critpath     / s1_stop_match ... s8_stop_match   must be 1: the
@@ -63,6 +70,14 @@ Absolute limits (no baseline needed — the value itself is the gate):
   qos-sweep    / qos_*_flag             must be 1: p99 improvement >=
                                         30%, flush cost <= 10%, stop
                                         time within 5% of FIFO
+  table3       / incr_stop_us           must stay under 1000: the
+                                        paper's sub-millisecond
+                                        incremental stop
+  table3       / data_copy_ratio        full/incremental lazy data copy
+                                        within 15% of the paper's 7.2x
+                                        (6.12 to 8.28)
+  table4       / *_total_us             every restore under 1000 (the
+                                        paper's sub-millisecond restores)
 
 Histogram distribution shape: any guarded target may carry
 "<key>_buckets" entries (per-bucket counts as emitted by the bench's

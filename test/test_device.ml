@@ -158,6 +158,63 @@ let test_flush_makes_durable () =
   Blockdev.crash dev;
   Alcotest.check content_t "flushed write survives" (Blockdev.Data "x") (Blockdev.read dev 0)
 
+(* Blocks far past the device's first thousand land, settle, crash and
+   flush like low ones, on both kinds of write cache. *)
+let test_writes_past_initial_array () =
+  List.iter
+    (fun profile ->
+      let volatile = profile.Profile.volatile_cache in
+      let _, dev = mkdev ~profile () in
+      let seed i = Blockdev.Seed (Int64.of_int i) in
+      let settled = [ 1023; 1024; 5_000; 70_000 ] in
+      Blockdev.await dev (Blockdev.write_async dev (List.map (fun i -> (i, seed i)) settled));
+      List.iter
+        (fun i -> Alcotest.check content_t "readable after settle" (seed i) (Blockdev.peek dev i))
+        settled;
+      ignore (Blockdev.write_async dev [ (5_000, Blockdev.Seed 1L); (200_000, Blockdev.Seed 2L) ]);
+      Alcotest.check content_t "unsettled write visible" (Blockdev.Seed 2L)
+        (Blockdev.peek dev 200_000);
+      Blockdev.crash dev;
+      List.iter
+        (fun i ->
+          Alcotest.check content_t "settled write after crash"
+            (if volatile then Blockdev.Zero else seed i)
+            (Blockdev.peek dev i))
+        settled;
+      Alcotest.check content_t "unsettled write dropped" Blockdev.Zero
+        (Blockdev.peek dev 200_000))
+    [ Profile.optane_900p; Profile.nand_ssd ]
+
+let test_flush_copies_current_to_durable () =
+  let _, dev = mkdev ~profile:Profile.nand_ssd () in
+  let writes =
+    [ (0, Blockdev.Data "a"); (3, Blockdev.Seed 3L); (2_000, Blockdev.Zero);
+      (9_000, Blockdev.Seed 9L); (40_000, Blockdev.Data "far") ]
+  in
+  Blockdev.write_many dev writes;
+  check_int "used blocks count only non-Zero content" 4 (Blockdev.used_blocks dev);
+  Blockdev.write dev 3 Blockdev.Zero;
+  check_int "a Zero write frees the block's use" 3 (Blockdev.used_blocks dev);
+  Blockdev.flush dev;
+  Blockdev.crash dev;
+  List.iter
+    (fun (i, c) ->
+      Alcotest.check content_t "durable after flush"
+        (if i = 3 then Blockdev.Zero else c)
+        (Blockdev.peek dev i))
+    writes;
+  check_int "used blocks survive" 3 (Blockdev.used_blocks dev)
+
+let test_unwritten_block_reads_zero () =
+  let _, dev = mkdev () in
+  Blockdev.write dev 7 (Blockdev.Seed 7L);
+  let size () = String.length (Marshal.to_string dev []) in
+  let before = size () in
+  Alcotest.check content_t "peek far past the array" Blockdev.Zero (Blockdev.peek dev 1_000_000);
+  Alcotest.check content_t "read far past the array" Blockdev.Zero (Blockdev.read dev 2_000_000);
+  check_int "reading does not grow the device" before (size ());
+  check_int "used blocks" 1 (Blockdev.used_blocks dev)
+
 let test_stats_counting () =
   let _, dev = mkdev () in
   Blockdev.write_many dev [ (0, Blockdev.Seed 1L); (1, Blockdev.Seed 2L) ];
@@ -763,6 +820,12 @@ let () =
             test_async_crash_after_completion;
           Alcotest.test_case "flush makes durable" `Quick test_flush_makes_durable;
           Alcotest.test_case "stats" `Quick test_stats_counting;
+          Alcotest.test_case "writes past the initial array" `Quick
+            test_writes_past_initial_array;
+          Alcotest.test_case "flush copies current to durable" `Quick
+            test_flush_copies_current_to_durable;
+          Alcotest.test_case "unwritten block reads Zero" `Quick
+            test_unwritten_block_reads_zero;
           qt prop_blockdev_read_back;
           qt prop_crash_preserves_durable;
           qt prop_async_completions_monotone;

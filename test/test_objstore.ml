@@ -67,6 +67,253 @@ let test_alloc_capacity () =
   Alloc.decref a 0;
   check_int "freed block allocatable" 0 (Alloc.alloc a)
 
+(* The allocator as it was with a hash table for the refcounts: the
+   reference the array-backed [Alloc] is compared against. The pressure
+   hook is left out; no operation below sets one. *)
+module Ref_alloc = struct
+  type t = {
+    first_block : int;
+    capacity_blocks : int option;
+    stripes : int;
+    refs : (int, int) Hashtbl.t;
+    mutable free_list : int list;
+    mutable next_fresh : int;
+    mutable live : int;
+    mutable on_free : (int -> unit) list;
+    mutable defer_frees : bool;
+    mutable parked : int list;
+  }
+
+  exception Out_of_space
+
+  let create ~first_block ?capacity_blocks ?(stripes = 1) () =
+    { first_block; capacity_blocks; stripes; refs = Hashtbl.create 64; free_list = [];
+      next_fresh = first_block; live = 0; on_free = []; defer_frees = false; parked = [] }
+
+  let add_on_free t f = t.on_free <- t.on_free @ [ f ]
+  let set_deferred_frees t v = t.defer_frees <- v
+
+  let take_parked t =
+    let p = t.parked in
+    t.parked <- [];
+    p
+
+  let release t blocks = t.free_list <- blocks @ t.free_list
+
+  let alloc t =
+    match t.free_list with
+    | b :: rest ->
+      t.free_list <- rest;
+      Hashtbl.replace t.refs b 1;
+      t.live <- t.live + 1;
+      b
+    | [] ->
+      let b = t.next_fresh in
+      (match t.capacity_blocks with
+       | Some cap when b >= cap -> raise Out_of_space
+       | _ ->
+         t.next_fresh <- b + 1;
+         Hashtbl.replace t.refs b 1;
+         t.live <- t.live + 1;
+         b)
+
+  let alloc_extent t n =
+    if n < 0 then invalid_arg "Alloc.alloc_extent: negative size";
+    if n = 0 then [||]
+    else begin
+      let start =
+        if n < t.stripes || t.next_fresh mod t.stripes = 0 then t.next_fresh
+        else begin
+          let aligned = (t.next_fresh / t.stripes + 1) * t.stripes in
+          for b = aligned - 1 downto t.next_fresh do
+            t.free_list <- b :: t.free_list
+          done;
+          aligned
+        end
+      in
+      match t.capacity_blocks with
+      | Some cap when start + n > cap -> raise Out_of_space
+      | _ ->
+        t.next_fresh <- start + n;
+        t.live <- t.live + n;
+        Array.init n (fun i ->
+            let b = start + i in
+            Hashtbl.replace t.refs b 1;
+            b)
+    end
+
+  let refcount t block = Option.value ~default:0 (Hashtbl.find_opt t.refs block)
+
+  let incref t block =
+    match Hashtbl.find_opt t.refs block with
+    | Some n when n > 0 -> Hashtbl.replace t.refs block (n + 1)
+    | Some _ | None -> invalid_arg (Printf.sprintf "Alloc.incref: dead block %d" block)
+
+  let decref t block =
+    match Hashtbl.find_opt t.refs block with
+    | Some n when n > 1 -> Hashtbl.replace t.refs block (n - 1)
+    | Some 1 ->
+      Hashtbl.remove t.refs block;
+      if t.defer_frees then t.parked <- block :: t.parked
+      else t.free_list <- block :: t.free_list;
+      t.live <- t.live - 1;
+      List.iter (fun f -> f block) t.on_free
+    | Some _ | None -> invalid_arg (Printf.sprintf "Alloc.decref: dead block %d" block)
+
+  let live_blocks t = t.live
+  let bump_fresh t block = if block >= t.next_fresh then t.next_fresh <- block + 1
+
+  let mark_live t block =
+    (match Hashtbl.find_opt t.refs block with
+     | Some n -> Hashtbl.replace t.refs block (n + 1)
+     | None ->
+       Hashtbl.replace t.refs block 1;
+       t.live <- t.live + 1);
+    if block >= t.next_fresh then t.next_fresh <- block + 1
+
+  let reset t =
+    Hashtbl.reset t.refs;
+    t.free_list <- [];
+    t.parked <- [];
+    t.next_fresh <- t.first_block;
+    t.live <- 0
+end
+
+(* [Incref], [Decref] and [Mark_live] name a block by its position
+   among the blocks seen so far, or, at a negative position -k, as block
+   [first_block + k], which may never have been allocated. [Mark_live]
+   and [Bump_fresh] reach 6,000, several times the allocator's initial
+   array size. *)
+type alloc_op =
+  | Alloc_one
+  | Extent of int
+  | Incref of int
+  | Decref of int
+  | Defer of bool
+  | Take_release
+  | Mark_live of int
+  | Bump_fresh of int
+  | Reset
+
+let alloc_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, return Alloc_one);
+      (2, map (fun n -> Extent n) (int_range 0 9));
+      (5, map (fun i -> Incref i) (int_range (-20) 400));
+      (7, map (fun i -> Decref i) (int_range (-20) 400));
+      (1, map (fun b -> Defer b) bool);
+      (1, return Take_release);
+      (2, map (fun i -> Mark_live i) (int_range (-6000) 400));
+      (1, map (fun b -> Bump_fresh b) (int_range 0 6000));
+      (1, return Reset);
+    ]
+
+let show_alloc_op = function
+  | Alloc_one -> "alloc"
+  | Extent n -> Printf.sprintf "extent %d" n
+  | Incref i -> Printf.sprintf "incref #%d" i
+  | Decref i -> Printf.sprintf "decref #%d" i
+  | Defer b -> Printf.sprintf "defer %b" b
+  | Take_release -> "take+release"
+  | Mark_live i -> Printf.sprintf "mark_live #%d" i
+  | Bump_fresh b -> Printf.sprintf "bump_fresh %d" b
+  | Reset -> "reset"
+
+let prop_alloc_matches_reference =
+  QCheck.Test.make ~name:"alloc agrees with the hashtable reference" ~count:200
+    (QCheck.make
+       ~print:(fun (stripes, cap, ops) ->
+         Printf.sprintf "stripes %d, capacity %s: %s" stripes
+           (match cap with Some c -> string_of_int c | None -> "none")
+           (String.concat "; " (List.map show_alloc_op ops)))
+       QCheck.Gen.(
+         triple (int_range 1 4) (opt (int_range 8 300))
+           (list_size (int_range 1 300) alloc_op_gen)))
+    (fun (stripes, cap, ops) ->
+      let first_block = 4 in
+      let capacity_blocks = Option.map (fun c -> first_block + c) cap in
+      let a = Alloc.create ~first_block ?capacity_blocks ~stripes () in
+      let r = Ref_alloc.create ~first_block ?capacity_blocks ~stripes () in
+      let freed_a = ref [] and freed_r = ref [] in
+      Alloc.add_on_free a (fun b -> freed_a := b :: !freed_a);
+      Ref_alloc.add_on_free r (fun b -> freed_r := b :: !freed_r);
+      let seen = Hashtbl.create 64 and order = ref [||] in
+      let see b =
+        if not (Hashtbl.mem seen b) then begin
+          Hashtbl.replace seen b ();
+          order := Array.append !order [| b |]
+        end
+      in
+      let target i =
+        if i < 0 || Array.length !order = 0 then first_block + abs i
+        else !order.(i mod Array.length !order)
+      in
+      let outcome f =
+        match f () with
+        | blocks -> Ok blocks
+        | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+        | exception (Alloc.Out_of_space | Ref_alloc.Out_of_space) -> Error "Out_of_space"
+      in
+      List.iteri
+        (fun step op ->
+          let got, want =
+            match op with
+            | Alloc_one ->
+              (outcome (fun () -> [ Alloc.alloc a ]), outcome (fun () -> [ Ref_alloc.alloc r ]))
+            | Extent n ->
+              ( outcome (fun () -> Array.to_list (Alloc.alloc_extent a n)),
+                outcome (fun () -> Array.to_list (Ref_alloc.alloc_extent r n)) )
+            | Incref i ->
+              let b = target i in
+              see b;
+              ( outcome (fun () -> Alloc.incref a b; []),
+                outcome (fun () -> Ref_alloc.incref r b; []) )
+            | Decref i ->
+              let b = target i in
+              see b;
+              ( outcome (fun () -> Alloc.decref a b; []),
+                outcome (fun () -> Ref_alloc.decref r b; []) )
+            | Defer v ->
+              Alloc.set_deferred_frees a v;
+              Ref_alloc.set_deferred_frees r v;
+              (Ok [], Ok [])
+            | Take_release ->
+              let pa = Alloc.take_parked a and pr = Ref_alloc.take_parked r in
+              Alloc.release a pa;
+              Ref_alloc.release r pr;
+              (Ok pa, Ok pr)
+            | Mark_live i ->
+              let b = target i in
+              see b;
+              Alloc.mark_live a b;
+              Ref_alloc.mark_live r b;
+              (Ok [], Ok [])
+            | Bump_fresh b ->
+              Alloc.bump_fresh a b;
+              Ref_alloc.bump_fresh r b;
+              (Ok [], Ok [])
+            | Reset ->
+              Alloc.reset a;
+              Ref_alloc.reset r;
+              (Ok [], Ok [])
+          in
+          let fail what =
+            QCheck.Test.fail_reportf "step %d (%s): %s differs" step (show_alloc_op op) what
+          in
+          if got <> want then fail "result";
+          (match got with Ok blocks -> List.iter see blocks | Error _ -> ());
+          Hashtbl.iter
+            (fun b () -> if Alloc.refcount a b <> Ref_alloc.refcount r b then fail (Printf.sprintf "refcount of %d" b))
+            seen;
+          if Alloc.live_blocks a <> Ref_alloc.live_blocks r then fail "live_blocks";
+          if !freed_a <> !freed_r then fail "on_free sequence";
+          if Alloc.refcount a (-1) <> 0 || Alloc.refcount a min_int <> 0 then
+            fail "refcount of a negative block")
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Btree                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -193,6 +440,127 @@ let test_btree_persist_and_reread () =
    | Some (Btree.Imm v) -> check_bool "persisted value" true (Int64.equal v 642L)
    | _ -> Alcotest.fail "lost after reread");
   check_bool "device reads happened" true ((Devarray.stats dev).Blockdev.reads > 0)
+
+(* Node cache: what [flush_dirty] writes, and the cache counters. *)
+
+(* Flushes [t] and returns the blocks written, in submission order. *)
+let flush_blocks dev t =
+  let written = ref [] in
+  let tee writes =
+    written := List.map fst writes;
+    []
+  in
+  Devarray.await dev (Btree.flush_dirty ~tee t);
+  !written
+
+let fill_tree t ~root keys =
+  List.fold_left
+    (fun root k -> Btree.insert t ~root ~key:(Int64.of_int k) (Btree.Imm (Int64.of_int k)))
+    root keys
+
+let test_btree_freed_dirty_not_written () =
+  let dev, _, t = mktree () in
+  Btree.begin_epoch t 1;
+  let doomed = fill_tree t ~root:(Btree.empty_root t) (List.init 1000 Fun.id) in
+  let kept = fill_tree t ~root:(Btree.empty_root t) [ 1; 2; 3 ] in
+  check_bool "doomed tree spans several nodes" true (Btree.node_depth t ~root:doomed = 2);
+  Btree.release_root t doomed;
+  check_int "only the kept leaf is dirty" 1 (Btree.dirty_count t);
+  Alcotest.(check (list int)) "only the kept leaf is written" [ kept ] (flush_blocks dev t)
+
+let test_btree_reused_block_written_once () =
+  let dev, _, t = mktree () in
+  Btree.begin_epoch t 1;
+  let old_root = fill_tree t ~root:(Btree.empty_root t) [ 1 ] in
+  Btree.release_root t old_root;
+  let root = fill_tree t ~root:(Btree.empty_root t) [ 2 ] in
+  check_int "the freed block is reused" old_root root;
+  Alcotest.(check (list int)) "written once" [ root ] (flush_blocks dev t);
+  Btree.drop_cache t;
+  check_bool "with the new node's bytes" true
+    (Btree.find t ~root 2L = Some (Btree.Imm 2L) && Btree.find t ~root 1L = None)
+
+let test_btree_flush_ascending () =
+  let dev, alloc, t = mktree () in
+  Btree.begin_epoch t 1;
+  let first = fill_tree t ~root:(Btree.empty_root t) (List.init 3000 Fun.id) in
+  ignore (flush_blocks dev t);
+  (* Releasing the first tree stacks its blocks on the free list, so the
+     second tree's nodes are allocated in descending block order. *)
+  Btree.begin_epoch t 2;
+  Btree.release_root t first;
+  let second = fill_tree t ~root:(Btree.empty_root t) (List.init 3000 (fun i -> 3000 - i)) in
+  let written = flush_blocks dev t in
+  check_int "every node written" (Alloc.live_blocks alloc) (List.length written);
+  check_bool "in strictly ascending block order" true
+    (List.sort_uniq Int.compare written = written);
+  check_bool "readable" true (Btree.find t ~root:second 1500L = Some (Btree.Imm 1500L))
+
+let test_btree_cache_counts () =
+  let dev, alloc, t = mktree () in
+  Btree.begin_epoch t 1;
+  let root = fill_tree t ~root:(Btree.empty_root t) (List.init 1000 Fun.id) in
+  let nodes = Alloc.live_blocks alloc in
+  check_int "every node cached" nodes (Btree.cached_count t);
+  check_int "every node dirty" nodes (Btree.dirty_count t);
+  check_bool "drop_cache refuses dirty nodes" true
+    (match Btree.drop_cache t with () -> false | exception Invalid_argument _ -> true);
+  ignore (flush_blocks dev t);
+  check_int "clean after the flush" 0 (Btree.dirty_count t);
+  (* Still epoch 1: the first leaf is owned and mutated in place. *)
+  let root = Btree.insert t ~root ~key:(-1L) (Btree.Imm 0L) in
+  check_int "the path mutated after the flush is dirty again" 2 (Btree.dirty_count t);
+  ignore (flush_blocks dev t);
+  Btree.drop_cache t;
+  check_int "drop_cache empties the cache" 0 (Btree.cached_count t);
+  check_bool "the second flush wrote the mutation" true
+    (Btree.find t ~root (-1L) = Some (Btree.Imm 0L));
+  check_int "a lookup caches its path" 2 (Btree.cached_count t);
+  Btree.begin_epoch t 2;
+  ignore (Btree.insert t ~root ~key:5L (Btree.Imm 0L));
+  check_int "the copied root and leaf are dirty" 2 (Btree.dirty_count t);
+  Btree.reset_cache t;
+  check_int "reset_cache empties the cache" 0 (Btree.cached_count t);
+  check_int "and forgets dirty nodes" 0 (Btree.dirty_count t);
+  Alcotest.(check (list int)) "nothing left to write" [] (flush_blocks dev t)
+
+(* [Alloc.incref]/[decref] and a warm [Btree.find] run hundreds of
+   thousands of times per checkpoint round: the refcount updates may
+   allocate nothing, and a lookup only its [Some]. *)
+let test_hot_paths_allocate_nothing () =
+  let a = Alloc.create ~first_block:2 () in
+  let blocks = Array.init 5000 (fun _ -> Alloc.alloc a) in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 20 do
+    for i = 0 to Array.length blocks - 1 do
+      Alloc.incref a blocks.(i)
+    done;
+    for i = 0 to Array.length blocks - 1 do
+      Alloc.decref a blocks.(i)
+    done
+  done;
+  Gc.minor ();
+  let dw = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "incref/decref allocate nothing (%.0f minor words)" dw) true
+    (dw < 64.);
+  let dev, _, t = mktree () in
+  Btree.begin_epoch t 1;
+  let root = fill_tree t ~root:(Btree.empty_root t) (List.init 5000 Fun.id) in
+  ignore (flush_blocks dev t);
+  let keys = Array.init 5000 Int64.of_int in
+  Array.iter (fun k -> ignore (Btree.find t ~root k)) keys;
+  let found = ref 0 in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length keys - 1 do
+    match Btree.find t ~root keys.(i) with Some _ -> incr found | None -> ()
+  done;
+  Gc.minor ();
+  let dw = Gc.minor_words () -. w0 in
+  check_int "every key found" (Array.length keys) !found;
+  check_bool (Printf.sprintf "a warm find allocates only its Some (%.0f minor words)" dw) true
+    (dw < float_of_int (2 * Array.length keys) +. 64.)
 
 let test_btree_fold_range () =
   let _, _, t = mktree () in
@@ -702,6 +1070,42 @@ let test_store_volatile_cache_commit_flushes () =
   Alcotest.(check (option string)) "survived" (Some "durable on nand")
     (Store.read_record s' g ~oid:1)
 
+(* The commit after an abort writes exactly the tree nodes a store that
+   never saw the aborted generation writes: none of the aborted working
+   tree's nodes reaches the device. *)
+let test_store_abort_writes_no_aborted_nodes () =
+  let run ~abort =
+    let _, dev = mkdev () in
+    let s = Store.format ~dev () in
+    ignore (Store.begin_generation s ());
+    Store.put_pages s ~oid:1 (Array.init 2000 (fun i -> (i, Int64.of_int (i + 1))));
+    ignore (Store.commit s ());
+    Store.wait_all_durable s;
+    if abort then begin
+      ignore (Store.begin_generation s ());
+      Store.put_pages s ~oid:2 (Array.init 3000 (fun i -> (i, Int64.of_int (-i - 1))));
+      Store.put_pages s ~oid:1 (Array.init 100 (fun i -> (i * 20, 9L)));
+      Store.abort_generation s
+    end;
+    let g = Store.begin_generation s () in
+    Store.put_pages s ~oid:1 (Array.init 50 (fun i -> (i * 40, 7L)));
+    let before = (Devarray.stats dev).Blockdev.blocks_written in
+    ignore (Store.commit s ());
+    Store.wait_all_durable s;
+    let meta =
+      match Store.gen_provenance s g with Some p -> p.Store.pv_meta_blocks | None -> -1
+    in
+    (s, g, meta, (Devarray.stats dev).Blockdev.blocks_written - before)
+  in
+  let s, g, meta, written = run ~abort:true in
+  let _, _, meta', written' = run ~abort:false in
+  check_int "same tree nodes flushed" meta' meta;
+  check_int "same blocks written" written' written;
+  check_bool "aborted object absent" true (Store.read_page s g ~oid:2 ~pindex:0 = None);
+  check_bool "aborted page version absent" true
+    (Store.read_page s g ~oid:1 ~pindex:20 = Some 21L);
+  expect_clean_fsck "after abort and commit" s
+
 let test_store_cold_read_charges_device () =
   let clock, dev = mkdev () in
   let s = Store.format ~dev () in
@@ -1105,6 +1509,7 @@ let () =
           Alcotest.test_case "alloc/free/reuse" `Quick test_alloc_reuse;
           Alcotest.test_case "refcounting + hooks" `Quick test_alloc_refcounting;
           Alcotest.test_case "capacity" `Quick test_alloc_capacity;
+          qt prop_alloc_matches_reference;
         ] );
       ( "btree",
         [
@@ -1116,6 +1521,15 @@ let () =
             test_btree_release_preserves_shared;
           Alcotest.test_case "persist + cold reread" `Quick test_btree_persist_and_reread;
           Alcotest.test_case "fold_range" `Quick test_btree_fold_range;
+          Alcotest.test_case "freed dirty node is not written" `Quick
+            test_btree_freed_dirty_not_written;
+          Alcotest.test_case "reused block is written once" `Quick
+            test_btree_reused_block_written_once;
+          Alcotest.test_case "flush writes in ascending block order" `Quick
+            test_btree_flush_ascending;
+          Alcotest.test_case "cache and dirty counts" `Quick test_btree_cache_counts;
+          Alcotest.test_case "hot paths allocate nothing" `Quick
+            test_hot_paths_allocate_nothing;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
           Alcotest.test_case "golden format and allocation order" `Quick
@@ -1154,6 +1568,8 @@ let () =
             test_store_volatile_cache_commit_flushes;
           Alcotest.test_case "cold reads charge the device" `Quick
             test_store_cold_read_charges_device;
+          Alcotest.test_case "abort writes none of the aborted nodes" `Quick
+            test_store_abort_writes_no_aborted_nodes;
         ] );
       ( "self-healing",
         [
