@@ -9,10 +9,9 @@
      bench/main.exe                       # everything
      bench/main.exe table3 table4         # a subset
      bench/main.exe --json results.json   # also dump metrics as JSON
-     bench/main.exe bechamel              # wall-clock microbenchmarks
    Targets: table3 table4 freq-sweep dedup extcons lazy-restore criu
             kv-modes hdd stripe-sweep fault-sweep phase-breakdown
-            ckpt-rate repl-sweep critpath qos-sweep bechamel *)
+            ckpt-rate repl-sweep critpath qos-sweep *)
 
 open Aurora_simtime
 open Aurora_device
@@ -1065,63 +1064,6 @@ let provenance () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenchmarks                                 *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* Small fixtures so each wall-clock sample is quick; one Test.make
-     per paper table exercising the same code path the simulated
-     benches measure. *)
-  let table3_full () =
-    Staged.stage (fun () ->
-        let m, c, _p, _ = redis_fixture ~mib:4 () in
-        let g = Machine.persist m (`Container c.Container.cid) in
-        ignore (Machine.checkpoint_now m g ~mode:`Full ()))
-  in
-  let table3_incremental () =
-    let m, c, p, _ = redis_fixture ~mib:4 () in
-    let g = Machine.persist m (`Container c.Container.cid) in
-    ignore (Machine.checkpoint_now m g ~mode:`Full ());
-    Staged.stage (fun () ->
-        dirty_until m p ~target:64;
-        ignore (Machine.checkpoint_now m g ~mode:`Incremental ()))
-  in
-  let table4_restore () =
-    let m, c, _inst = serverless_fixture () in
-    let g = Machine.persist m (`Container c.Container.cid) in
-    let b = Machine.checkpoint_now m g () in
-    Store.wait_durable m.Machine.disk_store b.Types.durable_at;
-    Staged.stage (fun () -> ignore (Machine.clone_group m g ()))
-  in
-  [
-    Test.make ~name:"table3/full-checkpoint" (table3_full ());
-    Test.make ~name:"table3/incremental-checkpoint" (table3_incremental ());
-    Test.make ~name:"table4/restore-clone" (table4_restore ());
-  ]
-
-let run_bechamel () =
-  section "Bechamel: wall-clock of the checkpoint/restore hot paths";
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let tests = bechamel_tests () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, result) ->
-          let ols =
-            Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-          in
-          let est = Analyze.one ols Instance.monotonic_clock result in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> row "%-36s %12.1f ns/run\n" name t
-          | _ -> row "%-36s (no estimate)\n" name)
-        (Benchmark.all cfg instances test |> Hashtbl.to_seq |> List.of_seq))
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* H-rate: pipelined checkpoint epochs                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1742,7 +1684,6 @@ let all_targets =
     ("repl-sweep", repl_sweep);
     ("critpath", critpath);
     ("qos-sweep", qos_sweep);
-    ("bechamel", run_bechamel);
   ]
 
 let () =

@@ -370,11 +370,6 @@ let client_reply k p ~fd =
 let ops_done (p : Process.t) = Context.reg_int (Process.main_thread p).Thread.context 4
 let base_vpn (p : Process.t) = Context.reg_int (Process.main_thread p).Thread.context 1
 
-let page_content k p c ~page =
-  ignore k;
-  ignore c;
-  Vmmap.read p.Process.vm ~vpn:(base_vpn p + page)
-
 let region_digest k p c =
   ignore k;
   let base = base_vpn p in

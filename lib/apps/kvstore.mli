@@ -22,7 +22,6 @@
     requested by a client over a stream — the external-consistency
     bench measures client-observed latency against it. *)
 
-open Aurora_vm
 open Aurora_proc
 
 type mode = Ephemeral | Wal | Aurora
@@ -69,11 +68,8 @@ val region_digest : Kernel.t -> Process.t -> config -> int64
 (** Order-sensitive hash of the whole data region (the recovery
     equality check). *)
 
-val page_content : Kernel.t -> Process.t -> config -> page:int -> Content.t
-
 val repair_after_restore : Process.t -> unit
 (** Mode [`Aurora]: after an SLS restore, route the program through its
     log-replay repair step before it resumes serving. *)
 
-val wal_path : string
 val snapshot_path : string

@@ -18,8 +18,6 @@ type t = {
   mutable wal_seq : int;
 }
 
-let dir t = t.dir
-let memtable_size t = List.length t.memtable
 let sstable_count t = List.length t.tables
 
 let manifest_path t = t.dir ^ "/MANIFEST"

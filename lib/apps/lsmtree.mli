@@ -53,5 +53,3 @@ val entries : t -> (string * string) list
     crash tests). *)
 
 val sstable_count : t -> int
-val memtable_size : t -> int
-val dir : t -> string

@@ -35,9 +35,6 @@ val op_of : spec -> opnum:int -> kind * int * int64
 
 val is_write : kind -> bool
 
-val keys_per_page : int
-(** 512 eight-byte slots per 4 KiB page. *)
-
 val page_of_key : int -> int
 val offset_of_key : int -> int
 val pages_needed : spec -> int

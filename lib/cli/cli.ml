@@ -278,8 +278,7 @@ let cmd_detach path pgid backend =
   (match backend with
    | "memory" ->
      entry.app_backends <- List.filter (fun b -> b <> "memory") entry.app_backends;
-     g.Types.backends <-
-       List.filter (fun b -> b.Types.kind <> `Memory) g.Types.backends
+     Machine.detach u.machine g (Machine.memory_backend u.machine)
    | "disk" -> failwith "cannot detach the primary disk backend"
    | other -> failwith (Printf.sprintf "unknown backend %S" other));
   say "%s: backends now [%s]" entry.app_name (String.concat "; " entry.app_backends);

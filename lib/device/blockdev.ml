@@ -68,7 +68,6 @@ let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ~clock ~profile name
 
 let set_obs t obs = t.sink <- Option.map (bind t.name) obs
 
-let name t = t.name
 let profile t = t.profile
 let clock t = t.clock
 let capacity_blocks t = t.capacity_blocks

@@ -46,7 +46,6 @@ val set_obs : t -> Obs.t option -> unit
     track named after the device; every command fires the [dev.io]
     tracepoint ([op] read/write/oob, [cls] fg/flush/bg/deadline). *)
 
-val name : t -> string
 val profile : t -> Profile.t
 val clock : t -> Clock.t
 

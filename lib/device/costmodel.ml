@@ -13,7 +13,6 @@ let per_page ns_per_page pages =
 let cow_arm ~pages = per_page 9.8 pages
 let pte_map ~pages = per_page 0.7 pages
 let page_copy ~pages = per_page 250.0 pages
-let page_hash ~pages = per_page 500.0 pages
 
 let quiesce_proc = Duration.microseconds 3
 let quiesce_thread = Duration.nanoseconds 600

@@ -48,9 +48,6 @@ val pte_map : pages:int -> Duration.t
 val page_copy : pages:int -> Duration.t
 (** Memory-to-memory copy of [pages] 4 KiB pages at DRAM bandwidth. *)
 
-val page_hash : pages:int -> Duration.t
-(** Content-hashing pages for object-store deduplication. *)
-
 val quiesce_proc : Duration.t
 (** Parking one process at the checkpoint barrier: IPI, run-queue
     removal, wait for the in-flight syscall to reach a quiescent

@@ -115,37 +115,8 @@ let peek t b =
   let d, phys = locate t b in
   Blockdev.peek t.devs.(d) phys
 
-let read_many ?cls t indices =
-  (* Issue one command per device touched, all starting now; the
-     caller waits for the slowest. Results keep request order. *)
-  let n = List.length indices in
-  let per_dev = Array.make t.stripes [] in
-  List.iteri
-    (fun pos b ->
-      let d, phys = locate t b in
-      per_dev.(d) <- (pos, phys) :: per_dev.(d))
-    indices;
-  let results = Array.make n Blockdev.Zero in
-  let completion = ref Duration.zero in
-  Array.iteri
-    (fun d reqs ->
-      match List.rev reqs with
-      | [] -> ()
-      | reqs ->
-        let contents, done_at =
-          Blockdev.read_many_async ?cls t.devs.(d) (List.map snd reqs)
-        in
-        completion := Duration.max !completion done_at;
-        List.iter2 (fun (pos, _) c -> results.(pos) <- c) reqs contents)
-    per_dev;
-  if n > 0 then begin
-    Clock.advance_to (clock t) !completion;
-    Array.iter Blockdev.settle t.devs
-  end;
-  Array.to_list results
-
-(* Array variant for preallocated hot paths (restore prefetch):
-   identical semantics to {!read_many}, zero list churn. *)
+(* One command per device touched, all starting now; the caller waits
+   for the slowest. Results keep request order. *)
 let read_many_arr ?cls t indices =
   let n = Array.length indices in
   let results = Array.make n Blockdev.Zero in

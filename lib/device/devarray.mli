@@ -63,14 +63,10 @@ val logical : t -> dev:int -> phys:int -> int
 val read : ?cls:Iosched.cls -> t -> int -> Blockdev.content
 val peek : t -> int -> Blockdev.content
 
-val read_many : ?cls:Iosched.cls -> t -> int list -> Blockdev.content list
+val read_many_arr : ?cls:Iosched.cls -> t -> int array -> Blockdev.content array
 (** One command per device touched, issued at the same simulated
     instant; the clock advances to the slowest device's completion.
     Results are in request order. [cls] defaults to [Foreground]. *)
-
-val read_many_arr : ?cls:Iosched.cls -> t -> int array -> Blockdev.content array
-(** Array variant of {!read_many} for preallocated hot paths: same
-    batching and timing, results in request order, no list churn. *)
 
 val write : ?cls:Iosched.cls -> t -> int -> Blockdev.content -> unit
 val write_many : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> unit
@@ -97,9 +93,6 @@ val write_barrier : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> Du
 (** The commit barrier: the writes start only after {e every} device
     queue (as of submission) has drained — a superblock ordered after
     in-flight data on all stripes. Returns the completion time. *)
-
-val busy_until : t -> Duration.t
-(** Max over the devices: when the whole array is idle. *)
 
 (* --- completion groups ----------------------------------------------- *)
 

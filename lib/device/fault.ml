@@ -11,10 +11,6 @@ type plan = {
   dropped_stripes : int list;
 }
 
-let none =
-  { seed = 1L; transient_read_rate = 0.; transient_write_rate = 0.;
-    corruption_rate = 0.; latent_blocks = []; dropped_stripes = [] }
-
 let check_rate name r =
   if not (Float.is_finite r) || r < 0. || r > 1. then
     invalid_arg (Printf.sprintf "Fault.plan: %s rate %g not in [0,1]" name r)
@@ -51,8 +47,6 @@ let describe = function
       dev phys
   | Latent { dev; phys } -> Printf.sprintf "latent sector error on %s block %d" dev phys
   | Dropped { dev } -> Printf.sprintf "device %s dropped" dev
-
-let pp_error ppf e = Format.pp_print_string ppf (describe e)
 
 let () =
   Printexc.register_printer (function
@@ -141,7 +135,5 @@ let add_latent inj phys =
   Hashtbl.replace inj.latent phys ()
 
 let clear_latent inj phys = Hashtbl.remove inj.latent phys
-
-let latent_count inj = Hashtbl.length inj.latent
 
 let pick inj bound = Prng.int inj.prng bound

@@ -47,7 +47,6 @@ val plan :
 (** All rates default to 0. Raises [Invalid_argument] on a rate
     outside [0,1] or a negative latent block. *)
 
-val none : plan
 val is_none : plan -> bool
 
 (* --- errors ---------------------------------------------------------- *)
@@ -62,7 +61,6 @@ exception Io_error of error
     {e physical} (per-device) block number; [dev] names the device. *)
 
 val describe : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 (* --- per-device injectors -------------------------------------------- *)
 
@@ -106,8 +104,6 @@ val add_latent : injector -> int -> unit
 
 val clear_latent : injector -> int -> unit
 (** A write remaps the sector: the latent error disappears. *)
-
-val latent_count : injector -> int
 
 val pick : injector -> int -> int
 (** Uniform draw in [0, bound) from the injector's stream (which bit

@@ -26,8 +26,6 @@ let cls_index = function
   | Background -> 2
   | Deadline -> 3
 
-let config_name = function Fifo -> "fifo" | Wdrr _ -> "wdrr"
-
 (* A reserved slice of device idle time: pacing inserts it between bulk
    transfers, gap-fill consumes it. Half-open [g_start, g_end). *)
 type gap = { g_start : Duration.t; g_end : Duration.t }

@@ -57,9 +57,6 @@ val cls_name : cls -> string
 (** ["fg"] / ["flush"] / ["bg"] / ["deadline"] — the value of the
     [dev.io] probe's [cls] field and the [cls] span attribute. *)
 
-val config_name : config -> string
-(** ["fifo"] or ["wdrr"]. *)
-
 type t
 
 val create : config -> t

@@ -40,10 +40,6 @@ let fault_plan ?(seed = 42L) ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.)
   { seed; drop_rate = drop; duplicate_rate = duplicate; reorder_rate = reorder;
     corrupt_rate = corrupt; partitions }
 
-let plan_is_none p =
-  p.drop_rate = 0. && p.duplicate_rate = 0. && p.reorder_rate = 0.
-  && p.corrupt_rate = 0. && p.partitions = []
-
 (* --- per-direction state ---------------------------------------------- *)
 
 type dir_stats = {
@@ -94,8 +90,6 @@ let create ~clock ~profile ?(faults = no_faults) () =
       st = zero_stats }
   in
   { clock; profile; faults; a_to_b = dir 0; b_to_a = dir 1; bytes_sent = 0 }
-
-let faults t = t.faults
 
 let direction_to t (side : side) =
   match side with `A -> t.b_to_a | `B -> t.a_to_b

@@ -39,9 +39,6 @@ val fault_plan :
 (** All rates default to zero. Raises [Invalid_argument] on a rate
     outside [0,1] or a partition window that ends before it starts. *)
 
-val no_faults : fault_plan
-val plan_is_none : fault_plan -> bool
-
 (* --- per-direction accounting ---------------------------------------- *)
 
 type dir_stats = {
@@ -55,8 +52,6 @@ type dir_stats = {
   corrupted : int;
   partition_drops : int;    (** lost to a partition window *)
 }
-
-val zero_stats : dir_stats
 
 (* --- the link --------------------------------------------------------- *)
 
@@ -89,8 +84,6 @@ val pending : t -> side:side -> int
 
 val in_partition : t -> Duration.t -> bool
 (** Whether the given instant falls inside a partition window. *)
-
-val faults : t -> fault_plan
 
 val stats : t -> from_:side -> dir_stats
 (** Counters for the direction that carries messages sent from

@@ -11,10 +11,6 @@ type t = {
   stripes : int;
 }
 
-let striped t n =
-  if n < 1 then invalid_arg "Profile.striped: stripe count must be >= 1";
-  { t with stripes = n }
-
 let gib = 1024. *. 1024. *. 1024.
 
 (* Intel Optane SSD 900P datasheet: 10 us typical latency, 2.5 GB/s
@@ -94,8 +90,3 @@ let transfer_cost t ~op ~bytes =
     | `Write -> (t.write_latency, t.write_bw)
   in
   Duration.add latency (Duration.of_sec_float (float_of_int bytes /. bw))
-
-let pp ppf t =
-  Format.fprintf ppf "%s(rlat=%a wlat=%a rbw=%.1fGB/s wbw=%.1fGB/s)"
-    t.name Duration.pp t.read_latency Duration.pp t.write_latency
-    (t.read_bw /. gib) (t.write_bw /. gib)

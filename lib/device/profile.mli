@@ -23,10 +23,6 @@ type t = {
                                    uses four Optane 900Ps); 1 = a single device *)
 }
 
-val striped : t -> int -> t
-(** [striped p n] is [p] with its default stripe count set to [n].
-    Raises [Invalid_argument] when [n < 1]. *)
-
 val optane_900p : t
 (** Intel Optane 900P (the paper's testbed): ~10 us latency,
     2.5/2.0 GB/s read/write, power-loss-protected cache. *)
@@ -53,5 +49,3 @@ val net_10gbe : t
 val transfer_cost : t -> op:[ `Read | `Write ] -> bytes:int -> Duration.t
 (** Cost of one command moving [bytes] payload. Raises
     [Invalid_argument] on negative sizes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,6 @@ let create ~first_block ?capacity_blocks ?(stripes = 1) () =
     free_list = []; next_fresh = first_block; live = 0; on_free = [];
     defer_frees = false; parked = []; on_pressure = None }
 
-let stripes t = t.stripes
 let capacity_blocks t = t.capacity_blocks
 
 let add_on_free t f = t.on_free <- t.on_free @ [ f ]

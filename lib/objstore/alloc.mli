@@ -37,8 +37,6 @@ val alloc_extent : t -> int -> int array
     round-robin striping. Raises {!Out_of_space} on capacity
     exhaustion. *)
 
-val stripes : t -> int
-
 val capacity_blocks : t -> int option
 (** The capacity cap given at {!create}, if any ([None] = unbounded).
     Lets inspection tools report utilisation without guessing. *)

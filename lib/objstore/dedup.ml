@@ -57,11 +57,6 @@ let note_saved t ~bytes =
   if bytes < 0 then invalid_arg "Dedup.note_saved: negative size";
   t.bytes_saved <- t.bytes_saved + bytes
 
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.bytes_saved <- 0
-
 let reset t =
   By_hash.reset t.by_hash;
   Blockvec.clear t.by_block

@@ -42,8 +42,6 @@ val note_saved : t -> bytes:int -> unit
     the store on every dedup hit, including intra-batch duplicates).
     Raises [Invalid_argument] on a negative size. *)
 
-val reset_counters : t -> unit
-
 val reset : t -> unit
 (** Drop every entry (before a recovery walk repopulates the index).
     Counters are kept. *)

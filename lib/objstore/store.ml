@@ -908,83 +908,99 @@ let write_superblock ?(after = Duration.zero) t =
   ignore (release_ready_frees t);
   durable_at
 
+(* --- reachability -------------------------------------------------------
+   What a committed generation references: its root, every child link
+   and value pointer below it, each reachable block's mirror, and both
+   generation tables. Recovery rebuilds refcounts from this rule;
+   scrub, fsck, crosscheck and the provenance reports check the store
+   against it. *)
+
+(* Depth-first walk of the tree under [root]. [edge] sees every
+   reference, repeats included, because one reference is one refcount.
+   [node] and [data] see a tree node or a pointed-to block on its first
+   visit, tracked in the caller's [seen]. A node that fails to read or
+   decode goes to [bad] and its subtree is skipped; by default the
+   failure propagates. *)
+let walk t ~seen ?(edge = ignore) ?(node = ignore) ?(data = ignore)
+    ?(bad = fun _ e -> raise e) root =
+  let first b = if Hashtbl.mem seen b then false else (Hashtbl.replace seen b (); true) in
+  let rec go block =
+    edge block;
+    if first block then begin
+      node block;
+      match Btree.view t.tree block with
+      | Btree.Internal_view children -> List.iter go children
+      | Btree.Leaf_view entries ->
+        List.iter
+          (function
+            | _, Btree.Ptr b ->
+              edge b;
+              if first b then data b
+            | _, Btree.Imm _ -> ())
+          entries
+      | exception ((Serial.Corrupt _ | Fail _) as e) -> bad block e
+    end
+  in
+  go root
+
+let table_blocks t =
+  t.gentable_blocks @ t.prev_gentable_blocks @ t.gentable_mirror_blocks
+  @ t.prev_gentable_mirror_blocks
+
+let generations t =
+  Hashtbl.fold (fun g _ acc -> g :: acc) t.gens [] |> List.sort Int.compare
+
+exception Quarantine
+
+(* Run [f] over generation [g]. A block that no copy can repair, or a
+   node that does not decode, drops [g] from the store, reports it lost
+   and raises [Quarantine]. *)
+let quarantine t g f =
+  let drop reason =
+    Hashtbl.remove t.gens g;
+    Hashtbl.remove t.provs g;
+    t.quarantined <- (g, reason) :: t.quarantined;
+    raise Quarantine
+  in
+  try f () with
+  | Fail (Unreadable_block { block; cause }) -> drop (Printf.sprintf "block %d: %s" block cause)
+  | Serial.Corrupt msg -> drop msg
+
 (* --- recovery core (shared by open, rollback and scrub) -------------- *)
 
-exception Quarantine of gen * string
-
-(* Rebuild reference counts by walking every generation tree: a
-   block's count is the number of edges (parent links, value pointers,
-   generation roots, table entries) that reach it. Each node's
-   outgoing edges are counted exactly once, on first visit. A
-   generation whose walk hits an unrepairable block is quarantined —
-   dropped from the store and reported lost — and the walk restarts
-   over the survivors. *)
+(* Rebuild reference counts by walking every generation: a block's
+   count is the number of references that reach it. Generations go in
+   ascending order, because the verified reads are charged to the
+   simulated clock. A generation whose walk hits an unrepairable block
+   is quarantined and the walk restarts over the survivors. *)
 let recover_refcounts t =
+  let mark = Alloc.mark_live t.alloc in
+  let mark_mirror b = Option.iter mark (Hashtbl.find_opt t.mirrors b) in
+  (* Rebuild the dedup index from the data blocks. Identical content
+     may sit in several blocks (record chunks are not deduped at write
+     time), so first mapping wins. *)
+  let index b =
+    mark_mirror b;
+    let add hash = if Dedup.peek t.dedup ~hash = None then Dedup.add t.dedup ~hash ~block:b in
+    match verified_read t b with
+    | Blockdev.Seed s -> add (Content.hash (Content.of_seed s))
+    | Blockdev.Data d -> add (hash_string d)
+    | Blockdev.Zero -> ()
+  in
   let rec attempt () =
     Alloc.reset t.alloc;
     Dedup.reset t.dedup;
-    List.iter (Alloc.mark_live t.alloc) t.gentable_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.prev_gentable_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.gentable_mirror_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.prev_gentable_mirror_blocks;
-    let visited = Hashtbl.create 4096 in
-    let mark_mirror block =
-      match Hashtbl.find_opt t.mirrors block with
-      | Some m -> Alloc.mark_live t.alloc m
-      | None -> ()
-    in
-    let rec walk block =
-      Alloc.mark_live t.alloc block;
-      if not (Hashtbl.mem visited block) then begin
-        Hashtbl.replace visited block ();
-        mark_mirror block;
-        match Btree.view t.tree block with
-        | Btree.Internal_view children -> List.iter walk children
-        | Btree.Leaf_view entries ->
-          List.iter
-            (fun (_, v) ->
-              match v with
-              | Btree.Ptr data_block ->
-                Alloc.mark_live t.alloc data_block;
-                (* Rebuild the dedup index from page blocks. *)
-                if not (Hashtbl.mem visited data_block) then begin
-                  Hashtbl.replace visited data_block ();
-                  mark_mirror data_block;
-                  (* Re-add content addresses. Identical content may sit
-                     in several blocks (record chunks are not deduped at
-                     write time), so first mapping wins. *)
-                  let add_if_absent hash =
-                    if Dedup.peek t.dedup ~hash = None then
-                      Dedup.add t.dedup ~hash ~block:data_block
-                  in
-                  match verified_read t data_block with
-                  | Blockdev.Seed s -> add_if_absent (Content.hash (Content.of_seed s))
-                  | Blockdev.Data d -> add_if_absent (hash_string d)
-                  | Blockdev.Zero -> ()
-                end
-              | Btree.Imm _ -> ())
-            entries
-      end
-    in
-    let gens_sorted =
-      Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.gens []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
+    List.iter mark (table_blocks t);
+    let seen = Hashtbl.create 4096 in
     match
       List.iter
-        (fun (g, e) ->
-          try walk e.root with
-          | Fail (Unreadable_block { block; cause }) ->
-            raise (Quarantine (g, Printf.sprintf "block %d: %s" block cause))
-          | Serial.Corrupt msg -> raise (Quarantine (g, msg)))
-        gens_sorted
+        (fun g ->
+          let root = (Hashtbl.find t.gens g).root in
+          quarantine t g (fun () -> walk t ~seen ~edge:mark ~node:mark_mirror ~data:index root))
+        (generations t)
     with
     | () -> ()
-    | exception Quarantine (g, reason) ->
-      Hashtbl.remove t.gens g;
-      Hashtbl.remove t.provs g;
-      t.quarantined <- (g, reason) :: t.quarantined;
-      attempt ()
+    | exception Quarantine -> attempt ()
   in
   attempt ()
 
@@ -1141,15 +1157,6 @@ let wait_all_durable t =
   if (Devarray.profile t.dev).Profile.volatile_cache then Devarray.flush t.dev
   else Devarray.await t.dev t.sb_horizon;
   ignore (release_ready_frees t)
-
-let inflight_generations t =
-  let now = Clock.now (Devarray.clock t.dev) in
-  Hashtbl.fold
-    (fun g at acc -> if Duration.(at > now) then g :: acc else acc)
-    t.gen_durable []
-  |> List.sort Int.compare
-
-let has_open_generation t = t.open_gen <> None
 
 (* --- reading --------------------------------------------------------- *)
 
@@ -1322,9 +1329,6 @@ let oids t g =
     |> List.rev
 
 (* --- generations ----------------------------------------------------- *)
-
-let generations t =
-  Hashtbl.fold (fun g _ acc -> g :: acc) t.gens [] |> List.sort Int.compare
 
 let latest t =
   match generations t with [] -> None | gens -> Some (List.nth gens (List.length gens - 1))
@@ -1505,30 +1509,6 @@ let capacity_blocks t = Alloc.capacity_blocks t.alloc
 
 let gen_provenance t g = Hashtbl.find_opt t.provs g
 
-(* Blocks reachable from a generation root, split into tree nodes and
-   data blocks. Reads go through the verifying/self-repairing path, so
-   the walk works identically on a live store and on one just reopened
-   from disk (the fsck-style offline path). *)
-let reachable_blocks t root =
-  let meta = Hashtbl.create 256 in
-  let data = Hashtbl.create 1024 in
-  let rec walk block =
-    if not (Hashtbl.mem meta block) then begin
-      Hashtbl.replace meta block ();
-      match Btree.view t.tree block with
-      | Btree.Internal_view children -> List.iter walk children
-      | Btree.Leaf_view entries ->
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Btree.Ptr b -> Hashtbl.replace data b ()
-            | Btree.Imm _ -> ())
-          entries
-    end
-  in
-  walk root;
-  (meta, data)
-
 let kind_of_key k = Int64.to_int (Int64.rem (Int64.div k 0x1_0000_0000L) 4L)
 let oid_of_key k = Int64.to_int (Int64.div k 0x4_0000_0000L)
 let index_of_key k = Int64.to_int (Int64.logand k 0xFFFF_FFFFL)
@@ -1547,11 +1527,19 @@ type gen_report = {
   r_shared_blocks : int;
 }
 
+(* Reads go through the verifying, self-repairing path, so the report
+   is the same on a live store and on one just reopened from disk. *)
 let gen_report t g =
   match gen_root t g with
   | None -> None
   | Some root ->
-    let meta, data = reachable_blocks t root in
+    let own = Hashtbl.create 1024 in
+    let meta = ref 0 and data = ref 0 and mirrors = ref 0 in
+    let count n b =
+      incr n;
+      if Hashtbl.mem t.mirrors b then incr mirrors
+    in
+    walk t ~seen:own ~node:(count meta) ~data:(count data) root;
     let record_entries = ref 0 in
     let page_entries = ref 0 in
     let blob_entries = ref 0 in
@@ -1565,41 +1553,23 @@ let gen_report t g =
         | Btree.Ptr _, 2 -> incr page_entries
         | Btree.Ptr _, 3 -> incr blob_entries
         | _ -> ());
-    let mirror_count set =
-      Hashtbl.fold
-        (fun b () acc -> if Hashtbl.mem t.mirrors b then acc + 1 else acc)
-        set 0
-    in
     (* Blocks also reachable from any other committed generation are
        shared (the COW B+tree structure sharing plus dedup). *)
     let others = Hashtbl.create 4096 in
-    Hashtbl.iter
-      (fun g' e ->
-        if g' <> g then begin
-          let m, d = reachable_blocks t e.root in
-          Hashtbl.iter (fun b () -> Hashtbl.replace others b ()) m;
-          Hashtbl.iter (fun b () -> Hashtbl.replace others b ()) d
-        end)
-      t.gens;
-    let classify set (excl, shared) =
-      Hashtbl.fold
-        (fun b () (e, s) ->
-          if Hashtbl.mem others b then (e, s + 1) else (e + 1, s))
-        set (excl, shared)
-    in
-    let excl, shared = classify data (classify meta (0, 0)) in
+    Hashtbl.iter (fun g' e -> if g' <> g then walk t ~seen:others e.root) t.gens;
+    let shared = Hashtbl.fold (fun b () n -> if Hashtbl.mem others b then n + 1 else n) own 0 in
     Some
       {
         r_gen = g;
-        r_meta_blocks = Hashtbl.length meta;
-        r_data_blocks = Hashtbl.length data;
-        r_mirror_blocks = mirror_count meta + mirror_count data;
+        r_meta_blocks = !meta;
+        r_data_blocks = !data;
+        r_mirror_blocks = !mirrors;
         r_record_entries = !record_entries;
         r_page_entries = !page_entries;
         r_blob_entries = !blob_entries;
         r_record_bytes = !record_bytes;
         r_logical_bytes = (!page_entries * Blockdev.block_size) + !record_bytes;
-        r_exclusive_blocks = excl;
+        r_exclusive_blocks = Hashtbl.length own - shared;
         r_shared_blocks = shared;
       }
 
@@ -1616,26 +1586,11 @@ type crosscheck = {
 let crosscheck t =
   require_closed t;
   let seen = Hashtbl.create 4096 in
+  Hashtbl.iter (fun _ e -> walk t ~seen e.root) t.gens;
   let add b = Hashtbl.replace seen b () in
-  List.iter add t.gentable_blocks;
-  List.iter add t.prev_gentable_blocks;
-  List.iter add t.gentable_mirror_blocks;
-  List.iter add t.prev_gentable_mirror_blocks;
-  Hashtbl.iter
-    (fun _ e ->
-      let m, d = reachable_blocks t e.root in
-      let with_mirrors tbl =
-        Hashtbl.iter
-          (fun b () ->
-            add b;
-            match Hashtbl.find_opt t.mirrors b with
-            | Some mb -> add mb
-            | None -> ())
-          tbl
-      in
-      with_mirrors m;
-      with_mirrors d)
-    t.gens;
+  Hashtbl.fold (fun b () acc -> Hashtbl.find_opt t.mirrors b :: acc) seen []
+  |> List.iter (Option.iter add);
+  List.iter add (table_blocks t);
   let reachable = Hashtbl.length seen in
   let live = Alloc.live_blocks t.alloc in
   let within = abs (reachable - live) * 100 <= max live reachable in
@@ -1772,8 +1727,6 @@ type fsck_report = {
 
 let fsck_ok r = r.problems = [] && r.lost = []
 
-exception Bad_gen of string
-
 let scrub_pass t scanned =
   (* Read every reachable block through the verifying, self-repairing
      path with cold caches, so latent sectors and rotted content are
@@ -1784,50 +1737,20 @@ let scrub_pass t scanned =
   t.read_cls <- Iosched.Background;
   Fun.protect ~finally:(fun () -> t.read_cls <- saved_cls) @@ fun () ->
   Btree.reset_cache t.tree;
+  let scan _ = incr scanned in
+  let read b =
+    scan b;
+    ignore (verified_read t b)
+  in
   let dropped = ref false in
-  let scrub_gen root =
-    let visited = Hashtbl.create 256 in
-    let rec walk block =
-      if not (Hashtbl.mem visited block) then begin
-        Hashtbl.replace visited block ();
-        incr scanned;
-        match Btree.view t.tree block with
-        | exception Fail (Unreadable_block { block; cause }) ->
-          raise (Bad_gen (Printf.sprintf "block %d: %s" block cause))
-        | exception Serial.Corrupt msg -> raise (Bad_gen msg)
-        | Btree.Internal_view children -> List.iter walk children
-        | Btree.Leaf_view entries ->
-          List.iter
-            (fun (_, v) ->
-              match v with
-              | Btree.Ptr b ->
-                if not (Hashtbl.mem visited b) then begin
-                  Hashtbl.replace visited b ();
-                  incr scanned;
-                  match verified_read t b with
-                  | _ -> ()
-                  | exception Fail (Unreadable_block { block; cause }) ->
-                    raise (Bad_gen (Printf.sprintf "block %d: %s" block cause))
-                end
-              | Btree.Imm _ -> ())
-            entries
-      end
-    in
-    walk root
-  in
-  let gens_sorted =
-    Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.gens []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+  (* One [seen] per generation: a block shared by several generations
+     is scanned once for each. *)
   List.iter
-    (fun (g, e) ->
-      try scrub_gen e.root
-      with Bad_gen reason ->
-        Hashtbl.remove t.gens g;
-        Hashtbl.remove t.provs g;
-        t.quarantined <- (g, reason) :: t.quarantined;
-        dropped := true)
-    gens_sorted;
+    (fun g ->
+      let root = (Hashtbl.find t.gens g).root in
+      try quarantine t g (fun () -> walk t ~seen:(Hashtbl.create 256) ~node:scan ~data:read root)
+      with Quarantine -> dropped := true)
+    (generations t);
   if !dropped then begin
     (* Losing a generation frees blocks; recompute counts and persist
        the shrunken table so the loss is visible after the next open. *)
@@ -1841,44 +1764,31 @@ let fsck ?(scrub = false) t =
   if scrub then scrub_pass t scanned;
   let problems = ref [] in
   let problem fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  (* Count reachable edges per block (generation roots, tree edges,
-     value pointers, generation-table blocks, mirror-table entries). *)
+  let why = function Fail e -> describe_error e | Serial.Corrupt msg -> msg | e -> raise e in
+  (* Count references per block: the walk's edges, both generation
+     tables, and the mirror table's entries. *)
   let edges : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let edge b = Hashtbl.replace edges b (1 + Option.value ~default:0 (Hashtbl.find_opt edges b)) in
-  List.iter edge t.gentable_blocks;
-  List.iter edge t.prev_gentable_blocks;
-  List.iter edge t.gentable_mirror_blocks;
-  List.iter edge t.prev_gentable_mirror_blocks;
+  List.iter edge (table_blocks t);
   Hashtbl.iter
     (fun primary m ->
       edge m;
       if Alloc.refcount t.alloc m = 0 then
         problem "mirror %d of block %d is unallocated" m primary)
     t.mirrors;
-  let visited = Hashtbl.create 4096 in
-  let rec walk block =
-    edge block;
-    if not (Hashtbl.mem visited block) then begin
-      Hashtbl.replace visited block ();
-      if Alloc.refcount t.alloc block = 0 then
-        problem "reachable block %d is unallocated" block;
-      match Btree.view t.tree block with
-      | exception Serial.Corrupt msg -> problem "node %d corrupt: %s" block msg
-      | exception Fail e -> problem "node %d: %s" block (describe_error e)
-      | Btree.Internal_view children -> List.iter walk children
-      | Btree.Leaf_view entries ->
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Btree.Ptr data_block ->
-              edge data_block;
-              if Alloc.refcount t.alloc data_block = 0 then
-                problem "data block %d is unallocated" data_block
-            | Btree.Imm _ -> ())
-          entries
-    end
+  let unallocated what b =
+    if Alloc.refcount t.alloc b = 0 then problem "%s %d is unallocated" what b
   in
-  Hashtbl.iter (fun _ e -> walk e.root) t.gens;
+  let bad b = function
+    | Serial.Corrupt msg -> problem "node %d corrupt: %s" b msg
+    | e -> problem "node %d: %s" b (why e)
+  in
+  let seen = Hashtbl.create 4096 in
+  Hashtbl.iter
+    (fun _ e ->
+      walk t ~seen ~edge ~node:(unallocated "reachable block") ~data:(unallocated "data block")
+        ~bad e.root)
+    t.gens;
   (* Reference counts must equal reachable edges. *)
   Hashtbl.iter
     (fun block n ->
@@ -1886,18 +1796,20 @@ let fsck ?(scrub = false) t =
       if rc <> n then problem "block %d: refcount %d, reachable edges %d" block rc n)
     edges;
   (* Records must read back whole (an oid may hold only pages, which
-     is fine; a corrupt or truncated record is not). *)
+     is fine; a corrupt or truncated record is not). A tree that cannot
+     be listed is a problem of its generation. *)
   Hashtbl.iter
     (fun g _ ->
-      List.iter
-        (fun oid ->
-          match read_record t g ~oid with
-          | Some _ | None -> ()
-          | exception Serial.Corrupt msg ->
-            problem "generation %d oid %d: %s" g oid msg
-          | exception Fail e ->
-            problem "generation %d oid %d: %s" g oid (describe_error e))
-        (oids t g))
+      match oids t g with
+      | exception ((Serial.Corrupt _ | Fail _) as e) -> problem "generation %d: %s" g (why e)
+      | oids ->
+        List.iter
+          (fun oid ->
+            match read_record t g ~oid with
+            | Some _ | None -> ()
+            | exception ((Serial.Corrupt _ | Fail _) as e) ->
+              problem "generation %d oid %d: %s" g oid (why e))
+          oids)
     t.gens;
   let healed = List.rev t.repair_log in
   t.repair_log <- [];

@@ -181,12 +181,6 @@ val wait_all_durable : t -> unit
     deferred frees that became releasable. Unlike the old whole-array
     barrier this awaits only the store's own writes. *)
 
-val inflight_generations : t -> gen list
-(** Committed generations whose superblock is not yet durable at the
-    current simulated time, ascending. *)
-
-val has_open_generation : t -> bool
-
 (* --- the black-box slot ---------------------------------------------- *)
 
 val write_blackbox : t -> string -> unit

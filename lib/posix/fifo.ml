@@ -53,11 +53,6 @@ let peek_all t =
     t.chunks;
   Buffer.contents out
 
-let clear t =
-  Queue.clear t.chunks;
-  t.head_off <- 0;
-  t.length <- 0
-
 let serialize t w =
   Serial.w_int w t.capacity;
   Serial.w_string w (peek_all t)

@@ -22,7 +22,5 @@ val pop : t -> max:int -> string
 val peek_all : t -> string
 (** The full buffered contents without consuming them. *)
 
-val clear : t -> unit
-
 val serialize : t -> Serial.writer -> unit
 val deserialize : Serial.reader -> t

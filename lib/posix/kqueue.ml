@@ -13,10 +13,6 @@ let register t ~ident filter =
   if not (List.mem (ident, filter) t.registered) then
     t.registered <- t.registered @ [ (ident, filter) ]
 
-let unregister t ~ident filter =
-  t.registered <- List.filter (fun e -> e <> (ident, filter)) t.registered;
-  t.pending <- List.filter (fun e -> e <> (ident, filter)) t.pending
-
 let registered t = t.registered
 
 let trigger t ~ident filter =

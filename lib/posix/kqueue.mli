@@ -13,7 +13,6 @@ type t
 val create : oid:int -> unit -> t
 val oid : t -> int
 val register : t -> ident:int -> filter -> unit
-val unregister : t -> ident:int -> filter -> unit
 val registered : t -> (int * filter) list
 val trigger : t -> ident:int -> filter -> unit
 (** Queues an event if (ident, filter) is registered; duplicate

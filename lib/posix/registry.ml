@@ -28,7 +28,6 @@ let kobj_class = function
 type t = { objs : (int, kobj) Hashtbl.t; oids : Oidgen.t }
 
 let create () = { objs = Hashtbl.create 64; oids = Oidgen.create () }
-let oids t = t.oids
 let fresh_oid t = Oidgen.next t.oids
 
 let register t kobj =
@@ -49,7 +48,6 @@ let fold t ~init ~f =
 
 let pipe t oid = match find t oid with Some (Kpipe p) -> Some p | _ -> None
 let usock t oid = match find t oid with Some (Kusock s) -> Some s | _ -> None
-let tcp t oid = match find t oid with Some (Ktcp s) -> Some s | _ -> None
 
 let stream t oid =
   match find t oid with Some (Kusock s) | Some (Ktcp s) -> Some s | _ -> None

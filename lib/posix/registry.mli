@@ -24,7 +24,6 @@ val kobj_class : kobj -> string
 type t
 
 val create : unit -> t
-val oids : t -> Oidgen.t
 val fresh_oid : t -> int
 val register : t -> kobj -> unit
 (** Raises [Invalid_argument] on duplicate oid. *)
@@ -38,7 +37,6 @@ val fold : t -> init:'a -> f:('a -> kobj -> 'a) -> 'a
 (* typed accessors, for the syscall layer *)
 val pipe : t -> int -> Pipe.t option
 val usock : t -> int -> Unixsock.t option
-val tcp : t -> int -> Unixsock.t option
 val stream : t -> int -> Unixsock.t option
 (** Either a Unix socket or a TCP endpoint. *)
 

@@ -13,8 +13,6 @@ let w_string b s =
   w_int b (String.length s);
   Buffer.add_string b s
 
-let w_bytes b s = w_string b (Bytes.unsafe_to_string s)
-
 let w_option b f = function
   | None -> w_u8 b 0
   | Some v ->
@@ -25,12 +23,7 @@ let w_list b f xs =
   w_int b (List.length xs);
   List.iter (f b) xs
 
-let w_pair b fa fb (a, v) =
-  fa b a;
-  fb b v
-
 let contents b = Buffer.contents b
-let size b = Buffer.length b
 
 type reader = { data : string; mutable pos : int }
 
@@ -71,8 +64,6 @@ let r_string r =
   r.pos <- r.pos + len;
   s
 
-let r_bytes r = Bytes.of_string (r_string r)
-
 let r_option r f =
   match r_u8 r with
   | 0 -> None
@@ -83,11 +74,6 @@ let r_list r f =
   let n = r_int r in
   if n < 0 then corrupt "negative list length %d" n;
   List.init n (fun _ -> f r)
-
-let r_pair r fa fb =
-  let a = fa r in
-  let b = fb r in
-  (a, b)
 
 let at_end r = r.pos = String.length r.data
 

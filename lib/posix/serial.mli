@@ -20,12 +20,9 @@ val w_int : writer -> int -> unit
 val w_int64 : writer -> int64 -> unit
 val w_bool : writer -> bool -> unit
 val w_string : writer -> string -> unit
-val w_bytes : writer -> bytes -> unit
 val w_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val w_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
-val w_pair : writer -> (writer -> 'a -> unit) -> (writer -> 'b -> unit) -> 'a * 'b -> unit
 val contents : writer -> string
-val size : writer -> int
 
 type reader
 
@@ -37,10 +34,8 @@ val r_int : reader -> int
 val r_int64 : reader -> int64
 val r_bool : reader -> bool
 val r_string : reader -> string
-val r_bytes : reader -> bytes
 val r_option : reader -> (reader -> 'a) -> 'a option
 val r_list : reader -> (reader -> 'a) -> 'a list
-val r_pair : reader -> (reader -> 'a) -> (reader -> 'b) -> 'a * 'b
 val at_end : reader -> bool
 val expect_end : reader -> unit
 (** Raises {!Corrupt} if trailing bytes remain — catches records that

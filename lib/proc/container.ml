@@ -1,4 +1,3 @@
 type t = { cid : int; name : string }
 
 let host = { cid = 0; name = "host" }
-let pp ppf t = Format.fprintf ppf "container#%d(%s)" t.cid t.name

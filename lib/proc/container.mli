@@ -7,4 +7,3 @@
 type t = { cid : int; name : string }
 
 val host : t
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type t = {
 
 let nregs = 16
 let create ~program = { program; pc = 0; regs = Array.make nregs 0L }
-let copy t = { program = t.program; pc = t.pc; regs = Array.copy t.regs }
 
 let check_reg i =
   if i < 0 || i >= nregs then invalid_arg (Printf.sprintf "Context: bad register %d" i)
@@ -36,5 +35,3 @@ let deserialize r =
   if List.length regs <> nregs then
     raise (Serial.Corrupt "Context: wrong register count");
   { program; pc; regs = Array.of_list regs }
-
-let pp ppf t = Format.fprintf ppf "%s@pc=%d" t.program t.pc

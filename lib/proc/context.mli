@@ -20,11 +20,9 @@ val nregs : int
 (** 16 general-purpose registers. *)
 
 val create : program:string -> t
-val copy : t -> t
 val reg : t -> int -> int64
 val set_reg : t -> int -> int64 -> unit
 val reg_int : t -> int -> int
 val set_reg_int : t -> int -> int -> unit
 val serialize : t -> Serial.writer -> unit
 val deserialize : Serial.reader -> t
-val pp : Format.formatter -> t -> unit

@@ -88,7 +88,3 @@ let ensure_container t ~cid ~name =
 
 let remove_proc t pid = Hashtbl.remove t.procs pid
 let lookup_stream t oid = Registry.stream t.registry oid
-
-let pp ppf t =
-  Format.fprintf ppf "kernel(t=%a, %d procs, %d objects)" Clock.pp t.clock
-    (Hashtbl.length t.procs) (Registry.count t.registry)

@@ -73,5 +73,3 @@ val remove_proc : t -> int -> unit
 
 val lookup_stream : t -> int -> Unixsock.t option
 (** Resolver handed to socket operations (unix + tcp endpoints). *)
-
-val pp : Format.formatter -> t -> unit

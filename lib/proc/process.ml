@@ -34,9 +34,3 @@ let add_thread t ~program =
 
 let live_threads t = List.filter (fun th -> not (Thread.is_exited th)) t.threads
 let is_zombie t = t.exit_status <> None
-let all_exited t = List.for_all Thread.is_exited t.threads
-
-let pp ppf t =
-  Format.fprintf ppf "pid%d(%s, %d threads, container %d%s)" t.pid t.name
-    (List.length t.threads) t.container
-    (match t.exit_status with None -> "" | Some c -> Printf.sprintf ", zombie(%d)" c)

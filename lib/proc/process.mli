@@ -25,5 +25,3 @@ val thread : t -> int -> Thread.t option
 val add_thread : t -> program:string -> Thread.t
 val live_threads : t -> Thread.t list
 val is_zombie : t -> bool
-val all_exited : t -> bool
-val pp : Format.formatter -> t -> unit

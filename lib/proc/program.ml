@@ -10,11 +10,3 @@ let table : (string, step_fn) Hashtbl.t = Hashtbl.create 16
 
 let register ~name fn = Hashtbl.replace table name fn
 let find name = Hashtbl.find_opt table name
-
-let find_exn name =
-  match find name with
-  | Some fn -> fn
-  | None -> invalid_arg (Printf.sprintf "Program.find_exn: no program %S" name)
-
-let registered () =
-  Hashtbl.fold (fun name _ acc -> name :: acc) table [] |> List.sort String.compare

@@ -20,5 +20,3 @@ val register : name:string -> step_fn -> unit
 (** Re-registration replaces (supports test fixtures). *)
 
 val find : string -> step_fn option
-val find_exn : string -> step_fn
-val registered : unit -> string list

@@ -138,8 +138,6 @@ let run k ~until =
   in
   loop ()
 
-let run_for k d = run k ~until:(Duration.add (Clock.now k.Kernel.clock) d)
-
 let run_until_idle k ?(max_steps = 10_000_000) () =
   let steps = ref 0 in
   let rec loop () =

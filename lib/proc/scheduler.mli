@@ -19,9 +19,6 @@ type stop_reason =
   | Idle          (** no thread can make progress *)
   | All_exited    (** no live threads remain *)
 
-val wakeup_pass : Kernel.t -> unit
-(** Re-evaluate every blocked thread's wait condition. *)
-
 val step_all : Kernel.t -> int
 (** One pass: run each runnable thread for one program step; returns
     the number of steps executed. *)
@@ -30,7 +27,6 @@ val run : Kernel.t -> until:Duration.t -> stop_reason
 (** Run the machine to the given absolute simulated time (or until it
     idles / empties). *)
 
-val run_for : Kernel.t -> Duration.t -> stop_reason
 val run_until_idle : Kernel.t -> ?max_steps:int -> unit -> stop_reason
 (** Run until no thread can progress. [max_steps] (default 10 million)
     guards against livelock in buggy programs. *)

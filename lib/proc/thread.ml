@@ -77,12 +77,3 @@ let deserialize r =
   in
   let context = Context.deserialize r in
   { tid; state; context }
-
-let pp ppf t =
-  let state =
-    match t.state with
-    | Runnable -> "run"
-    | Blocked _ -> "blocked"
-    | Exited c -> Printf.sprintf "exited(%d)" c
-  in
-  Format.fprintf ppf "tid%d[%s %a]" t.tid state Context.pp t.context

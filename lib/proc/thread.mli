@@ -30,4 +30,3 @@ val is_runnable : t -> bool
 val is_exited : t -> bool
 val serialize : t -> Serial.writer -> unit
 val deserialize : Serial.reader -> t
-val pp : Format.formatter -> t -> unit

@@ -9,5 +9,3 @@ let lap c f =
   let start = c.now in
   let result = f () in
   (result, Duration.sub c.now start)
-
-let pp ppf c = Format.fprintf ppf "t=%a" Duration.pp c.now

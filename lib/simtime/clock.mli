@@ -23,5 +23,3 @@ val advance_to : t -> Duration.t -> unit
 val lap : t -> (unit -> 'a) -> 'a * Duration.t
 (** [lap c f] runs [f ()] and returns its result together with the
     simulated time consumed while it ran. *)
-
-val pp : Format.formatter -> t -> unit

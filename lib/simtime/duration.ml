@@ -55,4 +55,3 @@ let pp ppf t =
   else Format.fprintf ppf "%dns" t
 
 let pp_us ppf t = Format.fprintf ppf "%.1f" (to_us t)
-let to_string t = Format.asprintf "%a" pp t

@@ -68,5 +68,3 @@ val pp : Format.formatter -> t -> unit
 val pp_us : Format.formatter -> t -> unit
 (** Always renders in microseconds with one decimal, matching the
     paper's tables, e.g. ["5145.9"]. *)
-
-val to_string : t -> string

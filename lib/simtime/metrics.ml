@@ -25,8 +25,6 @@ type t = {
 let create clock =
   { clock; tbl = Hashtbl.create 64; order = []; hooks = []; in_hooks = false }
 
-let clock t = t.clock
-
 let on_snapshot t f = t.hooks <- f :: t.hooks
 
 (* A hook that itself snapshots (directly or via a sync routine that

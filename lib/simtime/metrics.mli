@@ -17,7 +17,6 @@ type gauge
 type histogram
 
 val create : Clock.t -> t
-val clock : t -> Clock.t
 
 val on_snapshot : t -> (unit -> unit) -> unit
 (** Register a pre-export hook. Hooks run (in registration order) at
@@ -38,14 +37,11 @@ val gauge : t -> string -> gauge
 val histogram : t -> ?bounds:float array -> string -> histogram
 (** [bounds] are the inclusive upper edges of the finite buckets,
     strictly increasing; an implicit overflow bucket catches
-    everything above the last edge. Defaults to
-    {!default_duration_bounds_us}. Re-registering an existing
+    everything above the last edge. Defaults to log-spaced edges
+    from 1 us to 1 s, suited to phase durations. Re-registering an existing
     histogram ignores [bounds] and returns the existing handle;
     registering a fresh one with empty or non-increasing bounds raises
     [Invalid_argument]. *)
-
-val default_duration_bounds_us : float array
-(** Log-spaced edges from 1 us to 1 s, suited to phase durations. *)
 
 (* --- hot path -------------------------------------------------------- *)
 

@@ -31,8 +31,6 @@ let float t bound =
   (* 53 significant bits, in [0,1) *)
   r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* Zipfian generator following Gray et al., "Quickly generating
    billion-record synthetic databases" (SIGMOD '94), as used by YCSB. *)
 let zeta n theta =

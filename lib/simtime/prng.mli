@@ -20,8 +20,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
-val bool : t -> bool
-
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] draws from a Zipfian distribution over
     [0, n) with skew [theta] (0 = uniform; 0.99 = YCSB default) using

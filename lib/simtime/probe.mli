@@ -40,7 +40,6 @@ type point =
 
 val points : point list
 val point_name : point -> string
-val point_of_name : string -> point option
 
 val create : unit -> t
 
@@ -85,8 +84,6 @@ type spec = {
   sp_agg : agg;
   sp_by : field option;
 }
-
-val field_name : field -> string
 
 val parse : string -> (spec, string) result
 (** Parse a query; the error is a human-readable message with a

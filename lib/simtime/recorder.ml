@@ -45,7 +45,6 @@ let create ?(capacity = 256) clock =
     seq = 0; dropped = 0; crash = None; marks = []; repl = false; acked = -1;
     shipped = []; bb_seq = 0 }
 
-let clock t = t.clock
 let capacity t = t.capacity
 let occupancy t = t.len
 let dropped t = t.dropped

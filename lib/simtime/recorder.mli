@@ -61,7 +61,6 @@ val create : ?capacity:int -> Clock.t -> t
 (** [capacity] (default 256) bounds retained events; once full the
     oldest events are overwritten and {!dropped} counts them. *)
 
-val clock : t -> Clock.t
 val capacity : t -> int
 val occupancy : t -> int
 (** Events currently retained. *)

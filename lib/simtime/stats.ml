@@ -5,19 +5,17 @@ type t = {
   mutable total : float;
   mutable min_v : float;
   mutable max_v : float;
-  mutable sumsq : float;
 }
 
 let create () =
   { samples = []; sorted = None; count = 0; total = 0.0;
-    min_v = Float.infinity; max_v = Float.neg_infinity; sumsq = 0.0 }
+    min_v = Float.infinity; max_v = Float.neg_infinity }
 
 let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;
   t.count <- t.count + 1;
   t.total <- t.total +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
@@ -46,14 +44,6 @@ let percentile_of sorted p =
 let percentile t p = percentile_of (sorted t) p
 
 let median t = percentile t 50.0
-
-let stddev t =
-  if t.count < 2 then 0.0
-  else begin
-    let m = mean t in
-    let var = (t.sumsq /. float_of_int t.count) -. (m *. m) in
-    if var <= 0.0 then 0.0 else sqrt var
-  end
 
 let pp_summary ppf t =
   if t.count = 0 then Format.fprintf ppf "n=0"

@@ -28,6 +28,5 @@ val percentile_of : float array -> float -> float
     quantile, shared with the SLO watchdog's sample windows. *)
 
 val median : t -> float
-val stddev : t -> float
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [n/mean/p50/p99/max] summary. *)

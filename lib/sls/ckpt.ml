@@ -166,7 +166,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
   let store =
     match Types.primary_store g with
     | Some s -> s
-    | None -> invalid_arg "Ckpt.checkpoint: group has no local backend"
+    | None -> invalid_arg "Ckpt.capture: group has no local backend"
   in
   let mode =
     match mode with
@@ -459,8 +459,3 @@ let finalize (k : Kernel.t) (g : Types.pgroup) (b : Types.ckpt_breakdown) =
         ~gen:b.Types.gen ~pgid:g.Types.pgid
         ~us:(Duration.to_us (Duration.sub b.Types.durable_at flush_started))
         ~blocks:b.Types.pages_captured
-
-let checkpoint (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?with_fs () =
-  let b = capture k g ?mode ?name ?with_fs () in
-  finalize k g b;
-  b

@@ -51,14 +51,3 @@ val finalize : Kernel.t -> Types.pgroup -> Types.ckpt_breakdown -> unit
     [ckpt.flush_us] / [ckpt.durable_lag_us] histograms. Call exactly
     once per [`Ok] capture, after the clock has reached its
     [durable_at]; degraded captures are a no-op. *)
-
-val checkpoint :
-  Kernel.t ->
-  Types.pgroup ->
-  ?mode:[ `Full | `Incremental ] ->
-  ?name:string ->
-  ?with_fs:bool ->
-  unit ->
-  Types.ckpt_breakdown
-(** Synchronous convenience: {!capture} immediately followed by
-    {!finalize} (the unpipelined shape). Arguments as in {!capture}. *)

@@ -15,12 +15,9 @@
 
 open Aurora_proc
 
-val syscalls_per_object : int
-(** Introspection round-trips charged per queried kernel object. *)
-
 val checkpoint :
   Kernel.t -> Types.pgroup -> ?name:string -> unit -> Types.ckpt_breakdown
 (** Stop-the-world checkpoint: metadata via syscall introspection,
     memory via full copy during the stop. [lazy_data_copy] holds the
     memory-copy time so the breakdown stays comparable with
-    [Ckpt.checkpoint]. *)
+    [Ckpt.capture]. *)

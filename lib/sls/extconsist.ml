@@ -14,7 +14,6 @@ type t = {
   kernel : Kernel.t;
   groups : unit -> Types.pgroup list;
   mutable items : item list; (* oldest first *)
-  mutable buffered_total : int;
 }
 
 (* The process owning a descriptor over this object, if any. *)
@@ -61,14 +60,13 @@ let hook t ~src ~ofd ~data =
             { peer_oid = peer; data; sent_at = Clock.now t.kernel.Kernel.clock;
               pgid = g.Types.pgid; release_at = None };
           ];
-      t.buffered_total <- t.buffered_total + 1;
       `Buffered (String.length data)
     | _ -> `Deliver)
 
 let handle t ~src ~ofd ~data = hook t ~src ~ofd ~data
 
 let install kernel ~groups =
-  let t = { kernel; groups; items = []; buffered_total = 0 } in
+  let t = { kernel; groups; items = [] } in
   kernel.Kernel.send_hook <- Some (fun ~src ~ofd ~data -> hook t ~src ~ofd ~data);
   t
 
@@ -114,5 +112,3 @@ let release_due t =
 let endpoint_owner = endpoint_owner'
 
 let pending t = List.length t.items
-let pending_bytes t = List.fold_left (fun acc i -> acc + String.length i.data) 0 t.items
-let buffered_total t = t.buffered_total

@@ -43,8 +43,6 @@ val release_due : t -> int
     passed; returns how many were delivered. *)
 
 val pending : t -> int
-val pending_bytes : t -> int
-val buffered_total : t -> int
-(** Items ever buffered (for the bench's accounting). *)
+(** Items buffered and not yet released. *)
 
 val uninstall : t -> unit

@@ -215,8 +215,11 @@ let persist t ?interval ?(incremental = true) target =
 
 let attach _t g backend = g.Types.backends <- g.Types.backends @ [ backend ]
 
+(* Backend records are built on demand ([memory_backend] makes a fresh
+   one per call), so a backend is identified by its store. *)
 let detach _t g backend =
-  g.Types.backends <- List.filter (fun b -> not (b == backend)) g.Types.backends
+  g.Types.backends <-
+    List.filter (fun b -> b.Types.store != backend.Types.store) g.Types.backends
 
 (* --- checkpoints ----------------------------------------------------- *)
 
@@ -782,8 +785,6 @@ let attach_standby t ?faults ?(link_profile = Profile.net_10gbe) ?ack_timeout
   Recorder.note_transition rec_ ~subsystem:"repl"
     (Printf.sprintf "standby attached (pgroup %d)" g.Types.pgid);
   repl
-
-let standby_session t = Option.map snd t.standby
 
 let detach_standby t =
   if t.standby <> None then

@@ -167,6 +167,8 @@ val persist_unattached : t -> ?interval:Duration.t -> Types.target -> Types.pgro
 
 val attach : t -> Types.pgroup -> Types.backend -> unit
 val detach : t -> Types.pgroup -> Types.backend -> unit
+(** Removes every backend writing to [backend]'s store. *)
+
 val memory_backend : t -> Types.backend
 val disk_backend : t -> Types.backend
 
@@ -188,10 +190,6 @@ val complete_due : t -> unit
     passed (oldest first). {!run}, {!checkpoint_now} and
     {!drain_storage} call this themselves; exposed for fixtures that
     drive the clock manually. *)
-
-val drain_pipeline : t -> unit
-(** Block (advance the clock) until every in-flight epoch is durable
-    and retired. *)
 
 val run : t -> Duration.t -> unit
 (** Advance the machine by a span of simulated time. *)
@@ -255,8 +253,6 @@ val attach_standby :
     standby. Raises [Invalid_argument] when a standby is already
     attached. *)
 
-val standby_session : t -> Replica.t option
-
 val detach_standby : t -> unit
 (** Stop auto-shipping; the session and its store are abandoned. *)
 
@@ -295,18 +291,12 @@ val boot :
     recovery failure (no superblock, unreadable generation table,
     ...). *)
 
-val boot_exn : ?max_inflight_ckpts:int -> nvme:Devarray.t -> unit -> t
-(** {!boot}, raising [Store.Fail] on error. *)
-
 val recover : t -> t
 (** Boot a new machine on the survivors: same clock (wall time moves
     on), same storage devices; the object store is re-opened from its
     superblocks and the file system restored from the latest
     generation. Persistence groups are re-registered (empty: call
     {!restore_group} to resurrect applications). *)
-
-val gc_history : t -> int
-(** Apply the history window now; returns blocks freed. *)
 
 val drain_storage : t -> unit
 (** Advance the clock (without scheduling applications) until every

@@ -65,5 +65,3 @@ let barrier (g : Types.pgroup) =
   match g.Types.last_breakdown with
   | None -> ()
   | Some b -> Store.wait_durable (primary_exn g) b.Types.durable_at
-
-let wait (g : Types.pgroup) at = Store.wait_durable (primary_exn g) at

@@ -21,7 +21,3 @@ val read : ?oid:int -> Types.pgroup -> string list
 val truncate : ?oid:int -> Types.pgroup -> unit
 val barrier : Types.pgroup -> unit
 (** Wait until the group's last checkpoint is durable. *)
-
-val wait : Types.pgroup -> Duration.t -> unit
-(** Wait until an absolute durability instant (e.g. {!flush}'s
-    result). *)

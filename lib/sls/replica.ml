@@ -250,11 +250,9 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
 let state t = t.state
 let stats t = t.st
 let link t = t.link
-let primary_store t = t.primary
 let standby_store t = t.standby
 let acked_gen t = t.acked
 let mapping t = t.map
-let standby_gen_of t pgen = List.assoc_opt pgen t.map
 let standby_latest t = match List.rev t.map with p :: _ -> Some p | [] -> None
 
 let lag t =

@@ -115,15 +115,11 @@ val acked_gen : t -> Store.gen option
 val standby_latest : t -> (Store.gen * Store.gen) option
 (** Newest replicated pair [(primary gen, standby gen)], if any. *)
 
-val standby_gen_of : t -> Store.gen -> Store.gen option
-(** The standby generation holding the given primary generation. *)
-
 val mapping : t -> (Store.gen * Store.gen) list
 (** All replicated pairs, ascending. *)
 
 val stats : t -> stats
 val link : t -> Netlink.t
-val primary_store : t -> Store.t
 val standby_store : t -> Store.t
 
 val crash_standby : t -> unit
@@ -134,14 +130,10 @@ val crash_standby : t -> unit
     the open generation; the primary's next ship NAK-resyncs from the
     last common generation. *)
 
-val repl_gen_name : ?corr:string -> Store.gen -> string
-(** ["repl.gen:<g>"], or ["repl.gen:<g>@<corr>"] with the
-    trace-correlation id — the durable name the standby gives the
-    import of primary generation [g]. *)
-
 val parse_repl_gen_name : string -> Store.gen option
-(** Inverse of {!repl_gen_name} (the corr suffix, when present, is
-    ignored); [None] for unrelated names. *)
+(** The primary generation named by a standby's ["repl.gen:<g>"] or
+    ["repl.gen:<g>@<corr>"] name (the corr suffix is ignored); [None]
+    for unrelated names. *)
 
 val parse_repl_corr : string -> string option
 (** The correlation id embedded in a replication generation name, if

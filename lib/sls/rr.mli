@@ -15,8 +15,6 @@
     restored endpoints, and the deterministic simulation reproduces
     the pre-failure execution exactly (asserted by the tests). *)
 
-val log_oid : Types.pgroup -> int
-
 val record_input : Types.pgroup -> peer_oid:int -> string -> unit
 (** Journal one boundary input (called by the machine's send hook;
     exposed for tests and for journaling non-socket nondeterminism). *)

@@ -72,6 +72,3 @@ type vmobj_rec = {
 val parse_manifest : string -> manifest_rec
 val parse_proc : string -> proc_rec
 val parse_vmobj : string -> vmobj_rec
-
-val serialize_manifest : manifest_rec -> string
-(** Exposed for `sls send` re-targeting. *)

@@ -56,7 +56,6 @@ let create ?(window = 32) ?(max_alerts = 64) ?(top_k = 3) () =
 let set_stop_target t d = t.stop_target <- d
 let set_restore_target t d = t.restore_target <- d
 let stop_target t = t.stop_target
-let restore_target t = t.restore_target
 
 let window_of t = function
   | Stop_time -> t.stop_window

@@ -48,7 +48,6 @@ val set_restore_target : t -> Duration.t option -> unit
 (** [None] stops watching that objective (existing alerts are kept). *)
 
 val stop_target : t -> Duration.t option
-val restore_target : t -> Duration.t option
 
 val observe :
   t -> ?obs:Obs.t -> kind -> pgid:int -> ?attribution:Types.ckpt_attribution ->

@@ -105,18 +105,6 @@ let member_pids kernel g =
   |> List.filter (fun p -> member kernel g p && not (Process.is_zombie p))
   |> List.map (fun p -> p.Process.pid)
 
-let pp_ckpt_breakdown ppf b =
-  Format.fprintf ppf
-    "gen=%d %s quiesce=%aus metadata=%aus lazy-copy=%aus stop=%aus pages=%d records=%d%s"
-    b.gen
-    (match b.mode with `Full -> "full" | `Incremental -> "incr")
-    Duration.pp_us b.quiesce Duration.pp_us b.metadata_copy Duration.pp_us
-    b.lazy_data_copy Duration.pp_us
-    b.stop_time b.pages_captured b.records_written
-    (match b.status with
-     | `Ok -> ""
-     | `Degraded reason -> " DEGRADED (" ^ reason ^ ")")
-
 (* Attribution rows ordered by checkpoint cost: pages captured, then
    bytes, then id for determinism. *)
 let top_objects ?(k = max_int) a =
@@ -140,10 +128,3 @@ let top_procs ?(k = max_int) a =
     | c -> c
   in
   List.filteri (fun i _ -> i < k) (List.sort cmp a.at_procs)
-
-let pp_restore_breakdown ppf b =
-  Format.fprintf ppf
-    "objstore=%aus memory=%aus metadata=%aus total=%aus resident=%d lazy=%d procs=%d"
-    Duration.pp_us b.objstore_read Duration.pp_us b.memory_state Duration.pp_us
-    b.metadata_state Duration.pp_us b.total_latency b.pages_restored b.pages_lazy
-    b.procs_restored

@@ -120,6 +120,3 @@ val top_objects : ?k:int -> ckpt_attribution -> obj_attribution list
     truncated to the top [k] (default: all). *)
 
 val top_procs : ?k:int -> ckpt_attribution -> proc_attribution list
-
-val pp_ckpt_breakdown : Format.formatter -> ckpt_breakdown -> unit
-val pp_restore_breakdown : Format.formatter -> restore_breakdown -> unit

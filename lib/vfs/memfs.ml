@@ -182,8 +182,6 @@ let live_vnodes t =
   Hashtbl.fold (fun _ v acc -> v :: acc) t.vnodes []
   |> List.sort (fun a b -> Int.compare a.Vnode.vid b.Vnode.vid)
 
-let sync_all t = List.iter (fun v -> if v.Vnode.vtype = Vnode.Reg then fsync t v) (live_vnodes t)
-
 let crash t =
   (match t.backing with
    | Some dev -> Blockdev.crash dev

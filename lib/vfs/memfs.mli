@@ -58,8 +58,6 @@ val close_vnode : t -> Vnode.t -> unit
 val fsync : t -> Vnode.t -> unit
 (** Write the vnode's dirty chunks to the backing device and flush. *)
 
-val sync_all : t -> unit
-
 val crash : t -> unit
 (** Power loss, as described above. The namespace itself is preserved
     only for names that were synced at least once or never touched;

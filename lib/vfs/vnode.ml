@@ -110,7 +110,6 @@ let dirty_chunks t =
   List.sort Int.compare (Hashtbl.fold (fun ci () acc -> ci :: acc) t.dirty [])
 
 let clear_dirty t = Hashtbl.reset t.dirty
-let chunk_count t = Hashtbl.length t.chunks
 
 let equal_data a b =
   a.size = b.size
@@ -123,9 +122,3 @@ let equal_data a b =
       Bytes.equal bytes_a bytes_b && chunks_equal (ci + 1)
   in
   chunks_equal 0
-
-let pp ppf t =
-  Format.fprintf ppf "vnode#%d(%s size=%d nlink=%d open=%d popen=%d)"
-    t.vid
-    (match t.vtype with Reg -> "reg" | Dir -> "dir")
-    t.size t.nlink t.open_count t.persistent_open

@@ -53,8 +53,5 @@ val dirty_chunks : t -> int list
 (** Sorted indexes of chunks modified since the last {!clear_dirty}. *)
 
 val clear_dirty : t -> unit
-val chunk_count : t -> int
 val equal_data : t -> t -> bool
 (** Byte-for-byte comparison of file contents. *)
-
-val pp : Format.formatter -> t -> unit

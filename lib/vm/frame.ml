@@ -32,7 +32,6 @@ let decref pool f =
 
 let resident pool = pool.resident
 let total_allocated pool = pool.total_allocated
-let capacity pool = pool.capacity
 
 let over_capacity pool =
   match pool.capacity with

@@ -35,7 +35,6 @@ val total_allocated : pool -> int
 (** Frames ever allocated — monotone; used by benches for fault
     counting. *)
 
-val capacity : pool -> int option
 val over_capacity : pool -> int
 (** How many pages beyond capacity are resident (0 when unbounded or
     under capacity). *)

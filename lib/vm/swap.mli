@@ -21,9 +21,5 @@ val rebalance : t -> objects:Vmobject.t list -> int
     more evictable pages exist). Returns the number of pages evicted;
     charges the clock for the device writes. *)
 
-val evict : t -> objects:Vmobject.t list -> want:int -> int
-(** Unconditionally evict up to [want] pages (used by tests and by the
-    lazy-restore bench to construct cold memory). *)
-
 val pages_swapped : t -> int
 (** Total pages ever written to swap. *)

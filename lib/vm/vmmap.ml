@@ -40,8 +40,6 @@ let create ~clock ~pool () =
   { asid = !next_asid; clock; pool; entries = []; next_vpn = 0x1000; next_eid = 0;
     faults = { zero_fill = 0; fork_cow = 0; ckpt_cow = 0; major = 0 } }
 
-let asid t = t.asid
-let clock t = t.clock
 let pool t = t.pool
 let entries t = t.entries
 let faults t = t.faults
@@ -283,7 +281,3 @@ let resident_pages t =
   List.fold_left (fun acc obj -> acc + Vmobject.resident_count obj) 0 (distinct_objects t)
 
 let total_pages t = List.fold_left (fun acc e -> acc + e.npages) 0 t.entries
-
-let pp ppf t =
-  Format.fprintf ppf "as#%d(%d entries, %d pages mapped, %d resident)"
-    t.asid (List.length t.entries) (total_pages t) (resident_pages t)

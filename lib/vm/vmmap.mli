@@ -42,8 +42,6 @@ type fault_counts = {
 type t
 
 val create : clock:Clock.t -> pool:Frame.pool -> unit -> t
-val asid : t -> int
-val clock : t -> Clock.t
 val pool : t -> Frame.pool
 val entries : t -> entry list
 (** Sorted by [start_vpn]. *)
@@ -124,5 +122,3 @@ val total_pages : t -> int
 val distinct_objects : t -> Vmobject.t list
 (** Objects referenced by entries, deduplicated, entry order. Includes
     shadow-chain backing objects. *)
-
-val pp : Format.formatter -> t -> unit

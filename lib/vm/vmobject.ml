@@ -29,7 +29,6 @@ let create ~pool kind =
 
 let oid t = t.oid
 let kind t = t.kind
-let refcount t = t.refcount
 let shadow_of t = t.shadow
 
 let incref t =
@@ -71,8 +70,6 @@ let rec resolve t pindex =
     | Some backing -> resolve backing pindex
     | None -> Absent)
 
-let slot_of t pindex = Hashtbl.find_opt t.pages pindex
-
 let install t pindex frame =
   (match Hashtbl.find_opt t.pages pindex with
    | Some slot -> release_slot t slot
@@ -101,16 +98,6 @@ let page_out t pindex ~read_cost =
     content
   | Some (Paged_out _) -> invalid_arg "Vmobject.page_out: already paged out"
   | None -> invalid_arg "Vmobject.page_out: no such page"
-
-let remove_page t pindex =
-  match Hashtbl.find_opt t.pages pindex with
-  | None -> ()
-  | Some slot ->
-    release_slot t slot;
-    Hashtbl.remove t.pages pindex;
-    Hashtbl.remove t.dirty pindex;
-    Hashtbl.remove t.armed pindex;
-    Hashtbl.remove t.heat pindex
 
 (* --- checkpoint support ------------------------------------------- *)
 
@@ -270,13 +257,5 @@ let resident_count t =
   Hashtbl.fold (fun _ s acc -> match s with Resident _ -> acc + 1 | Paged_out _ -> acc)
     t.pages 0
 
-let page_count t = Hashtbl.length t.pages
-
 let rec chain_depth t =
   match t.shadow with None -> 1 | Some backing -> 1 + chain_depth backing
-
-let pp ppf t =
-  Format.fprintf ppf "obj#%d(%s pages=%d dirty=%d armed=%d depth=%d refs=%d)"
-    t.oid
-    (match t.kind with Anonymous -> "anon" | Vnode v -> Printf.sprintf "vnode:%d" v)
-    (page_count t) (dirty_count t) (armed_count t) (chain_depth t) t.refcount

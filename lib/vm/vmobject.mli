@@ -37,7 +37,6 @@ type t
 val create : pool:Frame.pool -> kind -> t
 val oid : t -> int
 val kind : t -> kind
-val refcount : t -> int
 val incref : t -> unit
 val decref : t -> unit
 (** At zero, releases all resident frames and drops the shadow
@@ -55,8 +54,6 @@ type resolution =
   | Absent
 
 val resolve : t -> int -> resolution
-val slot_of : t -> int -> pslot option
-(** Direct lookup in this object only (no chain walk). *)
 
 val install : t -> int -> Frame.t -> unit
 (** Install a frame at a page index, replacing (and releasing) any
@@ -72,8 +69,6 @@ val page_out : t -> int -> read_cost:Duration.t -> Content.t
 (** Convert a resident page to [Paged_out]; returns the content (for
     the swap writer). Raises [Invalid_argument] if not resident or if
     the frame is shared (refcount > 1). *)
-
-val remove_page : t -> int -> unit
 
 (* --- checkpoint support ------------------------------------------- *)
 
@@ -129,6 +124,4 @@ val fold_pages : t -> init:'a -> f:('a -> int -> pslot -> 'a) -> 'a
     index order. *)
 
 val resident_count : t -> int
-val page_count : t -> int
 val chain_depth : t -> int
-val pp : Format.formatter -> t -> unit

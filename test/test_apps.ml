@@ -363,7 +363,6 @@ let test_recreplay_reproduces_state () =
      immediately. *)
   Api.sls_fdctl server ~fd:sfd ~ext_consistency:false;
   let g = Machine.persist m (`Container container.Container.cid) in
-  let rr = Recreplay.create m g in
   let deliver opnum_s =
     Kvstore.client_request k client ~fd:client_fd ~opnum:(int_of_string opnum_s);
     ignore (Scheduler.run_until_idle k ());
@@ -372,18 +371,22 @@ let test_recreplay_reproduces_state () =
   (* Checkpoint the quiescent server, then feed recorded inputs. *)
   ignore (Scheduler.run_until_idle k ());
   ignore (Machine.checkpoint_now m g ());
-  Recreplay.on_checkpoint rr;
+  (* A checkpoint makes the journal's older inputs redundant. *)
+  Api.sls_log_truncate m g;
+  (* Journal each input durably before delivering it. *)
   List.iter
     (fun i ->
-      Recreplay.record_input rr (string_of_int i);
+      Api.sls_barrier_until m (Api.sls_ntflush m g (string_of_int i));
       deliver (string_of_int i))
     [ 3; 14; 15; 92; 65 ];
-  check_int "five records" 5 (Recreplay.log_length rr);
+  check_int "five records" 5 (List.length (Api.sls_log_read m g));
   let digest_before = Kvstore.region_digest k server cfg in
   let ops_before = Kvstore.ops_done server in
   (* Roll back and replay: state must reproduce exactly. *)
-  let replayed = Recreplay.rollback_and_replay rr ~deliver in
-  check_int "replayed all" 5 replayed;
+  let journal = Api.sls_log_read m g in
+  ignore (Api.sls_rollback m g);
+  List.iter deliver journal;
+  check_int "replayed all" 5 (List.length journal);
   let server' = Kernel.proc_exn k server.Process.pid in
   check_int "op count reproduced" ops_before (Kvstore.ops_done server');
   check_bool "state bit-identical" true

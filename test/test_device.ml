@@ -318,7 +318,7 @@ let test_devarray_read_write_roundtrip () =
 let test_devarray_stats_sum () =
   let _, arr = mkarr ~stripes:4 () in
   Devarray.write_many arr (List.init 64 (fun i -> (i, Blockdev.Seed 1L)));
-  ignore (Devarray.read_many arr (List.init 10 Fun.id));
+  ignore (Devarray.read_many_arr arr (Array.init 10 Fun.id));
   let agg = Devarray.stats arr in
   let per = Devarray.device_stats arr in
   let sum f = Array.fold_left (fun acc st -> acc + f st) 0 per in
@@ -588,8 +588,8 @@ let test_fault_latent_batch_reads_zero () =
   Devarray.write dev 2 (Blockdev.Seed 2L);
   Devarray.write dev 3 (Blockdev.Seed 3L);
   Devarray.inject_latent dev 2;
-  (match Devarray.read_many dev [ 2; 3 ] with
-   | [ a; b ] ->
+  (match Devarray.read_many_arr dev [| 2; 3 |] with
+   | [| a; b |] ->
      check_bool "latent block substituted with Zero" true (a = Blockdev.Zero);
      check_bool "healthy block intact" true (b = Blockdev.Seed 3L)
    | _ -> Alcotest.fail "wrong batch shape")

@@ -1499,6 +1499,168 @@ let test_store_fault_storm_crash_recover_bitexact () =
     model;
   check_int "all six generations" 6 (List.length (Store.generations s'))
 
+(* ------------------------------------------------------------------ *)
+(* Reachability: golden walk outputs and damaged trees                 *)
+(* ------------------------------------------------------------------ *)
+
+let page_key ~oid ~pindex =
+  Int64.(add (mul (of_int oid) 0x4_0000_0000L) (add 0x2_0000_0000L (of_int pindex)))
+
+(* The leaf node on the device that maps [key] to a block holding
+   [seed], i.e. that leaf's copy in the generation which wrote [seed].
+   Found with [peek], so the search charges no simulated time. *)
+let find_leaf dev ~key ~seed =
+  let module S = Aurora_posix.Serial in
+  let maps_key s =
+    let r = S.reader s in
+    S.r_u8 r = 0
+    &&
+    let n = S.r_int r in
+    let rec entry i =
+      i < n
+      &&
+      let k = S.r_int64 r in
+      if S.r_u8 r = 1 then
+        let b = S.r_int r in
+        (k = key && Devarray.peek dev b = Blockdev.Seed seed) || entry (i + 1)
+      else (ignore (S.r_int64 r); entry (i + 1))
+    in
+    n > 0 && n <= 256 && entry 0
+  in
+  let last = Devarray.used_blocks dev + 4 in
+  let rec go b =
+    if b >= last then Alcotest.failf "no leaf maps %Ld to seed %Ld" key seed
+    else
+      match Devarray.peek dev b with
+      | Blockdev.Data s when (try maps_key s with S.Corrupt _ -> false) -> b
+      | _ -> go (b + 1)
+  in
+  go 4
+
+(* Generation 1: a 700-page object whose seeds repeat, a 9,000-byte
+   record and a blob. Generation 2, named, rewrites pages 0-19.
+   Generation 3 adds a 300-page object that dedups against the first. *)
+let walk_fixture protection =
+  let clock, dev = mkdev ~stripes:2 () in
+  let s = Store.format ~protection ~dev () in
+  let commit ?name () =
+    let _, d = Store.commit s ?name () in
+    Store.wait_durable s d
+  in
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init 700 (fun i -> (i, Int64.of_int (1 + (i mod 97)))));
+  Store.put_record s ~oid:1 (String.init 9_000 (fun i -> Char.chr (97 + (i mod 26))));
+  Store.put_blob s ~oid:1 ~index:0 "walk fixture blob";
+  commit ();
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init 20 (fun i -> (i, Int64.of_int (5_000 + i))));
+  commit ~name:"rewrite" ();
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:2 (Array.init 300 (fun i -> (i, Int64.of_int (1 + (i mod 150)))));
+  commit ();
+  (clock, dev, s)
+
+let rewritten_leaf dev = find_leaf dev ~key:(page_key ~oid:1 ~pindex:0) ~seed:5_000L
+
+let print_fsck buf (r : Store.fsck_report) =
+  let origin = function Store.Mirror -> "mirror" | Store.Dedup_copy -> "dedup" in
+  Printf.bprintf buf "fsck problems [%s] healed [%s] lost [%s] scanned %d\n"
+    (String.concat "; " r.Store.problems)
+    (String.concat "; "
+       (List.map (fun (b, o) -> Printf.sprintf "%d %s" b (origin o)) r.Store.healed))
+    (String.concat "; "
+       (List.map (fun (g, why) -> Printf.sprintf "%d %s" g why) r.Store.lost))
+    r.Store.scanned_blocks
+
+let print_reports buf s =
+  List.iter
+    (fun g ->
+      match Store.gen_report s g with
+      | None -> Printf.bprintf buf "gen %d: no report\n" g
+      | Some r ->
+        Printf.bprintf buf
+          "gen %d: meta %d data %d mirror %d records %d pages %d blobs %d \
+           record bytes %d logical %d exclusive %d shared %d\n"
+          r.Store.r_gen r.Store.r_meta_blocks r.Store.r_data_blocks
+          r.Store.r_mirror_blocks r.Store.r_record_entries r.Store.r_page_entries
+          r.Store.r_blob_entries r.Store.r_record_bytes r.Store.r_logical_bytes
+          r.Store.r_exclusive_blocks r.Store.r_shared_blocks)
+    (Store.generations s);
+  let x = Store.crosscheck s in
+  Printf.bprintf buf "crosscheck reachable %d live %d within %b\n"
+    x.Store.x_reachable_blocks x.Store.x_live_blocks x.Store.x_within_1pct;
+  print_fsck buf (Store.fsck s)
+
+let print_gens buf what clock before s =
+  Printf.bprintf buf "%s %d ns gens [%s]\n" what
+    (Duration.to_ns (Duration.sub (Clock.now clock) before))
+    (String.concat " " (List.map string_of_int (Store.generations s)))
+
+(* Pins everything the reachability walk produces: the provenance
+   reports, crosscheck and fsck of a live store; recovery's simulated
+   time, generations and rebuilt counts on reopen; a scrub over one
+   garbage leaf; and recovery over that leaf, which quarantines
+   generations 2 and 3 in ascending order. Each protection mode takes
+   another path: the leaf's generations are quarantined (none, verify)
+   or the leaf is healed from its mirror. *)
+let test_walk_golden () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (label, protection) ->
+      Printf.bprintf buf "== %s\n" label;
+      let clock, dev, s = walk_fixture protection in
+      print_reports buf s;
+      let before = Clock.now clock in
+      let s = Store.open_exn ~dev in
+      print_gens buf "recovery" clock before s;
+      let st = Store.stats s in
+      Printf.bprintf buf "live %d dedup %d/%d/%d/%d committed %d\n" st.Store.live_blocks
+        st.Store.dedup_entries st.Store.dedup_hits st.Store.dedup_misses
+        st.Store.dedup_bytes_saved st.Store.committed_generations;
+      print_reports buf s;
+      Devarray.write dev (rewritten_leaf dev) (Blockdev.Data "garbage");
+      Store.drop_caches s;
+      let before = Clock.now clock in
+      print_fsck buf (Store.fsck ~scrub:true s);
+      print_gens buf "scrub" clock before s;
+      let io = Store.io_stats s in
+      Printf.bprintf buf "io %d %d %d %d %d\n" io.Store.read_retries
+        io.Store.checksum_failures io.Store.repaired_from_mirror
+        io.Store.repaired_from_dedup io.Store.lost_blocks;
+      let clock, dev, _ = walk_fixture protection in
+      Devarray.write dev (rewritten_leaf dev) (Blockdev.Data "garbage");
+      let before = Clock.now clock in
+      let s = Store.open_exn ~dev in
+      print_gens buf "damaged recovery" clock before s;
+      print_fsck buf (Store.fsck s))
+    [ ("none", { Store.verify = false; mirror = false });
+      ("verify", { Store.verify = true; mirror = false });
+      ("verify+mirror", full_protection) ];
+  let expected = "6d6042d9df931b917bd7a0e67d1f4d33" in
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  if digest <> expected then print_string (Buffer.contents buf);
+  Alcotest.(check string) "walk outputs digest" expected digest
+
+(* fsck reports a tree node it cannot read instead of raising, whether
+   the node fails to decode (no protection) or fails its checksum with
+   no copy to repair from. *)
+let test_fsck_reports_damaged_tree () =
+  List.iter
+    (fun protection ->
+      let _, dev, s = walk_fixture protection in
+      let leaf = rewritten_leaf dev in
+      Devarray.write dev leaf (Blockdev.Data "garbage");
+      Store.drop_caches s;
+      let r = Store.fsck s in
+      check_bool "damage reported" false (Store.fsck_ok r);
+      let node = Printf.sprintf "node %d" leaf in
+      check_bool (node ^ " named") true
+        (List.exists
+           (fun p -> String.length p >= String.length node
+                     && String.sub p 0 (String.length node) = node)
+           r.Store.problems))
+    [ { Store.verify = false; mirror = false }; { Store.verify = true; mirror = false } ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1553,6 +1715,9 @@ let () =
         [
           Alcotest.test_case "clean store" `Quick test_fsck_clean_store;
           qt prop_store_history_invariants;
+          Alcotest.test_case "golden walk outputs" `Quick test_walk_golden;
+          Alcotest.test_case "damaged tree is reported" `Quick
+            test_fsck_reports_damaged_tree;
         ] );
       ( "crash-recovery",
         [

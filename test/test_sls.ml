@@ -151,6 +151,24 @@ let test_checkpoint_gc_history () =
   let gens = Store.generations m.Machine.disk_store in
   check_bool "history bounded" true (List.length gens <= 4)
 
+(* [memory_backend] builds a fresh record on every call, so detaching
+   must match the backend by its store, not by physical equality. *)
+let test_detach_memory_backend () =
+  let m = Machine.create () in
+  let c, _ = spawn_walker m ~npages:16 ~limit:1_000_000 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  Machine.attach m g (Machine.memory_backend m);
+  Machine.run m (Duration.microseconds 50);
+  ignore (Machine.checkpoint_now m g ());
+  let before = Store.generations m.Machine.mem_store in
+  check_bool "the attached memory store is checkpointed" true (before <> []);
+  Machine.detach m g (Machine.memory_backend m);
+  check_int "only the disk backend is left" 1 (List.length g.Types.backends);
+  Machine.run m (Duration.microseconds 50);
+  ignore (Machine.checkpoint_now m g ());
+  Alcotest.(check (list int)) "the memory store gained no generation" before
+    (Store.generations m.Machine.mem_store)
+
 (* Regression for the pipelined quiesce: draining checkpoint state
    must await only the epochs' own writes, not the device queues'
    [busy_until] — unrelated raw traffic on the same array used to
@@ -980,6 +998,8 @@ let () =
             test_checkpoint_not_gated_by_raw_io;
           Alcotest.test_case "full device degrades, machine survives" `Quick
             test_full_device_degrades_checkpoint;
+          Alcotest.test_case "detach the memory backend" `Quick
+            test_detach_memory_backend;
         ] );
       ( "restore",
         [
