@@ -155,7 +155,7 @@ let serverless_fixture ?(profile = Profile.optane_900p) () =
   let k = m.Machine.kernel in
   let c = Kernel.new_container k ~name:"func" in
   let inst = Serverless.spawn k ~container:c.Container.cid (Serverless.default_config ()) in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   assert (Serverless.initialized inst.Serverless.func);
   (m, c, inst)
 
@@ -216,7 +216,7 @@ let table4_redis_memory () =
      it; restore from memory. *)
   let m, c, _p, _cfg = redis_fixture ~mib:2048 () in
   let g = Machine.persist_unattached m (`Container c.Container.cid) in
-  Machine.attach m g (Machine.memory_backend m);
+  Machine.attach m g m.Machine.mem_store;
   let b = Machine.checkpoint_now m g () in
   Store.wait_durable m.Machine.mem_store b.Types.durable_at;
   let _, breakdown = Machine.restore_group m g ~policy:Types.Lazy () in
@@ -224,13 +224,10 @@ let table4_redis_memory () =
 
 let table4_serverless ~from_disk () =
   let m, c, _inst = serverless_fixture () in
-  let backend =
-    if from_disk then Machine.disk_backend m else Machine.memory_backend m
-  in
-  let g = Machine.persist_unattached m (`Container c.Container.cid) in
-  Machine.attach m g backend;
-  let b = Machine.checkpoint_now m g () in
   let store = if from_disk then m.Machine.disk_store else m.Machine.mem_store in
+  let g = Machine.persist_unattached m (`Container c.Container.cid) in
+  Machine.attach m g store;
+  let b = Machine.checkpoint_now m g () in
   Store.wait_durable store b.Types.durable_at;
   if from_disk then Store.drop_caches store;
   let policy = if from_disk then Types.Lazy_prefetch else Types.Lazy in
@@ -279,29 +276,30 @@ let freq_sweep () =
   List.iter
     (fun interval_ms ->
       let m, c, _p, _cfg = redis_fixture ~mib:64 () in
-      let g =
-        Machine.persist m
-          ~interval:(Duration.milliseconds interval_ms)
-          (`Container c.Container.cid)
-      in
+      ignore
+        (Machine.persist m
+           ~interval:(Duration.milliseconds interval_ms)
+           (`Container c.Container.cid));
       let span = Duration.milliseconds 400 in
       let started = Machine.now m in
       Machine.run m span;
       let elapsed = Duration.sub (Machine.now m) started in
-      let stops = g.Types.stop_stats in
-      let total_stop = Stats.total stops (* us *) in
+      (* One group per machine, so the machine's histogram holds exactly
+         this group's stop times. *)
+      let stops = Metrics.histogram (Machine.metrics m) "ckpt.stop_us" in
+      let total_stop = Metrics.hist_sum stops (* us *) in
       let written =
         (Devarray.stats m.Machine.nvme).Blockdev.blocks_written * 4096
       in
       json_record "freq-sweep"
         [
           (Printf.sprintf "interval_%dms_checkpoints" interval_ms,
-           jint (Stats.count stops));
+           jint (Metrics.hist_count stops));
           (Printf.sprintf "interval_%dms_mean_stop_us" interval_ms,
-           jnum (Stats.mean stops));
+           jnum (Metrics.hist_mean stops));
         ];
-      row "%8dms %14d %16.1f %13.2f%% %12.1f\n" interval_ms (Stats.count stops)
-        (Stats.mean stops)
+      row "%8dms %14d %16.1f %13.2f%% %12.1f\n" interval_ms
+        (Metrics.hist_count stops) (Metrics.hist_mean stops)
         (total_stop /. (Duration.to_us elapsed /. 100.))
         (float_of_int written /. 1024. /. 1024.
         /. Duration.to_sec elapsed))
@@ -326,7 +324,7 @@ let dedup_run ~enabled =
             (Serverless.default_config ~func_id:fid ())
         in
         ignore inst;
-        ignore (Scheduler.run_until_idle k ());
+        ignore (Scheduler.run_until_idle k);
         let g = Machine.persist m (`Container c.Container.cid) in
         ignore (Machine.checkpoint_now m g ());
         incr checkpointed

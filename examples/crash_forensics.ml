@@ -69,7 +69,7 @@ let () =
   (* Production setup: persistence + transparent input recording. *)
   let g = Machine.persist m (`Container c.Container.cid) in
   Machine.enable_recording m g;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   ignore (Machine.checkpoint_now m g ());
   say "service running under checkpoints; boundary inputs are journaled";
 
@@ -78,7 +78,7 @@ let () =
   List.iter
     (fun req ->
       ignore (Syscall.write k client client_fd req);
-      ignore (Scheduler.run_until_idle k ()))
+      ignore (Scheduler.run_until_idle k))
     requests;
   let dead = Kernel.proc_exn k server.Process.pid in
   say "service CRASHED with status %d after %d requests"
@@ -92,7 +92,7 @@ let () =
   say "rolling back to the last checkpoint and replaying the journal...";
   let pids, replayed = Machine.rollback_and_replay m g in
   say "restored pid %d; %d recorded inputs re-delivered" (List.hd pids) replayed;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   let server' = Kernel.proc_exn k (List.hd pids) in
   (match server'.Process.exit_status with
    | Some 134 ->

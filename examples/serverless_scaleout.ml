@@ -24,7 +24,7 @@ let () =
   let c = Kernel.new_container k ~name:"runtime" in
   let cold_start_begin = Machine.now m in
   let inst = Serverless.spawn k ~container:c.Container.cid (Serverless.default_config ()) in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   let cold_start = Duration.sub (Machine.now m) cold_start_begin in
   say "cold start (runtime init): %.1f us" (Duration.to_us cold_start);
 
@@ -45,7 +45,7 @@ let () =
     | None -> failwith "clone vanished"
     | Some clone ->
       Serverless.invoke k clone ~id:i;
-      ignore (Scheduler.run_until_idle k ());
+      ignore (Scheduler.run_until_idle k);
       say "%6d %18.1f %14d" i
         (Duration.to_us breakdown.Types.total_latency)
         (Serverless.invocations clone.Serverless.func)
@@ -64,7 +64,7 @@ let () =
       (Serverless.default_config ~func_id:1 ())
   in
   ignore inst2;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   let g2 = Machine.persist m (`Container c2.Container.cid) in
   ignore (Machine.checkpoint_now m g2 ());
   let st = Store.stats m.Machine.disk_store in

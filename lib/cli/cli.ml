@@ -29,26 +29,33 @@ type universe = {
 
 let default_path = "aurora.universe"
 
-let save path (u : universe) =
-  (* Quiesce: a final checkpoint of each group, fully durable, so the
-     device alone can resurrect everything. *)
-  List.iter
-    (fun (_, g) ->
-      if Types.member_pids u.machine.Machine.kernel g <> [] then begin
-        let b = Machine.checkpoint_now u.machine g () in
-        Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
-      end)
-    u.apps;
+let write_universe_file path ~nvme ~apps =
   (* Detach instrumentation before marshaling: the devices' spans and
      metric cells are per-boot state (Machine.boot rebinds them), and
      marshaling them would drag the whole retained trace into the
      universe file. *)
-  Devarray.set_obs u.machine.Machine.nvme None;
+  Devarray.set_obs nvme None;
   let oc = open_out_bin path in
-  Marshal.to_channel oc
-    { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
-    [];
+  Marshal.to_channel oc { uf_nvme = nvme; uf_apps = apps } [];
   close_out oc
+
+(* Checkpoint every group that has a live process; with [durable], wait
+   for each epoch's writes to land. *)
+let checkpoint_running (u : universe) ~durable =
+  List.iter
+    (fun (_, g) ->
+      if Types.member_pids u.machine.Machine.kernel g <> [] then begin
+        let b = Machine.checkpoint_now u.machine g () in
+        if durable then
+          Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
+      end)
+    u.apps
+
+let save path (u : universe) =
+  (* Quiesce: a final checkpoint of each group, fully durable, so the
+     device alone can resurrect everything. *)
+  checkpoint_running u ~durable:true;
+  write_universe_file path ~nvme:u.machine.Machine.nvme ~apps:(List.map fst u.apps)
 
 (* Demo application programs live in Aurora_apps (linked in); the
    counter comes from here. *)
@@ -95,7 +102,7 @@ let register_group (u : universe) (entry : app_entry) =
   (* Secondary backends are re-attached per the registry ("disk" is
      the primary and always present). *)
   if List.mem "memory" entry.app_backends then
-    Machine.attach u.machine g (Machine.memory_backend u.machine);
+    Machine.attach u.machine g u.machine.Machine.mem_store;
   u.apps <- u.apps @ [ (entry, g) ];
   g
 
@@ -218,13 +225,14 @@ let cmd_restore path gen =
   save path u;
   0
 
+let find_app u pgid =
+  match List.filter (fun (_, g) -> pgid = None || pgid = Some g.Types.pgid) u.apps with
+  | (e, g) :: _ -> (e, g)
+  | [] -> failwith "no such persistence group"
+
 let cmd_send path out pgid =
   let u = load path in
-  let entry, g =
-    match List.filter (fun (_, g) -> pgid = None || pgid = Some g.Types.pgid) u.apps with
-    | (e, g) :: _ -> (e, g)
-    | [] -> failwith "no such persistence group"
-  in
+  let entry, g = find_app u pgid in
   let gen =
     match g.Types.last_gen with
     | Some gen -> gen
@@ -252,11 +260,6 @@ let cmd_recv path in_file =
   save path u;
   0
 
-let find_app u pgid =
-  match List.filter (fun (_, g) -> pgid = None || pgid = Some g.Types.pgid) u.apps with
-  | (e, g) :: _ -> (e, g)
-  | [] -> failwith "no such persistence group"
-
 let cmd_attach path pgid backend =
   let u = load path in
   let entry, g = find_app u pgid in
@@ -264,7 +267,7 @@ let cmd_attach path pgid backend =
    | "memory" ->
      if not (List.mem "memory" entry.app_backends) then begin
        entry.app_backends <- entry.app_backends @ [ "memory" ];
-       Machine.attach u.machine g (Machine.memory_backend u.machine)
+       Machine.attach u.machine g u.machine.Machine.mem_store
      end
    | "disk" -> () (* the primary; always attached *)
    | other -> failwith (Printf.sprintf "unknown backend %S (disk|memory)" other));
@@ -278,7 +281,7 @@ let cmd_detach path pgid backend =
   (match backend with
    | "memory" ->
      entry.app_backends <- List.filter (fun b -> b <> "memory") entry.app_backends;
-     Machine.detach u.machine g (Machine.memory_backend u.machine)
+     Machine.detach u.machine g u.machine.Machine.mem_store
    | "disk" -> failwith "cannot detach the primary disk backend"
    | other -> failwith (Printf.sprintf "unknown backend %S" other));
   say "%s: backends now [%s]" entry.app_name (String.concat "; " entry.app_backends);
@@ -346,13 +349,7 @@ let cmd_trace path out =
      universe file is left untouched (a measurement, not a mutation). *)
   let spans = Machine.spans u.machine in
   Span.clear spans;
-  List.iter
-    (fun (_, g) ->
-      if Types.member_pids u.machine.Machine.kernel g <> [] then begin
-        let b = Machine.checkpoint_now u.machine g () in
-        Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
-      end)
-    u.apps;
+  checkpoint_running u ~durable:true;
   List.iter
     (fun (_, g) ->
       if g.Types.last_gen <> None then
@@ -475,6 +472,26 @@ let cmd_postmortem path json =
     if checks_ok then 0
     else failwith "postmortem consistency checks failed"
 
+(* What the standby universe [du] holds of the primary [pu]: its
+   replicated generations as (primary gen, standby gen, correlation id)
+   ascending by primary gen, read from the durable ["repl.gen:"] names;
+   the newest primary generation it acknowledged; and the RPO, the
+   committed primary generations past that ack. *)
+let standby_state (pu : universe) (du : universe) =
+  let mapped =
+    List.filter_map
+      (fun (n, sg) ->
+        match Replica.parse_repl_gen_name n with
+        | Some p -> Some (p, sg, Replica.parse_repl_corr n)
+        | None -> None)
+      (Store.named du.machine.Machine.disk_store)
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  in
+  let acked = List.fold_left (fun a (p, _, _) -> max a p) 0 mapped in
+  let pgens = Store.generations pu.machine.Machine.disk_store in
+  let rpo = List.length (List.filter (fun g -> g > acked) pgens) in
+  (mapped, acked, rpo)
+
 (* `sls timeline DST`: merge the primary's flight recorder and the
    standby's durable replication state into one Chrome trace — per-node
    process tracks, the same correlation id on both sides of every
@@ -489,18 +506,9 @@ let cmd_timeline path dst out =
       (Trace_error
          "primary flight recorder is empty: nothing checkpointed yet, or \
           the recorder ring was unreadable at boot");
-  let sstore = du.machine.Machine.disk_store in
-  let mapped =
-    List.filter_map
-      (fun (n, sg) ->
-        match Replica.parse_repl_gen_name n with
-        | Some p -> Some (p, sg, Replica.parse_repl_corr n)
-        | None -> None)
-      (Store.named sstore)
-  in
+  let mapped, acked, rpo = standby_state pu du in
   if mapped = [] then
     raise (Trace_error "standby holds no replicated generations");
-  let mapped = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) mapped in
   (* A standby-side import becomes durable the instant the primary saw
      its ACK (the session ACKs durability, not arrival), so the
      correlation id pairs each import with the primary's repl.ack
@@ -530,9 +538,6 @@ let cmd_timeline path dst out =
   let floor_us =
     match pevents with e :: _ -> Duration.to_us e.Recorder.ev_at | [] -> 0.
   in
-  let acked = List.fold_left (fun a (p, _, _) -> max a p) 0 mapped in
-  let pgens = Store.generations pu.machine.Machine.disk_store in
-  let rpo = List.length (List.filter (fun g -> g > acked) pgens) in
   let process ~pid name =
     Json.Obj
       [ ("name", String "process_name"); ("ph", String "M"); ("pid", Int pid);
@@ -842,12 +847,6 @@ let cmd_diff path gen_a gen_b json =
 
 (* --- replication commands --------------------------------------------- *)
 
-let write_universe_file path ~nvme ~apps =
-  Devarray.set_obs nvme None;
-  let oc = open_out_bin path in
-  Marshal.to_channel oc { uf_nvme = nvme; uf_apps = apps } [];
-  close_out oc
-
 (* `sls replicate DST`: attach a hot standby behind a (faulty) link,
    drive every committed generation through the replication session —
    retransmitting, resyncing — and write the standby device out as its
@@ -936,18 +935,10 @@ let cmd_replicate path dst pgid loss seed json =
 let cmd_failover primary dst json =
   let pu = load primary in
   let du = load dst in
-  let sstore = du.machine.Machine.disk_store in
-  let mapped =
-    List.filter_map
-      (fun (n, sg) -> Option.map (fun p -> (p, sg)) (Replica.parse_repl_gen_name n))
-      (Store.named sstore)
-  in
+  let mapped, acked, rpo = standby_state pu du in
   if mapped = [] then
     failwith "standby holds no replicated generations; nothing to promote";
-  let acked = List.fold_left (fun a (p, _) -> max a p) 0 mapped in
-  let pgens = Store.generations pu.machine.Machine.disk_store in
-  let rpo = List.length (List.filter (fun gn -> gn > acked) pgens) in
-  let promoted_gen = Store.latest sstore in
+  let promoted_gen = Store.latest du.machine.Machine.disk_store in
   let pids = List.map (fun (pid, _, _, _) -> pid) (Machine.ps du.machine) in
   if json then
     say_json
@@ -977,21 +968,12 @@ let cmd_crash path mid_pipeline =
        still draining: long enough for the black box's single-block
        write to land, short of the epoch's superblock becoming durable —
        the post-mortem then has lost epochs to name. *)
-    List.iter
-      (fun (_, g) ->
-        if Types.member_pids u.machine.Machine.kernel g <> [] then
-          ignore (Machine.checkpoint_now u.machine g ()))
-      u.apps;
+    checkpoint_running u ~durable:false;
     Machine.run u.machine (Duration.microseconds 20)
   end;
   Machine.crash u.machine;
   (* Save WITHOUT quiescing: exactly what the power failure left. *)
-  Devarray.set_obs u.machine.Machine.nvme None;
-  let oc = open_out_bin path in
-  Marshal.to_channel oc
-    { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
-    [];
-  close_out oc;
+  write_universe_file path ~nvme:u.machine.Machine.nvme ~apps:(List.map fst u.apps);
   say "power failure simulated; only durable device state survives";
   0
 
@@ -1011,13 +993,7 @@ let cmd_probe path expr json watch =
     let rounds = if watch then 5 else 1 in
     let round () =
       Machine.run u.machine (Duration.milliseconds 1);
-      List.iter
-        (fun (_, g) ->
-          if Types.member_pids u.machine.Machine.kernel g <> [] then begin
-            let b = Machine.checkpoint_now u.machine g () in
-            Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
-          end)
-        u.apps;
+      checkpoint_running u ~durable:true;
       Machine.drain_storage u.machine
     in
     let emit r =
@@ -1040,11 +1016,7 @@ let cmd_critpath path gen json =
   let u = load path in
   Span.clear (Machine.spans u.machine);
   Machine.run u.machine (Duration.milliseconds 1);
-  List.iter
-    (fun (_, g) ->
-      if Types.member_pids u.machine.Machine.kernel g <> [] then
-        ignore (Machine.checkpoint_now u.machine g ()))
-    u.apps;
+  checkpoint_running u ~durable:false;
   (* Finalization (and its ckpt.flush span) happens when the epoch
      retires from the pipeline, so drain before analyzing. *)
   Machine.drain_storage u.machine;

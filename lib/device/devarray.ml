@@ -27,27 +27,7 @@ let create ?sched ?stripes ?capacity_blocks ?faults ~clock ~profile name =
     match faults with
     | None -> Array.make stripes None
     | Some plan when Fault.is_none plan -> Array.make stripes None
-    | Some plan ->
-      let injectors =
-        Array.init stripes (fun i -> Some (Fault.injector ~dev_index:i plan))
-      in
-      (* The plan speaks logical block numbers and device indices;
-         resolve them through the stripe map. *)
-      List.iter
-        (fun b ->
-          if b < 0 then invalid_arg "Devarray.create: negative latent block";
-          match injectors.(b mod stripes) with
-          | Some inj -> Fault.add_latent inj (b / stripes)
-          | None -> ())
-        plan.Fault.latent_blocks;
-      List.iter
-        (fun d ->
-          if d >= 0 && d < stripes then
-            match injectors.(d) with
-            | Some inj -> Fault.set_dropped inj true
-            | None -> ())
-        plan.Fault.dropped_stripes;
-      injectors
+    | Some plan -> Array.init stripes (fun i -> Some (Fault.injector ~dev_index:i plan))
   in
   let devs =
     Array.init stripes (fun i ->

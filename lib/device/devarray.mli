@@ -31,9 +31,8 @@ val create : ?sched:Iosched.config -> ?stripes:int -> ?capacity_blocks:int ->
     ({!Iosched.Fifo} by default). [stripes] defaults to the profile's
     stripe count; [capacity_blocks] is the {e logical} capacity, split
     evenly. [faults] attaches a deterministic media-fault plan: each
-    device gets its own seeded {!Fault.injector}; the plan's logical
-    latent blocks and dropped stripe indices are resolved through the
-    stripe map. Raises [Invalid_argument] when [stripes < 1]. *)
+    device gets its own seeded {!Fault.injector}. Raises
+    [Invalid_argument] when [stripes < 1]. *)
 
 val set_obs : t -> Obs.t option -> unit
 (** Bind (or, with [None], detach) every stripe's instrumentation —

@@ -7,8 +7,6 @@ type plan = {
   transient_read_rate : float;
   transient_write_rate : float;
   corruption_rate : float;
-  latent_blocks : int list;
-  dropped_stripes : int list;
 }
 
 let check_rate name r =
@@ -16,20 +14,16 @@ let check_rate name r =
     invalid_arg (Printf.sprintf "Fault.plan: %s rate %g not in [0,1]" name r)
 
 let plan ?(seed = 42L) ?(transient_read = 0.) ?(transient_write = 0.)
-    ?(corruption = 0.) ?(latent_blocks = []) ?(dropped_stripes = []) () =
+    ?(corruption = 0.) () =
   check_rate "transient_read" transient_read;
   check_rate "transient_write" transient_write;
   check_rate "corruption" corruption;
-  List.iter
-    (fun b -> if b < 0 then invalid_arg "Fault.plan: negative latent block")
-    latent_blocks;
   { seed; transient_read_rate = transient_read;
-    transient_write_rate = transient_write; corruption_rate = corruption;
-    latent_blocks; dropped_stripes }
+    transient_write_rate = transient_write; corruption_rate = corruption }
 
 let is_none p =
   p.transient_read_rate = 0. && p.transient_write_rate = 0.
-  && p.corruption_rate = 0. && p.latent_blocks = [] && p.dropped_stripes = []
+  && p.corruption_rate = 0.
 
 (* --- errors ---------------------------------------------------------- *)
 

@@ -23,16 +23,14 @@
     - a {e dropped} device fails every command addressed to it. *)
 
 (** What a device array should suffer. Rates are per-block
-    probabilities in [0,1]; [latent_blocks] are {e logical} (array)
-    block numbers seeded as latent sector errors; [dropped_stripes]
-    are device indices that fail outright. *)
+    probabilities in [0,1]. Latent sectors and dropped devices are
+    injected on a live array ({!Devarray.inject_latent},
+    {!Devarray.drop_device}). *)
 type plan = private {
   seed : int64;
   transient_read_rate : float;
   transient_write_rate : float;
   corruption_rate : float;
-  latent_blocks : int list;
-  dropped_stripes : int list;
 }
 
 val plan :
@@ -40,12 +38,10 @@ val plan :
   ?transient_read:float ->
   ?transient_write:float ->
   ?corruption:float ->
-  ?latent_blocks:int list ->
-  ?dropped_stripes:int list ->
   unit ->
   plan
 (** All rates default to 0. Raises [Invalid_argument] on a rate
-    outside [0,1] or a negative latent block. *)
+    outside [0,1]. *)
 
 val is_none : plan -> bool
 
@@ -81,9 +77,7 @@ type injector
 
 val injector : ?dev_index:int -> plan -> injector
 (** [dev_index] (default 0) derives an independent stream per array
-    device from the plan's root seed. The plan's [latent_blocks] /
-    [dropped_stripes] are {e not} applied here — they are logical and
-    the array applies them through its stripe map. *)
+    device from the plan's root seed. *)
 
 val stats : injector -> stats
 

@@ -161,19 +161,10 @@ let kind_record_chunk = 1L
 let kind_page = 2L
 let kind_blob = 3L
 
-(* FNV-1a, for content-addressing byte blobs. *)
-let hash_string s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
 (* The same hash the dedup index uses, so a corrupted block's expected
    checksum doubles as a lookup key for a surviving duplicate. *)
 let checksum_content = function
-  | Blockdev.Data s -> hash_string s
+  | Blockdev.Data s -> Fnv.fnv1a s
   | Blockdev.Seed s -> Content.hash (Content.of_seed s)
   | Blockdev.Zero -> 0L
 
@@ -324,7 +315,7 @@ let encode_bbox ~seq payload =
   Serial.w_string w bbox_magic;
   Serial.w_int w seq;
   Serial.w_string w payload;
-  Serial.w_int64 w (hash_string payload);
+  Serial.w_int64 w (Fnv.fnv1a payload);
   Serial.contents w
 
 let decode_bbox data =
@@ -334,7 +325,7 @@ let decode_bbox data =
     else
       let seq = Serial.r_int r in
       let payload = Serial.r_string r in
-      if Serial.r_int64 r <> hash_string payload then None
+      if Serial.r_int64 r <> Fnv.fnv1a payload then None
       else Some (seq, payload)
   with
   | v -> v
@@ -403,7 +394,7 @@ let make ?(dedup = true) ?prot dev =
       gens = Hashtbl.create 16; commit_seq = 0; next_gen = 1;
       gentable_blocks = []; prev_gentable_blocks = [];
       gentable_mirror_blocks = []; prev_gentable_mirror_blocks = [];
-      gentable_csum = hash_string ""; open_gen = None; pending_pages = [];
+      gentable_csum = Fnv.fnv1a ""; open_gen = None; pending_pages = [];
       prot; csums = Hashtbl.create 4096; mirrors = Hashtbl.create 256;
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
@@ -439,7 +430,7 @@ let encode_superblock t =
   let payload = Serial.contents w in
   let outer = Serial.writer () in
   Serial.w_string outer payload;
-  Serial.w_int64 outer (hash_string payload);
+  Serial.w_int64 outer (Fnv.fnv1a payload);
   Serial.contents outer
 
 type superblock = {
@@ -455,7 +446,7 @@ type superblock = {
 let decode_superblock data =
   let outer = Serial.reader data in
   let payload = Serial.r_string outer in
-  if Serial.r_int64 outer <> hash_string payload then None
+  if Serial.r_int64 outer <> Fnv.fnv1a payload then None
   else
     let r = Serial.reader payload in
     if Serial.r_string r <> magic then None
@@ -818,7 +809,7 @@ let put_blob t ~oid ~index data =
      p.pv_blobs <- p.pv_blobs + 1;
      p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
    | None -> ());
-  let hash = hash_string data in
+  let hash = Fnv.fnv1a data in
   let block =
     match (if t.dedup_enabled then Dedup.find t.dedup ~hash else None) with
     | Some block ->
@@ -889,7 +880,7 @@ let write_superblock ?(after = Duration.zero) t =
   t.prev_gentable_mirror_blocks <- t.gentable_mirror_blocks;
   t.gentable_blocks <- List.map fst blocks;
   t.gentable_mirror_blocks <- List.map fst mirror_blocks;
-  t.gentable_csum <- hash_string table;
+  t.gentable_csum <- Fnv.fnv1a table;
   t.commit_seq <- t.commit_seq + 1;
   let slot = t.commit_seq mod superblock_slots in
   let not_before = Duration.max after (Duration.max table_done t.sb_horizon) in
@@ -984,7 +975,7 @@ let recover_refcounts t =
     let add hash = if Dedup.peek t.dedup ~hash = None then Dedup.add t.dedup ~hash ~block:b in
     match verified_read t b with
     | Blockdev.Seed s -> add (Content.hash (Content.of_seed s))
-    | Blockdev.Data d -> add (hash_string d)
+    | Blockdev.Data d -> add (Fnv.fnv1a d)
     | Blockdev.Zero -> ()
   in
   let rec attempt () =
@@ -1428,7 +1419,7 @@ let open_ ~dev =
       in
       let checked blocks =
         match read_table blocks with
-        | Some s when hash_string s = sb.sb_table_csum -> Some s
+        | Some s when Fnv.fnv1a s = sb.sb_table_csum -> Some s
         | Some _ | None -> None
       in
       let table =

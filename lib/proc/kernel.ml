@@ -34,14 +34,13 @@ type t = {
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;
 }
 
-let create ?clock ?fs ?capacity_pages ?(seed = 0xA407AL) () =
+let create ?clock ?capacity_pages () =
   let clock = match clock with Some c -> c | None -> Clock.create () in
-  let fs = match fs with Some fs -> fs | None -> Memfs.create () in
   let t =
     { clock; pool = Frame.create_pool ?capacity_pages (); registry = Registry.create ();
-      netstack = Netstack.create (); fs; unix_ns = Hashtbl.create 8;
+      netstack = Netstack.create (); fs = Memfs.create (); unix_ns = Hashtbl.create 8;
       procs = Hashtbl.create 16; next_pid = 1; containers = Hashtbl.create 4;
-      next_cid = 1; obs = Obs.create clock; prng = Prng.create ~seed;
+      next_cid = 1; obs = Obs.create clock; prng = Prng.create ~seed:0xA407AL;
       send_hook = None; sls_ops = None }
   in
   Hashtbl.replace t.containers 0 Container.host;

@@ -50,7 +50,7 @@ type t = {
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;
 }
 
-val create : ?clock:Clock.t -> ?fs:Memfs.t -> ?capacity_pages:int -> ?seed:int64 -> unit -> t
+val create : ?clock:Clock.t -> ?capacity_pages:int -> unit -> t
 
 val charge : t -> Duration.t -> unit
 (** Advance the clock (application compute, kernel work). *)

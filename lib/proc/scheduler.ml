@@ -138,7 +138,11 @@ let run k ~until =
   in
   loop ()
 
-let run_until_idle k ?(max_steps = 10_000_000) () =
+(* Step budget of [run_until_idle]: a guard against livelock in buggy
+   programs. *)
+let max_steps = 10_000_000
+
+let run_until_idle k =
   let steps = ref 0 in
   let rec loop () =
     if live_thread_count k = 0 then All_exited

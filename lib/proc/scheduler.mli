@@ -27,6 +27,6 @@ val run : Kernel.t -> until:Duration.t -> stop_reason
 (** Run the machine to the given absolute simulated time (or until it
     idles / empties). *)
 
-val run_until_idle : Kernel.t -> ?max_steps:int -> unit -> stop_reason
-(** Run until no thread can progress. [max_steps] (default 10 million)
-    guards against livelock in buggy programs. *)
+val run_until_idle : Kernel.t -> stop_reason
+(** Run until no thread can progress. Raises [Invalid_argument] after
+    10 million steps, a guard against livelock in buggy programs. *)

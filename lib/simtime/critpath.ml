@@ -84,7 +84,7 @@ let find_root all ?gen () =
       | None -> Error "no finalized checkpoint generation in the span tree"
       | Some c -> Ok c)
 
-let analyze spans ?gen ?(extra = []) () =
+let analyze spans ?gen () =
   let all = Span.spans spans in
   match find_root all ?gen () with
   | Error e -> Error e
@@ -244,7 +244,6 @@ let analyze spans ?gen ?(extra = []) () =
           ("io_flush", cls_overlap "flush");
           ("io_bg", cls_overlap "bg");
           ("io_deadline", cls_overlap "deadline") ]
-        @ extra
         |> List.filter (fun (_, us) -> us > 0.)
         |> List.map (fun (an_name, an_us) -> { an_name; an_us })
         |> List.sort (fun a b -> compare b.an_us a.an_us)

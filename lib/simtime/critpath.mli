@@ -28,8 +28,11 @@
     are measured (work that shares the window without being on the
     chain): backpressure waits ([ckpt.backpressure]), recorder tax
     ([ckpt.recorder]), replication shipping ([repl.ship]),
-    out-of-band black-box writes ([dev.oob]), plus caller-supplied
-    estimates (mirror-write amplification from provenance). *)
+    out-of-band black-box writes ([dev.oob]) and competing device
+    traffic by I/O class. Mirror-write amplification rides inside the
+    commit's own transfers, so the span tree cannot see it;
+    [Machine.critical_path] adds that estimate from the
+    generation's provenance. *)
 
 type segment = {
   sg_name : string;      (** quiesce, serialize, cow_mark, prep, flush.<dev>, superblock *)
@@ -53,13 +56,11 @@ type report = {
   cp_antagonists : antagonist list; (** sorted, largest first *)
 }
 
-val analyze : Span.t -> ?gen:int -> ?extra:(string * float) list -> unit ->
-  (report, string) result
+val analyze : Span.t -> ?gen:int -> unit -> (report, string) result
 (** Analyze generation [gen] (default: the newest generation with a
-    finalized flush span). [extra] appends caller-computed antagonist
-    estimates as [(name, us)]. Errors are human-readable: no
-    checkpoint spans, unknown generation, or a generation whose flush
-    never finalized. *)
+    finalized flush span). Errors are human-readable: no checkpoint
+    spans, unknown generation, or a generation whose flush never
+    finalized. *)
 
 val top_antagonist : report -> antagonist option
 

@@ -1,8 +1,15 @@
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
+(* The one edge set every histogram shares: strictly increasing upper
+   edges, 1us .. 1s, roughly 1-2-5 per decade, so a 10 us quiesce and a
+   100 ms degraded flush resolve on the same axis. *)
+let bounds =
+  [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.;
+     1_000.; 2_000.; 5_000.; 10_000.; 20_000.; 50_000.;
+     100_000.; 200_000.; 500_000.; 1_000_000. |]
+
 type histogram = {
-  bounds : float array;            (* strictly increasing upper edges *)
   counts : int array;              (* length bounds + 1; last = overflow *)
   mutable n : int;
   mutable sum : float;
@@ -67,32 +74,13 @@ let gauge t name =
     register t name (Mgauge g);
     g
 
-(* 1us .. 1s, roughly 1-2-5 per decade: resolves both a 10 us quiesce
-   and a 100 ms degraded flush on the same axis. *)
-let default_duration_bounds_us =
-  [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.;
-     1_000.; 2_000.; 5_000.; 10_000.; 20_000.; 50_000.;
-     100_000.; 200_000.; 500_000.; 1_000_000. |]
-
-let check_bounds bounds =
-  let n = Array.length bounds in
-  if n = 0 then invalid_arg "Metrics.histogram: empty bounds";
-  for i = 0 to n - 1 do
-    if not (Float.is_finite bounds.(i)) then
-      invalid_arg "Metrics.histogram: non-finite bound";
-    if i > 0 && bounds.(i) <= bounds.(i - 1) then
-      invalid_arg "Metrics.histogram: bounds must be strictly increasing"
-  done
-
-let histogram t ?(bounds = default_duration_bounds_us) name =
+let histogram t name =
   match Hashtbl.find_opt t.tbl name with
   | Some (Mhistogram h) -> h
   | Some m -> mismatch name m "histogram"
   | None ->
-    check_bounds bounds;
     let h =
-      { bounds = Array.copy bounds;
-        counts = Array.make (Array.length bounds + 1) 0;
+      { counts = Array.make (Array.length bounds + 1) 0;
         n = 0; sum = 0.0; vmax = Float.neg_infinity }
     in
     register t name (Mhistogram h);
@@ -114,14 +102,14 @@ let value g = g.g
 (* First bucket whose upper edge is >= v; the overflow bucket
    otherwise. Linear scan: bucket arrays are ~20 entries and the
    common phase durations land in the first few probes. *)
-let bucket_index bounds v =
+let bucket_index v =
   let n = Array.length bounds in
   let i = ref 0 in
   while !i < n && v > bounds.(!i) do Stdlib.incr i done;
   !i
 
 let observe h v =
-  let i = bucket_index h.bounds v in
+  let i = bucket_index v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum +. v;
@@ -134,9 +122,9 @@ let hist_sum h = h.sum
 let hist_mean h = if h.n = 0 then Float.nan else h.sum /. float_of_int h.n
 
 let bucket_counts h =
-  let nb = Array.length h.bounds in
+  let nb = Array.length bounds in
   List.init (nb + 1) (fun i ->
-      ((if i < nb then h.bounds.(i) else Float.infinity), h.counts.(i)))
+      ((if i < nb then bounds.(i) else Float.infinity), h.counts.(i)))
 
 (* [max_seen] is the largest sample ever observed. Ranks landing in
    the overflow bucket report it instead of the last finite edge (a
@@ -144,7 +132,7 @@ let bucket_counts h =
    under-reporting p99/p100), and every interpolated estimate is
    clamped to it (a rank at the very top of a bucket cannot exceed
    what was actually seen). *)
-let quantile_of ~bounds ~counts ~n ?(max_seen = Float.nan) q =
+let quantile_of ~counts ~n ?(max_seen = Float.nan) q =
   if n = 0 then Float.nan
   else begin
     let q = Float.max 0.0 (Float.min 1.0 q) in
@@ -175,7 +163,7 @@ let quantile_of ~bounds ~counts ~n ?(max_seen = Float.nan) q =
   end
 
 let quantile h q =
-  quantile_of ~bounds:h.bounds ~counts:h.counts ~n:h.n ~max_seen:h.vmax q
+  quantile_of ~counts:h.counts ~n:h.n ~max_seen:h.vmax q
 
 (* --- snapshot / export ----------------------------------------------- *)
 
@@ -195,7 +183,7 @@ let value_of = function
   | Mgauge g -> Gauge g.g
   | Mhistogram h ->
     Histogram
-      { bounds = Array.copy h.bounds; counts = Array.copy h.counts;
+      { bounds = Array.copy bounds; counts = Array.copy h.counts;
         count = h.n; sum = h.sum;
         max_seen = (if h.n = 0 then Float.nan else h.vmax) }
 
@@ -216,7 +204,7 @@ let json_of_value : value -> Json.t = function
       List.map
         (fun q ->
           ( Printf.sprintf "p%g" (q *. 100.),
-            Json.Float (quantile_of ~bounds ~counts ~n:count ~max_seen q) ))
+            Json.Float (quantile_of ~counts ~n:count ~max_seen q) ))
         [ 0.5; 0.95; 0.99 ]
     in
     let bucket i =

@@ -34,14 +34,11 @@ val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 
-val histogram : t -> ?bounds:float array -> string -> histogram
-(** [bounds] are the inclusive upper edges of the finite buckets,
-    strictly increasing; an implicit overflow bucket catches
-    everything above the last edge. Defaults to log-spaced edges
-    from 1 us to 1 s, suited to phase durations. Re-registering an existing
-    histogram ignores [bounds] and returns the existing handle;
-    registering a fresh one with empty or non-increasing bounds raises
-    [Invalid_argument]. *)
+val histogram : t -> string -> histogram
+(** Every histogram has the same inclusive upper bucket edges, 1-2-5
+    per decade from 1 us to 1 s (1, 2, 5, 10, ..., 500,000, 1,000,000),
+    suited to phase durations; an implicit overflow bucket catches
+    everything above the last edge. *)
 
 (* --- hot path -------------------------------------------------------- *)
 

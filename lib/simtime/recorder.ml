@@ -23,9 +23,10 @@ type blackbox = {
    always fits the store's single-block slot. *)
 let max_capture_marks = 64
 
+let capacity = 256
+
 type t = {
   clock : Clock.t;
-  capacity : int;
   ring : event option array;       (* circular, [head] = next write slot *)
   mutable head : int;
   mutable len : int;
@@ -39,28 +40,26 @@ type t = {
   mutable bb_seq : int;                (* black-box export counter *)
 }
 
-let create ?(capacity = 256) clock =
-  if capacity <= 0 then invalid_arg "Recorder.create: capacity <= 0";
-  { clock; capacity; ring = Array.make capacity None; head = 0; len = 0;
+let create clock =
+  { clock; ring = Array.make capacity None; head = 0; len = 0;
     seq = 0; dropped = 0; crash = None; marks = []; repl = false; acked = -1;
     shipped = []; bb_seq = 0 }
 
-let capacity t = t.capacity
 let occupancy t = t.len
 let dropped t = t.dropped
 
 let events t =
-  let first = (t.head - t.len + t.capacity * 2) mod t.capacity in
+  let first = (t.head - t.len + capacity * 2) mod capacity in
   List.init t.len (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
+      match t.ring.((first + i) mod capacity) with
       | Some e -> e
       | None -> assert false)
 
 let push t e =
-  if t.len >= t.capacity then t.dropped <- t.dropped + 1
+  if t.len >= capacity then t.dropped <- t.dropped + 1
   else t.len <- t.len + 1;
   t.ring.(t.head) <- Some e;
-  t.head <- (t.head + 1) mod t.capacity
+  t.head <- (t.head + 1) mod capacity
 
 let log t ?(gen = -1) ?(attrs = []) ~kind detail =
   let e =
@@ -173,18 +172,10 @@ let acked_gen t = if t.acked < 0 then None else Some t.acked
 let shipped_unacked t = t.shipped
 
 (* --- self-contained binary serialization -----------------------------
-   This library depends only on [fmt], so the recorder carries its own
+   This library sits below [Serial], so the recorder carries its own
    writer/reader: fixed-width 64-bit ints (big-endian), length-prefixed
    strings, an FNV-1a checksum over the payload, and a magic per
    format. Durations serialize as their nanosecond count. *)
-
-let fnv1a s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
 
 let w_i64 b v =
   for i = 7 downto 0 do
@@ -244,7 +235,7 @@ let seal ~magic payload =
   Buffer.add_string b magic;
   w_int b (String.length payload);
   Buffer.add_string b payload;
-  w_i64 b (fnv1a payload);
+  w_i64 b (Fnv.fnv1a payload);
   Buffer.contents b
 
 let unseal ~magic blob =
@@ -263,7 +254,7 @@ let unseal ~magic blob =
       (payload, csum)
     with
     | payload, csum ->
-      if fnv1a payload <> csum then Error "checksum mismatch" else Ok payload
+      if Fnv.fnv1a payload <> csum then Error "checksum mismatch" else Ok payload
     | exception Corrupt msg -> Error msg
   end
 
@@ -329,7 +320,7 @@ let import_into t blob =
       (seq, dropped, crash, repl, acked, shipped, marks, evs)
     with
     | seq, dropped, crash, repl, acked, shipped, marks, evs ->
-      Array.fill t.ring 0 t.capacity None;
+      Array.fill t.ring 0 capacity None;
       t.head <- 0;
       t.len <- 0;
       t.seq <- seq;

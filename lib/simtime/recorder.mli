@@ -57,11 +57,12 @@ type blackbox = {
 
 type t
 
-val create : ?capacity:int -> Clock.t -> t
-(** [capacity] (default 256) bounds retained events; once full the
-    oldest events are overwritten and {!dropped} counts them. *)
+val create : Clock.t -> t
 
-val capacity : t -> int
+val capacity : int
+(** Events the ring retains (256); once full the oldest events are
+    overwritten and {!dropped} counts them. *)
+
 val occupancy : t -> int
 (** Events currently retained. *)
 

@@ -9,9 +9,11 @@ type span = {
   mutable attrs : (string * string) list;
 }
 
+(* Retained spans; once full, new spans are timed but not kept. *)
+let capacity = 262_144
+
 type t = {
   clock : Clock.t;
-  capacity : int;
   mutable rev : span list;           (* retained spans, newest first *)
   mutable len : int;
   mutable cache : span list option;  (* memoized [List.rev rev] *)
@@ -21,15 +23,14 @@ type t = {
   mutable orphans : int;
 }
 
-let create ?(capacity = 262_144) clock =
-  if capacity <= 0 then invalid_arg "Span.create: capacity <= 0";
-  { clock; capacity; rev = []; len = 0; cache = None; stack = [];
+let create clock =
+  { clock; rev = []; len = 0; cache = None; stack = [];
     next_id = 0; dropped = 0; orphans = 0 }
 
 let duration s = Duration.sub s.end_at s.start_at
 
 let retain t s =
-  if t.len >= t.capacity then t.dropped <- t.dropped + 1
+  if t.len >= capacity then t.dropped <- t.dropped + 1
   else begin
     t.rev <- s :: t.rev;
     t.len <- t.len + 1;

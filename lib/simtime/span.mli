@@ -26,10 +26,9 @@ type span = {
   mutable attrs : (string * string) list;
 }
 
-val create : ?capacity:int -> Clock.t -> t
-(** [capacity] (default 262144) bounds retained spans; once full, new
-    spans are still timed and returned but not retained, and
-    {!dropped} counts them. *)
+val create : Clock.t -> t
+(** At most 262,144 spans are retained; once full, new spans are still
+    timed and returned but not retained, and {!dropped} counts them. *)
 
 val start : t -> ?track:string -> ?attrs:(string * string) list -> string -> span
 (** Open a span at the clock's current instant, parented to the

@@ -21,7 +21,6 @@ let add t x =
 
 let add_duration t d = add t (Duration.to_us d)
 let count t = t.count
-let total t = t.total
 let mean t = if t.count = 0 then Float.nan else t.total /. float_of_int t.count
 let min_value t = if t.count = 0 then Float.nan else t.min_v
 let max_value t = if t.count = 0 then Float.nan else t.max_v

@@ -11,7 +11,6 @@ val add_duration : t -> Duration.t -> unit
 (** Records the duration in microseconds. *)
 
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 (** [nan] when empty. *)
 

@@ -161,8 +161,7 @@ let attribution (k : Kernel.t) (g : Types.pgroup) ~gen
     at_procs = proc_rows;
   }
 
-let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
-    ?flush_cls () =
+let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
   let store =
     match Types.primary_store g with
     | Some s -> s
@@ -224,8 +223,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
   let lazy_data_copy = Duration.sub (Clock.now clock) arm_started in
   ignore (Span.finish spans s_cow ~attrs:[ ("pages", string_of_int pages_captured) ]);
   let stop_time = Duration.sub (Clock.now clock) barrier_at in
-  g.Types.last_barrier <- barrier_at;
-  Stats.add_duration g.Types.stop_stats stop_time;
 
   (* --- background: flush into the object store ----------------------- *)
   (* The orchestrator core does this work while the application runs;
@@ -327,9 +324,8 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
                  (item.Vmobject.pindex, Content.to_seed item.Vmobject.content))
                items))
         captures;
-      if with_fs then
-        Aurora_slsfs.Slsfs.checkpoint_fs store k.Kernel.fs
-          ~popen_of_vid:(persistent_opens k g);
+      Aurora_slsfs.Slsfs.checkpoint_fs store k.Kernel.fs
+        ~popen_of_vid:(persistent_opens k g);
       Store.commit store ?name ?cls:flush_cls ()
     with
     | gen', durable_at ->

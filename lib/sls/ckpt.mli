@@ -27,7 +27,6 @@ val capture :
   Types.pgroup ->
   ?mode:[ `Full | `Incremental ] ->
   ?name:string ->
-  ?with_fs:bool ->
   ?flush_cls:Aurora_device.Iosched.cls ->
   unit ->
   Types.ckpt_breakdown
@@ -37,8 +36,8 @@ val capture :
     yet durable ([durable_at] is in the future). The caller owns
     calling {!finalize} once the clock passes [durable_at] — the
     machine keeps a bounded pipeline of such epochs in flight.
-    [mode] defaults to the group's configured [incremental] flag;
-    [with_fs] (default true) also checkpoints the file system.
+    [mode] defaults to the group's configured [incremental] flag.
+    The file system is checkpointed with the group.
     [flush_cls] is the I/O class of the epoch's flush extents
     (default [Flush]; the machine promotes to [Deadline] when the
     pipeline window is full and the caller will quiesce on this

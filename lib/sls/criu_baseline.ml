@@ -39,7 +39,6 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
   in
   let lazy_data_copy = Duration.sub (Clock.now clock) copy_started in
   let stop_time = Duration.sub (Clock.now clock) barrier_at in
-  Stats.add_duration g.Types.stop_stats stop_time;
   let gen = Store.begin_generation store () in
   Store.put_record store ~oid:(Oidspace.manifest g.Types.pgid) records.Serialize.manifest;
   List.iter (fun (oid, record) -> Store.put_record store ~oid record)

@@ -127,7 +127,7 @@ let sync_metrics t =
    | None -> ());
   set "trace.spans_dropped" (Span.dropped (spans t));
   set "trace.span_orphans" (Span.orphan_finishes (spans t));
-  set "recorder.capacity" (Recorder.capacity (recorder t));
+  set "recorder.capacity" Recorder.capacity;
   set "recorder.occupancy" (Recorder.occupancy (recorder t));
   set "recorder.dropped" (Recorder.dropped (recorder t));
   set "ckpt.inflight_gens"
@@ -197,9 +197,6 @@ let create ?(storage_profile = Profile.optane_900p) ?stripes ?capacity_pages
 
 (* --- persistence groups --------------------------------------------- *)
 
-let disk_backend t = { Types.store = t.disk_store; kind = `Disk }
-let memory_backend t = { Types.store = t.mem_store; kind = `Memory }
-
 let persist_unattached t ?(interval = Duration.milliseconds 10) target =
   let g = Types.make_pgroup ~pgid:t.next_pgid ~target ~interval in
   g.Types.next_ckpt_at <- Duration.add (now t) interval;
@@ -207,19 +204,15 @@ let persist_unattached t ?(interval = Duration.milliseconds 10) target =
   t.pgroups <- t.pgroups @ [ g ];
   g
 
-let persist t ?interval ?(incremental = true) target =
+let persist t ?interval target =
   let g = persist_unattached t ?interval target in
-  g.Types.incremental <- incremental;
-  g.Types.backends <- [ disk_backend t ];
+  g.Types.backends <- [ t.disk_store ];
   g
 
-let attach _t g backend = g.Types.backends <- g.Types.backends @ [ backend ]
+let attach _t g store = g.Types.backends <- g.Types.backends @ [ store ]
 
-(* Backend records are built on demand ([memory_backend] makes a fresh
-   one per call), so a backend is identified by its store. *)
-let detach _t g backend =
-  g.Types.backends <-
-    List.filter (fun b -> b.Types.store != backend.Types.store) g.Types.backends
+let detach _t g store =
+  g.Types.backends <- List.filter (fun s -> s != store) g.Types.backends
 
 (* --- checkpoints ----------------------------------------------------- *)
 
@@ -241,6 +234,17 @@ let complete_one t (pc : Types.pending_ckpt) =
   Ckpt.finalize t.kernel pc.Types.pc_group pc.Types.pc_b;
   ignore (gc_history t)
 
+(* Block until the oldest in-flight epoch is durable, then retire it. *)
+let retire_oldest t =
+  match t.pending_ckpts with
+  | [] -> ()
+  | pc :: rest ->
+    (match Types.primary_store pc.Types.pc_group with
+     | Some s -> Store.wait_durable s pc.Types.pc_b.Types.durable_at
+     | None -> Clock.advance_to (clock t) pc.Types.pc_b.Types.durable_at);
+    t.pending_ckpts <- rest;
+    complete_one t pc
+
 (* Retire every epoch the clock has already passed. Oldest first —
    superblock ordering makes durability times ascending, so the prefix
    test terminates at the first still-volatile epoch. *)
@@ -257,16 +261,10 @@ let complete_due t =
 
 (* Drain the whole pipeline: block on each epoch's durability in
    order. *)
-let rec drain_pipeline t =
-  match t.pending_ckpts with
-  | [] -> ()
-  | pc :: rest ->
-    (match Types.primary_store pc.Types.pc_group with
-     | Some s -> Store.wait_durable s pc.Types.pc_b.Types.durable_at
-     | None -> Clock.advance_to (clock t) pc.Types.pc_b.Types.durable_at);
-    t.pending_ckpts <- rest;
-    complete_one t pc;
-    drain_pipeline t
+let drain_pipeline t =
+  while t.pending_ckpts <> [] do
+    retire_oldest t
+  done
 
 let drain_storage t =
   (* Advance time without scheduling the applications (they would keep
@@ -320,12 +318,12 @@ let checkpoint_now t g ?mode ?name () =
      Option.iter
        (fun primary ->
          List.iter
-           (fun (backend : Types.backend) ->
-             if backend.Types.store != primary then
+           (fun store ->
+             if store != primary then
                let image =
                  Sendrecv.export primary ~gen:b.Types.gen ~pgid:g.Types.pgid ()
                in
-               ignore (Sendrecv.import backend.Types.store image))
+               ignore (Sendrecv.import store image))
            g.Types.backends)
        (Types.primary_store g);
      (* Auto-ship to the hot standby: the replication session drives
@@ -351,14 +349,7 @@ let checkpoint_now t g ?mode ?name () =
      t.pending_ckpts <- t.pending_ckpts @ [ { Types.pc_group = g; pc_b = b } ];
      let bp_started = now t in
      while List.length t.pending_ckpts >= window do
-       match t.pending_ckpts with
-       | [] -> assert false
-       | pc :: rest ->
-         (match Types.primary_store pc.Types.pc_group with
-          | Some s -> Store.wait_durable s pc.Types.pc_b.Types.durable_at
-          | None -> Clock.advance_to (clock t) pc.Types.pc_b.Types.durable_at);
-         t.pending_ckpts <- rest;
-         complete_one t pc
+       retire_oldest t
      done;
      backpressure := Duration.sub (now t) bp_started;
      (* A non-zero wait leaves a span on the pipeline track: the
@@ -440,7 +431,7 @@ let run_until_idle t =
     else begin
       complete_due t;
       ignore (Extconsist.release_due t.extcons);
-      match Scheduler.run_until_idle t.kernel () with
+      match Scheduler.run_until_idle t.kernel with
       | Scheduler.All_exited | Scheduler.Idle ->
         if Extconsist.pending t.extcons > 0 then begin
           (* Let a checkpoint cover and release the buffered output;
@@ -541,7 +532,7 @@ let enable_recording t g =
 let restore_group t g ?gen ?policy ?from () =
   let store =
     match from with
-    | Some (b : Types.backend) -> b.Types.store
+    | Some s -> s
     | None -> (
       match Types.primary_store g with
       | Some s -> s
@@ -750,11 +741,10 @@ let recover t = boot_exn ~max_inflight_ckpts:t.max_inflight_ckpts ~nvme:t.nvme (
 
 (* --- replication ------------------------------------------------------- *)
 
-let attach_standby t ?faults ?(link_profile = Profile.net_10gbe) ?ack_timeout
-    ?max_attempts ?standby_dev g =
+let attach_standby t ?faults ?ack_timeout ?max_attempts ?standby_dev g =
   if t.standby <> None then
     invalid_arg "Machine.attach_standby: a standby is already attached";
-  let link = Netlink.create ?faults ~clock:(clock t) ~profile:link_profile () in
+  let link = Netlink.create ?faults ~clock:(clock t) ~profile:Profile.net_10gbe () in
   let store =
     match standby_dev with
     | Some dev ->

@@ -156,8 +156,7 @@ val last_attribution : Types.pgroup -> Types.ckpt_attribution option
 
 (* --- persistence groups (the Table 1 CLI surface) ------------------- *)
 
-val persist :
-  t -> ?interval:Duration.t -> ?incremental:bool -> Types.target -> Types.pgroup
+val persist : t -> ?interval:Duration.t -> Types.target -> Types.pgroup
 (** `sls persist`: register an application for transparent persistence
     (default interval 10 ms, incremental). The disk store is attached
     automatically as the primary backend. *)
@@ -165,12 +164,11 @@ val persist :
 val persist_unattached : t -> ?interval:Duration.t -> Types.target -> Types.pgroup
 (** A group with no backends (attach explicitly). *)
 
-val attach : t -> Types.pgroup -> Types.backend -> unit
-val detach : t -> Types.pgroup -> Types.backend -> unit
-(** Removes every backend writing to [backend]'s store. *)
+val attach : t -> Types.pgroup -> Store.t -> unit
+(** Append a backend store ([m.mem_store] for the memory backend). *)
 
-val memory_backend : t -> Types.backend
-val disk_backend : t -> Types.backend
+val detach : t -> Types.pgroup -> Store.t -> unit
+(** Remove every attachment of the store. *)
 
 val checkpoint_now :
   t -> Types.pgroup -> ?mode:[ `Full | `Incremental ] -> ?name:string -> unit ->
@@ -200,10 +198,11 @@ val run_until_idle : t -> unit
 
 val restore_group :
   t -> Types.pgroup -> ?gen:Store.gen -> ?policy:Types.restore_policy ->
-  ?from:Types.backend -> unit -> int list * Types.restore_breakdown
+  ?from:Store.t -> unit -> int list * Types.restore_breakdown
 (** `sls restore`: (re)create the group's processes from a checkpoint
-    (default: the latest generation of the primary backend). Existing
-    member processes are killed first. *)
+    in the store [from] (default: the group's primary backend), at
+    [gen] (default: that store's latest generation). Existing member
+    processes are killed first. *)
 
 val clone_group :
   t -> Types.pgroup -> ?gen:Store.gen -> ?policy:Types.restore_policy -> unit ->
@@ -236,7 +235,6 @@ val rollback_and_replay : t -> Types.pgroup -> int list * int
 val attach_standby :
   t ->
   ?faults:Netlink.fault_plan ->
-  ?link_profile:Profile.t ->
   ?ack_timeout:Duration.t ->
   ?max_attempts:int ->
   ?standby_dev:Devarray.t ->
@@ -244,7 +242,7 @@ val attach_standby :
   Replica.t
 (** Attach a hot standby for the group: a fresh single-stripe device
     array (same storage profile as the primary) behind a {!Netlink}
-    link (default profile 10 GbE) carrying the optional [faults] plan,
+    link (10 GbE profile) carrying the optional [faults] plan,
     and a {!Replica} session through it. Every subsequent committed
     checkpoint of the group auto-ships through the session (see
     {!checkpoint_now}). [standby_dev] re-attaches an existing standby

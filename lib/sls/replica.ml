@@ -78,7 +78,7 @@ let encode_frame ~sid p =
   let w = Serial.writer () in
   Serial.w_string w frame_magic;
   Serial.w_int w sid;
-  Serial.w_int64 w (Sendrecv.checksum body);
+  Serial.w_int64 w (Fnv.fnv1a body);
   Serial.w_string w body;
   Serial.contents w
 
@@ -91,7 +91,7 @@ let decode_frame raw =
     let crc = Serial.r_int64 r in
     let body = Serial.r_string r in
     Serial.expect_end r;
-    if not (Int64.equal (Sendrecv.checksum body) crc) then
+    if not (Int64.equal (Fnv.fnv1a body) crc) then
       raise (Serial.Corrupt "frame checksum mismatch");
     (sid, decode_payload body)
   with
@@ -138,7 +138,6 @@ type t = {
   sid : int;
   ack_timeout : Duration.t;
   max_attempts : int;
-  max_backoff : Duration.t;
   prng : Prng.t;  (* retransmission jitter *)
   obs : Obs.t option;
   mutable next_seq : int;
@@ -199,14 +198,16 @@ let scan_mapping standby =
 
 let session_counter = ref 0
 
+(* Ceiling of the doubling retransmission timeout. *)
+let max_backoff = Duration.milliseconds 40
+
 let bump t f = t.st <- f t.st
 
 let metric_incr t name =
   Option.iter (fun (o : Obs.t) -> Metrics.incr (Metrics.counter o.Obs.metrics name)) t.obs
 
-let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
-    ?(max_backoff = Duration.milliseconds 40) ?obs ~link
-    ~primary_side ~primary ~standby () =
+let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10) ?obs
+    ~link ~primary_side ~primary ~standby () =
   if max_attempts < 1 then invalid_arg "Replica.establish: max_attempts < 1";
   incr session_counter;
   let map = scan_mapping standby in
@@ -235,7 +236,7 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
     link; primary_side; primary; standby;
     clock = Devarray.clock (Store.device primary);
     sid = !session_counter;
-    ack_timeout; max_attempts; max_backoff;
+    ack_timeout; max_attempts;
     prng = Prng.create ~seed:(Int64.of_int (0x5EED + !session_counter));
     obs;
     next_seq = 1;
@@ -520,7 +521,7 @@ let ship t ~gen ~pgid =
           bump t (fun s -> { s with retransmits = s.retransmits + 1 });
           metric_incr t "repl.retransmits";
           send_frame t ~from_:t.primary_side !frame;
-          timeout := Duration.min t.max_backoff (Duration.scale !timeout 2);
+          timeout := Duration.min max_backoff (Duration.scale !timeout 2);
           await (Duration.add (Clock.now t.clock) (Duration.add !timeout (jitter ())))
         end
     in

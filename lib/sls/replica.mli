@@ -50,7 +50,6 @@ type stats = {
 val establish :
   ?ack_timeout:Duration.t ->
   ?max_attempts:int ->
-  ?max_backoff:Duration.t ->
   ?obs:Obs.t ->
   link:Netlink.t ->
   primary_side:Netlink.side ->
@@ -60,7 +59,7 @@ val establish :
   t
 (** Open a session. [ack_timeout] (default 5 ms) is the initial
     retransmission timeout; it doubles per retry (plus deterministic
-    jitter) up to [max_backoff] (default 40 ms); [max_attempts]
+    jitter) up to 40 ms; [max_attempts]
     (default 10) bounds transmissions of one frame. Replication state
     the standby store already carries (["repl.gen:*"] names) is
     recovered, so the session resumes where a predecessor stopped.

@@ -5,20 +5,8 @@ open Aurora_objstore
 let magic = "AURORA-IMAGE-v2"
 let page_padding = String.make (Aurora_device.Blockdev.block_size - 8) '\000'
 
-(* FNV-1a, 64-bit. The image travels over wires and through files the
-   store's per-block checksums never see; one digest over the whole
-   body turns any in-flight bit flip into a typed [Bad_image] instead
-   of a silently-imported corrupt generation. *)
-let checksum s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
 (* Object ids whose records make up the group's checkpoint. *)
-let image_oids store ~gen ~pgid ~with_fs =
+let image_oids store ~gen ~pgid =
   let manifest_oid = Oidspace.manifest pgid in
   let manifest =
     match Store.read_record store gen ~oid:manifest_oid with
@@ -62,30 +50,28 @@ let image_oids store ~gen ~pgid ~with_fs =
     (fun oid -> record_oids := Oidspace.kobj oid :: !record_oids)
     manifest.Serialize.kobj_oids;
   let vnode_oids =
-    if not with_fs then []
-    else
-      match Store.read_record store gen ~oid:Oidspace.fs_manifest_oid with
-      | None -> []
-      | Some data ->
-        let r = Serial.reader data in
-        let root_vid = Serial.r_int r in
-        let _paths =
-          Serial.r_list r (fun r ->
-              let _ = Serial.r_string r in
-              let _ = Serial.r_int r in
-              let _ = Serial.r_u8 r in
-              ())
-        in
-        let vids = Serial.r_list r Serial.r_int in
-        record_oids := Oidspace.fs_manifest_oid :: !record_oids;
-        List.filter_map
-          (fun vid -> if vid = root_vid then None else Some (Oidspace.vnode vid))
-          vids
+    match Store.read_record store gen ~oid:Oidspace.fs_manifest_oid with
+    | None -> []
+    | Some data ->
+      let r = Serial.reader data in
+      let root_vid = Serial.r_int r in
+      let _paths =
+        Serial.r_list r (fun r ->
+            let _ = Serial.r_string r in
+            let _ = Serial.r_int r in
+            let _ = Serial.r_u8 r in
+            ())
+      in
+      let vids = Serial.r_list r Serial.r_int in
+      record_oids := Oidspace.fs_manifest_oid :: !record_oids;
+      List.filter_map
+        (fun vid -> if vid = root_vid then None else Some (Oidspace.vnode vid))
+        vids
   in
   record_oids := vnode_oids @ !record_oids;
   (List.rev !record_oids, List.rev_map Oidspace.vmobj !vm_oids, vnode_oids)
 
-let export store ~gen ~pgid ?base ?(with_fs = true) () =
+let export store ~gen ~pgid ?base () =
   (* Image reads are replication traffic, not application reads: demote
      them so a concurrent ship does not steal the reserved foreground
      gaps from the application's own page faults. *)
@@ -93,7 +79,7 @@ let export store ~gen ~pgid ?base ?(with_fs = true) () =
   Store.set_read_class store Iosched.Background;
   Fun.protect ~finally:(fun () -> Store.set_read_class store saved_cls)
   @@ fun () ->
-  let record_oids, page_oids, blob_oids = image_oids store ~gen ~pgid ~with_fs in
+  let record_oids, page_oids, blob_oids = image_oids store ~gen ~pgid in
   let w = Serial.writer () in
   Serial.w_int w pgid;
   Serial.w_list w (fun w oid ->
@@ -141,7 +127,11 @@ let export store ~gen ~pgid ?base ?(with_fs = true) () =
   let body = Serial.contents w in
   let out = Serial.writer () in
   Serial.w_string out magic;
-  Serial.w_int64 out (checksum body);
+  (* The image travels over wires and through files the store's
+     per-block checksums never see; one digest over the whole body
+     turns any in-flight bit flip into a typed [Bad_image] instead of a
+     silently-imported corrupt generation. *)
+  Serial.w_int64 out (Aurora_simtime.Fnv.fnv1a body);
   Serial.w_string out body;
   Serial.contents out
 
@@ -159,7 +149,7 @@ let import store image =
       (expect, body)
     with
     | expect, body ->
-      if not (Int64.equal (checksum body) expect) then
+      if not (Int64.equal (Aurora_simtime.Fnv.fnv1a body) expect) then
         raise (Restore.Error (Restore.Bad_image "image checksum mismatch"));
       body
     | exception Serial.Corrupt msg ->

@@ -17,11 +17,11 @@ open Aurora_simtime
 open Aurora_objstore
 
 val export :
-  Store.t -> gen:Store.gen -> pgid:int -> ?base:Store.gen -> ?with_fs:bool -> unit -> string
-(** Serialize everything the group's checkpoint needs. With [base],
-    pages and blobs identical in the base generation are omitted (an
-    incremental shipment; the receiver must already hold the base).
-    [with_fs] defaults to true. Reads are charged to the clock (the
+  Store.t -> gen:Store.gen -> pgid:int -> ?base:Store.gen -> unit -> string
+(** Serialize everything the group's checkpoint needs, the file system
+    included. With [base], pages and blobs identical in the base
+    generation are omitted (an incremental shipment; the receiver must
+    already hold the base). Reads are charged to the clock (the
     sender really reads its store). Raises {!Restore.Error} when the
     generation holds no checkpoint of [pgid] or a referenced record
     is missing. *)
@@ -32,8 +32,3 @@ val import : Store.t -> string -> Store.gen * Duration.t
     ([Bad_image]) when the payload is not an Aurora image or the
     whole-image checksum does not match — a bit flipped in a file or
     on the wire is rejected before any record reaches the store. *)
-
-val checksum : string -> int64
-(** The 64-bit FNV-1a digest {!export} seals images with (and
-    {!import} verifies). Exposed for the replication layer, which uses
-    the same construction over its protocol frames. *)

@@ -21,7 +21,13 @@ type window = {
   mutable next : int;              (* write cursor *)
 }
 
-let make_window size = { buf = Array.make size 0.0; n = 0; next = 0 }
+(* Samples per rolling window, alerts retained (oldest dropped), and
+   attribution rows of each kind copied into an alert. *)
+let window_size = 32
+let max_alerts = 64
+let top_k = 3
+
+let make_window () = { buf = Array.make window_size 0.0; n = 0; next = 0 }
 
 let window_add w v =
   w.buf.(w.next) <- v;
@@ -39,19 +45,14 @@ type t = {
   stop_window : window;
   restore_window : window;
   mutable alerts : alert list;     (* newest first *)
-  max_alerts : int;
-  top_k : int;
   mutable stop_breaches : int;
   mutable restore_breaches : int;
 }
 
-let create ?(window = 32) ?(max_alerts = 64) ?(top_k = 3) () =
-  if window < 1 then invalid_arg "Slo.create: window must be >= 1";
-  if max_alerts < 1 then invalid_arg "Slo.create: max_alerts must be >= 1";
-  if top_k < 0 then invalid_arg "Slo.create: negative top_k";
+let create () =
   { stop_target = None; restore_target = None;
-    stop_window = make_window window; restore_window = make_window window;
-    alerts = []; max_alerts; top_k; stop_breaches = 0; restore_breaches = 0 }
+    stop_window = make_window (); restore_window = make_window ();
+    alerts = []; stop_breaches = 0; restore_breaches = 0 }
 
 let set_stop_target t d = t.stop_target <- d
 let set_restore_target t d = t.restore_target <- d
@@ -75,7 +76,7 @@ let kind_label = function
 
 let retain t alert =
   let kept =
-    List.filteri (fun i _ -> i < t.max_alerts - 1) t.alerts
+    List.filteri (fun i _ -> i < max_alerts - 1) t.alerts
   in
   t.alerts <- alert :: kept
 
@@ -93,7 +94,7 @@ let observe t ?obs kind ~pgid ?attribution ~now observed =
      | Restore_latency -> t.restore_breaches <- t.restore_breaches + 1);
     let top_procs, top_objects =
       match attribution with
-      | Some a -> (Types.top_procs ~k:t.top_k a, Types.top_objects ~k:t.top_k a)
+      | Some a -> (Types.top_procs ~k:top_k a, Types.top_objects ~k:top_k a)
       | None -> ([], [])
     in
     let alert =

@@ -37,11 +37,10 @@ type alert = {
 
 type t
 
-val create : ?window:int -> ?max_alerts:int -> ?top_k:int -> unit -> t
-(** [window] (default 32) bounds the rolling sample windows;
-    [max_alerts] (default 64) bounds retained alerts (oldest dropped);
-    [top_k] (default 3) rows of each attribution kind are copied into
-    an alert. *)
+val create : unit -> t
+(** The rolling sample windows hold the last 32 samples; at most 64
+    alerts are retained (oldest dropped); an alert copies the top 3
+    rows of each attribution kind. *)
 
 val set_stop_target : t -> Duration.t option -> unit
 val set_restore_target : t -> Duration.t option -> unit
@@ -59,13 +58,13 @@ val observe :
     span track). *)
 
 val alerts : t -> alert list
-(** Newest first, at most [max_alerts]. *)
+(** Newest first, at most 64. *)
 
 val breaches : t -> kind -> int
-(** Total breaches observed (not bounded by [max_alerts]). *)
+(** Total breaches observed (not bounded by the 64 retained). *)
 
 val samples : t -> kind -> int
-(** Samples currently in the rolling window (at most [window]). *)
+(** Samples currently in the rolling window (at most 32). *)
 
 val quantile : t -> kind -> float -> float
 (** [quantile t k p]: the [p]-th percentile ([0..100], nearest-rank)

@@ -2,8 +2,6 @@ open Aurora_simtime
 open Aurora_proc
 open Aurora_objstore
 
-type backend = { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
-
 type target = [ `Container of int | `Pids of int list ]
 
 type ckpt_breakdown = {
@@ -68,16 +66,14 @@ type ckpt_attribution = {
 type pgroup = {
   pgid : int;
   mutable target : target;
-  mutable backends : backend list;
+  mutable backends : Store.t list;
   mutable interval : Duration.t;
   mutable incremental : bool;
   mutable last_gen : Store.gen option;
-  mutable last_barrier : Duration.t;
   mutable next_ckpt_at : Duration.t;
   mutable last_breakdown : ckpt_breakdown option;
   mutable last_attribution : ckpt_attribution option;
   mutable log_counts : (int * int) list;
-  stop_stats : Stats.t;
 }
 
 (* One captured-but-not-yet-retired checkpoint epoch: the breakdown of
@@ -88,11 +84,11 @@ type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }
 
 let make_pgroup ~pgid ~target ~interval =
   { pgid; target; backends = []; interval; incremental = true; last_gen = None;
-    last_barrier = Duration.zero; next_ckpt_at = interval; last_breakdown = None;
-    last_attribution = None; log_counts = []; stop_stats = Stats.create () }
+    next_ckpt_at = interval; last_breakdown = None; last_attribution = None;
+    log_counts = [] }
 
 let primary_store g =
-  match g.backends with b :: _ -> Some b.store | [] -> None
+  match g.backends with s :: _ -> Some s | [] -> None
 
 let member kernel g (p : Process.t) =
   ignore kernel;

@@ -11,10 +11,6 @@ open Aurora_simtime
 open Aurora_proc
 open Aurora_objstore
 
-type backend = { store : Store.t; kind : [ `Disk | `Memory | `Nvdimm ] }
-(** An object store on a local device. The first backend of a group is
-    its primary (restore source). *)
-
 type target = [ `Container of int | `Pids of int list ]
 
 (** Stop-time breakdown of one checkpoint, mirroring Table 3's rows. *)
@@ -92,16 +88,16 @@ type ckpt_attribution = {
 type pgroup = {
   pgid : int;
   mutable target : target;
-  mutable backends : backend list;
+  mutable backends : Store.t list;
+      (** object stores on local devices; the first is the group's
+          primary (restore source) *)
   mutable interval : Duration.t;        (** default 10 ms: "100x per second" *)
   mutable incremental : bool;
   mutable last_gen : Store.gen option;
-  mutable last_barrier : Duration.t;
   mutable next_ckpt_at : Duration.t;
   mutable last_breakdown : ckpt_breakdown option;
   mutable last_attribution : ckpt_attribution option;
   mutable log_counts : (int * int) list; (** cached log lengths, by store oid *)
-  stop_stats : Stats.t;                 (** stop time per checkpoint, us *)
 }
 
 type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }

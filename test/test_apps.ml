@@ -1,7 +1,7 @@
 (* Tests for the application layer: workload purity, the KV store's
    three persistence modes (including crash-recovery equality and the
-   fork-snapshot path), the LSM tree's WAL/manifest machinery, the
-   serverless runtime, and record/replay over rollback. *)
+   fork-snapshot path), the serverless runtime, and record/replay over
+   rollback. *)
 
 open Aurora_simtime
 open Aurora_proc
@@ -171,104 +171,10 @@ let test_kv_server_roundtrip () =
   let cfg = Kvstore.default_config ~nkeys:512 () in
   let _server, client, fd = Kvstore.spawn_server_pair k cfg in
   Kvstore.client_request k client ~fd ~opnum:42;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   match Kvstore.client_reply k client ~fd with
   | Some reply -> check_int "8-byte reply" 8 (String.length reply)
   | None -> Alcotest.fail "no reply from kv server"
-
-(* ------------------------------------------------------------------ *)
-(* LSM tree                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let lsm_fixture () =
-  let m = Machine.create ~fs_with_disk:true () in
-  let k = m.Machine.kernel in
-  let p = Kernel.spawn k ~name:"db" ~program:"aurora/kv-client" () in
-  (m, k, p)
-
-let test_lsm_put_get_delete () =
-  let _, k, p = lsm_fixture () in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:4 Lsmtree.Wal_fsync in
-  Lsmtree.put t ~key:"alpha" ~value:"1";
-  Lsmtree.put t ~key:"beta" ~value:"2";
-  Alcotest.(check (option string)) "get hit" (Some "1") (Lsmtree.get t ~key:"alpha");
-  Alcotest.(check (option string)) "get miss" None (Lsmtree.get t ~key:"gamma");
-  Lsmtree.delete t ~key:"alpha";
-  Alcotest.(check (option string)) "deleted" None (Lsmtree.get t ~key:"alpha");
-  Lsmtree.put t ~key:"beta" ~value:"2b";
-  Alcotest.(check (option string)) "overwrite" (Some "2b") (Lsmtree.get t ~key:"beta")
-
-let test_lsm_flush_and_levels () =
-  let _, k, p = lsm_fixture () in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:4 Lsmtree.Wal_fsync in
-  for i = 0 to 19 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  check_bool "tables flushed" true (Lsmtree.sstable_count t >= 4);
-  (* Reads hit older levels. *)
-  Alcotest.(check (option string)) "old key from sstable" (Some "0")
-    (Lsmtree.get t ~key:"k000");
-  check_int "twenty live entries" 20 (List.length (Lsmtree.entries t))
-
-let test_lsm_compaction () =
-  let _, k, p = lsm_fixture () in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:4 Lsmtree.Wal_fsync in
-  for i = 0 to 19 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  Lsmtree.delete t ~key:"k005";
-  let before = Lsmtree.entries t in
-  Lsmtree.compact t;
-  check_int "single table after compaction" 1 (Lsmtree.sstable_count t);
-  check_bool "contents preserved" true (Lsmtree.entries t = before);
-  Alcotest.(check (option string)) "tombstone applied" None (Lsmtree.get t ~key:"k005")
-
-let test_lsm_wal_crash_recovery () =
-  let _, k, p = lsm_fixture () in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:100 Lsmtree.Wal_fsync in
-  for i = 0 to 9 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%d" i) ~value:(string_of_int (i * i))
-  done;
-  Lsmtree.delete t ~key:"k3";
-  let before = Lsmtree.entries t in
-  (* Everything is in the memtable; the fsynced WAL is the only
-     durable copy. *)
-  check_int "nothing flushed" 0 (Lsmtree.sstable_count t);
-  Aurora_vfs.Memfs.crash k.Kernel.fs;
-  let t' = Lsmtree.recover k p ~dir:"/db" Lsmtree.Wal_fsync in
-  check_bool "recovered equals pre-crash" true (Lsmtree.entries t' = before)
-
-let test_lsm_flush_then_crash_recovery () =
-  let _, k, p = lsm_fixture () in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:4 Lsmtree.Wal_fsync in
-  for i = 0 to 10 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%02d" i) ~value:(string_of_int i)
-  done;
-  let before = Lsmtree.entries t in
-  Aurora_vfs.Memfs.crash k.Kernel.fs;
-  let t' = Lsmtree.recover k p ~dir:"/db" Lsmtree.Wal_fsync in
-  check_bool "tables + wal tail recovered" true (Lsmtree.entries t' = before)
-
-let test_lsm_aurora_port_recovery () =
-  let m = Machine.create () in
-  Machine.enable_sls_calls m;
-  let k = m.Machine.kernel in
-  let container = Kernel.new_container k ~name:"rocks" in
-  let p =
-    Kernel.spawn k ~container:container.Container.cid ~name:"db"
-      ~program:"aurora/kv-client" ()
-  in
-  let _g = Machine.persist m (`Container container.Container.cid) in
-  let t = Lsmtree.create k p ~dir:"/db" ~memtable_limit:100 Lsmtree.Aurora_log in
-  for i = 0 to 9 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%d" i) ~value:(string_of_int i)
-  done;
-  let before = Lsmtree.entries t in
-  (* No fsync ever happened; durability came from sls_ntflush. Wait
-     out the device, then rebuild from the SLS log. *)
-  Machine.run m (Duration.milliseconds 2);
-  let t' = Lsmtree.recover k p ~dir:"/db" Lsmtree.Aurora_log in
-  check_bool "aurora log recovery equals pre-crash" true (Lsmtree.entries t' = before)
 
 (* ------------------------------------------------------------------ *)
 (* Serverless                                                          *)
@@ -278,11 +184,11 @@ let test_serverless_invoke () =
   let m = Machine.create () in
   let k = m.Machine.kernel in
   let inst = Serverless.spawn k (Serverless.default_config ()) in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_bool "initialized" true (Serverless.initialized inst.Serverless.func);
   Serverless.invoke k inst ~id:1;
   Serverless.invoke k inst ~id:2;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "two invocations" 2 (Serverless.invocations inst.Serverless.func);
   check_bool "reply arrived" true (Serverless.reply k inst <> None)
 
@@ -294,7 +200,7 @@ let test_serverless_warm_start_clone () =
     Serverless.spawn k ~container:container.Container.cid
       (Serverless.default_config ())
   in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   let g = Machine.persist m (`Container container.Container.cid) in
   ignore (Machine.checkpoint_now m g ());
   (* Scale out: clone three instances from the image. *)
@@ -309,7 +215,7 @@ let test_serverless_warm_start_clone () =
       | None -> Alcotest.fail "clone vanished"
       | Some clone ->
         Serverless.invoke k clone ~id:7;
-        ignore (Scheduler.run_until_idle k ());
+        ignore (Scheduler.run_until_idle k);
         check_bool
           (Printf.sprintf "clone %d handled an invocation" pid)
           true
@@ -325,7 +231,7 @@ let test_serverless_warm_start_clone () =
       (Serverless.default_config ~func_id:1 ())
   in
   ignore inst2;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   let g2 = Machine.persist m (`Container container2.Container.cid) in
   let hits_before =
     (Aurora_objstore.Store.stats m.Machine.disk_store).Aurora_objstore.Store.dedup_hits
@@ -365,11 +271,11 @@ let test_recreplay_reproduces_state () =
   let g = Machine.persist m (`Container container.Container.cid) in
   let deliver opnum_s =
     Kvstore.client_request k client ~fd:client_fd ~opnum:(int_of_string opnum_s);
-    ignore (Scheduler.run_until_idle k ());
+    ignore (Scheduler.run_until_idle k);
     ignore (Kvstore.client_reply k client ~fd:client_fd)
   in
   (* Checkpoint the quiescent server, then feed recorded inputs. *)
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   ignore (Machine.checkpoint_now m g ());
   (* A checkpoint makes the journal's older inputs redundant. *)
   Api.sls_log_truncate m g;
@@ -392,87 +298,6 @@ let test_recreplay_reproduces_state () =
   check_bool "state bit-identical" true
     (Int64.equal digest_before (Kvstore.region_digest k server' cfg))
 
-
-
-let test_lsm_auto_compaction_bounds_tables () =
-  let _, k, p = lsm_fixture () in
-  let t =
-    Lsmtree.create k p ~dir:"/db" ~memtable_limit:2 ~compaction_threshold:4
-      Lsmtree.Wal_fsync
-  in
-  for i = 0 to 99 do
-    Lsmtree.put t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  check_bool "table count bounded by auto-compaction" true
-    (Lsmtree.sstable_count t <= 5);
-  check_int "all entries live" 100 (List.length (Lsmtree.entries t))
-
-(* Model-based LSM property: random operation sequences, interleaved
-   with flushes, compactions and crash/recover cycles, always agree
-   with a plain map. *)
-type lsm_op =
-  | L_put of int * string
-  | L_del of int
-  | L_flush
-  | L_compact
-  | L_crash_recover
-
-let lsm_op_gen =
-  let open QCheck.Gen in
-  frequency
-    [
-      (8, map2 (fun k v -> L_put (k mod 20, v))
-           small_nat (string_size ~gen:(char_range 'a' 'z') (int_range 1 8)));
-      (3, map (fun k -> L_del (k mod 20)) small_nat);
-      (2, return L_flush);
-      (1, return L_compact);
-      (2, return L_crash_recover);
-    ]
-
-let pp_lsm_op = function
-  | L_put (k, v) -> Printf.sprintf "put k%d=%s" k v
-  | L_del k -> Printf.sprintf "del k%d" k
-  | L_flush -> "flush"
-  | L_compact -> "compact"
-  | L_crash_recover -> "crash+recover"
-
-let prop_lsm_matches_model =
-  QCheck.Test.make ~name:"lsm agrees with a model map across crashes" ~count:40
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map pp_lsm_op ops))
-       QCheck.Gen.(list_size (int_range 1 60) lsm_op_gen))
-    (fun ops ->
-      let _, k, p = lsm_fixture () in
-      let t = ref (Lsmtree.create k p ~dir:"/db" ~memtable_limit:5 Lsmtree.Wal_fsync) in
-      let model = Hashtbl.create 16 in
-      let key i = Printf.sprintf "k%02d" i in
-      List.iter
-        (fun op ->
-          match op with
-          | L_put (i, v) ->
-            Hashtbl.replace model (key i) v;
-            Lsmtree.put !t ~key:(key i) ~value:v
-          | L_del i ->
-            Hashtbl.remove model (key i);
-            Lsmtree.delete !t ~key:(key i)
-          | L_flush -> Lsmtree.flush_memtable !t
-          | L_compact -> Lsmtree.compact !t
-          | L_crash_recover ->
-            Aurora_vfs.Memfs.crash k.Kernel.fs;
-            t := Lsmtree.recover k p ~dir:"/db" Lsmtree.Wal_fsync)
-        ops;
-      let expected =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      if Lsmtree.entries !t = expected then true
-      else
-        QCheck.Test.fail_reportf "lsm diverged from model:@.lsm   %s@.model %s"
-          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) (Lsmtree.entries !t)))
-          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) expected)))
-
-let qt = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "apps"
     [
@@ -490,19 +315,6 @@ let () =
           Alcotest.test_case "fork-snapshot cycle" `Quick test_kv_fork_snapshot_cycle;
           Alcotest.test_case "aurora-port recovery" `Quick test_kv_aurora_mode_recovery;
           Alcotest.test_case "served requests" `Quick test_kv_server_roundtrip;
-        ] );
-      ( "lsmtree",
-        [
-          Alcotest.test_case "put/get/delete" `Quick test_lsm_put_get_delete;
-          Alcotest.test_case "flush and levels" `Quick test_lsm_flush_and_levels;
-          Alcotest.test_case "compaction" `Quick test_lsm_compaction;
-          Alcotest.test_case "wal crash recovery" `Quick test_lsm_wal_crash_recovery;
-          Alcotest.test_case "flush + wal tail recovery" `Quick
-            test_lsm_flush_then_crash_recovery;
-          Alcotest.test_case "aurora-port recovery" `Quick test_lsm_aurora_port_recovery;
-          Alcotest.test_case "auto-compaction bounds tables" `Quick
-            test_lsm_auto_compaction_bounds_tables;
-          qt prop_lsm_matches_model;
         ] );
       ( "serverless",
         [

@@ -281,7 +281,7 @@ let test_gen_diff () =
 (* ------------------------------------------------------------------ *)
 
 let test_slo_unit () =
-  let slo = Slo.create ~window:4 ~max_alerts:2 ~top_k:1 () in
+  let slo = Slo.create () in
   let t0 = Duration.microseconds 100 in
   (* Unconfigured: samples accumulate, nothing alerts. *)
   check_bool "no target, no alert" true
@@ -298,13 +298,14 @@ let test_slo_unit () =
      Alcotest.(check (float 1e-9)) "target" 10.0 al.Slo.al_target_us
    | None -> Alcotest.fail "breach not alerted");
   check_int "breach counted" 1 (Slo.breaches slo Slo.Stop_time);
-  (* Alert retention is bounded; breach counting is not. *)
-  for _ = 1 to 4 do
+  (* Alert retention (64) and the window (32) are bounded; breach
+     counting is not. *)
+  for _ = 1 to 70 do
     ignore (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 30))
   done;
-  check_int "alerts capped" 2 (List.length (Slo.alerts slo));
-  check_int "all breaches counted" 5 (Slo.breaches slo Slo.Stop_time);
-  check_int "window bounded" 4 (Slo.samples slo Slo.Stop_time);
+  check_int "alerts capped" 64 (List.length (Slo.alerts slo));
+  check_int "all breaches counted" 71 (Slo.breaches slo Slo.Stop_time);
+  check_int "window bounded" 32 (Slo.samples slo Slo.Stop_time);
   Alcotest.(check (float 1e-9))
     "rolling p99 over the window" 30.0 (Slo.quantile slo Slo.Stop_time 99.0);
   check_bool "restore axis independent" true
@@ -319,7 +320,7 @@ let test_slo_quantile_is_stats_percentile () =
   List.iter
     (fun (n, want) ->
       let stats = Stats.create () in
-      let slo = Slo.create ~window:n () in
+      let slo = Slo.create () in
       for i = 1 to n do
         Stats.add stats (float_of_int i);
         ignore

@@ -25,18 +25,18 @@ let () =
 
 let test_ring_bounds () =
   let clock = Clock.create () in
-  let r = Recorder.create ~capacity:8 clock in
-  check_int "capacity" 8 (Recorder.capacity r);
-  for i = 1 to 20 do
+  let r = Recorder.create clock in
+  check_int "capacity" 256 Recorder.capacity;
+  for i = 1 to 268 do
     Recorder.log r ~gen:i ~kind:"test.tick" (Printf.sprintf "tick %d" i)
   done;
-  check_int "occupancy bounded" 8 (Recorder.occupancy r);
+  check_int "occupancy bounded" 256 (Recorder.occupancy r);
   check_int "dropped counted" 12 (Recorder.dropped r);
   let evs = Recorder.events r in
-  check_int "events retained" 8 (List.length evs);
-  (* The retained window is the newest 8, oldest first, seqs monotone. *)
-  check_int "newest survives" 20
-    (List.nth evs 7).Recorder.ev_gen;
+  check_int "events retained" 256 (List.length evs);
+  (* The retained window is the newest 256, oldest first, seqs monotone. *)
+  check_int "newest survives" 268
+    (List.nth evs 255).Recorder.ev_gen;
   check_int "oldest retained" 13 (List.hd evs).Recorder.ev_gen;
   List.iteri
     (fun i ev ->

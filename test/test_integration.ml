@@ -439,7 +439,7 @@ let test_blocked_server_restored_accepts () =
       ~program:"integ/banner-server" ()
   in
   (* Let it bind and park in accept. *)
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_bool "parked in accept" true
     (match (Process.main_thread srv).Thread.state with
      | Thread.Blocked (Thread.Wait_accept _) -> true
@@ -564,13 +564,13 @@ let test_secondary_memory_backend_mirrors () =
   Syscall.mem_write k p ~vpn:e.Vmmap.start_vpn ~offset:0 ~value:404L;
   let content = Vmmap.read p.Process.vm ~vpn:e.Vmmap.start_vpn in
   let g = Machine.persist m (`Container c.Container.cid) in
-  Machine.attach m g (Machine.memory_backend m);
+  Machine.attach m g m.Machine.mem_store;
   ignore (Machine.checkpoint_now m g ());
   (* The image landed in the memory store too. *)
   check_bool "memory store has a generation" true
     (Store.latest m.Machine.mem_store <> None);
   let pids, _ =
-    Machine.restore_group m g ~from:(Machine.memory_backend m) ()
+    Machine.restore_group m g ~from:m.Machine.mem_store ()
   in
   let p' = Kernel.proc_exn k (List.hd pids) in
   check_bool "restored from the memory mirror" true
@@ -623,7 +623,7 @@ let test_record_replay_reproduces_inputs () =
   let g = Machine.persist m (`Container c.Container.cid) in
   Machine.enable_recording m g;
   (* Baseline checkpoint of the initialized server. *)
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   ignore (Machine.checkpoint_now m g ());
   let steps_at_ckpt =
     Context.reg_int (Process.main_thread server).Thread.context 3
@@ -632,7 +632,7 @@ let test_record_replay_reproduces_inputs () =
      in and processed by the server. *)
   for _ = 1 to 5 do
     ignore (Syscall.write k client client_fd "!");
-    ignore (Scheduler.run_until_idle k ())
+    ignore (Scheduler.run_until_idle k)
   done;
   let server_now = Kernel.proc_exn k server.Process.pid in
   let counter_page_before =
@@ -649,7 +649,7 @@ let test_record_replay_reproduces_inputs () =
   let server' = Kernel.proc_exn k (List.hd pids) in
   check_int "rolled back" steps_at_ckpt
     (Context.reg_int (Process.main_thread server').Thread.context 3);
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "re-execution reconsumed the journal" (steps_at_ckpt + 5)
     (Context.reg_int (Process.main_thread server').Thread.context 3);
   check_bool "memory state reproduced bit-for-bit" true
@@ -672,10 +672,10 @@ let test_checkpoint_bounds_rr_log () =
   Context.set_reg_int (Process.main_thread server).Thread.context 1 sfd;
   let g = Machine.persist m (`Container c.Container.cid) in
   Machine.enable_recording m g;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   for _ = 1 to 7 do
     ignore (Syscall.write k client client_fd "!");
-    ignore (Scheduler.run_until_idle k ())
+    ignore (Scheduler.run_until_idle k)
   done;
   check_int "seven journaled" 7 (List.length (Rr.recorded g));
   ignore (Machine.checkpoint_now m g ());
@@ -753,9 +753,9 @@ let test_system_soak () =
   ignore inst;
   (* Run; everything checkpoints on its own schedule. *)
   Machine.run m (Duration.milliseconds 60);
-  check_bool "kv checkpointed" true (Stats.count g1.Types.stop_stats >= 3);
-  check_bool "fn checkpointed" true (Stats.count g2.Types.stop_stats >= 2);
-  check_bool "walker checkpointed" true (Stats.count g3.Types.stop_stats >= 3);
+  check_bool "kv checkpointed" true (Ckpt_spans.count m g1 >= 3);
+  check_bool "fn checkpointed" true (Ckpt_spans.count m g2 >= 2);
+  check_bool "walker checkpointed" true (Ckpt_spans.count m g3 >= 3);
   let walker_steps_before =
     Context.reg_int (Process.main_thread walker).Thread.context 4
   in

@@ -73,7 +73,7 @@ let bucket_list h =
 
 let test_histogram_bucket_edges () =
   let m = Metrics.create (Clock.create ()) in
-  let h = Metrics.histogram m ~bounds:[| 1.; 2.; 5. |] "h" in
+  let h = Metrics.histogram m "h" in
   (* Upper edges are inclusive: a sample lands in the first bucket
      whose edge is >= the value. *)
   Metrics.observe h 0.5;
@@ -82,42 +82,30 @@ let test_histogram_bucket_edges () =
   Metrics.observe h 1.5;
   Metrics.observe h 2.0;
   (* both in (1, 2] *)
-  Metrics.observe h 10.0;
+  Metrics.observe h 2_000_000.0;
   (* above every edge: overflow *)
-  check_int "4 buckets (3 finite + overflow)" 4
+  check_int "20 buckets (19 finite + overflow)" 20
     (List.length (Metrics.bucket_counts h));
-  (match bucket_list h with
-   | [ b0; b1; b2; over ] ->
-     check_int "bucket <=1" 2 b0;
-     check_int "bucket (1,2]" 2 b1;
-     check_int "bucket (2,5]" 0 b2;
-     check_int "overflow" 1 over
-   | _ -> Alcotest.fail "unexpected bucket shape");
+  check_bool "edges 1-2-5 per decade, 1 us to 1 s" true
+    (List.map fst (Metrics.bucket_counts h)
+     = [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1_000.; 2_000.; 5_000.;
+         10_000.; 20_000.; 50_000.; 100_000.; 200_000.; 500_000.; 1_000_000.;
+         Float.infinity ]);
+  Alcotest.(check (list int)) "two <=1, two in (1,2], one overflow"
+    ([ 2; 2 ] @ List.init 17 (fun _ -> 0) @ [ 1 ])
+    (bucket_list h);
   check_int "count" 5 (Metrics.hist_count h);
-  check_float "sum" 15.0 (Metrics.hist_sum h);
-  check_float "mean" 3.0 (Metrics.hist_mean h)
-
-let test_histogram_invalid_bounds () =
-  let m = Metrics.create (Clock.create ()) in
-  check_bool "empty bounds raise" true
-    (try
-       ignore (Metrics.histogram m ~bounds:[||] "e");
-       false
-     with Invalid_argument _ -> true);
-  check_bool "non-increasing bounds raise" true
-    (try
-       ignore (Metrics.histogram m ~bounds:[| 1.; 1. |] "ni");
-       false
-     with Invalid_argument _ -> true)
+  check_float "sum" 2_000_005.0 (Metrics.hist_sum h);
+  check_float "mean" 400_001.0 (Metrics.hist_mean h)
 
 let test_quantile_interpolation () =
   let m = Metrics.create (Clock.create ()) in
-  let h = Metrics.histogram m ~bounds:[| 10.; 20.; 30. |] "q" in
-  (* 10 samples in the first bucket, 10 in the second. The median rank
+  let h = Metrics.histogram m "q" in
+  (* 10 samples in the (5, 10] bucket, 10 in (10, 20]. The median rank
      sits exactly at the first bucket's upper edge; the 0.75 quantile
      is halfway through the second bucket. *)
   for _ = 1 to 10 do
-    Metrics.observe h 5.0
+    Metrics.observe h 7.0
   done;
   for _ = 1 to 10 do
     Metrics.observe h 15.0
@@ -128,10 +116,10 @@ let test_quantile_interpolation () =
 
 let test_quantile_overflow_and_empty () =
   let m = Metrics.create (Clock.create ()) in
-  let h = Metrics.histogram m ~bounds:[| 10.; 20. |] "qo" in
+  let h = Metrics.histogram m "qo" in
   check_bool "empty quantile is nan" true (Float.is_nan (Metrics.quantile h 0.5));
-  Metrics.observe h 1000.0;
-  check_float "overflow reports the observed max" 1000.0 (Metrics.quantile h 0.99)
+  Metrics.observe h 3_000_000.0;
+  check_float "overflow reports the observed max" 3_000_000.0 (Metrics.quantile h 0.99)
 
 let test_snapshot_and_json () =
   let clock = Clock.create () in
@@ -139,7 +127,7 @@ let test_snapshot_and_json () =
   let m = Metrics.create clock in
   Metrics.incr (Metrics.counter m "c1");
   Metrics.set (Metrics.gauge m "g1") 1.5;
-  Metrics.observe (Metrics.histogram m ~bounds:[| 1.; 2. |] "h1") 1.0;
+  Metrics.observe (Metrics.histogram m "h1") 1.0;
   (match Metrics.snapshot m with
    | [ ("c1", Metrics.Counter 1); ("g1", Metrics.Gauge 1.5);
        ("h1", Metrics.Histogram { count = 1; _ }) ] ->
@@ -217,12 +205,16 @@ let test_span_record_autoparent () =
 
 let test_span_capacity () =
   let clock = Clock.create () in
-  let t = Span.create ~capacity:2 clock in
-  ignore (Span.finish t (Span.start t "a"));
-  ignore (Span.finish t (Span.start t "b"));
-  ignore (Span.finish t (Span.start t "c"));
-  check_int "retains up to capacity" 2 (List.length (Span.spans t));
+  let t = Span.create clock in
+  for _ = 1 to 262_144 do
+    ignore (Span.finish t (Span.start t "a"))
+  done;
+  check_int "nothing dropped at capacity" 0 (Span.dropped t);
+  ignore (Span.finish t (Span.start t "over"));
+  check_int "retains up to capacity" 262_144 (List.length (Span.spans t));
   check_int "drops counted" 1 (Span.dropped t);
+  check_bool "the overflowing span is not retained" true
+    (Span.find t ~name:"over" = None);
   Span.clear t;
   check_int "clear resets" 0 (Span.dropped t)
 
@@ -680,7 +672,6 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
-          Alcotest.test_case "invalid bounds" `Quick test_histogram_invalid_bounds;
           Alcotest.test_case "quantile interpolation" `Quick
             test_quantile_interpolation;
           Alcotest.test_case "quantile overflow/empty" `Quick

@@ -267,8 +267,8 @@ let test_marshal_safe () =
 (* Machine integration: probes fire, and cost nothing when quiet       *)
 (* ------------------------------------------------------------------ *)
 
-let machine_with_app () =
-  let m = Machine.create () in
+let machine_with_app ?faults () =
+  let m = Machine.create ?faults () in
   let k = m.Machine.kernel in
   let c = Kernel.new_container k ~name:"app" in
   let p =
@@ -381,6 +381,33 @@ let test_critpath_blame () =
      | Some (Metrics.Gauge v) -> check_float "published stop" r.Critpath.cp_stop_us v
      | _ -> Alcotest.fail "ckpt.critpath.stop_us missing")
 
+(* Mirror writes ride inside the commit's own transfers, so only
+   [Machine.critical_path] can charge them: from the generation's
+   provenance through the device profile. *)
+let test_critpath_mirror_writes () =
+  (* A non-zero fault rate turns on the store's verify + mirror
+     protection. *)
+  let faults = Aurora_device.Fault.plan ~seed:3L ~transient_read:1e-6 () in
+  let m, g = machine_with_app ~faults () in
+  Span.clear (Machine.spans m);
+  ignore (Machine.checkpoint_now m g ());
+  Machine.drain_storage m;
+  match Machine.critical_path m with
+  | Error e -> Alcotest.failf "critical path: %s" e
+  | Ok r ->
+    let ants = r.Critpath.cp_antagonists in
+    (match
+       List.find_opt (fun a -> a.Critpath.an_name = "mirror_writes") ants
+     with
+     | Some a -> check_bool "mirror_writes charged" true (a.Critpath.an_us > 0.)
+     | None -> Alcotest.fail "no mirror_writes antagonist on a mirrored store");
+    let rec sorted = function
+      | (a : Critpath.antagonist) :: (b :: _ as rest) ->
+        a.Critpath.an_us >= b.Critpath.an_us && sorted rest
+      | _ -> true
+    in
+    check_bool "antagonists largest first" true (sorted ants)
+
 let test_critpath_unknown_gen () =
   let m, g = machine_with_app () in
   Span.clear (Machine.spans m);
@@ -483,6 +510,7 @@ let () =
         [
           Alcotest.test_case "empty tree is an error" `Quick test_critpath_empty;
           Alcotest.test_case "blame segments" `Quick test_critpath_blame;
+          Alcotest.test_case "mirror-write antagonist" `Quick test_critpath_mirror_writes;
           Alcotest.test_case "unknown generation" `Quick test_critpath_unknown_gen;
         ] );
       ( "regressions",

@@ -193,14 +193,14 @@ let () =
 let test_exit_status () =
   let k = Kernel.create () in
   let p = Kernel.spawn k ~name:"x" ~program:"test/exit42" () in
-  let reason = Scheduler.run_until_idle k () in
+  let reason = Scheduler.run_until_idle k in
   check_bool "all exited" true (reason = Scheduler.All_exited);
   check_int "status" 42 (Option.get p.Process.exit_status)
 
 let test_unknown_program_dies () =
   let k = Kernel.create () in
   let p = Kernel.spawn k ~name:"x" ~program:"no/such/binary" () in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "sigsys-ish" 127 (Option.get p.Process.exit_status)
 
 let test_writer_program_memory () =
@@ -210,7 +210,7 @@ let test_writer_program_memory () =
   let ctx = (Process.main_thread p).Thread.context in
   Context.set_reg_int ctx 1 e.Aurora_vm.Vmmap.start_vpn;
   Context.set_reg_int ctx 2 100;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "exit" 0 (Option.get p.Process.exit_status)
 
 let test_pipe_producer_consumer () =
@@ -227,7 +227,7 @@ let test_pipe_producer_consumer () =
   Context.set_reg_int (Process.main_thread prod).Thread.context 1 wfd;
   Context.set_reg_int (Process.main_thread prod).Thread.context 2 500;
   Context.set_reg_int (Process.main_thread cons).Thread.context 1 3;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "producer done" 0 (Option.get prod.Process.exit_status);
   check_int "consumer done" 0 (Option.get cons.Process.exit_status);
   (* 500 messages x 8 bytes *)
@@ -237,7 +237,7 @@ let test_pipe_producer_consumer () =
 let test_fork_and_wait () =
   let k = Kernel.create () in
   let p = Kernel.spawn k ~name:"f" ~program:"test/forker" () in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "parent got child status" 7 (Option.get p.Process.exit_status);
   (* Child was reaped. *)
   check_int "one process left" 1 (List.length (Kernel.processes k))
@@ -246,7 +246,7 @@ let test_sleep_advances_clock () =
   let k = Kernel.create () in
   let p = Kernel.spawn k ~name:"s" ~program:"test/sleeper" () in
   Context.set_reg_int (Process.main_thread p).Thread.context 1 5_000; (* 5 ms *)
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "exited" 0 (Option.get p.Process.exit_status);
   check_bool "clock jumped past deadline" true
     Duration.(Clock.now k.Kernel.clock >= Duration.milliseconds 5)
@@ -257,7 +257,7 @@ let test_echo_server_client () =
   let cli = Kernel.spawn k ~name:"cli" ~program:"test/client" () in
   Context.set_reg_int (Process.main_thread srv).Thread.context 1 7000;
   Context.set_reg_int (Process.main_thread cli).Thread.context 1 7000;
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "client round trip" 0 (Option.get cli.Process.exit_status)
 
 let test_determinism () =
@@ -273,7 +273,7 @@ let test_determinism () =
     Context.set_reg_int (Process.main_thread prod).Thread.context 1 wfd;
     Context.set_reg_int (Process.main_thread prod).Thread.context 2 200;
     Context.set_reg_int (Process.main_thread cons).Thread.context 1 3;
-    ignore (Scheduler.run_until_idle k ());
+    ignore (Scheduler.run_until_idle k);
     Duration.to_ns (Clock.now k.Kernel.clock)
   in
   check_int "bit-identical reruns" (run ()) (run ())
@@ -285,7 +285,7 @@ let test_idle_detection () =
   let cons = Kernel.spawn k ~name:"cons" ~program:"test/consumer" () in
   let rfd, _wfd = Syscall.pipe k cons in
   Context.set_reg_int (Process.main_thread cons).Thread.context 1 rfd;
-  let reason = Scheduler.run_until_idle k () in
+  let reason = Scheduler.run_until_idle k in
   check_bool "idle" true (reason = Scheduler.Idle)
 
 let test_run_until_deadline () =
@@ -300,7 +300,7 @@ let test_zombie_until_reaped () =
   let k = Kernel.create () in
   let parent = Kernel.spawn k ~name:"p" ~program:"test/exit42" () in
   let child = Kernel.spawn k ~parent:parent.Process.pid ~name:"c" ~program:"test/exit42" () in
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_bool "child zombie retained" true (Kernel.proc k child.Process.pid <> None);
   (match Syscall.waitpid k parent (-1) with
    | `Reaped (pid, 42) -> check_int "reaped child" child.Process.pid pid
@@ -340,7 +340,7 @@ let test_exit_closes_fds () =
   ignore wfd;
   (* When a exits, the write end closes, so b must see EOF and exit
      cleanly rather than idle forever. *)
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_int "b exited via eof" 0 (Option.get b.Process.exit_status)
 
 let test_shm_between_processes () =

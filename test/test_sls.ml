@@ -125,7 +125,7 @@ let test_periodic_checkpoints_fire () =
   let g = Machine.persist m ~interval:(Duration.milliseconds 10) (`Container c.Container.cid) in
   Machine.run m (Duration.milliseconds 105);
   (* ~10 checkpoints in 105 ms. *)
-  let n = Stats.count g.Types.stop_stats in
+  let n = Ckpt_spans.count m g in
   check_bool "about ten checkpoints" true (n >= 8 && n <= 12);
   check_bool "has generations" true (Store.generations m.Machine.disk_store <> [])
 
@@ -151,18 +151,16 @@ let test_checkpoint_gc_history () =
   let gens = Store.generations m.Machine.disk_store in
   check_bool "history bounded" true (List.length gens <= 4)
 
-(* [memory_backend] builds a fresh record on every call, so detaching
-   must match the backend by its store, not by physical equality. *)
 let test_detach_memory_backend () =
   let m = Machine.create () in
   let c, _ = spawn_walker m ~npages:16 ~limit:1_000_000 in
   let g = Machine.persist m (`Container c.Container.cid) in
-  Machine.attach m g (Machine.memory_backend m);
+  Machine.attach m g m.Machine.mem_store;
   Machine.run m (Duration.microseconds 50);
   ignore (Machine.checkpoint_now m g ());
   let before = Store.generations m.Machine.mem_store in
   check_bool "the attached memory store is checkpointed" true (before <> []);
-  Machine.detach m g (Machine.memory_backend m);
+  Machine.detach m g m.Machine.mem_store;
   check_int "only the disk backend is left" 1 (List.length g.Types.backends);
   Machine.run m (Duration.microseconds 50);
   ignore (Machine.checkpoint_now m g ());
@@ -288,7 +286,7 @@ let test_restore_after_crash () =
     Duration.(breakdown.Types.total_latency < Duration.milliseconds 20);
   (* The program resumes oblivious to the interruption and finishes. *)
   Context.set_reg_int ctx' 3 (steps_at_ckpt + 10);
-  ignore (Scheduler.run_until_idle m'.Machine.kernel ());
+  ignore (Scheduler.run_until_idle m'.Machine.kernel);
   check_int "resumed and exited" 0 (Option.get p'.Process.exit_status)
 
 let test_restore_memory_contents () =
@@ -395,7 +393,7 @@ let test_clone_scaleout () =
   check_int "five clones" 5 (List.length clones);
   check_bool "fresh pids" true (List.for_all (fun pid -> pid <> p.Process.pid) clones);
   (* Clones run independently. *)
-  ignore (Scheduler.run_until_idle m.Machine.kernel ()) |> ignore;
+  ignore (Scheduler.run_until_idle m.Machine.kernel) |> ignore;
   let distinct = List.sort_uniq Int.compare clones in
   check_int "distinct pids" 5 (List.length distinct)
 
@@ -455,7 +453,7 @@ let test_restore_preserves_pipe () =
   let g' = Machine.persist m' (`Container c.Container.cid) in
   let pids, _ = Machine.restore_group m' g' ~gen:b.Types.gen () in
   check_int "both restored" 2 (List.length pids);
-  ignore (Scheduler.run_until_idle m'.Machine.kernel ());
+  ignore (Scheduler.run_until_idle m'.Machine.kernel);
   let cons' = Kernel.proc_exn m'.Machine.kernel cons.Process.pid in
   check_int "consumer finished" 0 (Option.get cons'.Process.exit_status);
   check_int "all bytes crossed the checkpoint" 5_000
@@ -489,7 +487,7 @@ let test_external_consistency_buffers () =
      group boundary, so it must be buffered until a checkpoint is
      durable. *)
   ignore (Syscall.write k client 4 "!");
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   check_bool "reply buffered" true (Extconsist.pending m.Machine.extcons > 0);
   (match Syscall.read k client 4 ~len:16 with
    | `Would_block -> ()
@@ -521,7 +519,7 @@ let test_fdctl_disables_buffering () =
   (* The developer opts this descriptor out. *)
   Api.sls_fdctl server ~fd:sfd ~ext_consistency:false;
   ignore (Syscall.write k client 4 "!");
-  ignore (Scheduler.run_until_idle k ());
+  ignore (Scheduler.run_until_idle k);
   match Syscall.read k client 4 ~len:16 with
   | `Data s -> Alcotest.(check string) "reply immediate" "1" s
   | _ -> Alcotest.fail "reply should bypass the consistency buffer"
@@ -554,7 +552,7 @@ let test_send_recv_migration () =
     (Context.reg_int (Process.main_thread p').Thread.context 4);
   (* It keeps running on the destination. *)
   Context.set_reg_int (Process.main_thread p').Thread.context 3 (steps + 5);
-  ignore (Scheduler.run_until_idle dst.Machine.kernel ());
+  ignore (Scheduler.run_until_idle dst.Machine.kernel);
   check_int "finished on destination" 0 (Option.get p'.Process.exit_status)
 
 let test_incremental_ship_smaller () =
@@ -709,7 +707,7 @@ let test_replica_ship_and_failover () =
     (Context.reg_int (Process.main_thread p').Thread.context 4);
   (* And it keeps running on the promoted machine. *)
   Context.set_reg_int (Process.main_thread p').Thread.context 3 (steps + 5);
-  ignore (Scheduler.run_until_idle promoted.Machine.kernel ());
+  ignore (Scheduler.run_until_idle promoted.Machine.kernel);
   check_int "finished on the standby" 0 (Option.get p'.Process.exit_status)
 
 let test_replica_retransmits_on_loss () =
@@ -974,7 +972,7 @@ let test_machine_determinism () =
     let g = Machine.persist m ~interval:(Duration.milliseconds 7) (`Container c.Container.cid) in
     Machine.run m (Duration.milliseconds 50);
     ( Duration.to_ns (Machine.now m),
-      Stats.count g.Types.stop_stats,
+      Ckpt_spans.count m g,
       (Store.stats m.Machine.disk_store).Store.live_blocks )
   in
   let a = run () and b = run () in
