@@ -25,12 +25,12 @@ let write_heavy ~nkeys =
   check { nkeys; write_pct = 90; hot_key_pct = 100; hot_access_pct = 100 }
 
 (* SplitMix64 finalizer — one hash per decision keeps op_of pure. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let hash_to_int h bound =
+let[@inline] hash_to_int h bound =
   Int64.to_int (Int64.shift_right_logical h 2) mod bound
 
 let op_of spec ~opnum =

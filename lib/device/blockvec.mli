@@ -1,10 +1,15 @@
-(** Per-block state: a growable array indexed by block number.
+(** State keyed by a dense index: a growable array.
 
-    Block numbers are dense (the object store's allocator hands out
+    Any index that is handed out from a small range, with few holes,
+    fits. Block numbers do (the object store's allocator hands out
     [[first_block, next_fresh)] and reuses freed blocks first), so the
     allocator's refcounts, the B-tree node cache, the dedup reverse
-    index and device contents are arrays, not hash tables. Plain data,
-    with no closure: devices holding one marshal into universe files. *)
+    index and device contents are arrays, not hash tables. So do a VM
+    object's page indexes, so its pages, heat counters and dirty and
+    armed bitmaps are too. The array reaches the highest index set, so
+    a sparse index would pay for every hole. Plain data, with no
+    closure: devices and VM objects holding one marshal into universe
+    files. *)
 
 type 'a t
 

@@ -28,6 +28,7 @@ type t = {
   clock : Clock.t;
   pool : Frame.pool;
   mutable entries : entry list; (* sorted by start_vpn *)
+  mutable hint : entry option; (* the entry [entry_at] found last *)
   mutable next_vpn : int;
   mutable next_eid : int;
   faults : fault_counts;
@@ -37,7 +38,8 @@ let next_asid = ref 0
 
 let create ~clock ~pool () =
   incr next_asid;
-  { asid = !next_asid; clock; pool; entries = []; next_vpn = 0x1000; next_eid = 0;
+  { asid = !next_asid; clock; pool; entries = []; hint = None; next_vpn = 0x1000;
+    next_eid = 0;
     faults = { zero_fill = 0; fork_cow = 0; ckpt_cow = 0; major = 0 } }
 
 let pool t = t.pool
@@ -99,14 +101,24 @@ let map_fixed t ~start_vpn ?(inheritance = `Share) ?(writable = true) ~obj ~obj_
 let unmap t e =
   if not (List.memq e t.entries) then invalid_arg "Vmmap.unmap: entry not in this map";
   t.entries <- List.filter (fun x -> not (x == e)) t.entries;
+  t.hint <- None;
   Vmobject.decref e.obj
 
 let destroy t =
   List.iter (fun e -> Vmobject.decref e.obj) t.entries;
-  t.entries <- []
+  t.entries <- [];
+  t.hint <- None
 
+let covers vpn e = vpn >= e.start_vpn && vpn < e.start_vpn + e.npages
+
+(* Entries never overlap, so a hint that covers [vpn] is the answer. *)
 let entry_at t vpn =
-  List.find_opt (fun e -> vpn >= e.start_vpn && vpn < e.start_vpn + e.npages) t.entries
+  match t.hint with
+  | Some e as hit when covers vpn e -> hit
+  | _ ->
+    let found = List.find_opt (covers vpn) t.entries in
+    if Option.is_some found then t.hint <- found;
+    found
 
 exception Fault of string
 

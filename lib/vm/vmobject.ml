@@ -1,4 +1,5 @@
 open Aurora_simtime
+open Aurora_device
 
 type kind = Anonymous | Vnode of int
 
@@ -6,16 +7,60 @@ type pslot =
   | Resident of Frame.t
   | Paged_out of { content : Content.t; read_cost : Duration.t }
 
+(* A set of page indexes: a bitmap of 32 pages per word (a power of
+   two, so a page's word and bit are a shift and a mask), with the
+   number of members kept beside it. *)
+module Pageset = struct
+  type t = { words : int Blockvec.t; mutable count : int }
+
+  let create () = { words = Blockvec.create 0; count = 0 }
+  let bit i = 1 lsl (i land 31)
+  let mem s i = Blockvec.get s.words (i asr 5) land bit i <> 0
+
+  let add s i =
+    let w = Blockvec.get s.words (i asr 5) in
+    if w land bit i = 0 then begin
+      Blockvec.set s.words (i asr 5) (w lor bit i);
+      s.count <- s.count + 1
+    end
+
+  let remove s i =
+    let w = Blockvec.get s.words (i asr 5) in
+    if w land bit i <> 0 then begin
+      Blockvec.set s.words (i asr 5) (w land lnot (bit i));
+      s.count <- s.count - 1
+    end
+
+  let clear s =
+    if s.count > 0 then begin
+      Blockvec.clear s.words;
+      s.count <- 0
+    end
+
+  (* Members in descending order; an empty word costs one read. *)
+  let fold_desc s ~init ~f =
+    let acc = ref init in
+    for w = Blockvec.length s.words - 1 downto 0 do
+      let word = Blockvec.get s.words w in
+      if word <> 0 then
+        for b = 31 downto 0 do
+          if word land (1 lsl b) <> 0 then acc := f !acc ((w lsl 5) lor b)
+        done
+    done;
+    !acc
+end
+
 type t = {
   oid : int;
   kind : kind;
   pool : Frame.pool;
-  pages : (int, pslot) Hashtbl.t;
+  pages : pslot option Blockvec.t;
   mutable shadow : t option;
   mutable refcount : int;
-  dirty : (int, unit) Hashtbl.t;
-  armed : (int, unit) Hashtbl.t;
-  heat : (int, int) Hashtbl.t;
+  dirty : Pageset.t;
+  armed : Pageset.t;
+  heat : int Blockvec.t;
+  mutable heated : int; (* pages whose heat is nonzero *)
   mutable cow_breaks : int;
 }
 
@@ -23,13 +68,22 @@ let next_oid = ref 0
 
 let create ~pool kind =
   incr next_oid;
-  { oid = !next_oid; kind; pool; pages = Hashtbl.create 64; shadow = None;
-    refcount = 1; dirty = Hashtbl.create 64; armed = Hashtbl.create 64;
-    heat = Hashtbl.create 64; cow_breaks = 0 }
+  { oid = !next_oid; kind; pool; pages = Blockvec.create None; shadow = None;
+    refcount = 1; dirty = Pageset.create (); armed = Pageset.create ();
+    heat = Blockvec.create 0; heated = 0; cow_breaks = 0 }
 
 let oid t = t.oid
 let kind t = t.kind
 let shadow_of t = t.shadow
+
+let fold_pages t ~init ~f =
+  let acc = ref init in
+  for pindex = 0 to Blockvec.length t.pages - 1 do
+    match Blockvec.get t.pages pindex with
+    | Some slot -> acc := f !acc pindex slot
+    | None -> ()
+  done;
+  !acc
 
 let incref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.incref: dead object";
@@ -43,8 +97,12 @@ let rec decref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.decref: dead object";
   t.refcount <- t.refcount - 1;
   if t.refcount = 0 then begin
-    Hashtbl.iter (fun _ slot -> release_slot t slot) t.pages;
-    Hashtbl.reset t.pages;
+    fold_pages t ~init:() ~f:(fun () _ slot -> release_slot t slot);
+    Blockvec.clear t.pages;
+    Pageset.clear t.dirty;
+    Pageset.clear t.armed;
+    Blockvec.clear t.heat;
+    t.heated <- 0;
     match t.shadow with
     | None -> ()
     | Some backing ->
@@ -63,38 +121,35 @@ type resolution =
   | Absent
 
 let rec resolve t pindex =
-  match Hashtbl.find_opt t.pages pindex with
+  match Blockvec.get t.pages pindex with
   | Some slot -> Found { owner = t; slot }
   | None -> (
     match t.shadow with
     | Some backing -> resolve backing pindex
     | None -> Absent)
 
-let install t pindex frame =
-  (match Hashtbl.find_opt t.pages pindex with
-   | Some slot -> release_slot t slot
-   | None -> ());
-  Hashtbl.replace t.pages pindex (Resident frame)
+let replace t pindex slot =
+  Option.iter (release_slot t) (Blockvec.get t.pages pindex);
+  Blockvec.set t.pages pindex (Some slot)
+
+let install t pindex frame = replace t pindex (Resident frame)
 
 let install_paged_out t pindex ~content ~read_cost =
-  (match Hashtbl.find_opt t.pages pindex with
-   | Some slot -> release_slot t slot
-   | None -> ());
-  Hashtbl.replace t.pages pindex (Paged_out { content; read_cost })
+  replace t pindex (Paged_out { content; read_cost })
 
 let page_in t pindex frame =
-  match Hashtbl.find_opt t.pages pindex with
-  | Some (Paged_out _) -> Hashtbl.replace t.pages pindex (Resident frame)
+  match Blockvec.get t.pages pindex with
+  | Some (Paged_out _) -> Blockvec.set t.pages pindex (Some (Resident frame))
   | Some (Resident _) -> invalid_arg "Vmobject.page_in: page already resident"
   | None -> invalid_arg "Vmobject.page_in: no such page"
 
 let page_out t pindex ~read_cost =
-  match Hashtbl.find_opt t.pages pindex with
+  match Blockvec.get t.pages pindex with
   | Some (Resident f) ->
     if f.Frame.refcount > 1 then invalid_arg "Vmobject.page_out: frame is shared";
     let content = f.Frame.content in
     Frame.decref t.pool f;
-    Hashtbl.replace t.pages pindex (Paged_out { content; read_cost });
+    Blockvec.set t.pages pindex (Some (Paged_out { content; read_cost }));
     content
   | Some (Paged_out _) -> invalid_arg "Vmobject.page_out: already paged out"
   | None -> invalid_arg "Vmobject.page_out: no such page"
@@ -103,45 +158,40 @@ let page_out t pindex ~read_cost =
 
 type flush_item = { pindex : int; content : Content.t; frame : Frame.t option }
 
-let capture t pindex =
-  match Hashtbl.find_opt t.pages pindex with
-  | Some (Resident f) ->
-    Frame.incref f;
-    Some { pindex; content = f.Frame.content; frame = Some f }
-  | Some (Paged_out { content; _ }) -> Some { pindex; content; frame = None }
-  | None -> None
-
-let sorted_keys h =
-  let keys = Hashtbl.fold (fun k () acc -> k :: acc) h [] in
-  List.sort Int.compare keys
-
 let arm_for_checkpoint t ~mode =
-  let to_capture =
+  let arm items pindex =
+    match Blockvec.get t.pages pindex with
+    | None -> items (* dirty mark on a page this object does not hold *)
+    | Some slot ->
+      Pageset.add t.armed pindex;
+      let item =
+        match slot with
+        | Resident f ->
+          Frame.incref f;
+          { pindex; content = f.Frame.content; frame = Some f }
+        | Paged_out { content; _ } -> { pindex; content; frame = None }
+      in
+      item :: items
+  in
+  (* Both walks go down, so consing leaves the items in ascending
+     pindex order. *)
+  let items =
     match mode with
     | `Full ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-      List.sort Int.compare keys
+      let items = ref [] in
+      for pindex = Blockvec.length t.pages - 1 downto 0 do
+        items := arm !items pindex
+      done;
+      !items
     | `Dirty_only ->
       (* Dirty pages, plus pages never captured by any checkpoint
          (present but neither armed nor dirty can only mean "captured
          before and unmodified since", so those are skipped). A page is
          "never captured" exactly when it is dirty — pages are marked
          dirty at birth — so the dirty set is complete. *)
-      sorted_keys t.dirty
+      Pageset.fold_desc t.dirty ~init:[] ~f:arm
   in
-  let items =
-    List.filter_map
-      (fun pindex ->
-        match capture t pindex with
-        | Some item ->
-          Hashtbl.replace t.armed pindex ();
-          Some item
-        | None ->
-          (* dirty entry for a page that was since unmapped *)
-          None)
-      to_capture
-  in
-  Hashtbl.reset t.dirty;
+  Pageset.clear t.dirty;
   items
 
 let release_flush_item ~pool item =
@@ -149,26 +199,25 @@ let release_flush_item ~pool item =
   | Some f -> Frame.decref pool f
   | None -> ()
 
-let is_armed t pindex = Hashtbl.mem t.armed pindex
+let is_armed t pindex = Pageset.mem t.armed pindex
 let cow_breaks t = t.cow_breaks
 let reset_cow_breaks t = t.cow_breaks <- 0
-let armed_count t = Hashtbl.length t.armed
-let dirty_count t = Hashtbl.length t.dirty
-
-let mark_dirty t pindex = Hashtbl.replace t.dirty pindex ()
+let armed_count t = t.armed.Pageset.count
+let dirty_count t = t.dirty.Pageset.count
+let mark_dirty t pindex = Pageset.add t.dirty pindex
 
 let disarm_for_write t pindex =
-  if not (Hashtbl.mem t.armed pindex) then
+  if not (is_armed t pindex) then
     invalid_arg "Vmobject.disarm_for_write: page not armed";
-  match Hashtbl.find_opt t.pages pindex with
+  match Blockvec.get t.pages pindex with
   | Some (Resident old_frame) ->
     (* Aurora's COW: a new page shared between all processes mapping
        this object; the old frame stays alive while the flusher holds
        its reference. *)
     let fresh = Frame.alloc t.pool old_frame.Frame.content in
     Frame.decref t.pool old_frame;
-    Hashtbl.replace t.pages pindex (Resident fresh);
-    Hashtbl.remove t.armed pindex;
+    Blockvec.set t.pages pindex (Some (Resident fresh));
+    Pageset.remove t.armed pindex;
     t.cow_breaks <- t.cow_breaks + 1;
     mark_dirty t pindex;
     fresh
@@ -178,27 +227,37 @@ let disarm_for_write t pindex =
 (* --- heat / clock ------------------------------------------------- *)
 
 let touch t pindex =
-  (match Hashtbl.find_opt t.pages pindex with
+  (match Blockvec.get t.pages pindex with
    | Some (Resident f) -> f.Frame.accessed <- true
    | Some (Paged_out _) | None -> ());
-  let h = Option.value ~default:0 (Hashtbl.find_opt t.heat pindex) in
-  Hashtbl.replace t.heat pindex (h + 1)
+  let h = Blockvec.get t.heat pindex in
+  if h = 0 then t.heated <- t.heated + 1;
+  Blockvec.set t.heat pindex (h + 1)
 
-let heat t pindex = Option.value ~default:0 (Hashtbl.find_opt t.heat pindex)
+let heat t pindex = Blockvec.get t.heat pindex
 
 let age_heat t =
-  let halved = Hashtbl.fold (fun k v acc -> (k, v / 2) :: acc) t.heat [] in
-  List.iter
-    (fun (k, v) -> if v = 0 then Hashtbl.remove t.heat k else Hashtbl.replace t.heat k v)
-    halved
+  for pindex = 0 to Blockvec.length t.heat - 1 do
+    let h = Blockvec.get t.heat pindex in
+    if h > 0 then begin
+      if h = 1 then t.heated <- t.heated - 1;
+      Blockvec.set t.heat pindex (h / 2)
+    end
+  done
 
 (* Hottest first: heat descending, ties by page index ascending. *)
 let hotter (ka, va) (kb, vb) = match Int.compare vb va with 0 -> Int.compare ka kb | c -> c
 
 let hot_pages t ~limit =
   if limit < 0 then invalid_arg "Vmobject.hot_pages: negative limit";
-  if limit >= Hashtbl.length t.heat then
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.heat [] |> List.sort hotter |> List.map fst
+  if limit >= t.heated then begin
+    let all = ref [] in
+    for pindex = Blockvec.length t.heat - 1 downto 0 do
+      let h = Blockvec.get t.heat pindex in
+      if h > 0 then all := (pindex, h) :: !all
+    done;
+    List.sort hotter !all |> List.map fst
+  end
   else if limit = 0 then []
   else begin
     (* A binary min-heap of the [limit] hottest pages seen so far, the
@@ -235,27 +294,22 @@ let hot_pages t ~limit =
         else set i k v
       end
     in
-    Hashtbl.iter
-      (fun k v ->
+    for k = 0 to Blockvec.length t.heat - 1 do
+      let v = Blockvec.get t.heat k in
+      if v > 0 then
         if !size < limit then begin
           sift_up !size k v;
           incr size
         end
-        else if colder keys.(0) heats.(0) k v then sift_down 0 k v)
-      t.heat;
+        else if colder keys.(0) heats.(0) k v then sift_down 0 k v
+    done;
     List.init limit (fun i -> (keys.(i), heats.(i))) |> List.sort hotter |> List.map fst
   end
 
 (* --- iteration / stats -------------------------------------------- *)
 
-let fold_pages t ~init ~f =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  let keys = List.sort Int.compare keys in
-  List.fold_left (fun acc k -> f acc k (Hashtbl.find t.pages k)) init keys
-
 let resident_count t =
-  Hashtbl.fold (fun _ s acc -> match s with Resident _ -> acc + 1 | Paged_out _ -> acc)
-    t.pages 0
+  fold_pages t ~init:0 ~f:(fun acc _ -> function Resident _ -> acc + 1 | Paged_out _ -> acc)
 
 let rec chain_depth t =
   match t.shadow with None -> 1 | Some backing -> 1 + chain_depth backing

@@ -39,8 +39,8 @@ val oid : t -> int
 val kind : t -> kind
 val incref : t -> unit
 val decref : t -> unit
-(** At zero, releases all resident frames and drops the shadow
-    reference. *)
+(** At zero, releases all resident frames, clears the dirty, armed and
+    heat state, and drops the shadow reference. *)
 
 val shadow_of : t -> t option
 val make_shadow : t -> t
@@ -78,10 +78,12 @@ val page_out : t -> int -> read_cost:Duration.t -> Content.t
 type flush_item = { pindex : int; content : Content.t; frame : Frame.t option }
 
 val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
-(** Write-protect pages and return stable captures for flushing.
-    [`Full] captures every page; [`Dirty_only] captures pages written
-    since the previous arming (plus never-captured pages). Clears the
-    dirty set; already-armed clean pages stay armed. *)
+(** Write-protect pages and return stable captures for flushing, in
+    ascending page index order. [`Full] captures every page;
+    [`Dirty_only] captures pages written since the previous arming
+    (plus never-captured pages), at a cost proportional to the dirty
+    pages plus one read per 32 page indexes. Clears the dirty set;
+    already-armed clean pages stay armed. *)
 
 val release_flush_item : pool:Frame.pool -> flush_item -> unit
 val is_armed : t -> int -> bool
@@ -115,7 +117,8 @@ val age_heat : t -> unit
 (** Halve all heat counters (aging step of the clock approximation). *)
 
 val hot_pages : t -> limit:int -> int list
-(** Up to [limit] page indexes, hottest first. *)
+(** Up to [limit] page indexes with nonzero heat: heat descending, ties
+    by page index ascending. *)
 
 (* --- iteration / stats -------------------------------------------- *)
 

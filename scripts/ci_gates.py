@@ -9,9 +9,12 @@ never drift apart.
 Each named gate in the manifest's "artifact_gates" section is a list of
 checks; a check names a file and may require:
 
-  json_valid     the file parses as JSON
-  contains       every listed substring appears in the raw text
-  not_contains   none of the listed substrings appears
+  json_valid       the file parses as JSON
+  contains         every listed substring appears in the raw text
+  not_contains     none of the listed substrings appears
+  metric_at_most   each named metric of a twoclock result line
+                   ({"metrics": {name: {"value": ...}}}) is at most its
+                   committed value plus the check's "margin_pct"
 
 Usage: ci_gates.py GATE [GATE...] [--manifest PATH]
 
@@ -56,6 +59,25 @@ def run_check(check):
             failures += 1
         else:
             print(f"ok   {path}: free of {needle!r}")
+    limits = check.get("metric_at_most", {})
+    if limits:
+        margin = check.get("margin_pct", 0)
+        try:
+            metrics = json.loads(text)["metrics"]
+        except (ValueError, KeyError, TypeError):
+            print(f"FAIL {path}: no metrics object")
+            return failures + len(limits)
+        for name, committed in limits.items():
+            limit = committed * (1 + margin / 100)
+            value = metrics.get(name, {}).get("value")
+            if value is None:
+                print(f"FAIL {path}: missing metric {name!r}")
+                failures += 1
+            elif value <= limit:
+                print(f"ok   {path}: {name} {value} <= {limit:.6g} ({committed} + {margin}%)")
+            else:
+                print(f"FAIL {path}: {name} {value} > {limit:.6g} ({committed} + {margin}%)")
+                failures += 1
     return failures
 
 

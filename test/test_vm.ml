@@ -391,6 +391,54 @@ let test_unmap_releases () =
        false
      with Vmmap.Fault _ -> true)
 
+(* [entry_at] answers from the entry it found last while that entry
+   still covers the vpn; these pin when the hint must not answer. *)
+let test_hint_unmap_faults () =
+  let _, _, m = mkmap () in
+  let a = Vmmap.map_anonymous m ~npages:4 () in
+  let b = Vmmap.map_anonymous m ~npages:4 () in
+  Vmmap.write m ~vpn:a.Vmmap.start_vpn ~offset:0 ~value:1L;
+  Vmmap.unmap m a;
+  check_bool "access after unmapping the hinted entry faults" true
+    (try
+       ignore (Vmmap.read m ~vpn:(a.Vmmap.start_vpn + 1));
+       false
+     with Vmmap.Fault _ -> true);
+  Vmmap.write m ~vpn:b.Vmmap.start_vpn ~offset:0 ~value:2L;
+  check_bool "the other entry still resolves" true
+    (match Vmmap.entry_at m b.Vmmap.start_vpn with Some e -> e == b | None -> false)
+
+let test_hint_map_fixed_gap () =
+  let _, pool, m = mkmap () in
+  let a = Vmmap.map_anonymous m ~npages:4 () in
+  let b = Vmmap.map_anonymous m ~npages:4 () in
+  Vmmap.write m ~vpn:a.Vmmap.start_vpn ~offset:0 ~value:1L;
+  (* The guard gap between [a] and [b]. *)
+  let gap = a.Vmmap.start_vpn + a.Vmmap.npages in
+  check_bool "gap precedes b" true (gap + 2 <= b.Vmmap.start_vpn);
+  let obj = Vmobject.create ~pool Vmobject.Anonymous in
+  let c = Vmmap.map_fixed m ~start_vpn:gap ~obj ~obj_offset:0 ~npages:2 () in
+  Vmobject.decref obj;
+  check_bool "the fixed entry resolves" true
+    (match Vmmap.entry_at m (gap + 1) with Some e -> e == c | None -> false);
+  Vmmap.write m ~vpn:(gap + 1) ~offset:0 ~value:3L;
+  check_bool "written through the fixed entry" false
+    (Content.is_zero (Vmmap.read m ~vpn:(gap + 1)));
+  check_bool "a keeps its page" false (Content.is_zero (Vmmap.read m ~vpn:a.Vmmap.start_vpn))
+
+let test_hint_not_inherited_by_fork () =
+  let _, _, parent = mkmap () in
+  let e = Vmmap.map_anonymous parent ~npages:2 () in
+  let vpn = e.Vmmap.start_vpn in
+  Vmmap.write parent ~vpn ~offset:0 ~value:1L;
+  let before = Vmmap.read parent ~vpn in
+  let child = Vmmap.fork parent in
+  check_bool "child resolves to its own entry" true
+    (match Vmmap.entry_at child vpn with Some c -> c != e | None -> false);
+  Vmmap.write child ~vpn ~offset:8 ~value:2L;
+  Alcotest.check content_t "parent unchanged by the child's write" before
+    (Vmmap.read parent ~vpn)
+
 let prop_fork_preserves_contents =
   QCheck.Test.make ~name:"fork preserves all parent page contents"
     QCheck.(list_of_size Gen.(int_range 1 30) (pair (int_bound 15) int64))
@@ -492,6 +540,280 @@ let prop_fork_chain_generations =
           done;
           !ok)
         !maps !models)
+
+(* ------------------------------------------------------------------ *)
+(* Vmobject against a pure model                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
+
+(* Each page's residency and content seed, and the dirty, armed and
+   heat state, as pure maps and sets. *)
+type model = {
+  pages : (bool * int64) Imap.t;
+  dirty : Iset.t;
+  armed : Iset.t;
+  heat : int Imap.t;
+}
+
+type obj_op =
+  | Install of int * int64
+  | Install_paged_out of int * int64
+  | Page_in of int
+  | Page_out of int
+  | Touch of int
+  | Mark_dirty of int
+  | Arm of [ `Full | `Dirty_only ]
+  | Disarm of int
+  | Age
+
+let show_obj_op = function
+  | Install (p, s) -> Printf.sprintf "install %d %Ld" p s
+  | Install_paged_out (p, s) -> Printf.sprintf "install_paged_out %d %Ld" p s
+  | Page_in p -> Printf.sprintf "page_in %d" p
+  | Page_out p -> Printf.sprintf "page_out %d" p
+  | Touch p -> Printf.sprintf "touch %d" p
+  | Mark_dirty p -> Printf.sprintf "mark_dirty %d" p
+  | Arm `Full -> "arm full"
+  | Arm `Dirty_only -> "arm dirty_only"
+  | Disarm p -> Printf.sprintf "disarm %d" p
+  | Age -> "age"
+
+let gen_obj_op =
+  let open QCheck.Gen in
+  (* Mostly a few dozen pages, so operations meet on one page; now and
+     then one past the first 1,024 page slots and 32,768 bitset bits. *)
+  let pindex = frequency [ (12, int_bound 40); (1, int_range 1_000 34_000) ] in
+  let seed = map Int64.of_int (int_range 1 1_000) in
+  frequency
+    [ (4, map2 (fun p s -> Install (p, s)) pindex seed);
+      (2, map2 (fun p s -> Install_paged_out (p, s)) pindex seed);
+      (2, map (fun p -> Page_in p) pindex);
+      (2, map (fun p -> Page_out p) pindex);
+      (5, map (fun p -> Touch p) pindex);
+      (4, map (fun p -> Mark_dirty p) pindex);
+      (1, return (Arm `Full));
+      (2, return (Arm `Dirty_only));
+      (3, map (fun p -> Disarm p) pindex);
+      (1, return Age) ]
+
+let model_hot_pages m ~limit =
+  Imap.bindings m.heat
+  |> List.sort (fun (ka, va) (kb, vb) ->
+         match Int.compare vb va with 0 -> Int.compare ka kb | c -> c)
+  |> List.filteri (fun i _ -> i < limit)
+  |> List.map fst
+
+(* Flush items are released as soon as they are compared, so every
+   resident page holds exactly one frame reference. *)
+let prop_vmobject_matches_model =
+  QCheck.Test.make ~name:"vmobject agrees with a pure map model" ~count:150
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_obj_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 60) gen_obj_op))
+    (fun ops ->
+      let pool = Frame.create_pool () in
+      let o = Vmobject.create ~pool Vmobject.Anonymous in
+      let fail step fmt =
+        Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "step %d: %s" step msg) fmt
+      in
+      let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+      let slot_view = function
+        | Vmobject.Resident f -> (true, Content.to_seed f.Frame.content)
+        | Vmobject.Paged_out { content; _ } -> (false, Content.to_seed content)
+      in
+      let check_pages step m =
+        let got =
+          Vmobject.fold_pages o ~init:[] ~f:(fun acc p slot -> (p, slot_view slot) :: acc)
+          |> List.rev
+        in
+        if got <> Imap.bindings m.pages then fail step "fold_pages differs";
+        let resident = Imap.fold (fun _ (r, _) n -> if r then n + 1 else n) m.pages 0 in
+        if Vmobject.resident_count o <> resident then fail step "resident_count";
+        let heated = Imap.cardinal m.heat in
+        List.iter
+          (fun limit ->
+            if Vmobject.hot_pages o ~limit <> model_hot_pages m ~limit then
+              fail step "hot_pages ~limit:%d" limit)
+          [ 0; 1; 3; heated; heated + 1; max_int ]
+      in
+      let step_op step m op =
+        match op with
+        | Install (p, s) ->
+          Vmobject.install o p (Frame.alloc pool (Content.of_seed s));
+          { m with pages = Imap.add p (true, s) m.pages }
+        | Install_paged_out (p, s) ->
+          Vmobject.install_paged_out o p ~content:(Content.of_seed s) ~read_cost:Duration.zero;
+          { m with pages = Imap.add p (false, s) m.pages }
+        | Page_in p -> (
+          match Imap.find_opt p m.pages with
+          | Some (false, s) ->
+            Vmobject.page_in o p (Frame.alloc pool (Content.of_seed s));
+            { m with pages = Imap.add p (true, s) m.pages }
+          | Some (true, _) | None ->
+            let f = Frame.alloc pool Content.zero in
+            if not (raises (fun () -> Vmobject.page_in o p f)) then fail step "page_in accepted";
+            Frame.decref pool f;
+            m)
+        | Page_out p -> (
+          match Imap.find_opt p m.pages with
+          | Some (true, s) ->
+            let c = Vmobject.page_out o p ~read_cost:Duration.zero in
+            if Content.to_seed c <> s then fail step "page_out content";
+            { m with pages = Imap.add p (false, s) m.pages }
+          | Some (false, _) | None ->
+            if not (raises (fun () -> Vmobject.page_out o p ~read_cost:Duration.zero)) then
+              fail step "page_out accepted";
+            m)
+        | Touch p ->
+          Vmobject.touch o p;
+          { m with heat = Imap.add p (1 + Option.value ~default:0 (Imap.find_opt p m.heat)) m.heat }
+        | Mark_dirty p ->
+          Vmobject.mark_dirty o p;
+          { m with dirty = Iset.add p m.dirty }
+        | Arm mode ->
+          let items = Vmobject.arm_for_checkpoint o ~mode in
+          let got =
+            List.map
+              (fun (it : Vmobject.flush_item) ->
+                (match it.frame with
+                 | Some f when not (Content.equal f.Frame.content it.content) ->
+                   fail step "captured frame differs from its content"
+                 | _ -> ());
+                (it.pindex, (Option.is_some it.frame, Content.to_seed it.content)))
+              items
+          in
+          List.iter (Vmobject.release_flush_item ~pool) items;
+          let captured =
+            match mode with
+            | `Full -> Imap.bindings m.pages
+            | `Dirty_only ->
+              List.filter (fun (p, _) -> Iset.mem p m.dirty) (Imap.bindings m.pages)
+          in
+          if got <> captured then fail step "flush items differ";
+          let armed = List.fold_left (fun s (p, _) -> Iset.add p s) m.armed captured in
+          let m = { m with dirty = Iset.empty; armed } in
+          check_pages step m;
+          m
+        | Disarm p -> (
+          match Imap.find_opt p m.pages with
+          | Some (true, s) when Iset.mem p m.armed ->
+            let fresh = Vmobject.disarm_for_write o p in
+            if Content.to_seed fresh.Frame.content <> s then fail step "disarm content";
+            { m with armed = Iset.remove p m.armed; dirty = Iset.add p m.dirty }
+          | _ ->
+            if not (raises (fun () -> Vmobject.disarm_for_write o p)) then
+              fail step "disarm accepted";
+            m)
+        | Age ->
+          Vmobject.age_heat o;
+          { m with heat = Imap.filter_map (fun _ h -> if h / 2 = 0 then None else Some (h / 2)) m.heat }
+      in
+      let check_counts step m op =
+        let p = match op with
+          | Install (p, _) | Install_paged_out (p, _) | Page_in p | Page_out p | Touch p
+          | Mark_dirty p | Disarm p -> p
+          | Arm _ | Age -> 0
+        in
+        if Vmobject.armed_count o <> Iset.cardinal m.armed then fail step "armed_count";
+        if Vmobject.dirty_count o <> Iset.cardinal m.dirty then fail step "dirty_count";
+        if Vmobject.is_armed o p <> Iset.mem p m.armed then fail step "is_armed %d" p;
+        if Vmobject.heat o p <> Option.value ~default:0 (Imap.find_opt p m.heat) then
+          fail step "heat %d" p;
+        let resident = Imap.fold (fun _ (r, _) n -> if r then n + 1 else n) m.pages 0 in
+        if Frame.resident pool <> resident then fail step "frames held"
+      in
+      let empty = { pages = Imap.empty; dirty = Iset.empty; armed = Iset.empty; heat = Imap.empty } in
+      let m, _ =
+        List.fold_left
+          (fun (m, step) op ->
+            let m = step_op step m op in
+            check_counts step m op;
+            (m, step + 1))
+          (empty, 0) ops
+      in
+      let last = List.length ops in
+      check_pages last m;
+      (* At zero references every per-page array is cleared. *)
+      Vmobject.decref o;
+      if Frame.resident pool <> 0 then fail last "frames leaked";
+      check_pages last empty;
+      if Vmobject.armed_count o <> 0 || Vmobject.dirty_count o <> 0 then
+        fail last "sets survive decref";
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation on the memory-access path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words [f] allocates, with empty minor heaps on both sides. *)
+let minor_words_of f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor ();
+  Gc.minor_words () -. w0
+
+let test_hot_paths_allocate_nothing () =
+  let open Aurora_proc in
+  let k = Kernel.create () in
+  let p = Kernel.spawn k ~name:"kv" ~program:"none" () in
+  (* Library-like mappings first, so the data region is last in the
+     entry list, as in the kvstore fixtures. *)
+  for _ = 1 to 70 do
+    ignore (Syscall.mmap_anon k p ~npages:2)
+  done;
+  let npages = 256 in
+  let e = Syscall.mmap_anon k p ~npages in
+  let base = e.Vmmap.start_vpn and o = e.Vmmap.obj and m = p.Process.vm in
+  for i = 0 to npages - 1 do
+    Syscall.mem_write k p ~vpn:(base + i) ~offset:0 ~value:(Int64.of_int i)
+  done;
+  let pool = Vmmap.pool m in
+  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
+  for i = 0 to (npages / 2) - 1 do
+    ignore (Vmobject.disarm_for_write o (2 * i))
+  done;
+  let n = 20_000 in
+  let zero name f =
+    let dw = minor_words_of f in
+    check_bool (Printf.sprintf "%s allocates nothing (%.0f minor words / %d calls)" name dw n)
+      true (dw < 64.)
+  in
+  ignore (Vmmap.entry_at m base);
+  zero "entry_at on a hint hit" (fun () ->
+      for i = 1 to n do
+        ignore (Vmmap.entry_at m (base + (i land (npages - 1))))
+      done);
+  zero "touch" (fun () ->
+      for i = 1 to n do
+        Vmobject.touch o (i land (npages - 1))
+      done);
+  let armed = ref 0 and heat = ref 0 in
+  zero "is_armed and heat" (fun () ->
+      for i = 1 to n do
+        if Vmobject.is_armed o (i land (npages - 1)) then incr armed;
+        heat := !heat + Vmobject.heat o (i land (npages - 1))
+      done);
+  check_bool "half the pages armed" true (!armed = n / 2);
+  check_bool "heat read back" true (!heat > 0);
+  zero "mark_dirty of a dirty page" (fun () ->
+      for i = 1 to n do
+        Vmobject.mark_dirty o (2 * (i land ((npages / 2) - 1)))
+      done);
+  let dw =
+    minor_words_of (fun () ->
+        for i = 1 to n do
+          ignore (Syscall.mem_read k p ~vpn:(base + (i land (npages - 1))) ~offset:8)
+        done)
+  in
+  check_bool
+    (Printf.sprintf "mem_read of a resident page: %.1f minor words each" (dw /. float_of_int n))
+    true
+    (dw <= (9. *. float_of_int n) +. 64.)
 
 (* ------------------------------------------------------------------ *)
 (* Clock algorithm and swap                                            *)
@@ -637,6 +959,9 @@ let () =
           Alcotest.test_case "decref releases chain" `Quick test_object_decref_releases_chain;
           Alcotest.test_case "replace releases old frame" `Quick
             test_object_replace_releases_old;
+          qt prop_vmobject_matches_model;
+          Alcotest.test_case "VM hot paths allocate nothing" `Quick
+            test_hot_paths_allocate_nothing;
         ] );
       ( "checkpoint-cow",
         [
@@ -665,6 +990,10 @@ let () =
           Alcotest.test_case "major fault from swap" `Quick test_major_fault_paged_out;
           Alcotest.test_case "residency accounting" `Quick test_resident_and_distinct;
           Alcotest.test_case "unmap releases frames" `Quick test_unmap_releases;
+          Alcotest.test_case "hint: unmapped entry faults" `Quick test_hint_unmap_faults;
+          Alcotest.test_case "hint: map_fixed into a gap" `Quick test_hint_map_fixed_gap;
+          Alcotest.test_case "hint: fork starts without one" `Quick
+            test_hint_not_inherited_by_fork;
           qt prop_fork_preserves_contents;
           qt prop_cow_write_isolation;
           qt prop_fork_chain_generations;
