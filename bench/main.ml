@@ -420,7 +420,7 @@ let lazy_restore () =
     done
   in
   List.iter
-    (fun (label, policy) ->
+    (fun (label, key, policy) ->
       let m, c, p, cfg = redis_fixture ~mib:256 () in
       let k = m.Machine.kernel in
       let g = Machine.persist m (`Container c.Container.cid) in
@@ -432,11 +432,18 @@ let lazy_restore () =
       let pids, breakdown = Machine.restore_group m g ~policy () in
       let p' = Kernel.proc_exn m.Machine.kernel (List.hd pids) in
       burst k p' ~spec ~n:2_000;
+      let majors = (Vmmap.faults p'.Process.vm).Vmmap.major in
       row "%16s %16.1f %14d %18d\n" label
         (us breakdown.Types.total_latency)
-        breakdown.Types.pages_restored
-        (Vmmap.faults p'.Process.vm).Vmmap.major)
-    [ ("eager", Types.Eager); ("lazy", Types.Lazy); ("lazy+prefetch", Types.Lazy_prefetch) ];
+        breakdown.Types.pages_restored majors;
+      json_record "lazy-restore"
+        [
+          (key ^ "_restore_us", jnum (us breakdown.Types.total_latency));
+          (key ^ "_resident_pages", jint breakdown.Types.pages_restored);
+          (key ^ "_post_restore_majors", jint majors);
+        ])
+    [ ("eager", "eager", Types.Eager); ("lazy", "lazy", Types.Lazy);
+      ("lazy+prefetch", "lazy_prefetch", Types.Lazy_prefetch) ];
   row "\n(lazy restores start fastest; the clock-algorithm hot set removes most\n";
   row " of the post-restore faults - Section 3)\n"
 
@@ -581,22 +588,32 @@ let hdd () =
 let restore_scale () =
   section "F-scale: restore latency vs image size (from NVMe)";
   row "%10s %18s %18s %14s\n" "image" "lazy restore" "eager restore" "ratio";
-  List.iter
-    (fun mib ->
-      let measure policy =
-        let m, c, _p, _ = redis_fixture ~mib () in
-        let g = Machine.persist m (`Container c.Container.cid) in
-        let b = Machine.checkpoint_now m g () in
-        Store.wait_durable m.Machine.disk_store b.Types.durable_at;
-        Store.drop_caches m.Machine.disk_store;
-        let _, breakdown = Machine.restore_group m g ~policy () in
-        Duration.to_us breakdown.Types.total_latency
-      in
-      let lazy_us = measure Types.Lazy in
-      let eager_us = measure Types.Eager in
-      row "%7dMiB %16.1fus %16.1fus %13.1fx\n" mib lazy_us eager_us
-        (eager_us /. lazy_us))
-    [ 16; 64; 256; 512 ];
+  let lazy_wins =
+    List.map
+      (fun mib ->
+        let measure policy =
+          let m, c, _p, _ = redis_fixture ~mib () in
+          let g = Machine.persist m (`Container c.Container.cid) in
+          let b = Machine.checkpoint_now m g () in
+          Store.wait_durable m.Machine.disk_store b.Types.durable_at;
+          Store.drop_caches m.Machine.disk_store;
+          let _, breakdown = Machine.restore_group m g ~policy () in
+          Duration.to_us breakdown.Types.total_latency
+        in
+        let lazy_us = measure Types.Lazy in
+        let eager_us = measure Types.Eager in
+        row "%7dMiB %16.1fus %16.1fus %13.1fx\n" mib lazy_us eager_us
+          (eager_us /. lazy_us);
+        json_record "restore-scale"
+          [
+            (Printf.sprintf "image_%dmib_lazy_us" mib, jnum lazy_us);
+            (Printf.sprintf "image_%dmib_eager_us" mib, jnum eager_us);
+          ];
+        lazy_us < eager_us)
+      [ 16; 64; 256; 512 ]
+  in
+  json_record "restore-scale"
+    [ ("lazy_beats_eager_flag", jint (Bool.to_int (List.for_all Fun.id lazy_wins))) ];
   row "\n(lazy restore grows with metadata, eager with data: the gap is what\n";
   row " makes density and warm starts practical - Sections 3-4)\n"
 

@@ -176,25 +176,24 @@ let batch_content t i =
     end
     else stored t i
 
-let read_many_async ?(cls = Iosched.Foreground) t indices =
-  let n = List.length indices in
-  let completion =
-    if n = 0 then Duration.max (Clock.now t.clock) (busy_until t)
-    else begin
-      let cost = Profile.transfer_cost t.profile ~op:`Read ~bytes:(n * block_size) in
-      let start, completion =
-        Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks:n
-      in
-      t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + n };
-      note_command t Batch_read ~cls ~commands:1 ~blocks:n ~start_at:start
-        ~end_at:completion cost;
-      completion
-    end
-  in
-  (List.map (fun i -> batch_content t i) indices, completion)
+(* One batched read command of [blocks] blocks: latency charged once,
+   bandwidth per block. The payloads come from [batch_content]. *)
+let queue_batch_read ?(cls = Iosched.Foreground) t ~blocks =
+  if blocks = 0 then Duration.max (Clock.now t.clock) (busy_until t)
+  else begin
+    let cost = Profile.transfer_cost t.profile ~op:`Read ~bytes:(blocks * block_size) in
+    let start, completion =
+      Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks
+    in
+    t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + blocks };
+    note_command t Batch_read ~cls ~commands:1 ~blocks ~start_at:start ~end_at:completion
+      cost;
+    completion
+  end
 
 let read_many ?cls t indices =
-  let contents, completion = read_many_async ?cls t indices in
+  let completion = queue_batch_read ?cls t ~blocks:(List.length indices) in
+  let contents = List.map (batch_content t) indices in
   Clock.advance_to t.clock completion;
   contents
 

@@ -64,16 +64,22 @@ val read : ?cls:Iosched.cls -> t -> int -> content
     latent sector. *)
 
 val read_many : ?cls:Iosched.cls -> t -> int list -> content list
-(** One command: latency charged once, bandwidth per block. Batch
-    reads are best-effort: blocks on latent sectors (or a dropped
-    device) come back [Zero] instead of failing the transfer — callers
-    that need certainty verify checksums and re-issue single reads. *)
+(** One command ({!queue_batch_read}) delivering {!batch_content} of
+    each block; waits for its completion. *)
 
-val read_many_async : ?cls:Iosched.cls -> t -> int list -> content list * Duration.t
-(** Queue one read command and return the contents together with the
-    absolute completion time {e without} advancing the clock. The
-    device array uses this to issue reads on several devices at the
-    same simulated instant and then wait for the slowest. *)
+val queue_batch_read : ?cls:Iosched.cls -> t -> blocks:int -> Duration.t
+(** Queue one read command of [blocks] blocks (latency charged once,
+    bandwidth per block) and return its absolute completion time
+    {e without} advancing the clock. The device array issues one per
+    device at the same simulated instant and then waits for the
+    slowest. With [blocks = 0] nothing is queued. *)
+
+val batch_content : t -> int -> content
+(** What a batched read delivers for one block, charging nothing by
+    itself. Batch reads are best-effort: blocks on latent sectors (or
+    a dropped device) come back [Zero] instead of failing the
+    transfer — callers that need certainty verify checksums and
+    re-issue single reads. *)
 
 val peek : t -> int -> content
 (** Read without charging the clock or the stats counters. For

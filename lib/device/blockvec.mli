@@ -5,11 +5,11 @@
     [[first_block, next_fresh)] and reuses freed blocks first), so the
     allocator's refcounts, the B-tree node cache, the dedup reverse
     index and device contents are arrays, not hash tables. So do a VM
-    object's page indexes, so its pages, heat counters and dirty and
-    armed bitmaps are too. The array reaches the highest index set, so
-    a sparse index would pay for every hole. Plain data, with no
-    closure: devices and VM objects holding one marshal into universe
-    files. *)
+    object's page indexes, so its pages, its dirty and armed bitmaps and
+    the directory of its heat chunks are too. The array reaches the
+    highest index set, so a sparse index would pay for every hole.
+    Plain data, with no closure: devices and VM objects holding one
+    marshal into universe files. *)
 
 type 'a t
 

@@ -91,34 +91,37 @@ let read ?cls t b =
   let d, phys = locate t b in
   Blockdev.read ?cls t.devs.(d) phys
 
+(* Without [locate]'s tuple: lazy restore peeks once per page. *)
 let peek t b =
-  let d, phys = locate t b in
-  Blockdev.peek t.devs.(d) phys
+  if b < 0 then invalid_arg "Devarray: negative block index";
+  Blockdev.peek t.devs.(b mod t.stripes) (b / t.stripes)
 
 (* One command per device touched, all starting now; the caller waits
-   for the slowest. Results keep request order. *)
+   for the slowest. Results keep request order. Counting the blocks per
+   device is all the partitioning a command needs, so nothing is
+   allocated per block beyond the result. *)
 let read_many_arr ?cls t indices =
   let n = Array.length indices in
   let results = Array.make n Blockdev.Zero in
   if n > 0 then begin
-    let per_dev = Array.make t.stripes [] in
-    Array.iteri
-      (fun pos b ->
-        let d, phys = locate t b in
-        per_dev.(d) <- (pos, phys) :: per_dev.(d))
+    let per_dev = Array.make t.stripes 0 in
+    Array.iter
+      (fun b ->
+        if b < 0 then invalid_arg "Devarray: negative block index";
+        let d = b mod t.stripes in
+        per_dev.(d) <- per_dev.(d) + 1)
       indices;
     let completion = ref Duration.zero in
     Array.iteri
-      (fun d reqs ->
-        match List.rev reqs with
-        | [] -> ()
-        | reqs ->
-          let contents, done_at =
-            Blockdev.read_many_async ?cls t.devs.(d) (List.map snd reqs)
-          in
-          completion := Duration.max !completion done_at;
-          List.iter2 (fun (pos, _) c -> results.(pos) <- c) reqs contents)
+      (fun d blocks ->
+        if blocks > 0 then
+          completion :=
+            Duration.max !completion (Blockdev.queue_batch_read ?cls t.devs.(d) ~blocks))
       per_dev;
+    Array.iteri
+      (fun pos b ->
+        results.(pos) <- Blockdev.batch_content t.devs.(b mod t.stripes) (b / t.stripes))
+      indices;
     Clock.advance_to (clock t) !completion;
     Array.iter Blockdev.settle t.devs
   end;

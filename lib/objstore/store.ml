@@ -1199,81 +1199,88 @@ let page_of_content block = function
   | Blockdev.Data _ ->
     raise (Serial.Corrupt (Printf.sprintf "Store: page block %d holds metadata" block))
 
+(* A page's index entry, as [Btree.find] returns it: the one lookup in
+   front of every single-page read. *)
+let find_page t g ~oid ~pindex =
+  match gen_root t g with
+  | None -> None
+  | Some root -> Btree.find t.tree ~root (key ~oid ~kind:kind_page ~index:pindex)
+
 let read_page t g ~oid ~pindex =
-  match gen_root t g with
-  | None -> None
-  | Some root -> (
-    match Btree.find t.tree ~root (key ~oid ~kind:kind_page ~index:pindex) with
-    | Some (Btree.Ptr block) -> Some (page_of_content block (verified_read t block))
-    | Some (Btree.Imm _) | None -> None)
+  match find_page t g ~oid ~pindex with
+  | Some (Btree.Ptr block) -> Some (page_of_content block (verified_read t block))
+  | Some (Btree.Imm _) | None -> None
 
-let read_pages_batch t g ~oid ~pindexes =
-  match gen_root t g with
-  | None -> [||]
-  | Some root ->
-    (* Preallocated arrays end to end: locate into fixed buffers, one
-       striped array read, map in place — no list churn on the restore
-       hot path. *)
-    let n = Array.length pindexes in
-    let found = Array.make n 0 in
-    let blocks = Array.make n 0 in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      match
-        Btree.find t.tree ~root (key ~oid ~kind:kind_page ~index:pindexes.(i))
-      with
-      | Some (Btree.Ptr block) ->
-        found.(!m) <- pindexes.(i);
-        blocks.(!m) <- block;
-        incr m
-      | Some (Btree.Imm _) | None -> ()
-    done;
-    let m = !m in
-    let contents = Devarray.read_many_arr ~cls:t.read_cls t.dev (Array.sub blocks 0 m) in
-    Array.init m (fun i ->
-        let block = blocks.(i) in
-        (* Batch reads are best-effort DMA: a latent sector comes back
-           [Zero]. The checksum catches the substitution (and any
-           silent corruption) and the single-block verified path
-           re-reads and repairs. *)
-        let content =
-          match
-            (if t.prot.verify then Hashtbl.find_opt t.csums block else None)
-          with
-          | Some h when checksum_content contents.(i) <> h ->
-            t.io.checksum_failures <- t.io.checksum_failures + 1;
-            verified_read t block
-          | _ -> contents.(i)
-        in
-        (found.(i), page_of_content block content))
+type page_map = { pindexes : int array; blocks : int array }
 
-let peek_page t g ~oid ~pindex =
+let page_map t g ~oid =
   match gen_root t g with
-  | None -> None
-  | Some root -> (
-    match Btree.find t.tree ~root (key ~oid ~kind:kind_page ~index:pindex) with
-    | Some (Btree.Ptr block) ->
-      let content = Devarray.peek t.dev block in
-      let content =
-        match (if t.prot.verify then Hashtbl.find_opt t.csums block else None) with
-        | Some h when checksum_content content <> h ->
-          t.io.checksum_failures <- t.io.checksum_failures + 1;
-          verified_read t block
-        | _ -> content
-      in
-      Some (page_of_content block content)
-    | Some (Btree.Imm _) | None -> None)
-
-let fold_page_indexes t g ~oid ~init ~f =
-  match gen_root t g with
-  | None -> init
+  | None -> { pindexes = [||]; blocks = [||] }
   | Some root ->
     let lo = key ~oid ~kind:kind_page ~index:0 in
     let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
-        match v with
-        | Btree.Ptr _ -> f acc (Int64.to_int (Int64.logand k 0xFFFF_FFFFL))
-        | Btree.Imm _ -> acc)
+    (* Filled in key order, doubling as needed, then trimmed. *)
+    let pindexes = ref (Array.make 64 0) and blocks = ref (Array.make 64 0) in
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    let n =
+      Btree.fold_range t.tree ~root ~lo ~hi ~init:0 ~f:(fun n k v ->
+          match v with
+          | Btree.Ptr block ->
+            if n = Array.length !blocks then begin
+              pindexes := grow !pindexes;
+              blocks := grow !blocks
+            end;
+            !pindexes.(n) <- Int64.to_int (Int64.logand k 0xFFFF_FFFFL);
+            !blocks.(n) <- block;
+            n + 1
+          | Btree.Imm _ -> n)
+    in
+    { pindexes = Array.sub !pindexes 0 n; blocks = Array.sub !blocks 0 n }
+
+(* A page block's content as a batch read or a peek delivered it. Both
+   are best-effort: a latent sector comes back [Zero], and bit rot
+   comes back as it is. The checksum catches either, and the
+   single-block verified path re-reads and repairs. *)
+let checked_page t block content =
+  let content =
+    match (if t.prot.verify then Hashtbl.find_opt t.csums block else None) with
+    | Some h when checksum_content content <> h ->
+      t.io.checksum_failures <- t.io.checksum_failures + 1;
+      verified_read t block
+    | _ -> content
+  in
+  page_of_content block content
+
+let read_page_blocks t blocks =
+  let contents = Devarray.read_many_arr ~cls:t.read_cls t.dev blocks in
+  Array.mapi (fun i block -> checked_page t block contents.(i)) blocks
+
+let peek_page_block t block = checked_page t block (Devarray.peek t.dev block)
+
+let read_pages_batch t g ~oid ~pindexes =
+  let n = Array.length pindexes in
+  let found = Array.make n 0 and blocks = Array.make n 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun pindex ->
+      match find_page t g ~oid ~pindex with
+      | Some (Btree.Ptr block) ->
+        found.(!m) <- pindex;
+        blocks.(!m) <- block;
+        incr m
+      | Some (Btree.Imm _) | None -> ())
+    pindexes;
+  let seeds = read_page_blocks t (Array.sub blocks 0 !m) in
+  Array.mapi (fun i seed -> (found.(i), seed)) seeds
+
+let peek_page t g ~oid ~pindex =
+  match find_page t g ~oid ~pindex with
+  | Some (Btree.Ptr block) -> Some (peek_page_block t block)
+  | Some (Btree.Imm _) | None -> None
 
 let fold_pages t g ~oid ~init ~f =
   match gen_root t g with
@@ -1608,12 +1615,12 @@ type gen_diff = {
   df_dedup_saved_delta : int;
 }
 
-(* Per-oid page-index -> block map of a generation. Under dedup,
+(* Per-oid page-index -> block maps of a generation. Under dedup,
    pointer equality is content equality, so comparing block pointers
    across generations detects changed pages without reading payloads;
    without dedup an unchanged page keeps its block (incremental
    checkpoints skip it), so the comparison still holds. *)
-let page_map t root =
+let gen_page_maps t root =
   let tbl = Hashtbl.create 64 in
   Btree.fold_range t.tree ~root ~lo:Int64.min_int ~hi:Int64.max_int ~init:()
     ~f:(fun () k v ->
@@ -1638,8 +1645,8 @@ let diff t ~from_gen ~to_gen =
     | Some r -> r
     | None -> invalid_arg (Printf.sprintf "Store.diff: unknown generation %d" g)
   in
-  let ma = page_map t (root from_gen) in
-  let mb = page_map t (root to_gen) in
+  let ma = gen_page_maps t (root from_gen) in
+  let mb = gen_page_maps t (root to_gen) in
   let oids_added =
     Hashtbl.fold (fun o _ acc -> if Hashtbl.mem ma o then acc else o :: acc) mb []
     |> List.sort Int.compare

@@ -208,21 +208,36 @@ val read_blob : t -> gen -> oid:int -> index:int -> string option
 
 val read_pages_batch :
   t -> gen -> oid:int -> pindexes:int array -> (int * int64) array
-(** Read several pages as one device command (latency paid once —
-    the restore prefetch path). Missing indexes are omitted. Blocks
-    the batch DMA could not deliver (latent sectors) are re-read and
-    repaired through the verified single-block path. Array in, array
-    out: the hot path works from preallocated buffers. *)
+(** Read several pages as one batched command: an index lookup per
+    page in front of {!read_page_blocks}. Missing indexes are
+    omitted. *)
 
 val peek_page : t -> gen -> oid:int -> pindex:int -> int64 option
-(** Like {!read_page} but the data block read is not charged to the
-    clock (index lookups still are, on cache misses). Used by lazy
-    restore: the page's device cost is paid by the fault that brings
-    it in, not at mapping time. *)
+(** An index lookup in front of {!peek_page_block}: like {!read_page}
+    but the data block read is not charged to the clock (index lookups
+    still are, on cache misses). *)
 
-val fold_page_indexes :
-  t -> gen -> oid:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Page indexes only — no data blocks are read. *)
+(** An object's pages in ascending page index: [pindexes.(i)] is held
+    in block [blocks.(i)]. *)
+type page_map = { pindexes : int array; blocks : int array }
+
+val page_map : t -> gen -> oid:int -> page_map
+(** One ordered scan of the object's key range in the index; no data
+    block is read. The restore path lists an object's pages with it and
+    then reads them by block, so no page costs an index descent. *)
+
+val read_page_blocks : t -> int array -> int64 array
+(** The pages held in [blocks] (as a {!page_map} lists them), in order,
+    read as one batched command per device (latency paid once — the
+    restore prefetch path). Blocks the batch DMA could not deliver
+    (latent sectors) or whose checksum fails are re-read and repaired
+    through the verified single-block path. *)
+
+val peek_page_block : t -> int -> int64
+(** The page held in a block, without charging the clock for it. Used
+    by lazy restore: the page's device cost is paid by the fault that
+    brings it in, not at mapping time. Verified and repaired like
+    {!read_page_blocks}; a repair's reads are charged. *)
 
 val fold_blobs : t -> gen -> oid:int -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 (** Blob (index, data) pairs of an object, in index order. *)

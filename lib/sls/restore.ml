@@ -41,84 +41,66 @@ let kill_group (k : Kernel.t) (g : Types.pgroup) =
 
 (* Pages of one VM object, restored per policy. Eager paths charge the
    device (real reads); lazy paths peek and leave the device cost to
-   the fault. *)
+   the fault. One ordered scan of the object's index range lists its
+   pages and their blocks, and every page is then read or peeked by
+   block, so no page costs an index descent. *)
 let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
   let dev = Store.device store in
   let fault_cost =
     Profile.transfer_cost (Devarray.profile dev) ~op:`Read ~bytes:Blockdev.block_size
   in
-  let hot_tbl = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace hot_tbl p ()) hot;
-  (* Two passes over the index range — count, then fill preallocated
-     buffers — so the prefetch hot path never builds lists. *)
-  let n =
-    Store.fold_page_indexes store gen ~oid:store_oid ~init:0
-      ~f:(fun acc _ -> acc + 1)
-  in
-  let indexes = Array.make n 0 in
-  ignore
-    (Store.fold_page_indexes store gen ~oid:store_oid ~init:0
-       ~f:(fun pos i ->
-         indexes.(pos) <- i;
-         pos + 1));
-  let is_eager pindex =
+  let { Store.pindexes; blocks } = Store.page_map store gen ~oid:store_oid in
+  let n = Array.length pindexes in
+  (* The pages read eagerly, ascending: all, none, or the positions of
+     the hot set, found by walking it sorted beside the page indexes. *)
+  let eager_pindexes, eager_blocks =
     match policy with
-    | Types.Eager -> true
-    | Types.Lazy -> false
-    | Types.Lazy_prefetch -> Hashtbl.mem hot_tbl pindex
+    | Types.Eager -> (pindexes, blocks)
+    | Types.Lazy -> ([||], [||])
+    | Types.Lazy_prefetch ->
+      let rec hot_positions i hot acc =
+        match hot with
+        | p :: rest when i < n ->
+          if pindexes.(i) < p then hot_positions (i + 1) hot acc
+          else if pindexes.(i) = p then hot_positions (i + 1) rest (i :: acc)
+          else hot_positions i rest acc
+        | _ -> Array.of_list (List.rev acc)
+      in
+      let at = hot_positions 0 (List.sort_uniq Int.compare hot) [] in
+      (Array.map (fun i -> pindexes.(i)) at, Array.map (fun i -> blocks.(i)) at)
   in
-  let n_eager =
-    Array.fold_left (fun acc i -> if is_eager i then acc + 1 else acc) 0 indexes
-  in
-  let eager_indexes = Array.make n_eager 0 in
-  let lazy_indexes = Array.make (n - n_eager) 0 in
-  let ei = ref 0 and li = ref 0 in
-  Array.iter
-    (fun i ->
-      if is_eager i then begin
-        eager_indexes.(!ei) <- i;
-        incr ei
-      end
-      else begin
-        lazy_indexes.(!li) <- i;
-        incr li
-      end)
-    indexes;
+  let n_eager = Array.length eager_blocks in
   (* Eager pages come in as one batched command (prefetch pays the
      device latency once); lazy pages are mapped as faulting
      references into the image. The device time spent reading is
      returned separately so the breakdown can attribute it to the
      object-store-read phase. *)
-  let resident = ref 0 and lazy_ = ref 0 in
   let prefetch_started = Clock.now k.Kernel.clock in
-  let batch, read_time =
-    Clock.lap k.Kernel.clock (fun () ->
-        Store.read_pages_batch store gen ~oid:store_oid ~pindexes:eager_indexes)
+  let seeds, read_time =
+    Clock.lap k.Kernel.clock (fun () -> Store.read_page_blocks store eager_blocks)
   in
   if n_eager > 0 then begin
     Span.record k.Kernel.obs.Obs.spans ~name:"restore.prefetch"
-      ~attrs:[ ("pages", string_of_int (Array.length batch)) ]
+      ~attrs:[ ("pages", string_of_int n_eager) ]
       ~start_at:prefetch_started
       ~end_at:(Clock.now k.Kernel.clock) ();
     Metrics.observe_duration
       (Metrics.histogram k.Kernel.obs.Obs.metrics "restore.prefetch_us")
       read_time
   end;
-  Array.iter
-    (fun (pindex, seed) ->
-      Vmobject.install obj pindex (Frame.alloc k.Kernel.pool (Content.of_seed seed));
-      incr resident)
-    batch;
-  Array.iter
-    (fun pindex ->
-      match Store.peek_page store gen ~oid:store_oid ~pindex with
-      | Some seed ->
-        Vmobject.install_paged_out obj pindex ~content:(Content.of_seed seed)
-          ~read_cost:fault_cost;
-        incr lazy_
-      | None -> ())
-    lazy_indexes;
-  (!resident, !lazy_, read_time)
+  for i = 0 to n_eager - 1 do
+    Vmobject.install obj eager_pindexes.(i)
+      (Frame.alloc k.Kernel.pool (Content.of_seed seeds.(i)))
+  done;
+  let e = ref 0 in
+  for i = 0 to n - 1 do
+    if !e < n_eager && eager_pindexes.(!e) = pindexes.(i) then incr e
+    else
+      Vmobject.install_paged_out obj pindexes.(i)
+        ~content:(Content.of_seed (Store.peek_page_block store blocks.(i)))
+        ~read_cost:fault_cost
+  done;
+  (n_eager, n - n_eager, read_time)
 
 let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
     ~new_pids ~root () =

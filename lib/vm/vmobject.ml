@@ -50,6 +50,12 @@ module Pageset = struct
     !acc
 end
 
+(* Heat is kept in chunks of [heat_chunk] pages, each allocated on its
+   first touch, so touching one page of a large region costs one small
+   array, not one as large as the region. *)
+let heat_shift = 6
+let heat_chunk = 1 lsl heat_shift
+
 type t = {
   oid : int;
   kind : kind;
@@ -59,7 +65,7 @@ type t = {
   mutable refcount : int;
   dirty : Pageset.t;
   armed : Pageset.t;
-  heat : int Blockvec.t;
+  heat : int array Blockvec.t; (* chunk [pindex / heat_chunk]; empty until touched *)
   mutable heated : int; (* pages whose heat is nonzero *)
   mutable cow_breaks : int;
 }
@@ -70,7 +76,7 @@ let create ~pool kind =
   incr next_oid;
   { oid = !next_oid; kind; pool; pages = Blockvec.create None; shadow = None;
     refcount = 1; dirty = Pageset.create (); armed = Pageset.create ();
-    heat = Blockvec.create 0; heated = 0; cow_breaks = 0 }
+    heat = Blockvec.create [||]; heated = 0; cow_breaks = 0 }
 
 let oid t = t.oid
 let kind t = t.kind
@@ -129,7 +135,9 @@ let rec resolve t pindex =
     | None -> Absent)
 
 let replace t pindex slot =
-  Option.iter (release_slot t) (Blockvec.get t.pages pindex);
+  (match Blockvec.get t.pages pindex with
+   | Some old -> release_slot t old
+   | None -> ());
   Blockvec.set t.pages pindex (Some slot)
 
 let install t pindex frame = replace t pindex (Resident frame)
@@ -230,19 +238,35 @@ let touch t pindex =
   (match Blockvec.get t.pages pindex with
    | Some (Resident f) -> f.Frame.accessed <- true
    | Some (Paged_out _) | None -> ());
-  let h = Blockvec.get t.heat pindex in
+  let c = pindex asr heat_shift in
+  let chunk =
+    match Blockvec.get t.heat c with
+    | [||] ->
+      let chunk = Array.make heat_chunk 0 in
+      Blockvec.set t.heat c chunk;
+      chunk
+    | chunk -> chunk
+  in
+  let i = pindex land (heat_chunk - 1) in
+  let h = chunk.(i) in
   if h = 0 then t.heated <- t.heated + 1;
-  Blockvec.set t.heat pindex (h + 1)
+  chunk.(i) <- h + 1
 
-let heat t pindex = Blockvec.get t.heat pindex
+let heat t pindex =
+  match Blockvec.get t.heat (pindex asr heat_shift) with
+  | [||] -> 0
+  | chunk -> chunk.(pindex land (heat_chunk - 1))
 
 let age_heat t =
-  for pindex = 0 to Blockvec.length t.heat - 1 do
-    let h = Blockvec.get t.heat pindex in
-    if h > 0 then begin
-      if h = 1 then t.heated <- t.heated - 1;
-      Blockvec.set t.heat pindex (h / 2)
-    end
+  for c = 0 to Blockvec.length t.heat - 1 do
+    let chunk = Blockvec.get t.heat c in
+    for i = 0 to Array.length chunk - 1 do
+      let h = chunk.(i) in
+      if h > 0 then begin
+        if h = 1 then t.heated <- t.heated - 1;
+        chunk.(i) <- h / 2
+      end
+    done
   done
 
 (* Hottest first: heat descending, ties by page index ascending. *)
@@ -252,9 +276,11 @@ let hot_pages t ~limit =
   if limit < 0 then invalid_arg "Vmobject.hot_pages: negative limit";
   if limit >= t.heated then begin
     let all = ref [] in
-    for pindex = Blockvec.length t.heat - 1 downto 0 do
-      let h = Blockvec.get t.heat pindex in
-      if h > 0 then all := (pindex, h) :: !all
+    for c = 0 to Blockvec.length t.heat - 1 do
+      let chunk = Blockvec.get t.heat c in
+      for i = 0 to Array.length chunk - 1 do
+        if chunk.(i) > 0 then all := ((c lsl heat_shift) lor i, chunk.(i)) :: !all
+      done
     done;
     List.sort hotter !all |> List.map fst
   end
@@ -294,14 +320,17 @@ let hot_pages t ~limit =
         else set i k v
       end
     in
-    for k = 0 to Blockvec.length t.heat - 1 do
-      let v = Blockvec.get t.heat k in
-      if v > 0 then
-        if !size < limit then begin
-          sift_up !size k v;
-          incr size
-        end
-        else if colder keys.(0) heats.(0) k v then sift_down 0 k v
+    for c = 0 to Blockvec.length t.heat - 1 do
+      let chunk = Blockvec.get t.heat c in
+      for i = 0 to Array.length chunk - 1 do
+        let k = (c lsl heat_shift) lor i and v = chunk.(i) in
+        if v > 0 then
+          if !size < limit then begin
+            sift_up !size k v;
+            incr size
+          end
+          else if colder keys.(0) heats.(0) k v then sift_down 0 k v
+      done
     done;
     List.init limit (fun i -> (keys.(i), heats.(i))) |> List.sort hotter |> List.map fst
   end

@@ -110,7 +110,8 @@ val reset_cow_breaks : t -> unit
 
 val touch : t -> int -> unit
 (** Record an access: bumps the page's heat counter and the frame's
-    accessed bit. *)
+    accessed bit. Heat is kept in chunks of 64 pages; the first touch
+    of a page in a chunk allocates the chunk. *)
 
 val heat : t -> int -> int
 val age_heat : t -> unit

@@ -52,6 +52,15 @@ Guarded metrics:
                  serverless_disk_total_us
                                         the paper's Table 4 restore
                                         latencies (lower is better)
+  lazy-restore / eager_restore_us, lazy_restore_us,
+                 lazy_prefetch_restore_us
+                                        F-lazy: a 256 MiB image restored
+                                        under each policy (lower is
+                                        better)
+  restore-scale / image_<N>mib_lazy_us, image_<N>mib_eager_us
+                                        F-scale: lazy and eager restore
+                                        latency at 16, 64, 256 and 512
+                                        MiB (lower is better)
 
 Absolute limits (no baseline needed — the value itself is the gate):
   critpath     / s1_stop_match ... s8_stop_match   must be 1: the
@@ -78,6 +87,9 @@ Absolute limits (no baseline needed — the value itself is the gate):
                                         (6.12 to 8.28)
   table4       / *_total_us             every restore under 1000 (the
                                         paper's sub-millisecond restores)
+  restore-scale / lazy_beats_eager_flag must be 1: lazy restore is
+                                        faster than eager at every image
+                                        size
 
 Histogram distribution shape: any guarded target may carry
 "<key>_buckets" entries (per-bucket counts as emitted by the bench's

@@ -562,6 +562,45 @@ let test_hot_paths_allocate_nothing () =
   check_bool (Printf.sprintf "a warm find allocates only its Some (%.0f minor words)" dw) true
     (dw < float_of_int (2 * Array.length keys) +. 64.)
 
+(* Words [f] allocates in either heap: arrays longer than 256 words go
+   straight to the major heap, which [Gc.minor_words] does not see. *)
+let words_of f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* The restore page path, per page of a 4,096-page object on a warm
+   tree: listing the object's pages, and a batched read of their
+   blocks beyond the array of pages it returns. *)
+let test_restore_page_path_allocation () =
+  let npages = 4096 in
+  List.iter
+    (fun stripes ->
+      let _, dev = mkdev ~stripes () in
+      let s = Store.format ~dev () in
+      ignore (Store.begin_generation s ());
+      Store.put_pages s ~oid:1 (Array.init npages (fun i -> (i, Int64.of_int (i + 1))));
+      let g, d = Store.commit s () in
+      Store.wait_durable s d;
+      ignore (Store.page_map s g ~oid:1);
+      let map, words = words_of (fun () -> Store.page_map s g ~oid:1) in
+      let per_page = words /. float_of_int npages in
+      check_int "every page listed" npages (Array.length map.Store.blocks);
+      check_bool
+        (Printf.sprintf "page map: %.2f words per page on %d stripes" per_page stripes)
+        true (per_page <= 6.);
+      let seeds, words = words_of (fun () -> Store.read_page_blocks s map.Store.blocks) in
+      let per_block = (words -. float_of_int (npages + 1)) /. float_of_int npages in
+      check_int "every page read" npages (Array.length seeds);
+      check_bool
+        (Printf.sprintf "batched read: %.2f words per block beyond its result on %d stripes"
+           per_block stripes)
+        true (per_block <= 1.05))
+    [ 1; 4 ]
+
 let test_btree_fold_range () =
   let _, _, t = mktree () in
   Btree.begin_epoch t 1;
@@ -862,6 +901,44 @@ let test_store_pages_and_incremental () =
    | Some seed -> check_bool "inherited page" true (Int64.equal seed 1050L)
    | None -> Alcotest.fail "inherited page lost");
   check_int "page count g2" 100 (Store.page_count s g2 ~oid:1)
+
+(* The restore path lists an object's pages with [page_map] and reads
+   them by block. Over random page sets with gaps, large enough to span
+   several leaves, and with neighbouring oids and the object's own
+   record and blobs around the page range: the map is exactly the pages
+   [read_page] finds, ascending, and reading or peeking its blocks gives
+   what [read_page] gives. *)
+let prop_page_map_matches_read_page =
+  QCheck.Test.make ~name:"page_map and block reads agree with read_page" ~count:40
+    QCheck.(pair (list_of_size Gen.(int_range 0 700) (int_bound 3000)) (int_range 1 4))
+    (fun (indexes, stripes) ->
+      let _, dev = mkdev ~stripes () in
+      let s = Store.format ~dev () in
+      ignore (Store.begin_generation s ());
+      Store.put_record s ~oid:5 "the object's own record";
+      Store.put_blob s ~oid:5 ~index:0 "a blob after the pages";
+      List.iter (fun oid -> Store.put_page s ~oid ~pindex:0 ~seed:(Int64.of_int oid)) [ 4; 6 ];
+      List.iter
+        (fun i -> Store.put_page s ~oid:5 ~pindex:i ~seed:(Int64.of_int ((7 * i) + 1)))
+        indexes;
+      let g, d = Store.commit s () in
+      Store.wait_durable s d;
+      Store.drop_caches s;
+      let expected =
+        List.filter_map
+          (fun i -> Option.map (fun seed -> (i, seed)) (Store.read_page s g ~oid:5 ~pindex:i))
+          (List.init 3001 Fun.id)
+      in
+      let { Store.pindexes; blocks } = Store.page_map s g ~oid:5 in
+      let batch = Store.read_page_blocks s blocks in
+      let peeked = Array.map (Store.peek_page_block s) blocks in
+      let pairs seeds = List.combine (Array.to_list pindexes) (Array.to_list seeds) in
+      List.length expected = Array.length pindexes
+      && pairs batch = expected
+      && pairs peeked = expected
+      && Array.to_list (Store.read_pages_batch s g ~oid:5 ~pindexes:(Array.init 3001 Fun.id))
+         = expected
+      && Store.page_map s g ~oid:9 = { Store.pindexes = [||]; blocks = [||] })
 
 let test_store_dedup () =
   let _, dev = mkdev () in
@@ -1692,6 +1769,8 @@ let () =
           Alcotest.test_case "cache and dirty counts" `Quick test_btree_cache_counts;
           Alcotest.test_case "hot paths allocate nothing" `Quick
             test_hot_paths_allocate_nothing;
+          Alcotest.test_case "restore page path allocation" `Quick
+            test_restore_page_path_allocation;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
           Alcotest.test_case "golden format and allocation order" `Quick
@@ -1710,6 +1789,7 @@ let () =
           Alcotest.test_case "full gc then reuse" `Quick test_store_gc_all_then_reuse;
           Alcotest.test_case "named checkpoints" `Quick test_store_named_checkpoints;
           qt prop_store_generations_independent;
+          qt prop_page_map_matches_read_page;
         ] );
       ( "fsck",
         [

@@ -363,6 +363,74 @@ let test_restore_eager_no_faults () =
   ignore (Vmmap.read p'.Process.vm ~vpn:base);
   check_int "eager: no major faults" 0 (Vmmap.faults p'.Process.vm).Vmmap.major
 
+(* Bit rot on the primary copy of one page that the restore reads in a
+   batch and one it peeks, under verify and mirror. Whatever the policy,
+   the restored process reads the original contents. Each bad block
+   fails its checksum twice (the batch read or the peek, then the
+   verified re-read) and is healed from its mirror once, and fsck stays
+   clean. *)
+let test_restore_heals_bit_rot () =
+  let open Aurora_device in
+  (* A fault plan turns verify and mirror on; this one never fires. *)
+  let m = Machine.create ~faults:(Fault.plan ~seed:1L ~transient_write:1e-12 ()) () in
+  let k = m.Machine.kernel and store = m.Machine.disk_store in
+  let c = Kernel.new_container k ~name:"app" in
+  let p = Kernel.spawn k ~container:c.Container.cid ~name:"rot" ~program:"none" () in
+  let npages = 64 in
+  let e = Syscall.mmap_anon k p ~npages in
+  let base = e.Vmmap.start_vpn and obj = e.Vmmap.obj in
+  for i = 0 to npages - 1 do
+    Syscall.mem_write k p ~vpn:(base + i) ~offset:0 ~value:(Int64.of_int (1000 + i))
+  done;
+  let expected = List.init npages (fun i -> Vmmap.read p.Process.vm ~vpn:(base + i)) in
+  (* Only page 3 stays hot: Lazy_prefetch reads it and peeks page 10. *)
+  for _ = 1 to 8 do
+    Vmobject.age_heat obj
+  done;
+  ignore (Syscall.mem_read k p ~vpn:(base + 3) ~offset:0);
+  let g = Machine.persist m (`Container c.Container.cid) in
+  let b = Machine.checkpoint_now m g () in
+  Store.wait_durable store b.Types.durable_at;
+  let map = Store.page_map store b.Types.gen ~oid:(Oidspace.vmobj (Vmobject.oid obj)) in
+  let block_of page =
+    let pindex = e.Vmmap.obj_offset + page in
+    let rec find i = if map.Store.pindexes.(i) = pindex then map.Store.blocks.(i) else find (i + 1) in
+    find 0
+  in
+  let hot = block_of 3 and cold = block_of 10 in
+  List.iter
+    (fun (label, policy) ->
+      Devarray.write m.Machine.nvme hot (Blockdev.Seed 666L);
+      Devarray.write m.Machine.nvme cold (Blockdev.Seed 667L);
+      Store.drop_caches store;
+      let io0 = Store.io_stats store in
+      let pids, _ = Machine.restore_group m g ~gen:b.Types.gen ~policy () in
+      let io1 = Store.io_stats store in
+      let p' = Kernel.proc_exn k (List.hd pids) in
+      let resident page =
+        match Vmmap.entry_at p'.Process.vm (base + page) with
+        | Some e' -> (
+          match Vmobject.resolve e'.Vmmap.obj (e'.Vmmap.obj_offset + page) with
+          | Vmobject.Found { slot = Vmobject.Resident _; _ } -> true
+          | Vmobject.Found { slot = Vmobject.Paged_out _; _ } | Vmobject.Absent -> false)
+        | None -> false
+      in
+      check_bool (label ^ ": page 3 read in the batch") (policy <> Types.Lazy) (resident 3);
+      check_bool (label ^ ": page 10 peeked") (policy <> Types.Eager) (not (resident 10));
+      List.iteri
+        (fun i want ->
+          check_bool (Printf.sprintf "%s: page %d intact" label i) true
+            (Content.equal want (Vmmap.read p'.Process.vm ~vpn:(base + i))))
+        expected;
+      check_int (label ^ ": checksum failures") 4
+        (io1.Store.checksum_failures - io0.Store.checksum_failures);
+      check_int (label ^ ": healed from the mirror") 2
+        (io1.Store.repaired_from_mirror - io0.Store.repaired_from_mirror);
+      check_int (label ^ ": nothing lost") 0 io1.Store.lost_blocks;
+      let r = Store.fsck store in
+      check_bool (label ^ ": fsck clean") true (Store.fsck_ok r))
+    [ ("eager", Types.Eager); ("lazy", Types.Lazy); ("lazy+prefetch", Types.Lazy_prefetch) ]
+
 let test_rollback () =
   let m = Machine.create () in
   let c, p = spawn_walker m ~npages:8 ~limit:1_000_000 in
@@ -1008,6 +1076,8 @@ let () =
             test_restore_policies_fault_behavior;
           Alcotest.test_case "eager restore avoids faults" `Quick
             test_restore_eager_no_faults;
+          Alcotest.test_case "bit rot healed under every policy" `Quick
+            test_restore_heals_bit_rot;
           Alcotest.test_case "rollback" `Quick test_rollback;
           Alcotest.test_case "clone scale-out" `Quick test_clone_scaleout;
           Alcotest.test_case "pipe contents cross checkpoint" `Quick

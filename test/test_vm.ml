@@ -815,6 +815,28 @@ let test_hot_paths_allocate_nothing () =
     true
     (dw <= (9. *. float_of_int n) +. 64.)
 
+(* Words [f] allocates in either heap. Arrays longer than 256 words are
+   allocated straight in the major heap, which [minor_words_of] does not
+   see. *)
+let words_of f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A restored object's first access can land anywhere in a large
+   region; it costs one heat chunk and the chunk directory, not an array
+   as long as the region. *)
+let test_first_touch_allocates_one_chunk () =
+  let o = Vmobject.create ~pool:(Frame.create_pool ()) Vmobject.Anonymous in
+  let dw = words_of (fun () -> Vmobject.touch o 65_535) in
+  check_bool (Printf.sprintf "first touch of page 65,535: %.0f words" dw) true (dw < 2_000.);
+  check_int "heat recorded" 1 (Vmobject.heat o 65_535);
+  check_int "its neighbours stay cold" 0 (Vmobject.heat o 65_534);
+  Alcotest.(check (list int)) "hot set" [ 65_535 ] (Vmobject.hot_pages o ~limit:4)
+
 (* ------------------------------------------------------------------ *)
 (* Clock algorithm and swap                                            *)
 (* ------------------------------------------------------------------ *)
@@ -962,6 +984,8 @@ let () =
           qt prop_vmobject_matches_model;
           Alcotest.test_case "VM hot paths allocate nothing" `Quick
             test_hot_paths_allocate_nothing;
+          Alcotest.test_case "first touch allocates one heat chunk" `Quick
+            test_first_touch_allocates_one_chunk;
         ] );
       ( "checkpoint-cow",
         [
