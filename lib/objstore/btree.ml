@@ -8,22 +8,53 @@ type value = Imm of int64 | Ptr of int
    block: leaf entries are 17 bytes, internal entries 16. *)
 let max_entries = 200
 
-(* A node is parallel arrays plus a live count [n]: keys.(0 .. n-1)
-   ascending, with vals.(i) beside each key in a leaf, or n+1 children
-   around the n separator keys of an internal node (child i covers
-   [keys.(i-1), keys.(i))). Slots at and past [n] are stale. A node
-   the current epoch owns has room for one entry past [max_entries], so
-   an insert lands in place and then splits; a decoded node is
-   exact-size. Only owned nodes are ever mutated. *)
+(* --- node layout -----------------------------------------------------
+   A node encodes as a tag byte (0 leaf, 1 internal) and an 8-byte
+   entry count n, then its entries; every integer is 8 bytes,
+   little-endian.
+   - A leaf entry is 17 bytes: the key, a value tag (0 [Imm], 1 [Ptr])
+     and the immediate or the block. A cached leaf is this block image
+     itself, in one [Bytes]; its count field is written at encode.
+   - An internal node has its n separator keys, then the child count
+     n + 1 and the children. A cached internal node keeps the
+     separators as the same 8-byte words in a [Bytes], beside an [int
+     array] of children. Child i covers [keys.(i-1), keys.(i)).
+   Keys ascend, and entries at and past [n] are stale. A node the
+   current epoch owns has room for one entry past [max_entries], so an
+   insert lands in place and then splits; a decoded node is exact-size.
+   Only owned nodes are ever mutated. No cached node holds a heap block
+   per entry. *)
 type node =
-  | Leaf of { mutable n : int; keys : int64 array; vals : value array }
-  | Internal of { mutable n : int; keys : int64 array; children : int array }
+  | Leaf of { mutable n : int; img : Bytes.t }
+  | Internal of { mutable n : int; keys : Bytes.t; children : int array }
+
+let header = 9
+let entry = 17
+
+(* Offset of leaf entry [i]: its key; the value tag is 8 bytes on and
+   the value 9. *)
+let[@inline] at i = header + (entry * i)
+let[@inline] leaf_key img i = Bytes.get_int64_le img (at i)
+let[@inline] is_ptr img p = Bytes.get_uint8 img (p + 8) = 1
+let[@inline] ptr_at img p = Int64.to_int (Bytes.get_int64_le img (p + 9))
+let[@inline] sep keys i = Bytes.get_int64_le keys (8 * i)
+
+let leaf_value img i =
+  let p = at i in
+  if is_ptr img p then Ptr (ptr_at img p) else Imm (Bytes.get_int64_le img (p + 9))
+
+let set_value img p = function
+  | Imm x ->
+    Bytes.set_uint8 img (p + 8) 0;
+    Bytes.set_int64_le img (p + 9) x
+  | Ptr b ->
+    Bytes.set_uint8 img (p + 8) 1;
+    Bytes.set_int64_le img (p + 9) (Int64.of_int b)
 
 type cached = { block : int; node : node; epoch : int; mutable dirty : bool }
 
 (* The filler of every empty cache slot. *)
-let absent = { block = -1; node = Leaf { n = 0; keys = [||]; vals = [||] }; epoch = -1;
-               dirty = false }
+let absent = { block = -1; node = Leaf { n = 0; img = Bytes.empty }; epoch = -1; dirty = false }
 
 type t = {
   dev : Devarray.t;
@@ -35,11 +66,15 @@ type t = {
      skipped. *)
   mutable current_epoch : int;
   mutable reader : (int -> Blockdev.content) option;
+  (* The insert in progress: the right sibling the subtree just below
+     split off, or -1, and its separator key. *)
+  mutable split_right : int;
+  split_key : Bytes.t;
 }
 
 let create ~dev ~alloc =
   let t = { dev; alloc; cache = Blockvec.create absent; dirty_nodes = []; current_epoch = 0;
-            reader = None } in
+            reader = None; split_right = -1; split_key = Bytes.make 8 '\000' } in
   (* Freed blocks must leave the cache: a freed block index can be
      reallocated with new content. *)
   Alloc.add_on_free alloc (fun b ->
@@ -50,69 +85,79 @@ let set_reader t f = t.reader <- Some f
 
 let begin_epoch t n = t.current_epoch <- n
 
-(* Filler for stale value slots. *)
-let no_value = Imm 0L
-
 (* --- node encoding ------------------------------------------------- *)
 
 let encode_node node =
-  let w = Serial.writer () in
-  (match node with
-   | Leaf l ->
-     Serial.w_u8 w 0;
-     Serial.w_int w l.n;
-     for i = 0 to l.n - 1 do
-       Serial.w_int64 w l.keys.(i);
-       match l.vals.(i) with
-       | Imm x ->
-         Serial.w_u8 w 0;
-         Serial.w_int64 w x
-       | Ptr b ->
-         Serial.w_u8 w 1;
-         Serial.w_int w b
-     done
-   | Internal nd ->
-     Serial.w_u8 w 1;
-     Serial.w_int w nd.n;
-     for i = 0 to nd.n - 1 do
-       Serial.w_int64 w nd.keys.(i)
-     done;
-     Serial.w_int w (nd.n + 1);
-     for i = 0 to nd.n do
-       Serial.w_int w nd.children.(i)
-     done);
-  let s = Serial.contents w in
+  let s =
+    match node with
+    | Leaf l ->
+      Bytes.set_int64_le l.img 1 (Int64.of_int l.n);
+      Bytes.sub_string l.img 0 (at l.n)
+    | Internal nd ->
+      let n = nd.n in
+      let b = Bytes.create (header + (16 * n) + 16) in
+      Bytes.set_uint8 b 0 1;
+      Bytes.set_int64_le b 1 (Int64.of_int n);
+      Bytes.blit nd.keys 0 b header (8 * n);
+      let p = header + (8 * n) in
+      Bytes.set_int64_le b p (Int64.of_int (n + 1));
+      for i = 0 to n do
+        Bytes.set_int64_le b (p + 8 + (8 * i)) (Int64.of_int nd.children.(i))
+      done;
+      Bytes.unsafe_to_string b
+  in
   assert (String.length s <= Blockdev.block_size);
   s
 
-(* Counts are checked before anything is allocated from them. *)
-let r_count r what =
-  let n = Serial.r_int r in
+(* Decoding checks the block the way a field-by-field reader would, and
+   raises the same [Serial.Corrupt] message at the first field that is
+   short or bad. Counts are checked before anything is allocated from
+   them. *)
+let need data pos len = if pos + len > String.length data then Serial.truncated data ~pos ~len
+
+(* [need] for [count] 8-byte fields from [pos]: the first one short. *)
+let need_words data pos count =
+  let len = String.length data in
+  if pos + (8 * count) > len then need data (pos + (8 * ((len - pos) / 8))) 8
+
+let read_count data what =
+  need data 1 8;
+  let n = Int64.to_int (String.get_int64_le data 1) in
   if n < 0 || n > max_entries + 1 then
     raise (Serial.Corrupt (Printf.sprintf "Btree: %s count %d out of range" what n));
   n
 
 let decode_node data =
-  let r = Serial.reader data in
-  match Serial.r_u8 r with
+  need data 0 1;
+  match String.get_uint8 data 0 with
   | 0 ->
-    let n = r_count r "leaf entry" in
-    let keys = Array.make n 0L and vals = Array.make n no_value in
+    let n = read_count data "leaf entry" in
     for i = 0 to n - 1 do
-      keys.(i) <- Serial.r_int64 r;
-      vals.(i) <-
-        (match Serial.r_u8 r with
-         | 0 -> Imm (Serial.r_int64 r)
-         | 1 -> Ptr (Serial.r_int r)
-         | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag)))
+      let p = at i in
+      need data p 8;
+      need data (p + 8) 1;
+      (match String.get_uint8 data (p + 8) with
+       | 0 | 1 -> ()
+       | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag)));
+      need data (p + 9) 8
     done;
-    Leaf { n; keys; vals }
+    let img = Bytes.create (at n) in
+    Bytes.blit_string data 0 img 0 (at n);
+    Leaf { n; img }
   | 1 ->
-    let n = r_count r "internal key" in
-    let keys = Array.init n (fun _ -> Serial.r_int64 r) in
-    if Serial.r_int r <> n + 1 then
+    let n = read_count data "internal key" in
+    need_words data header n;
+    let keys = Bytes.create (8 * n) in
+    Bytes.blit_string data header keys 0 (8 * n);
+    let p = header + (8 * n) in
+    need data p 8;
+    if Int64.to_int (String.get_int64_le data p) <> n + 1 then
       raise (Serial.Corrupt "Btree: child/key count mismatch");
-    let children = Array.init (n + 1) (fun _ -> Serial.r_int r) in
+    need_words data (p + 8) (n + 1);
+    let children = Array.make (n + 1) 0 in
+    for i = 0 to n do
+      children.(i) <- Int64.to_int (String.get_int64_le data (p + 8 + (8 * i)))
+    done;
     Internal { n; keys; children }
   | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad node tag %d" tag))
 
@@ -151,27 +196,26 @@ let mark_dirty t c =
     t.dirty_nodes <- c :: t.dirty_nodes
   end
 
-(* An epoch-owned node holding [count] entries copied from [keys] and
-   [vals] (or children) starting at [pos], with room for one more entry
-   than either [max_entries] or [count] (a decoded node can be
-   oversized). *)
+(* An epoch-owned node holding [count] entries copied from [img] (or
+   from [keys] and [children]) starting at entry [pos], with room for
+   one more entry than either [max_entries] or [count] (a decoded node
+   can be oversized). *)
 let capacity count = max (max_entries + 1) (count + 1)
 
-let owned_leaf keys vals pos count =
-  let cap = capacity count in
-  let k = Array.make cap 0L and v = Array.make cap no_value in
-  Array.blit keys pos k 0 count;
-  Array.blit vals pos v 0 count;
-  Leaf { n = count; keys = k; vals = v }
+(* Zero-filled, so even the stale bytes are the same in every run. *)
+let owned_leaf img pos count =
+  let b = Bytes.make (at (capacity count)) '\000' in
+  Bytes.blit img (at pos) b header (entry * count);
+  Leaf { n = count; img = b }
 
 let owned_internal keys children pos count =
   let cap = capacity count in
-  let k = Array.make cap 0L and c = Array.make (cap + 1) 0 in
-  Array.blit keys pos k 0 count;
+  let k = Bytes.make (8 * cap) '\000' and c = Array.make (cap + 1) 0 in
+  Bytes.blit keys (8 * pos) k 0 (8 * count);
   Array.blit children pos c 0 (count + 1);
   Internal { n = count; keys = k; children = c }
 
-let empty_root t = (new_node t (owned_leaf [||] [||] 0 0)).block
+let empty_root t = (new_node t (owned_leaf (Bytes.make header '\000') 0 0)).block
 
 (* Reference bookkeeping: the tree holds one reference per edge
    (parent -> child) and per Ptr value stored in a leaf. Copying a
@@ -179,7 +223,8 @@ let empty_root t = (new_node t (owned_leaf [||] [||] 0 0)).block
 let incref_contents t = function
   | Leaf l ->
     for i = 0 to l.n - 1 do
-      match l.vals.(i) with Ptr b -> Alloc.incref t.alloc b | Imm _ -> ()
+      let p = at i in
+      if is_ptr l.img p then Alloc.incref t.alloc (ptr_at l.img p)
     done
   | Internal nd ->
     for i = 0 to nd.n do
@@ -198,36 +243,36 @@ let cow t block =
     incref_contents t c.node;
     new_node t
       (match c.node with
-       | Leaf l -> owned_leaf l.keys l.vals 0 l.n
+       | Leaf l -> owned_leaf l.img 0 l.n
        | Internal nd -> owned_internal nd.keys nd.children 0 nd.n)
   end
 
 (* --- search -------------------------------------------------------- *)
 
-(* First index in [0, n) whose key is >= [key], or [n]. *)
-let lower_bound keys n key =
+(* First index in [0, n) whose leaf key is >= [key], or [n]. *)
+let leaf_lower_bound img n key =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Int64.compare keys.(mid) key < 0 then lo := mid + 1 else hi := mid
+    if Int64.compare (leaf_key img mid) key < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* First index in [0, n) whose key is > [key], or [n]: the child of an
-   internal node that covers [key]. *)
+(* First index in [0, n) whose separator is > [key], or [n]: the child
+   of an internal node that covers [key]. *)
 let upper_bound keys n key =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Int64.compare keys.(mid) key <= 0 then lo := mid + 1 else hi := mid
+    if Int64.compare (sep keys mid) key <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let rec find t ~root key =
   match (read_cached t root).node with
   | Leaf l ->
-    let i = lower_bound l.keys l.n key in
-    if i < l.n && Int64.equal l.keys.(i) key then Some l.vals.(i) else None
+    let i = leaf_lower_bound l.img l.n key in
+    if i < l.n && Int64.equal (leaf_key l.img i) key then Some (leaf_value l.img i) else None
   | Internal nd -> find t ~root:nd.children.(upper_bound nd.keys nd.n key) key
 
 (* --- release / retain ---------------------------------------------- *)
@@ -241,7 +286,8 @@ let rec release_root t block =
     (match node with
      | Leaf l ->
        for i = 0 to l.n - 1 do
-         match l.vals.(i) with Ptr b -> Alloc.decref t.alloc b | Imm _ -> ()
+         let p = at i in
+         if is_ptr l.img p then Alloc.decref t.alloc (ptr_at l.img p)
        done
      | Internal nd ->
        for i = 0 to nd.n do
@@ -253,90 +299,100 @@ let rec release_root t block =
 
 (* --- insert -------------------------------------------------------- *)
 
+(* Insert or replace [key] in the owned leaf [c]. *)
+let leaf_insert t c key value =
+  match c.node with
+  | Internal _ -> assert false
+  | Leaf l ->
+    let i = leaf_lower_bound l.img l.n key in
+    let p = at i in
+    if i < l.n && Int64.equal (leaf_key l.img i) key then begin
+      if is_ptr l.img p then Alloc.decref t.alloc (ptr_at l.img p)
+    end
+    else begin
+      Bytes.blit l.img p l.img (p + entry) (entry * (l.n - i));
+      Bytes.set_int64_le l.img p key;
+      l.n <- l.n + 1
+    end;
+    set_value l.img p value;
+    mark_dirty t c
+
 (* Insert into the subtree at [block]; returns the new block for this
-   subtree plus an optional (separator, right sibling) when it split.
-   The caller owns the edge to [block]: if the returned block differs,
-   the caller must decref [block] and point its edge at the new one.
-   A split leaf keeps [0, n/2) and the right sibling gets the rest; a
-   split internal node promotes keys.(n/2). *)
+   subtree, and leaves [t.split_right] and [t.split_key] set when it
+   split. The caller owns the edge to [block]: if the returned block
+   differs, the caller must decref [block] and point its edge at the
+   new one. A split leaf keeps [0, n/2) and the right sibling gets the
+   rest; a split internal node promotes keys.(n/2). *)
 let rec insert_rec t block key value =
   let c = cow t block in
   match c.node with
   | Leaf l ->
-    let i = lower_bound l.keys l.n key in
-    if i < l.n && Int64.equal l.keys.(i) key then begin
-      (match l.vals.(i) with
-       | Ptr old -> Alloc.decref t.alloc old
-       | Imm _ -> ());
-      l.vals.(i) <- value
-    end
-    else begin
-      Array.blit l.keys i l.keys (i + 1) (l.n - i);
-      Array.blit l.vals i l.vals (i + 1) (l.n - i);
-      l.keys.(i) <- key;
-      l.vals.(i) <- value;
-      l.n <- l.n + 1
-    end;
-    mark_dirty t c;
-    if l.n <= max_entries then (c.block, None)
-    else begin
+    leaf_insert t c key value;
+    if l.n > max_entries then begin
       let n = l.n and mid = l.n / 2 in
       l.n <- mid;
-      let right = new_node t (owned_leaf l.keys l.vals mid (n - mid)) in
-      (c.block, Some (l.keys.(mid), right.block))
-    end
+      let right = new_node t (owned_leaf l.img mid (n - mid)) in
+      Bytes.blit l.img (at mid) t.split_key 0 8;
+      t.split_right <- right.block
+    end;
+    c.block
   | Internal nd ->
     let idx = upper_bound nd.keys nd.n key in
     let old_child = nd.children.(idx) in
-    let new_child, split = insert_rec t old_child key value in
+    let new_child = insert_rec t old_child key value in
     if new_child <> old_child then begin
       (* The edge moved to the private copy; dropping the old edge
          may orphan a whole subtree (cascade). *)
       release_root t old_child;
       nd.children.(idx) <- new_child
     end;
-    (match split with
-     | None -> ()
-     | Some (sep, rblock) ->
-       Array.blit nd.keys idx nd.keys (idx + 1) (nd.n - idx);
-       Array.blit nd.children (idx + 1) nd.children (idx + 2) (nd.n - idx);
-       nd.keys.(idx) <- sep;
-       nd.children.(idx + 1) <- rblock;
-       nd.n <- nd.n + 1);
+    if t.split_right >= 0 then begin
+      Bytes.blit nd.keys (8 * idx) nd.keys (8 * (idx + 1)) (8 * (nd.n - idx));
+      Array.blit nd.children (idx + 1) nd.children (idx + 2) (nd.n - idx);
+      Bytes.blit t.split_key 0 nd.keys (8 * idx) 8;
+      nd.children.(idx + 1) <- t.split_right;
+      nd.n <- nd.n + 1;
+      t.split_right <- -1
+    end;
     mark_dirty t c;
-    if nd.n <= max_entries then (c.block, None)
-    else begin
+    if nd.n > max_entries then begin
       (* Promote the middle key; left keeps keys [0, mid), right keeps
          (mid, n). *)
       let n = nd.n and mid = nd.n / 2 in
       nd.n <- mid;
       let right = new_node t (owned_internal nd.keys nd.children (mid + 1) (n - mid - 1)) in
-      (c.block, Some (nd.keys.(mid), right.block))
-    end
+      Bytes.blit nd.keys (8 * mid) t.split_key 0 8;
+      t.split_right <- right.block
+    end;
+    c.block
 
 (* Consumes the caller's reference on [root]; the returned root carries
    the caller's reference instead. *)
 let insert t ~root ~key value =
-  let new_root, split = insert_rec t root key value in
+  let new_root = insert_rec t root key value in
   if new_root <> root then
     (* The caller's working reference moves to the private copy; if no
        generation still names the original, it is released in full. *)
     release_root t root;
-  match split with
-  | None -> new_root
-  | Some (sep, rblock) ->
+  if t.split_right < 0 then new_root
+  else begin
     (* The children's existing references become the new root's edges;
        the caller's reference is the fresh node itself. *)
-    (new_node t (owned_internal [| sep |] [| new_root; rblock |] 0 1)).block
+    let right = t.split_right in
+    t.split_right <- -1;
+    (new_node t (owned_internal t.split_key [| new_root; right |] 0 1)).block
+  end
 
 (* --- traversal ----------------------------------------------------- *)
 
-let rec fold_range t ~root ~lo ~hi ~init ~f =
+(* [f acc img i] on each leaf entry [i] of [img] whose key lies in
+   [lo, hi], in key order. *)
+let rec fold_entries t ~root ~lo ~hi ~init ~f =
   match (read_cached t root).node with
   | Leaf l ->
-    let acc = ref init and i = ref (lower_bound l.keys l.n lo) in
-    while !i < l.n && Int64.compare l.keys.(!i) hi <= 0 do
-      acc := f !acc l.keys.(!i) l.vals.(!i);
+    let acc = ref init and i = ref (leaf_lower_bound l.img l.n lo) in
+    while !i < l.n && Int64.compare (leaf_key l.img !i) hi <= 0 do
+      acc := f !acc l.img !i;
       incr i
     done;
     !acc
@@ -344,9 +400,17 @@ let rec fold_range t ~root ~lo ~hi ~init ~f =
     (* Exactly the children whose key range intersects [lo, hi]. *)
     let acc = ref init in
     for i = upper_bound nd.keys nd.n lo to upper_bound nd.keys nd.n hi do
-      acc := fold_range t ~root:nd.children.(i) ~lo ~hi ~init:!acc ~f
+      acc := fold_entries t ~root:nd.children.(i) ~lo ~hi ~init:!acc ~f
     done;
     !acc
+
+let fold_range t ~root ~lo ~hi ~init ~f =
+  fold_entries t ~root ~lo ~hi ~init ~f:(fun acc img i -> f acc (leaf_key img i) (leaf_value img i))
+
+let fold_ptrs t ~root ~lo ~hi ~init ~f =
+  fold_entries t ~root ~lo ~hi ~init ~f:(fun acc img i ->
+      let p = at i in
+      if is_ptr img p then f acc (Int64.to_int (Bytes.get_int64_le img p)) (ptr_at img p) else acc)
 
 (* --- flushing / cache management ----------------------------------- *)
 
@@ -387,7 +451,7 @@ type view = Leaf_view of (int64 * value) list | Internal_view of int list
 
 let view t block =
   match (read_cached t block).node with
-  | Leaf l -> Leaf_view (List.init l.n (fun i -> (l.keys.(i), l.vals.(i))))
+  | Leaf l -> Leaf_view (List.init l.n (fun i -> (leaf_key l.img i, leaf_value l.img i)))
   | Internal nd -> Internal_view (List.init (nd.n + 1) (fun i -> nd.children.(i)))
 
 let rec node_depth t ~root =

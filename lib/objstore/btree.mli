@@ -22,7 +22,13 @@
     reads happen only on cache misses — i.e. at recovery and cold
     restore, where they are charged to the simulated clock. Values are
     either immediates or reference-counted block pointers; the tree
-    owns one reference per pointer value stored in it. *)
+    owns one reference per pointer value stored in it.
+
+    A cached leaf is its block image (a 9-byte header and 17-byte
+    entries) and an internal node its separators as bytes beside an
+    array of children, so no cached node holds a heap block per entry:
+    encoding a leaf is one copy, decoding is a check and one copy, and
+    {!insert} allocates nothing. *)
 
 open Aurora_simtime
 open Aurora_device
@@ -53,10 +59,19 @@ val insert : t -> root:int -> key:int64 -> value -> int
     replaced, and a replaced [Ptr] loses the tree's reference. *)
 
 val find : t -> root:int -> int64 -> value option
+(** Builds the value it returns: a warm lookup allocates its [Some] and
+    the value, plus the [int64] box of an [Imm], and nothing else. *)
 
 val fold_range :
   t -> root:int -> lo:int64 -> hi:int64 -> init:'a -> f:('a -> int64 -> value -> 'a) -> 'a
-(** In key order over keys in [lo, hi] (inclusive). *)
+(** In key order over keys in [lo, hi] (inclusive). Builds each key and
+    value it passes, as {!find} does. *)
+
+val fold_ptrs :
+  t -> root:int -> lo:int64 -> hi:int64 -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
+(** {!fold_range} over the [Ptr] entries only, reading them off the
+    leaves without boxing: [f acc k block] gets the key's low 63 bits
+    ([Int64.to_int]) and the block. *)
 
 val release_root : t -> int -> unit
 (** Drop one reference on the root, cascading frees through uniquely

@@ -113,7 +113,8 @@ type t = {
   mutable gentable_mirror_blocks : int list;
   mutable prev_gentable_mirror_blocks : int list;
   mutable gentable_csum : int64;     (* hash of the encoded table *)
-  mutable open_gen : (gen * int) option; (* generation being built, working root *)
+  mutable open_gen : gen option;     (* generation being built *)
+  mutable open_root : int;           (* its working root, while open *)
   mutable pending_pages : (int * Blockdev.content) list; (* data block writes *)
   mutable prot : protection;
   csums : (int, int64) Hashtbl.t;    (* block -> expected content hash *)
@@ -149,7 +150,7 @@ type t = {
 
 let open_prov t =
   match t.open_gen with
-  | Some (g, _) -> Hashtbl.find_opt t.provs g
+  | Some g -> Hashtbl.find_opt t.provs g
   | None -> None
 
 (* --- key encoding ---------------------------------------------------
@@ -168,9 +169,14 @@ let checksum_content = function
   | Blockdev.Seed s -> Content.hash (Content.of_seed s)
   | Blockdev.Zero -> 0L
 
-let key ~oid ~kind ~index =
+(* An index past 32 bits would carry into the kind and oid bits and
+   overwrite another object's keys. *)
+let check_key ~oid ~index =
   if oid < 0 || oid >= 1 lsl 29 then invalid_arg "Store: oid out of range";
-  if index < 0 then invalid_arg "Store: negative index";
+  if index < 0 || index >= 1 lsl 32 then invalid_arg "Store: index out of range"
+
+let key ~oid ~kind ~index =
+  check_key ~oid ~index;
   Int64.add
     (Int64.add
        (Int64.mul (Int64.of_int oid) 0x4_0000_0000L)
@@ -215,10 +221,9 @@ let try_repair t block expected cause =
      | None -> [])
     @
     (match expected with
-     | Some h -> (
-       match Dedup.peek t.dedup ~hash:h with
-       | Some b when b <> block -> [ (b, Dedup_copy) ]
-       | Some _ | None -> [])
+     | Some h ->
+       let b = Dedup.peek t.dedup ~hash:h in
+       if b >= 0 && b <> block then [ (b, Dedup_copy) ] else []
      | None -> [])
   in
   let acceptable c =
@@ -394,7 +399,8 @@ let make ?(dedup = true) ?prot dev =
       gens = Hashtbl.create 16; commit_seq = 0; next_gen = 1;
       gentable_blocks = []; prev_gentable_blocks = [];
       gentable_mirror_blocks = []; prev_gentable_mirror_blocks = [];
-      gentable_csum = Fnv.fnv1a ""; open_gen = None; pending_pages = [];
+      gentable_csum = Fnv.fnv1a ""; open_gen = None; open_root = -1;
+      pending_pages = [];
       prot; csums = Hashtbl.create 4096; mirrors = Hashtbl.create 256;
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
@@ -625,14 +631,14 @@ let begin_generation t ?base () =
         Btree.retain_root t.tree e.root;
         e.root)
   in
-  t.open_gen <- Some (g, root);
+  t.open_gen <- Some g;
+  t.open_root <- root;
   Hashtbl.replace t.provs g (fresh_provenance g);
   g
 
 let tree_insert t key value =
-  let g, root = require_open t in
-  let root' = Btree.insert t.tree ~root ~key value in
-  t.open_gen <- Some (g, root')
+  ignore (require_open t);
+  t.open_root <- Btree.insert t.tree ~root:t.open_root ~key value
 
 let note_csum t block content =
   if t.prot.verify then Hashtbl.replace t.csums block (checksum_content content)
@@ -668,7 +674,8 @@ let note_dedup_saved t ~hits ~bytes =
   end
 
 let put_record t ~oid data =
-  let _, root = require_open t in
+  ignore (require_open t);
+  let root = t.open_root in
   (match t.sink with Some s -> Metrics.incr s.records_put | None -> ());
   (match open_prov t with
    | Some p ->
@@ -703,7 +710,8 @@ let put_record t ~oid data =
     (Btree.Imm (Int64.of_int nchunks))
 
 let put_page t ~oid ~pindex ~seed =
-  let _ = require_open t in
+  ignore (require_open t);
+  let k = key ~oid ~kind:kind_page ~index:pindex in
   (match t.sink with Some s -> Metrics.incr s.pages_put | None -> ());
   (match open_prov t with
    | Some p ->
@@ -711,19 +719,21 @@ let put_page t ~oid ~pindex ~seed =
      p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size
    | None -> ());
   let hash = Content.hash (Content.of_seed seed) in
+  let found = if t.dedup_enabled then Dedup.find t.dedup ~hash else -1 in
   let block =
-    match (if t.dedup_enabled then Dedup.find t.dedup ~hash else None) with
-    | Some block ->
-      Alloc.incref t.alloc block;
+    if found >= 0 then begin
+      Alloc.incref t.alloc found;
       note_dedup_saved t ~hits:1 ~bytes:Blockdev.block_size;
-      block
-    | None ->
+      found
+    end
+    else begin
       let block = Alloc.alloc t.alloc in
       queue_data t block (Blockdev.Seed seed);
       if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
       block
+    end
   in
-  tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block)
+  tree_insert t k (Btree.Ptr block)
 
 (* Batched page ingest: dedup hits resolve to existing blocks; the
    distinct misses share one stripe-aware extent of fresh contiguous
@@ -731,7 +741,8 @@ let put_page t ~oid ~pindex ~seed =
    contiguous physical run per device instead of scattered singleton
    writes. *)
 let put_pages t ~oid pages =
-  let _ = require_open t in
+  ignore (require_open t);
+  Array.iter (fun (pindex, _) -> check_key ~oid ~index:pindex) pages;
   let n = Array.length pages in
   (match t.sink with Some s -> Metrics.add s.pages_put n | None -> ());
   (match open_prov t with
@@ -740,60 +751,66 @@ let put_pages t ~oid pages =
      p.pv_logical_bytes <- p.pv_logical_bytes + (n * Blockdev.block_size)
    | None -> ());
   if n > 0 then begin
-    let hit = Array.make n (-1) in       (* resolved dedup-hit block, or -1 *)
-    let slot_of = Array.make n (-1) in   (* index into the fresh extent *)
-    let fresh_slots = Hashtbl.create 16 in
-    let fresh_seeds = ref [] in
+    (* Per page: its dedup-hit block, or -(s + 1) for slot s of the
+       fresh extent. [fresh] lists the pages the index missed, with
+       their hashes beside them in [hashes]; the slot pass below
+       compacts both in place to the first page of each slot. *)
+    let where = Array.make n 0 in
+    let fresh = Array.make n 0 and hashes = Array.make n 0L in
     let nmiss = ref 0 in
-    let miss seed =
-      let s = !nmiss in
-      fresh_seeds := seed :: !fresh_seeds;
-      incr nmiss;
-      s
-    in
-    Array.iteri
-      (fun i (_, seed) ->
-        if not t.dedup_enabled then slot_of.(i) <- miss seed
-        else begin
-          let hash = Content.hash (Content.of_seed seed) in
-          match Dedup.find t.dedup ~hash with
-          | Some block ->
-            Alloc.incref t.alloc block;
-            hit.(i) <- block
-          | None -> (
-            match Hashtbl.find_opt fresh_slots hash with
-            | Some s -> slot_of.(i) <- s
-            | None ->
-              let s = miss seed in
-              Hashtbl.replace fresh_slots hash s;
-              slot_of.(i) <- s)
-        end)
-      pages;
+    for i = 0 to n - 1 do
+      let hash = if t.dedup_enabled then Content.hash (Content.of_seed (snd pages.(i))) else 0L in
+      let hit = if t.dedup_enabled then Dedup.find t.dedup ~hash else -1 in
+      if hit >= 0 then begin
+        Alloc.incref t.alloc hit;
+        where.(i) <- hit
+      end
+      else begin
+        fresh.(!nmiss) <- i;
+        hashes.(!nmiss) <- hash;
+        incr nmiss
+      end
+    done;
+    (* Misses that repeat within the batch share a slot, found through
+       a table from hash to slot sized for every miss. A slot is never
+       numbered past the miss that opens it, so the compaction only
+       overwrites entries already read. *)
+    let batch = Dedup.Table.create (if t.dedup_enabled then !nmiss else 0) in
+    let nslots = ref 0 in
+    for j = 0 to !nmiss - 1 do
+      let i = fresh.(j) and hash = hashes.(j) in
+      let dup = if t.dedup_enabled then Dedup.Table.find batch hash else -1 in
+      if dup >= 0 then where.(i) <- -(dup + 1)
+      else begin
+        let s = !nslots in
+        incr nslots;
+        fresh.(s) <- i;
+        hashes.(s) <- hash;
+        where.(i) <- -(s + 1);
+        if t.dedup_enabled then Dedup.Table.replace batch hash s
+      end
+    done;
+    let nslots = !nslots in
     (* Every page that did not need a fresh slot — a dedup hit or an
        intra-batch duplicate — is one avoided block write. *)
-    note_dedup_saved t ~hits:(n - !nmiss) ~bytes:((n - !nmiss) * Blockdev.block_size);
-    let ext = Alloc.alloc_extent t.alloc !nmiss in
-    let seeds = Array.of_list (List.rev !fresh_seeds) in
-    Array.iteri
-      (fun s seed ->
-        let block = ext.(s) in
-        queue_data t block (Blockdev.Seed seed);
-        if t.dedup_enabled then
-          Dedup.add t.dedup ~hash:(Content.hash (Content.of_seed seed)) ~block)
-      seeds;
+    note_dedup_saved t ~hits:(n - nslots) ~bytes:((n - nslots) * Blockdev.block_size);
+    let ext = Alloc.alloc_extent t.alloc nslots in
+    for s = 0 to nslots - 1 do
+      let block = ext.(s) in
+      queue_data t block (Blockdev.Seed (snd pages.(fresh.(s))));
+      if t.dedup_enabled then Dedup.add t.dedup ~hash:hashes.(s) ~block
+    done;
     (* The first reference to a fresh block consumes the allocation's
        refcount; intra-batch duplicates add their own. *)
-    let extent_used = Array.make !nmiss false in
     Array.iteri
       (fun i (pindex, _) ->
+        let w = where.(i) in
         let block =
-          if hit.(i) >= 0 then hit.(i)
+          if w >= 0 then w
           else begin
-            let s = slot_of.(i) in
-            let b = ext.(s) in
-            if extent_used.(s) then Alloc.incref t.alloc b
-            else extent_used.(s) <- true;
-            b
+            let s = -w - 1 in
+            if fresh.(s) <> i then Alloc.incref t.alloc ext.(s);
+            ext.(s)
           end
         in
         tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block))
@@ -801,7 +818,8 @@ let put_pages t ~oid pages =
   end
 
 let put_blob t ~oid ~index data =
-  let _ = require_open t in
+  ignore (require_open t);
+  let k = key ~oid ~kind:kind_blob ~index in
   if String.length data > Blockdev.block_size then
     invalid_arg "Store.put_blob: blob exceeds block size";
   (match open_prov t with
@@ -810,19 +828,21 @@ let put_blob t ~oid ~index data =
      p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
    | None -> ());
   let hash = Fnv.fnv1a data in
+  let found = if t.dedup_enabled then Dedup.find t.dedup ~hash else -1 in
   let block =
-    match (if t.dedup_enabled then Dedup.find t.dedup ~hash else None) with
-    | Some block ->
-      Alloc.incref t.alloc block;
+    if found >= 0 then begin
+      Alloc.incref t.alloc found;
       note_dedup_saved t ~hits:1 ~bytes:(String.length data);
-      block
-    | None ->
+      found
+    end
+    else begin
       let block = Alloc.alloc t.alloc in
       queue_data t block (Blockdev.Data data);
       if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
       block
+    end
   in
-  tree_insert t (key ~oid ~kind:kind_blob ~index) (Btree.Ptr block)
+  tree_insert t k (Btree.Ptr block)
 
 (* Checksum and mirror the B+tree node flush: observes the queued node
    writes and appends the replica writes to the same submission. *)
@@ -972,7 +992,7 @@ let recover_refcounts t =
      time), so first mapping wins. *)
   let index b =
     mark_mirror b;
-    let add hash = if Dedup.peek t.dedup ~hash = None then Dedup.add t.dedup ~hash ~block:b in
+    let add hash = if Dedup.peek t.dedup ~hash < 0 then Dedup.add t.dedup ~hash ~block:b in
     match verified_read t b with
     | Blockdev.Seed s -> add (Content.hash (Content.of_seed s))
     | Blockdev.Data d -> add (Fnv.fnv1a d)
@@ -1044,7 +1064,8 @@ let note_flush t ~gen ~started ~durable_at ~data_blocks =
         ~op:"commit" ~gen ~pgid:(-1) ~us:(Duration.to_us flush) ~blocks:data_blocks
 
 let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
-  let g, root = require_open t in
+  let g = require_open t in
+  let root = t.open_root in
   let flush_started = Clock.now (Devarray.clock t.dev) in
   t.open_gen <- None;
   Hashtbl.replace t.gens g { root; name };
@@ -1109,7 +1130,7 @@ let rollback t g =
   rebuild t
 
 let commit_result t ?name ?cls () =
-  let g0 = match t.open_gen with Some (g, _) -> g | None -> fst (require_open t) in
+  let g0 = require_open t in
   match commit_unchecked t ?name ?cls () with
   | res -> Ok res
   | exception Alloc.Out_of_space ->
@@ -1127,7 +1148,7 @@ let commit t ?name ?cls () =
 let abort_generation t =
   match t.open_gen with
   | None -> ()
-  | Some (g, _) ->
+  | Some g ->
     (* Discard the working tree wholesale and recompute allocator,
        dedup and protection state from the committed generations —
        robust even when the abort was triggered halfway through an
@@ -1158,7 +1179,7 @@ let gen_root t g =
     (* Reading from the open generation is allowed (restores from the
        working tree are not, but tests peek). *)
     match t.open_gen with
-    | Some (og, root) when og = g -> Some root
+    | Some og when og = g -> Some t.open_root
     | _ -> None)
 
 let read_block_data t block =
@@ -1213,33 +1234,25 @@ let read_page t g ~oid ~pindex =
 
 type page_map = { pindexes : int array; blocks : int array }
 
+(* The key range of one object's entries of one kind. *)
+let kind_range ~oid ~kind =
+  let lo = key ~oid ~kind ~index:0 in
+  (lo, Int64.add lo 0xFFFF_FFFFL)
+
 let page_map t g ~oid =
   match gen_root t g with
   | None -> { pindexes = [||]; blocks = [||] }
   | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    (* Filled in key order, doubling as needed, then trimmed. *)
-    let pindexes = ref (Array.make 64 0) and blocks = ref (Array.make 64 0) in
-    let grow a =
-      let b = Array.make (2 * Array.length a) 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    let n =
-      Btree.fold_range t.tree ~root ~lo ~hi ~init:0 ~f:(fun n k v ->
-          match v with
-          | Btree.Ptr block ->
-            if n = Array.length !blocks then begin
-              pindexes := grow !pindexes;
-              blocks := grow !blocks
-            end;
-            !pindexes.(n) <- Int64.to_int (Int64.logand k 0xFFFF_FFFFL);
-            !blocks.(n) <- block;
-            n + 1
-          | Btree.Imm _ -> n)
-    in
-    { pindexes = Array.sub !pindexes 0 n; blocks = Array.sub !blocks 0 n }
+    let lo, hi = kind_range ~oid ~kind:kind_page in
+    (* Counted first, so each array is allocated once at its size. *)
+    let n = Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1) in
+    let pindexes = Array.make n 0 and blocks = Array.make n 0 in
+    ignore
+      (Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun i k block ->
+           pindexes.(i) <- k land 0xFFFF_FFFF;
+           blocks.(i) <- block;
+           i + 1));
+    { pindexes; blocks }
 
 (* A page block's content as a batch read or a peek delivered it. Both
    are best-effort: a latent sector comes back [Zero], and bit rot
@@ -1286,35 +1299,24 @@ let fold_pages t g ~oid ~init ~f =
   match gen_root t g with
   | None -> init
   | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
-        match v with
-        | Btree.Ptr block ->
-          let pindex = Int64.to_int (Int64.logand k 0xFFFF_FFFFL) in
-          f acc pindex (page_of_content block (verified_read t block))
-        | Btree.Imm _ -> acc)
+    let lo, hi = kind_range ~oid ~kind:kind_page in
+    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f:(fun acc k block ->
+        f acc (k land 0xFFFF_FFFF) (page_of_content block (verified_read t block)))
 
 let fold_blobs t g ~oid ~init ~f =
   match gen_root t g with
   | None -> init
   | Some root ->
-    let lo = key ~oid ~kind:kind_blob ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
-        match v with
-        | Btree.Ptr block ->
-          f acc (Int64.to_int (Int64.logand k 0xFFFF_FFFFL)) (read_block_data t block)
-        | Btree.Imm _ -> acc)
+    let lo, hi = kind_range ~oid ~kind:kind_blob in
+    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f:(fun acc k block ->
+        f acc (k land 0xFFFF_FFFF) (read_block_data t block))
 
 let page_count t g ~oid =
   match gen_root t g with
   | None -> 0
   | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init:0 ~f:(fun acc _ v ->
-        match v with Btree.Ptr _ -> acc + 1 | Btree.Imm _ -> acc)
+    let lo, hi = kind_range ~oid ~kind:kind_page in
+    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1)
 
 let oids t g =
   match gen_root t g with

@@ -127,14 +127,18 @@ val put_record : t -> oid:int -> string -> unit
 
 val put_page : t -> oid:int -> pindex:int -> seed:int64 -> unit
 (** Store/replace a page. Content (identified by its seed) is
-    deduplicated store-wide. *)
+    deduplicated store-wide. Every function that takes a page or blob
+    index raises [Invalid_argument] unless [0 <= index < 2^32], before
+    it changes anything: a key holds the index in its low 32 bits. *)
 
 val put_pages : t -> oid:int -> (int * int64) array -> unit
 (** Batched {!put_page}: [(pindex, seed)] pairs. Deduplication applies
     per page (including within the batch); the distinct misses are
     allocated as one stripe-aware extent of contiguous logical blocks,
     so the checkpoint flush issues one transfer per device instead of
-    scattered per-page writes. The flush path uses this. *)
+    scattered per-page writes. The flush path uses this. Misses that
+    repeat within the batch are found in an open-addressed table sized
+    for the batch's misses and dropped with it. *)
 
 val put_blob : t -> oid:int -> index:int -> string -> unit
 (** Store/replace a byte blob of at most one block (file-data chunks).
@@ -222,9 +226,11 @@ val peek_page : t -> gen -> oid:int -> pindex:int -> int64 option
 type page_map = { pindexes : int array; blocks : int array }
 
 val page_map : t -> gen -> oid:int -> page_map
-(** One ordered scan of the object's key range in the index; no data
-    block is read. The restore path lists an object's pages with it and
-    then reads them by block, so no page costs an index descent. *)
+(** An ordered scan of the object's key range in the index, which reads
+    page indexes and blocks straight off the leaves: one pass counts
+    them and one fills the two arrays. No data block is read. The
+    restore path lists an object's pages with it and then reads them by
+    block, so no page costs an index descent. *)
 
 val read_page_blocks : t -> int array -> int64 array
 (** The pages held in [blocks] (as a {!page_map} lists them), in order,

@@ -32,9 +32,10 @@ exception Corrupt of string
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 let reader data = { data; pos = 0 }
 
-let need r n =
-  if r.pos + n > String.length r.data then
-    corrupt "truncated record: need %d bytes at %d of %d" n r.pos (String.length r.data)
+let truncated data ~pos ~len =
+  corrupt "truncated record: need %d bytes at %d of %d" len pos (String.length data)
+
+let need r n = if r.pos + n > String.length r.data then truncated r.data ~pos:r.pos ~len:n
 
 let r_u8 r =
   need r 1;

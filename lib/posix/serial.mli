@@ -28,6 +28,11 @@ type reader
 
 exception Corrupt of string
 
+val truncated : string -> pos:int -> len:int -> 'a
+(** Raises the {!Corrupt} a reader raises when it needs [len] bytes at
+    [pos] of the given record and they are not there — for decoders that
+    check a record without a {!reader} and must report the same. *)
+
 val reader : string -> reader
 val r_u8 : reader -> int
 val r_int : reader -> int

@@ -255,9 +255,10 @@ def main(argv):
             f"({rel:+.1f}% {'worse' if rel > 0 else 'better'}, margin {margin:g}%)"
         )
         failed = failed or not ok
-    failed = failed or check_buckets(results, baseline, bucket_drift) > 0
-    failed = failed or check_abs_limits(results, abs_limits) > 0
-    return 1 if failed else 0
+    # Every check runs and prints its verdicts, whatever failed before it.
+    bucket_failures = check_buckets(results, baseline, bucket_drift)
+    limit_failures = check_abs_limits(results, abs_limits)
+    return 1 if failed or bucket_failures > 0 or limit_failures > 0 else 0
 
 
 if __name__ == "__main__":

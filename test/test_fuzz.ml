@@ -995,6 +995,409 @@ let prop_forensics_postmortem_matches_ground_truth =
               "unacked generations reported without replication attached";
           true))
 
+(* ------------------------------------------------------------------ *)
+(* Indexes: the object store's B+tree and dedup table                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The node format as the field-by-field stream the B+tree wrote and
+   read through [Serial] before it kept leaves as their block image.
+   It is the oracle for the flushed bytes: every node a flush writes
+   must decode with it and re-encode to the very same bytes. *)
+module Stream_node = struct
+  type node =
+    | Leaf of (int64 * Btree.value) array
+    | Internal of int64 array * int array
+
+  let encode node =
+    let w = Serial.writer () in
+    (match node with
+     | Leaf entries ->
+       Serial.w_u8 w 0;
+       Serial.w_int w (Array.length entries);
+       Array.iter
+         (fun (k, v) ->
+           Serial.w_int64 w k;
+           match v with
+           | Btree.Imm x ->
+             Serial.w_u8 w 0;
+             Serial.w_int64 w x
+           | Btree.Ptr b ->
+             Serial.w_u8 w 1;
+             Serial.w_int w b)
+         entries
+     | Internal (keys, children) ->
+       Serial.w_u8 w 1;
+       Serial.w_int w (Array.length keys);
+       Array.iter (Serial.w_int64 w) keys;
+       Serial.w_int w (Array.length children);
+       Array.iter (Serial.w_int w) children);
+    Serial.contents w
+
+  let count r what =
+    let n = Serial.r_int r in
+    if n < 0 || n > 201 then
+      raise (Serial.Corrupt (Printf.sprintf "Btree: %s count %d out of range" what n));
+    n
+
+  let decode data =
+    let r = Serial.reader data in
+    match Serial.r_u8 r with
+    | 0 ->
+      let n = count r "leaf entry" in
+      Leaf
+        (Array.init n (fun _ ->
+             let k = Serial.r_int64 r in
+             match Serial.r_u8 r with
+             | 0 -> (k, Btree.Imm (Serial.r_int64 r))
+             | 1 -> (k, Btree.Ptr (Serial.r_int r))
+             | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag))))
+    | 1 ->
+      let n = count r "internal key" in
+      let keys = Array.init n (fun _ -> Serial.r_int64 r) in
+      if Serial.r_int r <> n + 1 then raise (Serial.Corrupt "Btree: child/key count mismatch");
+      Internal (keys, Array.init (n + 1) (fun _ -> Serial.r_int r))
+    | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad node tag %d" tag))
+end
+
+module Keys = Map.Make (Int64)
+
+type btree_op =
+  | Put of int64 * bool                (* key, a Ptr value (else Imm) *)
+  | Run of int64 * int * int           (* ascending: start, length, step *)
+  | Lookup of int64
+  | Range of int64 * int64
+  | Flush of bool                      (* then drop the clean cache *)
+  | Epoch
+  | Snapshot                           (* retain the root, then a new epoch *)
+  | Release of int                     (* drop a snapshot *)
+
+let pp_btree_op = function
+  | Put (k, p) -> Printf.sprintf "Put (%Ld,%b)" k p
+  | Run (k, n, s) -> Printf.sprintf "Run (%Ld,%d,%d)" k n s
+  | Lookup k -> Printf.sprintf "Lookup %Ld" k
+  | Range (lo, hi) -> Printf.sprintf "Range (%Ld,%Ld)" lo hi
+  | Flush d -> Printf.sprintf "Flush %b" d
+  | Epoch -> "Epoch"
+  | Snapshot -> "Snapshot"
+  | Release i -> Printf.sprintf "Release %d" i
+
+(* Mostly keys from a small window, so runs, replacements and lookups
+   meet; some from anywhere in the int64 range, negative included. *)
+let btree_key =
+  QCheck.Gen.(
+    frequency
+      [ (4, map Int64.of_int (int_range (-3000) 3000)); (1, ui64);
+        (1, oneofl [ Int64.min_int; Int64.max_int; -1L; 0L ]) ])
+
+let btree_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun k p -> Put (k, p)) btree_key bool);
+      (4, map3 (fun k n s -> Run (k, n, s)) btree_key (int_range 1 400) (int_range 1 3));
+      (3, map (fun k -> Lookup k) btree_key);
+      (1, map2 (fun a b -> if Int64.compare a b <= 0 then Range (a, b) else Range (b, a))
+            btree_key btree_key);
+      (2, map (fun d -> Flush d) bool);
+      (1, return Epoch);
+      (1, return Snapshot);
+      (1, map (fun i -> Release i) small_nat);
+    ]
+
+(* Every reference the live roots account for: one per root held, one
+   per edge and one per [Ptr] value of each node reachable from them,
+   counted once per node however many parents share it. *)
+let expected_refs t roots =
+  let refs = Hashtbl.create 1024 and seen = Hashtbl.create 1024 in
+  let ref_to b = Hashtbl.replace refs b (1 + Option.value ~default:0 (Hashtbl.find_opt refs b)) in
+  let rec walk b =
+    if not (Hashtbl.mem seen b) then begin
+      Hashtbl.replace seen b ();
+      match Btree.view t b with
+      | Btree.Internal_view children ->
+        List.iter ref_to children;
+        List.iter walk children
+      | Btree.Leaf_view entries ->
+        List.iter (function _, Btree.Ptr p -> ref_to p | _, Btree.Imm _ -> ()) entries
+    end
+  in
+  List.iter ref_to roots;
+  List.iter walk roots;
+  refs
+
+let prop_btree_matches_map =
+  QCheck.Test.make ~name:"btree agrees with a Map model across epochs, snapshots and flushes"
+    ~count:(fuzz_count 30)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_btree_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) btree_op_gen))
+    (fun ops ->
+      let dev =
+        Aurora_device.Devarray.create ~clock:(Aurora_simtime.Clock.create ())
+          ~profile:Aurora_device.Profile.optane_900p "index"
+      in
+      let alloc = Alloc.create ~first_block:2 () in
+      let t = Btree.create ~dev ~alloc in
+      let epoch = ref 1 in
+      Btree.begin_epoch t !epoch;
+      let root = ref (Btree.empty_root t) and model = ref Keys.empty in
+      let snaps = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let put k v =
+        root := Btree.insert t ~root:!root ~key:k v;
+        model := Keys.add k v !model
+      in
+      let value k ptr = if ptr then Btree.Ptr (Alloc.alloc alloc) else Btree.Imm (Int64.mul k 0x9E37_79B9L) in
+      let range root ~lo ~hi =
+        List.rev (Btree.fold_range t ~root ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+      in
+      let model_range m ~lo ~hi =
+        List.filter (fun (k, _) -> Int64.compare lo k <= 0 && Int64.compare k hi <= 0) (Keys.bindings m)
+      in
+      let check_refs what =
+        let refs = expected_refs t (!root :: List.map fst !snaps) in
+        Hashtbl.iter
+          (fun b n ->
+            if Alloc.refcount alloc b <> n then
+              fail "%s: block %d has refcount %d, the live roots account for %d" what b
+                (Alloc.refcount alloc b) n)
+          refs;
+        if Alloc.live_blocks alloc <> Hashtbl.length refs then
+          fail "%s: %d live blocks, the live roots reach %d" what (Alloc.live_blocks alloc)
+            (Hashtbl.length refs)
+      in
+      let tee writes =
+        List.iter
+          (fun (b, c) ->
+            match c with
+            | Aurora_device.Blockdev.Data s ->
+              if Stream_node.encode (Stream_node.decode s) <> s then
+                fail "node %d does not round-trip through the stream format" b
+            | Aurora_device.Blockdev.Seed _ | Aurora_device.Blockdev.Zero ->
+              fail "block %d is not a node" b)
+          writes;
+        []
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | Put (k, ptr) -> put k (value k ptr)
+           | Run (k, n, step) ->
+             for i = 0 to n - 1 do
+               let k = Int64.add k (Int64.of_int (i * step)) in
+               put k (value k (i mod 5 = 0))
+             done
+           | Lookup k ->
+             if Btree.find t ~root:!root k <> Keys.find_opt k !model then
+               fail "find %Ld differs from the model" k
+           | Range (lo, hi) ->
+             if range !root ~lo ~hi <> model_range !model ~lo ~hi then
+               fail "fold_range [%Ld, %Ld] differs from the model" lo hi
+           | Flush drop ->
+             Aurora_device.Devarray.await dev (Btree.flush_dirty ~tee t);
+             if drop then Btree.drop_cache t
+           | Epoch ->
+             incr epoch;
+             Btree.begin_epoch t !epoch
+           | Snapshot ->
+             Btree.retain_root t !root;
+             snaps := (!root, !model) :: !snaps;
+             incr epoch;
+             Btree.begin_epoch t !epoch
+           | Release i -> (
+             match !snaps with
+             | [] -> ()
+             | l ->
+               let i = i mod List.length l in
+               Btree.release_root t (fst (List.nth l i));
+               snaps := List.filteri (fun j _ -> j <> i) l));
+          check_refs (pp_btree_op op))
+        ops;
+      List.iter
+        (fun (r, m) ->
+          if range r ~lo:Int64.min_int ~hi:Int64.max_int <> Keys.bindings m then
+            fail "snapshot %d no longer reads back as taken" r)
+        ((!root, !model) :: !snaps);
+      List.iter (fun (r, _) -> Btree.release_root t r) !snaps;
+      Btree.release_root t !root;
+      if Alloc.live_blocks alloc <> 0 then
+        fail "%d blocks outlive every root" (Alloc.live_blocks alloc);
+      true)
+
+(* Encoded nodes, valid or damaged: truncated, a byte overwritten, a
+   leaf's value tag set to 0-3, the count field replaced, or garbage
+   appended. *)
+let node_bytes_gen =
+  let open QCheck.Gen in
+  let value =
+    map2 (fun ptr x -> if ptr then Btree.Ptr (Int64.to_int x land max_int) else Btree.Imm x) bool ui64
+  in
+  let leaf = map (fun es -> Stream_node.Leaf (Array.of_list es)) (list_size (int_range 0 201) (pair ui64 value)) in
+  let internal =
+    int_range 0 201 >>= fun n ->
+    map2
+      (fun keys children -> Stream_node.Internal (Array.of_list keys, Array.of_list children))
+      (list_repeat n ui64) (list_repeat (n + 1) (int_bound 1_000_000))
+  in
+  let damage s =
+    let len = String.length s in
+    frequency
+      [ (2, return s);
+        (2, map (fun n -> String.sub s 0 (n mod (len + 1))) nat);
+        (2, map2 (fun i c ->
+              let b = Bytes.of_string s in
+              Bytes.set b (i mod len) c;
+              Bytes.to_string b) nat char);
+        (1, map2 (fun i tag ->
+              let b = Bytes.of_string s in
+              let p = 9 + (17 * i) + 8 in
+              if p < len then Bytes.set_uint8 b p tag;
+              Bytes.to_string b) (int_bound 201) (int_bound 3));
+        (1, map (fun n ->
+              let b = Bytes.of_string s in
+              Bytes.set_int64_le b 1 n;
+              Bytes.to_string b) (oneof [ map Int64.of_int (int_range (-2) 210); ui64 ]));
+        (1, map (fun g -> s ^ g) (string_size (int_range 1 16))) ]
+  in
+  frequency [ (3, leaf); (2, internal) ] >>= fun node -> damage (Stream_node.encode node)
+
+let prop_node_decode_matches_stream =
+  QCheck.Test.make ~name:"node decoding accepts and rejects what the stream reader does"
+    ~count:(fuzz_count 500)
+    (QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) node_bytes_gen)
+    (fun s ->
+      let dev =
+        Aurora_device.Devarray.create ~clock:(Aurora_simtime.Clock.create ())
+          ~profile:Aurora_device.Profile.optane_900p "node"
+      in
+      let t = Btree.create ~dev ~alloc:(Alloc.create ~first_block:2 ()) in
+      Aurora_device.Devarray.write dev 5 (Aurora_device.Blockdev.Data s);
+      let got =
+        match Btree.view t 5 with
+        | Btree.Leaf_view entries -> Ok (`Leaf entries)
+        | Btree.Internal_view children -> Ok (`Internal children)
+        | exception Serial.Corrupt msg -> Error msg
+      in
+      let want =
+        match Stream_node.decode s with
+        | Stream_node.Leaf entries -> Ok (`Leaf (Array.to_list entries))
+        | Stream_node.Internal (_, children) -> Ok (`Internal (Array.to_list children))
+        | exception Serial.Corrupt msg -> Error msg
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s, the stream reader: %s"
+          (match got with Ok _ -> "decoded" | Error m -> m)
+          (match want with Ok _ -> "decoded" | Error m -> m);
+      true)
+
+type dedup_op =
+  | Add of int64
+  | Add_again of int                   (* re-add an existing entry *)
+  | Find of int64
+  | Peek of int64
+  | Free of int                        (* decref a live block to zero *)
+  | Reset
+
+let pp_dedup_op = function
+  | Add h -> Printf.sprintf "Add %Lx" h
+  | Add_again i -> Printf.sprintf "Add_again %d" i
+  | Find h -> Printf.sprintf "Find %Lx" h
+  | Peek h -> Printf.sprintf "Peek %Lx" h
+  | Free i -> Printf.sprintf "Free %d" i
+  | Reset -> "Reset"
+
+(* A hash's home slot is its low bits. Most hashes share their low 20
+   bits with many others, so at every table size up to 2^20 slots they
+   share home slots and build long probe runs. Most of those runs start
+   in the last slots and wrap past the end into the runs that start at
+   slot 0. *)
+let dedup_hash =
+  QCheck.Gen.(
+    frequency
+      [ (4, map2 (fun hi lo -> Int64.logor (Int64.shift_left hi 20) (Int64.of_int lo))
+              ui64 (oneofl [ 0; 1; 0xFFFFC; 0xFFFFD; 0xFFFFE; 0xFFFFF ]));
+        (1, ui64) ])
+
+let dedup_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (8, map (fun h -> Add h) dedup_hash);
+      (1, map (fun i -> Add_again i) small_nat);
+      (3, map (fun h -> Find h) dedup_hash);
+      (1, map (fun h -> Peek h) dedup_hash);
+      (4, map (fun i -> Free i) small_nat);
+      (1, map (fun () -> Reset) (return ()));
+    ]
+
+let prop_dedup_matches_hashtbl =
+  QCheck.Test.make ~name:"dedup agrees with a Hashtbl model through adds, frees and resets"
+    ~count:(fuzz_count 40)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_dedup_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 1200) dedup_op_gen))
+    (fun ops ->
+      let alloc = Alloc.create ~first_block:0 () in
+      let d = Dedup.create ~alloc in
+      let by_hash = Hashtbl.create 64 and hash_of = Hashtbl.create 64 in
+      let live = ref [] and hits = ref 0 and misses = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let lookup h = Option.value ~default:(-1) (Hashtbl.find_opt by_hash h) in
+      List.iter
+        (fun op ->
+          (match op with
+           | Add h -> (
+             let b = Alloc.alloc alloc in
+             live := b :: !live;
+             match Hashtbl.find_opt by_hash h with
+             | Some _ ->
+               if (match Dedup.add d ~hash:h ~block:b with
+                   | () -> true
+                   | exception Invalid_argument _ -> false)
+               then fail "a second block was accepted for hash %Lx" h
+             | None ->
+               Dedup.add d ~hash:h ~block:b;
+               Hashtbl.replace by_hash h b;
+               Hashtbl.replace hash_of b h)
+           | Add_again i ->
+             let entries = Hashtbl.fold (fun h b acc -> (h, b) :: acc) by_hash [] in
+             if entries <> [] then begin
+               let h, b = List.nth (List.sort compare entries) (i mod List.length entries) in
+               Dedup.add d ~hash:h ~block:b
+             end
+           | Find h ->
+             let want = lookup h in
+             if want >= 0 then incr hits else incr misses;
+             if Dedup.find d ~hash:h <> want then fail "find %Lx differs from the model" h
+           | Peek h -> if Dedup.peek d ~hash:h <> lookup h then fail "peek %Lx differs" h
+           | Free i -> (
+             match !live with
+             | [] -> ()
+             | l ->
+               let b = List.nth l (i mod List.length l) in
+               live := List.filter (( <> ) b) l;
+               Alloc.decref alloc b;
+               (match Hashtbl.find_opt hash_of b with
+                | Some h when lookup h = b -> Hashtbl.remove by_hash h
+                | Some _ | None -> ());
+               Hashtbl.remove hash_of b)
+           | Reset ->
+             Dedup.reset d;
+             Hashtbl.reset by_hash;
+             Hashtbl.reset hash_of);
+          let what = pp_dedup_op op in
+          if Dedup.entries d <> Hashtbl.length by_hash then
+            fail "%s: %d entries, the model has %d" what (Dedup.entries d) (Hashtbl.length by_hash);
+          Hashtbl.iter
+            (fun h b -> if Dedup.peek d ~hash:h <> b then fail "%s: entry %Lx lost" what h)
+            by_hash;
+          if Dedup.hits d <> !hits || Dedup.misses d <> !misses then
+            fail "%s: hit/miss counters differ" what)
+        ops;
+      true)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1014,4 +1417,7 @@ let () =
         [ qt prop_replication_converges_under_network_faults ] );
       ( "forensics",
         [ qt prop_forensics_postmortem_matches_ground_truth ] );
+      ( "indexes",
+        [ qt prop_btree_matches_map; qt prop_node_decode_matches_stream;
+          qt prop_dedup_matches_hashtbl ] );
     ]

@@ -524,9 +524,13 @@ let test_btree_cache_counts () =
   check_int "and forgets dirty nodes" 0 (Btree.dirty_count t);
   Alcotest.(check (list int)) "nothing left to write" [] (flush_blocks dev t)
 
-(* [Alloc.incref]/[decref] and a warm [Btree.find] run hundreds of
-   thousands of times per checkpoint round: the refcount updates may
-   allocate nothing, and a lookup only its [Some]. *)
+(* [Alloc.incref]/[decref] run hundreds of thousands of times per
+   checkpoint round and may allocate nothing. A warm [Btree.find]
+   builds only what it returns: leaves hold their entries unboxed, so
+   a lookup allocates exactly its [Some] and the value (2 words each),
+   plus the [int64] box of an [Imm] (3 words) — the same for every
+   lookup, whatever the node's size. No per-page path calls [find]:
+   those are [page_map] and [put_pages], pinned below. *)
 let test_hot_paths_allocate_nothing () =
   let a = Alloc.create ~first_block:2 () in
   let blocks = Array.init 5000 (fun _ -> Alloc.alloc a) in
@@ -544,23 +548,35 @@ let test_hot_paths_allocate_nothing () =
   let dw = Gc.minor_words () -. w0 in
   check_bool (Printf.sprintf "incref/decref allocate nothing (%.0f minor words)" dw) true
     (dw < 64.);
-  let dev, _, t = mktree () in
-  Btree.begin_epoch t 1;
-  let root = fill_tree t ~root:(Btree.empty_root t) (List.init 5000 Fun.id) in
-  ignore (flush_blocks dev t);
   let keys = Array.init 5000 Int64.of_int in
-  Array.iter (fun k -> ignore (Btree.find t ~root k)) keys;
-  let found = ref 0 in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  for i = 0 to Array.length keys - 1 do
-    match Btree.find t ~root keys.(i) with Some _ -> incr found | None -> ()
-  done;
-  Gc.minor ();
-  let dw = Gc.minor_words () -. w0 in
-  check_int "every key found" (Array.length keys) !found;
-  check_bool (Printf.sprintf "a warm find allocates only its Some (%.0f minor words)" dw) true
-    (dw < float_of_int (2 * Array.length keys) +. 64.)
+  let lookup_words ~value =
+    let dev, alloc, t = mktree () in
+    Btree.begin_epoch t 1;
+    let root =
+      Array.fold_left
+        (fun root k -> Btree.insert t ~root ~key:k (value alloc k))
+        (Btree.empty_root t) keys
+    in
+    ignore (flush_blocks dev t);
+    Array.iter (fun k -> ignore (Btree.find t ~root k)) keys;
+    let found = ref 0 in
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    for i = 0 to Array.length keys - 1 do
+      match Btree.find t ~root keys.(i) with Some _ -> incr found | None -> ()
+    done;
+    Gc.minor ();
+    let dw = Gc.minor_words () -. w0 in
+    check_int "every key found" (Array.length keys) !found;
+    dw /. float_of_int (Array.length keys)
+  in
+  let imm = lookup_words ~value:(fun _ k -> Btree.Imm k) in
+  let ptr = lookup_words ~value:(fun alloc _ -> Btree.Ptr (Alloc.alloc alloc)) in
+  check_bool
+    (Printf.sprintf "a warm find of an Imm allocates Some, Imm and its box (%.3f words)" imm)
+    true (Float.abs (imm -. 7.) < 0.02);
+  check_bool (Printf.sprintf "a warm find of a Ptr allocates Some and Ptr (%.3f words)" ptr)
+    true (Float.abs (ptr -. 4.) < 0.02)
 
 (* Words [f] allocates in either heap: arrays longer than 256 words go
    straight to the major heap, which [Gc.minor_words] does not see. *)
@@ -600,6 +616,46 @@ let test_restore_page_path_allocation () =
            per_block stripes)
         true (per_block <= 1.05))
     [ 1; 4 ]
+
+(* The object store's two per-page paths, per page of a 4,096-page
+   object. Listing its pages right after [drop_caches] decodes every
+   leaf as one copy of its block image, so a page costs its 17 bytes of
+   leaf plus the two ints the map returns. Re-capturing the committed
+   object with every seed changed costs the page's hash, its key and
+   value, its pending write, its share of the copied leaves and of the
+   batch's table of misses; the dedup index and the insert allocate
+   nothing per page of their own. *)
+let test_store_per_page_allocation () =
+  let npages = 4096 in
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init npages (fun i -> (i, Int64.of_int (i + 1))));
+  let g, d = Store.commit s () in
+  Store.wait_durable s d;
+  Store.drop_caches s;
+  let map, words = words_of (fun () -> Store.page_map s g ~oid:1) in
+  let per_page = words /. float_of_int npages in
+  check_int "every page listed" npages (Array.length map.Store.blocks);
+  check_bool (Printf.sprintf "cold page map: %.2f words per page" per_page) true
+    (per_page <= 4.5);
+  (* Each round re-captures the object with every seed changed and then
+     keeps only the newest generation. The first round grows the dedup
+     index to the size it keeps; the second is measured. *)
+  let recapture round =
+    ignore (Store.begin_generation s ());
+    let pages = Array.init npages (fun i -> (i, Int64.of_int ((round * npages) + i + 1))) in
+    let (), words = words_of (fun () -> Store.put_pages s ~oid:1 pages) in
+    let g, d = Store.commit s () in
+    Store.wait_durable s d;
+    ignore (Store.gc s ~keep:[ g ]);
+    check_bool "the new seeds are read back" true
+      (Store.read_page s g ~oid:1 ~pindex:(npages - 1) = Some (Int64.of_int ((round + 1) * npages)));
+    words /. float_of_int npages
+  in
+  ignore (recapture 1);
+  let per_page = recapture 2 in
+  check_bool (Printf.sprintf "re-capture: %.2f words per page" per_page) true (per_page <= 30.5)
 
 let test_btree_fold_range () =
   let _, _, t = mktree () in
@@ -695,6 +751,20 @@ let prop_btree_fold_range_matches_model =
       in
       release () && ok)
 
+(* Flushes [t], logging each node write as its block and the digest of
+   its bytes. *)
+let flush_logged log dev t =
+  let tee writes =
+    List.iter
+      (fun (b, c) ->
+        match c with
+        | Blockdev.Data s -> Printf.bprintf log "%d:%s\n" b (Digest.to_hex (Digest.string s))
+        | Blockdev.Seed _ | Blockdev.Zero -> Alcotest.failf "block %d is not a node" b)
+      writes;
+    []
+  in
+  Devarray.await dev (Btree.flush_dirty ~tee t)
+
 (* Pins the on-disk node format and the allocation order. A fixed
    three-epoch sequence — leaf and internal splits, Imm and Ptr
    replacements, and a released snapshot whose blocks are then reused —
@@ -706,18 +776,7 @@ let test_btree_golden_format () =
   let alloc = Alloc.create ~first_block:2 () in
   let t = Btree.create ~dev ~alloc in
   let log = Buffer.create 65536 in
-  let flush () =
-    let tee writes =
-      List.iter
-        (fun (b, c) ->
-          match c with
-          | Blockdev.Data s -> Printf.bprintf log "%d:%s\n" b (Digest.to_hex (Digest.string s))
-          | Blockdev.Seed _ | Blockdev.Zero -> Alcotest.failf "block %d is not a node" b)
-        writes;
-      []
-    in
-    Devarray.await dev (Btree.flush_dirty ~tee t)
-  in
+  let flush () = flush_logged log dev t in
   let root = ref 0 in
   let ins k v = root := Btree.insert t ~root:!root ~key:(Int64.of_int k) v in
   Btree.begin_epoch t 1;
@@ -747,6 +806,69 @@ let test_btree_golden_format () =
   flush ();
   Printf.bprintf log "root %d live %d\n" !root (Alloc.live_blocks alloc);
   Alcotest.(check string) "flushed nodes digest" "64d39cfaf8c3d82806ca395d0d733a90"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
+(* A second pin, beside the golden format test, that the node layout
+   changes no allocator call, COW copy or split point. A fixed sequence
+   of mostly same-leaf inserts — ascending runs broken by jumps to other
+   leaves, two trees inserting in turn, flushes in the middle and at the
+   end of a run, runs of replacements in leaves copied from a retained
+   snapshot, negative keys, and a released snapshot whose blocks are
+   then reused — is hashed over every (block, bytes) pair the flushes
+   write, the final roots and the live block count.
+   The digest was computed on the tree as it was when each cached node
+   held a box per entry. *)
+let test_btree_descent_golden () =
+  let _, dev = mkdev () in
+  let alloc = Alloc.create ~first_block:2 () in
+  let t = Btree.create ~dev ~alloc in
+  let log = Buffer.create 65536 in
+  let flush () = flush_logged log dev t in
+  let ins root k v = root := Btree.insert t ~root:!root ~key:(Int64.of_int k) v in
+  let value i =
+    if i mod 7 = 0 then Btree.Ptr (Alloc.alloc alloc) else Btree.Imm (Int64.of_int (31 * i))
+  in
+  let a = ref 0 and b = ref 0 in
+  Btree.begin_epoch t 1;
+  a := Btree.empty_root t;
+  b := Btree.empty_root t;
+  (* Runs of 50 keys in steps of 3 from scattered starts; every fourth
+     run goes to the other tree. Every fiftieth run is flushed halfway
+     and at its end, so the inserts after a flush must dirty the path
+     again as a descent would. *)
+  for r = 0 to 399 do
+    let start = r * 7_919 mod 100_000 in
+    let root = if r mod 4 = 3 then b else a in
+    for i = 0 to 49 do
+      ins root (start + (3 * i)) (value ((50 * r) + i));
+      if r mod 50 = 49 && (i = 24 || i = 49) then flush ()
+    done
+  done;
+  flush ();
+  let snap = !a in
+  Btree.retain_root t snap;
+  Btree.begin_epoch t 2;
+  (* Runs of 30 consecutive keys over the snapshot's leaves, replacing
+     and adding, some below zero; every tenth run is followed by one
+     insert into the other tree. *)
+  for r = 0 to 199 do
+    let start = (r * 104_729 mod 120_000) - 10_000 in
+    for i = 0 to 29 do
+      ins a (start + i) (value (r + i))
+    done;
+    if r mod 10 = 0 then ins b (2 * start) (Btree.Imm 1L)
+  done;
+  flush ();
+  Btree.release_root t snap;
+  Btree.begin_epoch t 3;
+  (* One long ascending run past every key, into blocks the snapshot
+     freed. *)
+  for i = 0 to 2_999 do
+    ins a (200_000 + i) (value i)
+  done;
+  flush ();
+  Printf.bprintf log "roots %d %d live %d\n" !a !b (Alloc.live_blocks alloc);
+  Alcotest.(check string) "flushed nodes digest" "94ecff1fba52618896b50ea67bb2f0ce"
     (Digest.to_hex (Digest.string (Buffer.contents log)))
 
 (* A depth-2 tree written straight to the device in the node format:
@@ -801,10 +923,12 @@ let test_btree_node_count_bounds () =
      | exception Aurora_posix.Serial.Corrupt _ -> true)
 
 (* Minor-heap words per insert into a depth-2 tree whose nodes the
-   epoch already owns: 1,000 inserts, 8 per leaf, none splitting. The
-   tuple each level returns is all an insert may allocate; nothing may
-   grow with the leaf's size. *)
-let insert_words ~fill =
+   epoch already owns: 1,000 inserts, 8 per leaf, none splitting.
+   [~grouped] sends each leaf's 8 inserts in a row, so each goes to the
+   leaf the previous insert reached; otherwise consecutive inserts go to
+   different leaves. Either way an insert allocates nothing: the split
+   state lives in the tree, and entries move as bytes. *)
+let insert_words ~fill ~grouped =
   let _, dev = mkdev () in
   let alloc = Alloc.create ~first_block:2 () in
   let t = Btree.create ~dev ~alloc in
@@ -818,23 +942,32 @@ let insert_words ~fill =
   let keys =
     (* Above every key already in the leaf, so a list-based leaf would
        be copied whole. *)
-    Array.init (8 * leaves) (fun n -> Int64.of_int ((1000 * (n mod leaves)) + 999 - (2 * (n / leaves))))
+    Array.init (8 * leaves) (fun n ->
+        let leaf, k = if grouped then (n / 8, n mod 8) else (n mod leaves, n / leaves) in
+        Int64.of_int ((1000 * leaf) + 999 - (2 * k)))
   in
   let v = Btree.Imm 2L in
+  let insert key = root := Btree.insert t ~root:!root ~key v in
   (* OCaml 5 counts words exactly only right after a minor collection. *)
   Gc.minor ();
   let w0 = Gc.minor_words () in
-  Array.iter (fun key -> root := Btree.insert t ~root:!root ~key v) keys;
+  Array.iter insert keys;
   Gc.minor ();
   let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length keys) in
   check_int "depth" 2 (Btree.node_depth t ~root:!root);
+  check_int "every key inserted" ((leaves * (fill + 1)) + Array.length keys)
+    (Btree.fold_range t ~root:!root ~lo:0L ~hi:Int64.max_int ~init:0 ~f:(fun n _ _ -> n + 1));
   words
 
 let test_btree_insert_alloc () =
-  let w10 = insert_words ~fill:10 and w190 = insert_words ~fill:190 in
-  check_bool (Printf.sprintf "at most 16 words per insert (%.1f)" w190) true (w190 <= 16.);
-  check_bool (Printf.sprintf "independent of leaf fill (%.1f vs %.1f)" w10 w190) true
-    (w10 = w190)
+  List.iter
+    (fun grouped ->
+      let how = if grouped then "into the last leaf" else "into another leaf" in
+      let w10 = insert_words ~fill:10 ~grouped and w190 = insert_words ~fill:190 ~grouped in
+      check_bool (Printf.sprintf "no words per insert %s (%.2f)" how w190) true (w190 = 0.);
+      check_bool (Printf.sprintf "independent of leaf fill %s (%.2f vs %.2f)" how w10 w190)
+        true (w10 = w190))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Store: generations                                                  *)
@@ -939,6 +1072,34 @@ let prop_page_map_matches_read_page =
       && Array.to_list (Store.read_pages_batch s g ~oid:5 ~pindexes:(Array.init 3001 Fun.id))
          = expected
       && Store.page_map s g ~oid:9 = { Store.pindexes = [||]; blocks = [||] })
+
+(* A page or blob index takes the key's low 32 bits: a larger one would
+   carry into the kind and oid bits and overwrite another object's
+   entries, so every call that takes one refuses it before changing
+   anything. *)
+let test_store_index_bound () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:2 "oid two's record";
+  Store.put_page s ~oid:1 ~pindex:0xFFFF_FFFF ~seed:7L;
+  let live = (Store.stats s).Store.live_blocks in
+  let refused what f =
+    check_bool what true (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  refused "put_page at 2^32" (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 32) ~seed:1L);
+  refused "put_page at 2^33" (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 33) ~seed:1L);
+  refused "put_pages with one index at 2^33" (fun () ->
+      Store.put_pages s ~oid:1 [| (3, 3L); (1 lsl 33, 4L) |]);
+  refused "put_blob at 2^32" (fun () -> Store.put_blob s ~oid:1 ~index:(1 lsl 32) "blob");
+  check_int "nothing allocated by the refused calls" live (Store.stats s).Store.live_blocks;
+  let g, _ = Store.commit s () in
+  refused "read_page at 2^32" (fun () -> ignore (Store.read_page s g ~oid:1 ~pindex:(1 lsl 32)));
+  Alcotest.(check (option string)) "oid two's record is intact" (Some "oid two's record")
+    (Store.read_record s g ~oid:2);
+  check_int "oid one has its one page" 1 (Store.page_count s g ~oid:1);
+  Alcotest.(check (option int64)) "the largest index reads back" (Some 7L)
+    (Store.read_page s g ~oid:1 ~pindex:0xFFFF_FFFF)
 
 let test_store_dedup () =
   let _, dev = mkdev () in
@@ -1771,10 +1932,14 @@ let () =
             test_hot_paths_allocate_nothing;
           Alcotest.test_case "restore page path allocation" `Quick
             test_restore_page_path_allocation;
+          Alcotest.test_case "per-page store paths allocation" `Quick
+            test_store_per_page_allocation;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
           Alcotest.test_case "golden format and allocation order" `Quick
             test_btree_golden_format;
+          Alcotest.test_case "flat nodes change no allocation or write" `Quick
+            test_btree_descent_golden;
           Alcotest.test_case "insert allocation is fill-independent" `Quick
             test_btree_insert_alloc;
           Alcotest.test_case "decoded node count bounds" `Quick test_btree_node_count_bounds;
@@ -1785,6 +1950,7 @@ let () =
           Alcotest.test_case "record shrink across gens" `Quick test_store_record_shrink;
           Alcotest.test_case "incremental pages" `Quick test_store_pages_and_incremental;
           Alcotest.test_case "content dedup" `Quick test_store_dedup;
+          Alcotest.test_case "index past 32 bits is refused" `Quick test_store_index_bound;
           Alcotest.test_case "in-place gc" `Quick test_store_gc_in_place;
           Alcotest.test_case "full gc then reuse" `Quick test_store_gc_all_then_reuse;
           Alcotest.test_case "named checkpoints" `Quick test_store_named_checkpoints;
