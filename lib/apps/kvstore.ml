@@ -157,9 +157,8 @@ let dump_snapshot k p ctx =
   Syscall.close k p fd;
   Syscall.rename k p ~src:snapshot_tmp ~dst:snapshot_path
 
-let do_one_op k p ctx ~opnum =
+let do_one_op k p ctx ~spec ~opnum =
   let base = Context.reg_int ctx 1 in
-  let spec = spec_of_ctx ctx in
   let kind, key, value = Workload.op_of spec ~opnum in
   match kind with
   | Workload.Get -> ignore (apply_get k p ~base ~key)
@@ -192,8 +191,10 @@ let step_serve k p th =
   if limit > 0 && start >= limit then Program.Exit_program 0
   else begin
     let n = if limit > 0 then min batch (limit - start) else batch in
+    (* No operation writes the spec's registers: decode it once. *)
+    let spec = spec_of_ctx ctx in
     for i = 0 to n - 1 do
-      do_one_op k p ctx ~opnum:(start + i)
+      do_one_op k p ctx ~spec ~opnum:(start + i)
     done;
     Context.set_reg_int ctx 4 (start + n);
     Context.set_reg_int ctx 11 (Context.reg_int ctx 11 + n);

@@ -88,9 +88,9 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
       (Metrics.histogram k.Kernel.obs.Obs.metrics "restore.prefetch_us")
       read_time
   end;
+  if n > 0 then Vmobject.reserve obj ~pages:(pindexes.(n - 1) + 1);
   for i = 0 to n_eager - 1 do
-    Vmobject.install obj eager_pindexes.(i)
-      (Frame.alloc k.Kernel.pool (Content.of_seed seeds.(i)))
+    Vmobject.install obj eager_pindexes.(i) (Content.of_seed seeds.(i))
   done;
   let e = ref 0 in
   for i = 0 to n - 1 do

@@ -1,19 +1,19 @@
-type victim = { obj : Vmobject.t; pindex : int; frame : Frame.t }
+type victim = { obj : Vmobject.t; pindex : int }
 
 type t = { mutable hand : int }
 
 let create () = { hand = 0 }
 
-(* Resident, evictable (unshared) pages of the objects, in a stable
-   order: (object id, page index). *)
+(* Resident pages of the objects, in a stable order: (object id, page
+   index). *)
 let resident_pages objects =
   let pages =
     List.concat_map
       (fun obj ->
-        Vmobject.fold_pages obj ~init:[] ~f:(fun acc pindex slot ->
-            match slot with
-            | Vmobject.Resident frame -> (obj, pindex, frame) :: acc
-            | Vmobject.Paged_out _ -> acc)
+        Vmobject.fold_pages obj ~init:[] ~f:(fun acc pindex status ->
+            match status with
+            | Vmobject.Resident -> { obj; pindex } :: acc
+            | Vmobject.Paged_out | Vmobject.Absent -> acc)
         |> List.rev)
       objects
   in
@@ -31,16 +31,14 @@ let sweep t ~objects ~want =
     (* Two revolutions: the first clears accessed bits, the second can
        then evict pages untouched since. *)
     while !found < want && !steps < 2 * n do
-      let obj, pindex, frame = pages.(t.hand mod n) in
+      let page = pages.(t.hand mod n) in
       t.hand <- t.hand + 1;
       incr steps;
-      if frame.Frame.refcount = 1 then begin
-        if frame.Frame.accessed then frame.Frame.accessed <- false
-        else begin
-          victims := { obj; pindex; frame } :: !victims;
+      if not (Vmobject.held page.obj page.pindex) then
+        if not (Vmobject.take_accessed page.obj page.pindex) then begin
+          victims := page :: !victims;
           incr found
         end
-      end
     done;
     List.rev !victims
   end

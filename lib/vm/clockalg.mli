@@ -4,9 +4,8 @@
     The sweep walks resident pages of the given objects in a stable
     circular order: pages whose accessed bit is set get a second chance
     (the bit is cleared); pages found cold are returned as eviction
-    victims. Frames shared by more than one reference (COW sharing,
-    in-flight flushes) are skipped — evicting them would need reverse
-    mapping machinery the simulation does not model.
+    victims. Pages whose copy an in-flight flush holds are skipped:
+    the flush still needs the copy resident.
 
     [Vmobject.hot_pages] provides the per-object heat ranking; this
     module adds the cross-object selection used when a checkpoint
@@ -14,7 +13,7 @@
     clock page replacement algorithm to optimize restore by eagerly
     paging in the hottest pages"). *)
 
-type victim = { obj : Vmobject.t; pindex : int; frame : Frame.t }
+type victim = { obj : Vmobject.t; pindex : int }
 
 type t
 

@@ -10,14 +10,22 @@ let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let write t ~offset ~value =
-  if offset < 0 || offset >= 4096 then invalid_arg "Content.write: offset outside page";
-  (* Mix the store into the seed; include the offset so stores to
-     different locations commute differently. *)
+let check_offset offset =
+  if offset < 0 || offset >= 4096 then invalid_arg "Content.write: offset outside page"
+
+(* Mix the store into the seed; include the offset so stores to
+   different locations commute differently. *)
+let[@inline] stored t ~offset ~value =
   let x = Int64.logxor (Int64.of_int offset) (Int64.mul value 0x9E3779B97F4A7C15L) in
   mix (Int64.add (Int64.mul t 0x2545F4914F6CDD1DL) x)
 
-let hash t = mix (Int64.logxor t 0xA5A5A5A5A5A5A5A5L)
+let write t ~offset ~value =
+  check_offset offset;
+  stored t ~offset ~value
+
+let[@inline] hash t = mix (Int64.logxor t 0xA5A5A5A5A5A5A5A5L)
+let[@inline] load t ~offset = Int64.logxor (hash t) (Int64.of_int offset)
+
 let equal = Int64.equal
 let is_zero t = Int64.equal t 0L
 
@@ -32,5 +40,15 @@ let to_bytes t =
     done;
     b
   end
+
+let slot_bytes = 8
+let[@inline] get col i = Bytes.get_int64_le col (i * slot_bytes)
+let[@inline] set col i t = Bytes.set_int64_le col (i * slot_bytes) t
+
+let write_in col i ~offset ~value =
+  check_offset offset;
+  set col i (stored (get col i) ~offset ~value)
+
+let load_in col i ~offset = load (get col i) ~offset
 
 let pp ppf t = Format.fprintf ppf "0x%Lx" t

@@ -27,11 +27,37 @@ val write : t -> offset:int -> value:int64 -> t
 val hash : t -> int64
 (** Content hash used by the object store's deduplication index. *)
 
+val load : t -> offset:int -> int64
+(** A representative 64-bit load at byte [offset]: the content hash
+    mixed with the offset (the simulation does not track individual
+    words). *)
+
 val equal : t -> t -> bool
 val is_zero : t -> bool
 
 val to_bytes : t -> bytes
 (** Materialize the full 4 KiB deterministic expansion. Used only by
     tests that need byte-level checks. *)
+
+(** {2 Columns}
+
+    A VM object stores its pages' contents unboxed, {!slot_bytes} bytes
+    per page index in one [Bytes.t], so storing into a page or loading
+    from it allocates nothing beyond a boxed result. A slot never set
+    reads {!zero}. *)
+
+val slot_bytes : int
+
+val get : Bytes.t -> int -> t
+(** The content in slot [i]. *)
+
+val set : Bytes.t -> int -> t -> unit
+
+val write_in : Bytes.t -> int -> offset:int -> value:int64 -> unit
+(** [write_in col i ~offset ~value] stores [write (get col i) ~offset
+    ~value] into slot [i], allocating nothing. *)
+
+val load_in : Bytes.t -> int -> offset:int -> int64
+(** [load (get col i) ~offset], boxing only the result. *)
 
 val pp : Format.formatter -> t -> unit

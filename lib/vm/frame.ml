@@ -1,9 +1,3 @@
-type t = {
-  mutable content : Content.t;
-  mutable refcount : int;
-  mutable accessed : bool;
-}
-
 type pool = {
   capacity : int option;
   mutable resident : int;
@@ -16,19 +10,13 @@ let create_pool ?capacity_pages () =
    | _ -> ());
   { capacity = capacity_pages; resident = 0; total_allocated = 0 }
 
-let alloc pool content =
+let alloc pool =
   pool.resident <- pool.resident + 1;
-  pool.total_allocated <- pool.total_allocated + 1;
-  { content; refcount = 1; accessed = true }
+  pool.total_allocated <- pool.total_allocated + 1
 
-let incref f =
-  if f.refcount <= 0 then invalid_arg "Frame.incref: dead frame";
-  f.refcount <- f.refcount + 1
-
-let decref pool f =
-  if f.refcount <= 0 then invalid_arg "Frame.decref: dead frame";
-  f.refcount <- f.refcount - 1;
-  if f.refcount = 0 then pool.resident <- pool.resident - 1
+let release pool n =
+  if n < 0 || n > pool.resident then invalid_arg "Frame.release: not that many resident";
+  pool.resident <- pool.resident - n
 
 let resident pool = pool.resident
 let total_allocated pool = pool.total_allocated

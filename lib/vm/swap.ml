@@ -19,7 +19,7 @@ let evict t ~objects ~want =
   let cost = read_cost t in
   let writes =
     List.map
-      (fun { Clockalg.obj; pindex; frame = _ } ->
+      (fun { Clockalg.obj; pindex } ->
         let slot = t.next_slot in
         t.next_slot <- t.next_slot + 1;
         let content = Vmobject.page_out obj pindex ~read_cost:cost in

@@ -1,8 +1,8 @@
 (** Swap: paging memory out to a backing device under pressure.
 
     Aurora integrates swap with checkpointing: a page swapped out due
-    to memory pressure keeps its content reachable (the [Paged_out]
-    slot carries it), so "when pages are swapped out due to memory
+    to memory pressure keeps its content reachable (a [Paged_out] page
+    keeps its seed in the object's content column), so "when pages are swapped out due to memory
     pressure they are incorporated into the subsequent checkpoint"
     works without re-reading the device at checkpoint time, while
     faults pay the device's real read cost. *)

@@ -129,35 +129,47 @@ let require_entry t vpn =
 
 let pindex_of e vpn = e.obj_offset + (vpn - e.start_vpn)
 
-(* Demand fault on read: pull a paged-out page in, or observe zero.
-   Reads through the whole shadow chain. *)
+(* Demand fault on read: pull a paged-out page in through the whole
+   shadow chain. Returns the object that holds the page (the chain's
+   last object when none does), with the page now resident there if it
+   is present at all. *)
+let fault_in t e pindex =
+  let owner = Vmobject.resolve e.obj pindex in
+  (match Vmobject.status owner pindex with
+   | Vmobject.Resident -> Vmobject.touch owner pindex
+   | Vmobject.Paged_out ->
+     (* Major fault: bring the page in from its backing device. *)
+     t.faults.major <- t.faults.major + 1;
+     Clock.advance t.clock Costmodel.page_fault_trap;
+     Clock.advance t.clock (Vmobject.read_cost owner pindex);
+     Vmobject.page_in owner pindex;
+     Vmobject.touch owner pindex
+   | Vmobject.Absent -> ());
+  owner
+
 let read t ~vpn =
   let e = require_entry t vpn in
   let pindex = pindex_of e vpn in
-  match Vmobject.resolve e.obj pindex with
-  | Vmobject.Found { owner; slot = Vmobject.Resident f } ->
-    Vmobject.touch owner pindex;
-    f.Frame.content
-  | Vmobject.Found { owner; slot = Vmobject.Paged_out { content; read_cost } } ->
-    (* Major fault: bring the page in from its backing device. *)
-    t.faults.major <- t.faults.major + 1;
-    Clock.advance t.clock Costmodel.page_fault_trap;
-    Clock.advance t.clock read_cost;
-    let frame = Frame.alloc t.pool content in
-    Vmobject.page_in owner pindex frame;
-    Vmobject.touch owner pindex;
-    content
-  | Vmobject.Absent -> Content.zero
+  Vmobject.content (fault_in t e pindex) pindex
 
 let read_value t ~vpn ~offset =
   if offset < 0 || offset >= Blockdev.block_size then
     invalid_arg "Vmmap.read_value: offset outside page";
-  let content = read t ~vpn in
-  Int64.logxor (Content.hash content) (Int64.of_int offset)
+  let e = require_entry t vpn in
+  let pindex = pindex_of e vpn in
+  Vmobject.load (fault_in t e pindex) pindex ~offset
+
+(* Aurora checkpoint COW on an armed resident page: a new copy shared
+   by all mappers. *)
+let ckpt_cow t obj pindex =
+  t.faults.ckpt_cow <- t.faults.ckpt_cow + 1;
+  Clock.advance t.clock Costmodel.cow_fault_service;
+  Vmobject.disarm_for_write obj pindex
 
 (* The write path: resolve the page, handling in order
    (1) fork-COW shadowing, (2) major fault page-in, (3) checkpoint-COW
-   on armed pages, (4) copy-up from a backing object, (5) demand-zero. *)
+   on armed pages, (4) copy-up from a backing object, (5) demand-zero.
+   Then store into the page in place. *)
 let write t ~vpn ~offset ~value =
   let e = require_entry t vpn in
   if not e.writable then
@@ -173,82 +185,52 @@ let write t ~vpn ~offset ~value =
     e.needs_copy <- false
   end;
   let pindex = pindex_of e vpn in
-  let apply frame =
-    frame.Frame.content <- Content.write frame.Frame.content ~offset ~value;
-    frame.Frame.accessed <- true
-  in
-  (match Vmobject.resolve e.obj pindex with
-   | Vmobject.Found { owner; slot } when owner == e.obj -> (
-     match slot with
-     | Vmobject.Resident f ->
-       if Vmobject.is_armed owner pindex then begin
-         (* Aurora checkpoint COW: new frame shared by all mappers. *)
-         t.faults.ckpt_cow <- t.faults.ckpt_cow + 1;
-         Clock.advance t.clock Costmodel.page_fault_trap;
-         Clock.advance t.clock Costmodel.cow_fault_service;
-         let fresh = Vmobject.disarm_for_write owner pindex in
-         apply fresh
-       end
-       else begin
-         Vmobject.mark_dirty owner pindex;
-         apply f
-       end
-     | Vmobject.Paged_out { content; read_cost } ->
-       t.faults.major <- t.faults.major + 1;
-       Clock.advance t.clock Costmodel.page_fault_trap;
-       Clock.advance t.clock read_cost;
-       let frame = Frame.alloc t.pool content in
-       Vmobject.page_in owner pindex frame;
-       (* Was armed while paged out? The image still holds the old
-          content, so writing the fresh resident copy is safe; it just
-          becomes dirty for the next checkpoint. *)
-       if Vmobject.is_armed owner pindex then begin
-         t.faults.ckpt_cow <- t.faults.ckpt_cow + 1;
-         Clock.advance t.clock Costmodel.cow_fault_service;
-         let fresh = Vmobject.disarm_for_write owner pindex in
-         apply fresh
-       end
-       else begin
-         Vmobject.mark_dirty owner pindex;
-         apply frame
-       end)
-   | Vmobject.Found { owner = _; slot } ->
-     (* Page lives in a backing object: fork-COW copy-up into e.obj. *)
-     t.faults.fork_cow <- t.faults.fork_cow + 1;
-     Clock.advance t.clock Costmodel.page_fault_trap;
-     Clock.advance t.clock Costmodel.cow_fault_service;
-     let content =
-       match slot with
-       | Vmobject.Resident f -> f.Frame.content
-       | Vmobject.Paged_out { content; read_cost } ->
-         t.faults.major <- t.faults.major + 1;
-         Clock.advance t.clock read_cost;
-         content
-     in
-     let frame = Frame.alloc t.pool content in
-     Vmobject.install e.obj pindex frame;
-     Vmobject.mark_dirty e.obj pindex;
-     apply frame
+  let obj = e.obj in
+  let owner = Vmobject.resolve obj pindex in
+  (match Vmobject.status owner pindex with
    | Vmobject.Absent ->
      t.faults.zero_fill <- t.faults.zero_fill + 1;
      Clock.advance t.clock Costmodel.page_fault_trap;
      Clock.advance t.clock Costmodel.zero_fill_fault;
-     let frame = Frame.alloc t.pool Content.zero in
-     Vmobject.install e.obj pindex frame;
-     Vmobject.mark_dirty e.obj pindex;
-     apply frame);
-  Vmobject.touch e.obj pindex
+     Vmobject.install obj pindex Content.zero;
+     Vmobject.mark_dirty obj pindex
+   | status when owner != obj ->
+     (* Page lives in a backing object: fork-COW copy-up into obj. *)
+     t.faults.fork_cow <- t.faults.fork_cow + 1;
+     Clock.advance t.clock Costmodel.page_fault_trap;
+     Clock.advance t.clock Costmodel.cow_fault_service;
+     (match status with
+      | Vmobject.Paged_out ->
+        t.faults.major <- t.faults.major + 1;
+        Clock.advance t.clock (Vmobject.read_cost owner pindex)
+      | Vmobject.Resident | Vmobject.Absent -> ());
+     Vmobject.install obj pindex (Vmobject.content owner pindex);
+     Vmobject.mark_dirty obj pindex
+   | Vmobject.Resident ->
+     if Vmobject.is_armed obj pindex then begin
+       Clock.advance t.clock Costmodel.page_fault_trap;
+       ckpt_cow t obj pindex
+     end
+     else Vmobject.mark_dirty obj pindex
+   | Vmobject.Paged_out ->
+     t.faults.major <- t.faults.major + 1;
+     Clock.advance t.clock Costmodel.page_fault_trap;
+     Clock.advance t.clock (Vmobject.read_cost obj pindex);
+     Vmobject.page_in obj pindex;
+     (* Was armed while paged out? The image still holds the old
+        content, so writing the fresh resident copy is safe; it just
+        becomes dirty for the next checkpoint. *)
+     if Vmobject.is_armed obj pindex then ckpt_cow t obj pindex
+     else Vmobject.mark_dirty obj pindex);
+  Vmobject.write obj pindex ~offset ~value;
+  Vmobject.touch obj pindex
 
 let load_page t ~vpn content =
   (* Route through the write path for the fault taxonomy, then replace
      the whole contents, paying one in-memory page copy. *)
   write t ~vpn ~offset:0 ~value:0L;
   let e = require_entry t vpn in
-  let pindex = pindex_of e vpn in
-  (match Vmobject.resolve e.obj pindex with
-   | Vmobject.Found { owner; slot = Vmobject.Resident f } when owner == e.obj ->
-     f.Frame.content <- content
-   | _ -> assert false);
+  Vmobject.set_content e.obj (pindex_of e vpn) content;
   Clock.advance t.clock (Costmodel.page_copy ~pages:1)
 
 let fork t =

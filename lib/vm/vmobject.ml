@@ -3,9 +3,7 @@ open Aurora_device
 
 type kind = Anonymous | Vnode of int
 
-type pslot =
-  | Resident of Frame.t
-  | Paged_out of { content : Content.t; read_cost : Duration.t }
+type status = Absent | Resident | Paged_out
 
 (* A set of page indexes: a bitmap of 32 pages per word (a power of
    two, so a page's word and bit are a shift and a mask), with the
@@ -56,11 +54,31 @@ end
 let heat_shift = 6
 let heat_chunk = 1 lsl heat_shift
 
+(* A page's state byte: its status in the low two bits, and the clock
+   algorithm's accessed bit. *)
+let st_resident = 1
+let st_paged_out = 2
+let st_status = 3
+let st_accessed = 4
+
 type t = {
   oid : int;
   kind : kind;
   pool : Frame.pool;
-  pages : pslot option Blockvec.t;
+  (* Page columns, indexed by pindex, all [capacity t] slots long. The
+     last three stay empty until first needed: [costs] until a page is
+     paged out, [holds] until a resident page is armed, [stamps] until a
+     held copy is replaced. *)
+  mutable seeds : Bytes.t; (* content, [Content.slot_bytes] a slot *)
+  mutable states : Bytes.t; (* state byte *)
+  mutable costs : Duration.t array; (* a paged-out page's read cost *)
+  mutable holds : int array; (* unreleased flush items holding the current copy *)
+  mutable stamps : int array; (* the current copy's stamp *)
+  mutable last_stamp : int;
+  (* Replaced copies that unreleased flush items still hold: (pindex,
+     stamp) to the number of items. *)
+  detached : (int * int, int) Hashtbl.t;
+  mutable resident : int;
   mutable shadow : t option;
   mutable refcount : int;
   dirty : Pageset.t;
@@ -74,37 +92,131 @@ let next_oid = ref 0
 
 let create ~pool kind =
   incr next_oid;
-  { oid = !next_oid; kind; pool; pages = Blockvec.create None; shadow = None;
-    refcount = 1; dirty = Pageset.create (); armed = Pageset.create ();
+  { oid = !next_oid; kind; pool; seeds = Bytes.empty; states = Bytes.empty; costs = [||];
+    holds = [||]; stamps = [||]; last_stamp = 0; detached = Hashtbl.create 1; resident = 0;
+    shadow = None; refcount = 1; dirty = Pageset.create (); armed = Pageset.create ();
     heat = Blockvec.create [||]; heated = 0; cow_breaks = 0 }
 
 let oid t = t.oid
 let kind t = t.kind
 let shadow_of t = t.shadow
 
+(* --- page columns ------------------------------------------------- *)
+
+let capacity t = Bytes.length t.states
+
+let[@inline] state t pindex =
+  if pindex >= 0 && pindex < capacity t then Char.code (Bytes.unsafe_get t.states pindex)
+  else 0
+
+let[@inline] set_state t pindex s = Bytes.unsafe_set t.states pindex (Char.unsafe_chr s)
+let[@inline] is_resident t pindex = state t pindex land st_status = st_resident
+
+let status t pindex =
+  let s = state t pindex land st_status in
+  if s = st_resident then Resident else if s = st_paged_out then Paged_out else Absent
+
+let holds t pindex =
+  if pindex >= 0 && pindex < Array.length t.holds then t.holds.(pindex) else 0
+
+let stamp t pindex = if pindex < Array.length t.stamps then t.stamps.(pindex) else 0
+let held t pindex = holds t pindex > 0
+
+(* Every column in use, lengthened to [n] slots. *)
+let resize t n =
+  let bytes b width =
+    let b' = Bytes.make (n * width) '\000' in
+    Bytes.blit b 0 b' 0 (Bytes.length b);
+    b'
+  in
+  let column a zero =
+    if Array.length a = 0 then a
+    else begin
+      let a' = Array.make n zero in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+  in
+  t.seeds <- bytes t.seeds Content.slot_bytes;
+  t.states <- bytes t.states 1;
+  t.costs <- column t.costs Duration.zero;
+  t.holds <- column t.holds 0;
+  t.stamps <- column t.stamps 0
+
+(* Grows by doubling, so installing pages in order costs a constant
+   amortized copy each. *)
+let ensure t pindex =
+  if pindex < 0 then invalid_arg "Vmobject: negative page index";
+  if pindex >= capacity t then resize t (max (pindex + 1) (max 16 (2 * capacity t)))
+
+let reserve t ~pages = if pages > capacity t then resize t pages
+
+let costs t =
+  if Array.length t.costs = 0 then t.costs <- Array.make (capacity t) Duration.zero;
+  t.costs
+
+let content t pindex =
+  if pindex >= 0 && pindex < capacity t then Content.get t.seeds pindex else Content.zero
+
+let load t pindex ~offset =
+  if pindex >= 0 && pindex < capacity t then Content.load_in t.seeds pindex ~offset
+  else Content.load Content.zero ~offset
+
+let read_cost t pindex =
+  if state t pindex land st_status = st_paged_out then t.costs.(pindex) else Duration.zero
+
 let fold_pages t ~init ~f =
   let acc = ref init in
-  for pindex = 0 to Blockvec.length t.pages - 1 do
-    match Blockvec.get t.pages pindex with
-    | Some slot -> acc := f !acc pindex slot
-    | None -> ()
+  for pindex = 0 to capacity t - 1 do
+    match status t pindex with
+    | Absent -> ()
+    | s -> acc := f !acc pindex s
   done;
   !acc
+
+let resident_count t = t.resident
+
+(* --- copies ------------------------------------------------------- *)
+
+(* The current copy of resident page [pindex] leaves the page. A copy
+   that unreleased flush items hold stays resident, filed under its
+   (pindex, stamp) until the last of them is released, and the page's
+   next copy gets a fresh stamp so those items keep naming the old
+   one. *)
+let drop_copy t pindex =
+  match holds t pindex with
+  | 0 -> Frame.release t.pool 1
+  | h ->
+    Hashtbl.replace t.detached (pindex, stamp t pindex) h;
+    t.holds.(pindex) <- 0;
+    if Array.length t.stamps = 0 then t.stamps <- Array.make (capacity t) 0;
+    t.last_stamp <- t.last_stamp + 1;
+    t.stamps.(pindex) <- t.last_stamp
 
 let incref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.incref: dead object";
   t.refcount <- t.refcount + 1
 
-let release_slot t = function
-  | Resident f -> Frame.decref t.pool f
-  | Paged_out _ -> ()
-
 let rec decref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.decref: dead object";
   t.refcount <- t.refcount - 1;
   if t.refcount = 0 then begin
-    fold_pages t ~init:() ~f:(fun () _ slot -> release_slot t slot);
-    Blockvec.clear t.pages;
+    (* Held copies stay resident; the rest leave with the columns. *)
+    let kept = ref 0 in
+    Array.iteri
+      (fun pindex h ->
+        if h > 0 then begin
+          drop_copy t pindex;
+          incr kept
+        end)
+      t.holds;
+    Frame.release t.pool (t.resident - !kept);
+    t.resident <- 0;
+    t.seeds <- Bytes.empty;
+    t.states <- Bytes.empty;
+    t.costs <- [||];
+    t.holds <- [||];
+    t.stamps <- [||];
     Pageset.clear t.dirty;
     Pageset.clear t.armed;
     Blockvec.clear t.heat;
@@ -122,64 +234,75 @@ let make_shadow t =
   s.shadow <- Some t;
   s
 
-type resolution =
-  | Found of { owner : t; slot : pslot }
-  | Absent
-
 let rec resolve t pindex =
-  match Blockvec.get t.pages pindex with
-  | Some slot -> Found { owner = t; slot }
-  | None -> (
-    match t.shadow with
-    | Some backing -> resolve backing pindex
-    | None -> Absent)
+  if state t pindex land st_status <> 0 then t
+  else match t.shadow with Some backing -> resolve backing pindex | None -> t
 
-let replace t pindex slot =
-  (match Blockvec.get t.pages pindex with
-   | Some old -> release_slot t old
-   | None -> ());
-  Blockvec.set t.pages pindex (Some slot)
-
-let install t pindex frame = replace t pindex (Resident frame)
+let install t pindex content =
+  ensure t pindex;
+  if is_resident t pindex then drop_copy t pindex else t.resident <- t.resident + 1;
+  Content.set t.seeds pindex content;
+  set_state t pindex (st_resident lor st_accessed);
+  Frame.alloc t.pool
 
 let install_paged_out t pindex ~content ~read_cost =
-  replace t pindex (Paged_out { content; read_cost })
+  ensure t pindex;
+  if is_resident t pindex then begin
+    drop_copy t pindex;
+    t.resident <- t.resident - 1
+  end;
+  Content.set t.seeds pindex content;
+  set_state t pindex st_paged_out;
+  (costs t).(pindex) <- read_cost
 
-let page_in t pindex frame =
-  match Blockvec.get t.pages pindex with
-  | Some (Paged_out _) -> Blockvec.set t.pages pindex (Some (Resident frame))
-  | Some (Resident _) -> invalid_arg "Vmobject.page_in: page already resident"
-  | None -> invalid_arg "Vmobject.page_in: no such page"
+let page_in t pindex =
+  match status t pindex with
+  | Paged_out ->
+    set_state t pindex (st_resident lor st_accessed);
+    t.resident <- t.resident + 1;
+    Frame.alloc t.pool
+  | Resident -> invalid_arg "Vmobject.page_in: page already resident"
+  | Absent -> invalid_arg "Vmobject.page_in: no such page"
 
 let page_out t pindex ~read_cost =
-  match Blockvec.get t.pages pindex with
-  | Some (Resident f) ->
-    if f.Frame.refcount > 1 then invalid_arg "Vmobject.page_out: frame is shared";
-    let content = f.Frame.content in
-    Frame.decref t.pool f;
-    Blockvec.set t.pages pindex (Some (Paged_out { content; read_cost }));
-    content
-  | Some (Paged_out _) -> invalid_arg "Vmobject.page_out: already paged out"
-  | None -> invalid_arg "Vmobject.page_out: no such page"
+  match status t pindex with
+  | Resident ->
+    if held t pindex then invalid_arg "Vmobject.page_out: a flush item holds the page";
+    Frame.release t.pool 1;
+    t.resident <- t.resident - 1;
+    set_state t pindex st_paged_out;
+    (costs t).(pindex) <- read_cost;
+    Content.get t.seeds pindex
+  | Paged_out -> invalid_arg "Vmobject.page_out: already paged out"
+  | Absent -> invalid_arg "Vmobject.page_out: no such page"
+
+let write t pindex ~offset ~value =
+  if not (is_resident t pindex) then invalid_arg "Vmobject.write: page not resident";
+  Content.write_in t.seeds pindex ~offset ~value
+
+let set_content t pindex content =
+  if not (is_resident t pindex) then invalid_arg "Vmobject.set_content: page not resident";
+  Content.set t.seeds pindex content
 
 (* --- checkpoint support ------------------------------------------- *)
 
-type flush_item = { pindex : int; content : Content.t; frame : Frame.t option }
+type flush_item = { pindex : int; content : Content.t; owner : t; stamp : int }
+
+(* A new hold on resident page [pindex]'s current copy; returns the
+   copy's stamp. *)
+let hold t pindex =
+  if Array.length t.holds = 0 then t.holds <- Array.make (capacity t) 0;
+  t.holds.(pindex) <- t.holds.(pindex) + 1;
+  stamp t pindex
 
 let arm_for_checkpoint t ~mode =
   let arm items pindex =
-    match Blockvec.get t.pages pindex with
-    | None -> items (* dirty mark on a page this object does not hold *)
-    | Some slot ->
+    match status t pindex with
+    | Absent -> items (* dirty mark on a page this object does not hold *)
+    | (Resident | Paged_out) as status ->
       Pageset.add t.armed pindex;
-      let item =
-        match slot with
-        | Resident f ->
-          Frame.incref f;
-          { pindex; content = f.Frame.content; frame = Some f }
-        | Paged_out { content; _ } -> { pindex; content; frame = None }
-      in
-      item :: items
+      let stamp = match status with Resident -> hold t pindex | Paged_out | Absent -> -1 in
+      { pindex; content = Content.get t.seeds pindex; owner = t; stamp } :: items
   in
   (* Both walks go down, so consing leaves the items in ascending
      pindex order. *)
@@ -187,7 +310,7 @@ let arm_for_checkpoint t ~mode =
     match mode with
     | `Full ->
       let items = ref [] in
-      for pindex = Blockvec.length t.pages - 1 downto 0 do
+      for pindex = capacity t - 1 downto 0 do
         items := arm !items pindex
       done;
       !items
@@ -203,9 +326,20 @@ let arm_for_checkpoint t ~mode =
   items
 
 let release_flush_item ~pool item =
-  match item.frame with
-  | Some f -> Frame.decref pool f
-  | None -> ()
+  if item.stamp >= 0 then begin
+    let t = item.owner and pindex = item.pindex in
+    if holds t pindex > 0 && stamp t pindex = item.stamp then
+      t.holds.(pindex) <- t.holds.(pindex) - 1
+    else begin
+      let key = (pindex, item.stamp) in
+      match Hashtbl.find_opt t.detached key with
+      | Some 1 ->
+        Hashtbl.remove t.detached key;
+        Frame.release pool 1
+      | Some h -> Hashtbl.replace t.detached key (h - 1)
+      | None -> invalid_arg "Vmobject.release_flush_item: already released"
+    end
+  end
 
 let is_armed t pindex = Pageset.mem t.armed pindex
 let cow_breaks t = t.cow_breaks
@@ -217,27 +351,22 @@ let mark_dirty t pindex = Pageset.add t.dirty pindex
 let disarm_for_write t pindex =
   if not (is_armed t pindex) then
     invalid_arg "Vmobject.disarm_for_write: page not armed";
-  match Blockvec.get t.pages pindex with
-  | Some (Resident old_frame) ->
-    (* Aurora's COW: a new page shared between all processes mapping
-       this object; the old frame stays alive while the flusher holds
-       its reference. *)
-    let fresh = Frame.alloc t.pool old_frame.Frame.content in
-    Frame.decref t.pool old_frame;
-    Blockvec.set t.pages pindex (Some (Resident fresh));
-    Pageset.remove t.armed pindex;
-    t.cow_breaks <- t.cow_breaks + 1;
-    mark_dirty t pindex;
-    fresh
-  | Some (Paged_out _) | None ->
-    invalid_arg "Vmobject.disarm_for_write: page not resident"
+  if not (is_resident t pindex) then
+    invalid_arg "Vmobject.disarm_for_write: page not resident";
+  (* Aurora's COW: a new copy shared between all processes mapping this
+     object; the flusher keeps the old one while it holds it. *)
+  Frame.alloc t.pool;
+  drop_copy t pindex;
+  set_state t pindex (st_resident lor st_accessed);
+  Pageset.remove t.armed pindex;
+  t.cow_breaks <- t.cow_breaks + 1;
+  mark_dirty t pindex
 
 (* --- heat / clock ------------------------------------------------- *)
 
 let touch t pindex =
-  (match Blockvec.get t.pages pindex with
-   | Some (Resident f) -> f.Frame.accessed <- true
-   | Some (Paged_out _) | None -> ());
+  let s = state t pindex in
+  if s land st_status = st_resident then set_state t pindex (s lor st_accessed);
   let c = pindex asr heat_shift in
   let chunk =
     match Blockvec.get t.heat c with
@@ -251,6 +380,14 @@ let touch t pindex =
   let h = chunk.(i) in
   if h = 0 then t.heated <- t.heated + 1;
   chunk.(i) <- h + 1
+
+let take_accessed t pindex =
+  let s = state t pindex in
+  s land st_accessed <> 0
+  && begin
+    set_state t pindex (s land lnot st_accessed);
+    true
+  end
 
 let heat t pindex =
   match Blockvec.get t.heat (pindex asr heat_shift) with
@@ -269,76 +406,90 @@ let age_heat t =
     done
   done
 
-(* Hottest first: heat descending, ties by page index ascending. *)
-let hotter (ka, va) (kb, vb) = match Int.compare vb va with 0 -> Int.compare ka kb | c -> c
+(* The highest heat of any page. *)
+let hottest t =
+  let m = ref 0 in
+  for c = 0 to Blockvec.length t.heat - 1 do
+    let chunk = Blockvec.get t.heat c in
+    for i = 0 to Array.length chunk - 1 do
+      if chunk.(i) > !m then m := chunk.(i)
+    done
+  done;
+  !m
+
+(* [counts.(d)]: the pages whose heat has 8-bit digit [d] at [shift] and
+   the bits [prefix] above it. *)
+let count_digits t ~shift ~prefix counts =
+  Array.fill counts 0 256 0;
+  for c = 0 to Blockvec.length t.heat - 1 do
+    let chunk = Blockvec.get t.heat c in
+    for i = 0 to Array.length chunk - 1 do
+      let h = chunk.(i) lsr shift in
+      if chunk.(i) > 0 && h lsr 8 = prefix then counts.(h land 255) <- counts.(h land 255) + 1
+    done
+  done
 
 let hot_pages t ~limit =
   if limit < 0 then invalid_arg "Vmobject.hot_pages: negative limit";
-  if limit >= t.heated then begin
-    let all = ref [] in
-    for c = 0 to Blockvec.length t.heat - 1 do
-      let chunk = Blockvec.get t.heat c in
-      for i = 0 to Array.length chunk - 1 do
-        if chunk.(i) > 0 then all := ((c lsl heat_shift) lor i, chunk.(i)) :: !all
-      done
-    done;
-    List.sort hotter !all |> List.map fst
-  end
-  else if limit = 0 then []
+  let n = min limit t.heated in
+  if n = 0 then []
   else begin
-    (* A binary min-heap of the [limit] hottest pages seen so far, the
-       coldest at the root, so only [limit] entries are ever sorted. *)
-    let keys = Array.make limit 0 and heats = Array.make limit 0 in
-    let size = ref 0 in
-    (* Page [ka] at heat [va] ranks after page [kb] at heat [vb]. *)
-    let colder ka va kb vb = va < vb || (va = vb && ka > kb) in
-    let set i k v =
-      keys.(i) <- k;
-      heats.(i) <- v
-    in
-    (* Both place page [k] at heat [v] into the hole at slot [i]. *)
-    let rec sift_up i k v =
-      let p = (i - 1) / 2 in
-      if i > 0 && colder k v keys.(p) heats.(p) then begin
-        set i keys.(p) heats.(p);
-        sift_up p k v
-      end
-      else set i k v
-    in
-    let rec sift_down i k v =
-      let l = (2 * i) + 1 in
-      if l >= limit then set i k v
-      else begin
-        let c =
-          if l + 1 < limit && colder keys.(l + 1) heats.(l + 1) keys.(l) heats.(l) then l + 1
-          else l
-        in
-        if colder keys.(c) heats.(c) k v then begin
-          set i keys.(c) heats.(c);
-          sift_down c k v
-        end
-        else set i k v
-      end
-    in
+    (* The cutoff is the [n]th highest heat. Find it 8 bits at a time,
+       from the hottest page's top digit down: count the candidates'
+       digits, take the digit where the [need]th hottest candidate
+       falls, and keep only the candidates with that digit. [need] ends
+       as the number of pages at the cutoff to take. *)
+    let top = hottest t in
+    let shift = ref 0 in
+    while top lsr !shift > 255 do
+      shift := !shift + 8
+    done;
+    let counts = Array.make 256 0 and prefix = ref 0 and need = ref n in
+    let searching = ref true in
+    while !searching do
+      count_digits t ~shift:!shift ~prefix:!prefix counts;
+      let d = ref 255 in
+      while counts.(!d) < !need do
+        need := !need - counts.(!d);
+        decr d
+      done;
+      prefix := (!prefix lsl 8) lor !d;
+      if !shift = 0 then searching := false else shift := !shift - 8
+    done;
+    let cutoff = !prefix and at_cutoff = !need in
+    (* The pages above the cutoff, and the [at_cutoff] lowest page
+       indexes at it, which are already in output order. *)
+    let above = Array.make (n - at_cutoff) 0 and at = Array.make at_cutoff 0 in
+    let na = ref 0 and nc = ref 0 in
     for c = 0 to Blockvec.length t.heat - 1 do
       let chunk = Blockvec.get t.heat c in
       for i = 0 to Array.length chunk - 1 do
-        let k = (c lsl heat_shift) lor i and v = chunk.(i) in
-        if v > 0 then
-          if !size < limit then begin
-            sift_up !size k v;
-            incr size
-          end
-          else if colder keys.(0) heats.(0) k v then sift_down 0 k v
+        let h = chunk.(i) in
+        if h > cutoff then begin
+          above.(!na) <- (c lsl heat_shift) lor i;
+          incr na
+        end
+        else if h = cutoff && !nc < at_cutoff then begin
+          at.(!nc) <- (c lsl heat_shift) lor i;
+          incr nc
+        end
       done
     done;
-    List.init limit (fun i -> (keys.(i), heats.(i))) |> List.sort hotter |> List.map fst
+    (* Hottest first: heat descending, ties by page index ascending. *)
+    Array.stable_sort
+      (fun a b -> match Int.compare (heat t b) (heat t a) with 0 -> Int.compare a b | c -> c)
+      above;
+    let pages = ref [] in
+    for i = at_cutoff - 1 downto 0 do
+      pages := at.(i) :: !pages
+    done;
+    for i = n - at_cutoff - 1 downto 0 do
+      pages := above.(i) :: !pages
+    done;
+    !pages
   end
 
-(* --- iteration / stats -------------------------------------------- *)
-
-let resident_count t =
-  fold_pages t ~init:0 ~f:(fun acc _ -> function Resident _ -> acc + 1 | Paged_out _ -> acc)
+(* --- stats -------------------------------------------------------- *)
 
 let rec chain_depth t =
   match t.shadow with None -> 1 | Some backing -> 1 + chain_depth backing

@@ -7,8 +7,8 @@
 
     - {b Checkpoint arming} ({!arm_for_checkpoint}): during the
       serialization barrier the orchestrator write-protects pages and
-      takes stable references for the asynchronous flush. A later write
-      to an armed page triggers Aurora's modified COW: a {e new} frame
+      takes stable captures for the asynchronous flush. A later write
+      to an armed page triggers Aurora's modified COW: a {e new} copy
       replaces the old one {e inside the same object}, so every process
       mapping the object observes the new page (shared-memory semantics
       are preserved — the problem §3 describes with standard fork COW),
@@ -20,17 +20,22 @@
       regions").
     - {b Heat counters} approximate the clock algorithm's access
       history; the checkpoint stores the hot set so lazy restore can
-      eagerly page in the hottest pages. *)
+      eagerly page in the hottest pages.
+
+    Pages live in columns indexed by page index, with no record per
+    page: the content seed (8 bytes), a state byte (absent, resident or
+    paged out, and the clock's accessed bit) and, from the first
+    page-out, the device cost of faulting the page back in. Storing into
+    a resident page updates its seed in place and allocates nothing. *)
 
 open Aurora_simtime
 
 type kind = Anonymous | Vnode of int  (** [Vnode v]: file-backed, vnode id [v] *)
 
-type pslot =
-  | Resident of Frame.t
-  | Paged_out of { content : Content.t; read_cost : Duration.t }
-      (** swapped out, or left behind in the image by a lazy restore;
-          faulting it in costs [read_cost] of device time *)
+(** Where a page is. [Paged_out]: swapped out, or left behind in the
+    image by a lazy restore; faulting it in costs {!read_cost} of device
+    time. *)
+type status = Absent | Resident | Paged_out
 
 type t
 
@@ -39,43 +44,70 @@ val oid : t -> int
 val kind : t -> kind
 val incref : t -> unit
 val decref : t -> unit
-(** At zero, releases all resident frames, clears the dirty, armed and
-    heat state, and drops the shadow reference. *)
+(** At zero, releases all resident copies (a copy an unreleased flush
+    item holds stays resident until the item is released), drops the
+    page columns, clears the dirty, armed and heat state, and drops the
+    shadow reference. *)
 
 val shadow_of : t -> t option
 val make_shadow : t -> t
 (** A fresh empty object backed by [t] (for fork COW); takes a
     reference on [t]. *)
 
-(** Result of resolving a page index through the shadow chain. The
-    owner is the object in the chain that holds the page. *)
-type resolution =
-  | Found of { owner : t; slot : pslot }
-  | Absent
+val resolve : t -> int -> t
+(** The object in [t]'s shadow chain that holds page [pindex]: the first
+    one, from [t] down, where the page is not [Absent]; the chain's last
+    object when none holds it. Allocates nothing. *)
 
-val resolve : t -> int -> resolution
+val status : t -> int -> status
 
-val install : t -> int -> Frame.t -> unit
-(** Install a frame at a page index, replacing (and releasing) any
-    resident predecessor. *)
+val content : t -> int -> Content.t
+(** The page's content, resident or paged out; {!Content.zero} when
+    absent. *)
+
+val read_cost : t -> int -> Duration.t
+(** Device time to fault a paged-out page in; zero for any other page. *)
+
+val reserve : t -> pages:int -> unit
+(** Size the columns for page indexes below [pages] now, so installing
+    them does not grow the columns step by step. *)
+
+val install : t -> int -> Content.t -> unit
+(** Make a fresh resident copy at a page index, replacing (and
+    releasing) any predecessor. *)
 
 val install_paged_out : t -> int -> content:Content.t -> read_cost:Duration.t -> unit
 
-val page_in : t -> int -> Frame.t -> unit
-(** Replace a [Paged_out] slot with a resident frame. Raises
-    [Invalid_argument] if the slot is not paged out. *)
+val page_in : t -> int -> unit
+(** Make a [Paged_out] page resident: a fresh copy of its content.
+    Raises [Invalid_argument] if the page is not paged out. *)
 
 val page_out : t -> int -> read_cost:Duration.t -> Content.t
 (** Convert a resident page to [Paged_out]; returns the content (for
     the swap writer). Raises [Invalid_argument] if not resident or if
-    the frame is shared (refcount > 1). *)
+    an unreleased flush item holds its copy. *)
+
+val write : t -> int -> offset:int -> value:int64 -> unit
+(** Store into a resident page in place ({!Content.write}); allocates
+    nothing. The caller takes any checkpoint-COW fault first. Raises
+    [Invalid_argument] if the page is not resident. *)
+
+val set_content : t -> int -> Content.t -> unit
+(** Replace a resident page's whole content in place. Raises
+    [Invalid_argument] if the page is not resident. *)
+
+val load : t -> int -> offset:int -> int64
+(** [Content.load (content t pindex) ~offset], boxing only the result. *)
 
 (* --- checkpoint support ------------------------------------------- *)
 
-(** One page captured by a checkpoint barrier. [frame] is [Some] (with
-    an extra reference held for the flusher) when the page was
-    resident; the flusher must [release_flush_item] when done. *)
-type flush_item = { pindex : int; content : Content.t; frame : Frame.t option }
+(** One page captured by a checkpoint barrier. When the page was
+    resident the item holds its copy, named by [stamp] (which is [-1]
+    when nothing is held): until the flusher calls
+    {!release_flush_item}, that copy stays resident, even after a COW
+    fault, an install or [owner]'s death replaces it, and page-out and
+    the clock sweep refuse it. *)
+type flush_item = private { pindex : int; content : Content.t; owner : t; stamp : int }
 
 val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
 (** Write-protect pages and return stable captures for flushing, in
@@ -86,15 +118,19 @@ val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
     already-armed clean pages stay armed. *)
 
 val release_flush_item : pool:Frame.pool -> flush_item -> unit
+(** Drops the item's hold. A replaced copy whose last item this was
+    leaves [pool]'s residency. Raises [Invalid_argument] if the item's
+    hold was already released. *)
+
 val is_armed : t -> int -> bool
 val armed_count : t -> int
 val dirty_count : t -> int
 val mark_dirty : t -> int -> unit
 
-val disarm_for_write : t -> int -> Frame.t
-(** Aurora's checkpoint-COW fault on an armed resident page: allocate a
-    copy, install it in place (all mappers now share the new frame),
-    unarm, mark dirty; returns the new frame. Raises
+val disarm_for_write : t -> int -> unit
+(** Aurora's checkpoint-COW fault on an armed resident page: make a
+    fresh copy of the page in place (all mappers now share it), unarm,
+    mark dirty. A flush item holding the old copy keeps it. Raises
     [Invalid_argument] if the page is not armed-resident. *)
 
 val cow_breaks : t -> int
@@ -109,9 +145,16 @@ val reset_cow_breaks : t -> unit
 (* --- heat / clock ------------------------------------------------- *)
 
 val touch : t -> int -> unit
-(** Record an access: bumps the page's heat counter and the frame's
-    accessed bit. Heat is kept in chunks of 64 pages; the first touch
-    of a page in a chunk allocates the chunk. *)
+(** Record an access: bumps the page's heat counter and sets a
+    resident page's accessed bit. Heat is kept in chunks of 64 pages;
+    the first touch of a page in a chunk allocates the chunk. *)
+
+val held : t -> int -> bool
+(** An unreleased flush item holds the page's current copy. *)
+
+val take_accessed : t -> int -> bool
+(** Clear the page's accessed bit; true if it was set (the clock's
+    second chance). *)
 
 val heat : t -> int -> int
 val age_heat : t -> unit
@@ -119,13 +162,16 @@ val age_heat : t -> unit
 
 val hot_pages : t -> limit:int -> int list
 (** Up to [limit] page indexes with nonzero heat: heat descending, ties
-    by page index ascending. *)
+    by page index ascending. Linear in the object's heat chunks plus
+    [limit log limit]. *)
 
 (* --- iteration / stats -------------------------------------------- *)
 
-val fold_pages : t -> init:'a -> f:('a -> int -> pslot -> 'a) -> 'a
-(** Over this object's own pages (not the chain), in increasing page
-    index order. *)
+val fold_pages : t -> init:'a -> f:('a -> int -> status -> 'a) -> 'a
+(** Over this object's own present pages (not the chain), in
+    increasing page index order. *)
 
 val resident_count : t -> int
+(** Resident pages of this object, kept as a count. *)
+
 val chain_depth : t -> int

@@ -410,9 +410,8 @@ let test_restore_heals_bit_rot () =
       let resident page =
         match Vmmap.entry_at p'.Process.vm (base + page) with
         | Some e' -> (
-          match Vmobject.resolve e'.Vmmap.obj (e'.Vmmap.obj_offset + page) with
-          | Vmobject.Found { slot = Vmobject.Resident _; _ } -> true
-          | Vmobject.Found { slot = Vmobject.Paged_out _; _ } | Vmobject.Absent -> false)
+          let pindex = e'.Vmmap.obj_offset + page in
+          Vmobject.status (Vmobject.resolve e'.Vmmap.obj pindex) pindex = Vmobject.Resident)
         | None -> false
       in
       check_bool (label ^ ": page 3 read in the batch") (policy <> Types.Lazy) (resident 3);

@@ -72,27 +72,32 @@ let prop_content_write_injective_ish =
 (* Frame pool                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A resident copy has two kinds of reference: its object's and each
+   unreleased flush item's. It leaves residency when the last goes. *)
 let test_frame_refcounting () =
   let pool = Frame.create_pool () in
-  let f = Frame.alloc pool Content.zero in
+  let o = Vmobject.create ~pool Vmobject.Anonymous in
+  Vmobject.install o 0 Content.zero;
   check_int "resident" 1 (Frame.resident pool);
-  Frame.incref f;
-  Frame.decref pool f;
+  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
   check_int "still resident" 1 (Frame.resident pool);
-  Frame.decref pool f;
+  let item = List.hd (Vmobject.arm_for_checkpoint o ~mode:`Full) in
+  Vmobject.decref o;
+  check_int "held by the flush item" 1 (Frame.resident pool);
+  Vmobject.release_flush_item ~pool item;
   check_int "released" 0 (Frame.resident pool);
   check_bool "double free" true
     (try
-       Frame.decref pool f;
+       Vmobject.release_flush_item ~pool item;
        false
      with Invalid_argument _ -> true)
 
 let test_frame_capacity_pressure () =
   let pool = Frame.create_pool ~capacity_pages:2 () in
-  let _ = Frame.alloc pool Content.zero in
-  let _ = Frame.alloc pool Content.zero in
+  Frame.alloc pool;
+  Frame.alloc pool;
   check_int "no pressure" 0 (Frame.over_capacity pool);
-  let _ = Frame.alloc pool Content.zero in
+  Frame.alloc pool;
   check_int "one over" 1 (Frame.over_capacity pool);
   check_int "total monotone" 3 (Frame.total_allocated pool)
 
@@ -103,38 +108,35 @@ let test_frame_capacity_pressure () =
 let test_object_install_resolve () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
-  let f = Frame.alloc pool (Content.of_seed 3L) in
-  Vmobject.install o 5 f;
-  (match Vmobject.resolve o 5 with
-   | Vmobject.Found { owner; slot = Vmobject.Resident g } ->
-     check_bool "owner is o" true (owner == o);
-     check_bool "frame" true (g == f)
-   | _ -> Alcotest.fail "expected resident");
-  check_bool "absent elsewhere" true (Vmobject.resolve o 6 = Vmobject.Absent)
+  Vmobject.install o 5 (Content.of_seed 3L);
+  let owner = Vmobject.resolve o 5 in
+  check_bool "owner is o" true (owner == o);
+  check_bool "resident" true (Vmobject.status owner 5 = Vmobject.Resident);
+  Alcotest.check content_t "content" (Content.of_seed 3L) (Vmobject.content owner 5);
+  check_bool "absent elsewhere" true
+    (Vmobject.status (Vmobject.resolve o 6) 6 = Vmobject.Absent)
 
 let test_object_shadow_resolution () =
   let pool = Frame.create_pool () in
   let base = Vmobject.create ~pool Vmobject.Anonymous in
-  let f = Frame.alloc pool (Content.of_seed 11L) in
-  Vmobject.install base 0 f;
+  Vmobject.install base 0 (Content.of_seed 11L);
   let shadow = Vmobject.make_shadow base in
-  (match Vmobject.resolve shadow 0 with
-   | Vmobject.Found { owner; _ } -> check_bool "resolves to base" true (owner == base)
-   | Vmobject.Absent -> Alcotest.fail "chain walk failed");
+  let owner = Vmobject.resolve shadow 0 in
+  check_bool "chain walk found the page" true (Vmobject.status owner 0 <> Vmobject.Absent);
+  check_bool "resolves to base" true (owner == base);
   (* A page installed in the shadow occludes the base. *)
-  let f2 = Frame.alloc pool (Content.of_seed 12L) in
-  Vmobject.install shadow 0 f2;
-  (match Vmobject.resolve shadow 0 with
-   | Vmobject.Found { owner; _ } -> check_bool "shadow occludes" true (owner == shadow)
-   | Vmobject.Absent -> Alcotest.fail "lost page");
+  Vmobject.install shadow 0 (Content.of_seed 12L);
+  let owner = Vmobject.resolve shadow 0 in
+  check_bool "page not lost" true (Vmobject.status owner 0 <> Vmobject.Absent);
+  check_bool "shadow occludes" true (owner == shadow);
   check_int "chain depth" 2 (Vmobject.chain_depth shadow)
 
 let test_object_decref_releases_chain () =
   let pool = Frame.create_pool () in
   let base = Vmobject.create ~pool Vmobject.Anonymous in
-  Vmobject.install base 0 (Frame.alloc pool Content.zero);
+  Vmobject.install base 0 Content.zero;
   let shadow = Vmobject.make_shadow base in
-  Vmobject.install shadow 1 (Frame.alloc pool Content.zero);
+  Vmobject.install shadow 1 Content.zero;
   Vmobject.decref base; (* drop creator's ref; shadow still holds one *)
   check_int "still resident" 2 (Frame.resident pool);
   Vmobject.decref shadow;
@@ -143,8 +145,8 @@ let test_object_decref_releases_chain () =
 let test_object_replace_releases_old () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
-  Vmobject.install o 0 (Frame.alloc pool (Content.of_seed 1L));
-  Vmobject.install o 0 (Frame.alloc pool (Content.of_seed 2L));
+  Vmobject.install o 0 (Content.of_seed 1L);
+  Vmobject.install o 0 (Content.of_seed 2L);
   check_int "old frame released" 1 (Frame.resident pool)
 
 (* ------------------------------------------------------------------ *)
@@ -155,7 +157,7 @@ let test_arm_full_captures_everything () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
   for i = 0 to 9 do
-    Vmobject.install o i (Frame.alloc pool (Content.of_seed (Int64.of_int i)))
+    Vmobject.install o i (Content.of_seed (Int64.of_int i))
   done;
   let items = Vmobject.arm_for_checkpoint o ~mode:`Full in
   check_int "all captured" 10 (List.length items);
@@ -167,7 +169,7 @@ let test_arm_dirty_only_captures_dirty () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
   for i = 0 to 9 do
-    Vmobject.install o i (Frame.alloc pool (Content.of_seed (Int64.of_int i)));
+    Vmobject.install o i (Content.of_seed (Int64.of_int i));
     Vmobject.mark_dirty o i
   done;
   let first = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
@@ -177,8 +179,7 @@ let test_arm_dirty_only_captures_dirty () =
   let second = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
   check_int "clean incremental empty" 0 (List.length second);
   (* Dirty three pages; only they are captured. *)
-  let f = Vmobject.disarm_for_write o 0 in
-  ignore f;
+  Vmobject.disarm_for_write o 0;
   Vmobject.mark_dirty o 5 (* simulate an unarmed write *);
   let third = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
   check_int "only dirtied captured" 2 (List.length third);
@@ -187,21 +188,20 @@ let test_arm_dirty_only_captures_dirty () =
 let test_flush_item_keeps_frame_alive () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
-  Vmobject.install o 0 (Frame.alloc pool (Content.of_seed 9L));
+  Vmobject.install o 0 (Content.of_seed 9L);
   let items = Vmobject.arm_for_checkpoint o ~mode:`Full in
   (* COW write replaces the page; the flusher's reference must keep the
-     old frame's content stable. *)
-  let fresh = Vmobject.disarm_for_write o 0 in
-  fresh.Frame.content <- Content.write fresh.Frame.content ~offset:0 ~value:1L;
+     old copy's content stable. *)
+  Vmobject.disarm_for_write o 0;
+  Vmobject.write o 0 ~offset:0 ~value:1L;
   (match items with
    | [ item ] ->
      Alcotest.check content_t "captured content unchanged" (Content.of_seed 9L)
        item.Vmobject.content;
-     (match item.Vmobject.frame with
-      | Some f ->
-        Alcotest.check content_t "old frame intact" (Content.of_seed 9L)
-          f.Frame.content
-      | None -> Alcotest.fail "expected a frame capture");
+     check_bool "the item holds a copy" true (item.Vmobject.stamp >= 0);
+     Alcotest.check content_t "the write went to the new copy"
+       (Content.write (Content.of_seed 9L) ~offset:0 ~value:1L)
+       (Vmobject.content o 0);
      check_int "both frames resident" 2 (Frame.resident pool);
      Vmobject.release_flush_item ~pool item;
      check_int "old frame released after flush" 1 (Frame.resident pool)
@@ -210,7 +210,7 @@ let test_flush_item_keeps_frame_alive () =
 let test_disarm_requires_armed () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
-  Vmobject.install o 0 (Frame.alloc pool Content.zero);
+  Vmobject.install o 0 Content.zero;
   check_bool "not armed" true
     (try
        ignore (Vmobject.disarm_for_write o 0);
@@ -549,12 +549,20 @@ module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
 (* Each page's residency and content seed, and the dirty, armed and
-   heat state, as pure maps and sets. *)
+   heat state, as pure maps and sets. Each resident copy of a page has
+   an id: [copies] names the current one, [holds] counts the unreleased
+   flush items holding each copy (current or replaced), and [items] are
+   those items with the copy each holds. [allocated] counts every copy
+   ever made. *)
 type model = {
   pages : (bool * int64) Imap.t;
   dirty : Iset.t;
   armed : Iset.t;
   heat : int Imap.t;
+  copies : int Imap.t;
+  holds : int Imap.t;
+  items : (Vmobject.flush_item * int option) list;
+  allocated : int;
 }
 
 type obj_op =
@@ -565,7 +573,9 @@ type obj_op =
   | Touch of int
   | Mark_dirty of int
   | Arm of [ `Full | `Dirty_only ]
+  | Release of int
   | Disarm of int
+  | Sweep of int
   | Age
 
 let show_obj_op = function
@@ -577,7 +587,9 @@ let show_obj_op = function
   | Mark_dirty p -> Printf.sprintf "mark_dirty %d" p
   | Arm `Full -> "arm full"
   | Arm `Dirty_only -> "arm dirty_only"
+  | Release i -> Printf.sprintf "release %d" i
   | Disarm p -> Printf.sprintf "disarm %d" p
+  | Sweep n -> Printf.sprintf "sweep %d" n
   | Age -> "age"
 
 let gen_obj_op =
@@ -595,7 +607,9 @@ let gen_obj_op =
       (4, map (fun p -> Mark_dirty p) pindex);
       (1, return (Arm `Full));
       (2, return (Arm `Dirty_only));
+      (2, map (fun i -> Release i) (int_bound 1_000));
       (3, map (fun p -> Disarm p) pindex);
+      (1, map (fun n -> Sweep n) (int_bound 8));
       (1, return Age) ]
 
 let model_hot_pages m ~limit =
@@ -605,8 +619,30 @@ let model_hot_pages m ~limit =
   |> List.filteri (fun i _ -> i < limit)
   |> List.map fst
 
-(* Flush items are released as soon as they are compared, so every
-   resident page holds exactly one frame reference. *)
+let held m c = Option.value ~default:0 (Imap.find_opt c m.holds)
+
+(* The current copy of page [p] is held by an unreleased flush item. *)
+let page_held m p =
+  match Imap.find_opt p m.copies with Some c -> held m c > 0 | None -> false
+
+(* Resident copies: every page's current one, plus replaced copies that
+   an unreleased flush item still holds. *)
+let model_resident m =
+  let current = Imap.fold (fun _ c s -> Iset.add c s) m.copies Iset.empty in
+  Iset.cardinal (Imap.fold (fun c _ s -> Iset.add c s) m.holds current)
+
+let new_copy m p =
+  { m with copies = Imap.add p m.allocated m.copies; allocated = m.allocated + 1 }
+
+let add_hold m c d =
+  let n = held m c + d in
+  { m with holds = (if n = 0 then Imap.remove c m.holds else Imap.add c n m.holds) }
+
+(* Flush items stay unreleased until a [Release] picks them (or the
+   end), so later operations meet pages whose copy is held: a COW
+   fault, an install or the object's death replaces the copy, which
+   stays resident until its last item goes; page-out and the clock
+   sweep refuse a held copy. *)
 let prop_vmobject_matches_model =
   QCheck.Test.make ~name:"vmobject agrees with a pure map model" ~count:150
     QCheck.(
@@ -617,17 +653,17 @@ let prop_vmobject_matches_model =
     (fun ops ->
       let pool = Frame.create_pool () in
       let o = Vmobject.create ~pool Vmobject.Anonymous in
+      let clock = Clockalg.create () in
       let fail step fmt =
         Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "step %d: %s" step msg) fmt
       in
       let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-      let slot_view = function
-        | Vmobject.Resident f -> (true, Content.to_seed f.Frame.content)
-        | Vmobject.Paged_out { content; _ } -> (false, Content.to_seed content)
+      let page_view p status =
+        (status = Vmobject.Resident, Content.to_seed (Vmobject.content o p))
       in
       let check_pages step m =
         let got =
-          Vmobject.fold_pages o ~init:[] ~f:(fun acc p slot -> (p, slot_view slot) :: acc)
+          Vmobject.fold_pages o ~init:[] ~f:(fun acc p status -> (p, page_view p status) :: acc)
           |> List.rev
         in
         if got <> Imap.bindings m.pages then fail step "fold_pages differs";
@@ -640,31 +676,40 @@ let prop_vmobject_matches_model =
               fail step "hot_pages ~limit:%d" limit)
           [ 0; 1; 3; heated; heated + 1; max_int ]
       in
+      let release step m i =
+        match m.items with
+        | [] -> m
+        | items ->
+          let n = List.length items in
+          let item, copy = List.nth items (i mod n) in
+          Vmobject.release_flush_item ~pool item;
+          let m = { m with items = List.filteri (fun j _ -> j <> i mod n) items } in
+          (match copy with Some c when held m c <= 0 -> fail step "hold underflow" | _ -> ());
+          (match copy with Some c -> add_hold m c (-1) | None -> m)
+      in
       let step_op step m op =
         match op with
         | Install (p, s) ->
-          Vmobject.install o p (Frame.alloc pool (Content.of_seed s));
-          { m with pages = Imap.add p (true, s) m.pages }
+          Vmobject.install o p (Content.of_seed s);
+          new_copy { m with pages = Imap.add p (true, s) m.pages } p
         | Install_paged_out (p, s) ->
           Vmobject.install_paged_out o p ~content:(Content.of_seed s) ~read_cost:Duration.zero;
-          { m with pages = Imap.add p (false, s) m.pages }
+          { m with pages = Imap.add p (false, s) m.pages; copies = Imap.remove p m.copies }
         | Page_in p -> (
           match Imap.find_opt p m.pages with
           | Some (false, s) ->
-            Vmobject.page_in o p (Frame.alloc pool (Content.of_seed s));
-            { m with pages = Imap.add p (true, s) m.pages }
+            Vmobject.page_in o p;
+            new_copy { m with pages = Imap.add p (true, s) m.pages } p
           | Some (true, _) | None ->
-            let f = Frame.alloc pool Content.zero in
-            if not (raises (fun () -> Vmobject.page_in o p f)) then fail step "page_in accepted";
-            Frame.decref pool f;
+            if not (raises (fun () -> Vmobject.page_in o p)) then fail step "page_in accepted";
             m)
         | Page_out p -> (
           match Imap.find_opt p m.pages with
-          | Some (true, s) ->
+          | Some (true, s) when not (page_held m p) ->
             let c = Vmobject.page_out o p ~read_cost:Duration.zero in
             if Content.to_seed c <> s then fail step "page_out content";
-            { m with pages = Imap.add p (false, s) m.pages }
-          | Some (false, _) | None ->
+            { m with pages = Imap.add p (false, s) m.pages; copies = Imap.remove p m.copies }
+          | Some _ | None ->
             if not (raises (fun () -> Vmobject.page_out o p ~read_cost:Duration.zero)) then
               fail step "page_out accepted";
             m)
@@ -679,14 +724,11 @@ let prop_vmobject_matches_model =
           let got =
             List.map
               (fun (it : Vmobject.flush_item) ->
-                (match it.frame with
-                 | Some f when not (Content.equal f.Frame.content it.content) ->
-                   fail step "captured frame differs from its content"
-                 | _ -> ());
-                (it.pindex, (Option.is_some it.frame, Content.to_seed it.content)))
+                if it.stamp >= 0 && not (Content.equal (Vmobject.content o it.pindex) it.content)
+                then fail step "captured copy differs from its content";
+                (it.pindex, (it.stamp >= 0, Content.to_seed it.content)))
               items
           in
-          List.iter (Vmobject.release_flush_item ~pool) items;
           let captured =
             match mode with
             | `Full -> Imap.bindings m.pages
@@ -695,38 +737,68 @@ let prop_vmobject_matches_model =
           in
           if got <> captured then fail step "flush items differ";
           let armed = List.fold_left (fun s (p, _) -> Iset.add p s) m.armed captured in
-          let m = { m with dirty = Iset.empty; armed } in
+          let m =
+            List.fold_left
+              (fun m (it : Vmobject.flush_item) ->
+                let copy = Imap.find_opt it.pindex m.copies in
+                let m = { m with items = m.items @ [ (it, copy) ] } in
+                match copy with Some c -> add_hold m c 1 | None -> m)
+              { m with dirty = Iset.empty; armed } items
+          in
           check_pages step m;
           m
+        | Release i -> release step m i
         | Disarm p -> (
           match Imap.find_opt p m.pages with
           | Some (true, s) when Iset.mem p m.armed ->
-            let fresh = Vmobject.disarm_for_write o p in
-            if Content.to_seed fresh.Frame.content <> s then fail step "disarm content";
-            { m with armed = Iset.remove p m.armed; dirty = Iset.add p m.dirty }
+            Vmobject.disarm_for_write o p;
+            if Content.to_seed (Vmobject.content o p) <> s then fail step "disarm content";
+            new_copy { m with armed = Iset.remove p m.armed; dirty = Iset.add p m.dirty } p
           | _ ->
             if not (raises (fun () -> Vmobject.disarm_for_write o p)) then
               fail step "disarm accepted";
             m)
+        | Sweep want ->
+          let victims = Clockalg.sweep clock ~objects:[ o ] ~want in
+          if List.length victims > want then fail step "sweep over-delivered";
+          List.iter
+            (fun (v : Clockalg.victim) ->
+              if v.obj != o then fail step "sweep victim from elsewhere";
+              (match Imap.find_opt v.pindex m.pages with
+               | Some (true, _) -> ()
+               | _ -> fail step "sweep victim %d not resident" v.pindex);
+              if page_held m v.pindex then fail step "sweep took held page %d" v.pindex)
+            victims;
+          let evictable =
+            Imap.exists (fun p (r, _) -> r && not (page_held m p)) m.pages
+          in
+          if want > 0 && evictable && victims = [] then fail step "sweep found no victim";
+          m
         | Age ->
           Vmobject.age_heat o;
           { m with heat = Imap.filter_map (fun _ h -> if h / 2 = 0 then None else Some (h / 2)) m.heat }
+      in
+      let check_frames step m =
+        if Frame.resident pool <> model_resident m then fail step "frames held";
+        if Frame.total_allocated pool <> m.allocated then fail step "frames allocated"
       in
       let check_counts step m op =
         let p = match op with
           | Install (p, _) | Install_paged_out (p, _) | Page_in p | Page_out p | Touch p
           | Mark_dirty p | Disarm p -> p
-          | Arm _ | Age -> 0
+          | Arm _ | Release _ | Sweep _ | Age -> 0
         in
         if Vmobject.armed_count o <> Iset.cardinal m.armed then fail step "armed_count";
         if Vmobject.dirty_count o <> Iset.cardinal m.dirty then fail step "dirty_count";
         if Vmobject.is_armed o p <> Iset.mem p m.armed then fail step "is_armed %d" p;
         if Vmobject.heat o p <> Option.value ~default:0 (Imap.find_opt p m.heat) then
           fail step "heat %d" p;
-        let resident = Imap.fold (fun _ (r, _) n -> if r then n + 1 else n) m.pages 0 in
-        if Frame.resident pool <> resident then fail step "frames held"
+        check_frames step m
       in
-      let empty = { pages = Imap.empty; dirty = Iset.empty; armed = Iset.empty; heat = Imap.empty } in
+      let empty =
+        { pages = Imap.empty; dirty = Iset.empty; armed = Iset.empty; heat = Imap.empty;
+          copies = Imap.empty; holds = Imap.empty; items = []; allocated = 0 }
+      in
       let m, _ =
         List.fold_left
           (fun (m, step) op ->
@@ -737,8 +809,13 @@ let prop_vmobject_matches_model =
       in
       let last = List.length ops in
       check_pages last m;
-      (* At zero references every per-page array is cleared. *)
+      (* At zero references every per-page array is cleared; copies that
+         unreleased items hold stay resident until the items go. *)
       Vmobject.decref o;
+      let m = { m with pages = Imap.empty; copies = Imap.empty } in
+      check_frames last m;
+      let m = List.fold_left (fun m _ -> release last m 0) m m.items in
+      if m.items <> [] || not (Imap.is_empty m.holds) then fail last "items left";
       if Frame.resident pool <> 0 then fail last "frames leaked";
       check_pages last empty;
       if Vmobject.armed_count o <> 0 || Vmobject.dirty_count o <> 0 then
@@ -775,7 +852,7 @@ let test_hot_paths_allocate_nothing () =
   let pool = Vmmap.pool m in
   List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
   for i = 0 to (npages / 2) - 1 do
-    ignore (Vmobject.disarm_for_write o (2 * i))
+    Vmobject.disarm_for_write o (2 * i)
   done;
   let n = 20_000 in
   let zero name f =
@@ -804,6 +881,7 @@ let test_hot_paths_allocate_nothing () =
       for i = 1 to n do
         Vmobject.mark_dirty o (2 * (i land ((npages / 2) - 1)))
       done);
+  (* Its boxed [int64] result is all a load allocates. *)
   let dw =
     minor_words_of (fun () ->
         for i = 1 to n do
@@ -813,7 +891,25 @@ let test_hot_paths_allocate_nothing () =
   check_bool
     (Printf.sprintf "mem_read of a resident page: %.1f minor words each" (dw /. float_of_int n))
     true
-    (dw <= (9. *. float_of_int n) +. 64.)
+    (dw <= (3. *. float_of_int n) +. 64.);
+  (* The even pages are resident and no longer armed. *)
+  zero "mem_write to a resident unarmed page" (fun () ->
+      for i = 1 to n do
+        Syscall.mem_write k p ~vpn:(base + (2 * (i land ((npages / 2) - 1)))) ~offset:16
+          ~value:7L
+      done);
+  check_int "no fault taken" 0 (Vmmap.faults m).Vmmap.ckpt_cow;
+  (* Each write to an armed page takes Aurora's checkpoint COW fault. *)
+  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
+  let dw =
+    minor_words_of (fun () ->
+        for i = 0 to npages - 1 do
+          Syscall.mem_write k p ~vpn:(base + i) ~offset:24 ~value:7L
+        done)
+  in
+  check_int "one fault per page" npages (Vmmap.faults m).Vmmap.ckpt_cow;
+  check_bool (Printf.sprintf "checkpoint COW fault allocates nothing (%.0f minor words / %d)" dw npages)
+    true (dw < 64.)
 
 (* Words [f] allocates in either heap. Arrays longer than 256 words are
    allocated straight in the major heap, which [minor_words_of] does not
@@ -825,6 +921,48 @@ let words_of f =
   Gc.minor ();
   let minor1, promoted1, major1 = Gc.counters () in
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A page costs its slots in the columns and nothing else: an eager
+   install of a region, columns grown as it goes, is a few bytes a page,
+   and tearing the object down allocates nothing per page. *)
+let test_install_and_teardown_words () =
+  let pool = Frame.create_pool () in
+  let o = Vmobject.create ~pool Vmobject.Anonymous in
+  let npages = 65_536 and c = Content.of_seed 5L in
+  let dw =
+    words_of (fun () ->
+        for i = 0 to npages - 1 do
+          Vmobject.install o i c
+        done)
+  in
+  check_bool (Printf.sprintf "eager install: %.2f words a page" (dw /. float_of_int npages))
+    true (dw <= 2.5 *. float_of_int npages);
+  check_int "all resident" npages (Vmobject.resident_count o);
+  let dw = words_of (fun () -> Vmobject.decref o) in
+  check_bool (Printf.sprintf "teardown of %d pages: %.0f words" npages dw) true (dw < 64.);
+  check_int "released" 0 (Frame.resident pool)
+
+(* [hot_pages] finds its cutoff by counting, so a small hot set of a
+   large object costs the pages it lists, not a sort of every heated
+   page. *)
+let test_hot_pages_words () =
+  let o = Vmobject.create ~pool:(Frame.create_pool ()) Vmobject.Anonymous in
+  let npages = 65_536 and limit = 1_024 in
+  for i = 0 to npages - 1 do
+    for _ = 0 to i mod 7 do
+      Vmobject.touch o i
+    done
+  done;
+  let hot = ref [] in
+  let dw = words_of (fun () -> hot := Vmobject.hot_pages o ~limit) in
+  check_int "listed" limit (List.length !hot);
+  check_bool (Printf.sprintf "hot_pages ~limit:%d: %.1f words a listed page" limit
+                (dw /. float_of_int limit))
+    true (dw <= 6. *. float_of_int limit);
+  (* Heat 7 is pages 6, 13, 20, ...: the first [limit] of them. *)
+  Alcotest.(check (list int)) "hottest, ties by page index"
+    (List.init limit (fun i -> (7 * i) + 6))
+    !hot
 
 (* A restored object's first access can land anywhere in a large
    region; it costs one heat chunk and the chunk directory, not an array
@@ -860,9 +998,9 @@ let test_clock_second_chance () =
   check_bool "touched page spared on first pass" true
     (List.for_all
        (fun v ->
-         (* victims are evicted lazily by swap; here frames remain, so
-            just check we got some victims *)
-         v.Clockalg.frame.Frame.refcount >= 1)
+         (* victims are evicted lazily by swap; here the pages stay
+            resident, so just check we got some victims *)
+         Vmobject.status v.Clockalg.obj v.Clockalg.pindex = Vmobject.Resident)
        remaining)
 
 let test_hot_set_ranking () =
@@ -986,6 +1124,10 @@ let () =
             test_hot_paths_allocate_nothing;
           Alcotest.test_case "first touch allocates one heat chunk" `Quick
             test_first_touch_allocates_one_chunk;
+          Alcotest.test_case "install and teardown words per page" `Quick
+            test_install_and_teardown_words;
+          Alcotest.test_case "hot_pages allocates per listed page" `Quick
+            test_hot_pages_words;
         ] );
       ( "checkpoint-cow",
         [
