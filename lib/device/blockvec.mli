@@ -3,11 +3,13 @@
     Any index that is handed out from a small range, with few holes,
     fits. Block numbers do (the object store's allocator hands out
     [[first_block, next_fresh)] and reuses freed blocks first), so the
-    allocator's refcounts, the B-tree node cache, the dedup reverse
-    index and device contents are arrays, not hash tables. So do a VM
-    object's page indexes, so its pages, its dirty and armed bitmaps and
-    the directory of its heat chunks are too. The array reaches the
-    highest index set, so a sparse index would pay for every hole.
+    B-tree node cache and device contents are arrays, not hash tables.
+    So do a VM object's page indexes, so its dirty and armed bitmaps and
+    the directory of its heat chunks are too. State that is one number
+    per index is kept unboxed in a [Bytes] column instead: the
+    allocator's refcounts, the dedup reverse index and a VM object's
+    page seeds and states. The array reaches the highest index set, so
+    a sparse index would pay for every hole.
     Plain data, with no closure: devices and VM objects holding one
     marshal into universe files. *)
 

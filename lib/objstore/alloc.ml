@@ -1,10 +1,10 @@
-open Aurora_device
-
 type t = {
   first_block : int;
   capacity_blocks : int option;
   stripes : int;
-  refs : int Blockvec.t; (* by block; 0 = free *)
+  mutable refs : Bytes.t;
+  (* The refcount of each block, 4 bytes a block; 0 = free, as is every
+     block past the end. *)
   mutable free_list : int list;
   mutable next_fresh : int;
   mutable live : int;
@@ -19,11 +19,39 @@ exception Out_of_space
 let create ~first_block ?capacity_blocks ?(stripes = 1) () =
   if first_block < 0 then invalid_arg "Alloc.create: negative first_block";
   if stripes < 1 then invalid_arg "Alloc.create: stripe count must be >= 1";
-  { first_block; capacity_blocks; stripes; refs = Blockvec.create 0;
+  { first_block; capacity_blocks; stripes; refs = Bytes.empty;
     free_list = []; next_fresh = first_block; live = 0; on_free = [];
     defer_frees = false; parked = []; on_pressure = None }
 
 let capacity_blocks t = t.capacity_blocks
+
+let refcount t block =
+  if block >= 0 && 4 * block < Bytes.length t.refs then
+    Int32.to_int (Bytes.get_int32_le t.refs (4 * block))
+  else 0
+
+(* For a block the column covers. *)
+let[@inline] store t block n = Bytes.set_int32_le t.refs (4 * block) (Int32.of_int n)
+
+(* [store], first growing the column by doubling until it covers
+   [block]. *)
+let set_refs t block n =
+  if 4 * block >= Bytes.length t.refs then begin
+    let len = ref (max 1024 (Bytes.length t.refs / 4)) in
+    while !len <= block do
+      len := 2 * !len
+    done;
+    let b = Bytes.make (4 * !len) '\000' in
+    Bytes.blit t.refs 0 b 0 (Bytes.length t.refs);
+    t.refs <- b
+  end;
+  store t block n
+
+(* A count is 4 bytes; past this it would reach the sign bit. *)
+let refs_limit = 1 lsl 30
+
+let too_many what block =
+  invalid_arg (Printf.sprintf "Alloc.%s: block %d already has %d references" what block refs_limit)
 
 let add_on_free t f = t.on_free <- t.on_free @ [ f ]
 
@@ -48,7 +76,7 @@ let rec alloc t =
   match t.free_list with
   | b :: rest ->
     t.free_list <- rest;
-    Blockvec.set t.refs b 1;
+    set_refs t b 1;
     t.live <- t.live + 1;
     b
   | [] ->
@@ -58,7 +86,7 @@ let rec alloc t =
        if under_pressure t then alloc t else raise Out_of_space
      | _ ->
        t.next_fresh <- b + 1;
-       Blockvec.set t.refs b 1;
+       set_refs t b 1;
        t.live <- t.live + 1;
        b)
 
@@ -97,22 +125,21 @@ let rec alloc_extent t n =
       t.live <- t.live + n;
       Array.init n (fun i ->
           let b = start + i in
-          Blockvec.set t.refs b 1;
+          set_refs t b 1;
           b)
   end
 
-let refcount t block = Blockvec.get t.refs block
-
 let incref t block =
-  let n = Blockvec.get t.refs block in
-  if n > 0 then Blockvec.set t.refs block (n + 1)
-  else invalid_arg (Printf.sprintf "Alloc.incref: dead block %d" block)
+  let n = refcount t block in
+  if n <= 0 then invalid_arg (Printf.sprintf "Alloc.incref: dead block %d" block);
+  if n >= refs_limit then too_many "incref" block;
+  store t block (n + 1)
 
 let decref t block =
-  match Blockvec.get t.refs block with
-  | n when n > 1 -> Blockvec.set t.refs block (n - 1)
+  match refcount t block with
+  | n when n > 1 -> store t block (n - 1)
   | 1 ->
-    Blockvec.set t.refs block 0;
+    store t block 0;
     (* Side tables (checksums, dedup, mirrors) are cleaned at free
        time either way; deferral only gates when the block becomes
        reusable (see Store's superblock-durability pen). *)
@@ -127,13 +154,14 @@ let live_blocks t = t.live
 let bump_fresh t block = if block >= t.next_fresh then t.next_fresh <- block + 1
 
 let mark_live t block =
-  let n = Blockvec.get t.refs block in
-  Blockvec.set t.refs block (n + 1);
+  let n = refcount t block in
+  if n >= refs_limit then too_many "mark_live" block;
+  set_refs t block (n + 1);
   if n = 0 then t.live <- t.live + 1;
   if block >= t.next_fresh then t.next_fresh <- block + 1
 
 let reset t =
-  Blockvec.clear t.refs;
+  Bytes.fill t.refs 0 (Bytes.length t.refs) '\000';
   t.free_list <- [];
   t.parked <- [];
   t.next_fresh <- t.first_block;

@@ -24,7 +24,9 @@ exception Out_of_space
 val create : first_block:int -> ?capacity_blocks:int -> ?stripes:int -> unit -> t
 (** Blocks below [first_block] are reserved (superblocks). [stripes]
     (default 1) is the backing device array's stripe count; extents
-    are aligned to it. *)
+    are aligned to it. A block's refcount is 4 bytes in one column, so
+    it holds at most 2^30 references: {!incref} or {!mark_live} past
+    that raises [Invalid_argument] instead of wrapping. *)
 
 val alloc : t -> int
 (** A free block, refcount 1. Raises {!Out_of_space} when a capacity
@@ -42,6 +44,9 @@ val capacity_blocks : t -> int option
     Lets inspection tools report utilisation without guessing. *)
 
 val incref : t -> int -> unit
+(** Raises [Invalid_argument] on a dead block, or on one that already
+    holds 2^30 references. *)
+
 val decref : t -> int -> unit
 (** Frees at zero (block returns to the free list and the [on_free]
     hook fires). Raises [Invalid_argument] on a dead block. *)
@@ -57,7 +62,8 @@ val add_on_free : t -> (int -> unit) -> unit
 
 val mark_live : t -> int -> unit
 (** Recovery: force the block's refcount up by one (from zero if
-    unallocated). *)
+    unallocated). Raises [Invalid_argument] past 2^30, as
+    {!incref} does. *)
 
 val set_deferred_frees : t -> bool -> unit
 (** When on, blocks freed by {!decref} are parked instead of returned

@@ -14,18 +14,22 @@ let max_entries = 200
    little-endian.
    - A leaf entry is 17 bytes: the key, a value tag (0 [Imm], 1 [Ptr])
      and the immediate or the block. A cached leaf is this block image
-     itself, in one [Bytes]; its count field is written at encode.
+     itself, in one [Bytes]; its count field is written at flush.
    - An internal node has its n separator keys, then the child count
      n + 1 and the children. A cached internal node keeps the
      separators as the same 8-byte words in a [Bytes], beside an [int
      array] of children. Child i covers [keys.(i-1), keys.(i)).
-   Keys ascend, and entries at and past [n] are stale. A node the
-   current epoch owns has room for one entry past [max_entries], so an
-   insert lands in place and then splits; a decoded node is exact-size.
-   Only owned nodes are ever mutated. No cached node holds a heap block
-   per entry. *)
+   Keys ascend, and entries at and past [n] are stale. Only nodes the
+   current epoch owns are ever mutated. An owned internal node has room
+   for one entry past [max_entries], so an insert lands in place and
+   then splits. A leaf image is private to the cache only while its
+   node is dirty: a flush hands the device the exact image ([at n]
+   bytes) itself, and a decoded leaf keeps the device's string. So
+   once the device holds a leaf's bytes, nothing writes them again: an
+   insert copies a clean leaf it owns before writing to it. No cached
+   node holds a heap block per entry. *)
 type node =
-  | Leaf of { mutable n : int; img : Bytes.t }
+  | Leaf of { mutable n : int; mutable img : Bytes.t }
   | Internal of { mutable n : int; keys : Bytes.t; children : int array }
 
 let header = 9
@@ -87,12 +91,16 @@ let begin_epoch t n = t.current_epoch <- n
 
 (* --- node encoding ------------------------------------------------- *)
 
+(* A dirty leaf's image becomes the device's: its count is written and
+   the exact image handed over, or one exact copy of it, which the
+   cache keeps in its place. *)
 let encode_node node =
   let s =
     match node with
     | Leaf l ->
       Bytes.set_int64_le l.img 1 (Int64.of_int l.n);
-      Bytes.sub_string l.img 0 (at l.n)
+      if Bytes.length l.img <> at l.n then l.img <- Bytes.sub l.img 0 (at l.n);
+      Bytes.unsafe_to_string l.img
     | Internal nd ->
       let n = nd.n in
       let b = Bytes.create (header + (16 * n) + 16) in
@@ -141,8 +149,11 @@ let decode_node data =
        | tag -> raise (Serial.Corrupt (Printf.sprintf "Btree: bad value tag %d" tag)));
       need data (p + 9) 8
     done;
-    let img = Bytes.create (at n) in
-    Bytes.blit_string data 0 img 0 (at n);
+    (* Nothing writes a decoded leaf, so an exact block is its image. *)
+    let img =
+      if String.length data = at n then Bytes.unsafe_of_string data
+      else Bytes.sub (Bytes.unsafe_of_string data) 0 (at n)
+    in
     Leaf { n; img }
   | 1 ->
     let n = read_count data "internal key" in
@@ -196,18 +207,22 @@ let mark_dirty t c =
     t.dirty_nodes <- c :: t.dirty_nodes
   end
 
-(* An epoch-owned node holding [count] entries copied from [img] (or
-   from [keys] and [children]) starting at entry [pos], with room for
-   one more entry than either [max_entries] or [count] (a decoded node
-   can be oversized). *)
+(* Room for one more entry than either [max_entries] or [count] (a
+   decoded node can be oversized). *)
 let capacity count = max (max_entries + 1) (count + 1)
 
-(* Zero-filled, so even the stale bytes are the same in every run. *)
-let owned_leaf img pos count =
-  let b = Bytes.make (at (capacity count)) '\000' in
+(* A leaf image of the [count] entries of [img] from entry [pos], with
+   room for [room] entries. Bytes past the entries are never read or
+   written to the device, so they are left as allocated. *)
+let leaf_image img pos count room =
+  let b = Bytes.create (at room) in
+  Bytes.set_uint8 b 0 0;
   Bytes.blit img (at pos) b header (entry * count);
-  Leaf { n = count; img = b }
+  b
 
+(* An epoch-owned internal node holding [count] keys copied from [keys]
+   and [children] starting at entry [pos], at capacity. Zero-filled, so
+   even the stale bytes are the same in every run. *)
 let owned_internal keys children pos count =
   let cap = capacity count in
   let k = Bytes.make (8 * cap) '\000' and c = Array.make (cap + 1) 0 in
@@ -215,7 +230,7 @@ let owned_internal keys children pos count =
   Array.blit children pos c 0 (count + 1);
   Internal { n = count; keys = k; children = c }
 
-let empty_root t = (new_node t (owned_leaf (Bytes.make header '\000') 0 0)).block
+let empty_root t = (new_node t (Leaf { n = 0; img = Bytes.make header '\000' })).block
 
 (* Reference bookkeeping: the tree holds one reference per edge
    (parent -> child) and per Ptr value stored in a leaf. Copying a
@@ -231,22 +246,6 @@ let incref_contents t = function
       Alloc.incref t.alloc nd.children.(i)
     done
 
-(* Make the node at [block] writable in the current epoch; returns the
-   cache entry to use (either the same block, or a private copy). The
-   caller owns fixing up the parent edge (and decreffing [block] if the
-   edge moves). The copy is the only one this node gets this epoch: it
-   is owned from then on and mutated in place. *)
-let cow t block =
-  let c = read_cached t block in
-  if c.epoch = t.current_epoch then c
-  else begin
-    incref_contents t c.node;
-    new_node t
-      (match c.node with
-       | Leaf l -> owned_leaf l.img 0 l.n
-       | Internal nd -> owned_internal nd.keys nd.children 0 nd.n)
-  end
-
 (* --- search -------------------------------------------------------- *)
 
 (* First index in [0, n) whose leaf key is >= [key], or [n]. *)
@@ -257,6 +256,9 @@ let leaf_lower_bound img n key =
     if Int64.compare (leaf_key img mid) key < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* Whether entry [i] of a leaf of [n] entries is [key]'s. *)
+let holds img n i key = i < n && Int64.equal (leaf_key img i) key
 
 (* First index in [0, n) whose separator is > [key], or [n]: the child
    of an internal node that covers [key]. *)
@@ -272,7 +274,7 @@ let rec find t ~root key =
   match (read_cached t root).node with
   | Leaf l ->
     let i = leaf_lower_bound l.img l.n key in
-    if i < l.n && Int64.equal (leaf_key l.img i) key then Some (leaf_value l.img i) else None
+    if holds l.img l.n i key then Some (leaf_value l.img i) else None
   | Internal nd -> find t ~root:nd.children.(upper_bound nd.keys nd.n key) key
 
 (* --- release / retain ---------------------------------------------- *)
@@ -299,21 +301,46 @@ let rec release_root t block =
 
 (* --- insert -------------------------------------------------------- *)
 
-(* Insert or replace [key] in the owned leaf [c]. *)
+(* Make the node at [block] writable in the current epoch for an insert
+   of [key]; returns the cache entry to use (either the same block, or
+   a private copy). The caller owns fixing up the parent edge (and
+   decreffing [block] if the edge moves). The copy is owned from then
+   on. A leaf is copied at its exact size when [key] replaces an entry
+   and at capacity when it adds one, so it is copied again this epoch
+   only if it is flushed first, or later gains a key after a replace
+   (see {!leaf_insert}). *)
+let cow t block key =
+  let c = read_cached t block in
+  if c.epoch = t.current_epoch then c
+  else begin
+    incref_contents t c.node;
+    new_node t
+      (match c.node with
+       | Leaf l ->
+         let replaces = holds l.img l.n (leaf_lower_bound l.img l.n key) key in
+         Leaf { n = l.n; img = leaf_image l.img 0 l.n (if replaces then l.n else capacity l.n) }
+       | Internal nd -> owned_internal nd.keys nd.children 0 nd.n)
+  end
+
+(* Insert or replace [key] in the owned leaf [c]. A full image has no
+   room for another key, and a clean one is the device's too: either is
+   copied first, a full one to capacity. *)
 let leaf_insert t c key value =
   match c.node with
   | Internal _ -> assert false
   | Leaf l ->
     let i = leaf_lower_bound l.img l.n key in
     let p = at i in
-    if i < l.n && Int64.equal (leaf_key l.img i) key then begin
-      if is_ptr l.img p then Alloc.decref t.alloc (ptr_at l.img p)
-    end
-    else begin
+    let adds = not (holds l.img l.n i key) in
+    if adds && Bytes.length l.img < at (l.n + 1) then
+      l.img <- leaf_image l.img 0 l.n (capacity l.n)
+    else if not c.dirty then l.img <- Bytes.copy l.img;
+    if adds then begin
       Bytes.blit l.img p l.img (p + entry) (entry * (l.n - i));
       Bytes.set_int64_le l.img p key;
       l.n <- l.n + 1
-    end;
+    end
+    else if is_ptr l.img p then Alloc.decref t.alloc (ptr_at l.img p);
     set_value l.img p value;
     mark_dirty t c
 
@@ -324,14 +351,16 @@ let leaf_insert t c key value =
    new one. A split leaf keeps [0, n/2) and the right sibling gets the
    rest; a split internal node promotes keys.(n/2). *)
 let rec insert_rec t block key value =
-  let c = cow t block in
+  let c = cow t block key in
   match c.node with
   | Leaf l ->
     leaf_insert t c key value;
     if l.n > max_entries then begin
       let n = l.n and mid = l.n / 2 in
       l.n <- mid;
-      let right = new_node t (owned_leaf l.img mid (n - mid)) in
+      let count = n - mid in
+      let img = leaf_image l.img mid count (capacity count) in
+      let right = new_node t (Leaf { n = count; img }) in
       Bytes.blit l.img (at mid) t.split_key 0 8;
       t.split_right <- right.block
     end;

@@ -26,9 +26,16 @@
 
     A cached leaf is its block image (a 9-byte header and 17-byte
     entries) and an internal node its separators as bytes beside an
-    array of children, so no cached node holds a heap block per entry:
-    encoding a leaf is one copy, decoding is a check and one copy, and
-    {!insert} allocates nothing. *)
+    array of children, so no cached node holds a heap block per entry,
+    and {!insert} allocates nothing beyond the copies below. A leaf's
+    image is private to the cache only while its node is dirty:
+    {!flush_dirty} hands the device the exact image itself, and a
+    decoded leaf keeps the device's bytes, so encode and decode copy
+    nothing. An epoch's first insert into a committed leaf copies it:
+    at its exact size when the insert replaces a key, at capacity when
+    it adds one. The leaf is copied again that epoch only when it gains
+    a key after a replace, or when it was flushed since. Once the device
+    holds a leaf's bytes, nothing writes them again. *)
 
 open Aurora_simtime
 open Aurora_device

@@ -409,13 +409,16 @@ let make ?(dedup = true) ?prot dev =
       gen_durable = Hashtbl.create 16; sb_horizon = Duration.zero;
       deferred = []; bbox_seq = 0; read_cls = Iosched.Foreground }
   in
+  (* Each table only has entries while its protection is on. [t.prot]
+     is read per call: [open_] sets it after [make]. *)
   Alloc.add_on_free alloc (fun b ->
-      Hashtbl.remove t.csums b;
-      match Hashtbl.find_opt t.mirrors b with
-      | Some m ->
-        Hashtbl.remove t.mirrors b;
-        Alloc.decref alloc m
-      | None -> ());
+      if t.prot.verify then Hashtbl.remove t.csums b;
+      if t.prot.mirror then
+        match Hashtbl.find_opt t.mirrors b with
+        | Some m ->
+          Hashtbl.remove t.mirrors b;
+          Alloc.decref alloc m
+        | None -> ());
   Alloc.set_deferred_frees alloc true;
   Alloc.set_pressure_hook alloc (fun () -> settle_deferred_frees t);
   Btree.set_reader tree (fun b -> verified_read t b);

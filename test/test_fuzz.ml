@@ -1167,17 +1167,30 @@ let prop_btree_matches_map =
           fail "%s: %d live blocks, the live roots reach %d" what (Alloc.live_blocks alloc)
             (Hashtbl.length refs)
       in
+      (* A copy of the bytes each flush wrote, by block. Whatever the
+         tree does afterwards, the device must still hold them: a leaf
+         image handed to the device is never written again. *)
+      let written = Hashtbl.create 64 in
       let tee writes =
         List.iter
           (fun (b, c) ->
             match c with
             | Aurora_device.Blockdev.Data s ->
               if Stream_node.encode (Stream_node.decode s) <> s then
-                fail "node %d does not round-trip through the stream format" b
+                fail "node %d does not round-trip through the stream format" b;
+              Hashtbl.replace written b (Bytes.to_string (Bytes.of_string s))
             | Aurora_device.Blockdev.Seed _ | Aurora_device.Blockdev.Zero ->
               fail "block %d is not a node" b)
           writes;
         []
+      in
+      let check_written what =
+        Hashtbl.iter
+          (fun b s ->
+            match Aurora_device.Devarray.peek dev b with
+            | Aurora_device.Blockdev.Data d when String.equal d s -> ()
+            | _ -> fail "%s: block %d no longer holds the bytes last flushed to it" what b)
+          written
       in
       List.iter
         (fun op ->
@@ -1212,7 +1225,8 @@ let prop_btree_matches_map =
                let i = i mod List.length l in
                Btree.release_root t (fst (List.nth l i));
                snaps := List.filteri (fun j _ -> j <> i) l));
-          check_refs (pp_btree_op op))
+          check_refs (pp_btree_op op);
+          check_written (pp_btree_op op))
         ops;
       List.iter
         (fun (r, m) ->

@@ -54,6 +54,24 @@ let test_alloc_refcounting () =
        false
      with Invalid_argument _ -> true)
 
+(* A count is 4 bytes: at 2^30 references it raises rather than wraps.
+   Reaching the limit takes 2^30 increfs, so the test is slow. *)
+let test_alloc_refs_limit () =
+  let limit = 1 lsl 30 in
+  let a = Alloc.create ~first_block:0 () in
+  let b = Alloc.alloc a in
+  for _ = 2 to limit do
+    Alloc.incref a b
+  done;
+  check_int "at the limit" limit (Alloc.refcount a b);
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  check_bool "incref past the limit raises" true (raises (fun () -> Alloc.incref a b));
+  check_bool "so does mark_live" true (raises (fun () -> Alloc.mark_live a b));
+  check_int "the count stays at the limit" limit (Alloc.refcount a b);
+  Alloc.decref a b;
+  Alloc.mark_live a b;
+  check_int "back to the limit" limit (Alloc.refcount a b)
+
 let test_alloc_capacity () =
   let a = Alloc.create ~first_block:0 ~capacity_blocks:2 () in
   ignore (Alloc.alloc a);
@@ -618,13 +636,13 @@ let test_restore_page_path_allocation () =
     [ 1; 4 ]
 
 (* The object store's two per-page paths, per page of a 4,096-page
-   object. Listing its pages right after [drop_caches] decodes every
-   leaf as one copy of its block image, so a page costs its 17 bytes of
-   leaf plus the two ints the map returns. Re-capturing the committed
-   object with every seed changed costs the page's hash, its key and
-   value, its pending write, its share of the copied leaves and of the
-   batch's table of misses; the dedup index and the insert allocate
-   nothing per page of their own. *)
+   object. Listing its pages right after [drop_caches] keeps each leaf
+   block's bytes as its image, so a page costs the two ints the map
+   returns and a share of its leaf's record and read. Re-capturing the
+   committed object with every seed changed costs the page's hash, its
+   key and value, its pending write, its share of the copied leaves and
+   of the batch's table of misses; the dedup index and the insert
+   allocate nothing per page of their own. *)
 let test_store_per_page_allocation () =
   let npages = 4096 in
   let _, dev = mkdev () in
@@ -638,7 +656,7 @@ let test_store_per_page_allocation () =
   let per_page = words /. float_of_int npages in
   check_int "every page listed" npages (Array.length map.Store.blocks);
   check_bool (Printf.sprintf "cold page map: %.2f words per page" per_page) true
-    (per_page <= 4.5);
+    (per_page <= 2.5);
   (* Each round re-captures the object with every seed changed and then
      keeps only the newest generation. The first round grows the dedup
      index to the size it keeps; the second is measured. *)
@@ -656,6 +674,68 @@ let test_store_per_page_allocation () =
   ignore (recapture 1);
   let per_page = recapture 2 in
   check_bool (Printf.sprintf "re-capture: %.2f words per page" per_page) true (per_page <= 30.5)
+
+(* One epoch over a committed 65,536-key tree that replaces one key in
+   every leaf. The inserts copy each leaf once, at its exact size, plus
+   a share of the internal nodes above it. The flush hands the device
+   each copied leaf image as it is, so a node costs its write and no
+   copy. Right after [drop_cache], a fold keeps each block's bytes as
+   its leaf, so an entry costs only a share of its node's record. A
+   next epoch that adds a key to every leaf copies each once, at
+   capacity. *)
+let test_btree_epoch_allocation () =
+  let _, dev = mkdev () in
+  let alloc = Alloc.create ~first_block:2 () in
+  let t = Btree.create ~dev ~alloc in
+  let nkeys = 65_536 in
+  Btree.begin_epoch t 1;
+  let root = ref (Btree.empty_root t) in
+  for k = 0 to nkeys - 1 do
+    root := Btree.insert t ~root:!root ~key:(Int64.of_int (2 * k)) (Btree.Ptr (Alloc.alloc alloc))
+  done;
+  Devarray.await dev (Btree.flush_dirty t);
+  Btree.retain_root t !root;
+  let rec first_keys acc block =
+    match Btree.view t block with
+    | Btree.Leaf_view [] -> acc
+    | Btree.Leaf_view ((k, _) :: _) -> k :: acc
+    | Btree.Internal_view children -> List.fold_left first_keys acc children
+  in
+  let keys = Array.of_list (first_keys [] !root) in
+  let values = Array.map (fun _ -> Btree.Ptr (Alloc.alloc alloc)) keys in
+  let leaves = float_of_int (Array.length keys) in
+  Btree.begin_epoch t 2;
+  let (), words =
+    words_of (fun () ->
+        Array.iteri (fun i key -> root := Btree.insert t ~root:!root ~key values.(i)) keys)
+  in
+  check_bool (Printf.sprintf "inserts: %.0f words per copied leaf" (words /. leaves)) true
+    (words /. leaves <= 250.);
+  let nodes = Btree.dirty_count t in
+  let (), words = words_of (fun () -> Devarray.await dev (Btree.flush_dirty t)) in
+  let per_node = words /. float_of_int nodes in
+  check_bool (Printf.sprintf "flush: %.0f words per node" per_node) true (per_node <= 120.);
+  Btree.drop_cache t;
+  let entries, words =
+    words_of (fun () ->
+        Btree.fold_ptrs t ~root:!root ~lo:Int64.min_int ~hi:Int64.max_int ~init:0
+          ~f:(fun n _ _ -> n + 1))
+  in
+  check_int "every entry folded" nkeys entries;
+  let per_entry = words /. float_of_int nkeys in
+  check_bool (Printf.sprintf "cold fold: %.2f words per entry" per_entry) true
+    (per_entry <= 0.5);
+  let values = Array.map (fun _ -> Btree.Ptr (Alloc.alloc alloc)) keys in
+  Btree.retain_root t !root;
+  Btree.begin_epoch t 3;
+  let (), words =
+    words_of (fun () ->
+        Array.iteri
+          (fun i key -> root := Btree.insert t ~root:!root ~key:(Int64.succ key) values.(i))
+          keys)
+  in
+  check_bool (Printf.sprintf "adding inserts: %.0f words per copied leaf" (words /. leaves)) true
+    (words /. leaves <= 500.)
 
 let test_btree_fold_range () =
   let _, _, t = mktree () in
@@ -1908,6 +1988,7 @@ let () =
         [
           Alcotest.test_case "alloc/free/reuse" `Quick test_alloc_reuse;
           Alcotest.test_case "refcounting + hooks" `Quick test_alloc_refcounting;
+          Alcotest.test_case "refcount limit" `Slow test_alloc_refs_limit;
           Alcotest.test_case "capacity" `Quick test_alloc_capacity;
           qt prop_alloc_matches_reference;
         ] );
@@ -1934,6 +2015,8 @@ let () =
             test_restore_page_path_allocation;
           Alcotest.test_case "per-page store paths allocation" `Quick
             test_store_per_page_allocation;
+          Alcotest.test_case "epoch allocation per copied leaf" `Quick
+            test_btree_epoch_allocation;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
           Alcotest.test_case "golden format and allocation order" `Quick
