@@ -527,8 +527,8 @@ let kv_modes () =
         Machine.enable_sls_calls m';
         let g' = Machine.persist m' (`Container c.Container.cid) in
         let t0 = Machine.now m' in
-        (* The database hints its data region eager (sls_mctl): the
-           post-restore log replay then runs without major faults. *)
+        (* An eager restore: the post-restore log replay then runs
+           without major faults. *)
         let pids, _ = Machine.restore_group m' g' ~policy:Types.Eager () in
         let p' = Kernel.proc_exn m'.Machine.kernel (List.hd pids) in
         Kvstore.repair_after_restore p';

@@ -375,13 +375,6 @@ let json_attrs attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) att
 
 let json_us ~digits d = Json.fixed digits (Duration.to_us d)
 
-let json_event (e : Recorder.event) =
-  Json.Obj
-    [ ("seq", Int e.Recorder.ev_seq); ("at_us", json_us ~digits:1 e.Recorder.ev_at);
-      ("kind", String e.Recorder.ev_kind);
-      ("gen", if e.Recorder.ev_gen < 0 then Null else Int e.Recorder.ev_gen);
-      ("detail", String e.Recorder.ev_detail); ("attrs", json_attrs e.Recorder.ev_attrs) ]
-
 let json_mark (m : Recorder.capture_mark) =
   Json.Obj
     [ ("gen", Int m.Recorder.cm_gen); ("pgid", Int m.Recorder.cm_pgid);
@@ -422,9 +415,6 @@ let cmd_postmortem path json =
              ("bbox_at_us", jopt (json_us ~digits:1) pm.Machine.pm_bbox_at);
              ("pending_epochs", List (List.map json_mark pm.Machine.pm_pending_epochs));
              ("unacked_gens", jints pm.Machine.pm_unacked_gens);
-             ( "open_spans",
-               List (List.map (fun s -> Json.String s) pm.Machine.pm_open_spans) );
-             ("last_alerts", List (List.map json_event pm.Machine.pm_last_alerts));
              ( "ring",
                Obj
                  [ ("events", Int (List.length pm.Machine.pm_events));
@@ -461,13 +451,7 @@ let cmd_postmortem path json =
        | [] -> say "  unacked gens:   none"
        | gs ->
          say "  unacked gens:   %s (standby never acknowledged)"
-           (String.concat ", " (List.map string_of_int gs)));
-      (match pm.Machine.pm_open_spans with
-       | [] -> ()
-       | ss -> say "  open spans:     %s" (String.concat ", " ss));
-      List.iter
-        (fun (e : Recorder.event) -> say "  alert:          %s" e.Recorder.ev_detail)
-        pm.Machine.pm_last_alerts
+           (String.concat ", " (List.map string_of_int gs)))
     end;
     if checks_ok then 0
     else failwith "postmortem consistency checks failed"
@@ -548,19 +532,19 @@ let cmd_timeline path dst out =
       [ ("name", String "thread_name"); ("ph", String "M"); ("pid", Int pid);
         ("tid", Int tid); ("args", Obj [ ("name", String name) ]) ]
   in
-  let tracks = [ ("ckpt", 1); ("repl", 2); ("slo", 3); ("metrics", 4) ] in
+  let tracks = [ ("ckpt", 1); ("repl", 2) ] in
   let metadata =
     [ process ~pid:1 "primary"; process ~pid:2 "standby" ]
     @ List.map (fun (name, tid) -> thread ~pid:1 ~tid name) tracks
-    @ [ thread ~pid:1 ~tid:5 "events"; thread ~pid:2 ~tid:1 "repl" ]
+    @ [ thread ~pid:1 ~tid:3 "events"; thread ~pid:2 ~tid:1 "repl" ]
   in
   let tid_of kind =
     match String.index_opt kind '.' with
-    | None -> 5
+    | None -> 3
     | Some i -> (
       match List.assoc_opt (String.sub kind 0 i) tracks with
       | Some tid -> tid
-      | None -> 5)
+      | None -> 3)
   in
   let event ~pid ~tid ~ts ~name args =
     Json.Obj
@@ -1273,11 +1257,10 @@ let postmortem_cmd =
   Cmd.v
     (Cmd.info "postmortem"
        ~doc:"Report what the previous incarnation left in flight: crash \
-             reason, checkpoint epochs captured but never durable, \
-             generations a standby never acknowledged, spans open at the \
-             last capture, and recent SLO breaches — reconstructed from the \
-             flight recorder recovered with the last durable generation and \
-             the store's black box.")
+             reason, checkpoint epochs captured but never durable, and \
+             generations a standby never acknowledged — reconstructed from \
+             the flight recorder recovered with the last durable generation \
+             and the store's black box.")
     Term.(
       const (fun path json -> wrap (fun () -> cmd_postmortem path json))
       $ universe_arg $ json_arg)

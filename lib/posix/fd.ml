@@ -24,9 +24,9 @@ let make_ofd ~oid ?(role = `Plain) kind =
     flags = { cloexec = false; nonblock = false; ext_consistency = true };
     refcount = 1; role }
 
-type table = { fds : (int, ofd) Hashtbl.t; mutable next_probe : int }
+type table = { fds : (int, ofd) Hashtbl.t }
 
-let create_table () = { fds = Hashtbl.create 16; next_probe = 0 }
+let create_table () = { fds = Hashtbl.create 16 }
 
 let lowest_free t =
   let rec probe fd = if Hashtbl.mem t.fds fd then probe (fd + 1) else fd in

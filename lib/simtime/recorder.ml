@@ -108,21 +108,6 @@ let note_ack t ~gen ~corr =
   if gen > t.acked then t.acked <- gen;
   t.shipped <- List.filter (fun g -> g > t.acked) t.shipped
 
-let note_alert t ~kind ~pgid ~observed_us ~target_us =
-  log t
-    ~attrs:[ ("pgid", string_of_int pgid);
-             ("observed_us", Printf.sprintf "%.1f" observed_us);
-             ("target_us", Printf.sprintf "%.1f" target_us) ]
-    ~kind:"slo.alert"
-    (Printf.sprintf "%s breach on pgroup %d: %.1f us (target %.1f us)" kind
-       pgid observed_us target_us)
-
-let note_metrics t kvs =
-  log t
-    ~attrs:(List.map (fun (k, v) -> (k, Printf.sprintf "%g" v)) kvs)
-    ~kind:"metrics"
-    (Printf.sprintf "metrics snapshot (%d values)" (List.length kvs))
-
 let note_transition t ~subsystem detail =
   log t ~kind:(subsystem ^ ".state") detail
 

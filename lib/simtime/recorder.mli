@@ -6,10 +6,9 @@
     store-managed object, so recovery and failover reopen to the
     telemetry of the last durable generation instead of an empty ring.
     The ring holds recent point events — checkpoint captures and
-    retirements, replication ships and acks, SLO alerts, metrics
-    snapshots, pipeline/repl state transitions — plus a crash-reason
-    slot stamped by whoever performs the recovery (the crashing kernel
-    cannot write it).
+    retirements, replication ships and acks, pipeline/repl state
+    transitions — plus a crash-reason slot stamped by whoever performs
+    the recovery (the crashing kernel cannot write it).
 
     Alongside the ring the recorder maintains a tiny {e black box}
     summary: the most recent capture marks (generation, pgroup,
@@ -29,7 +28,7 @@
 type event = {
   ev_seq : int;          (** monotone sequence number, survives import *)
   ev_at : Duration.t;    (** simulated instant the event was logged *)
-  ev_kind : string;      (** e.g. ["ckpt.capture"], ["repl.ack"], ["slo.alert"] *)
+  ev_kind : string;      (** e.g. ["ckpt.capture"], ["repl.ack"] *)
   ev_gen : int;          (** generation involved, [-1] when not applicable *)
   ev_detail : string;
   ev_attrs : (string * string) list;
@@ -103,13 +102,6 @@ val note_ship : t -> gen:int -> corr:string -> outcome:string -> unit
 val note_ack : t -> gen:int -> corr:string -> unit
 (** The standby acknowledged [gen] durable. Advances the black box's
     ack horizon and clears shipped marks up to it. *)
-
-val note_alert :
-  t -> kind:string -> pgid:int -> observed_us:float -> target_us:float -> unit
-(** An SLO breach. *)
-
-val note_metrics : t -> (string * float) list -> unit
-(** A compact metrics snapshot (selected scalar values). *)
 
 val note_transition : t -> subsystem:string -> string -> unit
 (** A pipeline/replication state transition, e.g.

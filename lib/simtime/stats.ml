@@ -34,13 +34,12 @@ let sorted t =
     t.sorted <- Some a;
     a
 
-let percentile_of sorted p =
+let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]";
+  let sorted = sorted t in
   let n = Array.length sorted in
   if n = 0 then Float.nan
   else sorted.(int_of_float (Float.round (p /. 100.0 *. float_of_int (n - 1))))
-
-let percentile t p = percentile_of (sorted t) p
 
 let median t = percentile t 50.0
 

@@ -22,10 +22,6 @@ val percentile : t -> float -> float
     sample. [nan] when empty. Raises [Invalid_argument] for [p] outside
     [0,100]. *)
 
-val percentile_of : float array -> float -> float
-(** {!percentile} over an ascending array of samples: the one exact
-    quantile, shared with the SLO watchdog's sample windows. *)
-
 val median : t -> float
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [n/mean/p50/p99/max] summary. *)

@@ -45,12 +45,11 @@ let sls_log_truncate machine g =
   ignore machine;
   Ntlog.truncate g
 
-let sls_mctl machine p entry ~persist ?policy () =
+let sls_mctl machine p entry ~persist =
   ignore machine;
   if not (List.memq entry (Vmmap.entries p.Process.vm)) then
     invalid_arg "sls_mctl: entry does not belong to this process";
-  entry.Vmmap.persisted <- persist;
-  Option.iter (fun pol -> entry.Vmmap.restore_policy <- pol) policy
+  entry.Vmmap.persisted <- persist
 
 let sls_fdctl (p : Process.t) ~fd ~ext_consistency =
   match Fd.get p.Process.fdtable fd with

@@ -10,8 +10,7 @@
       low latency flush ... to a storage medium"; applications repair
       their data structures from it after a restore);
     - {!sls_barrier} blocks until the latest checkpoint is durable;
-    - {!sls_mctl} includes/excludes memory regions and sets their
-      lazy-restore policy;
+    - {!sls_mctl} includes/excludes memory regions;
     - {!sls_fdctl} toggles external consistency per descriptor. *)
 
 open Aurora_simtime
@@ -54,8 +53,6 @@ val sls_log_read : Machine.t -> Types.pgroup -> string list
 val sls_log_truncate : Machine.t -> Types.pgroup -> unit
 (** Drop the log (after its contents are absorbed by a checkpoint). *)
 
-val sls_mctl :
-  Machine.t -> Process.t -> Vmmap.entry -> persist:bool ->
-  ?policy:Vmmap.restore_policy -> unit -> unit
+val sls_mctl : Machine.t -> Process.t -> Vmmap.entry -> persist:bool -> unit
 
 val sls_fdctl : Process.t -> fd:int -> ext_consistency:bool -> unit

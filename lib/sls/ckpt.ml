@@ -234,17 +234,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
      that was not committed by the time the ring was stored. The copy
      is charged here — off the stop path — and tracked against its own
      budget (the ckpt-rate sweep gates it at <1% of stop time). *)
-  (* Snapshot the spans still open at this capture (the checkpoint's
-     own root included): after a crash they are the intervals that
-     never finished, which is exactly what the post-mortem reports. *)
-  let open_spans =
-    List.filter (fun s -> not s.Span.closed) (Span.spans spans)
-  in
-  if open_spans <> [] then
-    Recorder.log recorder ~gen:(-1)
-      ~attrs:[ ("count", string_of_int (List.length open_spans)) ]
-      ~kind:"spans.open"
-      (String.concat ", " (List.map (fun s -> s.Span.name) open_spans));
   let ring_blob = Recorder.export recorder in
   (* Its own child span: the critical-path analyzer measures the
      recorder tax as an antagonist overlapping the epoch window. *)
@@ -405,8 +394,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
       lazy_data_copy;
       stop_time;
       pages_captured;
-      (* manifest + recorder ring + per-object/process/kobj records *)
-      records_written = List.length records.Serialize.items + 2;
       barrier_at;
       durable_at;
       status;
@@ -420,8 +407,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
     in
     fire "quiesce" quiesce;
     fire "serialize" metadata_copy;
-    fire "cow_mark" lazy_data_copy;
-    fire "stop" stop_time
+    fire "cow_mark" lazy_data_copy
   end;
   breakdown
 

@@ -70,7 +70,6 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
       lazy_data_copy;
       stop_time;
       pages_captured;
-      records_written = List.length records.Serialize.items + 1;
       barrier_at;
       durable_at;
       status = `Ok;

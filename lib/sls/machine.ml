@@ -1,6 +1,5 @@
 open Aurora_simtime
 open Aurora_device
-open Aurora_vm
 open Aurora_proc
 open Aurora_vfs
 open Aurora_objstore
@@ -9,7 +8,6 @@ type t = {
   kernel : Kernel.t;
   nvme : Devarray.t;
   memdev : Devarray.t;
-  swap : Swap.t;
   disk_store : Store.t;
   mem_store : Store.t;
   mutable pgroups : Types.pgroup list;
@@ -17,7 +15,6 @@ type t = {
   extcons : Extconsist.t;
   mutable history_window : int;
   mutable recorded : Types.pgroup list;
-  slo : Slo.t;
   mutable max_inflight_ckpts : int;
   (* Bound on captured-but-not-retired checkpoint epochs. 1 =
      synchronous (every barrier waits for its own flush); k > 1 hides
@@ -40,8 +37,6 @@ and postmortem = {
   pm_bbox_at : Duration.t option;
   pm_pending_epochs : Recorder.capture_mark list;
   pm_unacked_gens : Store.gen list;
-  pm_open_spans : string list;
-  pm_last_alerts : Recorder.event list;
   pm_events : Recorder.event list;
 }
 
@@ -148,21 +143,15 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
   Devarray.set_obs memdev (Some obs);
   Store.set_obs disk_store (Some obs);
   Store.set_obs mem_store (Some obs);
-  let swap_dev =
-    Blockdev.create ~clock:kernel.Kernel.clock ~profile:(Devarray.profile nvme) "swap0"
-  in
-  Blockdev.set_obs swap_dev (Some obs);
-  let swap = Swap.create ~dev:swap_dev ~pool:kernel.Kernel.pool in
   let rec t =
     lazy
       {
-        kernel; nvme; memdev; swap; disk_store; mem_store; pgroups = [];
+        kernel; nvme; memdev; disk_store; mem_store; pgroups = [];
         next_pgid = 1;
         extcons =
           Extconsist.install kernel ~groups:(fun () -> (Lazy.force t).pgroups);
         history_window = 8;
         recorded = [];
-        slo = Slo.create ();
         max_inflight_ckpts;
         pending_ckpts = [];
         standby = None;
@@ -291,12 +280,6 @@ let checkpoint_now t g ?mode ?name () =
     else Iosched.Flush
   in
   let b = Ckpt.capture t.kernel g ?mode ?name ~flush_cls () in
-  (* Feed the watchdog before any secondary-backend work moves the
-     clock: the stop window ends when the application resumes. *)
-  if b.Types.status = `Ok then
-    ignore
-      (Slo.observe t.slo ~obs:(obs t) Slo.Stop_time ~pgid:g.Types.pgid
-         ?attribution:g.Types.last_attribution ~now:(now t) b.Types.stop_time);
   let backpressure = ref Duration.zero in
   (match b.Types.status with
    | `Degraded _ ->
@@ -364,13 +347,6 @@ let checkpoint_now t g ?mode ?name () =
   Metrics.observe_duration
     (Metrics.histogram (metrics t) "ckpt.backpressure_us")
     !backpressure;
-  (* A compact per-checkpoint metrics snapshot rides in the ring, so a
-     post-mortem sees the tail of the machine's vitals, not just its
-     events. *)
-  Recorder.note_metrics (recorder t)
-    [ ("ckpt.stop_us", Duration.to_us b.Types.stop_time);
-      ("ckpt.pages_captured", float_of_int b.Types.pages_captured);
-      ("ckpt.backpressure_us", Duration.to_us !backpressure) ];
   b
 
 (* --- the orchestrator loop ------------------------------------------- *)
@@ -547,13 +523,7 @@ let restore_group t g ?gen ?policy ?from () =
       | None -> invalid_arg "Machine.restore_group: store has no checkpoints")
   in
   Restore.kill_group t.kernel g;
-  let pids, rb =
-    Restore.restore t.kernel ~store ~gen ~pgid:g.Types.pgid ?policy ()
-  in
-  ignore
-    (Slo.observe t.slo ~obs:(obs t) Slo.Restore_latency ~pgid:g.Types.pgid
-       ?attribution:g.Types.last_attribution ~now:(now t) rb.Types.total_latency);
-  (pids, rb)
+  Restore.restore t.kernel ~store ~gen ~pgid:g.Types.pgid ?policy ()
 
 let clone_group t g ?gen ?policy () =
   let store =
@@ -582,12 +552,6 @@ let rollback_and_replay t g =
       ~gen ~pgid:g.Types.pgid () in
   let replayed = Rr.replay t.kernel g in
   (pids, replayed)
-
-let set_slo_targets t ?stop_time ?restore_latency () =
-  Slo.set_stop_target t.slo stop_time;
-  Slo.set_restore_target t.slo restore_latency
-
-let slo_alerts t = Slo.alerts t.slo
 
 let last_attribution g = g.Types.last_attribution
 
@@ -680,29 +644,13 @@ let forensics ~kernel ~disk_store =
         Some reason
       end
     in
-    let evs = Recorder.events recorder in
-    let open_spans =
-      (* The newest open-spans snapshot the dying machine logged. *)
-      match
-        List.find_opt
-          (fun e -> e.Recorder.ev_kind = "spans.open")
-          (List.rev evs)
-      with
-      | None -> []
-      | Some e ->
-        if e.Recorder.ev_detail = "" then []
-        else List.map String.trim (String.split_on_char ',' e.Recorder.ev_detail)
-    in
     Some
       { pm_crash_reason = crash_reason;
         pm_recovered_gen = recovered_gen;
         pm_bbox_at = bbox_at;
         pm_pending_epochs = pending;
         pm_unacked_gens = unacked;
-        pm_open_spans = open_spans;
-        pm_last_alerts =
-          List.filter (fun e -> e.Recorder.ev_kind = "slo.alert") evs;
-        pm_events = evs }
+        pm_events = Recorder.events recorder }
 
 let boot ?max_inflight_ckpts ~nvme () =
   (* Boot: a fresh kernel on existing hardware, sharing wall time with
@@ -783,9 +731,7 @@ let detach_standby t =
 
 type failover_report = {
   fo_rpo : int;
-  fo_primary_latest : Store.gen option;
   fo_promoted_gen : Store.gen option;
-  fo_standby_generations : int;
 }
 
 let failover t =
@@ -798,7 +744,6 @@ let failover t =
     let rpo = Replica.lag repl in
     let standby = Replica.standby_store repl in
     let promoted_gen = Option.map snd (Replica.standby_latest repl) in
-    let standby_generations = List.length (Store.generations standby) in
     (* The generations this failover abandons: committed on the primary,
        never acknowledged durable by the standby. *)
     let unacked_at_failover =
@@ -841,7 +786,7 @@ let failover t =
         { pm_crash_reason = None;
           pm_recovered_gen = Store.latest promoted.disk_store;
           pm_bbox_at = None; pm_pending_epochs = []; pm_unacked_gens = [];
-          pm_open_spans = []; pm_last_alerts = []; pm_events = [] }
+          pm_events = [] }
     in
     promoted.postmortem <-
       Some
@@ -849,10 +794,7 @@ let failover t =
           pm_crash_reason = Some reason;
           pm_unacked_gens = unacked_at_failover;
           pm_events = Recorder.events prec };
-    ( promoted,
-      { fo_rpo = rpo; fo_primary_latest = Store.latest t.disk_store;
-        fo_promoted_gen = promoted_gen;
-        fo_standby_generations = standby_generations } )
+    (promoted, { fo_rpo = rpo; fo_promoted_gen = promoted_gen })
 
 (* --- critical path ---------------------------------------------------- *)
 

@@ -2,9 +2,9 @@
 
     This is the top of the system diagram (Figure 1): the kernel with
     its POSIX object model, the storage devices (an Optane-class NVMe
-    drive for the disk store, a DRAM region for memory-backed
-    ephemeral checkpoints, a swap device), the SLS orchestrator with
-    its persistence groups and periodic checkpoint schedule, and the
+    drive for the disk store and a DRAM region for memory-backed
+    ephemeral checkpoints), the SLS orchestrator with its persistence
+    groups and periodic checkpoint schedule, and the
     external-consistency buffer.
 
     {!run} advances simulated time: the scheduler executes programs,
@@ -22,7 +22,6 @@ type t = {
   kernel : Kernel.t;
   nvme : Devarray.t;
   memdev : Devarray.t;
-  swap : Aurora_vm.Swap.t;
   disk_store : Store.t;
   mem_store : Store.t;
   mutable pgroups : Types.pgroup list;
@@ -30,7 +29,6 @@ type t = {
   extcons : Extconsist.t;
   mutable history_window : int;  (** generations kept on disk (plus named ones) *)
   mutable recorded : Types.pgroup list;  (** groups with input recording on *)
-  slo : Slo.t;  (** stop-time / restore-latency watchdog *)
   mutable max_inflight_ckpts : int;
   (** Bound on captured-but-not-retired checkpoint epochs (default 2).
       1 = synchronous: every barrier waits for its own flush. k > 1
@@ -70,11 +68,6 @@ and postmortem = {
   pm_unacked_gens : Store.gen list;
       (** Generations a replication session had not seen acknowledged
           durable by the standby (empty when none was attached). *)
-  pm_open_spans : string list;
-      (** Span names open at the last capture the ring recorded. *)
-  pm_last_alerts : Recorder.event list;
-      (** SLO breach events the recovered ring retained, oldest
-          first. *)
   pm_events : Recorder.event list;  (** the full recovered ring *)
 }
 
@@ -137,18 +130,6 @@ val sync_metrics : t -> unit
     time, so every snapshot/export already sees fresh values; calling
     it explicitly is only needed to refresh a gauge handle read
     directly via [Metrics.value]. *)
-
-val set_slo_targets :
-  t -> ?stop_time:Duration.t -> ?restore_latency:Duration.t -> unit -> unit
-(** Configure the SLO watchdog ({!Slo}): omitted targets are cleared.
-    Every committed checkpoint's stop time and every
-    {!restore_group}'s total latency is checked; a breach records an
-    {!Slo.alert} (carrying the group's top-k attribution rows), bumps
-    the [slo.breach.*] counters, and lands on the ["slo"] span
-    track. *)
-
-val slo_alerts : t -> Slo.alert list
-(** Recorded breaches, newest first. *)
 
 val last_attribution : Types.pgroup -> Types.ckpt_attribution option
 (** The per-process / per-object cost attribution of the group's most
@@ -258,11 +239,9 @@ type failover_report = {
   fo_rpo : int;
       (** RPO: committed primary generations the standby never
           acknowledged durable — what this primary loss costs. *)
-  fo_primary_latest : Store.gen option;
   fo_promoted_gen : Store.gen option;
       (** The standby generation (standby numbering) the promoted
           machine resumes from. *)
-  fo_standby_generations : int;
 }
 
 val failover : t -> t * failover_report

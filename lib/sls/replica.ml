@@ -431,10 +431,8 @@ type ship_report = {
   sh_outcome : [ `Acked | `Gave_up | `Skipped ];
   sh_mode : [ `Delta of Store.gen | `Full ];
   sh_attempts : int;
-  sh_resyncs : int;
   sh_rtt : Duration.t;
   sh_bytes : int;
-  sh_corr : string;
 }
 
 (* Delta against the last acked generation when the primary still
@@ -450,8 +448,7 @@ let ship t ~gen ~pgid =
   if already then begin
     bump t (fun s -> { s with skipped = s.skipped + 1 });
     { sh_gen = gen; sh_outcome = `Skipped; sh_mode = `Full; sh_attempts = 0;
-      sh_resyncs = 0; sh_rtt = Duration.zero; sh_bytes = 0;
-      sh_corr = corr_id t ~gen }
+      sh_rtt = Duration.zero; sh_bytes = 0 }
   end
   else begin
     let started = Clock.now t.clock in
@@ -564,8 +561,7 @@ let ship t ~gen ~pgid =
          Recorder.note_transition recorder ~subsystem:"repl"
            (Printf.sprintf "session degraded: generation %d unacknowledged" gen));
     { sh_gen = gen; sh_outcome = (outcome :> [ `Acked | `Gave_up | `Skipped ]);
-      sh_mode = !mode; sh_attempts = !attempts; sh_resyncs = !resyncs;
-      sh_rtt = rtt; sh_bytes = !bytes; sh_corr = corr_id t ~gen }
+      sh_mode = !mode; sh_attempts = !attempts; sh_rtt = rtt; sh_bytes = !bytes }
   end
 
 let ship_exn t ~gen ~pgid =

@@ -81,10 +81,8 @@ type ship_report = {
   sh_outcome : [ `Acked | `Gave_up | `Skipped ];
   sh_mode : [ `Delta of Store.gen | `Full ];
   sh_attempts : int;                           (** transmissions, first included *)
-  sh_resyncs : int;                            (** mode switches during this ship *)
   sh_rtt : Duration.t;                         (** first send to durable ACK *)
   sh_bytes : int;                              (** image payload bytes *)
-  sh_corr : string;                            (** trace-correlation id *)
 }
 
 val ship : t -> gen:Store.gen -> pgid:int -> ship_report

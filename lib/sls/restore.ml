@@ -337,8 +337,7 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
               ~obj_offset:er.Serialize.obj_offset ~npages:er.Serialize.npages ()
           in
           entry.Vmmap.needs_copy <- er.Serialize.needs_copy;
-          entry.Vmmap.persisted <- er.Serialize.persisted;
-          entry.Vmmap.restore_policy <- er.Serialize.policy)
+          entry.Vmmap.persisted <- er.Serialize.persisted)
         pr.Serialize.vm_entries)
     procs;
   (* Mapping recreation cost: batched PTE inserts over every page that
@@ -405,7 +404,6 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
       total_latency;
       pages_restored = !pages_resident;
       pages_lazy = !pages_lazy;
-      procs_restored = List.length procs;
     } )
 
 let restore (k : Kernel.t) ~store ~gen ~pgid ?(policy = Types.Lazy_prefetch) ?from_disk

@@ -30,7 +30,6 @@ type vm_entry_rec = {
   inheritance : [ `Share | `Copy ];
   needs_copy : bool;
   persisted : bool;
-  policy : Vmmap.restore_policy;
 }
 
 type proc_rec = {
@@ -46,7 +45,6 @@ type proc_rec = {
 }
 
 type vmobj_rec = {
-  vm_oid : int;
   kind : Vmobject.kind;
   shadow_oid : int option;
   hot_pages : int list;
@@ -103,18 +101,6 @@ let parse_manifest data =
 
 (* --- vm entries ------------------------------------------------------ *)
 
-let w_policy w = function
-  | `Lazy -> Serial.w_u8 w 0
-  | `Eager -> Serial.w_u8 w 1
-  | `Hot -> Serial.w_u8 w 2
-
-let r_policy r : Vmmap.restore_policy =
-  match Serial.r_u8 r with
-  | 0 -> `Lazy
-  | 1 -> `Eager
-  | 2 -> `Hot
-  | v -> raise (Serial.Corrupt (Printf.sprintf "vm entry: bad policy tag %d" v))
-
 let w_vm_entry w (e : Vmmap.entry) =
   Serial.w_int w e.Vmmap.start_vpn;
   Serial.w_int w e.Vmmap.npages;
@@ -123,8 +109,7 @@ let w_vm_entry w (e : Vmmap.entry) =
   Serial.w_bool w e.Vmmap.writable;
   Serial.w_u8 w (match e.Vmmap.inheritance with `Share -> 0 | `Copy -> 1);
   Serial.w_bool w e.Vmmap.needs_copy;
-  Serial.w_bool w e.Vmmap.persisted;
-  w_policy w e.Vmmap.restore_policy
+  Serial.w_bool w e.Vmmap.persisted
 
 let r_vm_entry r =
   let start_vpn = Serial.r_int r in
@@ -140,9 +125,8 @@ let r_vm_entry r =
   in
   let needs_copy = Serial.r_bool r in
   let persisted = Serial.r_bool r in
-  let policy = r_policy r in
   { start_vpn; npages; obj_oid; obj_offset; writable; inheritance; needs_copy;
-    persisted; policy }
+    persisted }
 
 (* --- processes ------------------------------------------------------- *)
 
@@ -197,7 +181,8 @@ let serialize_vmobj obj =
 
 let parse_vmobj data =
   let r = Serial.reader data in
-  let vm_oid = Serial.r_int r in
+  (* The object's own oid leads the record; readers know it already. *)
+  ignore (Serial.r_int r);
   let kind =
     match Serial.r_u8 r with
     | 0 -> Vmobject.Anonymous
@@ -206,7 +191,7 @@ let parse_vmobj data =
   in
   let shadow_oid = Serial.r_option r Serial.r_int in
   let hot_pages = Serial.r_list r Serial.r_int in
-  { vm_oid; kind; shadow_oid; hot_pages }
+  { kind; shadow_oid; hot_pages }
 
 (* --- the barrier-side walk ------------------------------------------ *)
 

@@ -47,7 +47,6 @@ type vm_entry_rec = {
   inheritance : [ `Share | `Copy ];
   needs_copy : bool;
   persisted : bool;
-  policy : Vmmap.restore_policy;
 }
 
 type proc_rec = {
@@ -63,7 +62,6 @@ type proc_rec = {
 }
 
 type vmobj_rec = {
-  vm_oid : int;
   kind : Vmobject.kind;
   shadow_oid : int option;
   hot_pages : int list;     (** for Lazy_prefetch restore *)

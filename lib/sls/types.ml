@@ -12,7 +12,6 @@ type ckpt_breakdown = {
   lazy_data_copy : Duration.t;
   stop_time : Duration.t;
   pages_captured : int;
-  records_written : int;
   barrier_at : Duration.t;
   durable_at : Duration.t;
   status : [ `Ok | `Degraded of string ];
@@ -28,7 +27,6 @@ type restore_breakdown = {
   total_latency : Duration.t;
   pages_restored : int;
   pages_lazy : int;
-  procs_restored : int;
 }
 
 type restore_policy = Eager | Lazy | Lazy_prefetch

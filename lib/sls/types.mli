@@ -22,7 +22,6 @@ type ckpt_breakdown = {
   lazy_data_copy : Duration.t;  (** COW arming during the barrier *)
   stop_time : Duration.t;
   pages_captured : int;
-  records_written : int;
   barrier_at : Duration.t;      (** when the barrier began *)
   durable_at : Duration.t;      (** absolute durability time on the primary *)
   status : [ `Ok | `Degraded of string ];
@@ -39,7 +38,6 @@ type restore_breakdown = {
   total_latency : Duration.t;
   pages_restored : int;   (** made resident eagerly *)
   pages_lazy : int;       (** left to fault from the image *)
-  procs_restored : int;
 }
 
 type restore_policy =

@@ -1,5 +1,3 @@
-open Aurora_simtime
-
 type vtype = Reg | Dir
 
 type t = {
@@ -11,7 +9,6 @@ type t = {
   mutable size : int;
   chunks : (int, bytes) Hashtbl.t;
   dirty : (int, unit) Hashtbl.t;
-  mutable mtime : Duration.t;
 }
 
 let chunk_size = 4096
@@ -28,8 +25,7 @@ let create ?vid vtype =
       v
   in
   { vid; vtype; nlink = 1; open_count = 0; persistent_open = 0;
-    size = 0; chunks = Hashtbl.create 8; dirty = Hashtbl.create 8;
-    mtime = Duration.zero }
+    size = 0; chunks = Hashtbl.create 8; dirty = Hashtbl.create 8 }
 
 let check_reg t op =
   if t.vtype <> Reg then invalid_arg (Printf.sprintf "Vnode.%s: not a regular file" op)

@@ -15,8 +15,6 @@
       vnodes"), maintained by the SLS file system so restoration can
       resurrect anonymous files. *)
 
-open Aurora_simtime
-
 type vtype = Reg | Dir
 
 type t = {
@@ -28,7 +26,6 @@ type t = {
   mutable size : int;
   chunks : (int, bytes) Hashtbl.t; (* chunk index -> up-to-4096-byte data *)
   dirty : (int, unit) Hashtbl.t;   (* chunks modified since last fsync/flush *)
-  mutable mtime : Duration.t;
 }
 
 val chunk_size : int

@@ -42,26 +42,3 @@ let sweep t ~objects ~want =
     done;
     List.rev !victims
   end
-
-let hot_set ~objects ~limit =
-  if limit < 0 then invalid_arg "Clockalg.hot_set: negative limit";
-  let scored =
-    List.concat_map
-      (fun obj ->
-        List.map (fun pindex -> (Vmobject.heat obj pindex, obj, pindex))
-          (Vmobject.hot_pages obj ~limit:max_int))
-      objects
-  in
-  let compare_hotness (ha, oa, pa) (hb, ob, pb) =
-    match Int.compare hb ha with
-    | 0 -> (
-      match Int.compare (Vmobject.oid oa) (Vmobject.oid ob) with
-      | 0 -> Int.compare pa pb
-      | c -> c)
-    | c -> c
-  in
-  List.sort compare_hotness scored
-  |> List.filteri (fun i _ -> i < limit)
-  |> List.map (fun (_, obj, pindex) -> (obj, pindex))
-
-let age ~objects = List.iter Vmobject.age_heat objects

@@ -1,10 +1,7 @@
 open Aurora_simtime
 open Aurora_device
 
-type restore_policy = [ `Lazy | `Eager | `Hot ]
-
 type entry = {
-  eid : int;
   mutable start_vpn : int;
   mutable npages : int;
   mutable obj : Vmobject.t;
@@ -13,7 +10,6 @@ type entry = {
   mutable inheritance : [ `Share | `Copy ];
   mutable needs_copy : bool;
   mutable persisted : bool;
-  mutable restore_policy : restore_policy;
 }
 
 type fault_counts = {
@@ -30,7 +26,6 @@ type t = {
   mutable entries : entry list; (* sorted by start_vpn *)
   mutable hint : entry option; (* the entry [entry_at] found last *)
   mutable next_vpn : int;
-  mutable next_eid : int;
   faults : fault_counts;
 }
 
@@ -39,7 +34,6 @@ let next_asid = ref 0
 let create ~clock ~pool () =
   incr next_asid;
   { asid = !next_asid; clock; pool; entries = []; hint = None; next_vpn = 0x1000;
-    next_eid = 0;
     faults = { zero_fill = 0; fork_cow = 0; ckpt_cow = 0; major = 0 } }
 
 let pool t = t.pool
@@ -50,10 +44,6 @@ let insert_entry t e =
   t.entries <-
     List.sort (fun a b -> Int.compare a.start_vpn b.start_vpn) (e :: t.entries)
 
-let fresh_eid t =
-  t.next_eid <- t.next_eid + 1;
-  t.next_eid
-
 let alloc_range t npages =
   let start = t.next_vpn in
   t.next_vpn <- t.next_vpn + npages + 16; (* guard gap *)
@@ -63,9 +53,8 @@ let map_anonymous t ?(inheritance = `Copy) ?(writable = true) ~npages () =
   if npages <= 0 then invalid_arg "Vmmap.map_anonymous: npages <= 0";
   let obj = Vmobject.create ~pool:t.pool Vmobject.Anonymous in
   let e =
-    { eid = fresh_eid t; start_vpn = alloc_range t npages; npages; obj;
-      obj_offset = 0; writable; inheritance; needs_copy = false;
-      persisted = true; restore_policy = `Hot }
+    { start_vpn = alloc_range t npages; npages; obj; obj_offset = 0; writable;
+      inheritance; needs_copy = false; persisted = true }
   in
   insert_entry t e;
   e
@@ -75,9 +64,8 @@ let map_object t ?(inheritance = `Share) ?(writable = true) ~obj ~obj_offset ~np
   if obj_offset < 0 then invalid_arg "Vmmap.map_object: negative offset";
   Vmobject.incref obj;
   let e =
-    { eid = fresh_eid t; start_vpn = alloc_range t npages; npages; obj; obj_offset;
-      writable; inheritance; needs_copy = false; persisted = true;
-      restore_policy = `Hot }
+    { start_vpn = alloc_range t npages; npages; obj; obj_offset; writable;
+      inheritance; needs_copy = false; persisted = true }
   in
   insert_entry t e;
   e
@@ -91,8 +79,8 @@ let map_fixed t ~start_vpn ?(inheritance = `Share) ?(writable = true) ~obj ~obj_
   if List.exists overlaps t.entries then invalid_arg "Vmmap.map_fixed: range overlaps";
   Vmobject.incref obj;
   let e =
-    { eid = fresh_eid t; start_vpn; npages; obj; obj_offset; writable; inheritance;
-      needs_copy = false; persisted = true; restore_policy = `Hot }
+    { start_vpn; npages; obj; obj_offset; writable; inheritance;
+      needs_copy = false; persisted = true }
   in
   insert_entry t e;
   if start_vpn + npages + 16 > t.next_vpn then t.next_vpn <- start_vpn + npages + 16;
@@ -244,10 +232,7 @@ let fork t =
        (* Both sides must now copy before writing into the shared
           backing object. *)
        e.needs_copy <- true);
-    { e with
-      eid = fresh_eid child;
-      needs_copy = (match e.inheritance with `Share -> false | `Copy -> true);
-    }
+    { e with needs_copy = (match e.inheritance with `Share -> false | `Copy -> true) }
   in
   child.entries <- List.map clone_entry t.entries;
   child

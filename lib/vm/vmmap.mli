@@ -12,15 +12,12 @@
     - major faults on [Paged_out] pages (swap or lazy-restore image),
       charged at the backing device's read cost.
 
-    Entries carry the two knobs `sls_mctl` exposes: whether the range
-    is persisted at all, and its lazy-restore policy. *)
+    Entries carry the knob `sls_mctl` exposes: whether the range is
+    persisted at all. *)
 
 open Aurora_simtime
 
-type restore_policy = [ `Lazy | `Eager | `Hot ]
-
 type entry = {
-  eid : int;
   mutable start_vpn : int;
   mutable npages : int;
   mutable obj : Vmobject.t;
@@ -29,7 +26,6 @@ type entry = {
   mutable inheritance : [ `Share | `Copy ];
   mutable needs_copy : bool;    (** fork COW: shadow before first write *)
   mutable persisted : bool;     (** sls_mctl include/exclude *)
-  mutable restore_policy : restore_policy;
 }
 
 type fault_counts = {

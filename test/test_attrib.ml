@@ -2,8 +2,8 @@
    (rows must sum exactly to the checkpoint breakdown), per-generation
    storage provenance in the object store (live and reopened-from-disk
    paths), the generation inspector (gen_report / crosscheck / diff),
-   dedup savings accounting, the SLO watchdog, and the metrics
-   snapshot auto-sync hook. *)
+   dedup savings accounting, the one quantile estimator, and the
+   metrics snapshot auto-sync hook. *)
 
 open Aurora_simtime
 open Aurora_device
@@ -277,89 +277,21 @@ let test_gen_diff () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* SLO watchdog                                                        *)
+(* Quantiles                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_slo_unit () =
-  let slo = Slo.create () in
-  let t0 = Duration.microseconds 100 in
-  (* Unconfigured: samples accumulate, nothing alerts. *)
-  check_bool "no target, no alert" true
-    (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 50) = None);
-  check_int "sample windowed" 1 (Slo.samples slo Slo.Stop_time);
-  Slo.set_stop_target slo (Some (Duration.microseconds 10));
-  check_bool "under target" true
-    (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 5) = None);
-  (match Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 20) with
-   | Some al ->
-     check_bool "kind" true (al.Slo.al_kind = Slo.Stop_time);
-     check_int "pgid" 1 al.Slo.al_pgid;
-     Alcotest.(check (float 1e-9)) "observed" 20.0 al.Slo.al_observed_us;
-     Alcotest.(check (float 1e-9)) "target" 10.0 al.Slo.al_target_us
-   | None -> Alcotest.fail "breach not alerted");
-  check_int "breach counted" 1 (Slo.breaches slo Slo.Stop_time);
-  (* Alert retention (64) and the window (32) are bounded; breach
-     counting is not. *)
-  for _ = 1 to 70 do
-    ignore (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:t0 (Duration.microseconds 30))
-  done;
-  check_int "alerts capped" 64 (List.length (Slo.alerts slo));
-  check_int "all breaches counted" 71 (Slo.breaches slo Slo.Stop_time);
-  check_int "window bounded" 32 (Slo.samples slo Slo.Stop_time);
-  Alcotest.(check (float 1e-9))
-    "rolling p99 over the window" 30.0 (Slo.quantile slo Slo.Stop_time 99.0);
-  check_bool "restore axis independent" true
-    (Slo.samples slo Slo.Restore_latency = 0);
-  Slo.clear slo;
-  check_int "clear drops alerts" 0 (List.length (Slo.alerts slo));
-  check_bool "clear keeps targets" true (Slo.stop_target slo <> None)
-
-(* The watchdog's window quantile is Stats' nearest rank, not a second
-   estimator: for 1..10 and 1..4 the median is the upper middle. *)
-let test_slo_quantile_is_stats_percentile () =
+(* Stats' percentile is nearest rank on the sorted sample: for 1..10
+   and 1..4 the median is the upper middle. *)
+let test_quantile_is_stats_percentile () =
   List.iter
     (fun (n, want) ->
       let stats = Stats.create () in
-      let slo = Slo.create () in
       for i = 1 to n do
-        Stats.add stats (float_of_int i);
-        ignore
-          (Slo.observe slo Slo.Stop_time ~pgid:1 ~now:Duration.zero
-             (Duration.microseconds i))
+        Stats.add stats (float_of_int i)
       done;
-      let label = Printf.sprintf "p50 of 1..%d" n in
-      Alcotest.(check (float 0.)) (label ^ ": stats") want (Stats.percentile stats 50.);
-      Alcotest.(check (float 0.)) (label ^ ": slo") want (Slo.quantile slo Slo.Stop_time 50.))
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "p50 of 1..%d" n) want (Stats.percentile stats 50.))
     [ (10, 6.); (4, 3.) ]
-
-let test_slo_machine_integration () =
-  let m, g, _, _ = machine_with_app () in
-  (* A 1 ns stop budget: every checkpoint breaches. *)
-  Machine.set_slo_targets m ~stop_time:(Duration.nanoseconds 1) ();
-  ignore (Machine.checkpoint_now m g ());
-  (match Machine.slo_alerts m with
-   | al :: _ ->
-     check_bool "stop-time breach" true (al.Slo.al_kind = Slo.Stop_time);
-     check_int "group identified" g.Types.pgid al.Slo.al_pgid;
-     check_bool "alert carries attribution rows" true (al.Slo.al_top_procs <> [])
-   | [] -> Alcotest.fail "no alert for a breached stop target");
-  let mm = Machine.metrics m in
-  (match Metrics.find mm "slo.breach.stop_time" with
-   | Some (Metrics.Counter n) -> check_bool "breach counter bumped" true (n >= 1)
-   | _ -> Alcotest.fail "slo.breach.stop_time missing");
-  check_bool "breach lands on the slo span track" true
-    (List.exists
-       (fun (s : Span.span) -> s.Span.track = "slo")
-       (Span.spans (Machine.spans m)));
-  (* Restore-latency axis. *)
-  Machine.set_slo_targets m ~restore_latency:(Duration.nanoseconds 1) ();
-  let b = Machine.checkpoint_now m g () in
-  Store.wait_durable m.Machine.disk_store b.Types.durable_at;
-  ignore (Machine.restore_group m g ());
-  check_bool "restore breach alerted" true
-    (List.exists
-       (fun al -> al.Slo.al_kind = Slo.Restore_latency)
-       (Machine.slo_alerts m))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics auto-sync                                                   *)
@@ -417,12 +349,10 @@ let () =
           Alcotest.test_case "survives reopen" `Quick test_provenance_survives_reopen;
           Alcotest.test_case "generation diff" `Quick test_gen_diff;
         ] );
-      ( "slo",
+      ( "stats",
         [
-          Alcotest.test_case "watchdog unit" `Quick test_slo_unit;
           Alcotest.test_case "quantile is Stats.percentile" `Quick
-            test_slo_quantile_is_stats_percentile;
-          Alcotest.test_case "machine integration" `Quick test_slo_machine_integration;
+            test_quantile_is_stats_percentile;
         ] );
       ( "autosync",
         [

@@ -55,8 +55,10 @@ let test_export_import_roundtrip () =
   Recorder.note_ack r ~gen:2 ~corr:"s1-g2";
   Recorder.note_ship r ~gen:3 ~corr:"s1-g3" ~outcome:"timeout";
   Recorder.mark_inflight r ~gen:4 ~pgid:0;
-  Recorder.note_alert r ~kind:"stop_time" ~pgid:0 ~observed_us:900.
-    ~target_us:500.;
+  Recorder.note_transition r ~subsystem:"repl" "session degraded";
+  Recorder.log r ~gen:4
+    ~attrs:[ ("pgid", "0"); ("detail", "a, b = c") ]
+    ~kind:"test.attrs" "an event with attributes";
   Recorder.set_crash_reason r "test crash";
   let blob = Recorder.export r in
   let r2 = Recorder.create clock in
@@ -198,6 +200,45 @@ let dirty_all m p e =
     Syscall.mem_write k p ~vpn:(e.Vmmap.start_vpn + i) ~offset:0
       ~value:(Int64.of_int (Duration.to_ns (Machine.now m) + i))
   done
+
+(* The checkpoint path logs two events per generation, a capture and a
+   retire, and nothing else: the ring's 256 slots then hold 128
+   checkpoints of history. *)
+let test_checkpoint_events () =
+  let m = Machine.create () in
+  let c, p, e = spawn_dirty m ~npages:16 in
+  let g =
+    Machine.persist m ~interval:(Duration.seconds 10)
+      (`Container c.Container.cid)
+  in
+  let gens =
+    List.init 5 (fun _ ->
+        dirty_all m p e;
+        let b = Machine.checkpoint_now m g () in
+        Machine.run m (Duration.milliseconds 1);
+        b.Types.gen)
+  in
+  Machine.drain_storage m;
+  let evs = Recorder.events (Machine.recorder m) in
+  let count kind gen =
+    List.length
+      (List.filter
+         (fun ev -> ev.Recorder.ev_kind = kind && ev.Recorder.ev_gen = gen)
+         evs)
+  in
+  List.iter
+    (fun gen ->
+      check_int (Printf.sprintf "one capture of gen %d" gen) 1
+        (count "ckpt.capture" gen);
+      check_int (Printf.sprintf "one retire of gen %d" gen) 1
+        (count "ckpt.retire" gen))
+    gens;
+  Alcotest.(check (list string))
+    "no other event kind" [ "ckpt.capture"; "ckpt.retire" ]
+    (List.sort_uniq String.compare
+       (List.map (fun ev -> ev.Recorder.ev_kind) evs));
+  check_int "two events per checkpoint" (2 * List.length gens)
+    (Recorder.occupancy (Machine.recorder m))
 
 let test_blackbox_survives_crash () =
   let m = Machine.create ~stripes:2 () in
@@ -450,6 +491,8 @@ let () =
             test_mark_lifecycle;
           Alcotest.test_case "black-box round-trip and adoption" `Quick
             test_blackbox_roundtrip_and_adoption;
+          Alcotest.test_case "a checkpoint logs a capture and a retire" `Quick
+            test_checkpoint_events;
         ] );
       ( "postmortem",
         [

@@ -176,7 +176,7 @@ let test_mctl_exclusion () =
     Syscall.mem_write k p ~vpn:(scratch.Vmmap.start_vpn + i) ~offset:0 ~value:2L
   done;
   let g = Machine.persist m (`Container c.Container.cid) in
-  Api.sls_mctl m p scratch ~persist:false ();
+  Api.sls_mctl m p scratch ~persist:false;
   let b = Machine.checkpoint_now m g () in
   check_int "only the kept region captured" 8 b.Types.pages_captured;
   (* Restore: the excluded range is simply absent. *)
@@ -239,10 +239,17 @@ let test_swapped_pages_enter_checkpoint () =
   let contents =
     List.init 32 (fun i -> Vmmap.read p.Process.vm ~vpn:(e.Vmmap.start_vpn + i))
   in
-  (* Memory pressure: swap out half the region. *)
+  (* Memory pressure: swap out half the region to a swap device of
+     its own. *)
+  let swap =
+    Swap.create
+      ~dev:
+        (Aurora_device.Blockdev.create ~clock:(Machine.clock m)
+           ~profile:Aurora_device.Profile.optane_900p "swap0")
+      ~pool:k.Kernel.pool
+  in
   let evicted =
-    Aurora_vm.Swap.rebalance m.Machine.swap
-      ~objects:(Vmmap.distinct_objects p.Process.vm)
+    Swap.rebalance swap ~objects:(Vmmap.distinct_objects p.Process.vm)
   in
   check_bool "pages were swapped out" true (evicted >= 16);
   (* The checkpoint must capture resident AND swapped pages. *)

@@ -289,7 +289,15 @@ let test_machine_probes_fire () =
   let io = Probe.subscribe probes (parse_exn "dev.io agg count by op") in
   let ph = Probe.subscribe probes (parse_exn "ckpt.phase agg max(us) by op") in
   let sc = Probe.subscribe probes (parse_exn "store.commit agg sum(blocks)") in
-  ignore (Machine.checkpoint_now m g ());
+  let barrier =
+    Probe.subscribe probes (parse_exn "ckpt.phase where op != flush agg sum(us) by gen")
+  in
+  let bs =
+    List.init 3 (fun _ ->
+        let b = Machine.checkpoint_now m g () in
+        Machine.run m (Duration.milliseconds 1);
+        b)
+  in
   Machine.drain_storage m;
   let fired id =
     match Probe.report probes id with
@@ -299,14 +307,32 @@ let test_machine_probes_fire () =
   check_bool "dev.io fired" true (fired io > 0);
   check_bool "ckpt.phase fired" true (fired ph > 0);
   check_bool "store.commit fired" true (fired sc > 0);
-  (* The phase probe carries the barrier phases by name. *)
-  match Probe.report probes ph with
-  | Some r ->
-    let keys = List.map (fun row -> row.Probe.r_key) r.Probe.rp_rows in
-    List.iter
-      (fun want -> check_bool (want ^ " phase seen") true (List.mem want keys))
-      [ "quiesce"; "serialize"; "cow_mark"; "stop"; "flush" ]
-  | None -> Alcotest.fail "phase report missing"
+  (* The phase probe carries the barrier phases and the flush by name,
+     and the barrier phases tile each checkpoint's stop window. *)
+  let rows id =
+    match Probe.report probes id with
+    | Some r -> r.Probe.rp_rows
+    | None -> Alcotest.fail "phase report missing"
+  in
+  Alcotest.(check (list string))
+    "phases" [ "cow_mark"; "flush"; "quiesce"; "serialize" ]
+    (List.sort String.compare (List.map (fun row -> row.Probe.r_key) (rows ph)));
+  List.iter
+    (fun (b : Types.ckpt_breakdown) ->
+      let stop = Duration.to_us b.Types.stop_time in
+      match
+        List.find_opt
+          (fun row -> row.Probe.r_key = string_of_int b.Types.gen)
+          (rows barrier)
+      with
+      | Some row ->
+        check_int "three barrier phases" 3 row.Probe.r_n;
+        check_bool
+          (Printf.sprintf "gen %d phases sum to the stop time" b.Types.gen)
+          true
+          (Float.abs (row.Probe.r_sum -. stop) <= 1e-6 *. stop)
+      | None -> Alcotest.failf "no barrier phases for gen %d" b.Types.gen)
+    bs
 
 let test_probes_do_not_perturb () =
   (* The same deterministic workload twice: once with live

@@ -1017,15 +1017,15 @@ let test_hot_set_ranking () =
   for _ = 1 to 5 do
     ignore (Vmmap.read m ~vpn:(base + 5))
   done;
-  let hot = Clockalg.hot_set ~objects:[ e.Vmmap.obj ] ~limit:2 in
+  let hot = Vmobject.hot_pages e.Vmmap.obj ~limit:2 in
   (match hot with
-   | [ (_, p1); (_, p2) ] ->
+   | [ p1; p2 ] ->
      check_int "hottest" (e.Vmmap.obj_offset + 2) p1;
      check_int "second" (e.Vmmap.obj_offset + 5) p2
    | _ -> Alcotest.fail "expected two hot pages");
   (* Aging halves the counters. *)
   let before = Vmobject.heat e.Vmmap.obj (e.Vmmap.obj_offset + 2) in
-  Clockalg.age ~objects:[ e.Vmmap.obj ];
+  Vmobject.age_heat e.Vmmap.obj;
   check_int "aged" (before / 2) (Vmobject.heat e.Vmmap.obj (e.Vmmap.obj_offset + 2))
 
 (* The bounded top-k must rank exactly like the full sort it replaces:
