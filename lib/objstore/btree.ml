@@ -1,6 +1,5 @@
 open Aurora_simtime
 open Aurora_device
-open Aurora_posix
 
 type value = Imm of int64 | Ptr of int
 

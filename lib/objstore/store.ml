@@ -1,11 +1,10 @@
 open Aurora_simtime
 open Aurora_device
-open Aurora_posix
 open Aurora_vm
 
 type gen = int
 
-let magic = "AURORA-SLS-v2"
+let magic = "AURORA-SLS-v3"
 let superblock_slots = 2 (* blocks 0 and 1 *)
 
 (* Two reserved blocks right after the superblocks hold the flight
@@ -16,7 +15,7 @@ let superblock_slots = 2 (* blocks 0 and 1 *)
    previous summary intact. *)
 let blackbox_slots = 2 (* blocks 2 and 3 *)
 let reserved_blocks = superblock_slots + blackbox_slots
-let bbox_magic = "AURORA-BBSL-v1"
+let bbox_magic = "AURORA-BBSL-v2"
 
 type gen_entry = { root : int; name : string option }
 
@@ -308,33 +307,26 @@ let settle_deferred_frees t =
     true
 
 (* --- the black-box slot ----------------------------------------------
-   A single-block, store-framed payload written outside any
-   generation. The flight recorder uses it to persist its capture/ack
-   summary on every checkpoint, which is the only way a post-mortem
-   can name epochs that were committed but never became durable: the
-   per-generation ring recovered from durable generation [g] only
-   knows about captures up to [g]. *)
+   A single-block, sealed payload written outside any generation,
+   numbered so recovery can pick the newer slot. The flight recorder
+   uses it to persist its capture/ack summary on every checkpoint,
+   which is the only way a post-mortem can name epochs that were
+   committed but never became durable: the per-generation ring
+   recovered from durable generation [g] only knows about captures up
+   to [g]. *)
 
 let encode_bbox ~seq payload =
   let w = Serial.writer () in
-  Serial.w_string w bbox_magic;
   Serial.w_int w seq;
   Serial.w_string w payload;
-  Serial.w_int64 w (Fnv.fnv1a payload);
-  Serial.contents w
+  Serial.seal ~magic:bbox_magic (Serial.contents w)
 
 let decode_bbox data =
-  match
-    let r = Serial.reader data in
-    if Serial.r_string r <> bbox_magic then None
-    else
-      let seq = Serial.r_int r in
-      let payload = Serial.r_string r in
-      if Serial.r_int64 r <> Fnv.fnv1a payload then None
-      else Some (seq, payload)
-  with
-  | v -> v
-  | exception Serial.Corrupt _ -> None
+  Result.to_option
+    (Serial.unseal_with ~magic:bbox_magic data (fun r ->
+         let seq = Serial.r_int r in
+         let payload = Serial.r_string r in
+         (seq, payload)))
 
 let write_blackbox t payload =
   t.bbox_seq <- t.bbox_seq + 1;
@@ -424,11 +416,10 @@ let make ?(dedup = true) ?prot dev =
   Btree.set_reader tree (fun b -> verified_read t b);
   t
 
-(* Superblock payload is wrapped with its own checksum so a silently
-   corrupted slot is rejected at recovery instead of trusted. *)
+(* The superblock is sealed, so a silently corrupted slot is rejected
+   at recovery instead of trusted. *)
 let encode_superblock t =
   let w = Serial.writer () in
-  Serial.w_string w magic;
   Serial.w_int w t.commit_seq;
   Serial.w_int w t.next_gen;
   Serial.w_list w Serial.w_int t.gentable_blocks;
@@ -436,11 +427,7 @@ let encode_superblock t =
   Serial.w_u8 w (if t.prot.mirror then 1 else 0);
   Serial.w_list w Serial.w_int t.gentable_mirror_blocks;
   Serial.w_int64 w t.gentable_csum;
-  let payload = Serial.contents w in
-  let outer = Serial.writer () in
-  Serial.w_string outer payload;
-  Serial.w_int64 outer (Fnv.fnv1a payload);
-  Serial.contents outer
+  Serial.seal ~magic (Serial.contents w)
 
 type superblock = {
   sb_seq : int;
@@ -453,23 +440,17 @@ type superblock = {
 }
 
 let decode_superblock data =
-  let outer = Serial.reader data in
-  let payload = Serial.r_string outer in
-  if Serial.r_int64 outer <> Fnv.fnv1a payload then None
-  else
-    let r = Serial.reader payload in
-    if Serial.r_string r <> magic then None
-    else begin
-      let sb_seq = Serial.r_int r in
-      let sb_next_gen = Serial.r_int r in
-      let sb_table = Serial.r_list r Serial.r_int in
-      let sb_verify = Serial.r_u8 r = 1 in
-      let sb_mirror = Serial.r_u8 r = 1 in
-      let sb_table_mirror = Serial.r_list r Serial.r_int in
-      let sb_table_csum = Serial.r_int64 r in
-      Some { sb_seq; sb_next_gen; sb_table; sb_verify; sb_mirror;
-             sb_table_mirror; sb_table_csum }
-    end
+  Result.to_option
+    (Serial.unseal_with ~magic data (fun r ->
+         let sb_seq = Serial.r_int r in
+         let sb_next_gen = Serial.r_int r in
+         let sb_table = Serial.r_list r Serial.r_int in
+         let sb_verify = Serial.r_u8 r = 1 in
+         let sb_mirror = Serial.r_u8 r = 1 in
+         let sb_table_mirror = Serial.r_list r Serial.r_int in
+         let sb_table_csum = Serial.r_int64 r in
+         { sb_seq; sb_next_gen; sb_table; sb_verify; sb_mirror;
+           sb_table_mirror; sb_table_csum }))
 
 let encode_gentable t =
   let w = Serial.writer () in
@@ -1396,7 +1377,7 @@ let open_ ~dev =
   in
   let read_slot slot =
     match read_slot_retry slot 0 with
-    | Some (Blockdev.Data s) -> (try decode_superblock s with Serial.Corrupt _ -> None)
+    | Some (Blockdev.Data s) -> decode_superblock s
     | Some (Blockdev.Seed _) | Some Blockdev.Zero | None -> None
   in
   let candidates =

@@ -190,11 +190,11 @@ val wait_all_durable : t -> unit
 val write_blackbox : t -> string -> unit
 (** Write an opaque payload to the store's dedicated black-box slot:
     two reserved blocks (after the superblocks, outside any
-    generation) that alternate per write, each framed with a magic,
-    sequence number, and checksum. The write is asynchronous and
+    generation) that alternate per write, each a {!Serial.seal} of a
+    sequence number and the payload. The write is asynchronous and
     unordered — it never adds a barrier to the caller's path — so a
     crash before it completes loses this payload but leaves the
-    previous slot's intact. The framed payload must fit one device
+    previous slot's intact. The sealed payload must fit one device
     block ([Invalid_argument] otherwise). The flight recorder persists
     its capture/ack summary here on every checkpoint; that summary is
     what lets a post-mortem name epochs that were captured but never

@@ -1,3 +1,4 @@
+open Aurora_simtime
 open Aurora_vfs
 
 type kind =

@@ -11,6 +11,7 @@
     when set (the default), output crossing the persistence-group
     boundary is buffered until the covering checkpoint is durable. *)
 
+open Aurora_simtime
 open Aurora_vfs
 
 type kind =

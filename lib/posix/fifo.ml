@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type t = {
   capacity : int;
   chunks : string Queue.t;

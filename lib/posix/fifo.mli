@@ -5,6 +5,8 @@
     data is part of an object's checkpoint (the CRIU pain point the
     paper cites for Unix sockets). *)
 
+open Aurora_simtime
+
 type t
 
 val create : capacity:int -> t

@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type filter = Evt_read | Evt_write | Evt_timer | Evt_user
 
 type t = {

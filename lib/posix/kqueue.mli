@@ -6,6 +6,8 @@
     simulated applications need, but the object checkpoints and
     restores with registrations and undelivered events intact. *)
 
+open Aurora_simtime
+
 type filter = Evt_read | Evt_write | Evt_timer | Evt_user
 
 type t

@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type t = {
   oid : int;
   key : string;

@@ -1,5 +1,7 @@
 (** System V message queues. *)
 
+open Aurora_simtime
+
 type t
 
 val create : oid:int -> ?max_bytes:int -> key:string -> unit -> t

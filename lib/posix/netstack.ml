@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type endpoint = Unixsock.t
 
 type t = { ports : (int, int) Hashtbl.t (* port -> listener oid *) }

@@ -10,6 +10,8 @@
 
     The [t] value is one machine's port table. *)
 
+open Aurora_simtime
+
 type endpoint = Unixsock.t
 
 type t

@@ -4,6 +4,8 @@
     two open file descriptions. All IO is non-blocking at this layer;
     callers translate [`Would_block] into scheduler wait states. *)
 
+open Aurora_simtime
+
 type t
 
 val default_capacity : int

@@ -1,3 +1,4 @@
+open Aurora_simtime
 
 type kobj =
   | Kpipe of Pipe.t

@@ -7,6 +7,7 @@
     Objects referenced from several processes appear here once, which
     is what guarantees single serialization and restored sharing. *)
 
+open Aurora_simtime
 open Aurora_vm
 
 type kobj =

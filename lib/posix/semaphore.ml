@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type t = { oid : int; name : string; mutable value : int }
 
 let create ~oid ?(value = 0) ~name () =

@@ -1,5 +1,7 @@
 (** Counting semaphores (POSIX named / System V style). *)
 
+open Aurora_simtime
+
 type t
 
 val create : oid:int -> ?value:int -> name:string -> unit -> t

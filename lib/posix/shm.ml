@@ -1,3 +1,4 @@
+open Aurora_simtime
 open Aurora_vm
 
 type flavor = Posix_shm | Sysv_shm

@@ -6,6 +6,7 @@
     record itself serializes only metadata — the pages travel with the
     VM object in the memory part of the checkpoint. *)
 
+open Aurora_simtime
 open Aurora_vm
 
 type flavor = Posix_shm | Sysv_shm

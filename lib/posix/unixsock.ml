@@ -1,3 +1,5 @@
+open Aurora_simtime
+
 type state =
   | Fresh
   | Listening of { backlog : int; mutable pending : int list }

@@ -11,6 +11,8 @@
     (one per machine); peer resolution goes through the [lookup]
     callback so this module stays free of registry dependencies. *)
 
+open Aurora_simtime
+
 type state =
   | Fresh
   | Listening of { backlog : int; mutable pending : int list }

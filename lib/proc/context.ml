@@ -1,4 +1,4 @@
-open Aurora_posix
+open Aurora_simtime
 
 type t = {
   mutable program : string;

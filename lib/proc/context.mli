@@ -8,7 +8,7 @@
     memory or kernel objects, which is what makes checkpoint/restore
     transparent to it. *)
 
-open Aurora_posix
+open Aurora_simtime
 
 type t = {
   mutable program : string;

@@ -1,5 +1,4 @@
 open Aurora_simtime
-open Aurora_posix
 
 type wait =
   | Wait_read of int

@@ -6,7 +6,6 @@
     arrives in the restored listener's backlog. *)
 
 open Aurora_simtime
-open Aurora_posix
 
 type wait =
   | Wait_read of int      (** readable data on object [oid] *)

@@ -10,7 +10,6 @@ type event = {
 type capture_mark = { cm_gen : int; cm_pgid : int; cm_at : Duration.t }
 
 type blackbox = {
-  bb_seq : int;
   bb_at : Duration.t;
   bb_captures : capture_mark list;
   bb_repl : bool;
@@ -37,13 +36,12 @@ type t = {
   mutable repl : bool;                 (* a replication session is/was attached *)
   mutable acked : int;                 (* last acked primary gen, -1 none *)
   mutable shipped : int list;          (* shipped-unacked gens, ascending *)
-  mutable bb_seq : int;                (* black-box export counter *)
 }
 
 let create clock =
   { clock; ring = Array.make capacity None; head = 0; len = 0;
     seq = 0; dropped = 0; crash = None; marks = []; repl = false; acked = -1;
-    shipped = []; bb_seq = 0 }
+    shipped = [] }
 
 let occupancy t = t.len
 let dropped t = t.dropped
@@ -156,195 +154,108 @@ let seed_repl_horizon t ~acked =
 let acked_gen t = if t.acked < 0 then None else Some t.acked
 let shipped_unacked t = t.shipped
 
-(* --- self-contained binary serialization -----------------------------
-   This library sits below [Serial], so the recorder carries its own
-   writer/reader: fixed-width 64-bit ints (big-endian), length-prefixed
-   strings, an FNV-1a checksum over the payload, and a magic per
-   format. Durations serialize as their nanosecond count. *)
+(* --- serialization ------------------------------------------------------
+   Both blobs are {!Serial.seal}ed: fixed-width 8-byte ints (flags and
+   the crash-reason tag included), length-prefixed strings, and
+   durations as their nanosecond count. *)
 
-let w_i64 b v =
-  for i = 7 downto 0 do
-    Buffer.add_char b (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (i * 8)) 0xFFL)))
-  done
-
-let w_int b v = w_i64 b (Int64.of_int v)
-
-let w_str b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
-
-let w_dur b d = w_int b (Duration.to_ns d)
-
-exception Corrupt of string
-
-type reader = { data : string; mutable pos : int }
-
-let need r n =
-  if r.pos + n > String.length r.data then raise (Corrupt "truncated")
-
-let r_i64 r =
-  need r 8;
-  let v = ref 0L in
-  for _ = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.pos]));
-    r.pos <- r.pos + 1
-  done;
-  !v
-
-let r_int r = Int64.to_int (r_i64 r)
-
-let r_str r =
-  let n = r_int r in
-  if n < 0 then raise (Corrupt "negative length");
-  need r n;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+let w_dur w d = Serial.w_int w (Duration.to_ns d)
 
 let r_dur r =
-  let ns = r_int r in
-  if ns < 0 then raise (Corrupt "negative duration");
+  let ns = Serial.r_int r in
+  if ns < 0 then raise (Serial.Corrupt "negative duration");
   Duration.nanoseconds ns
 
-let w_list b f l =
-  w_int b (List.length l);
-  List.iter (f b) l
+let ring_magic = "AURORA-FREC-v2"
+let bbox_magic = "AURORA-BBOX-v2"
 
-let r_list r f =
-  let n = r_int r in
-  if n < 0 || n > 10_000_000 then raise (Corrupt "bad list length");
-  List.init n (fun _ -> f r)
-
-let seal ~magic payload =
-  let b = Buffer.create (String.length payload + 32) in
-  Buffer.add_string b magic;
-  w_int b (String.length payload);
-  Buffer.add_string b payload;
-  w_i64 b (Fnv.fnv1a payload);
-  Buffer.contents b
-
-let unseal ~magic blob =
-  let ml = String.length magic in
-  if String.length blob < ml || String.sub blob 0 ml <> magic then
-    Error "bad magic"
-  else begin
-    let r = { data = blob; pos = ml } in
-    match
-      let n = r_int r in
-      if n < 0 then raise (Corrupt "negative payload length");
-      need r n;
-      let payload = String.sub r.data r.pos n in
-      r.pos <- r.pos + n;
-      let csum = r_i64 r in
-      (payload, csum)
-    with
-    | payload, csum ->
-      if Fnv.fnv1a payload <> csum then Error "checksum mismatch" else Ok payload
-    | exception Corrupt msg -> Error msg
-  end
-
-let ring_magic = "AURORA-FREC-v1"
-let bbox_magic = "AURORA-BBOX-v1"
-
-let w_event b e =
-  w_int b e.ev_seq;
-  w_dur b e.ev_at;
-  w_str b e.ev_kind;
-  w_int b e.ev_gen;
-  w_str b e.ev_detail;
-  w_list b (fun b (k, v) -> w_str b k; w_str b v) e.ev_attrs
+let w_event w e =
+  Serial.w_int w e.ev_seq;
+  w_dur w e.ev_at;
+  Serial.w_string w e.ev_kind;
+  Serial.w_int w e.ev_gen;
+  Serial.w_string w e.ev_detail;
+  Serial.w_list w (fun w (k, v) -> Serial.w_string w k; Serial.w_string w v) e.ev_attrs
 
 let r_event r =
-  let ev_seq = r_int r in
+  let ev_seq = Serial.r_int r in
   let ev_at = r_dur r in
-  let ev_kind = r_str r in
-  let ev_gen = r_int r in
-  let ev_detail = r_str r in
-  let ev_attrs = r_list r (fun r -> let k = r_str r in let v = r_str r in (k, v)) in
+  let ev_kind = Serial.r_string r in
+  let ev_gen = Serial.r_int r in
+  let ev_detail = Serial.r_string r in
+  let ev_attrs =
+    Serial.r_list r (fun r ->
+        let k = Serial.r_string r in
+        let v = Serial.r_string r in
+        (k, v))
+  in
   { ev_seq; ev_at; ev_kind; ev_gen; ev_detail; ev_attrs }
 
-let w_mark b m =
-  w_int b m.cm_gen;
-  w_int b m.cm_pgid;
-  w_dur b m.cm_at
+let w_mark w m =
+  Serial.w_int w m.cm_gen;
+  Serial.w_int w m.cm_pgid;
+  w_dur w m.cm_at
 
 let r_mark r =
-  let cm_gen = r_int r in
-  let cm_pgid = r_int r in
+  let cm_gen = Serial.r_int r in
+  let cm_pgid = Serial.r_int r in
   let cm_at = r_dur r in
   { cm_gen; cm_pgid; cm_at }
 
 let export t =
-  let b = Buffer.create 4096 in
-  w_int b t.seq;
-  w_int b t.dropped;
+  let w = Serial.writer () in
+  Serial.w_int w t.seq;
+  Serial.w_int w t.dropped;
   (match t.crash with
-   | None -> w_int b 0
-   | Some reason -> w_int b 1; w_str b reason);
-  w_int b (if t.repl then 1 else 0);
-  w_int b t.acked;
-  w_list b w_int t.shipped;
-  w_list b w_mark (List.rev t.marks);
-  w_list b w_event (events t);
-  seal ~magic:ring_magic (Buffer.contents b)
+   | None -> Serial.w_int w 0
+   | Some reason -> Serial.w_int w 1; Serial.w_string w reason);
+  Serial.w_int w (if t.repl then 1 else 0);
+  Serial.w_int w t.acked;
+  Serial.w_list w Serial.w_int t.shipped;
+  Serial.w_list w w_mark (List.rev t.marks);
+  Serial.w_list w w_event (events t);
+  Serial.seal ~magic:ring_magic (Serial.contents w)
 
 let import_into t blob =
-  match unseal ~magic:ring_magic blob with
-  | Error _ as e -> e
-  | Ok payload -> (
-    match
-      let r = { data = payload; pos = 0 } in
-      let seq = r_int r in
-      let dropped = r_int r in
-      let crash = if r_int r = 1 then Some (r_str r) else None in
-      let repl = r_int r = 1 in
-      let acked = r_int r in
-      let shipped = r_list r r_int in
-      let marks = r_list r r_mark in
-      let evs = r_list r r_event in
-      (seq, dropped, crash, repl, acked, shipped, marks, evs)
-    with
-    | seq, dropped, crash, repl, acked, shipped, marks, evs ->
-      Array.fill t.ring 0 capacity None;
-      t.head <- 0;
-      t.len <- 0;
-      t.seq <- seq;
-      t.dropped <- dropped;
-      t.crash <- crash;
-      t.repl <- repl;
-      t.acked <- acked;
-      t.shipped <- shipped;
-      t.marks <- List.rev marks;
-      List.iter (push t) evs;
-      (* Imported events beyond our capacity count as drops, exactly as
-         if they had flowed through this ring live. *)
-      Ok ()
-    | exception Corrupt msg -> Error msg)
+  Serial.unseal_with ~magic:ring_magic blob (fun r ->
+      let seq = Serial.r_int r in
+      let dropped = Serial.r_int r in
+      let crash = if Serial.r_int r = 1 then Some (Serial.r_string r) else None in
+      let repl = Serial.r_int r = 1 in
+      let acked = Serial.r_int r in
+      let shipped = Serial.r_list r Serial.r_int in
+      let marks = Serial.r_list r r_mark in
+      let evs = Serial.r_list r r_event in
+      (seq, dropped, crash, repl, acked, shipped, marks, evs))
+  |> Result.map (fun (seq, dropped, crash, repl, acked, shipped, marks, evs) ->
+         Array.fill t.ring 0 capacity None;
+         t.head <- 0;
+         t.len <- 0;
+         t.seq <- seq;
+         t.dropped <- dropped;
+         t.crash <- crash;
+         t.repl <- repl;
+         t.acked <- acked;
+         t.shipped <- shipped;
+         t.marks <- List.rev marks;
+         (* Imported events beyond our capacity count as drops, exactly
+            as if they had flowed through this ring live. *)
+         List.iter (push t) evs)
 
 let export_blackbox t =
-  t.bb_seq <- t.bb_seq + 1;
-  let b = Buffer.create 512 in
-  w_int b t.bb_seq;
-  w_dur b (Clock.now t.clock);
-  w_list b w_mark (List.rev t.marks);
-  w_int b (if t.repl then 1 else 0);
-  w_int b t.acked;
-  w_list b w_int t.shipped;
-  seal ~magic:bbox_magic (Buffer.contents b)
+  let w = Serial.writer () in
+  w_dur w (Clock.now t.clock);
+  Serial.w_list w w_mark (List.rev t.marks);
+  Serial.w_int w (if t.repl then 1 else 0);
+  Serial.w_int w t.acked;
+  Serial.w_list w Serial.w_int t.shipped;
+  Serial.seal ~magic:bbox_magic (Serial.contents w)
 
 let import_blackbox blob =
-  match unseal ~magic:bbox_magic blob with
-  | Error _ as e -> e
-  | Ok payload -> (
-    match
-      let r = { data = payload; pos = 0 } in
-      let bb_seq = r_int r in
+  Serial.unseal_with ~magic:bbox_magic blob (fun r ->
       let bb_at = r_dur r in
-      let bb_captures = r_list r r_mark in
-      let bb_repl = r_int r = 1 in
-      let bb_acked_gen = r_int r in
-      let bb_shipped = r_list r r_int in
-      { bb_seq; bb_at; bb_captures; bb_repl; bb_acked_gen; bb_shipped }
-    with
-    | bb -> Ok bb
-    | exception Corrupt msg -> Error msg)
+      let bb_captures = Serial.r_list r r_mark in
+      let bb_repl = Serial.r_int r = 1 in
+      let bb_acked_gen = Serial.r_int r in
+      let bb_shipped = Serial.r_list r Serial.r_int in
+      { bb_at; bb_captures; bb_repl; bb_acked_gen; bb_shipped })

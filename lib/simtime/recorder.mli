@@ -19,8 +19,8 @@
     carry, because a ring recovered from durable generation [g] only
     knows about captures up to [g].
 
-    Everything serializes with a self-contained, checksummed binary
-    format (this library deliberately depends on nothing but [fmt]):
+    Both serialize with {!Serial} and travel as {!Serial.seal}ed blobs
+    (magics ["AURORA-FREC-v2"] and ["AURORA-BBOX-v2"]):
     {!export}/{!import_into} move the whole ring through a checkpoint
     record, {!export_blackbox}/{!import_blackbox} move the summary
     through the store's black-box slot. *)
@@ -46,7 +46,6 @@ type capture_mark = { cm_gen : int; cm_pgid : int; cm_at : Duration.t }
     [bb_shipped] are generations shipped but not yet acked at write
     time. *)
 type blackbox = {
-  bb_seq : int;
   bb_at : Duration.t;
   bb_captures : capture_mark list;
   bb_repl : bool;
@@ -147,17 +146,16 @@ val shipped_unacked : t -> int list
 
 val export : t -> string
 (** The whole recorder state (ring, counters, black-box summary,
-    crash-reason slot) as a checksummed binary blob — what the
-    checkpoint engine stores under the recorder oid each epoch. *)
+    crash-reason slot) as a sealed blob — what the checkpoint engine
+    stores under the recorder oid each epoch. *)
 
 val import_into : t -> string -> (unit, string) result
 (** Replace [t]'s state with an exported blob's (the clock binding is
     kept). [Error] names the defect (bad magic, checksum mismatch,
-    truncation) and leaves [t] untouched. *)
+    truncation, trailing bytes) and leaves [t] untouched. *)
 
 val export_blackbox : t -> string
 (** Just the black-box summary, small enough for the store's
-    single-block slot; stamped with a sequence number that increments
-    per export. *)
+    single-block slot (which numbers its own writes). *)
 
 val import_blackbox : string -> (blackbox, string) result

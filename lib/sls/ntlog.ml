@@ -1,4 +1,4 @@
-open Aurora_posix
+open Aurora_simtime
 open Aurora_objstore
 
 let primary_exn (g : Types.pgroup) =

@@ -1,11 +1,10 @@
 open Aurora_simtime
 open Aurora_device
-open Aurora_posix
 open Aurora_objstore
 
 (* --- wire frames ------------------------------------------------------ *)
 
-let frame_magic = "AURORA-REPL-v1"
+let frame_magic = "AURORA-REPL-v2"
 
 (* Stop-and-wait ARQ: one data frame in flight, retransmits reuse its
    sequence number, ACK/NAK echo it. The session id fences frames from
@@ -23,8 +22,13 @@ type payload =
   | Ack of { seq : int; primary_gen : Store.gen }
   | Nak of { seq : int; have : Store.gen option }
 
-let encode_payload p =
+(* Frame = the sealed session id and payload. The seal's checksum is
+   the same FNV-1a the image format uses; a bit flipped anywhere in the
+   frame (or a truncated one) fails decode and the frame is treated as
+   lost — retransmission recovers it. *)
+let encode_frame ~sid p =
   let w = Serial.writer () in
+  Serial.w_int w sid;
   (match p with
    | Data { seq; primary_gen; base; pgid; corr; image } ->
      Serial.w_u8 w 1;
@@ -42,61 +46,29 @@ let encode_payload p =
      Serial.w_u8 w 3;
      Serial.w_int w seq;
      Serial.w_option w Serial.w_int have);
-  Serial.contents w
-
-let decode_payload body =
-  let r = Serial.reader body in
-  let p =
-    match Serial.r_u8 r with
-    | 1 ->
-      let seq = Serial.r_int r in
-      let primary_gen = Serial.r_int r in
-      let base = Serial.r_option r Serial.r_int in
-      let pgid = Serial.r_int r in
-      let corr = Serial.r_string r in
-      let image = Serial.r_string r in
-      Data { seq; primary_gen; base; pgid; corr; image }
-    | 2 ->
-      let seq = Serial.r_int r in
-      let primary_gen = Serial.r_int r in
-      Ack { seq; primary_gen }
-    | 3 ->
-      let seq = Serial.r_int r in
-      let have = Serial.r_option r Serial.r_int in
-      Nak { seq; have }
-    | n -> raise (Serial.Corrupt (Printf.sprintf "replica frame tag %d" n))
-  in
-  Serial.expect_end r;
-  p
-
-(* Frame = magic, session id, CRC over the payload, payload. The CRC is
-   the same FNV-1a the image format uses; a bit flipped anywhere in the
-   payload (or a truncated frame) fails decode and the frame is treated
-   as lost — retransmission recovers it. *)
-let encode_frame ~sid p =
-  let body = encode_payload p in
-  let w = Serial.writer () in
-  Serial.w_string w frame_magic;
-  Serial.w_int w sid;
-  Serial.w_int64 w (Fnv.fnv1a body);
-  Serial.w_string w body;
-  Serial.contents w
+  Serial.seal ~magic:frame_magic (Serial.contents w)
 
 let decode_frame raw =
-  match
-    let r = Serial.reader raw in
-    let m = Serial.r_string r in
-    if not (String.equal m frame_magic) then raise (Serial.Corrupt "bad frame magic");
-    let sid = Serial.r_int r in
-    let crc = Serial.r_int64 r in
-    let body = Serial.r_string r in
-    Serial.expect_end r;
-    if not (Int64.equal (Fnv.fnv1a body) crc) then
-      raise (Serial.Corrupt "frame checksum mismatch");
-    (sid, decode_payload body)
-  with
-  | v -> Ok v
-  | exception Serial.Corrupt msg -> Error msg
+  Serial.unseal_with ~magic:frame_magic raw (fun r ->
+      let sid = Serial.r_int r in
+      match Serial.r_u8 r with
+      | 1 ->
+        let seq = Serial.r_int r in
+        let primary_gen = Serial.r_int r in
+        let base = Serial.r_option r Serial.r_int in
+        let pgid = Serial.r_int r in
+        let corr = Serial.r_string r in
+        let image = Serial.r_string r in
+        (sid, Data { seq; primary_gen; base; pgid; corr; image })
+      | 2 ->
+        let seq = Serial.r_int r in
+        let primary_gen = Serial.r_int r in
+        (sid, Ack { seq; primary_gen })
+      | 3 ->
+        let seq = Serial.r_int r in
+        let have = Serial.r_option r Serial.r_int in
+        (sid, Nak { seq; have })
+      | n -> raise (Serial.Corrupt (Printf.sprintf "replica frame tag %d" n)))
 
 (* --- sessions --------------------------------------------------------- *)
 

@@ -1,3 +1,4 @@
+open Aurora_simtime
 open Aurora_posix
 open Aurora_proc
 

@@ -1,8 +1,8 @@
 open Aurora_device
-open Aurora_posix
+open Aurora_simtime
 open Aurora_objstore
 
-let magic = "AURORA-IMAGE-v2"
+let magic = "AURORA-IMAGE-v3"
 let page_padding = String.make (Aurora_device.Blockdev.block_size - 8) '\000'
 
 (* Object ids whose records make up the group's checkpoint. *)
@@ -50,19 +50,9 @@ let image_oids store ~gen ~pgid =
     (fun oid -> record_oids := Oidspace.kobj oid :: !record_oids)
     manifest.Serialize.kobj_oids;
   let vnode_oids =
-    match Store.read_record store gen ~oid:Oidspace.fs_manifest_oid with
+    match Aurora_slsfs.Slsfs.read_manifest store gen with
     | None -> []
-    | Some data ->
-      let r = Serial.reader data in
-      let root_vid = Serial.r_int r in
-      let _paths =
-        Serial.r_list r (fun r ->
-            let _ = Serial.r_string r in
-            let _ = Serial.r_int r in
-            let _ = Serial.r_u8 r in
-            ())
-      in
-      let vids = Serial.r_list r Serial.r_int in
+    | Some (root_vid, _, vids) ->
       record_oids := Oidspace.fs_manifest_oid :: !record_oids;
       List.filter_map
         (fun vid -> if vid = root_vid then None else Some (Oidspace.vnode vid))
@@ -124,36 +114,17 @@ let export store ~gen ~pgid ?base () =
           Serial.w_string w data)
         (List.rev blobs))
     blob_oids;
-  let body = Serial.contents w in
-  let out = Serial.writer () in
-  Serial.w_string out magic;
   (* The image travels over wires and through files the store's
-     per-block checksums never see; one digest over the whole body
-     turns any in-flight bit flip into a typed [Bad_image] instead of a
+     per-block checksums never see; sealing the whole body turns any
+     in-flight bit flip into a typed [Bad_image] instead of a
      silently-imported corrupt generation. *)
-  Serial.w_int64 out (Aurora_simtime.Fnv.fnv1a body);
-  Serial.w_string out body;
-  Serial.contents out
+  Serial.seal ~magic (Serial.contents w)
 
 let import store image =
-  let r = Serial.reader image in
-  (match Serial.r_string r with
-   | s when String.equal s magic -> ()
-   | _ -> raise (Restore.Error (Restore.Bad_image "bad magic"))
-   | exception Serial.Corrupt msg ->
-     raise (Restore.Error (Restore.Bad_image msg)));
   let body =
-    match
-      let expect = Serial.r_int64 r in
-      let body = Serial.r_string r in
-      (expect, body)
-    with
-    | expect, body ->
-      if not (Int64.equal (Aurora_simtime.Fnv.fnv1a body) expect) then
-        raise (Restore.Error (Restore.Bad_image "image checksum mismatch"));
-      body
-    | exception Serial.Corrupt msg ->
-      raise (Restore.Error (Restore.Bad_image msg))
+    match Serial.unseal ~magic image with
+    | Ok body -> body
+    | Error msg -> raise (Restore.Error (Restore.Bad_image msg))
   in
   let r = Serial.reader body in
   let _pgid = Serial.r_int r in

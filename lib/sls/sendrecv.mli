@@ -29,6 +29,6 @@ val export :
 val import : Store.t -> string -> Store.gen * Duration.t
 (** Write an exported image into the store as a new generation; returns
     it with its durability instant. Raises {!Restore.Error}
-    ([Bad_image]) when the payload is not an Aurora image or the
-    whole-image checksum does not match — a bit flipped in a file or
-    on the wire is rejected before any record reaches the store. *)
+    ([Bad_image]) when the image fails its {!Serial.unseal} — a bit
+    flipped, a byte cut or added in a file or on the wire is rejected
+    before any record reaches the store. *)

@@ -1,4 +1,4 @@
-open Aurora_posix
+open Aurora_simtime
 open Aurora_vfs
 open Aurora_objstore
 
@@ -84,7 +84,7 @@ let checkpoint_fs store fs ~popen_of_vid =
 
 let read_manifest store g =
   match Store.read_record store g ~oid:fs_manifest_oid with
-  | None -> invalid_arg "Slsfs.restore_fs: no file system manifest in generation"
+  | None -> None
   | Some data ->
     let r = Serial.reader data in
     let root_vid = Serial.r_int r in
@@ -101,7 +101,7 @@ let read_manifest store g =
           (path, vid, vtype))
     in
     let vids = Serial.r_list r Serial.r_int in
-    (root_vid, paths, vids)
+    Some (root_vid, paths, vids)
 
 let restore_vnode store g vid =
   match Store.read_record store g ~oid:(oid_of_vid vid) with
@@ -136,7 +136,11 @@ let restore_vnode store g vid =
     v
 
 let restore_fs store g =
-  let root_vid, paths, vids = read_manifest store g in
+  let root_vid, paths, vids =
+    match read_manifest store g with
+    | Some m -> m
+    | None -> invalid_arg "Slsfs.restore_fs: no file system manifest in generation"
+  in
   let fs = Memfs.create () in
   (* Recreate every vnode (anonymous ones included), then rebuild the
      namespace shallowest-path-first so parents exist. *)

@@ -1,10 +1,11 @@
 (* The flight recorder and its forensics: ring bounds, serialization
-   round-trips (corrupt blobs rejected), black-box mark lifecycle, the
-   black box surviving a power failure, the post-mortem naming exactly
-   the epochs a mid-pipeline crash aborted (pipeline window >= 2, with
-   a hot standby attached), and the correlation ids that let `sls
-   timeline` line the standby's durable generations up against the
-   primary's ring. *)
+   round-trips, every sealed format rejecting any bit flip, truncation
+   or trailing byte, black-box mark lifecycle, the black box surviving
+   a power failure, the post-mortem naming exactly the epochs a
+   mid-pipeline crash aborted (pipeline window >= 2, with a hot
+   standby attached), and the correlation ids that let `sls timeline`
+   line the standby's durable generations up against the primary's
+   ring. *)
 
 open Aurora_simtime
 open Aurora_vm
@@ -84,37 +85,6 @@ let test_export_import_roundtrip () =
       check_bool "attrs" true (a.Recorder.ev_attrs = b.Recorder.ev_attrs))
     (Recorder.events r) (Recorder.events r2)
 
-let test_corrupt_blob_rejected () =
-  let clock = Clock.create () in
-  let r = Recorder.create clock in
-  for i = 1 to 5 do
-    Recorder.log r ~gen:i ~kind:"test.tick" "tick"
-  done;
-  let blob = Recorder.export r in
-  let victim = Recorder.create clock in
-  Recorder.log victim ~kind:"test.keep" "must survive a failed import";
-  (* Bit-flip in the payload: checksum mismatch. *)
-  let flipped = Bytes.of_string blob in
-  let i = String.length blob - 5 in
-  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x40));
-  (match Recorder.import_into victim (Bytes.to_string flipped) with
-   | Ok () -> Alcotest.fail "corrupt blob imported"
-   | Error _ -> ());
-  (* Truncation. *)
-  (match
-     Recorder.import_into victim (String.sub blob 0 (String.length blob - 3))
-   with
-   | Ok () -> Alcotest.fail "truncated blob imported"
-   | Error _ -> ());
-  (* Garbage magic. *)
-  (match Recorder.import_into victim "AURORA-NOPE-v1 garbage" with
-   | Ok () -> Alcotest.fail "bad magic imported"
-   | Error _ -> ());
-  (* The victim is untouched by every failed import. *)
-  check_int "victim untouched" 1 (List.length (Recorder.events victim));
-  check_bool "victim event intact" true
-    ((List.hd (Recorder.events victim)).Recorder.ev_kind = "test.keep")
-
 let test_mark_lifecycle () =
   let clock = Clock.create () in
   let r = Recorder.create clock in
@@ -153,14 +123,6 @@ let test_blackbox_roundtrip_and_adoption () =
   check_bool "repl flag" true bb.Recorder.bb_repl;
   check_int "ack horizon" 2 bb.Recorder.bb_acked_gen;
   check_bool "shipped" true (bb.Recorder.bb_shipped = [ 4 ]);
-  (* Corrupt black boxes are rejected too. *)
-  let flipped = Bytes.of_string blob in
-  Bytes.set flipped
-    (String.length blob - 2)
-    (Char.chr (Char.code (Bytes.get flipped (String.length blob - 2)) lxor 1));
-  (match Recorder.import_blackbox (Bytes.to_string flipped) with
-   | Ok _ -> Alcotest.fail "corrupt blackbox imported"
-   | Error _ -> ());
   (* Adoption merges what the ring missed: the on-device box is one
      epoch ahead of the stored ring. *)
   let r2 = Recorder.create clock in
@@ -475,6 +437,144 @@ let test_recorder_gauges () =
     (int_of_float (gauge "recorder.occupancy")
      = Recorder.occupancy (Machine.recorder m));
   check_bool "dropped gauge" true (gauge "recorder.dropped" >= 0.)
+
+(* ------------------------------------------------------------------ *)
+(* Sealed formats                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What decoding a possibly damaged blob gave: the original value,
+   some other value, or the format's typed rejection. *)
+type verdict = Same | Other | Rejected
+
+let flip_bit s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (i mod 8))));
+  Bytes.unsafe_to_string b
+
+(* A round trip, then every damage a file, a device or a wire can do:
+   a one-bit flip at each byte, each truncation and one trailing byte.
+   Each must be rejected with the format's typed error — never an
+   exception, never a wrong value accepted. *)
+let check_sealed (name, blob, decode) =
+  let verdict what s =
+    match decode s with
+    | v -> v
+    | exception e -> Alcotest.failf "%s: %s raised %s" name what (Printexc.to_string e)
+  in
+  let rejected what s =
+    match verdict what s with
+    | Rejected -> ()
+    | Same | Other -> Alcotest.failf "%s: %s accepted" name what
+  in
+  check_bool (name ^ " round-trips") true (verdict "the intact blob" blob = Same);
+  for i = 0 to String.length blob - 1 do
+    rejected (Printf.sprintf "a bit flipped at byte %d" i) (flip_bit blob i)
+  done;
+  for n = 0 to String.length blob - 1 do
+    rejected (Printf.sprintf "a truncation to %d bytes" n) (String.sub blob 0 n)
+  done;
+  rejected "a trailing byte" (blob ^ "\000")
+
+(* Every sealed format, each through the entry point that reads it. *)
+let test_corrupt_blob_rejected () =
+  let open Aurora_device in
+  let clock = Clock.create () in
+  let seal =
+    let magic = "AURORA-TEST-v1" and payload = "a payload\000with a nul" in
+    ( "Serial.seal", Serial.seal ~magic payload,
+      fun s ->
+        match Serial.unseal ~magic s with
+        | Ok p -> if p = payload then Same else Other
+        | Error _ -> Rejected )
+  in
+  let r = Recorder.create clock in
+  for i = 1 to 5 do
+    Recorder.log r ~gen:i ~attrs:[ ("i", string_of_int i) ] ~kind:"test.tick" "tick"
+  done;
+  Recorder.mark_inflight r ~gen:6 ~pgid:0;
+  Recorder.set_repl_attached r true;
+  Recorder.note_ack r ~gen:4 ~corr:"s1-g4";
+  Recorder.note_ship r ~gen:5 ~corr:"s1-g5" ~outcome:"timeout";
+  Recorder.set_crash_reason r "test crash";
+  let ring =
+    let blob = Recorder.export r in
+    ( "recorder ring", blob,
+      fun s ->
+        let victim = Recorder.create clock in
+        Recorder.log victim ~kind:"test.keep" "must survive a failed import";
+        match Recorder.import_into victim s with
+        | Ok () -> if Recorder.export victim = blob then Same else Other
+        | Error _ ->
+          check_bool "a failed import leaves the ring untouched" true
+            (List.map (fun e -> e.Recorder.ev_kind) (Recorder.events victim)
+             = [ "test.keep" ]);
+          Rejected )
+  in
+  let blackbox =
+    let expected =
+      { Recorder.bb_at = Clock.now clock; bb_captures = Recorder.captures r;
+        bb_repl = true; bb_acked_gen = 4; bb_shipped = [ 5 ] }
+    in
+    ( "black box", Recorder.export_blackbox r,
+      fun s ->
+        match Recorder.import_blackbox s with
+        | Ok bb -> if bb = expected then Same else Other
+        | Error _ -> Rejected )
+  in
+  (* One committed generation: its superblock lands in slot 1, and
+     slot 0 is cleared so recovery has no older superblock to fall
+     back to. The black box's first write lands in its slot 3. *)
+  let dev = Devarray.create ~stripes:1 ~clock ~profile:Profile.optane_900p "sealed" in
+  let store = Store.format ~dev () in
+  ignore (Store.begin_generation store ());
+  Store.put_record store ~oid:1 "record";
+  let gen, _ = Store.commit store () in
+  Store.write_blackbox store "summary";
+  Store.wait_all_durable store;
+  Devarray.write dev 0 Blockdev.Zero;
+  let block b =
+    match Devarray.read dev b with
+    | Blockdev.Data s -> s
+    | _ -> Alcotest.failf "block %d holds no sealed record" b
+  in
+  let superblock =
+    ( "superblock", block 1,
+      fun s ->
+        Devarray.write dev 1 (Blockdev.Data s);
+        match Store.open_ ~dev with
+        | Ok t ->
+          if Store.generations t = [ gen ] && Store.read_record t gen ~oid:1 = Some "record"
+          then Same
+          else Other
+        | Error Store.No_superblock -> Rejected
+        | Error e -> Alcotest.failf "superblock: %s" (Store.describe_error e) )
+  in
+  let bbox_slot =
+    ( "black-box slot", block 3,
+      fun s ->
+        Devarray.write dev 3 (Blockdev.Data s);
+        match Store.read_blackbox store with
+        | Some p -> if p = "summary" then Same else Other
+        | None -> Rejected )
+  in
+  let image =
+    let m = Machine.create () in
+    let c, p, e = spawn_dirty m ~npages:1 in
+    dirty_all m p e;
+    let g = Machine.persist m (`Container c.Container.cid) in
+    let b = Machine.checkpoint_now m g () in
+    let pgid = g.Types.pgid in
+    let image = Sendrecv.export m.Machine.disk_store ~gen:b.Types.gen ~pgid () in
+    let dst =
+      Store.format ~dev:(Devarray.create ~clock ~profile:Profile.optane_900p "dst") ()
+    in
+    ( "image", image,
+      fun s ->
+        match Sendrecv.import dst s with
+        | gen, _ -> if Sendrecv.export dst ~gen ~pgid () = image then Same else Other
+        | exception Restore.Error (Restore.Bad_image _) -> Rejected )
+  in
+  List.iter check_sealed [ seal; ring; blackbox; superblock; bbox_slot; image ]
 
 let () =
   Alcotest.run "forensics"

@@ -10,6 +10,7 @@
    the application "continues executing oblivious to the
    interruption". *)
 
+open Aurora_simtime
 open Aurora_vm
 open Aurora_posix
 open Aurora_proc

@@ -955,7 +955,7 @@ let test_btree_descent_golden () =
    an internal root over [leaves] leaves of [fill] entries each, leaf j
    holding keys 1000j + 2i. *)
 let encoded_tree dev alloc ~leaves ~fill =
-  let module S = Aurora_posix.Serial in
+  let module S = Serial in
   let put f =
     let w = S.writer () in
     f w;
@@ -1000,7 +1000,7 @@ let test_btree_node_count_bounds () =
   check_bool "oversized leaf is corrupt" true
     (match Btree.find t ~root 0L with
      | _ -> false
-     | exception Aurora_posix.Serial.Corrupt _ -> true)
+     | exception Serial.Corrupt _ -> true)
 
 (* Minor-heap words per insert into a depth-2 tree whose nodes the
    epoch already owns: 1,000 inserts, 8 per leaf, none splitting.
@@ -1828,7 +1828,7 @@ let page_key ~oid ~pindex =
    [seed], i.e. that leaf's copy in the generation which wrote [seed].
    Found with [peek], so the search charges no simulated time. *)
 let find_leaf dev ~key ~seed =
-  let module S = Aurora_posix.Serial in
+  let module S = Serial in
   let maps_key s =
     let r = S.reader s in
     S.r_u8 r = 0

@@ -1,72 +1,16 @@
-(* Tests for the POSIX object layer: serialization substrate, FIFOs,
-   pipes, Unix sockets, shared memory, message queues, semaphores,
-   kqueues, the TCP netstack, fd tables, and the object registry.
+(* Tests for the POSIX object layer: FIFOs, pipes, Unix sockets,
+   shared memory, message queues, semaphores, kqueues, the TCP
+   netstack, fd tables, and the object registry.
    Every object class gets a serialize -> deserialize roundtrip test:
    that roundtrip IS the checkpoint path. *)
 
+open Aurora_simtime
 open Aurora_vm
 open Aurora_posix
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
-
-(* ------------------------------------------------------------------ *)
-(* Serial                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_serial_roundtrip () =
-  let w = Serial.writer () in
-  Serial.w_int w 42;
-  Serial.w_int64 w (-7L);
-  Serial.w_bool w true;
-  Serial.w_string w "hello\000world";
-  Serial.w_option w Serial.w_int (Some 5);
-  Serial.w_option w Serial.w_int None;
-  Serial.w_list w Serial.w_string [ "a"; "bb"; "" ];
-  let r = Serial.reader (Serial.contents w) in
-  check_int "int" 42 (Serial.r_int r);
-  check_bool "int64" true (Int64.equal (-7L) (Serial.r_int64 r));
-  check_bool "bool" true (Serial.r_bool r);
-  check_str "string with nul" "hello\000world" (Serial.r_string r);
-  Alcotest.(check (option int)) "some" (Some 5) (Serial.r_option r Serial.r_int);
-  Alcotest.(check (option int)) "none" None (Serial.r_option r Serial.r_int);
-  Alcotest.(check (list string)) "list" [ "a"; "bb"; "" ]
-    (Serial.r_list r Serial.r_string);
-  Serial.expect_end r
-
-let test_serial_corrupt_detection () =
-  let w = Serial.writer () in
-  Serial.w_string w "data";
-  let s = Serial.contents w in
-  let truncated = String.sub s 0 (String.length s - 1) in
-  check_bool "truncated detected" true
-    (try
-       ignore (Serial.r_string (Serial.reader truncated));
-       false
-     with Serial.Corrupt _ -> true);
-  let r = Serial.reader s in
-  ignore (Serial.r_string r);
-  check_bool "at end" true (Serial.at_end r);
-  let r2 = Serial.reader (s ^ "x") in
-  ignore (Serial.r_string r2);
-  check_bool "trailing detected" true
-    (try
-       Serial.expect_end r2;
-       false
-     with Serial.Corrupt _ -> true)
-
-let prop_serial_string_roundtrip =
-  QCheck.Test.make ~name:"serial string roundtrip" QCheck.string (fun s ->
-      let w = Serial.writer () in
-      Serial.w_string w s;
-      String.equal s (Serial.r_string (Serial.reader (Serial.contents w))))
-
-let prop_serial_int_roundtrip =
-  QCheck.Test.make ~name:"serial int roundtrip" QCheck.int (fun i ->
-      let w = Serial.writer () in
-      Serial.w_int w i;
-      Int.equal i (Serial.r_int (Serial.reader (Serial.contents w))))
 
 (* ------------------------------------------------------------------ *)
 (* Fifo                                                                *)
@@ -515,13 +459,6 @@ let qt = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "posix"
     [
-      ( "serial",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
-          Alcotest.test_case "corruption detection" `Quick test_serial_corrupt_detection;
-          qt prop_serial_string_roundtrip;
-          qt prop_serial_int_roundtrip;
-        ] );
       ( "fifo",
         [
           Alcotest.test_case "fifo order" `Quick test_fifo_order;

@@ -1,10 +1,12 @@
 (* Unit and property tests for the simulated-time substrate:
-   durations, clock, PRNG, statistics. *)
+   durations, clock, PRNG, statistics, the FNV-1a checksum and the
+   binary codec. *)
 
 open Aurora_simtime
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_str = Alcotest.(check string)
 
 let duration_t : Duration.t Alcotest.testable =
   Alcotest.testable Duration.pp Duration.equal
@@ -216,13 +218,81 @@ let prop_stats_mean_bounded =
 
 (* The published 64-bit FNV-1a test vectors: every on-disk and on-wire
    checksum is this function, so a change here changes every format. *)
+(* The reference vectors, and no allocation per byte hashed: a 64 KiB
+   string costs the same minor words as the empty one (the boxed
+   result). *)
 let test_fnv1a_vectors () =
   List.iter
     (fun (input, want) ->
       Alcotest.(check int64) (Printf.sprintf "fnv1a %S" input) want (Fnv.fnv1a input))
     [ ("", 0xcbf29ce484222325L);
       ("a", 0xaf63dc4c8601ec8cL);
-      ("foobar", 0x85944171f73967e8L) ]
+      ("foobar", 0x85944171f73967e8L) ];
+  let words s =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Fnv.fnv1a s));
+    Gc.minor_words () -. w0
+  in
+  let big = String.make 65536 'x' in
+  Alcotest.(check (float 0.)) "minor words per 64 KiB hashed" 0. (words big -. words "")
+
+(* ------------------------------------------------------------------ *)
+(* Serial                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_serial_roundtrip () =
+  let w = Serial.writer () in
+  Serial.w_int w 42;
+  Serial.w_int64 w (-7L);
+  Serial.w_bool w true;
+  Serial.w_string w "hello\000world";
+  Serial.w_option w Serial.w_int (Some 5);
+  Serial.w_option w Serial.w_int None;
+  Serial.w_list w Serial.w_string [ "a"; "bb"; "" ];
+  let r = Serial.reader (Serial.contents w) in
+  check_int "int" 42 (Serial.r_int r);
+  check_bool "int64" true (Int64.equal (-7L) (Serial.r_int64 r));
+  check_bool "bool" true (Serial.r_bool r);
+  check_str "string with nul" "hello\000world" (Serial.r_string r);
+  Alcotest.(check (option int)) "some" (Some 5) (Serial.r_option r Serial.r_int);
+  Alcotest.(check (option int)) "none" None (Serial.r_option r Serial.r_int);
+  Alcotest.(check (list string)) "list" [ "a"; "bb"; "" ]
+    (Serial.r_list r Serial.r_string);
+  Serial.expect_end r
+
+let test_serial_corrupt_detection () =
+  let w = Serial.writer () in
+  Serial.w_string w "data";
+  let s = Serial.contents w in
+  let truncated = String.sub s 0 (String.length s - 1) in
+  check_bool "truncated detected" true
+    (try
+       ignore (Serial.r_string (Serial.reader truncated));
+       false
+     with Serial.Corrupt _ -> true);
+  let r = Serial.reader s in
+  ignore (Serial.r_string r);
+  check_bool "at end" true (Serial.at_end r);
+  let r2 = Serial.reader (s ^ "x") in
+  ignore (Serial.r_string r2);
+  check_bool "trailing detected" true
+    (try
+       Serial.expect_end r2;
+       false
+     with Serial.Corrupt _ -> true)
+
+let prop_serial_string_roundtrip =
+  QCheck.Test.make ~name:"serial string roundtrip" QCheck.string (fun s ->
+      let w = Serial.writer () in
+      Serial.w_string w s;
+      String.equal s (Serial.r_string (Serial.reader (Serial.contents w))))
+
+let prop_serial_int_roundtrip =
+  QCheck.Test.make ~name:"serial int roundtrip" QCheck.int (fun i ->
+      let w = Serial.writer () in
+      Serial.w_int w i;
+      Int.equal i (Serial.r_int (Serial.reader (Serial.contents w))))
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -264,4 +334,11 @@ let () =
           qt prop_stats_mean_bounded;
         ] );
       ("fnv", [ Alcotest.test_case "FNV-1a 64 vectors" `Quick test_fnv1a_vectors ]);
+      ( "serial",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
+          Alcotest.test_case "corruption detection" `Quick test_serial_corrupt_detection;
+          qt prop_serial_string_roundtrip;
+          qt prop_serial_int_roundtrip;
+        ] );
     ]
