@@ -440,6 +440,51 @@ let fold_ptrs t ~root ~lo ~hi ~init ~f =
       let p = at i in
       if is_ptr img p then f acc (Int64.to_int (Bytes.get_int64_le img p)) (ptr_at img p) else acc)
 
+(* The [Ptr] entries under [root] in [lo, hi] that the base does not
+   hold, where [base] is a base node every base key in [lo, hi] lies
+   under. A committed node never changes, so once [base] narrows to
+   [root] itself the subtree is shared and nothing under it is read. *)
+let rec diff t ~root ~base ~lo ~hi ~init ~f =
+  let rec narrow b =
+    if b = root then b
+    else
+      match (read_cached t b).node with
+      | Internal nd ->
+        let i = upper_bound nd.keys nd.n lo in
+        if i = upper_bound nd.keys nd.n hi then narrow nd.children.(i) else b
+      | Leaf _ -> b
+  in
+  let base = narrow base in
+  if base = root then init
+  else
+    match (read_cached t root).node with
+    | Internal nd ->
+      let first = upper_bound nd.keys nd.n lo and last = upper_bound nd.keys nd.n hi in
+      let acc = ref init in
+      for i = first to last do
+        let lo = if i = first then lo else sep nd.keys (i - 1) in
+        let hi = if i = last then hi else Int64.pred (sep nd.keys i) in
+        acc := diff t ~root:nd.children.(i) ~base ~lo ~hi ~init:!acc ~f
+      done;
+      !acc
+    | Leaf l ->
+      (* Merge the leaf's entries with the base's, both in key order. *)
+      let acc = ref init and i = ref (leaf_lower_bound l.img l.n lo) in
+      let emit held =
+        let p = at !i in
+        if is_ptr l.img p then
+          acc := f !acc (Int64.to_int (leaf_key l.img !i)) (ptr_at l.img p) held;
+        incr i
+      in
+      fold_entries t ~root:base ~lo ~hi ~init:() ~f:(fun () img j ->
+          let k = leaf_key img j in
+          while !i < l.n && Int64.compare (leaf_key l.img !i) k < 0 do emit false done;
+          if holds l.img l.n !i k then
+            if is_ptr img (at j) && ptr_at img (at j) = ptr_at l.img (at !i) then incr i
+            else emit true);
+      while !i < l.n && Int64.compare (leaf_key l.img !i) hi <= 0 do emit false done;
+      !acc
+
 (* --- flushing / cache management ----------------------------------- *)
 
 let still_cached t c = Blockvec.get t.cache c.block == c

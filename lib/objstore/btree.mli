@@ -80,6 +80,16 @@ val fold_ptrs :
     leaves without boxing: [f acc k block] gets the key's low 63 bits
     ([Int64.to_int]) and the block. *)
 
+val diff :
+  t -> root:int -> base:int -> lo:int64 -> hi:int64 -> init:'a ->
+  f:('a -> int -> int -> bool -> 'a) -> 'a
+(** {!fold_ptrs} over the [Ptr] entries of [root] whose block the tree
+    at [base] does not hold at the same key; [f]'s last argument says
+    whether [base] holds the key at all. The two trees are walked
+    together, and a subtree whose block both reach is skipped unread: a
+    committed node never changes, so a shared block is a shared
+    subtree. *)
+
 val release_root : t -> int -> unit
 (** Drop one reference on the root, cascading frees through uniquely
     owned nodes and decrementing value-block references. *)

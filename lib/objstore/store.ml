@@ -1279,21 +1279,26 @@ let peek_page t g ~oid ~pindex =
   | Some (Btree.Ptr block) -> Some (peek_page_block t block)
   | Some (Btree.Imm _) | None -> None
 
-let fold_pages t g ~oid ~init ~f =
+(* The index and block of each of one object's entries of one kind, or
+   with a known [base] only those whose block differs from the base's. *)
+let fold_kind t ?base g ~oid ~kind ~init ~f =
   match gen_root t g with
   | None -> init
-  | Some root ->
-    let lo, hi = kind_range ~oid ~kind:kind_page in
-    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f:(fun acc k block ->
-        f acc (k land 0xFFFF_FFFF) (page_of_content block (verified_read t block)))
+  | Some root -> (
+    let lo, hi = kind_range ~oid ~kind in
+    let f acc k block = f acc (k land 0xFFFF_FFFF) block in
+    match Option.bind base (gen_root t) with
+    | None -> Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f
+    | Some base ->
+      Btree.diff t.tree ~root ~base ~lo ~hi ~init ~f:(fun acc k block _ -> f acc k block))
 
-let fold_blobs t g ~oid ~init ~f =
-  match gen_root t g with
-  | None -> init
-  | Some root ->
-    let lo, hi = kind_range ~oid ~kind:kind_blob in
-    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f:(fun acc k block ->
-        f acc (k land 0xFFFF_FFFF) (read_block_data t block))
+let fold_pages t ?base g ~oid ~init ~f =
+  fold_kind t ?base g ~oid ~kind:kind_page ~init ~f:(fun acc i block ->
+      f acc i (page_of_content block (verified_read t block)))
+
+let fold_blobs t ?base g ~oid ~init ~f =
+  fold_kind t ?base g ~oid ~kind:kind_blob ~init ~f:(fun acc i block ->
+      f acc i (read_block_data t block))
 
 let page_count t g ~oid =
   match gen_root t g with
@@ -1601,74 +1606,46 @@ type gen_diff = {
   df_dedup_saved_delta : int;
 }
 
-(* Per-oid page-index -> block maps of a generation. Under dedup,
-   pointer equality is content equality, so comparing block pointers
-   across generations detects changed pages without reading payloads;
-   without dedup an unchanged page keeps its block (incremental
-   checkpoints skip it), so the comparison still holds. *)
-let gen_page_maps t root =
-  let tbl = Hashtbl.create 64 in
-  Btree.fold_range t.tree ~root ~lo:Int64.min_int ~hi:Int64.max_int ~init:()
-    ~f:(fun () k v ->
-      match v with
-      | Btree.Ptr block when kind_of_key k = 2 ->
-        let oid = oid_of_key k in
-        let m =
-          match Hashtbl.find_opt tbl oid with
-          | Some m -> m
-          | None ->
-            let m = Hashtbl.create 64 in
-            Hashtbl.replace tbl oid m;
-            m
-        in
-        Hashtbl.replace m (index_of_key k) block
-      | _ -> ());
-  tbl
-
 let diff t ~from_gen ~to_gen =
-  let root g =
+  let root_of g =
     match gen_root t g with
     | Some r -> r
     | None -> invalid_arg (Printf.sprintf "Store.diff: unknown generation %d" g)
   in
-  let ma = gen_page_maps t (root from_gen) in
-  let mb = gen_page_maps t (root to_gen) in
-  let oids_added =
-    Hashtbl.fold (fun o _ acc -> if Hashtbl.mem ma o then acc else o :: acc) mb []
-    |> List.sort Int.compare
+  (* Per-oid (added, removed, changed) page counts from a tree diff each
+     way: [to]'s pages whose block [from] lacks, then [from]'s pages
+     whose key [to] lacks. *)
+  let counts = Hashtbl.create 16 in
+  let count g ~base bump =
+    Btree.diff t.tree ~root:(root_of g) ~base:(root_of base) ~lo:Int64.min_int
+      ~hi:Int64.max_int ~init:()
+      ~f:(fun () k _ held ->
+        let k = Int64.of_int k in
+        if kind_of_key k = 2 then
+          let oid = oid_of_key k in
+          let c = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt counts oid) in
+          Hashtbl.replace counts oid (bump held c))
   in
-  let oids_removed =
-    Hashtbl.fold (fun o _ acc -> if Hashtbl.mem mb o then acc else o :: acc) ma []
-    |> List.sort Int.compare
-  in
-  let all_oids = Hashtbl.create 64 in
-  Hashtbl.iter (fun o _ -> Hashtbl.replace all_oids o ()) ma;
-  Hashtbl.iter (fun o _ -> Hashtbl.replace all_oids o ()) mb;
-  let empty = Hashtbl.create 1 in
+  count to_gen ~base:from_gen (fun held (a, r, c) ->
+      if held then (a, r, c + 1) else (a + 1, r, c));
+  count from_gen ~base:to_gen (fun held (a, r, c) ->
+      if held then (a, r, c) else (a, r + 1, c));
   let changed =
     Hashtbl.fold
-      (fun o () acc ->
-        let pa = Option.value ~default:empty (Hashtbl.find_opt ma o) in
-        let pb = Option.value ~default:empty (Hashtbl.find_opt mb o) in
-        let added = ref 0 and removed = ref 0 and chg = ref 0 in
-        Hashtbl.iter
-          (fun pindex block ->
-            match Hashtbl.find_opt pa pindex with
-            | None -> incr added
-            | Some b when b <> block -> incr chg
-            | Some _ -> ())
-          pb;
-        Hashtbl.iter
-          (fun pindex _ -> if not (Hashtbl.mem pb pindex) then incr removed)
-          pa;
-        if !added = 0 && !removed = 0 && !chg = 0 then acc
-        else
-          { d_oid = o; d_pages_added = !added; d_pages_removed = !removed;
-            d_pages_changed = !chg }
-          :: acc)
-      all_oids []
+      (fun o (a, r, c) acc ->
+        { d_oid = o; d_pages_added = a; d_pages_removed = r; d_pages_changed = c } :: acc)
+      counts []
     |> List.sort (fun a b -> Int.compare a.d_oid b.d_oid)
   in
+  (* An oid whose every delta is an addition (a removal) appeared
+     (vanished) when the other generation holds none of its pages. *)
+  let only other kept =
+    List.filter (fun d -> kept d + d.d_pages_changed = 0 && page_count t other ~oid:d.d_oid = 0)
+      changed
+    |> List.map (fun d -> d.d_oid)
+  in
+  let oids_added = only from_gen (fun d -> d.d_pages_removed) in
+  let oids_removed = only to_gen (fun d -> d.d_pages_added) in
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 changed in
   let pages_added = sum (fun d -> d.d_pages_added) in
   let pages_removed = sum (fun d -> d.d_pages_removed) in

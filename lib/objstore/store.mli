@@ -245,10 +245,17 @@ val peek_page_block : t -> int -> int64
     brings it in, not at mapping time. Verified and repaired like
     {!read_page_blocks}; a repair's reads are charged. *)
 
-val fold_blobs : t -> gen -> oid:int -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
-(** Blob (index, data) pairs of an object, in index order. *)
+val fold_blobs :
+  t -> ?base:gen -> gen -> oid:int -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
+(** Blob (index, data) pairs of an object, in index order. With a
+    known [base], only the blobs whose block differs from the base's,
+    found by {!Btree.diff}: index nodes both generations share, and
+    blobs not visited, are not read. *)
 
-val fold_pages : t -> gen -> oid:int -> init:'a -> f:('a -> int -> int64 -> 'a) -> 'a
+val fold_pages :
+  t -> ?base:gen -> gen -> oid:int -> init:'a -> f:('a -> int -> int64 -> 'a) -> 'a
+(** {!fold_blobs} over (pindex, seed) pairs. *)
+
 val oids : t -> gen -> int list
 (** Object ids with records in the generation, ascending. *)
 
@@ -388,8 +395,11 @@ type gen_diff = {
 val diff : t -> from_gen:gen -> to_gen:gen -> gen_diff
 (** Compare two committed generations by page block pointers (under
     dedup, pointer equality is content equality; without it, unchanged
-    pages keep their blocks, so the comparison holds either way).
-    Raises [Invalid_argument] on unknown generations. *)
+    pages keep their blocks, so the comparison holds either way): a
+    page changed when its block differs. One {!Btree.diff} each way
+    finds the deltas, skipping the index nodes both generations share,
+    and no data block is read. Raises [Invalid_argument] on unknown
+    generations. *)
 
 (** Fault-path counters: transient-read retries issued, checksum
     verification failures, blocks healed per repair source, and blocks

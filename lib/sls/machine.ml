@@ -201,7 +201,8 @@ let persist t ?interval target =
 let attach _t g store = g.Types.backends <- g.Types.backends @ [ store ]
 
 let detach _t g store =
-  g.Types.backends <- List.filter (fun s -> s != store) g.Types.backends
+  g.Types.backends <- List.filter (fun s -> s != store) g.Types.backends;
+  g.Types.mirrored <- List.filter (fun (s, _) -> s != store) g.Types.mirrored
 
 (* --- checkpoints ----------------------------------------------------- *)
 
@@ -295,19 +296,27 @@ let checkpoint_now t g ?mode ?name () =
      if List.memq g t.recorded then Rr.on_checkpoint g;
      (* Secondary backends (memory stores for debugging, an NVDIMM
         tier, ...) get their own generation: the same image, mirrored
-        into a separate store. Exports run barrier-side — they read the
-        primary's current device content, which is valid while the
-        flush drains. *)
+        into a separate store as a delta against the generation the
+        backend last took while that is still its newest. Exports run
+        barrier-side — they read the primary's current device content,
+        which is valid while the flush drains. *)
      Option.iter
        (fun primary ->
-         List.iter
-           (fun store ->
-             if store != primary then
-               let image =
-                 Sendrecv.export primary ~gen:b.Types.gen ~pgid:g.Types.pgid ()
-               in
-               ignore (Sendrecv.import store image))
-           g.Types.backends)
+         g.Types.mirrored <-
+           List.filter_map
+             (fun store ->
+               if store == primary then None
+               else
+                 let base =
+                   match List.assq_opt store g.Types.mirrored with
+                   | Some (pgen, sgen) when Store.latest store = Some sgen -> Some pgen
+                   | Some _ | None -> None
+                 in
+                 let image =
+                   Sendrecv.export primary ~gen:b.Types.gen ~pgid:g.Types.pgid ?base ()
+                 in
+                 Some (store, (b.Types.gen, fst (Sendrecv.import store image))))
+             g.Types.backends)
        (Types.primary_store g);
      (* Auto-ship to the hot standby: the replication session drives
         the image to durable acknowledgement (or gives up after its

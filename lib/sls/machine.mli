@@ -149,15 +149,16 @@ val attach : t -> Types.pgroup -> Store.t -> unit
 (** Append a backend store ([m.mem_store] for the memory backend). *)
 
 val detach : t -> Types.pgroup -> Store.t -> unit
-(** Remove every attachment of the store. *)
+(** Remove every attachment of the store; re-attaching ships it a full image. *)
 
 val checkpoint_now :
   t -> Types.pgroup -> ?mode:[ `Full | `Incremental ] -> ?name:string -> unit ->
   Types.ckpt_breakdown
 (** `sls checkpoint`: barrier + capture to every attached backend
-    (secondary stores receive the exported image), ship it to the hot
-    standby if one is attached, and enqueue the epoch on the flush
-    pipeline. Also stamps the external-consistency buffer.
+    (a secondary store imports a delta against the generation it last
+    took, or else the full image), ship it to the hot standby if one is
+    attached, and enqueue the epoch on the flush pipeline. Also stamps
+    the external-consistency buffer.
     Returns as soon as the in-flight window has room again (see
     [max_inflight_ckpts]); the returned breakdown's [durable_at] may
     be in the future. Epochs that already landed are retired first —

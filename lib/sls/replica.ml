@@ -80,16 +80,12 @@ let () =
     | _ -> None)
 
 type stats = {
-  ships : int;
   acked : int;
-  skipped : int;
   retransmits : int;
   resyncs : int;
-  naks : int;
   duplicate_frames : int;
   corrupt_rejects : int;
   torn_imports : int;
-  stale_frames : int;
   gave_up : int;
   full_images : int;
   delta_images : int;
@@ -97,9 +93,8 @@ type stats = {
 }
 
 let zero_stats =
-  { ships = 0; acked = 0; skipped = 0; retransmits = 0; resyncs = 0; naks = 0;
-    duplicate_frames = 0; corrupt_rejects = 0; torn_imports = 0; stale_frames = 0;
-    gave_up = 0; full_images = 0; delta_images = 0; wire_bytes = 0 }
+  { acked = 0; retransmits = 0; resyncs = 0; duplicate_frames = 0; corrupt_rejects = 0;
+    torn_imports = 0; gave_up = 0; full_images = 0; delta_images = 0; wire_bytes = 0 }
 
 type t = {
   link : Netlink.t;
@@ -281,10 +276,7 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
        resumed an older session) is NAKed with what the standby holds
        so the primary can resync from the last common generation. *)
     match base with None -> false | Some b -> t.rx_latest <> Some b
-  then begin
-    bump t (fun s -> { s with naks = s.naks + 1 });
-    send_frame t ~from_:(standby_side t) (Nak { seq; have = t.rx_latest })
-  end
+  then send_frame t ~from_:(standby_side t) (Nak { seq; have = t.rx_latest })
   else begin
     match
       (* ACK durability, not arrival: wait for the imported
@@ -329,11 +321,9 @@ let pump_standby t =
        | Error _ ->
          bump t (fun s -> { s with corrupt_rejects = s.corrupt_rejects + 1 });
          metric_incr t "repl.corrupt_rejects"
-       | Ok (sid, _) when sid <> t.sid ->
-         bump t (fun s -> { s with stale_frames = s.stale_frames + 1 })
-       | Ok (_, Data { seq; primary_gen; base; corr; image; pgid = _ }) ->
+       | Ok (sid, Data { seq; primary_gen; base; corr; image; pgid = _ }) when sid = t.sid ->
          standby_apply t ~seq ~primary_gen ~base ~corr ~image
-       | Ok (_, (Ack _ | Nak _)) -> ());
+       | Ok _ -> ());
       loop ()
   in
   loop ()
@@ -351,9 +341,7 @@ let pump_primary t ~want_seq =
           bump t (fun s -> { s with corrupt_rejects = s.corrupt_rejects + 1 });
           metric_incr t "repl.corrupt_rejects";
           verdict
-        | Ok (sid, _) when sid <> t.sid ->
-          bump t (fun s -> { s with stale_frames = s.stale_frames + 1 });
-          verdict
+        | Ok (sid, _) when sid <> t.sid -> verdict
         | Ok (_, Ack { seq; primary_gen }) ->
           (match t.acked with
            | Some a when a >= primary_gen -> ()
@@ -361,7 +349,6 @@ let pump_primary t ~want_seq =
           if seq = want_seq then `Acked else verdict
         | Ok (_, Nak { seq; have }) ->
           if seq = want_seq then begin
-            bump t (fun s -> { s with naks = s.naks + 1 });
             metric_incr t "repl.naks";
             (* The NAK carries the standby's view: adopt it as the last
                common generation. *)
@@ -417,14 +404,11 @@ let choose_mode t ~gen =
 
 let ship t ~gen ~pgid =
   let already = match t.acked with Some a -> gen <= a | None -> false in
-  if already then begin
-    bump t (fun s -> { s with skipped = s.skipped + 1 });
+  if already then
     { sh_gen = gen; sh_outcome = `Skipped; sh_mode = `Full; sh_attempts = 0;
       sh_rtt = Duration.zero; sh_bytes = 0 }
-  end
   else begin
     let started = Clock.now t.clock in
-    bump t (fun s -> { s with ships = s.ships + 1 });
     metric_incr t "repl.ships";
     let resyncs = ref 0 in
     let attempts = ref 0 in

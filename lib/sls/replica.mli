@@ -31,16 +31,12 @@ exception Session_failed of string
     progress (e.g. the link never delivers within the retry budget). *)
 
 type stats = {
-  ships : int;             (** {!ship} calls that transmitted *)
   acked : int;             (** ships acknowledged durable by the standby *)
-  skipped : int;           (** ships of already-acked generations *)
   retransmits : int;       (** timeout-driven re-sends *)
   resyncs : int;           (** full-image fallbacks after a gap or NAK *)
-  naks : int;              (** NAK frames the primary accepted *)
   duplicate_frames : int;  (** data frames the standby had already applied *)
   corrupt_rejects : int;   (** frames or images that failed integrity *)
   torn_imports : int;      (** imports aborted by standby media failure *)
-  stale_frames : int;      (** frames from a dead session incarnation *)
   gave_up : int;           (** ships abandoned after the retry budget *)
   full_images : int;
   delta_images : int;

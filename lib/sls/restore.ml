@@ -102,6 +102,60 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
   done;
   (n_eager, n - n_eager, read_time)
 
+(* What a restore reads, parsed: the manifest, the processes, the VM
+   objects through their shadow chains and the kernel objects. [read]
+   has each record's store oid and bytes, [vms] each VM object's oid. *)
+type walk = {
+  manifest : Serialize.manifest_rec;
+  proc_recs : Serialize.proc_rec list;
+  vmobj_recs : (int, Serialize.vmobj_rec) Hashtbl.t;
+  kobj_recs : (int * string) list;
+  vms : int list;
+  read : (int * string) list;
+}
+
+let walk store ~gen ~pgid =
+  let read = ref [] in
+  let record oid what =
+    match Store.read_record store gen ~oid with
+    | Some data ->
+      read := (oid, data) :: !read;
+      data
+    | None when oid = Oidspace.manifest pgid -> raise (Error (No_manifest { gen; pgid }))
+    | None -> raise (Error (Missing_record { gen; oid; what }))
+  in
+  let manifest = Serialize.parse_manifest (record (Oidspace.manifest pgid) "manifest") in
+  let proc_recs =
+    List.map
+      (fun pid -> Serialize.parse_proc (record (Oidspace.proc pid) "process"))
+      manifest.Serialize.pids
+  in
+  let vmobj_recs = Hashtbl.create 32 and vms = ref [] in
+  let rec load_vmobj obj_oid =
+    if not (Hashtbl.mem vmobj_recs obj_oid) then begin
+      let rec_ = Serialize.parse_vmobj (record (Oidspace.vmobj obj_oid) "vm object") in
+      Hashtbl.replace vmobj_recs obj_oid rec_;
+      vms := obj_oid :: !vms;
+      Option.iter load_vmobj rec_.Serialize.shadow_oid
+    end
+  in
+  List.iter
+    (fun pr ->
+      List.iter
+        (fun (e : Serialize.vm_entry_rec) -> load_vmobj e.Serialize.obj_oid)
+        pr.Serialize.vm_entries)
+    proc_recs;
+  let kobj_recs =
+    List.map
+      (fun oid -> (oid, record (Oidspace.kobj oid) "kernel object"))
+      manifest.Serialize.kobj_oids
+  in
+  { manifest; proc_recs; vmobj_recs; kobj_recs; vms = !vms; read = !read }
+
+let records store ~gen ~pgid =
+  let w = walk store ~gen ~pgid in
+  (List.rev w.read, List.rev_map Oidspace.vmobj w.vms)
+
 let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
     ~new_pids ~root () =
   let clock = k.Kernel.clock in
@@ -119,53 +173,7 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
   in
 
   (* --- phase 1: object store read ----------------------------------- *)
-  let manifest =
-    match Store.read_record store gen ~oid:(Oidspace.manifest pgid) with
-    | Some data -> Serialize.parse_manifest data
-    | None -> raise (Error (No_manifest { gen; pgid }))
-  in
-  let proc_recs =
-    List.map
-      (fun pid ->
-        match Store.read_record store gen ~oid:(Oidspace.proc pid) with
-        | Some data -> Serialize.parse_proc data
-        | None ->
-          raise
-            (Error (Missing_record { gen; oid = Oidspace.proc pid; what = "process" })))
-      manifest.Serialize.pids
-  in
-  (* VM object records, transitively through shadow chains. *)
-  let vmobj_recs = Hashtbl.create 32 in
-  let rec load_vmobj obj_oid =
-    if not (Hashtbl.mem vmobj_recs obj_oid) then begin
-      match Store.read_record store gen ~oid:(Oidspace.vmobj obj_oid) with
-      | None ->
-        raise
-          (Error
-             (Missing_record { gen; oid = Oidspace.vmobj obj_oid; what = "vm object" }))
-      | Some data ->
-        let rec_ = Serialize.parse_vmobj data in
-        Hashtbl.replace vmobj_recs obj_oid rec_;
-        Option.iter load_vmobj rec_.Serialize.shadow_oid
-    end
-  in
-  List.iter
-    (fun pr ->
-      List.iter
-        (fun (e : Serialize.vm_entry_rec) -> load_vmobj e.Serialize.obj_oid)
-        pr.Serialize.vm_entries)
-    proc_recs;
-  let kobj_recs =
-    List.map
-      (fun oid ->
-        match Store.read_record store gen ~oid:(Oidspace.kobj oid) with
-        | Some data -> (oid, data)
-        | None ->
-          raise
-            (Error
-               (Missing_record { gen; oid = Oidspace.kobj oid; what = "kernel object" })))
-      manifest.Serialize.kobj_oids
-  in
+  let { manifest; proc_recs; vmobj_recs; kobj_recs; _ } = walk store ~gen ~pgid in
   let objstore_read = Duration.sub (Clock.now clock) started in
 
   (* --- phase 2: metadata state --------------------------------------- *)

@@ -71,6 +71,13 @@ val restore_result :
     exception. Other exceptions ([Invalid_argument], store failures)
     still propagate. *)
 
+val records : Store.t -> gen:Store.gen -> pgid:int -> (int * string) list * int list
+(** The records {!restore} reads of the group's checkpoint, each read
+    once, as (store oid, bytes) in the order it reads them: the
+    manifest, the processes, the VM objects through their shadow chains
+    and the kernel objects. With them, the store oids of the VM objects
+    whose pages it restores. Raises {!Error} as {!restore} does. *)
+
 val kill_group : Kernel.t -> Types.pgroup -> unit
 (** Terminate and reap every member process (the destructive half of
     rollback). *)

@@ -7,11 +7,12 @@
     mode) models migration; {!Replica} carries the same bytes over a
     network link for remote persistence.
 
-    Incremental feeds simply export successive generations: the
-    receiving store's content-addressed deduplication collapses the
-    unchanged pages, so the wire is the only place the full image
-    costs anything (and a delta export against a base generation
-    avoids even that). *)
+    A full export reads each record and each page of the image once.
+    A delta export against a base generation reads the same records and
+    only the pages and blobs whose block differs from the base's,
+    found by a tree diff that skips the index both generations share
+    ({!Store.fold_pages}), so neither the sender nor the wire pays for
+    what did not change. *)
 
 open Aurora_simtime
 open Aurora_objstore
@@ -19,12 +20,14 @@ open Aurora_objstore
 val export :
   Store.t -> gen:Store.gen -> pgid:int -> ?base:Store.gen -> unit -> string
 (** Serialize everything the group's checkpoint needs, the file system
-    included. With [base], pages and blobs identical in the base
-    generation are omitted (an incremental shipment; the receiver must
-    already hold the base). Reads are charged to the clock (the
-    sender really reads its store). Raises {!Restore.Error} when the
-    generation holds no checkpoint of [pgid] or a referenced record
-    is missing. *)
+    included: the records {!Restore.records} reads, in its order, then
+    the flight-recorder ring and the file system's. With [base], a page
+    or blob whose block is the same in the base generation is omitted
+    (an incremental shipment; the receiver must already hold the base);
+    a base the store does not hold exports everything. Reads are
+    charged to the clock (the sender really reads its store). Raises
+    {!Restore.Error} when the generation holds no checkpoint of [pgid]
+    or a referenced record is missing. *)
 
 val import : Store.t -> string -> Store.gen * Duration.t
 (** Write an exported image into the store as a new generation; returns

@@ -65,6 +65,7 @@ type pgroup = {
   pgid : int;
   mutable target : target;
   mutable backends : Store.t list;
+  mutable mirrored : (Store.t * (Store.gen * Store.gen)) list;
   mutable interval : Duration.t;
   mutable incremental : bool;
   mutable last_gen : Store.gen option;
@@ -81,9 +82,9 @@ type pgroup = {
 type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }
 
 let make_pgroup ~pgid ~target ~interval =
-  { pgid; target; backends = []; interval; incremental = true; last_gen = None;
-    next_ckpt_at = interval; last_breakdown = None; last_attribution = None;
-    log_counts = [] }
+  { pgid; target; backends = []; mirrored = []; interval; incremental = true;
+    last_gen = None; next_ckpt_at = interval; last_breakdown = None;
+    last_attribution = None; log_counts = [] }
 
 let primary_store g =
   match g.backends with s :: _ -> Some s | [] -> None

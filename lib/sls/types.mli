@@ -89,6 +89,9 @@ type pgroup = {
   mutable backends : Store.t list;
       (** object stores on local devices; the first is the group's
           primary (restore source) *)
+  mutable mirrored : (Store.t * (Store.gen * Store.gen)) list;
+      (** per secondary backend, the primary generation it last
+          imported and the generation that import made in it *)
   mutable interval : Duration.t;        (** default 10 ms: "100x per second" *)
   mutable incremental : bool;
   mutable last_gen : Store.gen option;

@@ -82,26 +82,23 @@ let checkpoint_fs store fs ~popen_of_vid =
 
 (* --- restore --------------------------------------------------------- *)
 
-let read_manifest store g =
-  match Store.read_record store g ~oid:fs_manifest_oid with
-  | None -> None
-  | Some data ->
-    let r = Serial.reader data in
-    let root_vid = Serial.r_int r in
-    let paths =
-      Serial.r_list r (fun r ->
-          let path = Serial.r_string r in
-          let vid = Serial.r_int r in
-          let vtype =
-            match Serial.r_u8 r with
-            | 0 -> Vnode.Reg
-            | 1 -> Vnode.Dir
-            | v -> raise (Serial.Corrupt (Printf.sprintf "Slsfs: bad vtype %d" v))
-          in
-          (path, vid, vtype))
-    in
-    let vids = Serial.r_list r Serial.r_int in
-    Some (root_vid, paths, vids)
+let parse_manifest data =
+  let r = Serial.reader data in
+  let root_vid = Serial.r_int r in
+  let paths =
+    Serial.r_list r (fun r ->
+        let path = Serial.r_string r in
+        let vid = Serial.r_int r in
+        let vtype =
+          match Serial.r_u8 r with
+          | 0 -> Vnode.Reg
+          | 1 -> Vnode.Dir
+          | v -> raise (Serial.Corrupt (Printf.sprintf "Slsfs: bad vtype %d" v))
+        in
+        (path, vid, vtype))
+  in
+  let vids = Serial.r_list r Serial.r_int in
+  (root_vid, paths, vids)
 
 let restore_vnode store g vid =
   match Store.read_record store g ~oid:(oid_of_vid vid) with
@@ -137,8 +134,8 @@ let restore_vnode store g vid =
 
 let restore_fs store g =
   let root_vid, paths, vids =
-    match read_manifest store g with
-    | Some m -> m
+    match Store.read_record store g ~oid:fs_manifest_oid with
+    | Some data -> parse_manifest data
     | None -> invalid_arg "Slsfs.restore_fs: no file system manifest in generation"
   in
   let fs = Memfs.create () in

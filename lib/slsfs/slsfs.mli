@@ -30,12 +30,10 @@ val checkpoint_fs :
     [popen_of_vid] reports how many checkpointed descriptions hold each
     vnode open — the on-disk open reference count. *)
 
-val read_manifest :
-  Store.t -> Store.gen -> (int * (string * int * Vnode.vtype) list * int list) option
-(** A generation's namespace manifest: the root vid, every path with
-    its vid and type, and every live vid. [None] when the generation
-    holds no file system; raises [Serial.Corrupt] on a malformed
-    record. *)
+val parse_manifest : string -> int * (string * int * Vnode.vtype) list * int list
+(** The namespace manifest record (at {!fs_manifest_oid}): the root
+    vid, every path with its vid and type, and every live vid. Raises
+    [Serial.Corrupt] on a malformed record. *)
 
 val restore_fs : Store.t -> Store.gen -> Memfs.t
 (** Rebuild a file system from a generation: directories, files, hard

@@ -1413,6 +1413,150 @@ let prop_dedup_matches_hashtbl =
         ops;
       true)
 
+(* A history of six committed generations over five objects: the
+   stripe count, dedup, whether caches are dropped after each commit and
+   before each check, and per generation the pick of its base among
+   those committed so far and runs of page writes (oid, first pindex,
+   length, seed of the first page; seeds repeat every 40 pages, so
+   dedup finds identical content). A large history's first generation
+   fills 5,000 pages of every object, so its tree is three levels
+   deep; otherwise the runs alone split leaves and the root. *)
+type diff_history = {
+  dh_stripes : int;
+  dh_dedup : bool;
+  dh_drop : bool;
+  dh_gens : (int * (int * int * int * int) list) list;
+}
+
+let diff_history_gen =
+  let open QCheck.Gen in
+  frequency [ (4, return 1_000); (1, return 5_000) ] >>= fun span ->
+  let run = quad (int_range 1 5) (int_bound span) (int_bound 300) (int_bound 39) in
+  let fill = if span > 1_000 then List.init 5 (fun o -> (o + 1, 0, span, o)) else [] in
+  map4
+    (fun dh_stripes dh_dedup dh_drop gens ->
+      let dh_gens = List.mapi (fun i (b, runs) -> (b, if i = 0 then fill @ runs else runs)) gens in
+      { dh_stripes; dh_dedup; dh_drop; dh_gens })
+    (int_range 1 3) bool bool
+    (list_repeat 6 (pair nat (list_size (int_range 0 4) run)))
+
+let pp_diff_history h =
+  Printf.sprintf "stripes %d, dedup %b, drop %b: %s" h.dh_stripes h.dh_dedup h.dh_drop
+    (String.concat "; "
+       (List.map
+          (fun (b, runs) ->
+            Printf.sprintf "base %d [%s]" b
+              (String.concat " "
+                 (List.map (fun (o, p, n, s) -> Printf.sprintf "%d:%d+%d@%d" o p n s) runs)))
+          h.dh_gens))
+
+let prop_diff_matches_page_maps =
+  QCheck.Test.make ~name:"tree diff visits exactly the pages whose block differs"
+    ~count:(fuzz_count 60)
+    (QCheck.make ~print:pp_diff_history diff_history_gen)
+    (fun h ->
+      let dev =
+        Aurora_device.Devarray.create ~stripes:h.dh_stripes ~clock:(Clock.create ())
+          ~profile:Aurora_device.Profile.optane_900p "diff"
+      in
+      let s = Store.format ~dedup:h.dh_dedup ~dev () in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let gens =
+        List.fold_left
+          (fun gens (b, runs) ->
+            let base = if gens = [] then None else Some (List.nth gens (b mod List.length gens)) in
+            ignore (Store.begin_generation s ?base ());
+            List.iter
+              (fun (oid, first, n, seed) ->
+                Store.put_pages s ~oid
+                  (Array.init n (fun i -> (first + i, Int64.of_int (((seed + i) mod 40) + 1)))))
+              runs;
+            let g, _ = Store.commit s () in
+            if h.dh_drop then Store.drop_caches s;
+            gens @ [ g ])
+          [] h.dh_gens
+      in
+      (* The pages of [mb] whose block differs from [ma]'s, descending,
+         and the pages added, removed and changed, from one merge of the
+         two ascending maps. *)
+      let compare_maps (ma : Store.page_map) (mb : Store.page_map) =
+        let na = Array.length ma.pindexes and nb = Array.length mb.pindexes in
+        let differ = ref [] and added = ref 0 and removed = ref 0 and changed = ref 0 in
+        let i = ref 0 and j = ref 0 in
+        while !i < na || !j < nb do
+          if !j = nb || (!i < na && ma.pindexes.(!i) < mb.pindexes.(!j)) then begin
+            incr removed;
+            incr i
+          end
+          else begin
+            let p = mb.pindexes.(!j) in
+            if !i < na && p = ma.pindexes.(!i) then begin
+              if ma.blocks.(!i) <> mb.blocks.(!j) then begin
+                incr changed;
+                differ := p :: !differ
+              end;
+              incr i
+            end
+            else begin
+              incr added;
+              differ := p :: !differ
+            end;
+            incr j
+          end
+        done;
+        (!differ, !added, !removed, !changed)
+      in
+      let maps =
+        List.map (fun g -> (g, Array.init 5 (fun o -> Store.page_map s g ~oid:(o + 1)))) gens
+      in
+      let blocks_read () = (Aurora_device.Devarray.stats dev).Aurora_device.Blockdev.blocks_read in
+      List.iter
+        (fun (a, mas) ->
+          List.iter
+            (fun (b, mbs) ->
+              let d = Store.diff s ~from_gen:a ~to_gen:b in
+              let added = ref 0 and removed = ref 0 and changed = ref 0 in
+              let oids_added = ref [] and oids_removed = ref [] and deltas = ref [] in
+              for oid = 1 to 5 do
+                let ma = mas.(oid - 1) and mb = mbs.(oid - 1) in
+                let want, n_added, n_removed, n_changed = compare_maps ma mb in
+                if h.dh_drop then Store.drop_caches s;
+                let read = blocks_read () in
+                let got =
+                  Store.fold_pages s ~base:a b ~oid ~init:[] ~f:(fun acc p seed ->
+                      if Some seed <> Store.peek_page s b ~oid ~pindex:p then
+                        fail "gen %d oid %d: page %d read back wrong" b oid p;
+                      p :: acc)
+                in
+                if a = b && blocks_read () <> read then fail "gen %d over itself read blocks" b;
+                if got <> want then
+                  fail "gen %d over base %d, oid %d: the diff visits %d pages, %d differ" b a
+                    oid (List.length got) (List.length want);
+                added := !added + n_added;
+                removed := !removed + n_removed;
+                changed := !changed + n_changed;
+                let held (m : Store.page_map) = Array.length m.pindexes > 0 in
+                if held mb && not (held ma) then oids_added := oid :: !oids_added;
+                if held ma && not (held mb) then oids_removed := oid :: !oids_removed;
+                if n_added + n_removed + n_changed > 0 then
+                  deltas :=
+                    { Store.d_oid = oid; d_pages_added = n_added; d_pages_removed = n_removed;
+                      d_pages_changed = n_changed }
+                    :: !deltas
+              done;
+              if d.Store.df_changed <> List.rev !deltas
+                 || (d.Store.df_pages_added, d.Store.df_pages_removed, d.Store.df_pages_changed)
+                    <> (!added, !removed, !changed)
+                 || d.Store.df_oids_added <> List.rev !oids_added
+                 || d.Store.df_oids_removed <> List.rev !oids_removed
+              then
+                fail "diff %d -> %d: +%d -%d ~%d, the page maps give +%d -%d ~%d" a b
+                  d.Store.df_pages_added d.Store.df_pages_removed d.Store.df_pages_changed
+                  !added !removed !changed)
+            maps)
+        maps;
+      true)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1434,5 +1578,5 @@ let () =
         [ qt prop_forensics_postmortem_matches_ground_truth ] );
       ( "indexes",
         [ qt prop_btree_matches_map; qt prop_node_decode_matches_stream;
-          qt prop_dedup_matches_hashtbl ] );
+          qt prop_dedup_matches_hashtbl; qt prop_diff_matches_page_maps ] );
     ]

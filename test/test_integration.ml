@@ -562,26 +562,58 @@ let test_in_program_fdctl_mctl () =
 let test_secondary_memory_backend_mirrors () =
   (* "Aurora allows for attaching multiple backends at the same time":
      with a memory backend attached alongside the disk, every
-     checkpoint is mirrored and restores can come from either. *)
+     checkpoint is mirrored and restores can come from either. The
+     mirror takes the full image once, then deltas. *)
   let m = Machine.create () in
   let k = m.Machine.kernel in
   let c = Kernel.new_container k ~name:"mirror" in
-  let p = spawn_parked k ~container:c.Container.cid ~name:"app" in
-  let e = Syscall.mmap_anon k p ~npages:4 in
-  Syscall.mem_write k p ~vpn:e.Vmmap.start_vpn ~offset:0 ~value:404L;
-  let content = Vmmap.read p.Process.vm ~vpn:e.Vmmap.start_vpn in
-  let g = Machine.persist m (`Container c.Container.cid) in
-  Machine.attach m g m.Machine.mem_store;
-  ignore (Machine.checkpoint_now m g ());
-  (* The image landed in the memory store too. *)
-  check_bool "memory store has a generation" true
-    (Store.latest m.Machine.mem_store <> None);
-  let pids, _ =
-    Machine.restore_group m g ~from:m.Machine.mem_store ()
+  let nkeys = 16 * 1024 * 1024 / 8 in
+  let cfg =
+    { (Aurora_apps.Kvstore.default_config ~nkeys ()) with
+      Aurora_apps.Kvstore.spec = Aurora_apps.Workload.write_heavy ~nkeys;
+      ops_per_step = 128;
+      preload = true }
   in
-  let p' = Kernel.proc_exn k (List.hd pids) in
-  check_bool "restored from the memory mirror" true
-    (Content.equal content (Vmmap.read p'.Process.vm ~vpn:e.Vmmap.start_vpn))
+  let p = Aurora_apps.Kvstore.spawn k ~container:c.Container.cid cfg in
+  ignore (Scheduler.step_all k);
+  let g = Machine.persist m ~interval:(Duration.seconds 10) (`Container c.Container.cid) in
+  let primary = m.Machine.disk_store and mirror = m.Machine.mem_store in
+  Machine.attach m g mirror;
+  (* The pages the mirror imported at the checkpoint just taken; the
+     full image is the store's data region. *)
+  let imported () =
+    let gen = Option.get (Store.latest mirror) in
+    (Option.get (Store.gen_provenance mirror gen)).Store.pv_pages
+  in
+  let region = Aurora_apps.Kvstore.npages cfg in
+  let b = Machine.checkpoint_now m g ~mode:`Full () in
+  check_int "the first ship is the full image" region (imported ());
+  let prev = ref b.Types.gen in
+  for _ = 1 to 5 do
+    Machine.run m (Duration.microseconds 200);
+    let b = Machine.checkpoint_now m g () in
+    let d = Store.diff primary ~from_gen:!prev ~to_gen:b.Types.gen in
+    check_int "an incremental ship imports the changed pages"
+      (d.Store.df_pages_added + d.Store.df_pages_changed) (imported ());
+    check_bool "and fewer than the image" true (imported () < region);
+    prev := b.Types.gen
+  done;
+  (* Each store's newest generation, restored into a kernel of its own
+     so the group keeps running here. *)
+  let digest_from store =
+    let k' = (Machine.create ()).Machine.kernel in
+    let gen = Option.get (Store.latest store) in
+    let pids, _ = Restore.restore k' ~store ~gen ~pgid:g.Types.pgid () in
+    Aurora_apps.Kvstore.region_digest k' (Kernel.proc_exn k' (List.hd pids)) cfg
+  in
+  let live = Aurora_apps.Kvstore.region_digest k p cfg in
+  check_bool "restored from the memory mirror" true (Int64.equal live (digest_from mirror));
+  check_bool "restored from disk" true (Int64.equal live (digest_from primary));
+  (* Re-attaching starts the mirror over with a full image. *)
+  Machine.detach m g mirror;
+  Machine.attach m g mirror;
+  ignore (Machine.checkpoint_now m g ());
+  check_int "the first ship after re-attaching is full" region (imported ())
 
 
 (* ------------------------------------------------------------------ *)

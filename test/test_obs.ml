@@ -644,7 +644,7 @@ let golden_sync ~fired =
     (Span.find (Machine.spans m) ~name:"ckpt.backpressure" <> None);
   golden_machine ~fired m ids
 
-let golden_digest = "20293f732c8b658117451cfe028fa954"
+let golden_digest = "50fd121d59f435f09cbfb0feeb25be3f"
 
 let test_golden () =
   let fired = Array.make (List.length Probe.points) 0 in

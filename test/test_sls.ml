@@ -630,15 +630,73 @@ let test_incremental_ship_smaller () =
   let b1 = Machine.checkpoint_now m g () in
   Machine.run m (Duration.microseconds 20);
   let b2 = Machine.checkpoint_now m g () in
-  let full =
-    Sendrecv.export m.Machine.disk_store ~gen:b2.Types.gen ~pgid:g.Types.pgid ()
+  let store = m.Machine.disk_store and gen = b2.Types.gen and pgid = g.Types.pgid in
+  (* An export and the blocks it read, run a second time so the index
+     is cached and only data blocks are read. *)
+  let export ?base () =
+    ignore (Sendrecv.export store ~gen ~pgid ?base ());
+    let read () =
+      (Aurora_device.Devarray.stats m.Machine.nvme).Aurora_device.Blockdev.blocks_read
+    in
+    let before = read () in
+    let image = Sendrecv.export store ~gen ~pgid ?base () in
+    (image, read () - before)
   in
-  let delta =
-    Sendrecv.export m.Machine.disk_store ~gen:b2.Types.gen ~pgid:g.Types.pgid
-      ~base:b1.Types.gen ()
-  in
+  let full, full_reads = export () in
+  let delta, delta_reads = export ~base:b1.Types.gen () in
   check_bool "delta much smaller" true
-    (String.length delta * 2 < String.length full)
+    (String.length delta * 2 < String.length full);
+  (* What the full image holds, counted in a store it is imported into:
+     its records' blocks and its pages (this one has no file data). *)
+  let dev =
+    Aurora_device.Devarray.create ~stripes:1 ~clock:(Machine.clock m)
+      ~profile:Aurora_device.Profile.optane_900p "dst"
+  in
+  let dst = Store.format ~dev () in
+  let igen, _ = Sendrecv.import dst full in
+  let bs = Aurora_device.Blockdev.block_size in
+  let record_blocks, pages =
+    List.fold_left
+      (fun (r, p) oid ->
+        let data = Option.value ~default:"" (Store.read_record dst igen ~oid) in
+        (r + ((String.length data + bs - 1) / bs), p + Store.page_count dst igen ~oid))
+      (0, 0) (Store.oids dst igen)
+  in
+  check_int "full export reads each page and record block once" (pages + record_blocks)
+    full_reads;
+  let d = Store.diff store ~from_gen:b1.Types.gen ~to_gen:gen in
+  check_bool "some pages changed" true (d.Store.df_pages_changed > 0);
+  check_int "delta export reads only the changed pages and the records"
+    (d.Store.df_pages_added + d.Store.df_pages_changed + record_blocks)
+    delta_reads
+
+(* An export reads the records restore reads: a generation without the
+   group's checkpoint, or one missing a record it names, raises
+   restore's typed error. *)
+let test_export_missing_record_typed () =
+  let m = Machine.create () in
+  let c, _ = spawn_walker m ~npages:8 ~limit:1_000_000 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  Machine.run m (Duration.milliseconds 1);
+  let b = Machine.checkpoint_now m g () in
+  let pgid = g.Types.pgid and manifest = Oidspace.manifest g.Types.pgid in
+  check_bool "no checkpoint of the group" true
+    (match Sendrecv.export m.Machine.disk_store ~gen:b.Types.gen ~pgid:(pgid + 1) () with
+     | _ -> false
+     | exception Restore.Error (Restore.No_manifest _) -> true);
+  let dev =
+    Aurora_device.Devarray.create ~stripes:1 ~clock:(Machine.clock m)
+      ~profile:Aurora_device.Profile.optane_900p "torn"
+  in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:manifest
+    (Option.get (Store.read_record m.Machine.disk_store b.Types.gen ~oid:manifest));
+  let gen, _ = Store.commit s () in
+  check_bool "a generation holding only the manifest" true
+    (match Sendrecv.export s ~gen ~pgid () with
+     | _ -> false
+     | exception Restore.Error (Restore.Missing_record { what = "process"; _ }) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Replication                                                         *)
@@ -1093,6 +1151,8 @@ let () =
           Alcotest.test_case "send/recv migration" `Quick test_send_recv_migration;
           Alcotest.test_case "incremental shipment smaller" `Quick
             test_incremental_ship_smaller;
+          Alcotest.test_case "export of a torn generation is typed" `Quick
+            test_export_missing_record_typed;
         ] );
       ( "replication",
         [
