@@ -15,10 +15,11 @@ type stats = {
   flushes : int;
 }
 
-(* An async submission in flight: the writes become durable (on
-   power-loss-protected caches) once the simulated clock passes
-   [done_at]; a crash before that drops them. *)
-type batch = { done_at : Duration.t; writes : (int * content) list }
+(* An async submission in flight: the writes, block [blocks.(i)]
+   taking [contents.(i)], become durable (on power-loss-protected
+   caches) once the simulated clock passes [done_at]; a crash before
+   that drops them. *)
+type batch = { done_at : Duration.t; blocks : int array; contents : content array }
 
 (* A device's instrumentation, resolved once at bind time. Plain data
    only (metric cells, the span tree, the probe registry; never
@@ -197,7 +198,7 @@ let read_many ?cls t indices =
   Clock.advance_to t.clock completion;
   contents
 
-let store_block t ~completed (i, c) =
+let store_block t ~completed i c =
   (match c with
    | Data s when String.length s > block_size ->
      invalid_arg "Blockdev.write: content larger than a block"
@@ -218,43 +219,45 @@ let corrupt_content inj = function
 
 let max_write_retries = 4
 
-(* Apply the fault model to a write submission. Transient write errors
-   are retried by the device controller with exponential backoff — the
-   returned extra cost is added to the transfer and so shows up in
-   simulated time; retries exhausted raises. A write that lands clears
-   any latent error on its sector (the drive remaps it), which is what
-   makes read-repair-by-rewrite actually heal. Silent corruption
-   replaces the stored payload; only an end-to-end checksum can tell. *)
-let apply_write_faults t writes =
+(* Apply the fault model to a write submission, write by write in
+   column order. Transient write errors are retried by the device
+   controller with exponential backoff — the returned extra cost is
+   added to the transfer and so shows up in simulated time; retries
+   exhausted raises. A write that lands clears any latent error on its
+   sector (the drive remaps it), which is what makes
+   read-repair-by-rewrite actually heal. Silent corruption replaces
+   the payload in [contents]; only an end-to-end checksum can tell. *)
+let apply_write_faults t blocks contents =
   match t.faults with
-  | None -> (writes, Duration.zero)
+  | None -> Duration.zero
   | Some inj ->
     if Fault.is_dropped inj then raise (Fault.Io_error (Fault.Dropped { dev = t.name }));
     let retry_cost = ref Duration.zero in
-    let writes =
-      List.map
-        (fun (i, c) ->
-          let rec attempt n =
-            if Fault.draw_transient_write inj then begin
-              if n >= max_write_retries then
-                raise
-                  (Fault.Io_error (Fault.Transient { dev = t.name; op = `Write; phys = i }));
-              retry_cost :=
-                Duration.add !retry_cost
-                  (Duration.scale t.profile.Profile.write_latency (1 lsl n));
-              attempt (n + 1)
-            end
-          in
-          attempt 0;
-          Fault.clear_latent inj i;
-          if Fault.draw_corruption inj then (i, corrupt_content inj c) else (i, c))
-        writes
-    in
-    (writes, !retry_cost)
+    Array.iteri
+      (fun i block ->
+        let rec attempt n =
+          if Fault.draw_transient_write inj then begin
+            if n >= max_write_retries then
+              raise
+                (Fault.Io_error (Fault.Transient { dev = t.name; op = `Write; phys = block }));
+            retry_cost :=
+              Duration.add !retry_cost (Duration.scale t.profile.Profile.write_latency (1 lsl n));
+            attempt (n + 1)
+          end
+        in
+        attempt 0;
+        Fault.clear_latent inj block;
+        if Fault.draw_corruption inj then contents.(i) <- corrupt_content inj contents.(i))
+      blocks;
+    !retry_cost
+
+let columns writes =
+  (Array.of_list (List.map fst writes), Array.of_list (List.map snd writes))
 
 let write_many ?(cls = Iosched.Foreground) t writes =
-  let writes, retry_cost = apply_write_faults t writes in
-  let n = List.length writes in
+  let blocks, contents = columns writes in
+  let retry_cost = apply_write_faults t blocks contents in
+  let n = Array.length blocks in
   if n > 0 then charge_sync t ~cls ~op:`Write ~blocks:n;
   if Duration.(retry_cost > zero) then begin
     Iosched.extend t.sched retry_cost;
@@ -267,67 +270,72 @@ let write_many ?(cls = Iosched.Foreground) t writes =
        Clock.advance t.clock retry_cost)
   end;
   t.st <- { t.st with writes = t.st.writes + 1; blocks_written = t.st.blocks_written + n };
-  List.iter (store_block t ~completed:true) writes
+  Array.iteri (fun i b -> store_block t ~completed:true b contents.(i)) blocks
 
 let write ?cls t i c = write_many ?cls t [ (i, c) ]
 
-(* Queue one transfer per extent (latency charged per extent, bandwidth
-   per block); the whole submission completes — and, on non-volatile
-   caches, becomes durable — at the time the last extent drains. *)
-let write_extents ?not_before ?(cls = Iosched.Flush) t extents =
-  let extents = List.filter (fun e -> e <> []) extents in
-  let extents, retry_cost =
-    if t.faults = None then (extents, Duration.zero)
-    else begin
-      let total = ref Duration.zero in
-      let extents =
-        List.map
-          (fun e ->
-            let e', c = apply_write_faults t e in
-            total := Duration.add !total c;
-            e')
-          extents
-      in
-      (extents, !total)
-    end
+(* When an empty submission would have completed. *)
+let idle_completion ?not_before t =
+  let start = Duration.max (Clock.now t.clock) (busy_until t) in
+  match not_before with
+  | Some at -> Duration.max start at
+  | None -> start
+
+(* Queue one submission of [transfers] transfers costing [cost] in all
+   (latency per transfer, bandwidth per block, controller retries
+   included); it completes — and, on non-volatile caches, becomes
+   durable — when the last transfer drains. Content is visible
+   immediately (the store serializes access), but the batch is
+   remembered as in flight so a crash before completion can drop
+   it. *)
+let queue_writes ?not_before ~cls t blocks contents ~transfers ~cost =
+  let n = Array.length blocks in
+  let start, completion =
+    Iosched.schedule t.sched ~now:(Clock.now t.clock) ?not_before ~cls ~cost ~blocks:n
   in
-  let nblocks = List.fold_left (fun acc e -> acc + List.length e) 0 extents
-  and nextents = List.length extents in
-  if nextents = 0 then begin
-    let start = Duration.max (Clock.now t.clock) (busy_until t) in
-    match not_before with
-    | Some at -> Duration.max start at
-    | None -> start
-  end
+  t.st <- { t.st with writes = t.st.writes + transfers;
+                      blocks_written = t.st.blocks_written + n };
+  note_command t Extents ~cls ~commands:transfers ~blocks:n ~start_at:start ~end_at:completion
+    cost;
+  Array.iteri (fun i b -> store_block t ~completed:false b contents.(i)) blocks;
+  t.pending <- { done_at = completion; blocks; contents } :: t.pending;
+  completion
+
+let write_cost t ~blocks = Profile.transfer_cost t.profile ~op:`Write ~bytes:(blocks * block_size)
+
+let write_sorted ?not_before ?(cls = Iosched.Flush) t blocks contents =
+  let n = Array.length blocks in
+  if Array.length contents <> n then invalid_arg "Blockdev.write_sorted: column lengths differ";
+  if n = 0 then idle_completion ?not_before t
   else begin
-    let cost =
-      List.fold_left
-        (fun acc e ->
-          Duration.add acc
-            (Profile.transfer_cost t.profile ~op:`Write
-               ~bytes:(List.length e * block_size)))
-        (* Controller-internal write retries extend the transfer. *)
-        retry_cost extents
-    in
-    let start, completion =
-      Iosched.schedule t.sched ~now:(Clock.now t.clock) ?not_before ~cls ~cost
-        ~blocks:nblocks
-    in
-    t.st <- { t.st with writes = t.st.writes + nextents;
-                        blocks_written = t.st.blocks_written + nblocks };
-    note_command t Extents ~cls ~commands:nextents ~blocks:nblocks
-      ~start_at:start ~end_at:completion cost;
-    (* Content is visible immediately (the store serializes access),
-       but the batch is remembered as in-flight so a crash before
-       completion can drop it; completion also gates durability on
-       non-volatile caches. *)
-    let writes = List.concat extents in
-    List.iter (store_block t ~completed:false) writes;
-    t.pending <- { done_at = completion; writes } :: t.pending;
-    completion
+    (* A run continues while each block is at most one past the one
+       before it; a repeated block stays in its run. *)
+    let cost = ref Duration.zero and transfers = ref 1 and run = ref 1 in
+    for i = 1 to n - 1 do
+      if blocks.(i) < blocks.(i - 1) then
+        invalid_arg "Blockdev.write_sorted: blocks not in ascending order";
+      if blocks.(i) > blocks.(i - 1) + 1 then begin
+        cost := Duration.add !cost (write_cost t ~blocks:!run);
+        incr transfers;
+        run := 0
+      end;
+      incr run
+    done;
+    let cost = Duration.add !cost (write_cost t ~blocks:!run) in
+    let retry_cost = apply_write_faults t blocks contents in
+    queue_writes ?not_before ~cls t blocks contents ~transfers:!transfers
+      ~cost:(Duration.add retry_cost cost)
   end
 
-let write_async ?not_before ?cls t writes = write_extents ?not_before ?cls t [ writes ]
+let write_async ?not_before ?(cls = Iosched.Flush) t writes =
+  let blocks, contents = columns writes in
+  let n = Array.length blocks in
+  if n = 0 then idle_completion ?not_before t
+  else begin
+    let retry_cost = apply_write_faults t blocks contents in
+    queue_writes ?not_before ~cls t blocks contents ~transfers:1
+      ~cost:(Duration.add retry_cost (write_cost t ~blocks:n))
+  end
 
 (* A small control write on its own submission queue: charged from the
    current instant instead of behind queued data transfers — modeling a
@@ -335,16 +343,13 @@ let write_async ?not_before ?cls t writes = write_extents ?not_before ?cls t [ w
    box). It does not extend [busy_until], so a crash can find it
    durable while an earlier, larger data submission is still in flight.
    Crash and durability semantics are otherwise write_async's. *)
-let write_oob t writes =
-  let writes, retry_cost = apply_write_faults t writes in
-  let n = List.length writes in
+let write_oob t blocks contents =
+  let retry_cost = apply_write_faults t blocks contents in
+  let n = Array.length blocks in
   if n = 0 then Clock.now t.clock
   else begin
     let start = Clock.now t.clock in
-    let cost =
-      Duration.add retry_cost
-        (Profile.transfer_cost t.profile ~op:`Write ~bytes:(n * block_size))
-    in
+    let cost = Duration.add retry_cost (write_cost t ~blocks:n) in
     let completion = Duration.add start cost in
     (* Timing stays out-of-band (its own queue pair, charged from now),
        but the traffic is accounted to the Background class. *)
@@ -353,8 +358,8 @@ let write_oob t writes =
                         blocks_written = t.st.blocks_written + n };
     note_command t Oob ~cls:Iosched.Background ~commands:1 ~blocks:n
       ~start_at:start ~end_at:completion cost;
-    List.iter (store_block t ~completed:false) writes;
-    t.pending <- { done_at = completion; writes } :: t.pending;
+    Array.iteri (fun i b -> store_block t ~completed:false b contents.(i)) blocks;
+    t.pending <- { done_at = completion; blocks; contents } :: t.pending;
     completion
   end
 
@@ -368,7 +373,8 @@ let settle_pending t =
   in
   if not t.profile.Profile.volatile_cache then
     List.iter
-      (fun batch -> List.iter (fun (i, c) -> Blockvec.set t.durable i c) batch.writes)
+      (fun batch ->
+        Array.iteri (fun i b -> Blockvec.set t.durable b batch.contents.(i)) batch.blocks)
       (List.rev done_);
   t.pending <- still
 

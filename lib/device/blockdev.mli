@@ -105,32 +105,37 @@ val write_many : ?cls:Iosched.cls -> t -> (int * content) list -> unit
 val write_async :
   ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> (int * content) list ->
   Duration.t
-(** Queue the writes on the device timeline; returns the absolute
-    simulated time at which they complete (and, for non-volatile
-    caches, become durable). Does not advance the clock. [cls]
-    defaults to [Flush] — checkpoint extents are the dominant async
-    traffic. [not_before] delays the transfer's start past the given
-    absolute time even if the queue drains earlier — the commit
+(** Queue the writes on the device timeline as one transfer; returns
+    the absolute simulated time at which they complete (and, for
+    non-volatile caches, become durable). Does not advance the clock.
+    [cls] defaults to [Flush] — checkpoint extents are the dominant
+    async traffic. [not_before] delays the transfer's start past the
+    given absolute time even if the queue drains earlier — the commit
     barrier: a superblock write ordered after in-flight data on
     {e other} devices of an array. *)
 
-val write_extents :
-  ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> (int * content) list list ->
+val write_sorted :
+  ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> int array -> content array ->
   Duration.t
-(** Like {!write_async}, but each inner list is one contiguous extent
-    and is charged as its own transfer (latency per extent, bandwidth
-    per block). Durability semantics are per-submission: all extents
-    complete together at the returned time. Empty extents are
-    ignored. *)
+(** [write_sorted t blocks contents]: like {!write_async}, block
+    [blocks.(i)] taking [contents.(i)], for blocks in ascending order
+    (a repeated block keeps its last content). Each run of blocks, each
+    at most one past the one before, is charged as its own transfer
+    (latency per run, bandwidth per block); all complete together at
+    the returned time. The device keeps both columns as the in-flight
+    batch, and a silently corrupted write replaces its slot of
+    [contents]. Raises [Invalid_argument] if the columns' lengths
+    differ or the blocks descend anywhere. *)
 
-val write_oob : t -> (int * content) list -> Duration.t
-(** A small control write on a dedicated submission queue: completion
-    is charged from {e now} rather than behind queued data transfers
-    (a separate NVMe queue pair), so it can become durable while an
-    earlier, larger submission is still draining. Used for the store's
-    black-box slot. Crash and durability semantics match
-    {!write_async}; [busy_until] is not extended. Accounted to the
-    [Background] class without being scheduled. *)
+val write_oob : t -> int array -> content array -> Duration.t
+(** A small control write, as columns like {!write_sorted}'s, on a
+    dedicated submission queue: completion is charged from {e now}
+    rather than behind queued data transfers (a separate NVMe queue
+    pair), so it can become durable while an earlier, larger submission
+    is still draining. Used for the store's black-box slot. Crash and
+    durability semantics match {!write_async}; [busy_until] is not
+    extended. Accounted to the [Background] class without being
+    scheduled. *)
 
 val await : t -> Duration.t -> unit
 (** Advance the clock to the given absolute completion time if it is in

@@ -61,29 +61,76 @@ let logical t ~dev ~phys =
   if phys < 0 then invalid_arg "Devarray.logical: negative block";
   (phys * t.stripes) + dev
 
-(* Partition logical writes into per-device (phys, content) lists,
-   preserving submission order within each device. *)
-let partition t writes =
-  let per_dev = Array.make t.stripes [] in
-  List.iter
-    (fun (b, c) ->
-      let d, phys = locate t b in
-      per_dev.(d) <- (phys, c) :: per_dev.(d))
-    writes;
-  Array.map List.rev per_dev
+(* Each device's share of a submission of [n] writes, as one key per
+   write, [phys * n + pos] for write [pos] to physical block [phys]:
+   ordering keys orders by physical block first and submission position
+   second. Counting the blocks per device first, as [read_many_arr]
+   does, sizes each device's column exactly; keys go in in submission
+   order. *)
+let device_keys t blocks =
+  let n = Array.length blocks in
+  let counts = Array.make t.stripes 0 in
+  Array.iter
+    (fun b ->
+      if b < 0 then invalid_arg "Devarray: negative block index";
+      let d = b mod t.stripes in
+      counts.(d) <- counts.(d) + 1)
+    blocks;
+  let keys = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 t.stripes 0;
+  Array.iteri
+    (fun pos b ->
+      let d = b mod t.stripes in
+      keys.(d).(counts.(d)) <- ((b / t.stripes) * n) + pos;
+      counts.(d) <- counts.(d) + 1)
+    blocks;
+  keys
 
-(* Coalesce a device's writes into extents of contiguous physical
-   blocks. A stable sort keeps rewrite order for duplicate blocks. *)
-let extents_of writes =
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) writes in
-  let flush_run run acc = if run = [] then acc else List.rev run :: acc in
-  let rec go acc run prev = function
-    | [] -> List.rev (flush_run run acc)
-    | (phys, c) :: rest ->
-      if prev >= 0 && phys <= prev + 1 then go acc ((phys, c) :: run) phys rest
-      else go (flush_run run acc) [ (phys, c) ] phys rest
-  in
-  go [] [] (-1) sorted
+(* Turn a device's keys into its physical blocks, in place, and return
+   their contents in the same order. *)
+let decode keys ~n contents =
+  let cs = Array.map (fun k -> contents.(k mod n)) keys in
+  Array.iteri (fun i k -> keys.(i) <- k / n) keys;
+  cs
+
+(* Sort a device's keys in place. Keys that already ascend are left as
+   they are. Otherwise a submission is mostly a fresh extent in order,
+   with a few record chunks and replicas out of place, so only the keys
+   below the running maximum are taken out and sorted, and then merged
+   back from the top. Keys are distinct: each carries its position. *)
+let sort_keys keys =
+  let n = Array.length keys in
+  let late = ref 0 and top = ref min_int in
+  for i = 0 to n - 1 do
+    if keys.(i) < !top then incr late else top := keys.(i)
+  done;
+  if !late > 0 then begin
+    let late_keys = Array.make !late 0 and kept = ref 0 in
+    top := min_int;
+    for i = 0 to n - 1 do
+      let k = keys.(i) in
+      if k < !top then late_keys.(i - !kept) <- k
+      else begin
+        top := k;
+        keys.(!kept) <- k;
+        incr kept
+      end
+    done;
+    Array.sort Int.compare late_keys;
+    (* Place the late keys from the largest down, each above the kept
+       keys below it, shifting up the kept keys above it. *)
+    let i = ref (!kept - 1) in
+    for j = !late - 1 downto 0 do
+      while !i >= 0 && keys.(!i) > late_keys.(j) do
+        keys.(!i + j + 1) <- keys.(!i);
+        decr i
+      done;
+      keys.(!i + j + 1) <- late_keys.(j)
+    done
+  end
+
+let columns writes =
+  (Array.of_list (List.map fst writes), Array.of_list (List.map snd writes))
 
 (* --- synchronous I/O ------------------------------------------------ *)
 
@@ -129,34 +176,21 @@ let read_many_arr ?cls t indices =
 
 (* --- asynchronous I/O ----------------------------------------------- *)
 
-let submit ?not_before ?cls t writes =
-  let per_dev = partition t writes in
-  let completion = ref Duration.zero in
-  Array.iteri
-    (fun d dev_writes ->
-      if dev_writes <> [] then begin
-        let exts = extents_of dev_writes in
-        let done_at = Blockdev.write_extents ?not_before ?cls t.devs.(d) exts in
-        completion := Duration.max !completion done_at;
-        match t.current with
-        | None -> ()
-        | Some g -> g.(d) <- Duration.max g.(d) done_at
-      end)
-    per_dev;
-  !completion
-
-(* Out-of-band control writes: each touched device takes them on its
-   dedicated submission queue (see {!Blockdev.write_oob}), so they can
-   land while larger queued data transfers are still draining. *)
+(* Out-of-band control writes: each touched device takes its share, in
+   submission order, on its dedicated submission queue (see
+   {!Blockdev.write_oob}), so they can land while larger queued data
+   transfers are still draining. *)
 let write_oob t writes =
-  let per_dev = partition t writes in
+  let blocks, contents = columns writes in
+  let n = Array.length blocks in
   let completion = ref Duration.zero in
   Array.iteri
-    (fun d dev_writes ->
-      if dev_writes <> [] then
-        completion :=
-          Duration.max !completion (Blockdev.write_oob t.devs.(d) dev_writes))
-    per_dev;
+    (fun d keys ->
+      if Array.length keys > 0 then begin
+        let cs = decode keys ~n contents in
+        completion := Duration.max !completion (Blockdev.write_oob t.devs.(d) keys cs)
+      end)
+    (device_keys t blocks);
   !completion
 
 (* --- completion groups ----------------------------------------------- *)
@@ -182,11 +216,29 @@ let busy_until t =
     (fun acc dev -> Duration.max acc (Blockdev.busy_until dev))
     Duration.zero t.devs
 
-let write_async ?not_before ?cls t writes =
-  let completion = submit ?not_before ?cls t writes in
-  if Duration.equal completion Duration.zero then
+let write_async_arr ?not_before ?cls t blocks contents =
+  let n = Array.length blocks in
+  if Array.length contents <> n then invalid_arg "Devarray.write_async_arr: column lengths differ";
+  let completion = ref Duration.zero in
+  Array.iteri
+    (fun d keys ->
+      if Array.length keys > 0 then begin
+        sort_keys keys;
+        let cs = decode keys ~n contents in
+        let done_at = Blockdev.write_sorted ?not_before ?cls t.devs.(d) keys cs in
+        completion := Duration.max !completion done_at;
+        match t.current with
+        | None -> ()
+        | Some g -> g.(d) <- Duration.max g.(d) done_at
+      end)
+    (device_keys t blocks);
+  if Duration.equal !completion Duration.zero then
     Duration.max (Clock.now (clock t)) (busy_until t)
-  else completion
+  else !completion
+
+let write_async ?not_before ?cls t writes =
+  let blocks, contents = columns writes in
+  write_async_arr ?not_before ?cls t blocks contents
 
 let write_barrier ?cls t writes =
   write_async ~not_before:(busy_until t) ?cls t writes

@@ -9,10 +9,12 @@
     {v logical b  ->  device (b mod n), physical (b / n) v}
 
     so a contiguous logical extent fans out across every device while
-    each device receives a contiguous physical run. Every submission
-    is partitioned per device, contiguous physical blocks are
-    coalesced into extents (one transfer charge per extent per
-    device), and the array's completion time is the {e max} over the
+    each device receives a contiguous physical run. A submission is a
+    column of blocks beside a column of contents. It is split per
+    device by counting each device's blocks, each device's share is
+    ordered by physical block (submission order among repeats), and
+    the device charges one transfer per run of contiguous physical
+    blocks. The array's completion time is the {e max} over the
     devices touched — parallel submissions genuinely overlap in
     simulated time, so an N-stripe flush of K blocks finishes in ~1/N
     the single-device time.
@@ -74,13 +76,26 @@ val write_many : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> unit
 
 (* --- asynchronous I/O and the commit barrier ------------------------ *)
 
+val write_async_arr :
+  ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> int array ->
+  Blockdev.content array -> Duration.t
+(** [write_async_arr t blocks contents]: logical block [blocks.(i)]
+    takes [contents.(i)]. Each device gets one exact-size column of
+    keys, physical block first and submission position second. A column
+    that already ascends is not sorted; otherwise only the keys that
+    arrive below the running maximum are sorted and merged back, so a
+    fresh extent with a few blocks out of place orders in linear time.
+    {!Blockdev.write_sorted} queues the column as one submission, with
+    one transfer per run of contiguous physical blocks. Returns the
+    {e max} completion time; does not advance the clock. [cls] defaults
+    to [Flush]. The devices keep the per-device columns, not the
+    caller's. Raises [Invalid_argument] on a negative block or columns
+    of different lengths. *)
+
 val write_async :
   ?not_before:Duration.t -> ?cls:Iosched.cls -> t ->
   (int * Blockdev.content) list -> Duration.t
-(** Partition the writes per device, coalesce contiguous physical
-    blocks into extents, queue one submission per device, and return
-    the {e max} completion time. Does not advance the clock. [cls]
-    defaults to [Flush]. *)
+(** {!write_async_arr} of a list of [(block, content)] pairs. *)
 
 val write_oob : t -> (int * Blockdev.content) list -> Duration.t
 (** Out-of-band control write: dedicated per-device submission queues

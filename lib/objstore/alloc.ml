@@ -135,6 +135,14 @@ let incref t block =
   if n >= refs_limit then too_many "incref" block;
   store t block (n + 1)
 
+(* A top-level walk, so running the hooks allocates no closure over
+   [block]. *)
+let rec run_hooks block = function
+  | [] -> ()
+  | f :: rest ->
+    f block;
+    run_hooks block rest
+
 let decref t block =
   match refcount t block with
   | n when n > 1 -> store t block (n - 1)
@@ -146,7 +154,7 @@ let decref t block =
     if t.defer_frees then t.parked <- block :: t.parked
     else t.free_list <- block :: t.free_list;
     t.live <- t.live - 1;
-    List.iter (fun f -> f block) t.on_free
+    run_hooks block t.on_free
   | _ -> invalid_arg (Printf.sprintf "Alloc.decref: dead block %d" block)
 
 let live_blocks t = t.live

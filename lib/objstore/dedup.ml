@@ -24,8 +24,9 @@ module Table = struct
   let[@inline] value_at t i = Int64.to_int (Bytes.get_int64_le t.slots ((16 * i) + 8))
   let[@inline] set_value t i v = Bytes.set_int64_le t.slots ((16 * i) + 8) (Int64.of_int v)
 
-  (* The slot holding [hash], or the empty slot that ends its run. *)
-  let slot t hash =
+  (* The slot holding [hash], or the empty slot that ends its run.
+     Inlined, so a hash read from a byte column stays unboxed. *)
+  let[@inline] slot t hash =
     let i = ref (Int64.to_int hash land t.mask) in
     while value_at t !i >= 0 && not (Int64.equal (hash_at t !i) hash) do
       i := (!i + 1) land t.mask
@@ -33,19 +34,21 @@ module Table = struct
     !i
 
   let find t hash = value_at t (slot t hash)
+  let find_in t col i = value_at t (slot t (Bytes.get_int64_le col (8 * i)))
 
   let length t = t.count
 
-  let rec replace t hash v =
-    if v < 0 then invalid_arg "Dedup.Table.replace: negative value";
-    let i = slot t hash in
+  (* Map the hash at byte [off] of [col] to [v]. *)
+  let rec put t col off v =
+    if v < 0 then invalid_arg "Dedup.Table.replace_in: negative value";
+    let i = slot t (Bytes.get_int64_le col off) in
     if value_at t i >= 0 then set_value t i v
     else if 2 * (t.count + 1) > t.mask + 1 then begin
       grow t;
-      replace t hash v
+      put t col off v
     end
     else begin
-      Bytes.set_int64_le t.slots (16 * i) hash;
+      Bytes.blit col off t.slots (16 * i) 8;
       set_value t i v;
       t.count <- t.count + 1
     end
@@ -57,14 +60,16 @@ module Table = struct
     t.count <- 0;
     for i = 0 to n - 1 do
       let v = Int64.to_int (Bytes.get_int64_le old ((16 * i) + 8)) in
-      if v >= 0 then replace t (Bytes.get_int64_le old (16 * i)) v
+      if v >= 0 then put t old (16 * i) v
     done
+
+  let replace_in t col i v = put t col (8 * i) v
 
   (* Backward-shift deletion: walk the rest of the run and move back
      into the hole every entry whose home slot does not lie cyclically
      in (hole, j], so no run is left broken by an empty slot. *)
-  let remove t hash =
-    let hole = ref (slot t hash) in
+  let remove_in t col i =
+    let hole = ref (slot t (Bytes.get_int64_le col (8 * i))) in
     if value_at t !hole >= 0 then begin
       t.count <- t.count - 1;
       let j = ref ((!hole + 1) land t.mask) in
@@ -97,10 +102,8 @@ type t = {
   mutable bytes_saved : int;
 }
 
-let hash_of t block =
-  if 8 * block < Bytes.length t.by_block then Bytes.get_int64_le t.by_block (8 * block) else 0L
-
-let set_hash t block hash =
+(* Room in [by_block] for [block]'s slot, doubling as needed. *)
+let cover t block =
   if 8 * block >= Bytes.length t.by_block then begin
     let n = ref (max 1024 (Bytes.length t.by_block / 8)) in
     while !n <= block do
@@ -109,33 +112,42 @@ let set_hash t block hash =
     let b = Bytes.make (8 * !n) '\000' in
     Bytes.blit t.by_block 0 b 0 (Bytes.length t.by_block);
     t.by_block <- b
-  end;
-  Bytes.set_int64_le t.by_block (8 * block) hash
+  end
 
+(* A freed block's entry goes when its hash, read in place from its
+   own slot of [by_block], still maps to it. *)
 let create ~alloc =
   let t = { by_hash = Table.create 0; by_block = Bytes.empty; hits = 0; misses = 0;
             bytes_saved = 0 } in
   Alloc.add_on_free alloc (fun block ->
-      let hash = hash_of t block in
-      if Table.find t.by_hash hash = block then begin
-        set_hash t block 0L;
-        Table.remove t.by_hash hash
+      if 8 * block < Bytes.length t.by_block && Table.find_in t.by_hash t.by_block block = block
+      then begin
+        Table.remove_in t.by_hash t.by_block block;
+        Bytes.set_int64_le t.by_block (8 * block) 0L
       end);
   t
 
 let peek t ~hash = Table.find t.by_hash hash
 
-let find t ~hash =
-  let block = Table.find t.by_hash hash in
+let counted t block =
   if block >= 0 then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   block
 
-let add t ~hash ~block =
-  let existing = Table.find t.by_hash hash in
+let find t ~hash = counted t (Table.find t.by_hash hash)
+let find_in t hashes i = counted t (Table.find_in t.by_hash hashes i)
+
+let add_in t hashes i ~block =
+  let existing = Table.find_in t.by_hash hashes i in
   if existing >= 0 && existing <> block then
     invalid_arg "Dedup.add: hash already mapped to a different block";
-  Table.replace t.by_hash hash block;
-  set_hash t block hash
+  cover t block;
+  Bytes.set_int64_le t.by_block (8 * block) (Bytes.get_int64_le hashes (8 * i));
+  Table.replace_in t.by_hash t.by_block block block
+
+let add t ~hash ~block =
+  let col = Bytes.create 8 in
+  Bytes.set_int64_le col 0 hash;
+  add_in t col 0 ~block
 
 let entries t = Table.length t.by_hash
 let hits t = t.hits

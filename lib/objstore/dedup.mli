@@ -10,8 +10,12 @@
     The index is an open-addressed {!Table} from hash to block, beside
     a reverse map from block to hash kept as 8 bytes a block. Neither
     holds a heap block per entry, and a lookup allocates nothing.
-    Entries are dropped automatically when their block is freed (the
-    index registers an [Alloc] free hook). *)
+    Batched callers keep their hashes in a byte column, 8 bytes a hash,
+    and the [_in] functions read each one there in place: an [int64]
+    passed to a function of another module is boxed. Entries are
+    dropped automatically when their block is freed (the index
+    registers an [Alloc] free hook, which probes with the block's own
+    slot of the reverse map). *)
 
 (** An open-addressed map from 64-bit content hashes to non-negative
     ints, with no heap block per entry: each slot holds a hash and its
@@ -28,12 +32,18 @@ module Table : sig
   val find : t -> int64 -> int
   (** The value mapped to the hash, or -1. *)
 
-  val replace : t -> int64 -> int -> unit
-  (** Map the hash to a value, growing the table as needed. Raises
+  val find_in : t -> Bytes.t -> int -> int
+  (** [find_in t hashes i]: {!find} of the hash in bytes [8i, 8i + 8)
+      of [hashes], read in place. *)
+
+  val replace_in : t -> Bytes.t -> int -> int -> unit
+  (** [replace_in t hashes i v]: map the hash in bytes [8i, 8i + 8) of
+      [hashes] to [v], growing the table as needed. Raises
       [Invalid_argument] on a negative value. *)
 
-  val remove : t -> int64 -> unit
-  (** Drop the hash's entry, if any. *)
+  val remove_in : t -> Bytes.t -> int -> unit
+  (** Drop the entry of the hash in bytes [8i, 8i + 8) of the column,
+      if any. *)
 
   val length : t -> int
 
@@ -48,6 +58,10 @@ val create : alloc:Alloc.t -> t
 val find : t -> hash:int64 -> int
 (** Block already holding content with this hash, or -1. *)
 
+val find_in : t -> Bytes.t -> int -> int
+(** [find_in t hashes i]: {!find} of the hash in bytes [8i, 8i + 8) of
+    [hashes], read in place. *)
+
 val peek : t -> hash:int64 -> int
 (** Like {!find} but without touching the hit/miss counters. Read
     repair uses this to locate a surviving duplicate of a corrupted
@@ -57,6 +71,10 @@ val add : t -> hash:int64 -> block:int -> unit
 (** Record that [block] holds content hashing to [hash]. Raises
     [Invalid_argument] if the hash is already mapped to a different
     block. *)
+
+val add_in : t -> Bytes.t -> int -> block:int -> unit
+(** [add_in t hashes i ~block]: {!add} of the hash in bytes
+    [8i, 8i + 8) of [hashes]. *)
 
 val entries : t -> int
 val hits : t -> int

@@ -114,7 +114,9 @@ type t = {
   mutable gentable_csum : int64;     (* hash of the encoded table *)
   mutable open_gen : gen option;     (* generation being built *)
   mutable open_root : int;           (* its working root, while open *)
-  mutable pending_pages : (int * Blockdev.content) list; (* data block writes *)
+  mutable pending : (int array * Blockdev.content array) list;
+  (* Data block writes queued for the commit flush, newest chunk first:
+     block [blocks.(i)] of a chunk takes [contents.(i)]. *)
   mutable prot : protection;
   csums : (int, int64) Hashtbl.t;    (* block -> expected content hash *)
   mirrors : (int, int) Hashtbl.t;    (* primary block -> mirror block *)
@@ -392,7 +394,7 @@ let make ?(dedup = true) ?prot dev =
       gentable_blocks = []; prev_gentable_blocks = [];
       gentable_mirror_blocks = []; prev_gentable_mirror_blocks = [];
       gentable_csum = Fnv.fnv1a ""; open_gen = None; open_root = -1;
-      pending_pages = [];
+      pending = [];
       prot; csums = Hashtbl.create 4096; mirrors = Hashtbl.create 256;
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
@@ -627,23 +629,47 @@ let tree_insert t key value =
 let note_csum t block content =
   if t.prot.verify then Hashtbl.replace t.csums block (checksum_content content)
 
-(* Queue a data block for the commit flush, recording its checksum and
-   (when mirroring) allocating and queueing a replica in the same
-   batch. *)
-let queue_data t block content =
-  note_csum t block content;
-  t.pending_pages <- (block, content) :: t.pending_pages;
+let queue_chunk t blocks contents = t.pending <- (blocks, contents) :: t.pending
+
+(* Queue a chunk of data blocks for the commit flush and count them,
+   recording each block's checksum and (when mirroring) allocating and
+   queueing its replica, as a one-entry chunk, in the same batch. *)
+let queue_data t blocks contents =
+  queue_chunk t blocks contents;
   (match open_prov t with
-   | Some p -> p.pv_data_blocks <- p.pv_data_blocks + 1
+   | Some p -> p.pv_data_blocks <- p.pv_data_blocks + Array.length blocks
    | None -> ());
-  if t.prot.mirror && not (Hashtbl.mem t.mirrors block) then begin
-    let m = Alloc.alloc t.alloc in
-    Hashtbl.replace t.mirrors block m;
-    t.pending_pages <- (m, content) :: t.pending_pages;
-    match open_prov t with
-    | Some p -> p.pv_mirror_blocks <- p.pv_mirror_blocks + 1
-    | None -> ()
-  end
+  if t.prot.verify || t.prot.mirror then
+    Array.iteri
+      (fun i block ->
+        let content = contents.(i) in
+        note_csum t block content;
+        if t.prot.mirror && not (Hashtbl.mem t.mirrors block) then begin
+          let m = Alloc.alloc t.alloc in
+          Hashtbl.replace t.mirrors block m;
+          queue_chunk t [| m |] [| content |];
+          match open_prov t with
+          | Some p -> p.pv_mirror_blocks <- p.pv_mirror_blocks + 1
+          | None -> ()
+        end)
+      blocks
+
+(* The queued chunks joined into one column pair, in queueing order;
+   nothing stays queued. *)
+let take_pending t =
+  let chunks = t.pending in
+  t.pending <- [];
+  let n = List.fold_left (fun n (blocks, _) -> n + Array.length blocks) 0 chunks in
+  let blocks = Array.make n 0 and contents = Array.make n Blockdev.Zero in
+  ignore
+    (List.fold_left
+       (fun at (b, c) ->
+         let at = at - Array.length b in
+         Array.blit b 0 blocks at (Array.length b);
+         Array.blit c 0 contents at (Array.length c);
+         at)
+       n chunks);
+  (blocks, contents)
 
 (* A dedup hit (or an intra-batch duplicate) is one avoided write:
    credit the generation's provenance and the index's savings ledger. *)
@@ -678,7 +704,7 @@ let put_record t ~oid data =
   List.iteri
     (fun i chunk ->
       let block = Alloc.alloc t.alloc in
-      queue_data t block (Blockdev.Data chunk);
+      queue_data t [| block |] [| Blockdev.Data chunk |];
       tree_insert t (key ~oid ~kind:kind_record_chunk ~index:i) (Btree.Ptr block))
     chunks;
   let rec blank i =
@@ -712,7 +738,7 @@ let put_page t ~oid ~pindex ~seed =
     end
     else begin
       let block = Alloc.alloc t.alloc in
-      queue_data t block (Blockdev.Seed seed);
+      queue_data t [| block |] [| Blockdev.Seed seed |];
       if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
       block
     end
@@ -721,13 +747,16 @@ let put_page t ~oid ~pindex ~seed =
 
 (* Batched page ingest: dedup hits resolve to existing blocks; the
    distinct misses share one stripe-aware extent of fresh contiguous
-   logical blocks, so the background flush fans the batch out as one
-   contiguous physical run per device instead of scattered singleton
-   writes. *)
-let put_pages t ~oid pages =
+   logical blocks, queued as one chunk, so the background flush fans
+   the batch out as one contiguous physical run per device instead of
+   scattered singleton writes. Hashes live in a byte column, and the
+   index and the batch's table of misses read them there in place. *)
+let put_page_columns t ~oid ~pindexes ~seeds =
   ignore (require_open t);
-  Array.iter (fun (pindex, _) -> check_key ~oid ~index:pindex) pages;
-  let n = Array.length pages in
+  let n = Array.length pindexes in
+  if Bytes.length seeds <> n * Content.slot_bytes then
+    invalid_arg "Store.put_page_columns: column lengths differ";
+  Array.iter (fun pindex -> check_key ~oid ~index:pindex) pindexes;
   (match t.sink with Some s -> Metrics.add s.pages_put n | None -> ());
   (match open_prov t with
    | Some p ->
@@ -735,23 +764,21 @@ let put_pages t ~oid pages =
      p.pv_logical_bytes <- p.pv_logical_bytes + (n * Blockdev.block_size)
    | None -> ());
   if n > 0 then begin
+    let hashes = if t.dedup_enabled then Content.hash_column seeds else Bytes.empty in
     (* Per page: its dedup-hit block, or -(s + 1) for slot s of the
-       fresh extent. [fresh] lists the pages the index missed, with
-       their hashes beside them in [hashes]; the slot pass below
-       compacts both in place to the first page of each slot. *)
-    let where = Array.make n 0 in
-    let fresh = Array.make n 0 and hashes = Array.make n 0L in
+       fresh extent. [fresh] lists the pages the index missed; the slot
+       pass below compacts it in place to the first page of each
+       slot. *)
+    let where = Array.make n 0 and fresh = Array.make n 0 in
     let nmiss = ref 0 in
     for i = 0 to n - 1 do
-      let hash = if t.dedup_enabled then Content.hash (Content.of_seed (snd pages.(i))) else 0L in
-      let hit = if t.dedup_enabled then Dedup.find t.dedup ~hash else -1 in
+      let hit = if t.dedup_enabled then Dedup.find_in t.dedup hashes i else -1 in
       if hit >= 0 then begin
         Alloc.incref t.alloc hit;
         where.(i) <- hit
       end
       else begin
         fresh.(!nmiss) <- i;
-        hashes.(!nmiss) <- hash;
         incr nmiss
       end
     done;
@@ -762,16 +789,15 @@ let put_pages t ~oid pages =
     let batch = Dedup.Table.create (if t.dedup_enabled then !nmiss else 0) in
     let nslots = ref 0 in
     for j = 0 to !nmiss - 1 do
-      let i = fresh.(j) and hash = hashes.(j) in
-      let dup = if t.dedup_enabled then Dedup.Table.find batch hash else -1 in
+      let i = fresh.(j) in
+      let dup = if t.dedup_enabled then Dedup.Table.find_in batch hashes i else -1 in
       if dup >= 0 then where.(i) <- -(dup + 1)
       else begin
         let s = !nslots in
         incr nslots;
         fresh.(s) <- i;
-        hashes.(s) <- hash;
         where.(i) <- -(s + 1);
-        if t.dedup_enabled then Dedup.Table.replace batch hash s
+        if t.dedup_enabled then Dedup.Table.replace_in batch hashes i s
       end
     done;
     let nslots = !nslots in
@@ -779,27 +805,34 @@ let put_pages t ~oid pages =
        intra-batch duplicate — is one avoided block write. *)
     note_dedup_saved t ~hits:(n - nslots) ~bytes:((n - nslots) * Blockdev.block_size);
     let ext = Alloc.alloc_extent t.alloc nslots in
-    for s = 0 to nslots - 1 do
-      let block = ext.(s) in
-      queue_data t block (Blockdev.Seed (snd pages.(fresh.(s))));
-      if t.dedup_enabled then Dedup.add t.dedup ~hash:hashes.(s) ~block
-    done;
+    let contents =
+      Array.init nslots (fun s -> Blockdev.Seed (Content.to_seed (Content.get seeds fresh.(s))))
+    in
+    queue_data t ext contents;
+    if t.dedup_enabled then
+      for s = 0 to nslots - 1 do
+        Dedup.add_in t.dedup hashes fresh.(s) ~block:ext.(s)
+      done;
     (* The first reference to a fresh block consumes the allocation's
        refcount; intra-batch duplicates add their own. *)
-    Array.iteri
-      (fun i (pindex, _) ->
-        let w = where.(i) in
-        let block =
-          if w >= 0 then w
-          else begin
-            let s = -w - 1 in
-            if fresh.(s) <> i then Alloc.incref t.alloc ext.(s);
-            ext.(s)
-          end
-        in
-        tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block))
-      pages
+    for i = 0 to n - 1 do
+      let w = where.(i) in
+      let block =
+        if w >= 0 then w
+        else begin
+          let s = -w - 1 in
+          if fresh.(s) <> i then Alloc.incref t.alloc ext.(s);
+          ext.(s)
+        end
+      in
+      tree_insert t (key ~oid ~kind:kind_page ~index:pindexes.(i)) (Btree.Ptr block)
+    done
   end
+
+let put_pages t ~oid pages =
+  let seeds = Bytes.create (Array.length pages * Content.slot_bytes) in
+  Array.iteri (fun i (_, seed) -> Content.set seeds i (Content.of_seed seed)) pages;
+  put_page_columns t ~oid ~pindexes:(Array.map fst pages) ~seeds
 
 let put_blob t ~oid ~index data =
   ignore (require_open t);
@@ -821,7 +854,7 @@ let put_blob t ~oid ~index data =
     end
     else begin
       let block = Alloc.alloc t.alloc in
-      queue_data t block (Blockdev.Data data);
+      queue_data t [| block |] [| Blockdev.Data data |];
       if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
       block
     end
@@ -1060,10 +1093,9 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
      completion group so younger epochs and unrelated traffic sharing
      the queues don't gate it. *)
   ignore (Devarray.begin_group t.dev);
-  let data_batch = List.rev t.pending_pages in
-  t.pending_pages <- [];
-  let data_blocks = List.length data_batch in
-  if data_batch <> [] then ignore (Devarray.write_async ~cls t.dev data_batch);
+  let blocks, contents = take_pending t in
+  let data_blocks = Array.length blocks in
+  if data_blocks > 0 then ignore (Devarray.write_async_arr ~cls t.dev blocks contents);
   let prov = Hashtbl.find_opt t.provs g in
   (* The tee sees every flushed tree node, so provenance counts them
      even when the protection machinery (the tee's other job) is off. *)
@@ -1109,7 +1141,7 @@ let rollback t g =
   Hashtbl.remove t.provs g;
   Hashtbl.remove t.gen_durable g;
   t.open_gen <- None;
-  t.pending_pages <- [];
+  t.pending <- [];
   Devarray.discard_group t.dev;
   rebuild t
 
@@ -1139,7 +1171,7 @@ let abort_generation t =
        allocation failure. *)
     Hashtbl.remove t.provs g;
     t.open_gen <- None;
-    t.pending_pages <- [];
+    t.pending <- [];
     Devarray.discard_group t.dev;
     rebuild t
 

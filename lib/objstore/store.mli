@@ -8,7 +8,10 @@
     nothing new — "it thus never flushes the same page twice".
 
     Durability: data and tree nodes are queued to the device
-    asynchronously; {!commit} finishes by writing the generation table
+    asynchronously. Data writes wait in exact-size chunks of blocks and
+    contents, one per batched put (one entry per record chunk, blob or
+    replica), until {!commit} joins them into one column pair for the
+    device array; {!commit} finishes by writing the generation table
     and flipping between the two superblock slots, and returns the
     absolute simulated time at which the checkpoint is durable. On a
     device with a volatile write cache the commit instead issues a
@@ -131,14 +134,23 @@ val put_page : t -> oid:int -> pindex:int -> seed:int64 -> unit
     index raises [Invalid_argument] unless [0 <= index < 2^32], before
     it changes anything: a key holds the index in its low 32 bits. *)
 
+val put_page_columns : t -> oid:int -> pindexes:int array -> seeds:Bytes.t -> unit
+(** Batched {!put_page}, as columns: page [pindexes.(i)] takes the seed
+    in slot [i] of [seeds] ({!Aurora_vm.Content.slot_bytes} a page, as
+    {!Aurora_vm.Vmobject.arm} captures them). The pages are hashed into
+    a byte column, and the dedup index and the batch's table of misses
+    read each hash there in place. Deduplication applies per page
+    (including within the batch); the distinct misses are allocated as
+    one stripe-aware extent of contiguous logical blocks, queued as one
+    chunk of blocks and contents, so the checkpoint flush issues one
+    transfer per device instead of scattered per-page writes. Misses
+    that repeat within the batch are found in an open-addressed table
+    sized for the batch's misses and dropped with it. The checkpoint
+    flush uses this. Raises [Invalid_argument] if [seeds] does not hold
+    one slot per page index. *)
+
 val put_pages : t -> oid:int -> (int * int64) array -> unit
-(** Batched {!put_page}: [(pindex, seed)] pairs. Deduplication applies
-    per page (including within the batch); the distinct misses are
-    allocated as one stripe-aware extent of contiguous logical blocks,
-    so the checkpoint flush issues one transfer per device instead of
-    scattered per-page writes. The flush path uses this. Misses that
-    repeat within the batch are found in an open-addressed table sized
-    for the batch's misses and dropped with it. *)
+(** {!put_page_columns} of [(pindex, seed)] pairs. *)
 
 val put_blob : t -> oid:int -> index:int -> string -> unit
 (** Store/replace a byte blob of at most one block (file-data chunks).

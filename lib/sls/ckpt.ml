@@ -73,7 +73,8 @@ let attribution (k : Kernel.t) (g : Types.pgroup) ~gen
     procs;
   let objects =
     List.map2
-      (fun (obj, _) (store_oid, _items, npages) ->
+      (fun (obj, _) (store_oid, (c : Vmobject.capture)) ->
+        let npages = Array.length c.Vmobject.pindexes in
         let metadata_bytes = len_of store_oid in
         let cow_breaks = Vmobject.cow_breaks obj in
         Vmobject.reset_cow_breaks obj;
@@ -208,18 +209,19 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
   let arm_started = Clock.now clock in
   let arm_mode = match mode with `Full -> `Full | `Incremental -> `Dirty_only in
   let captures =
-    (* Arrays with the count computed once: the capture set is walked
-       three more times below (charge, flush, release) and a busy
-       checkpoint holds tens of thousands of pages. *)
+    (* Page index and seed columns go to the store as they are, and the
+       stamps are walked once more to release the holds: a busy
+       checkpoint captures tens of thousands of pages. *)
     List.map
       (fun (obj, store_oid) ->
-        let items = Array.of_list (Vmobject.arm_for_checkpoint obj ~mode:arm_mode) in
-        let npages = Array.length items in
-        Kernel.charge k (Costmodel.cow_arm ~pages:npages);
-        (store_oid, items, npages))
+        let capture = Vmobject.arm obj ~mode:arm_mode in
+        Kernel.charge k (Costmodel.cow_arm ~pages:(Array.length capture.Vmobject.pindexes));
+        (store_oid, capture))
       records.Serialize.vm_objects
   in
-  let pages_captured = List.fold_left (fun acc (_, _, n) -> acc + n) 0 captures in
+  let pages_captured =
+    List.fold_left (fun acc (_, c) -> acc + Array.length c.Vmobject.pindexes) 0 captures
+  in
   let lazy_data_copy = Duration.sub (Clock.now clock) arm_started in
   ignore (Span.finish spans s_cow ~attrs:[ ("pages", string_of_int pages_captured) ]);
   let stop_time = Duration.sub (Clock.now clock) barrier_at in
@@ -303,15 +305,12 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
       List.iter (fun (oid, record) -> Store.put_record store ~oid record)
         records.Serialize.items;
       List.iter
-        (fun (store_oid, items, _) ->
+        (fun (store_oid, (c : Vmobject.capture)) ->
           (* One batched put per object: distinct pages land in a single
              stripe-aware extent, so the device array sees one transfer
              per stripe instead of one command per page. *)
-          Store.put_pages store ~oid:store_oid
-            (Array.map
-               (fun item ->
-                 (item.Vmobject.pindex, Content.to_seed item.Vmobject.content))
-               items))
+          Store.put_page_columns store ~oid:store_oid ~pindexes:c.Vmobject.pindexes
+            ~seeds:c.Vmobject.seeds)
         captures;
       Aurora_slsfs.Slsfs.checkpoint_fs store k.Kernel.fs
         ~popen_of_vid:(persistent_opens k g);
@@ -348,10 +347,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
   in
   (* The flush has the data now (or never will); release the held
      frames either way. *)
-  List.iter
-    (fun (_, items, _) ->
-      Array.iter (Vmobject.release_flush_item ~pool:k.Kernel.pool) items)
-    captures;
+  List.iter (fun (_, c) -> Vmobject.release ~pool:k.Kernel.pool c) captures;
   let status, durable_at =
     match outcome with
     | Ok durable_at ->

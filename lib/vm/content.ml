@@ -51,4 +51,11 @@ let write_in col i ~offset ~value =
 
 let load_in col i ~offset = load (get col i) ~offset
 
+let hash_column col =
+  let hashes = Bytes.create (Bytes.length col) in
+  for i = 0 to (Bytes.length col / slot_bytes) - 1 do
+    Bytes.set_int64_le hashes (8 * i) (hash (get col i))
+  done;
+  hashes
+
 let pp ppf t = Format.fprintf ppf "0x%Lx" t

@@ -60,4 +60,8 @@ val write_in : Bytes.t -> int -> offset:int -> value:int64 -> unit
 val load_in : Bytes.t -> int -> offset:int -> int64
 (** [load (get col i) ~offset], boxing only the result. *)
 
+val hash_column : Bytes.t -> Bytes.t
+(** The {!hash} of each slot's content, as a fresh column of 8-byte
+    hashes in slot order; nothing is boxed per slot. *)
+
 val pp : Format.formatter -> t -> unit

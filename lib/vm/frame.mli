@@ -5,7 +5,7 @@
     copies resident now, against an optional capacity (which is what
     creates memory pressure for the swap machinery), and every copy ever
     made. A copy stays resident while its object holds it or while an
-    unreleased checkpoint flush item does. *)
+    unreleased checkpoint capture does. *)
 
 type pool
 

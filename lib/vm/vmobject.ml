@@ -72,11 +72,11 @@ type t = {
   mutable seeds : Bytes.t; (* content, [Content.slot_bytes] a slot *)
   mutable states : Bytes.t; (* state byte *)
   mutable costs : Duration.t array; (* a paged-out page's read cost *)
-  mutable holds : int array; (* unreleased flush items holding the current copy *)
+  mutable holds : int array; (* unreleased capture holds on the current copy *)
   mutable stamps : int array; (* the current copy's stamp *)
   mutable last_stamp : int;
-  (* Replaced copies that unreleased flush items still hold: (pindex,
-     stamp) to the number of items. *)
+  (* Replaced copies that unreleased captures still hold: (pindex,
+     stamp) to the number of holds. *)
   detached : (int * int, int) Hashtbl.t;
   mutable resident : int;
   mutable shadow : t option;
@@ -179,9 +179,9 @@ let resident_count t = t.resident
 (* --- copies ------------------------------------------------------- *)
 
 (* The current copy of resident page [pindex] leaves the page. A copy
-   that unreleased flush items hold stays resident, filed under its
-   (pindex, stamp) until the last of them is released, and the page's
-   next copy gets a fresh stamp so those items keep naming the old
+   that unreleased captures hold stays resident, filed under its
+   (pindex, stamp) until the last hold is released, and the page's next
+   copy gets a fresh stamp so those captures keep naming the old
    one. *)
 let drop_copy t pindex =
   match holds t pindex with
@@ -267,7 +267,7 @@ let page_in t pindex =
 let page_out t pindex ~read_cost =
   match status t pindex with
   | Resident ->
-    if held t pindex then invalid_arg "Vmobject.page_out: a flush item holds the page";
+    if held t pindex then invalid_arg "Vmobject.page_out: a capture holds the page";
     Frame.release t.pool 1;
     t.resident <- t.resident - 1;
     set_state t pindex st_paged_out;
@@ -286,7 +286,7 @@ let set_content t pindex content =
 
 (* --- checkpoint support ------------------------------------------- *)
 
-type flush_item = { pindex : int; content : Content.t; owner : t; stamp : int }
+type capture = { owner : t; pindexes : int array; seeds : Bytes.t; stamps : int array }
 
 (* A new hold on resident page [pindex]'s current copy; returns the
    copy's stamp. *)
@@ -295,51 +295,81 @@ let hold t pindex =
   t.holds.(pindex) <- t.holds.(pindex) + 1;
   stamp t pindex
 
-let arm_for_checkpoint t ~mode =
-  let arm items pindex =
-    match status t pindex with
-    | Absent -> items (* dirty mark on a page this object does not hold *)
-    | (Resident | Paged_out) as status ->
-      Pageset.add t.armed pindex;
-      let stamp = match status with Resident -> hold t pindex | Paged_out | Absent -> -1 in
-      { pindex; content = Content.get t.seeds pindex; owner = t; stamp } :: items
-  in
-  (* Both walks go down, so consing leaves the items in ascending
-     pindex order. *)
-  let items =
+let arm t ~mode =
+  let present pindex = state t pindex land st_status <> 0 in
+  (* Dirty pages, plus pages never captured by any checkpoint (present
+     but neither armed nor dirty can only mean "captured before and
+     unmodified since", so those are skipped). A page is "never
+     captured" exactly when it is dirty — pages are marked dirty at
+     birth — so the dirty set is complete. A dirty mark on a page this
+     object does not hold captures nothing. Both walks go down. *)
+  let walk ~init ~f =
     match mode with
     | `Full ->
-      let items = ref [] in
+      let acc = ref init in
       for pindex = capacity t - 1 downto 0 do
-        items := arm !items pindex
+        if present pindex then acc := f !acc pindex
       done;
-      !items
+      !acc
     | `Dirty_only ->
-      (* Dirty pages, plus pages never captured by any checkpoint
-         (present but neither armed nor dirty can only mean "captured
-         before and unmodified since", so those are skipped). A page is
-         "never captured" exactly when it is dirty — pages are marked
-         dirty at birth — so the dirty set is complete. *)
-      Pageset.fold_desc t.dirty ~init:[] ~f:arm
+      Pageset.fold_desc t.dirty ~init ~f:(fun acc pindex ->
+          if present pindex then f acc pindex else acc)
   in
+  (* One pass counts the pages, so the columns are made at their exact
+     size; the second fills them from the top. *)
+  let n = walk ~init:0 ~f:(fun n _ -> n + 1) in
+  let pindexes = Array.make n 0 and seeds = Bytes.create (n * Content.slot_bytes) in
+  let stamps = Array.make n (-1) in
+  ignore
+    (walk ~init:n ~f:(fun i pindex ->
+         let i = i - 1 in
+         Pageset.add t.armed pindex;
+         pindexes.(i) <- pindex;
+         Bytes.blit t.seeds (pindex * Content.slot_bytes) seeds (i * Content.slot_bytes)
+           Content.slot_bytes;
+         if is_resident t pindex then stamps.(i) <- hold t pindex;
+         i));
   Pageset.clear t.dirty;
-  items
+  { owner = t; pindexes; seeds; stamps }
 
-let release_flush_item ~pool item =
-  if item.stamp >= 0 then begin
-    let t = item.owner and pindex = item.pindex in
-    if holds t pindex > 0 && stamp t pindex = item.stamp then
-      t.holds.(pindex) <- t.holds.(pindex) - 1
+(* Drop one hold on copy [copy] of page [pindex] (none when [copy] is
+   -1). *)
+let unhold ~pool t pindex copy =
+  if copy >= 0 then begin
+    if holds t pindex > 0 && stamp t pindex = copy then t.holds.(pindex) <- t.holds.(pindex) - 1
     else begin
-      let key = (pindex, item.stamp) in
+      let key = (pindex, copy) in
       match Hashtbl.find_opt t.detached key with
       | Some 1 ->
         Hashtbl.remove t.detached key;
         Frame.release pool 1
       | Some h -> Hashtbl.replace t.detached key (h - 1)
-      | None -> invalid_arg "Vmobject.release_flush_item: already released"
+      | None -> invalid_arg "Vmobject.release: already released"
     end
   end
+
+let release_at ~pool c i = unhold ~pool c.owner c.pindexes.(i) c.stamps.(i)
+
+let release ~pool c =
+  for i = 0 to Array.length c.pindexes - 1 do
+    release_at ~pool c i
+  done
+
+(* --- the list view ---------------------------------------------------- *)
+
+type flush_item = { pindex : int; content : Content.t; owner : t; stamp : int }
+
+let arm_for_checkpoint t ~mode =
+  let c = arm t ~mode in
+  let items = ref [] in
+  for i = Array.length c.pindexes - 1 downto 0 do
+    items :=
+      { pindex = c.pindexes.(i); content = Content.get c.seeds i; owner = t; stamp = c.stamps.(i) }
+      :: !items
+  done;
+  !items
+
+let release_flush_item ~pool item = unhold ~pool item.owner item.pindex item.stamp
 
 let is_armed t pindex = Pageset.mem t.armed pindex
 let cow_breaks t = t.cow_breaks

@@ -5,9 +5,10 @@
     chain structure FreeBSD inherited from Mach that fork-time
     copy-on-write builds. Aurora's key VM change lives here too:
 
-    - {b Checkpoint arming} ({!arm_for_checkpoint}): during the
-      serialization barrier the orchestrator write-protects pages and
-      takes stable captures for the asynchronous flush. A later write
+    - {b Checkpoint arming} ({!arm}): during the serialization
+      barrier the orchestrator write-protects pages and takes stable
+      captures for the asynchronous flush, as page index, seed and
+      stamp columns. A later write
       to an armed page triggers Aurora's modified COW: a {e new} copy
       replaces the old one {e inside the same object}, so every process
       mapping the object observes the new page (shared-memory semantics
@@ -44,8 +45,8 @@ val oid : t -> int
 val kind : t -> kind
 val incref : t -> unit
 val decref : t -> unit
-(** At zero, releases all resident copies (a copy an unreleased flush
-    item holds stays resident until the item is released), drops the
+(** At zero, releases all resident copies (a copy an unreleased
+    capture holds stays resident until its hold is released), drops the
     page columns, clears the dirty, armed and heat state, and drops the
     shadow reference. *)
 
@@ -85,7 +86,7 @@ val page_in : t -> int -> unit
 val page_out : t -> int -> read_cost:Duration.t -> Content.t
 (** Convert a resident page to [Paged_out]; returns the content (for
     the swap writer). Raises [Invalid_argument] if not resident or if
-    an unreleased flush item holds its copy. *)
+    an unreleased capture holds its copy. *)
 
 val write : t -> int -> offset:int -> value:int64 -> unit
 (** Store into a resident page in place ({!Content.write}); allocates
@@ -101,26 +102,49 @@ val load : t -> int -> offset:int -> int64
 
 (* --- checkpoint support ------------------------------------------- *)
 
-(** One page captured by a checkpoint barrier. When the page was
-    resident the item holds its copy, named by [stamp] (which is [-1]
-    when nothing is held): until the flusher calls
-    {!release_flush_item}, that copy stays resident, even after a COW
-    fault, an install or [owner]'s death replaces it, and page-out and
-    the clock sweep refuse it. *)
-type flush_item = private { pindex : int; content : Content.t; owner : t; stamp : int }
+(** The pages one arming captured, in ascending page index order, as
+    three columns of one length: page [pindexes.(i)] had content
+    [Content.get seeds i], and [stamps.(i)] names the resident copy the
+    capture holds ([-1] when nothing is held: the page was paged out).
+    Until the flusher releases it ({!release}, {!release_at}), a held
+    copy stays resident, even after a COW fault, an install or
+    [owner]'s death replaces it, and page-out and the clock sweep
+    refuse it. *)
+type capture = private {
+  owner : t;
+  pindexes : int array;
+  seeds : Bytes.t;  (** {!Content.slot_bytes} a page *)
+  stamps : int array;
+}
 
-val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
-(** Write-protect pages and return stable captures for flushing, in
-    ascending page index order. [`Full] captures every page;
+val arm : t -> mode:[ `Full | `Dirty_only ] -> capture
+(** Write-protect pages and capture them for flushing, into columns
+    made at their exact size. [`Full] captures every page;
     [`Dirty_only] captures pages written since the previous arming
     (plus never-captured pages), at a cost proportional to the dirty
     pages plus one read per 32 page indexes. Clears the dirty set;
     already-armed clean pages stay armed. *)
 
+val release : pool:Frame.pool -> capture -> unit
+(** {!release_at} of every page of the capture. *)
+
+val release_at : pool:Frame.pool -> capture -> int -> unit
+(** Drops the hold of the capture's [i]th page. A replaced copy whose
+    last hold this was leaves [pool]'s residency. Raises
+    [Invalid_argument] if that hold was already released. *)
+
+(** {2 The list view}
+
+    One record per captured page, for callers that want a list. *)
+
+type flush_item = private { pindex : int; content : Content.t; owner : t; stamp : int }
+
+val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
+(** {!arm}, as one item per captured page, in ascending page index
+    order. *)
+
 val release_flush_item : pool:Frame.pool -> flush_item -> unit
-(** Drops the item's hold. A replaced copy whose last item this was
-    leaves [pool]'s residency. Raises [Invalid_argument] if the item's
-    hold was already released. *)
+(** {!release_at} of the item's page. *)
 
 val is_armed : t -> int -> bool
 val armed_count : t -> int
@@ -130,7 +154,7 @@ val mark_dirty : t -> int -> unit
 val disarm_for_write : t -> int -> unit
 (** Aurora's checkpoint-COW fault on an armed resident page: make a
     fresh copy of the page in place (all mappers now share it), unarm,
-    mark dirty. A flush item holding the old copy keeps it. Raises
+    mark dirty. A capture holding the old copy keeps it. Raises
     [Invalid_argument] if the page is not armed-resident. *)
 
 val cow_breaks : t -> int
@@ -150,7 +174,7 @@ val touch : t -> int -> unit
     the first touch of a page in a chunk allocates the chunk. *)
 
 val held : t -> int -> bool
-(** An unreleased flush item holds the page's current copy. *)
+(** An unreleased capture holds the page's current copy. *)
 
 val take_accessed : t -> int -> bool
 (** Clear the page's accessed bit; true if it was set (the clock's

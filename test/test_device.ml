@@ -370,6 +370,285 @@ let prop_devarray_mapping_bijection =
       let d, phys = Devarray.locate arr b in
       d >= 0 && d < stripes && Devarray.logical arr ~dev:d ~phys = b)
 
+(* The list path that submitted an array's writes before they travelled
+   as columns, kept as the reference for [Devarray.write_async_arr]:
+   split the writes per device in submission order, stable-sort each
+   device's share on the physical block, and start a new transfer
+   wherever a block is more than one past the previous one. Each
+   reference device draws its faults from its own injector, in the
+   sorted order, and schedules the submission on its own queue. *)
+module Ref_submit = struct
+  type dev = {
+    name : string;
+    sched : Iosched.t;
+    inj : Fault.injector option;
+    current : (int, Blockdev.content) Hashtbl.t;
+    durable : (int, Blockdev.content) Hashtbl.t;
+    mutable pending : (Duration.t * (int * Blockdev.content) list) list; (* newest first *)
+    mutable commands : int;
+    mutable blocks : int;
+  }
+
+  let partition ~stripes writes =
+    let per_dev = Array.make stripes [] in
+    List.iter
+      (fun (b, c) ->
+        let d = b mod stripes in
+        per_dev.(d) <- (b / stripes, c) :: per_dev.(d))
+      writes;
+    Array.map List.rev per_dev
+
+  let extents_of writes =
+    List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) writes
+    |> List.fold_left
+         (fun runs (phys, c) ->
+           match runs with
+           | ((prev, _) :: _ as run) :: rest when phys <= prev + 1 -> ((phys, c) :: run) :: rest
+           | _ -> [ (phys, c) ] :: runs)
+         []
+    |> List.rev_map List.rev
+
+  let corrupt inj = function
+    | Blockdev.Data s when String.length s > 0 ->
+      let b = Bytes.of_string s in
+      let pos = Fault.pick inj (Bytes.length b) in
+      let bit = Fault.pick inj 8 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+      Blockdev.Data (Bytes.to_string b)
+    | Blockdev.Data _ -> Blockdev.Data "\x01"
+    | Blockdev.Seed s -> Blockdev.Seed (Int64.logxor s (Int64.shift_left 1L (Fault.pick inj 63)))
+    | Blockdev.Zero -> Blockdev.Seed 0x00DEAD_BEEFL
+
+  (* The controller's retries and silent corruption, write by write. *)
+  let apply_faults dev ~profile writes =
+    match dev.inj with
+    | None -> (writes, Duration.zero)
+    | Some inj ->
+      let retry = ref Duration.zero in
+      let writes =
+        List.map
+          (fun (phys, c) ->
+            let rec attempt n =
+              if Fault.draw_transient_write inj then begin
+                if n >= 4 then
+                  raise (Fault.Io_error (Fault.Transient { dev = dev.name; op = `Write; phys }));
+                retry :=
+                  Duration.add !retry (Duration.scale profile.Profile.write_latency (1 lsl n));
+                attempt (n + 1)
+              end
+            in
+            attempt 0;
+            Fault.clear_latent inj phys;
+            if Fault.draw_corruption inj then (phys, corrupt inj c) else (phys, c))
+          writes
+      in
+      (writes, !retry)
+
+  (* One device's share: its completion, or [None] when it got no
+     write. *)
+  let submit dev ~profile ~now writes =
+    if writes = [] then None
+    else begin
+      let runs = extents_of writes in
+      let runs, retry =
+        List.fold_left
+          (fun (acc, retry) run ->
+            let run, r = apply_faults dev ~profile run in
+            (run :: acc, Duration.add retry r))
+          ([], Duration.zero) runs
+      in
+      let runs = List.rev runs in
+      let cost =
+        List.fold_left
+          (fun acc run ->
+            Duration.add acc
+              (Profile.transfer_cost profile ~op:`Write
+                 ~bytes:(List.length run * Blockdev.block_size)))
+          retry runs
+      in
+      let writes = List.concat runs in
+      let n = List.length writes in
+      let _, completion =
+        Iosched.schedule dev.sched ~now ~cls:Iosched.Flush ~cost ~blocks:n
+      in
+      dev.commands <- dev.commands + List.length runs;
+      dev.blocks <- dev.blocks + n;
+      List.iter (fun (phys, c) -> Hashtbl.replace dev.current phys c) writes;
+      dev.pending <- (completion, writes) :: dev.pending;
+      Some completion
+    end
+
+  let settle dev ~profile ~now =
+    let done_, still = List.partition (fun (at, _) -> Duration.(at <= now)) dev.pending in
+    if not profile.Profile.volatile_cache then
+      List.iter
+        (fun (_, writes) -> List.iter (fun (phys, c) -> Hashtbl.replace dev.durable phys c) writes)
+        (List.rev done_);
+    dev.pending <- still
+end
+
+type submit_case = {
+  stripes : int;
+  wdrr : bool;
+  volatile : bool;
+  fault_seed : int64 option;
+  rounds : (int * (int * Blockdev.content) list) list; (* gap before, in us; writes *)
+  settle_gap : int;
+}
+
+let show_content = function
+  | Blockdev.Data s -> Printf.sprintf "Data %S" s
+  | Blockdev.Seed s -> Printf.sprintf "Seed %Ld" s
+  | Blockdev.Zero -> "Zero"
+
+let show_submit_case c =
+  Printf.sprintf "stripes=%d wdrr=%b volatile=%b faults=%s settle=+%dus rounds=[%s]" c.stripes
+    c.wdrr c.volatile
+    (match c.fault_seed with Some s -> Int64.to_string s | None -> "none")
+    c.settle_gap
+    (String.concat "; "
+       (List.map
+          (fun (gap, ws) ->
+            Printf.sprintf "+%dus %s" gap
+              (String.concat ","
+                 (List.map (fun (b, c) -> Printf.sprintf "%d:%s" b (show_content c)) ws)))
+          c.rounds))
+
+let gen_submit_case =
+  let open QCheck.Gen in
+  let content =
+    frequency
+      [ (4, map (fun s -> Blockdev.Seed (Int64.of_int s)) (int_bound 1_000));
+        (1, map (fun s -> Blockdev.Data s) (string_size ~gen:printable (int_range 1 6))) ]
+  in
+  (* Mostly a few dozen blocks, so writes repeat and interleave; some
+     far apart, so runs break. *)
+  let block = frequency [ (4, int_bound 48); (1, int_range 48 600) ] in
+  let writes =
+    frequency
+      [ (3, list_size (int_range 0 40) (pair block content));
+        (* Already in order, which a device takes without sorting. *)
+        (1, map (List.sort (fun (a, _) (b, _) -> Int.compare a b))
+              (list_size (int_range 1 40) (pair block content))) ]
+  in
+  let* stripes = int_range 1 4 in
+  let* wdrr = bool in
+  let* volatile = bool in
+  let* fault_seed = opt (map Int64.of_int nat) in
+  let* rounds = list_size (int_range 1 4) (pair (int_bound 300) writes) in
+  let* settle_gap = int_bound 600 in
+  return { stripes; wdrr; volatile; fault_seed; rounds; settle_gap }
+
+let prop_column_submission_matches_list_path =
+  QCheck.Test.make ~name:"column submission matches the list path" ~count:300
+    (QCheck.make ~print:show_submit_case gen_submit_case)
+    (fun c ->
+      let profile = if c.volatile then Profile.nand_ssd else Profile.optane_900p in
+      let sched = if c.wdrr then Iosched.default_wdrr else Iosched.Fifo in
+      let plan =
+        Option.map (fun seed -> Fault.plan ~seed ~transient_write:0.2 ~corruption:0.2 ()) c.fault_seed
+      in
+      let clock = Clock.create () in
+      let arr = Devarray.create ~sched ~stripes:c.stripes ?faults:plan ~clock ~profile "arr" in
+      let devs = Devarray.devices arr in
+      let refs =
+        Array.init c.stripes (fun d ->
+            { Ref_submit.name = Printf.sprintf "arr.%d" d; sched = Iosched.create sched;
+              inj = Option.map (fun p -> Fault.injector ~dev_index:d p) plan;
+              current = Hashtbl.create 16; durable = Hashtbl.create 16; pending = [];
+              commands = 0; blocks = 0 })
+      in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s" m) fmt in
+      let check_contents what table =
+        Array.iteri
+          (fun d (r : Ref_submit.dev) ->
+            Hashtbl.iter
+              (fun phys _ ->
+                let want = Option.value ~default:Blockdev.Zero (Hashtbl.find_opt table.(d) phys) in
+                let got = Blockdev.peek devs.(d) phys in
+                if got <> want then
+                  fail "%s: device %d block %d holds %s, the list path %s" what d phys
+                    (show_content got) (show_content want))
+              r.Ref_submit.current)
+          refs
+      in
+      let transient = function
+        | Fault.Io_error (Fault.Transient { phys; _ }) -> Some phys
+        | _ -> None
+      in
+      let rec run = function
+        | [] -> true
+        | (gap, writes) :: rest -> (
+          Clock.advance clock (Duration.microseconds gap);
+          let now = Clock.now clock in
+          let blocks = Array.of_list (List.map fst writes) in
+          let contents = Array.of_list (List.map snd writes) in
+          let got =
+            match Devarray.write_async_arr arr blocks contents with
+            | at -> Ok at
+            | exception e -> Error e
+          in
+          let want =
+            match
+              Array.mapi
+                (fun d w -> Ref_submit.submit refs.(d) ~profile ~now w)
+                (Ref_submit.partition ~stripes:c.stripes writes)
+            with
+            | completions ->
+              let last = Array.fold_left (fun acc o -> Option.fold ~none:acc ~some:(Duration.max acc) o) Duration.zero completions in
+              if Duration.equal last Duration.zero then
+                Ok
+                  (Array.fold_left
+                     (fun acc r -> Duration.max acc (Iosched.horizon r.Ref_submit.sched))
+                     now refs)
+              else Ok last
+            | exception e -> Error e
+          in
+          match (got, want) with
+          | Error e, Error e' ->
+            (* Retries ran out on the same block: on both sides the
+               devices before it took their share and the rest took
+               none. *)
+            if transient e = None || transient e <> transient e' then
+              fail "raised %s, the list path %s" (Printexc.to_string e) (Printexc.to_string e');
+            run rest
+          | Error e, Ok _ -> fail "raised %s, the list path did not" (Printexc.to_string e)
+          | Ok _, Error e -> fail "the list path raised %s" (Printexc.to_string e)
+          | Ok at, Ok at' ->
+            if not (Duration.equal at at') then
+              fail "completion %d ns, the list path %d ns" (Duration.to_ns at) (Duration.to_ns at');
+            Array.iteri
+              (fun d (r : Ref_submit.dev) ->
+                let st = Blockdev.stats devs.(d) in
+                if st.Blockdev.writes <> r.commands then
+                  fail "device %d: %d commands, the list path %d" d st.Blockdev.writes r.commands;
+                if st.Blockdev.blocks_written <> r.blocks then
+                  fail "device %d: %d blocks written, the list path %d" d st.Blockdev.blocks_written
+                    r.blocks;
+                if not (Duration.equal (Blockdev.busy_until devs.(d)) (Iosched.horizon r.sched)) then
+                  fail "device %d: queue drains at %d ns, the list path's at %d ns" d
+                    (Duration.to_ns (Blockdev.busy_until devs.(d)))
+                    (Duration.to_ns (Iosched.horizon r.sched));
+                match (Blockdev.faults devs.(d), r.inj) with
+                | Some inj, Some inj' ->
+                  if Fault.stats inj <> Fault.stats inj' then fail "device %d: fault draws differ" d
+                | None, None -> ()
+                | _ -> fail "device %d: fault injectors differ" d)
+              refs;
+            check_contents "after submission" (Array.map (fun r -> r.Ref_submit.current) refs);
+            run rest)
+      in
+      run c.rounds
+      && begin
+        Devarray.await arr (Duration.add (Clock.now clock) (Duration.microseconds c.settle_gap));
+        let now = Clock.now clock in
+        Array.iter (fun r -> Ref_submit.settle r ~profile ~now) refs;
+        check_contents "after settle" (Array.map (fun r -> r.Ref_submit.current) refs);
+        Devarray.crash arr;
+        check_contents "after crash" (Array.map (fun r -> r.Ref_submit.durable) refs);
+        true
+      end)
+
 (* ------------------------------------------------------------------ *)
 (* Netlink                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -758,11 +1037,11 @@ let test_iosched_blockdev_read_overtakes_flush () =
   let run sched =
     let clock = Clock.create () in
     let dev = Blockdev.create ~sched ~clock ~profile:Profile.optane_900p "qdev" in
-    let extents =
-      List.init 4 (fun e ->
-          List.init 256 (fun i -> (e * 256 + i, Blockdev.Seed (Int64.of_int i))))
-    in
-    let done_at = Blockdev.write_extents dev extents in
+    (* Four runs of 256 blocks with a gap after each: four transfers. *)
+    let blocks = Array.init 1024 (fun j -> (j / 256 * 257) + (j mod 256)) in
+    let contents = Array.init 1024 (fun j -> Blockdev.Seed (Int64.of_int (j mod 256))) in
+    let done_at = Blockdev.write_sorted dev blocks contents in
+    check_int "four transfers" 4 (Blockdev.stats dev).Blockdev.writes;
     ignore (Blockdev.read dev 0);
     (Clock.now clock, done_at)
   in
@@ -845,6 +1124,7 @@ let () =
           Alcotest.test_case "commit barrier orders behind all queues" `Quick
             test_devarray_barrier_orders_behind_all;
           qt prop_devarray_mapping_bijection;
+          qt prop_column_submission_matches_list_path;
         ] );
       ( "faults",
         [

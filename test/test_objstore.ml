@@ -639,10 +639,11 @@ let test_restore_page_path_allocation () =
    object. Listing its pages right after [drop_caches] keeps each leaf
    block's bytes as its image, so a page costs the two ints the map
    returns and a share of its leaf's record and read. Re-capturing the
-   committed object with every seed changed costs the page's hash, its
-   key and value, its pending write, its share of the copied leaves and
-   of the batch's table of misses; the dedup index and the insert
-   allocate nothing per page of their own. *)
+   committed object with every seed changed, through the [put_pages]
+   view, costs the view's two columns, the page's hash slot, its key
+   and value, its boxed seed and its slots of the queued chunk, and its
+   share of the copied leaves and of the batch's table of misses; the
+   dedup index and the insert allocate nothing per page of their own. *)
 let test_store_per_page_allocation () =
   let npages = 4096 in
   let _, dev = mkdev () in

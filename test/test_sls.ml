@@ -167,6 +167,80 @@ let test_detach_memory_backend () =
   Alcotest.(check (list int)) "the memory store gained no generation" before
     (Store.generations m.Machine.mem_store)
 
+(* Words a checkpoint allocates per captured page: minor + major -
+   promoted over one [Machine.checkpoint_now], as twoclock counts them.
+   The fixture is the bench's Redis one (a write-heavy kvstore, 128
+   ops a step, preloaded, beside ~70 small mappings, 30 open files and
+   four threads), with ~14% of its pages dirtied before each
+   checkpoint, as Table 3 does. Arming, ingest and the device
+   submission carry the pages as int and byte columns, so the words
+   left are the B+tree's keys and leaf copies, a boxed seed per fresh
+   block, and the dedup index's growth. On OCaml 5.1: a Full
+   checkpoint of the 16 MiB fixture reads 66.8 words a page (153.3
+   with a record per page and list-based submission), and an
+   incremental one of the 64 MiB fixture after a Full one 154.3
+   (257.9). The bounds, 90 and 200, leave 35% and 30% above the column
+   path and sit well below the list-based one. *)
+let redis_fixture ~mib =
+  let m = Machine.create () in
+  let k = m.Machine.kernel in
+  let c = Kernel.new_container k ~name:"redis" in
+  let nkeys = mib * 1024 * 1024 / 8 in
+  let cfg =
+    { (Aurora_apps.Kvstore.default_config ~nkeys ()) with
+      Aurora_apps.Kvstore.spec = Aurora_apps.Workload.write_heavy ~nkeys;
+      ops_per_step = 128;
+      preload = true }
+  in
+  let p = Aurora_apps.Kvstore.spawn k ~container:c.Container.cid cfg in
+  for i = 0 to 69 do
+    ignore (Syscall.mmap_anon k p ~npages:(1 + (i mod 4)))
+  done;
+  Syscall.mkdir k p "/lib";
+  for i = 0 to 29 do
+    ignore (Syscall.open_file k p ~create:true (Printf.sprintf "/lib/lib%d.so" i))
+  done;
+  for _ = 1 to 3 do
+    ignore (Process.add_thread p ~program:"aurora/kv-client")
+  done;
+  ignore (Scheduler.step_all k);
+  let g = Machine.persist m (`Container c.Container.cid) in
+  let dirty () =
+    List.fold_left (fun n o -> n + Vmobject.dirty_count o) 0 (Vmmap.distinct_objects p.Process.vm)
+  in
+  let target = Vmmap.resident_pages p.Process.vm * 14 / 100 in
+  let dirty_14pct () =
+    let guard = ref 0 in
+    while dirty () < target && !guard < 400_000 do
+      ignore (Scheduler.step_all k);
+      incr guard
+    done
+  in
+  (m, g, dirty_14pct)
+
+let checkpoint_words_per_page m g ~mode =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let b = Machine.checkpoint_now m g ~mode () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  check_bool "the checkpoint committed" true (b.Types.status = `Ok);
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int b.Types.pages_captured
+
+let test_checkpoint_words_per_page () =
+  let m, g, dirty_14pct = redis_fixture ~mib:16 in
+  dirty_14pct ();
+  let full = checkpoint_words_per_page m g ~mode:`Full in
+  check_bool (Printf.sprintf "16 MiB Full: %.1f words a page (bound 90)" full) true (full <= 90.);
+  let m, g, dirty_14pct = redis_fixture ~mib:64 in
+  dirty_14pct ();
+  ignore (Machine.checkpoint_now m g ~mode:`Full ());
+  dirty_14pct ();
+  let incr = checkpoint_words_per_page m g ~mode:`Incremental in
+  check_bool (Printf.sprintf "64 MiB incremental: %.1f words a page (bound 200)" incr) true
+    (incr <= 200.)
+
 (* Regression for the pipelined quiesce: draining checkpoint state
    must await only the epochs' own writes, not the device queues'
    [busy_until] — unrelated raw traffic on the same array used to
@@ -1123,6 +1197,8 @@ let () =
             test_full_device_degrades_checkpoint;
           Alcotest.test_case "detach the memory backend" `Quick
             test_detach_memory_backend;
+          Alcotest.test_case "words per captured page" `Quick
+            test_checkpoint_words_per_page;
         ] );
       ( "restore",
         [

@@ -548,12 +548,18 @@ let prop_fork_chain_generations =
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
+(* One captured page the model holds: an item of the list view, or
+   page [i] of a column capture. *)
+type hold = Item of Vmobject.flush_item | Page of Vmobject.capture * int
+
+let hold_pindex = function Item it -> it.Vmobject.pindex | Page (c, i) -> c.Vmobject.pindexes.(i)
+
 (* Each page's residency and content seed, and the dirty, armed and
    heat state, as pure maps and sets. Each resident copy of a page has
    an id: [copies] names the current one, [holds] counts the unreleased
-   flush items holding each copy (current or replaced), and [items] are
-   those items with the copy each holds. [allocated] counts every copy
-   ever made. *)
+   captured pages holding each copy (current or replaced), and [items]
+   are those pages with the copy each holds. [allocated] counts every
+   copy ever made. *)
 type model = {
   pages : (bool * int64) Imap.t;
   dirty : Iset.t;
@@ -561,7 +567,7 @@ type model = {
   heat : int Imap.t;
   copies : int Imap.t;
   holds : int Imap.t;
-  items : (Vmobject.flush_item * int option) list;
+  items : (hold * int option) list;
   allocated : int;
 }
 
@@ -572,8 +578,9 @@ type obj_op =
   | Page_out of int
   | Touch of int
   | Mark_dirty of int
-  | Arm of [ `Full | `Dirty_only ]
+  | Arm of [ `Full | `Dirty_only ] * [ `Columns | `Items ]
   | Release of int
+  | Release_capture
   | Disarm of int
   | Sweep of int
   | Age
@@ -585,9 +592,12 @@ let show_obj_op = function
   | Page_out p -> Printf.sprintf "page_out %d" p
   | Touch p -> Printf.sprintf "touch %d" p
   | Mark_dirty p -> Printf.sprintf "mark_dirty %d" p
-  | Arm `Full -> "arm full"
-  | Arm `Dirty_only -> "arm dirty_only"
+  | Arm (mode, view) ->
+    Printf.sprintf "arm %s %s"
+      (match mode with `Full -> "full" | `Dirty_only -> "dirty_only")
+      (match view with `Columns -> "columns" | `Items -> "items")
   | Release i -> Printf.sprintf "release %d" i
+  | Release_capture -> "release capture"
   | Disarm p -> Printf.sprintf "disarm %d" p
   | Sweep n -> Printf.sprintf "sweep %d" n
   | Age -> "age"
@@ -598,6 +608,7 @@ let gen_obj_op =
      then one past the first 1,024 page slots and 32,768 bitset bits. *)
   let pindex = frequency [ (12, int_bound 40); (1, int_range 1_000 34_000) ] in
   let seed = map Int64.of_int (int_range 1 1_000) in
+  let view = oneofl [ `Columns; `Items ] in
   frequency
     [ (4, map2 (fun p s -> Install (p, s)) pindex seed);
       (2, map2 (fun p s -> Install_paged_out (p, s)) pindex seed);
@@ -605,9 +616,10 @@ let gen_obj_op =
       (2, map (fun p -> Page_out p) pindex);
       (5, map (fun p -> Touch p) pindex);
       (4, map (fun p -> Mark_dirty p) pindex);
-      (1, return (Arm `Full));
-      (2, return (Arm `Dirty_only));
+      (1, map (fun v -> Arm (`Full, v)) view);
+      (2, map (fun v -> Arm (`Dirty_only, v)) view);
       (2, map (fun i -> Release i) (int_bound 1_000));
+      (1, return Release_capture);
       (3, map (fun p -> Disarm p) pindex);
       (1, map (fun n -> Sweep n) (int_bound 8));
       (1, return Age) ]
@@ -638,11 +650,13 @@ let add_hold m c d =
   let n = held m c + d in
   { m with holds = (if n = 0 then Imap.remove c m.holds else Imap.add c n m.holds) }
 
-(* Flush items stay unreleased until a [Release] picks them (or the
-   end), so later operations meet pages whose copy is held: a COW
-   fault, an install or the object's death replaces the copy, which
-   stays resident until its last item goes; page-out and the clock
-   sweep refuse a held copy. *)
+(* Captured pages stay unreleased until a [Release] picks one, a
+   [Release_capture] takes a whole column capture at once, or the end,
+   so later operations meet pages whose copy is held: a COW fault, an
+   install or the object's death replaces the copy, which stays
+   resident until its last hold goes; page-out and the clock sweep
+   refuse a held copy. Arming goes through the columns or the list
+   view at random. *)
 let prop_vmobject_matches_model =
   QCheck.Test.make ~name:"vmobject agrees with a pure map model" ~count:150
     QCheck.(
@@ -682,7 +696,9 @@ let prop_vmobject_matches_model =
         | items ->
           let n = List.length items in
           let item, copy = List.nth items (i mod n) in
-          Vmobject.release_flush_item ~pool item;
+          (match item with
+           | Item it -> Vmobject.release_flush_item ~pool it
+           | Page (c, j) -> Vmobject.release_at ~pool c j);
           let m = { m with items = List.filteri (fun j _ -> j <> i mod n) items } in
           (match copy with Some c when held m c <= 0 -> fail step "hold underflow" | _ -> ());
           (match copy with Some c -> add_hold m c (-1) | None -> m)
@@ -719,15 +735,28 @@ let prop_vmobject_matches_model =
         | Mark_dirty p ->
           Vmobject.mark_dirty o p;
           { m with dirty = Iset.add p m.dirty }
-        | Arm mode ->
-          let items = Vmobject.arm_for_checkpoint o ~mode in
+        | Arm (mode, view) ->
+          let items, pages =
+            match view with
+            | `Items ->
+              let items = Vmobject.arm_for_checkpoint o ~mode in
+              ( List.map (fun it -> Item it) items,
+                List.map (fun (it : Vmobject.flush_item) -> (it.pindex, it.stamp, it.content)) items )
+            | `Columns ->
+              let c = Vmobject.arm o ~mode in
+              let n = Array.length c.pindexes in
+              if Array.length c.stamps <> n || Bytes.length c.seeds <> n * Content.slot_bytes then
+                fail step "capture columns of different lengths";
+              ( List.init n (fun i -> Page (c, i)),
+                List.init n (fun i -> (c.pindexes.(i), c.stamps.(i), Content.get c.seeds i)) )
+          in
           let got =
             List.map
-              (fun (it : Vmobject.flush_item) ->
-                if it.stamp >= 0 && not (Content.equal (Vmobject.content o it.pindex) it.content)
-                then fail step "captured copy differs from its content";
-                (it.pindex, (it.stamp >= 0, Content.to_seed it.content)))
-              items
+              (fun (pindex, stamp, content) ->
+                if stamp >= 0 && not (Content.equal (Vmobject.content o pindex) content) then
+                  fail step "captured copy differs from its content";
+                (pindex, (stamp >= 0, Content.to_seed content)))
+              pages
           in
           let captured =
             match mode with
@@ -739,15 +768,38 @@ let prop_vmobject_matches_model =
           let armed = List.fold_left (fun s (p, _) -> Iset.add p s) m.armed captured in
           let m =
             List.fold_left
-              (fun m (it : Vmobject.flush_item) ->
-                let copy = Imap.find_opt it.pindex m.copies in
-                let m = { m with items = m.items @ [ (it, copy) ] } in
+              (fun m h ->
+                let copy = Imap.find_opt (hold_pindex h) m.copies in
+                let m = { m with items = m.items @ [ (h, copy) ] } in
                 match copy with Some c -> add_hold m c 1 | None -> m)
               { m with dirty = Iset.empty; armed } items
           in
           check_pages step m;
           m
         | Release i -> release step m i
+        | Release_capture -> (
+          (* The newest column capture that still holds all of its
+             pages. *)
+          let whole (c : Vmobject.capture) =
+            List.length (List.filter (function Page (c', _), _ -> c' == c | _ -> false) m.items)
+            = Array.length c.pindexes
+          in
+          let captures =
+            List.filter_map (function Page (c, 0), _ when whole c -> Some c | _ -> None) m.items
+          in
+          match List.rev captures with
+          | [] -> m
+          | c :: _ ->
+            Vmobject.release ~pool c;
+            List.fold_left
+              (fun m (h, copy) ->
+                match h with
+                | Page (c', _) when c' == c ->
+                  (match copy with Some k when held m k <= 0 -> fail step "hold underflow" | _ -> ());
+                  let m = { m with items = List.filter (fun (h', _) -> h' != h) m.items } in
+                  (match copy with Some k -> add_hold m k (-1) | None -> m)
+                | _ -> m)
+              m m.items)
         | Disarm p -> (
           match Imap.find_opt p m.pages with
           | Some (true, s) when Iset.mem p m.armed ->
@@ -786,7 +838,7 @@ let prop_vmobject_matches_model =
         let p = match op with
           | Install (p, _) | Install_paged_out (p, _) | Page_in p | Page_out p | Touch p
           | Mark_dirty p | Disarm p -> p
-          | Arm _ | Release _ | Sweep _ | Age -> 0
+          | Arm _ | Release _ | Release_capture | Sweep _ | Age -> 0
         in
         if Vmobject.armed_count o <> Iset.cardinal m.armed then fail step "armed_count";
         if Vmobject.dirty_count o <> Iset.cardinal m.dirty then fail step "dirty_count";
