@@ -1242,7 +1242,7 @@ let repl_sweep () =
       in
       let payload = ref 0 and acked = ref 0 in
       let drive gen =
-        let r = Replica.ship repl ~gen ~pgid:g.Types.pgid in
+        let r = Replica.ship repl ~gen in
         if r.Replica.sh_outcome = `Acked then begin
           incr acked;
           payload := !payload + r.Replica.sh_bytes

@@ -851,7 +851,7 @@ let cmd_replicate path dst pgid loss seed json =
   in
   if pgens = [] then failwith "no committed generations to replicate";
   let reports =
-    List.map (fun gen -> Replica.ship_exn repl ~gen ~pgid:g.Types.pgid) pgens
+    List.map (fun gen -> Replica.ship_exn repl ~gen) pgens
   in
   let st = Replica.stats repl in
   let lag = Replica.lag repl in

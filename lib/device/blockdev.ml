@@ -192,12 +192,6 @@ let queue_batch_read ?(cls = Iosched.Foreground) t ~blocks =
     completion
   end
 
-let read_many ?cls t indices =
-  let completion = queue_batch_read ?cls t ~blocks:(List.length indices) in
-  let contents = List.map (batch_content t) indices in
-  Clock.advance_to t.clock completion;
-  contents
-
 let store_block t ~completed i c =
   (match c with
    | Data s when String.length s > block_size ->
@@ -251,11 +245,9 @@ let apply_write_faults t blocks contents =
       blocks;
     !retry_cost
 
-let columns writes =
-  (Array.of_list (List.map fst writes), Array.of_list (List.map snd writes))
-
 let write_many ?(cls = Iosched.Foreground) t writes =
-  let blocks, contents = columns writes in
+  let blocks = Array.of_list (List.map fst writes) in
+  let contents = Array.of_list (List.map snd writes) in
   let retry_cost = apply_write_faults t blocks contents in
   let n = Array.length blocks in
   if n > 0 then charge_sync t ~cls ~op:`Write ~blocks:n;
@@ -327,22 +319,12 @@ let write_sorted ?not_before ?(cls = Iosched.Flush) t blocks contents =
       ~cost:(Duration.add retry_cost cost)
   end
 
-let write_async ?not_before ?(cls = Iosched.Flush) t writes =
-  let blocks, contents = columns writes in
-  let n = Array.length blocks in
-  if n = 0 then idle_completion ?not_before t
-  else begin
-    let retry_cost = apply_write_faults t blocks contents in
-    queue_writes ?not_before ~cls t blocks contents ~transfers:1
-      ~cost:(Duration.add retry_cost (write_cost t ~blocks:n))
-  end
-
 (* A small control write on its own submission queue: charged from the
    current instant instead of behind queued data transfers — modeling a
    separate NVMe queue pair for out-of-band metadata (the store's black
    box). It does not extend [busy_until], so a crash can find it
    durable while an earlier, larger data submission is still in flight.
-   Crash and durability semantics are otherwise write_async's. *)
+   Crash and durability semantics are otherwise write_sorted's. *)
 let write_oob t blocks contents =
   let retry_cost = apply_write_faults t blocks contents in
   let n = Array.length blocks in

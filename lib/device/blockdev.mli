@@ -10,7 +10,7 @@
     Two submission modes mirror how Aurora uses storage:
     - synchronous ([read]/[write]/[flush]) advance the simulated clock
       to command completion, and
-    - asynchronous ([write_async]) queue work on the device timeline
+    - asynchronous ([write_sorted]) queue work on the device timeline
       and return the absolute completion time without blocking the
       caller — this models the orchestrator flushing checkpoints "in
       the background concurrently with application execution". *)
@@ -63,10 +63,6 @@ val read : ?cls:Iosched.cls -> t -> int -> content
     way — for a dropped device, an injected transient error, or a
     latent sector. *)
 
-val read_many : ?cls:Iosched.cls -> t -> int list -> content list
-(** One command ({!queue_batch_read}) delivering {!batch_content} of
-    each block; waits for its completion. *)
-
 val queue_batch_read : ?cls:Iosched.cls -> t -> blocks:int -> Duration.t
 (** Queue one read command of [blocks] blocks (latency charged once,
     bandwidth per block) and return its absolute completion time
@@ -102,29 +98,23 @@ val write : ?cls:Iosched.cls -> t -> int -> content -> unit
 
 val write_many : ?cls:Iosched.cls -> t -> (int * content) list -> unit
 
-val write_async :
-  ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> (int * content) list ->
-  Duration.t
-(** Queue the writes on the device timeline as one transfer; returns
-    the absolute simulated time at which they complete (and, for
-    non-volatile caches, become durable). Does not advance the clock.
-    [cls] defaults to [Flush] — checkpoint extents are the dominant
-    async traffic. [not_before] delays the transfer's start past the
-    given absolute time even if the queue drains earlier — the commit
-    barrier: a superblock write ordered after in-flight data on
-    {e other} devices of an array. *)
-
 val write_sorted :
   ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> int array -> content array ->
   Duration.t
-(** [write_sorted t blocks contents]: like {!write_async}, block
-    [blocks.(i)] taking [contents.(i)], for blocks in ascending order
-    (a repeated block keeps its last content). Each run of blocks, each
-    at most one past the one before, is charged as its own transfer
-    (latency per run, bandwidth per block); all complete together at
-    the returned time. The device keeps both columns as the in-flight
-    batch, and a silently corrupted write replaces its slot of
-    [contents]. Raises [Invalid_argument] if the columns' lengths
+(** [write_sorted t blocks contents]: queue one submission on the
+    device timeline, block [blocks.(i)] taking [contents.(i)], for
+    blocks in ascending order (a repeated block keeps its last
+    content). Each run of blocks, each at most one past the one before,
+    is charged as its own transfer (latency per run, bandwidth per
+    block); all complete together at the returned absolute time (and,
+    for non-volatile caches, become durable). Does not advance the
+    clock. [cls] defaults to [Flush] — checkpoint extents are the
+    dominant async traffic. [not_before] delays the start past the
+    given absolute time even if the queue drains earlier — the commit
+    barrier: a superblock write ordered after in-flight data on
+    {e other} devices of an array. The device keeps both columns as the
+    in-flight batch, and a silently corrupted write replaces its slot
+    of [contents]. Raises [Invalid_argument] if the columns' lengths
     differ or the blocks descend anywhere. *)
 
 val write_oob : t -> int array -> content array -> Duration.t
@@ -133,7 +123,7 @@ val write_oob : t -> int array -> content array -> Duration.t
     rather than behind queued data transfers (a separate NVMe queue
     pair), so it can become durable while an earlier, larger submission
     is still draining. Used for the store's black-box slot. Crash and
-    durability semantics match {!write_async}; [busy_until] is not
+    durability semantics match {!write_sorted}; [busy_until] is not
     extended. Accounted to the [Background] class without being
     scheduled. *)
 

@@ -240,9 +240,6 @@ let write_async ?not_before ?cls t writes =
   let blocks, contents = columns writes in
   write_async_arr ?not_before ?cls t blocks contents
 
-let write_barrier ?cls t writes =
-  write_async ~not_before:(busy_until t) ?cls t writes
-
 let await t completion =
   Clock.advance_to (clock t) completion;
   Array.iter Blockdev.settle t.devs

@@ -103,11 +103,6 @@ val write_oob : t -> (int * Blockdev.content) list -> Duration.t
     can become durable while earlier data submissions still drain.
     Used for the store's black-box slot; see {!Blockdev.write_oob}. *)
 
-val write_barrier : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> Duration.t
-(** The commit barrier: the writes start only after {e every} device
-    queue (as of submission) has drained — a superblock ordered after
-    in-flight data on all stripes. Returns the completion time. *)
-
 (* --- completion groups ----------------------------------------------- *)
 
 type group

@@ -38,14 +38,13 @@ module Table = struct
 
   let length t = t.count
 
-  (* Map the hash at byte [off] of [col] to [v]. *)
-  let rec put t col off v =
-    if v < 0 then invalid_arg "Dedup.Table.replace_in: negative value";
-    let i = slot t (Bytes.get_int64_le col off) in
-    if value_at t i >= 0 then set_value t i v
-    else if 2 * (t.count + 1) > t.mask + 1 then begin
+  (* Fill the empty slot [i] that ends the run of the hash at byte
+     [off] of [col] with that hash and [v], growing the table first
+     when the entry would fill it past half. *)
+  let rec insert t i col off v =
+    if 2 * (t.count + 1) > t.mask + 1 then begin
       grow t;
-      put t col off v
+      insert t (slot t (Bytes.get_int64_le col off)) col off v
     end
     else begin
       Bytes.blit col off t.slots (16 * i) 8;
@@ -60,10 +59,19 @@ module Table = struct
     t.count <- 0;
     for i = 0 to n - 1 do
       let v = Int64.to_int (Bytes.get_int64_le old ((16 * i) + 8)) in
-      if v >= 0 then put t old (16 * i) v
+      if v >= 0 then insert t (slot t (Bytes.get_int64_le old (16 * i))) old (16 * i) v
     done
 
-  let replace_in t col i v = put t col (8 * i) v
+  (* One probe finds the hash's slot, whether it is mapped or not. *)
+  let add_in t col i v =
+    if v < 0 then invalid_arg "Dedup.Table.add_in: negative value";
+    let s = slot t (Bytes.get_int64_le col (8 * i)) in
+    let mapped = value_at t s in
+    if mapped >= 0 then mapped
+    else begin
+      insert t s col (8 * i) v;
+      v
+    end
 
   (* Backward-shift deletion: walk the rest of the run and move back
      into the hole every entry whose home slot does not lie cyclically
@@ -137,12 +145,10 @@ let find t ~hash = counted t (Table.find t.by_hash hash)
 let find_in t hashes i = counted t (Table.find_in t.by_hash hashes i)
 
 let add_in t hashes i ~block =
-  let existing = Table.find_in t.by_hash hashes i in
-  if existing >= 0 && existing <> block then
+  if Table.add_in t.by_hash hashes i block <> block then
     invalid_arg "Dedup.add: hash already mapped to a different block";
   cover t block;
-  Bytes.set_int64_le t.by_block (8 * block) (Bytes.get_int64_le hashes (8 * i));
-  Table.replace_in t.by_hash t.by_block block block
+  Bytes.set_int64_le t.by_block (8 * block) (Bytes.get_int64_le hashes (8 * i))
 
 let add t ~hash ~block =
   let col = Bytes.create 8 in

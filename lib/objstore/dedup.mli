@@ -29,26 +29,11 @@ module Table : sig
   val create : int -> t
   (** A table with room for this many entries before it first grows. *)
 
-  val find : t -> int64 -> int
-  (** The value mapped to the hash, or -1. *)
-
-  val find_in : t -> Bytes.t -> int -> int
-  (** [find_in t hashes i]: {!find} of the hash in bytes [8i, 8i + 8)
-      of [hashes], read in place. *)
-
-  val replace_in : t -> Bytes.t -> int -> int -> unit
-  (** [replace_in t hashes i v]: map the hash in bytes [8i, 8i + 8) of
-      [hashes] to [v], growing the table as needed. Raises
+  val add_in : t -> Bytes.t -> int -> int -> int
+  (** [add_in t hashes i v]: the value the hash in bytes [8i, 8i + 8)
+      of [hashes] maps to, after mapping it to [v] if it mapped to
+      nothing, growing the table as needed. One probe does both. Raises
       [Invalid_argument] on a negative value. *)
-
-  val remove_in : t -> Bytes.t -> int -> unit
-  (** Drop the entry of the hash in bytes [8i, 8i + 8) of the column,
-      if any. *)
-
-  val length : t -> int
-
-  val clear : t -> unit
-  (** Drop every entry, keeping the table's size. *)
 end
 
 type t
@@ -74,7 +59,8 @@ val add : t -> hash:int64 -> block:int -> unit
 
 val add_in : t -> Bytes.t -> int -> block:int -> unit
 (** [add_in t hashes i ~block]: {!add} of the hash in bytes
-    [8i, 8i + 8) of [hashes]. *)
+    [8i, 8i + 8) of [hashes], with one probe of the index: a refused
+    hash leaves the index and the reverse map untouched. *)
 
 val entries : t -> int
 val hits : t -> int

@@ -790,15 +790,12 @@ let put_page_columns t ~oid ~pindexes ~seeds =
     let nslots = ref 0 in
     for j = 0 to !nmiss - 1 do
       let i = fresh.(j) in
-      let dup = if t.dedup_enabled then Dedup.Table.find_in batch hashes i else -1 in
-      if dup >= 0 then where.(i) <- -(dup + 1)
-      else begin
-        let s = !nslots in
+      let s = if t.dedup_enabled then Dedup.Table.add_in batch hashes i !nslots else !nslots in
+      if s = !nslots then begin
         incr nslots;
-        fresh.(s) <- i;
-        where.(i) <- -(s + 1);
-        if t.dedup_enabled then Dedup.Table.replace_in batch hashes i s
-      end
+        fresh.(s) <- i
+      end;
+      where.(i) <- -(s + 1)
     done;
     let nslots = !nslots in
     (* Every page that did not need a fresh slot — a dedup hit or an

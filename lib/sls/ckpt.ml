@@ -392,6 +392,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
       pages_captured;
       barrier_at;
       durable_at;
+      ship = Duration.zero;
       status;
     }
   in

@@ -72,6 +72,7 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
       pages_captured;
       barrier_at;
       durable_at;
+      ship = Duration.zero;
       status = `Ok;
     }
   in

@@ -22,9 +22,12 @@ type t = {
   mutable pending_ckpts : Types.pending_ckpt list;
   (* Committed epochs whose writes are still draining, oldest first.
      Superblock ordering makes their durability times ascending. *)
+  mutable sessions : (int * Replica.t) list;
+  (* Every replication session with its group's pgid, in attach order:
+     the backends beside a primary and the hot standby. *)
   mutable standby : (int * Replica.t) option;
-  (* Hot-standby replication session and the pgid whose checkpoints
-     auto-ship through it. *)
+  (* The hot standby's entry of [sessions]. *)
+  mutable next_sid : int;
   mutable postmortem : postmortem option;
   (* What the previous incarnation left in flight, computed once at
      boot by diffing the recovered flight recorder and the store's
@@ -154,7 +157,9 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
         recorded = [];
         max_inflight_ckpts;
         pending_ckpts = [];
+        sessions = [];
         standby = None;
+        next_sid = 1;
         postmortem = None;
       }
   in
@@ -198,11 +203,36 @@ let persist t ?interval target =
   g.Types.backends <- [ t.disk_store ];
   g
 
-let attach _t g store = g.Types.backends <- g.Types.backends @ [ store ]
+(* Open a session, numbered by this machine, shipping [g]'s generations
+   from [primary] into [store], and add its entry to the ship loop. *)
+let add_session t g ?obs ?ack_timeout ?max_attempts ~primary ~link store =
+  let repl =
+    Replica.establish ?ack_timeout ?max_attempts ?obs ~sid:t.next_sid
+      ~pgid:g.Types.pgid ~link ~primary_side:`A ~primary ~standby:store ()
+  in
+  t.next_sid <- t.next_sid + 1;
+  let entry = (g.Types.pgid, repl) in
+  t.sessions <- t.sessions @ [ entry ];
+  entry
 
-let detach _t g store =
+let attach t g store =
+  match Types.primary_store g with
+  | None -> g.Types.backends <- [ store ]
+  | Some primary ->
+    g.Types.backends <- g.Types.backends @ [ store ];
+    (* A backend beside the primary is a session over a lossless link
+       that moves bytes as fast as the backend's own device. *)
+    let link =
+      Netlink.create ~clock:(clock t) ~profile:(Devarray.profile (Store.device store)) ()
+    in
+    ignore (add_session t g ~primary ~link store)
+
+let detach t g store =
   g.Types.backends <- List.filter (fun s -> s != store) g.Types.backends;
-  g.Types.mirrored <- List.filter (fun (s, _) -> s != store) g.Types.mirrored
+  t.sessions <-
+    List.filter
+      (fun (pgid, repl) -> pgid <> g.Types.pgid || Replica.standby_store repl != store)
+      t.sessions
 
 (* --- checkpoints ----------------------------------------------------- *)
 
@@ -265,6 +295,29 @@ let drain_storage t =
   Store.wait_all_durable t.disk_store;
   Store.wait_all_durable t.mem_store
 
+(* Ship a committed generation through every session of its group, in
+   attach order, each as a delta against what it last acknowledged or
+   in full. The ships run on the application's clock; their time is the
+   breakdown's [ship] and one [ckpt.ship] span on a track of its own. *)
+let ship_generation t g (b : Types.ckpt_breakdown) =
+  let started = now t in
+  List.iter
+    (fun (pgid, repl) ->
+      if pgid = g.Types.pgid then ignore (Replica.ship repl ~gen:b.Types.gen))
+    t.sessions;
+  (* Refresh the black box with the hot standby's post-ship ack
+     horizon: the copy written at capture predates this ship, and a
+     crash from here on should not report an acked generation as
+     unacked. *)
+  (match (t.standby, Types.primary_store g) with
+   | Some (pgid, _), Some s when pgid = g.Types.pgid ->
+     Store.write_blackbox s (Recorder.export_blackbox (recorder t))
+   | _ -> ());
+  Span.record (spans t) ~track:"ckpt.ship" ~name:"ckpt.ship"
+    ~attrs:[ ("pgid", string_of_int g.Types.pgid); ("gen", string_of_int b.Types.gen) ]
+    ~start_at:started ~end_at:(now t) ();
+  b.Types.ship <- Duration.sub (now t) started
+
 let checkpoint_now t g ?mode ?name () =
   (* Retire anything that landed since the last barrier first: keeps
      the history window tight and the in-flight window honest. *)
@@ -284,7 +337,7 @@ let checkpoint_now t g ?mode ?name () =
   let backpressure = ref Duration.zero in
   (match b.Types.status with
    | `Degraded _ ->
-     (* The generation never committed: nothing to stamp, export or
+     (* The generation never committed: nothing to stamp, ship or
         journal-truncate. Still try to reclaim history — freeing old
         generations is exactly what a full device needs. *)
      (try ignore (gc_history t)
@@ -294,45 +347,7 @@ let checkpoint_now t g ?mode ?name () =
        ~durable_at:b.Types.durable_at;
      (* The checkpoint bounds the record/replay journal. *)
      if List.memq g t.recorded then Rr.on_checkpoint g;
-     (* Secondary backends (memory stores for debugging, an NVDIMM
-        tier, ...) get their own generation: the same image, mirrored
-        into a separate store as a delta against the generation the
-        backend last took while that is still its newest. Exports run
-        barrier-side — they read the primary's current device content,
-        which is valid while the flush drains. *)
-     Option.iter
-       (fun primary ->
-         g.Types.mirrored <-
-           List.filter_map
-             (fun store ->
-               if store == primary then None
-               else
-                 let base =
-                   match List.assq_opt store g.Types.mirrored with
-                   | Some (pgen, sgen) when Store.latest store = Some sgen -> Some pgen
-                   | Some _ | None -> None
-                 in
-                 let image =
-                   Sendrecv.export primary ~gen:b.Types.gen ~pgid:g.Types.pgid ?base ()
-                 in
-                 Some (store, (b.Types.gen, fst (Sendrecv.import store image))))
-             g.Types.backends)
-       (Types.primary_store g);
-     (* Auto-ship to the hot standby: the replication session drives
-        the image to durable acknowledgement (or gives up after its
-        retry budget — a later checkpoint resynchronizes). Runs
-        barrier-side like the other secondary backends. *)
-     (match t.standby with
-      | Some (pgid, repl) when pgid = g.Types.pgid ->
-        ignore (Replica.ship repl ~gen:b.Types.gen ~pgid);
-        (* Refresh the black box with the post-ship ack horizon: the
-           copy written at capture predates this ship, and a crash from
-           here on should not report an acked generation as unacked. *)
-        (match Types.primary_store g with
-         | Some s ->
-           Store.write_blackbox s (Recorder.export_blackbox (recorder t))
-         | None -> ())
-      | _ -> ());
+     if List.mem_assoc g.Types.pgid t.sessions then ship_generation t g b;
      (* The epoch joins the pipeline; history collection happens when
         it retires. Backpressure: a barrier may not leave more than
         the window in flight, so block on the oldest epochs until the
@@ -716,11 +731,12 @@ let attach_standby t ?faults ?ack_timeout ?max_attempts ?standby_dev g =
       in
       Store.format ~dev ()
   in
-  let repl =
-    Replica.establish ?ack_timeout ?max_attempts ~obs:(obs t) ~link ~primary_side:`A
-      ~primary:t.disk_store ~standby:store ()
+  let entry =
+    add_session t g ?ack_timeout ?max_attempts ~obs:(obs t) ~primary:t.disk_store ~link
+      store
   in
-  t.standby <- Some (g.Types.pgid, repl);
+  t.standby <- Some entry;
+  let repl = snd entry in
   let rec_ = recorder t in
   Recorder.set_repl_attached rec_ true;
   (* A session over an existing standby recovers its ack horizon from
@@ -733,10 +749,18 @@ let attach_standby t ?faults ?ack_timeout ?max_attempts ?standby_dev g =
     (Printf.sprintf "standby attached (pgroup %d)" g.Types.pgid);
   repl
 
+(* Take the hot standby's session out of the ship loop. *)
+let drop_standby t =
+  match t.standby with
+  | Some entry ->
+    t.sessions <- List.filter (fun e -> e != entry) t.sessions;
+    t.standby <- None
+  | None -> ()
+
 let detach_standby t =
   if t.standby <> None then
     Recorder.note_transition (recorder t) ~subsystem:"repl" "standby detached";
-  t.standby <- None
+  drop_standby t
 
 type failover_report = {
   fo_rpo : int;
@@ -761,7 +785,7 @@ let failover t =
       | None -> gens
       | Some a -> List.filter (fun g -> g > a) gens
     in
-    t.standby <- None;
+    drop_standby t;
     let promoted =
       boot_exn ~max_inflight_ckpts:t.max_inflight_ckpts
         ~nvme:(Store.device standby) ()

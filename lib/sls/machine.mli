@@ -37,10 +37,12 @@ type t = {
       charges the wait to [ckpt.backpressure_us]. *)
   mutable pending_ckpts : Types.pending_ckpt list;
   (** Committed epochs whose writes are still draining, oldest first. *)
+  mutable sessions : (int * Replica.t) list;
+  (** Every {!Replica} session, with its group's pgid, in attach order:
+      the backends beside a primary ({!attach}) and the hot standby. *)
   mutable standby : (int * Replica.t) option;
-  (** Hot-standby replication session, with the pgid whose checkpoints
-      auto-ship through it. Managed by {!attach_standby} /
-      {!failover}. *)
+  (** The hot standby's entry of [sessions]. *)
+  mutable next_sid : int;  (** number of this machine's next session *)
   mutable postmortem : postmortem option;
   (** What the previous incarnation left in flight — computed once at
       {!boot} by {!forensics}; read it through {!postmortem}. *)
@@ -146,19 +148,26 @@ val persist_unattached : t -> ?interval:Duration.t -> Types.target -> Types.pgro
 (** A group with no backends (attach explicitly). *)
 
 val attach : t -> Types.pgroup -> Store.t -> unit
-(** Append a backend store ([m.mem_store] for the memory backend). *)
+(** Append a backend store ([m.mem_store] for the memory backend). The
+    first becomes the group's primary; a later one takes the group's
+    checkpoints through a {!Replica} session over a lossless link with
+    its device's profile, resuming from the group's imports it holds. *)
 
 val detach : t -> Types.pgroup -> Store.t -> unit
-(** Remove every attachment of the store; re-attaching ships it a full image. *)
+(** Remove every attachment of the store and its session. Re-attaching
+    resumes with a delta from the group's last import while that is
+    still the store's newest generation, and ships the full image
+    otherwise. *)
 
 val checkpoint_now :
   t -> Types.pgroup -> ?mode:[ `Full | `Incremental ] -> ?name:string -> unit ->
   Types.ckpt_breakdown
-(** `sls checkpoint`: barrier + capture to every attached backend
-    (a secondary store imports a delta against the generation it last
-    took, or else the full image), ship it to the hot standby if one is
-    attached, and enqueue the epoch on the flush pipeline. Also stamps
-    the external-consistency buffer.
+(** `sls checkpoint`: barrier + capture to the group's primary, ship the
+    generation through each of the group's sessions in attach order,
+    and enqueue the epoch on the flush pipeline. Also stamps the
+    external-consistency buffer. The ships run on the application's
+    clock, reported as the breakdown's [ship] and one ["ckpt.ship"]
+    span when the group has a session.
     Returns as soon as the in-flight window has room again (see
     [max_inflight_ckpts]); the returned breakdown's [durable_at] may
     be in the future. Epochs that already landed are retired first —
@@ -224,9 +233,10 @@ val attach_standby :
   Replica.t
 (** Attach a hot standby for the group: a fresh single-stripe device
     array (same storage profile as the primary) behind a {!Netlink}
-    link (10 GbE profile) carrying the optional [faults] plan,
-    and a {!Replica} session through it. Every subsequent committed
-    checkpoint of the group auto-ships through the session (see
+    link (10 GbE profile) carrying the optional [faults] plan, and a
+    {!Replica} session through it, the one that reports to the
+    machine's [repl.*] metrics, flight recorder and black box. Every
+    subsequent committed checkpoint of the group ships through it (see
     {!checkpoint_now}). [standby_dev] re-attaches an existing standby
     device instead — after a primary crash and {!recover}, the new
     session resumes from the replication state recorded durably on the

@@ -103,6 +103,7 @@ type t = {
   mutable standby : Store.t;
   clock : Clock.t;
   sid : int;
+  pgid : int;  (* the group whose generations this session ships *)
   ack_timeout : Duration.t;
   max_attempts : int;
   prng : Prng.t;  (* retransmission jitter *)
@@ -114,56 +115,46 @@ type t = {
   (* standby-side receiver state (both ends live in one simulated
      universe, so the session object carries both) *)
   mutable rx_last_seq : int;
-  mutable rx_latest : Store.gen option;  (* latest primary gen applied *)
   mutable map : (Store.gen * Store.gen) list;  (* primary -> standby, ascending *)
   mutable st : stats;
 }
 
-let repl_name_prefix = "repl.gen:"
+(* The durable name records the session's group and carries the
+   trace-correlation id the primary put on the wire: a session resumes
+   only from its own group's imports, and a timeline merged after
+   failover matches the standby's imports to the primary's ship spans
+   without the session object. *)
+let name_prefix = "repl.gen:"
+let repl_gen_name ~pgid ~corr g = Printf.sprintf "%s%d/%d@%s" name_prefix pgid g corr
 
-(* The durable name carries the trace-correlation id the primary put
-   on the wire ("repl.gen:<g>@<corr>"), so a timeline merged after
-   failover can match the standby's imports to the primary's ship
-   spans without the session object. Names without the suffix (or
-   from before a corr existed) still parse. *)
-let repl_gen_name ?corr g =
-  match corr with
-  | None -> Printf.sprintf "%s%d" repl_name_prefix g
-  | Some c -> Printf.sprintf "%s%d@%s" repl_name_prefix g c
+let parse_name name =
+  let plen = String.length name_prefix in
+  match (String.index_opt name '/', String.index_opt name '@') with
+  | Some i, Some j when String.starts_with ~prefix:name_prefix name && plen < i && i < j -> (
+    let sub a b = String.sub name a (b - a) in
+    match (int_of_string_opt (sub plen i), int_of_string_opt (sub (i + 1) j)) with
+    | Some pgid, Some g -> Some (pgid, g, sub (j + 1) (String.length name))
+    | _ -> None)
+  | _ -> None
 
-let parse_repl_gen_name name =
-  let plen = String.length repl_name_prefix in
-  if String.length name > plen && String.starts_with ~prefix:repl_name_prefix name
-  then
-    let rest = String.sub name plen (String.length name - plen) in
-    let num =
-      match String.index_opt rest '@' with
-      | Some i -> String.sub rest 0 i
-      | None -> rest
-    in
-    int_of_string_opt num
-  else None
-
-let parse_repl_corr name =
-  if String.starts_with ~prefix:repl_name_prefix name then
-    match String.index_opt name '@' with
-    | Some i -> Some (String.sub name (i + 1) (String.length name - i - 1))
-    | None -> None
-  else None
+let parse_repl_gen_name name = Option.map (fun (_, g, _) -> g) (parse_name name)
+let parse_repl_corr name = Option.map (fun (_, _, c) -> c) (parse_name name)
 
 let corr_id t ~gen = Printf.sprintf "s%d-g%d" t.sid gen
 
 (* The durable session state: which primary generation each standby
-   generation holds, recorded as generation names at import time. *)
-let scan_mapping standby =
+   generation holds, recorded as generation names at import time. Only
+   the group's own names count: another group's imports into a shared
+   store are no base for this one's deltas. *)
+let scan_mapping standby ~pgid =
   Store.named standby
   |> List.filter_map (fun (name, sgen) ->
-      match parse_repl_gen_name name with
-      | Some pgen -> Some (pgen, sgen)
-      | None -> None)
+      match parse_name name with
+      | Some (p, pgen, _) when p = pgid -> Some (pgen, sgen)
+      | Some _ | None -> None)
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let session_counter = ref 0
+let newest map = match List.rev map with p :: _ -> Some p | [] -> None
 
 (* Ceiling of the doubling retransmission timeout. *)
 let max_backoff = Duration.milliseconds 40
@@ -174,10 +165,9 @@ let metric_incr t name =
   Option.iter (fun (o : Obs.t) -> Metrics.incr (Metrics.counter o.Obs.metrics name)) t.obs
 
 let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10) ?obs
-    ~link ~primary_side ~primary ~standby () =
+    ~sid ~pgid ~link ~primary_side ~primary ~standby () =
   if max_attempts < 1 then invalid_arg "Replica.establish: max_attempts < 1";
-  incr session_counter;
-  let map = scan_mapping standby in
+  let map = scan_mapping standby ~pgid in
   (* A standby that acknowledged generations this primary no longer
      holds is AHEAD of it: the primary crashed before those became
      durable and recovered to an older committed prefix. Generation
@@ -194,7 +184,6 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10) ?obs
     if ahead then (Store.format ~dev:(Store.device standby) (), [])
     else (standby, map)
   in
-  let latest = match List.rev map with (p, _) :: _ -> Some p | [] -> None in
   (match obs with
    | Some o when ahead ->
      Metrics.incr (Metrics.counter o.Obs.metrics "repl.quarantines")
@@ -202,15 +191,14 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10) ?obs
   {
     link; primary_side; primary; standby;
     clock = Devarray.clock (Store.device primary);
-    sid = !session_counter;
+    sid; pgid;
     ack_timeout; max_attempts;
-    prng = Prng.create ~seed:(Int64.of_int (0x5EED + !session_counter));
+    prng = Prng.create ~seed:(Int64.of_int (0x5EED + sid));
     obs;
     next_seq = 1;
-    acked = latest;
+    acked = Option.map fst (newest map);
     state = `Idle;
     rx_last_seq = 0;
-    rx_latest = latest;
     map;
     st = zero_stats;
   }
@@ -221,7 +209,10 @@ let link t = t.link
 let standby_store t = t.standby
 let acked_gen t = t.acked
 let mapping t = t.map
-let standby_latest t = match List.rev t.map with p :: _ -> Some p | [] -> None
+let standby_latest t = newest t.map
+
+(* The newest primary generation the destination applied. *)
+let rx_latest t = Option.map fst (newest t.map)
 
 let lag t =
   let gens = Store.generations t.primary in
@@ -250,6 +241,15 @@ let send_frame t ~from_ p =
 
 (* --- standby end ------------------------------------------------------ *)
 
+(* The primary generation a delta may be cut against: the last one
+   this session imported, while that import is still the store's
+   newest generation. An import builds on the newest generation, which
+   then holds the base exactly as this session imported it. *)
+let delta_base t =
+  match rx_latest t with
+  | Some p when Store.latest t.standby = List.assoc_opt p t.map -> Some p
+  | Some _ | None -> None
+
 let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
   if seq <= t.rx_last_seq then begin
     (* Duplicate (retransmit of something already applied, or a link
@@ -257,7 +257,7 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
        re-import. *)
     bump t (fun s -> { s with duplicate_frames = s.duplicate_frames + 1 });
     metric_incr t "repl.duplicate_frames";
-    match t.rx_latest with
+    match rx_latest t with
     | Some g -> send_frame t ~from_:(standby_side t) (Ack { seq; primary_gen = g })
     | None -> send_frame t ~from_:(standby_side t) (Nak { seq; have = None })
   end
@@ -273,10 +273,11 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
   else if
     (* A delta only applies on top of exactly the generation it was cut
        against; anything else (standby lost state in a crash, primary
-       resumed an older session) is NAKed with what the standby holds
-       so the primary can resync from the last common generation. *)
-    match base with None -> false | Some b -> t.rx_latest <> Some b
-  then send_frame t ~from_:(standby_side t) (Nak { seq; have = t.rx_latest })
+       resumed an older session, another writer's generation on top) is
+       NAKed with the base the standby can take, so the primary can
+       resync from it, or in full when there is none. *)
+    match base with None -> false | Some _ -> base <> delta_base t
+  then send_frame t ~from_:(standby_side t) (Nak { seq; have = delta_base t })
   else begin
     match
       (* ACK durability, not arrival: wait for the imported
@@ -284,7 +285,7 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
          durably, then acknowledge. *)
       let sgen, durable = Sendrecv.import t.standby image in
       Store.wait_durable t.standby durable;
-      Store.name_generation t.standby sgen (repl_gen_name ~corr primary_gen);
+      Store.name_generation t.standby sgen (repl_gen_name ~pgid:t.pgid ~corr primary_gen);
       sgen
     with
     | exception Restore.Error (Restore.Bad_image _) ->
@@ -294,7 +295,7 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
       (try Store.abort_generation t.standby with _ -> ());
       bump t (fun s -> { s with corrupt_rejects = s.corrupt_rejects + 1 });
       metric_incr t "repl.corrupt_rejects";
-      send_frame t ~from_:(standby_side t) (Nak { seq; have = t.rx_latest })
+      send_frame t ~from_:(standby_side t) (Nak { seq; have = delta_base t })
     | exception Store.Fail _ ->
       (* The standby's own media failed mid-import: abort the torn
          generation and NAK — a retransmit retries the import (transient
@@ -303,10 +304,9 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
       (try Store.abort_generation t.standby with _ -> ());
       bump t (fun s -> { s with torn_imports = s.torn_imports + 1 });
       metric_incr t "repl.torn_imports";
-      send_frame t ~from_:(standby_side t) (Nak { seq; have = t.rx_latest })
+      send_frame t ~from_:(standby_side t) (Nak { seq; have = delta_base t })
     | sgen ->
       t.rx_last_seq <- seq;
-      t.rx_latest <- Some primary_gen;
       t.map <- t.map @ [ (primary_gen, sgen) ];
       send_frame t ~from_:(standby_side t) (Ack { seq; primary_gen })
   end
@@ -402,7 +402,8 @@ let choose_mode t ~gen =
   | Some a when a < gen && List.mem a (Store.generations t.primary) -> `Delta a
   | Some _ | None -> `Full
 
-let ship t ~gen ~pgid =
+let ship t ~gen =
+  let pgid = t.pgid in
   let already = match t.acked with Some a -> gen <= a | None -> false in
   if already then
     { sh_gen = gen; sh_outcome = `Skipped; sh_mode = `Full; sh_attempts = 0;
@@ -520,8 +521,8 @@ let ship t ~gen ~pgid =
       sh_mode = !mode; sh_attempts = !attempts; sh_rtt = rtt; sh_bytes = !bytes }
   end
 
-let ship_exn t ~gen ~pgid =
-  let r = ship t ~gen ~pgid in
+let ship_exn t ~gen =
+  let r = ship t ~gen in
   if r.sh_outcome = `Gave_up then
     raise
       (Session_failed
@@ -536,6 +537,4 @@ let crash_standby t =
   Devarray.crash dev;
   let s = Store.open_exn ~dev in
   t.standby <- s;
-  let map = scan_mapping s in
-  t.map <- map;
-  t.rx_latest <- (match List.rev map with (p, _) :: _ -> Some p | [] -> None)
+  t.map <- scan_mapping s ~pgid:t.pgid

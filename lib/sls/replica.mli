@@ -1,24 +1,27 @@
-(** Hot-standby checkpoint replication over a faulty link.
+(** Checkpoint replication into another store, over a link: the one
+    path that carries {!Sendrecv} images from a group's primary to any
+    other store. A backend beside the primary takes its checkpoints
+    through a session over a lossless local link, the hot standby
+    through one over a network link that may be faulty.
 
-    The one path that carries {!Sendrecv} images to another machine: a
-    session of framed, checksummed, sequence-numbered messages with
-    explicit ACK/NAK. The
-    primary streams delta exports against the last {e acked}
-    generation, retransmits on timeout with exponential backoff plus
-    jitter (all charged to simulated time), and falls back to a full
-    resync from the last common generation after a gap (the base was
-    garbage-collected) or a NAK. The standby imports only
-    integrity-verified images — a frame whose CRC fails is dropped, an
-    image whose checksum fails is rejected with a NAK and the open
-    generation aborted — and ACKs {e durability}, not arrival: the ACK
-    leaves only after the imported generation's superblock has landed.
+    A session exchanges framed, checksummed, sequence-numbered messages
+    with explicit ACK/NAK. The primary streams delta exports against
+    the last {e acked} generation, retransmits on timeout with
+    exponential backoff plus jitter (all charged to simulated time),
+    and falls back to a full resync from the last common generation
+    after a gap (the base was garbage-collected) or a NAK. The
+    destination imports only integrity-verified images — a frame whose
+    CRC fails is dropped, an image whose checksum fails is rejected
+    with a NAK and the open generation aborted — and ACKs
+    {e durability}, not arrival. It takes a delta only while its newest
+    generation is this session's import of the delta's base (an import
+    builds on the newest generation); otherwise it NAKs with no base.
 
-    The standby records which primary generation each import
-    corresponds to durably, by naming the generation
-    ["repl.gen:<primary gen>"]. A session re-established over an
-    existing standby store (after either end crashed) recovers that
-    mapping from the generation table and resumes with deltas from the
-    last common generation instead of starting over. *)
+    The destination names each import, durably,
+    ["repl.gen:<pgid>/<primary gen>@<corr>"]. A session re-established
+    over an existing store (after either end crashed, or a backend was
+    detached and attached again) recovers its group's mapping from
+    those names and resumes with deltas instead of starting over. *)
 
 open Aurora_simtime
 open Aurora_device
@@ -47,18 +50,22 @@ val establish :
   ?ack_timeout:Duration.t ->
   ?max_attempts:int ->
   ?obs:Obs.t ->
+  sid:int ->
+  pgid:int ->
   link:Netlink.t ->
   primary_side:Netlink.side ->
   primary:Store.t ->
   standby:Store.t ->
   unit ->
   t
-(** Open a session. [ack_timeout] (default 5 ms) is the initial
-    retransmission timeout; it doubles per retry (plus deterministic
-    jitter) up to 40 ms; [max_attempts]
-    (default 10) bounds transmissions of one frame. Replication state
-    the standby store already carries (["repl.gen:*"] names) is
-    recovered, so the session resumes where a predecessor stopped.
+(** Open a session that ships group [pgid]'s generations. [sid]
+    numbers it: it fences other sessions' frames, names the
+    correlation ids and seeds the retransmission jitter. [ack_timeout]
+    (default 5 ms) is the initial retransmission timeout; it doubles
+    per retry (plus deterministic jitter) up to 40 ms; [max_attempts]
+    (default 10) bounds transmissions of one frame. The destination's
+    names for [pgid] are recovered, so the session resumes where a
+    predecessor stopped; another group's names are ignored.
     [obs] attaches the instrumentation: the [repl.*] counters, the
     ack-RTT histogram and lag gauge, the ["repl"] span track, the
     flight recorder's ship/ack entries, and the [repl.msg] tracepoint
@@ -66,11 +73,12 @@ val establish :
     in [blocks] — and once per completed ship with op [ship] and the
     RTT in [us]).
 
-    A standby carrying acknowledgements for generations the primary no
-    longer holds is {e ahead} of it (the primary recovered to an older
-    committed prefix; generation numbers past it may be reused with
-    different content): such torn session state is quarantined — the
-    standby is reformatted and the session resyncs in full. *)
+    A destination carrying acknowledgements for generations the
+    primary no longer holds is {e ahead} of it (the primary recovered
+    to an older committed prefix; generation numbers past it may be
+    reused with different content): such torn session state is
+    quarantined — the store is reformatted and the session resyncs in
+    full. *)
 
 type ship_report = {
   sh_gen : Store.gen;                          (** primary generation shipped *)
@@ -81,8 +89,8 @@ type ship_report = {
   sh_bytes : int;                              (** image payload bytes *)
 }
 
-val ship : t -> gen:Store.gen -> pgid:int -> ship_report
-(** Drive one generation to the standby: export (delta against the
+val ship : t -> gen:Store.gen -> ship_report
+(** Drive one generation of the session's group: export (delta against the
     last acked generation when possible), frame, send, and pump both
     ends of the link — importing, acking and retransmitting as the
     simulated clock advances — until the standby acknowledges
@@ -91,7 +99,7 @@ val ship : t -> gen:Store.gen -> pgid:int -> ship_report
     resynchronizes. A ship that transmitted logs its span and its
     flight-recorder ship/ack events (and ack horizon) itself. *)
 
-val ship_exn : t -> gen:Store.gen -> pgid:int -> ship_report
+val ship_exn : t -> gen:Store.gen -> ship_report
 (** {!ship}, raising {!Session_failed} on [`Gave_up]. *)
 
 val state : t -> [ `Idle | `Degraded ]
@@ -124,13 +132,12 @@ val crash_standby : t -> unit
     last common generation. *)
 
 val parse_repl_gen_name : string -> Store.gen option
-(** The primary generation named by a standby's ["repl.gen:<g>"] or
-    ["repl.gen:<g>@<corr>"] name (the corr suffix is ignored); [None]
-    for unrelated names. *)
+(** The primary generation named by a destination's
+    ["repl.gen:<pgid>/<g>@<corr>"] name, whatever its group; [None] for
+    unrelated names. *)
 
 val parse_repl_corr : string -> string option
-(** The correlation id embedded in a replication generation name, if
-    one is present. *)
+(** The correlation id a replication generation name carries. *)
 
 val corr_id : t -> gen:Store.gen -> string
 (** The deterministic trace-correlation id this session puts on the

@@ -14,6 +14,7 @@ type ckpt_breakdown = {
   pages_captured : int;
   barrier_at : Duration.t;
   durable_at : Duration.t;
+  mutable ship : Duration.t;
   status : [ `Ok | `Degraded of string ];
   (* [`Degraded reason]: the generation could not commit (device full
      or failed) and was aborted; the group keeps running on its last
@@ -65,7 +66,6 @@ type pgroup = {
   pgid : int;
   mutable target : target;
   mutable backends : Store.t list;
-  mutable mirrored : (Store.t * (Store.gen * Store.gen)) list;
   mutable interval : Duration.t;
   mutable incremental : bool;
   mutable last_gen : Store.gen option;
@@ -82,7 +82,7 @@ type pgroup = {
 type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }
 
 let make_pgroup ~pgid ~target ~interval =
-  { pgid; target; backends = []; mirrored = []; interval; incremental = true;
+  { pgid; target; backends = []; interval; incremental = true;
     last_gen = None; next_ckpt_at = interval; last_breakdown = None;
     last_attribution = None; log_counts = [] }
 

@@ -4,8 +4,10 @@
     "Aurora provides persistence for individual processes, process
     trees or containers"); it carries one or more attached backends —
     the paper's `sls attach` allows "attaching multiple backends at
-    the same time". A remote machine is reached through the hot-standby
-    replication session ({!Machine.attach_standby}), not a backend. *)
+    the same time". The first is the primary; every other backend, and
+    the remote machine behind a hot standby
+    ({!Machine.attach_standby}), takes the group's checkpoints through
+    a {!Replica} session the machine keeps. *)
 
 open Aurora_simtime
 open Aurora_proc
@@ -24,6 +26,9 @@ type ckpt_breakdown = {
   pages_captured : int;
   barrier_at : Duration.t;      (** when the barrier began *)
   durable_at : Duration.t;      (** absolute durability time on the primary *)
+  mutable ship : Duration.t;
+      (** the clock's advance while {!Machine.checkpoint_now} shipped
+          the generation through the group's sessions (zero with none) *)
   status : [ `Ok | `Degraded of string ];
       (** [`Degraded reason]: the generation could not commit (device
           full or failed) and was aborted; [gen] was never durable and
@@ -89,9 +94,6 @@ type pgroup = {
   mutable backends : Store.t list;
       (** object stores on local devices; the first is the group's
           primary (restore source) *)
-  mutable mirrored : (Store.t * (Store.gen * Store.gen)) list;
-      (** per secondary backend, the primary generation it last
-          imported and the generation that import made in it *)
   mutable interval : Duration.t;        (** default 10 ms: "100x per second" *)
   mutable incremental : bool;
   mutable last_gen : Store.gen option;

@@ -127,7 +127,7 @@ let test_crash_nonvolatile_cache () =
 
 let test_async_write_completion () =
   let clock, dev = mkdev () in
-  let completion = Blockdev.write_async dev [ (0, Blockdev.Seed 7L) ] in
+  let completion = Blockdev.write_sorted dev [| 0 |] [| Blockdev.Seed 7L |] in
   check_bool "async does not advance clock" true
     Duration.(Clock.now clock < completion);
   Blockdev.await dev completion;
@@ -139,13 +139,13 @@ let test_async_crash_before_completion () =
      reached the device by crash time is gone. *)
   let _, dev = mkdev ~profile:Profile.optane_900p () in
   Blockdev.write dev 0 (Blockdev.Data "old");
-  let _completion = Blockdev.write_async dev [ (0, Blockdev.Data "new") ] in
+  let _completion = Blockdev.write_sorted dev [| 0 |] [| Blockdev.Data "new" |] in
   Blockdev.crash dev; (* clock never advanced: write still in flight *)
   Alcotest.check content_t "in-flight dropped" (Blockdev.Data "old") (Blockdev.read dev 0)
 
 let test_async_crash_after_completion () =
   let _, dev = mkdev ~profile:Profile.optane_900p () in
-  let completion = Blockdev.write_async dev [ (0, Blockdev.Data "new") ] in
+  let completion = Blockdev.write_sorted dev [| 0 |] [| Blockdev.Data "new" |] in
   Blockdev.await dev completion;
   Blockdev.crash dev;
   Alcotest.check content_t "completed write durable on optane"
@@ -153,7 +153,7 @@ let test_async_crash_after_completion () =
 
 let test_flush_makes_durable () =
   let _, dev = mkdev ~profile:Profile.nand_ssd () in
-  ignore (Blockdev.write_async dev [ (0, Blockdev.Data "x") ]);
+  ignore (Blockdev.write_sorted dev [| 0 |] [| Blockdev.Data "x" |]);
   Blockdev.flush dev;
   Blockdev.crash dev;
   Alcotest.check content_t "flushed write survives" (Blockdev.Data "x") (Blockdev.read dev 0)
@@ -167,11 +167,14 @@ let test_writes_past_initial_array () =
       let _, dev = mkdev ~profile () in
       let seed i = Blockdev.Seed (Int64.of_int i) in
       let settled = [ 1023; 1024; 5_000; 70_000 ] in
-      Blockdev.await dev (Blockdev.write_async dev (List.map (fun i -> (i, seed i)) settled));
+      Blockdev.await dev
+        (Blockdev.write_sorted dev (Array.of_list settled)
+           (Array.of_list (List.map seed settled)));
       List.iter
         (fun i -> Alcotest.check content_t "readable after settle" (seed i) (Blockdev.peek dev i))
         settled;
-      ignore (Blockdev.write_async dev [ (5_000, Blockdev.Seed 1L); (200_000, Blockdev.Seed 2L) ]);
+      ignore
+        (Blockdev.write_sorted dev [| 5_000; 200_000 |] [| Blockdev.Seed 1L; Blockdev.Seed 2L |]);
       Alcotest.check content_t "unsettled write visible" (Blockdev.Seed 2L)
         (Blockdev.peek dev 200_000);
       Blockdev.crash dev;
@@ -219,7 +222,9 @@ let test_stats_counting () =
   let _, dev = mkdev () in
   Blockdev.write_many dev [ (0, Blockdev.Seed 1L); (1, Blockdev.Seed 2L) ];
   ignore (Blockdev.read dev 0);
-  ignore (Blockdev.read_many dev [ 0; 1 ]);
+  let done_at = Blockdev.queue_batch_read dev ~blocks:2 in
+  Alcotest.check content_t "batched read" (Blockdev.Seed 2L) (Blockdev.batch_content dev 1);
+  Blockdev.await dev done_at;
   let st = Blockdev.stats dev in
   check_int "write cmds" 1 st.Blockdev.writes;
   check_int "blocks written" 2 st.Blockdev.blocks_written;
@@ -269,8 +274,9 @@ let prop_async_completions_monotone =
       let completions =
         List.mapi
           (fun bi n ->
-            Blockdev.write_async dev
-              (List.init n (fun i -> (100 + (bi * 64) + i, Blockdev.Seed 1L))))
+            Blockdev.write_sorted dev
+              (Array.init n (fun i -> 100 + (bi * 64) + i))
+              (Array.make n (Blockdev.Seed 1L)))
           batch_sizes
       in
       let rec monotone = function
@@ -347,19 +353,6 @@ let test_devarray_flush_scales () =
   let ratio = float_of_int t1 /. float_of_int t4 in
   check_bool (Printf.sprintf "4 stripes ~4x faster (got %.2fx)" ratio) true
     (ratio > 3.5 && ratio <= 4.5)
-
-let test_devarray_barrier_orders_behind_all () =
-  let _, arr = mkarr ~stripes:4 () in
-  (* Load device 0's queue only (blocks = 0 mod 4); an unordered write
-     to device 1 completes before it, a barrier write does not. *)
-  let data_done =
-    Devarray.write_async arr (List.init 256 (fun i -> (i * 4, Blockdev.Seed 1L)))
-  in
-  let unordered = Devarray.write_async arr [ (5, Blockdev.Seed 2L) ] in
-  check_bool "idle stripe finishes first" true Duration.(unordered < data_done);
-  let barrier = Devarray.write_barrier arr [ (1, Blockdev.Seed 9L) ] in
-  check_bool "barrier waits for the loaded stripe" true
-    Duration.(barrier >= data_done)
 
 let prop_devarray_mapping_bijection =
   QCheck.Test.make ~name:"stripe mapping round-trips for any width"
@@ -1121,8 +1114,6 @@ let () =
             test_devarray_stats_sum;
           Alcotest.test_case "flush scales with stripes" `Quick
             test_devarray_flush_scales;
-          Alcotest.test_case "commit barrier orders behind all queues" `Quick
-            test_devarray_barrier_orders_behind_all;
           qt prop_devarray_mapping_bijection;
           qt prop_column_submission_matches_list_path;
         ] );

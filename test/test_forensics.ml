@@ -407,7 +407,7 @@ let test_direct_ship_logged () =
   dirty_all m p e;
   let gen = (Machine.checkpoint_now m g ()).Types.gen in
   let repl = Machine.attach_standby m g in
-  let r = Replica.ship repl ~gen ~pgid:g.Types.pgid in
+  let r = Replica.ship repl ~gen in
   check_bool "shipped and acked" true (r.Replica.sh_outcome = `Acked);
   let rec_ = Machine.recorder m in
   check_bool "ack horizon advanced" true (Recorder.acked_gen rec_ = Some gen);

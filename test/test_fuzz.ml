@@ -743,7 +743,7 @@ let prop_replication_converges_under_network_faults =
       do
         incr tries;
         (match Store.latest !m.Machine.disk_store with
-         | Some gen -> ignore (Replica.ship !repl ~gen ~pgid:!g.Types.pgid)
+         | Some gen -> ignore (Replica.ship !repl ~gen)
          | None -> ())
       done;
       if Store.latest !m.Machine.disk_store <> None && Replica.lag !repl > 0

@@ -563,7 +563,8 @@ let test_secondary_memory_backend_mirrors () =
   (* "Aurora allows for attaching multiple backends at the same time":
      with a memory backend attached alongside the disk, every
      checkpoint is mirrored and restores can come from either. The
-     mirror takes the full image once, then deltas. *)
+     mirror takes the full image once, then deltas, also after it is
+     detached and attached again. *)
   let m = Machine.create () in
   let k = m.Machine.kernel in
   let c = Kernel.new_container k ~name:"mirror" in
@@ -609,11 +610,68 @@ let test_secondary_memory_backend_mirrors () =
   let live = Aurora_apps.Kvstore.region_digest k p cfg in
   check_bool "restored from the memory mirror" true (Int64.equal live (digest_from mirror));
   check_bool "restored from disk" true (Int64.equal live (digest_from primary));
-  (* Re-attaching starts the mirror over with a full image. *)
+  (* Re-attaching resumes from the group's last import, which is still
+     the mirror's newest generation: the next ship is a delta. *)
   Machine.detach m g mirror;
   Machine.attach m g mirror;
-  ignore (Machine.checkpoint_now m g ());
-  check_int "the first ship after re-attaching is full" region (imported ())
+  Machine.run m (Duration.microseconds 200);
+  let b = Machine.checkpoint_now m g () in
+  let d = Store.diff primary ~from_gen:!prev ~to_gen:b.Types.gen in
+  check_int "the first ship after re-attaching imports the changed pages"
+    (d.Store.df_pages_added + d.Store.df_pages_changed) (imported ());
+  check_bool "and fewer than the image" true (imported () < region)
+
+(* Two groups share the memory store, and group B, already
+   checkpointed on disk, attaches after group A has shipped there. Each
+   group's session builds only on its own imports: B's first ship is its
+   full image, not a delta against A's last disk generation (which holds
+   B's pages too), and a ship that finds the other group's import on top
+   is sent in full. So each group restores its live state from the
+   memory store as from disk. *)
+let test_groups_share_memory_backend () =
+  let m = Machine.create () in
+  let k = m.Machine.kernel in
+  let spawn name =
+    let c = Kernel.new_container k ~name in
+    let nkeys = 4 * 1024 * 1024 / 8 in
+    let cfg =
+      { (Aurora_apps.Kvstore.default_config ~nkeys ()) with
+        Aurora_apps.Kvstore.spec = Aurora_apps.Workload.write_heavy ~nkeys;
+        ops_per_step = 128;
+        preload = true }
+    in
+    let p = Aurora_apps.Kvstore.spawn k ~container:c.Container.cid cfg in
+    let g = Machine.persist m ~interval:(Duration.seconds 10) (`Container c.Container.cid) in
+    (g, p, cfg)
+  in
+  let ((ga, _, _) as a) = spawn "a" and ((gb, _, _) as b) = spawn "b" in
+  ignore (Scheduler.step_all k);
+  let mem = m.Machine.mem_store in
+  ignore (Machine.checkpoint_now m gb ());
+  Machine.attach m ga mem;
+  ignore (Machine.checkpoint_now m ga ());
+  Machine.run m (Duration.microseconds 200);
+  ignore (Machine.checkpoint_now m ga ());
+  Machine.attach m gb mem;
+  let digest_from store g cfg =
+    let k' = (Machine.create ()).Machine.kernel in
+    let gen = Option.get (Store.latest store) in
+    let pids, _ = Restore.restore k' ~store ~gen ~pgid:g.Types.pgid () in
+    Aurora_apps.Kvstore.region_digest k' (Kernel.proc_exn k' (List.hd pids)) cfg
+  in
+  for round = 1 to 3 do
+    Machine.run m (Duration.microseconds 200);
+    ignore (Machine.checkpoint_now m gb ());
+    ignore (Machine.checkpoint_now m ga ());
+    List.iter
+      (fun (name, (g, p, cfg)) ->
+        let live = Aurora_apps.Kvstore.region_digest k p cfg in
+        let msg from = Printf.sprintf "round %d: %s restored from %s" round name from in
+        check_bool (msg "the memory store") true (Int64.equal live (digest_from mem g cfg));
+        check_bool (msg "disk") true
+          (Int64.equal live (digest_from m.Machine.disk_store g cfg)))
+      [ ("group a", a); ("group b", b) ]
+  done
 
 
 (* ------------------------------------------------------------------ *)
@@ -848,6 +906,8 @@ let () =
           Alcotest.test_case "remote failover" `Quick test_remote_replication_failover;
           Alcotest.test_case "memory backend mirrors" `Quick
             test_secondary_memory_backend_mirrors;
+          Alcotest.test_case "groups share the memory backend" `Quick
+            test_groups_share_memory_backend;
         ] );
       ( "memory",
         [

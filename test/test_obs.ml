@@ -644,7 +644,7 @@ let golden_sync ~fired =
     (Span.find (Machine.spans m) ~name:"ckpt.backpressure" <> None);
   golden_machine ~fired m ids
 
-let golden_digest = "50fd121d59f435f09cbfb0feeb25be3f"
+let golden_digest = "909c878b52647e948d1b990a646d482e"
 
 let test_golden () =
   let fired = Array.make (List.length Probe.points) 0 in

@@ -241,6 +241,50 @@ let test_checkpoint_words_per_page () =
   check_bool (Printf.sprintf "64 MiB incremental: %.1f words a page (bound 200)" incr) true
     (incr <= 200.)
 
+(* With a memory backend or a hot standby attached, shipping is the
+   checkpoint's cost beyond the stop: with the pipeline drained first,
+   the clock's advance inside [checkpoint_now] is the stop plus the
+   backpressure plus the reported ship, within 1%, for a Full and an
+   incremental checkpoint, and each leaves one [ckpt.ship] span. With
+   nothing attached the ship is zero and leaves no span. *)
+let test_ship_time_reported () =
+  let backpressure_us m =
+    Metrics.hist_sum (Metrics.histogram (Machine.metrics m) "ckpt.backpressure_us")
+  in
+  let ship_spans m =
+    List.length
+      (List.filter
+         (fun (s : Span.span) -> String.equal s.Span.name "ckpt.ship")
+         (Span.spans (Machine.spans m)))
+  in
+  List.iter
+    (fun (what, attach) ->
+      let m, g, dirty_14pct = redis_fixture ~mib:16 in
+      attach m g;
+      List.iter
+        (fun (mode_name, mode) ->
+          dirty_14pct ();
+          Machine.drain_storage m;
+          let t0 = Machine.now m and bp0 = backpressure_us m and spans0 = ship_spans m in
+          let b = Machine.checkpoint_now m g ~mode () in
+          let advance = Duration.to_us (Duration.sub (Machine.now m) t0) in
+          let ship = Duration.to_us b.Types.ship in
+          let parts = Duration.to_us b.Types.stop_time +. (backpressure_us m -. bp0) +. ship in
+          let msg = Printf.sprintf "%s, %s" what mode_name in
+          check_bool
+            (Printf.sprintf "%s: clock %.1f us, stop + backpressure + ship %.1f us" msg
+               advance parts)
+            true
+            (Float.abs (advance -. parts) <= 0.01 *. advance);
+          let attached = what <> "nothing attached" in
+          check_bool (msg ^ ": a ship time") attached (ship > 0.);
+          check_int (msg ^ ": ckpt.ship spans") (if attached then 1 else 0)
+            (ship_spans m - spans0))
+        [ ("Full", `Full); ("incremental", `Incremental) ])
+    [ ("nothing attached", fun _ _ -> ());
+      ("memory backend", fun m g -> Machine.attach m g m.Machine.mem_store);
+      ("hot standby", fun m g -> ignore (Machine.attach_standby m g)) ]
+
 (* Regression for the pipelined quiesce: draining checkpoint state
    must await only the epochs' own writes, not the device queues'
    [busy_until] — unrelated raw traffic on the same array used to
@@ -934,6 +978,33 @@ let test_replica_retransmits_on_loss () =
   let link_st = Aurora_device.Netlink.stats (Replica.link repl) ~from_:`A in
   check_bool "link really dropped frames" true (link_st.Aurora_device.Netlink.dropped > 0)
 
+(* Sessions are numbered per machine: the same lossy replication, run
+   twice in one process, gives the same ship reports and stats, whatever
+   sessions the process opened before. *)
+let test_replica_repeats_in_process () =
+  let run () =
+    let m = Machine.create () in
+    let c, _ = spawn_walker m ~npages:32 ~limit:1_000_000 in
+    let g = Machine.persist m ~interval:(Duration.seconds 1) (`Container c.Container.cid) in
+    for _ = 1 to 5 do
+      Machine.run m (Duration.microseconds 50);
+      ignore (Machine.checkpoint_now m g ())
+    done;
+    let repl =
+      Machine.attach_standby m
+        ~faults:(Aurora_device.Netlink.fault_plan ~seed:11L ~drop:0.3 ())
+        g
+    in
+    let reports =
+      List.map (fun gen -> Replica.ship repl ~gen) (Store.generations m.Machine.disk_store)
+    in
+    check_bool "loss forced retransmissions" true
+      ((Replica.stats repl).Replica.retransmits > 0);
+    (reports, Replica.stats repl)
+  in
+  let first = run () in
+  check_bool "the second run repeats the first" true (first = run ())
+
 let test_replica_corruption_rejected () =
   let m = Machine.create () in
   let c, _ = spawn_walker m ~npages:32 ~limit:1_000_000 in
@@ -1199,6 +1270,7 @@ let () =
             test_detach_memory_backend;
           Alcotest.test_case "words per captured page" `Quick
             test_checkpoint_words_per_page;
+          Alcotest.test_case "ship time reported" `Quick test_ship_time_reported;
         ] );
       ( "restore",
         [
@@ -1240,6 +1312,8 @@ let () =
             test_replica_ship_and_failover;
           Alcotest.test_case "loss forces retransmits, still converges" `Quick
             test_replica_retransmits_on_loss;
+          Alcotest.test_case "a lossy run repeats in one process" `Quick
+            test_replica_repeats_in_process;
           Alcotest.test_case "corruption rejected, never imported" `Quick
             test_replica_corruption_rejected;
           Alcotest.test_case "partition degrades, heal resyncs" `Quick
