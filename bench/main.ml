@@ -777,7 +777,9 @@ let fault_sweep () =
           List.init pages_per_gen (fun i ->
               (i, Int64.of_int ((gnum * 10_000) + (i * 17) + 3)))
         in
-        List.iter (fun (pindex, seed) -> Store.put_page s ~oid:1 ~pindex ~seed) pages;
+        (* One column put per generation, as a checkpoint writes an
+           object's pages. *)
+        Store.put_pages s ~oid:1 (Array.of_list pages);
         let record = Printf.sprintf "manifest %d" gnum in
         Store.put_record s ~oid:7 record;
         (match Store.commit_result s () with

@@ -245,9 +245,7 @@ let apply_write_faults t blocks contents =
       blocks;
     !retry_cost
 
-let write_many ?(cls = Iosched.Foreground) t writes =
-  let blocks = Array.of_list (List.map fst writes) in
-  let contents = Array.of_list (List.map snd writes) in
+let write_many ?(cls = Iosched.Foreground) t blocks contents =
   let retry_cost = apply_write_faults t blocks contents in
   let n = Array.length blocks in
   if n > 0 then charge_sync t ~cls ~op:`Write ~blocks:n;
@@ -264,7 +262,7 @@ let write_many ?(cls = Iosched.Foreground) t writes =
   t.st <- { t.st with writes = t.st.writes + 1; blocks_written = t.st.blocks_written + n };
   Array.iteri (fun i b -> store_block t ~completed:true b contents.(i)) blocks
 
-let write ?cls t i c = write_many ?cls t [ (i, c) ]
+let write ?cls t i c = write_many ?cls t [| i |] [| c |]
 
 (* When an empty submission would have completed. *)
 let idle_completion ?not_before t =

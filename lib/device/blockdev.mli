@@ -96,7 +96,9 @@ val write : ?cls:Iosched.cls -> t -> int -> content -> unit
     device raises. These semantics apply to every write entry point
     below as well. *)
 
-val write_many : ?cls:Iosched.cls -> t -> (int * content) list -> unit
+val write_many : ?cls:Iosched.cls -> t -> int array -> content array -> unit
+(** [write_many t blocks contents]: {!write} of block [blocks.(i)] taking
+    [contents.(i)], as one command, in column order. *)
 
 val write_sorted :
   ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> int array -> content array ->

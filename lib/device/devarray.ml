@@ -129,9 +129,6 @@ let sort_keys keys =
     done
   end
 
-let columns writes =
-  (Array.of_list (List.map fst writes), Array.of_list (List.map snd writes))
-
 (* --- synchronous I/O ------------------------------------------------ *)
 
 let read ?cls t b =
@@ -180,8 +177,7 @@ let read_many_arr ?cls t indices =
    submission order, on its dedicated submission queue (see
    {!Blockdev.write_oob}), so they can land while larger queued data
    transfers are still draining. *)
-let write_oob t writes =
-  let blocks, contents = columns writes in
+let write_oob t blocks contents =
   let n = Array.length blocks in
   let completion = ref Duration.zero in
   Array.iteri
@@ -236,17 +232,11 @@ let write_async_arr ?not_before ?cls t blocks contents =
     Duration.max (Clock.now (clock t)) (busy_until t)
   else !completion
 
-let write_async ?not_before ?cls t writes =
-  let blocks, contents = columns writes in
-  write_async_arr ?not_before ?cls t blocks contents
-
 let await t completion =
   Clock.advance_to (clock t) completion;
   Array.iter Blockdev.settle t.devs
 
-let write_many ?cls t writes = await t (write_async ?cls t writes)
-
-let write ?cls t b c = write_many ?cls t [ (b, c) ]
+let write ?cls t b c = await t (write_async_arr ?cls t [| b |] [| c |])
 
 let flush t =
   (* Drain every queue first so the per-device flush barriers overlap

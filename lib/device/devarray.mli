@@ -70,9 +70,8 @@ val read_many_arr : ?cls:Iosched.cls -> t -> int array -> Blockdev.content array
     Results are in request order. [cls] defaults to [Foreground]. *)
 
 val write : ?cls:Iosched.cls -> t -> int -> Blockdev.content -> unit
-val write_many : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> unit
-(** Striped synchronous write: submits per-device extents in parallel
-    and blocks until the slowest device completes. *)
+(** Synchronous one-block write: {!write_async_arr} of one block, then
+    blocks until it completes. [cls] defaults to [Flush]. *)
 
 (* --- asynchronous I/O and the commit barrier ------------------------ *)
 
@@ -80,11 +79,13 @@ val write_async_arr :
   ?not_before:Duration.t -> ?cls:Iosched.cls -> t -> int array ->
   Blockdev.content array -> Duration.t
 (** [write_async_arr t blocks contents]: logical block [blocks.(i)]
-    takes [contents.(i)]. Each device gets one exact-size column of
-    keys, physical block first and submission position second. A column
-    that already ascends is not sorted; otherwise only the keys that
-    arrive below the running maximum are sorted and merged back, so a
-    fresh extent with a few blocks out of place orders in linear time.
+    takes [contents.(i)]. Every asynchronous write is submitted so, as a
+    column of blocks beside a column of contents. Each device gets one
+    exact-size column of keys, physical block first and submission
+    position second. A column that already ascends is not sorted;
+    otherwise only the keys that arrive below the running maximum are
+    sorted and merged back, so a fresh extent with a few blocks out of
+    place orders in linear time.
     {!Blockdev.write_sorted} queues the column as one submission, with
     one transfer per run of contiguous physical blocks. Returns the
     {e max} completion time; does not advance the clock. [cls] defaults
@@ -92,16 +93,12 @@ val write_async_arr :
     caller's. Raises [Invalid_argument] on a negative block or columns
     of different lengths. *)
 
-val write_async :
-  ?not_before:Duration.t -> ?cls:Iosched.cls -> t ->
-  (int * Blockdev.content) list -> Duration.t
-(** {!write_async_arr} of a list of [(block, content)] pairs. *)
-
-val write_oob : t -> (int * Blockdev.content) list -> Duration.t
-(** Out-of-band control write: dedicated per-device submission queues
-    charged from now rather than behind queued transfers, so the write
-    can become durable while earlier data submissions still drain.
-    Used for the store's black-box slot; see {!Blockdev.write_oob}. *)
+val write_oob : t -> int array -> Blockdev.content array -> Duration.t
+(** Out-of-band control write, as columns like {!write_async_arr}'s:
+    dedicated per-device submission queues charged from now rather than
+    behind queued transfers, so the write can become durable while
+    earlier data submissions still drain. Used for the store's black-box
+    slot; see {!Blockdev.write_oob}. *)
 
 (* --- completion groups ----------------------------------------------- *)
 

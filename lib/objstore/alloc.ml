@@ -96,38 +96,30 @@ let rec alloc t =
    contiguous on each device — the flush then needs one transfer per
    device instead of one per block. Extents larger than one stripe
    round are aligned to a stripe boundary so every device's share
-   starts at the same physical offset. *)
-let rec alloc_extent t n =
+   starts at the same physical offset. Once fresh space cannot hold
+   the extent, its blocks come one at a time from [alloc], freed ones
+   first: a bounded device keeps taking checkpoints as long as
+   collection frees blocks. *)
+let alloc_extent t n =
   if n < 0 then invalid_arg "Alloc.alloc_extent: negative size";
-  if n = 0 then [||]
-  else begin
-    let start =
-      if n < t.stripes || t.next_fresh mod t.stripes = 0 then t.next_fresh
-      else begin
-        let aligned = (t.next_fresh / t.stripes + 1) * t.stripes in
-        (* The skipped tail of the partial stripe round is not lost:
-           singleton allocations drain it from the free list. *)
-        for b = aligned - 1 downto t.next_fresh do
-          t.free_list <- b :: t.free_list
-        done;
-        aligned
-      end
-    in
-    match t.capacity_blocks with
-    | Some cap when start + n > cap ->
-      (* Extents only take fresh space, so the pressure hook can't
-         satisfy us directly — but settling deferred frees lets the
-         caller fall back to singleton allocations from the free
-         list. Retry once in case the pen covered the fresh tail. *)
-      if under_pressure t then alloc_extent t n else raise Out_of_space
-    | _ ->
-      t.next_fresh <- start + n;
-      t.live <- t.live + n;
-      Array.init n (fun i ->
-          let b = start + i in
-          set_refs t b 1;
-          b)
-  end
+  let start =
+    if n < t.stripes || t.next_fresh mod t.stripes = 0 then t.next_fresh
+    else (t.next_fresh / t.stripes + 1) * t.stripes
+  in
+  match t.capacity_blocks with
+  | Some cap when start + n > cap -> Array.init n (fun _ -> alloc t)
+  | _ ->
+    (* The skipped tail of the partial stripe round is not lost:
+       singleton allocations drain it from the free list. *)
+    for b = start - 1 downto t.next_fresh do
+      t.free_list <- b :: t.free_list
+    done;
+    t.next_fresh <- start + n;
+    t.live <- t.live + n;
+    Array.init n (fun i ->
+        let b = start + i in
+        set_refs t b 1;
+        b)
 
 let incref t block =
   let n = refcount t block in

@@ -36,8 +36,9 @@ val alloc_extent : t -> int -> int array
 (** [alloc_extent t n]: [n] fresh contiguous logical blocks, each with
     refcount 1, stripe-aligned when [n] spans a full stripe round.
     Contiguity makes the run one physical extent per device under
-    round-robin striping. Raises {!Out_of_space} on capacity
-    exhaustion. *)
+    round-robin striping. When a capacity is set and fresh space cannot
+    hold the extent, its blocks come from {!alloc} one at a time, freed
+    ones first. Raises {!Out_of_space} when that too runs out. *)
 
 val capacity_blocks : t -> int option
 (** The capacity cap given at {!create}, if any ([None] = unbounded).

@@ -490,18 +490,21 @@ let rec diff t ~root ~base ~lo ~hi ~init ~f =
 let still_cached t c = Blockvec.get t.cache c.block == c
 
 let flush_dirty ?tee ?cls t =
-  let dirty = List.filter (still_cached t) t.dirty_nodes in
+  let dirty = Array.of_list (List.filter (still_cached t) t.dirty_nodes) in
   t.dirty_nodes <- [];
-  let dirty = List.sort (fun a b -> Int.compare a.block b.block) dirty in
-  let writes = List.map (fun c -> (c.block, Blockdev.Data (encode_node c.node))) dirty in
-  List.iter (fun c -> c.dirty <- false) dirty;
-  let writes =
+  Array.sort (fun a b -> Int.compare a.block b.block) dirty;
+  let blocks = Array.map (fun c -> c.block) dirty in
+  let contents = Array.map (fun c -> Blockdev.Data (encode_node c.node)) dirty in
+  Array.iter (fun c -> c.dirty <- false) dirty;
+  let blocks, contents =
     match tee with
-    | Some f -> writes @ f writes
-    | None -> writes
+    | Some f ->
+      let extra_blocks, extra_contents = f blocks contents in
+      (Array.append blocks extra_blocks, Array.append contents extra_contents)
+    | None -> (blocks, contents)
   in
-  if writes = [] then Clock.now (Devarray.clock t.dev)
-  else Devarray.write_async ?cls t.dev writes
+  if blocks = [||] then Clock.now (Devarray.clock t.dev)
+  else Devarray.write_async_arr ?cls t.dev blocks contents
 
 let dirty_count t = List.length (List.filter (still_cached t) t.dirty_nodes)
 

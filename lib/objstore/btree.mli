@@ -99,14 +99,15 @@ val retain_root : t -> int -> unit
     starts from the previous generation's tree). *)
 
 val flush_dirty :
-  ?tee:((int * Blockdev.content) list -> (int * Blockdev.content) list) ->
+  ?tee:(int array -> Blockdev.content array -> int array * Blockdev.content array) ->
   ?cls:Iosched.cls -> t -> Duration.t
-(** Queue all dirty cached nodes to the device (asynchronously);
+(** Queue all dirty cached nodes to the device (asynchronously), as one
+    column of blocks in ascending order beside a column of node images;
     returns the absolute completion time ({!Aurora_simtime.Duration}),
-    or the current time when nothing was dirty. [tee] observes the
-    queued node writes and returns extra writes to append to the same
-    submission — the store uses it to record node checksums and emit
-    mirror copies in the same flush. *)
+    or the current time when nothing was dirty. [tee] observes the two
+    columns and returns extra columns to append to the same submission
+    — the store uses it to record node checksums and emit mirror copies
+    in the same flush. *)
 
 val dirty_count : t -> int
 val cached_count : t -> int

@@ -343,7 +343,7 @@ let write_blackbox t payload =
      naming it. A crash before the write completes loses this summary
      but leaves the other slot intact; a write fault is best-effort by
      the same argument. *)
-  try ignore (Devarray.write_oob t.dev [ (slot, Blockdev.Data framed) ])
+  try ignore (Devarray.write_oob t.dev [| slot |] [| Blockdev.Data framed |])
   with Fault.Io_error _ -> ()
 
 let read_blackbox t =
@@ -719,32 +719,6 @@ let put_record t ~oid data =
   tree_insert t (key ~oid ~kind:kind_record_len ~index:1)
     (Btree.Imm (Int64.of_int nchunks))
 
-let put_page t ~oid ~pindex ~seed =
-  ignore (require_open t);
-  let k = key ~oid ~kind:kind_page ~index:pindex in
-  (match t.sink with Some s -> Metrics.incr s.pages_put | None -> ());
-  (match open_prov t with
-   | Some p ->
-     p.pv_pages <- p.pv_pages + 1;
-     p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size
-   | None -> ());
-  let hash = Content.hash (Content.of_seed seed) in
-  let found = if t.dedup_enabled then Dedup.find t.dedup ~hash else -1 in
-  let block =
-    if found >= 0 then begin
-      Alloc.incref t.alloc found;
-      note_dedup_saved t ~hits:1 ~bytes:Blockdev.block_size;
-      found
-    end
-    else begin
-      let block = Alloc.alloc t.alloc in
-      queue_data t [| block |] [| Blockdev.Seed seed |];
-      if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
-      block
-    end
-  in
-  tree_insert t k (Btree.Ptr block)
-
 (* Batched page ingest: dedup hits resolve to existing blocks; the
    distinct misses share one stripe-aware extent of fresh contiguous
    logical blocks, queued as one chunk, so the background flush fans
@@ -859,25 +833,21 @@ let put_blob t ~oid ~index data =
   tree_insert t k (Btree.Ptr block)
 
 (* Checksum and mirror the B+tree node flush: observes the queued node
-   writes and appends the replica writes to the same submission. *)
-let meta_tee t writes =
-  let extra = ref [] in
-  List.iter
-    (fun (b, c) ->
-      note_csum t b c;
-      if t.prot.mirror then begin
-        let m =
+   columns and returns the replicas' columns, for the same submission. *)
+let meta_tee t blocks contents =
+  Array.iteri (fun i b -> note_csum t b contents.(i)) blocks;
+  if not t.prot.mirror then ([||], [||])
+  else
+    ( Array.map
+        (fun b ->
           match Hashtbl.find_opt t.mirrors b with
           | Some m -> m
           | None ->
             let m = Alloc.alloc t.alloc in
             Hashtbl.replace t.mirrors b m;
-            m
-        in
-        extra := (m, c) :: !extra
-      end)
-    writes;
-  List.rev !extra
+            m)
+        blocks,
+      contents )
 
 let write_superblock ?(after = Duration.zero) t =
   (* Allocate and queue the new generation table (and its mirror)
@@ -898,29 +868,29 @@ let write_superblock ?(after = Duration.zero) t =
      still implies durable contents, and superblock durability stays
      monotone in commit order (the crash-prefix invariant). *)
   let table = encode_gentable t in
-  let chunks = chunk_string table in
-  let blocks = List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks in
+  let chunks = Array.of_list (List.map (fun c -> Blockdev.Data c) (chunk_string table)) in
+  let blocks = Array.map (fun _ -> Alloc.alloc t.alloc) chunks in
   let mirror_blocks =
-    if t.prot.mirror then List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks
-    else []
+    if t.prot.mirror then Array.map (fun _ -> Alloc.alloc t.alloc) chunks else [||]
   in
   let table_done =
-    Devarray.write_async ~cls:Iosched.Deadline t.dev
-      (List.map (fun (b, chunk) -> (b, Blockdev.Data chunk)) (blocks @ mirror_blocks))
+    Devarray.write_async_arr ~cls:Iosched.Deadline t.dev
+      (Array.append blocks mirror_blocks)
+      (if t.prot.mirror then Array.append chunks chunks else chunks)
   in
   List.iter (fun b -> Alloc.decref t.alloc b) t.prev_gentable_blocks;
   List.iter (fun b -> Alloc.decref t.alloc b) t.prev_gentable_mirror_blocks;
   t.prev_gentable_blocks <- t.gentable_blocks;
   t.prev_gentable_mirror_blocks <- t.gentable_mirror_blocks;
-  t.gentable_blocks <- List.map fst blocks;
-  t.gentable_mirror_blocks <- List.map fst mirror_blocks;
+  t.gentable_blocks <- Array.to_list blocks;
+  t.gentable_mirror_blocks <- Array.to_list mirror_blocks;
   t.gentable_csum <- Fnv.fnv1a table;
   t.commit_seq <- t.commit_seq + 1;
   let slot = t.commit_seq mod superblock_slots in
   let not_before = Duration.max after (Duration.max table_done t.sb_horizon) in
   let durable_at =
-    Devarray.write_async ~not_before ~cls:Iosched.Deadline t.dev
-      [ (slot, Blockdev.Data (encode_superblock t)) ]
+    Devarray.write_async_arr ~not_before ~cls:Iosched.Deadline t.dev [| slot |]
+      [| Blockdev.Data (encode_superblock t) |]
   in
   (* Blocks freed since the previous superblock become reusable once
      this one is durable. *)
@@ -1096,14 +1066,14 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   let prov = Hashtbl.find_opt t.provs g in
   (* The tee sees every flushed tree node, so provenance counts them
      even when the protection machinery (the tee's other job) is off. *)
-  let counting_tee writes =
+  let counting_tee blocks contents =
     let extra =
-      if t.prot.verify || t.prot.mirror then meta_tee t writes else []
+      if t.prot.verify || t.prot.mirror then meta_tee t blocks contents else ([||], [||])
     in
     (match prov with
      | Some p ->
-       p.pv_meta_blocks <- p.pv_meta_blocks + List.length writes;
-       p.pv_mirror_blocks <- p.pv_mirror_blocks + List.length extra
+       p.pv_meta_blocks <- p.pv_meta_blocks + Array.length blocks;
+       p.pv_mirror_blocks <- p.pv_mirror_blocks + Array.length (fst extra)
      | None -> ());
     extra
   in
@@ -1245,23 +1215,43 @@ let read_page t g ~oid ~pindex =
   | Some (Btree.Ptr block) -> Some (page_of_content block (verified_read t block))
   | Some (Btree.Imm _) | None -> None
 
-type page_map = { pindexes : int array; blocks : int array }
-
 (* The key range of one object's entries of one kind. *)
 let kind_range ~oid ~kind =
   let lo = key ~oid ~kind ~index:0 in
   (lo, Int64.add lo 0xFFFF_FFFFL)
 
-let page_map t g ~oid =
+(* A fold over the key and block of each of one object's entries of one
+   kind, or with a known [base] only those whose block differs from the
+   base's; [None] for an unknown generation. *)
+let kind_folder t ?base g ~oid ~kind =
   match gen_root t g with
-  | None -> { pindexes = [||]; blocks = [||] }
+  | None -> None
   | Some root ->
-    let lo, hi = kind_range ~oid ~kind:kind_page in
+    let lo, hi = kind_range ~oid ~kind in
+    let base = match base with Some b -> gen_root t b | None -> None in
+    Some
+      (fun ~init ~f ->
+        match base with
+        | None -> Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f
+        | Some base ->
+          Btree.diff t.tree ~root ~base ~lo ~hi ~init ~f:(fun acc k block _ -> f acc k block))
+
+let fold_kind t ?base g ~oid ~kind ~init ~f =
+  match kind_folder t ?base g ~oid ~kind with
+  | None -> init
+  | Some fold -> fold ~init ~f:(fun acc k block -> f acc (k land 0xFFFF_FFFF) block)
+
+type page_map = { pindexes : int array; blocks : int array }
+
+let page_map t ?base g ~oid =
+  match kind_folder t ?base g ~oid ~kind:kind_page with
+  | None -> { pindexes = [||]; blocks = [||] }
+  | Some fold ->
     (* Counted first, so each array is allocated once at its size. *)
-    let n = Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1) in
+    let n = fold ~init:0 ~f:(fun n _ _ -> n + 1) in
     let pindexes = Array.make n 0 and blocks = Array.make n 0 in
     ignore
-      (Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun i k block ->
+      (fold ~init:0 ~f:(fun i k block ->
            pindexes.(i) <- k land 0xFFFF_FFFF;
            blocks.(i) <- block;
            i + 1));
@@ -1270,13 +1260,16 @@ let page_map t g ~oid =
 (* A page block's content as a batch read or a peek delivered it. Both
    are best-effort: a latent sector comes back [Zero], and bit rot
    comes back as it is. The checksum catches either, and the
-   single-block verified path re-reads and repairs. *)
+   single-block verified path re-reads and repairs. A page block always
+   holds a [Seed], so without a checksum a [Zero] still takes that
+   path. *)
 let checked_page t block content =
   let content =
-    match (if t.prot.verify then Hashtbl.find_opt t.csums block else None) with
-    | Some h when checksum_content content <> h ->
+    match ((if t.prot.verify then Hashtbl.find_opt t.csums block else None), content) with
+    | Some h, _ when checksum_content content <> h ->
       t.io.checksum_failures <- t.io.checksum_failures + 1;
       verified_read t block
+    | None, Blockdev.Zero -> verified_read t block
     | _ -> content
   in
   page_of_content block content
@@ -1287,54 +1280,20 @@ let read_page_blocks t blocks =
 
 let peek_page_block t block = checked_page t block (Devarray.peek t.dev block)
 
-let read_pages_batch t g ~oid ~pindexes =
-  let n = Array.length pindexes in
-  let found = Array.make n 0 and blocks = Array.make n 0 in
-  let m = ref 0 in
-  Array.iter
-    (fun pindex ->
-      match find_page t g ~oid ~pindex with
-      | Some (Btree.Ptr block) ->
-        found.(!m) <- pindex;
-        blocks.(!m) <- block;
-        incr m
-      | Some (Btree.Imm _) | None -> ())
-    pindexes;
-  let seeds = read_page_blocks t (Array.sub blocks 0 !m) in
-  Array.mapi (fun i seed -> (found.(i), seed)) seeds
-
 let peek_page t g ~oid ~pindex =
   match find_page t g ~oid ~pindex with
   | Some (Btree.Ptr block) -> Some (peek_page_block t block)
   | Some (Btree.Imm _) | None -> None
 
-(* The index and block of each of one object's entries of one kind, or
-   with a known [base] only those whose block differs from the base's. *)
-let fold_kind t ?base g ~oid ~kind ~init ~f =
-  match gen_root t g with
-  | None -> init
-  | Some root -> (
-    let lo, hi = kind_range ~oid ~kind in
-    let f acc k block = f acc (k land 0xFFFF_FFFF) block in
-    match Option.bind base (gen_root t) with
-    | None -> Btree.fold_ptrs t.tree ~root ~lo ~hi ~init ~f
-    | Some base ->
-      Btree.diff t.tree ~root ~base ~lo ~hi ~init ~f:(fun acc k block _ -> f acc k block))
-
-let fold_pages t ?base g ~oid ~init ~f =
-  fold_kind t ?base g ~oid ~kind:kind_page ~init ~f:(fun acc i block ->
+let fold_pages t g ~oid ~init ~f =
+  fold_kind t g ~oid ~kind:kind_page ~init ~f:(fun acc i block ->
       f acc i (page_of_content block (verified_read t block)))
 
 let fold_blobs t ?base g ~oid ~init ~f =
   fold_kind t ?base g ~oid ~kind:kind_blob ~init ~f:(fun acc i block ->
       f acc i (read_block_data t block))
 
-let page_count t g ~oid =
-  match gen_root t g with
-  | None -> 0
-  | Some root ->
-    let lo, hi = kind_range ~oid ~kind:kind_page in
-    Btree.fold_ptrs t.tree ~root ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1)
+let page_count t g ~oid = fold_kind t g ~oid ~kind:kind_page ~init:0 ~f:(fun n _ _ -> n + 1)
 
 let oids t g =
   match gen_root t g with

@@ -128,29 +128,28 @@ val put_record : t -> oid:int -> string -> unit
 (** Store/replace the metadata record for an object in the open
     generation. Raises [Alloc.Out_of_space] on a full device. *)
 
-val put_page : t -> oid:int -> pindex:int -> seed:int64 -> unit
-(** Store/replace a page. Content (identified by its seed) is
-    deduplicated store-wide. Every function that takes a page or blob
-    index raises [Invalid_argument] unless [0 <= index < 2^32], before
-    it changes anything: a key holds the index in its low 32 bits. *)
-
 val put_page_columns : t -> oid:int -> pindexes:int array -> seeds:Bytes.t -> unit
-(** Batched {!put_page}, as columns: page [pindexes.(i)] takes the seed
-    in slot [i] of [seeds] ({!Aurora_vm.Content.slot_bytes} a page, as
-    {!Aurora_vm.Vmobject.arm} captures them). The pages are hashed into
-    a byte column, and the dedup index and the batch's table of misses
+(** Store/replace pages, the one way they enter the store (a
+    checkpoint, an import and the CRIU baseline put each object's pages
+    with one call): page [pindexes.(i)] takes the seed in slot [i] of
+    [seeds] ({!Aurora_vm.Content.slot_bytes} a page, as
+    {!Aurora_vm.Vmobject.arm} captures them). Every function that takes
+    a page or blob index raises [Invalid_argument] unless
+    [0 <= index < 2^32], before it changes anything: a key holds the
+    index in its low 32 bits. The pages are hashed into a byte column,
+    and the dedup index and the batch's table of misses
     read each hash there in place. Deduplication applies per page
     (including within the batch); the distinct misses are allocated as
     one stripe-aware extent of contiguous logical blocks, queued as one
     chunk of blocks and contents, so the checkpoint flush issues one
     transfer per device instead of scattered per-page writes. Misses
     that repeat within the batch are found in an open-addressed table
-    sized for the batch's misses and dropped with it. The checkpoint
-    flush uses this. Raises [Invalid_argument] if [seeds] does not hold
-    one slot per page index. *)
+    sized for the batch's misses and dropped with it. Raises
+    [Invalid_argument] if [seeds] does not hold one slot per page
+    index. *)
 
 val put_pages : t -> oid:int -> (int * int64) array -> unit
-(** {!put_page_columns} of [(pindex, seed)] pairs. *)
+(** {!put_page_columns} of pairs: a view for benchmark replays. *)
 
 val put_blob : t -> oid:int -> index:int -> string -> unit
 (** Store/replace a byte blob of at most one block (file-data chunks).
@@ -219,14 +218,13 @@ val read_blackbox : t -> string option
 (* --- reading -------------------------------------------------------- *)
 
 val read_record : t -> gen -> oid:int -> string option
-val read_page : t -> gen -> oid:int -> pindex:int -> int64 option
 val read_blob : t -> gen -> oid:int -> index:int -> string option
 
-val read_pages_batch :
-  t -> gen -> oid:int -> pindexes:int array -> (int * int64) array
-(** Read several pages as one batched command: an index lookup per
-    page in front of {!read_page_blocks}. Missing indexes are
-    omitted. *)
+(** Pages leave the store by {!page_map} and {!read_page_blocks} (or
+    {!peek_page_block}), for restore and export alike. {!read_page},
+    {!peek_page} and {!fold_pages} are single-page views for benchmark
+    replays and tests. *)
+val read_page : t -> gen -> oid:int -> pindex:int -> int64 option
 
 val peek_page : t -> gen -> oid:int -> pindex:int -> int64 option
 (** An index lookup in front of {!peek_page_block}: like {!read_page}
@@ -237,19 +235,24 @@ val peek_page : t -> gen -> oid:int -> pindex:int -> int64 option
     in block [blocks.(i)]. *)
 type page_map = { pindexes : int array; blocks : int array }
 
-val page_map : t -> gen -> oid:int -> page_map
+val page_map : t -> ?base:gen -> gen -> oid:int -> page_map
 (** An ordered scan of the object's key range in the index, which reads
     page indexes and blocks straight off the leaves: one pass counts
-    them and one fills the two arrays. No data block is read. The
-    restore path lists an object's pages with it and then reads them by
-    block, so no page costs an index descent. *)
+    them and one fills the two arrays. No data block is read. With a
+    known [base], only the pages whose block differs from the base's,
+    found by {!Btree.diff}: index nodes both generations share are not
+    read. Restore lists an object's pages with it and export its
+    changed pages, and then they read them by block, so no page costs
+    an index descent. *)
 
 val read_page_blocks : t -> int array -> int64 array
 (** The pages held in [blocks] (as a {!page_map} lists them), in order,
-    read as one batched command per device (latency paid once — the
-    restore prefetch path). Blocks the batch DMA could not deliver
-    (latent sectors) or whose checksum fails are re-read and repaired
-    through the verified single-block path. *)
+    read as one batched command per device (latency paid once), charged
+    to the store's {!read_class}. Blocks the batch DMA could not deliver
+    (latent sectors, read as empty: a page block always holds a seed)
+    or whose checksum fails are re-read and repaired through the
+    verified single-block path, so an unreadable page raises {!Fail}
+    ([Unreadable_block]) and never reads as zero. *)
 
 val peek_page_block : t -> int -> int64
 (** The page held in a block, without charging the clock for it. Used
@@ -264,9 +267,9 @@ val fold_blobs :
     found by {!Btree.diff}: index nodes both generations share, and
     blobs not visited, are not read. *)
 
-val fold_pages :
-  t -> ?base:gen -> gen -> oid:int -> init:'a -> f:('a -> int -> int64 -> 'a) -> 'a
-(** {!fold_blobs} over (pindex, seed) pairs. *)
+val fold_pages : t -> gen -> oid:int -> init:'a -> f:('a -> int -> int64 -> 'a) -> 'a
+(** (pindex, seed) pairs of an object, in index order, each read with a
+    verified single-block read. *)
 
 val oids : t -> gen -> int list
 (** Object ids with records in the generation, ascending. *)

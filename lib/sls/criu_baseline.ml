@@ -29,13 +29,13 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
   let captures =
     List.map
       (fun (obj, store_oid) ->
-        let items = Vmobject.arm_for_checkpoint obj ~mode:`Full in
-        Kernel.charge k (Costmodel.page_copy ~pages:(List.length items));
-        (store_oid, items))
+        let capture = Vmobject.arm obj ~mode:`Full in
+        Kernel.charge k (Costmodel.page_copy ~pages:(Array.length capture.Vmobject.pindexes));
+        (store_oid, capture))
       records.Serialize.vm_objects
   in
   let pages_captured =
-    List.fold_left (fun acc (_, items) -> acc + List.length items) 0 captures
+    List.fold_left (fun acc (_, c) -> acc + Array.length c.Vmobject.pindexes) 0 captures
   in
   let lazy_data_copy = Duration.sub (Clock.now clock) copy_started in
   let stop_time = Duration.sub (Clock.now clock) barrier_at in
@@ -43,21 +43,16 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
   Store.put_record store ~oid:(Oidspace.manifest g.Types.pgid) records.Serialize.manifest;
   List.iter (fun (oid, record) -> Store.put_record store ~oid record)
     records.Serialize.items;
+  (* Written as a checkpoint writes them: one column put per object. *)
   List.iter
-    (fun (store_oid, items) ->
-      List.iter
-        (fun item ->
-          Store.put_page store ~oid:store_oid ~pindex:item.Vmobject.pindex
-            ~seed:(Content.to_seed item.Vmobject.content))
-        items)
+    (fun (store_oid, (c : Vmobject.capture)) ->
+      Store.put_page_columns store ~oid:store_oid ~pindexes:c.Vmobject.pindexes
+        ~seeds:c.Vmobject.seeds)
     captures;
   Aurora_slsfs.Slsfs.checkpoint_fs store k.Kernel.fs ~popen_of_vid:(fun _ -> 0);
   let gen', durable_at = Store.commit store ?name () in
   assert (gen = gen');
-  List.iter
-    (fun (_, items) ->
-      List.iter (Vmobject.release_flush_item ~pool:k.Kernel.pool) items)
-    captures;
+  List.iter (fun (_, c) -> Vmobject.release ~pool:k.Kernel.pool c) captures;
   g.Types.last_gen <- Some gen;
   let breakdown =
     {

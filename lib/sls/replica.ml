@@ -307,8 +307,15 @@ let standby_apply t ~seq ~primary_gen ~base ~corr ~image =
       send_frame t ~from_:(standby_side t) (Nak { seq; have = delta_base t })
     | sgen ->
       t.rx_last_seq <- seq;
-      t.map <- t.map @ [ (primary_gen, sgen) ];
-      send_frame t ~from_:(standby_side t) (Ack { seq; primary_gen })
+      let older = List.map snd t.map in
+      t.map <- [ (primary_gen, sgen) ];
+      send_frame t ~from_:(standby_side t) (Ack { seq; primary_gen });
+      (* The newest import is the only delta base, and what failover and
+         restore use; it holds the older imports' pages through the COW
+         tree, so they go. Other groups' generations stay. *)
+      if older <> [] then
+        let keep = List.filter (fun g -> not (List.mem g older)) (Store.generations t.standby) in
+        ignore (Store.gc t.standby ~keep)
   end
 
 let pump_standby t =

@@ -16,6 +16,9 @@
     {e durability}, not arrival. It takes a delta only while its newest
     generation is this session's import of the delta's base (an import
     builds on the newest generation); otherwise it NAKs with no base.
+    Once it has ACKed an import it collects the group's older ones
+    ({!Store.gc}): the newest is the only delta base and what failover
+    and restore read.
 
     The destination names each import, durably,
     ["repl.gen:<pgid>/<primary gen>@<corr>"]. A session re-established
@@ -117,7 +120,7 @@ val standby_latest : t -> (Store.gen * Store.gen) option
 (** Newest replicated pair [(primary gen, standby gen)], if any. *)
 
 val mapping : t -> (Store.gen * Store.gen) list
-(** All replicated pairs, ascending. *)
+(** The replicated pairs the destination holds, ascending. *)
 
 val stats : t -> stats
 val link : t -> Netlink.t

@@ -100,6 +100,13 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
         ~content:(Content.of_seed (Store.peek_page_block store blocks.(i)))
         ~read_cost:fault_cost
   done;
+  (* Every installed page is dirty, as a page the application creates
+     is: the object is new to this kernel, so its next checkpoint must
+     capture the pages, incremental or not. Marked from the top, so the
+     dirty set grows to its size once. *)
+  for i = n - 1 downto 0 do
+    Vmobject.mark_dirty obj pindexes.(i)
+  done;
   (n_eager, n - n_eager, read_time)
 
 (* What a restore reads, parsed: the manifest, the processes, the VM

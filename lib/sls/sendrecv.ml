@@ -1,5 +1,6 @@
 open Aurora_device
 open Aurora_simtime
+open Aurora_vm
 open Aurora_objstore
 
 let magic = "AURORA-IMAGE-v3"
@@ -42,17 +43,17 @@ let export store ~gen ~pgid ?base () =
     (records @ Option.to_list ring @ Option.to_list fs @ List.map vnode blob_oids);
   Serial.w_list w (fun w oid ->
       Serial.w_int w oid;
-      let pages =
-        Store.fold_pages store ?base gen ~oid ~init:[] ~f:(fun acc pindex seed ->
-            (pindex, seed) :: acc)
-      in
-      Serial.w_list w (fun w (pindex, seed) ->
-          Serial.w_int w pindex;
-          Serial.w_int64 w seed;
+      (* Read as restore reads: the changed pages listed in ascending
+         page index, then one batched command per device. *)
+      let { Store.pindexes; blocks } = Store.page_map store ?base gen ~oid in
+      let seeds = Store.read_page_blocks store blocks in
+      Serial.w_list w (fun w i ->
+          Serial.w_int w pindexes.(i);
+          Serial.w_int64 w seeds.(i);
           (* Pad to the page size: the wire carries whole pages, and
              link-cost accounting is by payload length. *)
           Serial.w_string w page_padding)
-        (List.rev pages))
+        (List.init (Array.length seeds) Fun.id))
     page_oids;
   Serial.w_list w (fun w oid ->
       Serial.w_int w oid;
@@ -80,42 +81,31 @@ let import store image =
   let r = Serial.reader body in
   let _pgid = Serial.r_int r in
   ignore (Store.begin_generation store ());
-  let records =
-    Serial.r_list r (fun r ->
-        let oid = Serial.r_int r in
-        let data = Serial.r_string r in
-        (oid, data))
+  (* Three lists of objects, each put as it is read: the records, each
+     object's pages with one column put, as a checkpoint writes them,
+     and the blobs. *)
+  let per_object put =
+    ignore
+      (Serial.r_list r (fun r ->
+           let oid = Serial.r_int r in
+           put r oid))
   in
-  List.iter (fun (oid, data) -> Store.put_record store ~oid data) records;
-  let pages =
-    Serial.r_list r (fun r ->
-        let oid = Serial.r_int r in
-        let ps =
-          Serial.r_list r (fun r ->
-              let pindex = Serial.r_int r in
-              let seed = Serial.r_int64 r in
-              let _padding = Serial.r_string r in
-              (pindex, seed))
-        in
-        (oid, ps))
-  in
-  List.iter
-    (fun (oid, ps) ->
-      List.iter (fun (pindex, seed) -> Store.put_page store ~oid ~pindex ~seed) ps)
-    pages;
-  let blobs =
-    Serial.r_list r (fun r ->
-        let oid = Serial.r_int r in
-        let bs =
-          Serial.r_list r (fun r ->
-              let index = Serial.r_int r in
-              let data = Serial.r_string r in
-              (index, data))
-        in
-        (oid, bs))
-  in
-  List.iter
-    (fun (oid, bs) ->
-      List.iter (fun (index, data) -> Store.put_blob store ~oid ~index data) bs)
-    blobs;
+  per_object (fun r oid -> Store.put_record store ~oid (Serial.r_string r));
+  per_object (fun r oid ->
+      let ps =
+        Array.of_list
+          (Serial.r_list r (fun r ->
+               let pindex = Serial.r_int r in
+               let seed = Serial.r_int64 r in
+               let _padding = Serial.r_string r in
+               (pindex, seed)))
+      in
+      let seeds = Bytes.create (Array.length ps * Content.slot_bytes) in
+      Array.iteri (fun i (_, seed) -> Content.set seeds i (Content.of_seed seed)) ps;
+      Store.put_page_columns store ~oid ~pindexes:(Array.map fst ps) ~seeds);
+  per_object (fun r oid ->
+      ignore
+        (Serial.r_list r (fun r ->
+             let index = Serial.r_int r in
+             Store.put_blob store ~oid ~index (Serial.r_string r))));
   Store.commit store ()

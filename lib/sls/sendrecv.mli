@@ -11,8 +11,10 @@
     A delta export against a base generation reads the same records and
     only the pages and blobs whose block differs from the base's,
     found by a tree diff that skips the index both generations share
-    ({!Store.fold_pages}), so neither the sender nor the wire pays for
-    what did not change. *)
+    ({!Store.page_map}), so neither the sender nor the wire pays for
+    what did not change. Export reads pages as restore does, and import
+    writes them as a checkpoint does (one {!Store.put_page_columns} per
+    object). *)
 
 open Aurora_simtime
 open Aurora_objstore
@@ -24,10 +26,12 @@ val export :
     the flight-recorder ring and the file system's. With [base], a page
     or blob whose block is the same in the base generation is omitted
     (an incremental shipment; the receiver must already hold the base);
-    a base the store does not hold exports everything. Reads are
-    charged to the clock (the sender really reads its store). Raises
+    a base the store does not hold exports everything. Pages go in
+    ascending page index, read as one batched [Background] command per
+    device ({!Store.read_page_blocks}) and charged to the clock. Raises
     {!Restore.Error} when the generation holds no checkpoint of [pgid]
-    or a referenced record is missing. *)
+    or a referenced record is missing, and {!Store.Fail}
+    ([Unreadable_block]) when no copy of a page can be read. *)
 
 val import : Store.t -> string -> Store.gen * Duration.t
 (** Write an exported image into the store as a new generation; returns

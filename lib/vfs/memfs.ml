@@ -155,16 +155,15 @@ let fsync t v =
   match t.backing with
   | None -> Vnode.clear_dirty v
   | Some dev ->
-    let writes =
-      List.map
-        (fun ci ->
-          let data =
-            Vnode.read v ~off:(ci * Vnode.chunk_size) ~len:Vnode.chunk_size
-          in
-          (block_for t v.Vnode.vid ci, Blockdev.Data (Bytes.to_string data)))
-        (Vnode.dirty_chunks v)
-    in
-    if writes <> [] then Blockdev.write_many dev writes;
+    let chunks = Array.of_list (Vnode.dirty_chunks v) in
+    if chunks <> [||] then
+      Blockdev.write_many dev
+        (Array.map (block_for t v.Vnode.vid) chunks)
+        (Array.map
+           (fun ci ->
+             let data = Vnode.read v ~off:(ci * Vnode.chunk_size) ~len:Vnode.chunk_size in
+             Blockdev.Data (Bytes.to_string data))
+           chunks);
     Blockdev.flush dev;
     Hashtbl.replace t.durable_size v.Vnode.vid v.Vnode.size;
     Vnode.clear_dirty v

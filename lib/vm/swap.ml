@@ -17,20 +17,20 @@ let read_cost t =
 let evict t ~objects ~want =
   let victims = Clockalg.sweep t.clockalg ~objects ~want in
   let cost = read_cost t in
-  let writes =
-    List.map
-      (fun { Clockalg.obj; pindex } ->
-        let slot = t.next_slot in
-        t.next_slot <- t.next_slot + 1;
-        let content = Vmobject.page_out obj pindex ~read_cost:cost in
-        (slot, Blockdev.Seed (Content.to_seed content)))
-      victims
+  let contents =
+    Array.of_list
+      (List.map
+         (fun { Clockalg.obj; pindex } ->
+           Blockdev.Seed (Content.to_seed (Vmobject.page_out obj pindex ~read_cost:cost)))
+         victims)
   in
-  if writes <> [] then begin
-    Blockdev.write_many t.dev writes;
-    t.pages_swapped <- t.pages_swapped + List.length writes
+  let n = Array.length contents in
+  if n > 0 then begin
+    Blockdev.write_many t.dev (Array.init n (fun i -> t.next_slot + i)) contents;
+    t.next_slot <- t.next_slot + n;
+    t.pages_swapped <- t.pages_swapped + n
   end;
-  List.length writes
+  n
 
 let rebalance t ~objects =
   let over = Frame.over_capacity t.pool in

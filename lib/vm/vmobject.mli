@@ -135,7 +135,9 @@ val release_at : pool:Frame.pool -> capture -> int -> unit
 
 (** {2 The list view}
 
-    One record per captured page, for callers that want a list. *)
+    One record per captured page: a view over {!arm} for benchmark
+    replays and tests. Checkpoints and the CRIU baseline capture through
+    the columns. *)
 
 type flush_item = private { pindex : int; content : Content.t; owner : t; stamp : int }
 

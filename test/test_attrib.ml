@@ -14,6 +14,9 @@ open Aurora_sls
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* One page, as a one-page column put. *)
+let put_page s ~oid ~pindex ~seed = Store.put_pages s ~oid [| (pindex, seed) |]
+
 let mkdev ?(profile = Profile.optane_900p) ?stripes () =
   let clock = Clock.create () in
   (clock, Devarray.create ?stripes ~clock ~profile "store")
@@ -117,8 +120,10 @@ let test_incremental_attribution_and_cow () =
 let test_degraded_attribution_sums () =
   (* A tiny device: repeated full checkpoints of fresh content fill it,
      and the degraded (aborted-generation) path must still produce
-     attribution rows that sum to its breakdown. *)
+     attribution rows that sum to its breakdown. History collection is
+     off, so no generation frees the blocks the next one needs. *)
   let m, g, p, e = machine_with_app ~storage_blocks:512 () in
+  m.Machine.history_window <- 1_000;
   let k = m.Machine.kernel in
   let degraded = ref None in
   (try
@@ -150,9 +155,9 @@ let test_store_provenance_counts () =
   let s = Store.format ~dev () in
   let g = Store.begin_generation s () in
   Store.put_record s ~oid:7 "hello";
-  Store.put_page s ~oid:1 ~pindex:0 ~seed:41L;
+  put_page s ~oid:1 ~pindex:0 ~seed:41L;
   (* Identical content: the second write dedups against the first. *)
-  Store.put_page s ~oid:1 ~pindex:1 ~seed:41L;
+  put_page s ~oid:1 ~pindex:1 ~seed:41L;
   let _, durable = Store.commit s () in
   Store.wait_durable s durable;
   let p =
@@ -178,7 +183,7 @@ let test_store_provenance_counts () =
     (Store.stats s).Store.dedup_bytes_saved;
   check_bool "aborted generations drop their provenance" true
     (let g2 = Store.begin_generation s () in
-     Store.put_page s ~oid:1 ~pindex:9 ~seed:99L;
+     put_page s ~oid:1 ~pindex:9 ~seed:99L;
      Store.abort_generation s;
      Store.gen_provenance s g2 = None)
 
@@ -187,12 +192,12 @@ let two_gen_store () =
   let s = Store.format ~dev () in
   let g1 = Store.begin_generation s () in
   for i = 0 to 9 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (1000 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (1000 + i))
   done;
   ignore (Store.commit s ());
   let g2 = Store.begin_generation s ~base:g1 () in
   for i = 0 to 1 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (2000 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (2000 + i))
   done;
   let _, durable = Store.commit s () in
   Store.wait_durable s durable;

@@ -83,11 +83,11 @@ let test_blockdev_batched_cheaper () =
   (* One 64-block command pays latency once; 64 single commands pay it
      64 times. *)
   let clock1, dev1 = mkdev () in
-  let writes = List.init 64 (fun i -> (i, Blockdev.Seed (Int64.of_int i))) in
-  Blockdev.write_many dev1 writes;
+  let contents = Array.init 64 (fun i -> Blockdev.Seed (Int64.of_int i)) in
+  Blockdev.write_many dev1 (Array.init 64 Fun.id) contents;
   let batched = Clock.now clock1 in
   let clock2, dev2 = mkdev () in
-  List.iter (fun (i, c) -> Blockdev.write dev2 i c) writes;
+  Array.iteri (fun i c -> Blockdev.write dev2 i c) contents;
   check_bool "batch faster" true Duration.(batched < Clock.now clock2)
 
 let test_blockdev_capacity () =
@@ -194,7 +194,9 @@ let test_flush_copies_current_to_durable () =
     [ (0, Blockdev.Data "a"); (3, Blockdev.Seed 3L); (2_000, Blockdev.Zero);
       (9_000, Blockdev.Seed 9L); (40_000, Blockdev.Data "far") ]
   in
-  Blockdev.write_many dev writes;
+  Blockdev.write_many dev
+    (Array.of_list (List.map fst writes))
+    (Array.of_list (List.map snd writes));
   check_int "used blocks count only non-Zero content" 4 (Blockdev.used_blocks dev);
   Blockdev.write dev 3 Blockdev.Zero;
   check_int "a Zero write frees the block's use" 3 (Blockdev.used_blocks dev);
@@ -220,7 +222,7 @@ let test_unwritten_block_reads_zero () =
 
 let test_stats_counting () =
   let _, dev = mkdev () in
-  Blockdev.write_many dev [ (0, Blockdev.Seed 1L); (1, Blockdev.Seed 2L) ];
+  Blockdev.write_many dev [| 0; 1 |] [| Blockdev.Seed 1L; Blockdev.Seed 2L |];
   ignore (Blockdev.read dev 0);
   let done_at = Blockdev.queue_batch_read dev ~blocks:2 in
   Alcotest.check content_t "batched read" (Blockdev.Seed 2L) (Blockdev.batch_content dev 1);
@@ -323,7 +325,8 @@ let test_devarray_read_write_roundtrip () =
 
 let test_devarray_stats_sum () =
   let _, arr = mkarr ~stripes:4 () in
-  Devarray.write_many arr (List.init 64 (fun i -> (i, Blockdev.Seed 1L)));
+  Devarray.await arr
+    (Devarray.write_async_arr arr (Array.init 64 Fun.id) (Array.make 64 (Blockdev.Seed 1L)));
   ignore (Devarray.read_many_arr arr (Array.init 10 Fun.id));
   let agg = Devarray.stats arr in
   let per = Devarray.device_stats arr in
@@ -345,8 +348,10 @@ let test_devarray_flush_scales () =
   let flush_time stripes =
     let clock = Clock.create () in
     let arr = Devarray.create ~stripes ~clock ~profile:Profile.optane_900p "arr" in
-    let writes = List.init 4096 (fun i -> (i, Blockdev.Seed (Int64.of_int i))) in
-    let done_at = Devarray.write_async arr writes in
+    let done_at =
+      Devarray.write_async_arr arr (Array.init 4096 Fun.id)
+        (Array.init 4096 (fun i -> Blockdev.Seed (Int64.of_int i)))
+    in
     Duration.to_ns (Duration.sub done_at (Clock.now clock))
   in
   let t1 = flush_time 1 and t4 = flush_time 4 in
@@ -897,9 +902,13 @@ let test_fault_write_retry_charges_time () =
   let clock_flaky, flaky =
     mkfaulty ~faults:(Fault.plan ~seed:7L ~transient_write:0.2 ()) ()
   in
-  let payload = List.init 64 (fun i -> (i, Blockdev.Seed (Int64.of_int i))) in
-  Devarray.write_many clean payload;
-  Devarray.write_many flaky payload;
+  let write dev =
+    Devarray.await dev
+      (Devarray.write_async_arr dev (Array.init 64 Fun.id)
+         (Array.init 64 (fun i -> Blockdev.Seed (Int64.of_int i))))
+  in
+  write clean;
+  write flaky;
   (* Internal retries extend the transfer with exponential backoff. *)
   check_bool "retries cost simulated time" true
     Duration.(Clock.now clock_flaky > Clock.now clock_clean);

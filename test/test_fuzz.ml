@@ -563,9 +563,7 @@ let prop_faulty_media_never_serves_wrong_data =
              List.init npages (fun i ->
                  (i, Int64.of_int ((case_seed * 100) + (cycle * 1000) + i)))
            in
-           List.iter
-             (fun (pindex, seed) -> Store.put_page !store ~oid:1 ~pindex ~seed)
-             pages;
+           Store.put_pages !store ~oid:1 (Array.of_list pages);
            let record = Printf.sprintf "cycle %d of case %d" cycle case_seed in
            Store.put_record !store ~oid:7 record;
            (match Store.commit_result !store () with
@@ -1172,18 +1170,18 @@ let prop_btree_matches_map =
          tree does afterwards, the device must still hold them: a leaf
          image handed to the device is never written again. *)
       let written = Hashtbl.create 64 in
-      let tee writes =
-        List.iter
-          (fun (b, c) ->
-            match c with
+      let tee blocks contents =
+        Array.iteri
+          (fun i b ->
+            match contents.(i) with
             | Aurora_device.Blockdev.Data s ->
               if Stream_node.encode (Stream_node.decode s) <> s then
                 fail "node %d does not round-trip through the stream format" b;
               Hashtbl.replace written b (Bytes.to_string (Bytes.of_string s))
             | Aurora_device.Blockdev.Seed _ | Aurora_device.Blockdev.Zero ->
               fail "block %d is not a node" b)
-          writes;
-        []
+          blocks;
+        ([||], [||])
       in
       let check_written what =
         Hashtbl.iter
@@ -1523,10 +1521,14 @@ let prop_diff_matches_page_maps =
                 if h.dh_drop then Store.drop_caches s;
                 let read = blocks_read () in
                 let got =
-                  Store.fold_pages s ~base:a b ~oid ~init:[] ~f:(fun acc p seed ->
-                      if Some seed <> Store.peek_page s b ~oid ~pindex:p then
-                        fail "gen %d oid %d: page %d read back wrong" b oid p;
-                      p :: acc)
+                  let { Store.pindexes; blocks } = Store.page_map s ~base:a b ~oid in
+                  let seeds = Store.read_page_blocks s blocks in
+                  Array.iteri
+                    (fun i p ->
+                      if Some seeds.(i) <> Store.peek_page s b ~oid ~pindex:p then
+                        fail "gen %d oid %d: page %d read back wrong" b oid p)
+                    pindexes;
+                  List.rev (Array.to_list pindexes)
                 in
                 if a = b && blocks_read () <> read then fail "gen %d over itself read blocks" b;
                 if got <> want then

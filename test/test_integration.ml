@@ -674,6 +674,44 @@ let test_groups_share_memory_backend () =
   done
 
 
+(* A destination keeps only each group's newest import: once it has
+   acknowledged one, it collects the group's older imports. The newest
+   is the only delta base and what a restore reads, and it holds their
+   pages through the COW tree. So the memory store of a group
+   checkpointed every 10 ms for a second ends with one generation, and
+   a restore from it gives the live region. *)
+let test_memory_backend_keeps_newest_import () =
+  let m = Machine.create () in
+  let k = m.Machine.kernel in
+  let c = Kernel.new_container k ~name:"kv" in
+  let nkeys = 16 * 1024 * 1024 / 8 in
+  let cfg =
+    { (Aurora_apps.Kvstore.default_config ~nkeys ()) with
+      Aurora_apps.Kvstore.spec = Aurora_apps.Workload.write_heavy ~nkeys;
+      ops_per_step = 128;
+      preload = true }
+  in
+  let p = Aurora_apps.Kvstore.spawn k ~container:c.Container.cid cfg in
+  ignore (Scheduler.step_all k);
+  let g =
+    Machine.persist m ~interval:(Duration.milliseconds 10) (`Container c.Container.cid)
+  in
+  let mem = m.Machine.mem_store in
+  Machine.attach m g mem;
+  Machine.run m (Duration.seconds 1);
+  let b = Machine.checkpoint_now m g () in
+  check_bool "the last checkpoint committed" true (b.Types.status = `Ok);
+  check_int "one generation on the memory store" 1 (List.length (Store.generations mem));
+  let k' = (Machine.create ()).Machine.kernel in
+  let pids, _ =
+    Restore.restore k' ~store:mem ~gen:(Option.get (Store.latest mem)) ~pgid:g.Types.pgid ()
+  in
+  check_bool "restored from the memory store" true
+    (Int64.equal
+       (Aurora_apps.Kvstore.region_digest k p cfg)
+       (Aurora_apps.Kvstore.region_digest k' (Kernel.proc_exn k' (List.hd pids)) cfg));
+  check_bool "the memory store is consistent" true (Store.fsck_ok (Store.fsck mem))
+
 (* ------------------------------------------------------------------ *)
 (* Kernel-integrated record/replay                                     *)
 (* ------------------------------------------------------------------ *)
@@ -908,6 +946,8 @@ let () =
             test_secondary_memory_backend_mirrors;
           Alcotest.test_case "groups share the memory backend" `Quick
             test_groups_share_memory_backend;
+          Alcotest.test_case "a destination keeps each group's newest import" `Quick
+            test_memory_backend_keeps_newest_import;
         ] );
       ( "memory",
         [

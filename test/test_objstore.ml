@@ -10,6 +10,9 @@ open Aurora_objstore
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* One page, as a one-page column put. *)
+let put_page s ~oid ~pindex ~seed = Store.put_pages s ~oid [| (pindex, seed) |]
+
 let mkdev ?(profile = Profile.optane_900p) ?stripes ?faults () =
   let clock = Clock.create () in
   (clock, Devarray.create ?stripes ?faults ~clock ~profile "store")
@@ -135,30 +138,27 @@ module Ref_alloc = struct
          t.live <- t.live + 1;
          b)
 
+  (* An extent that fresh space cannot hold takes its blocks one at a
+     time, freed ones first; only an extent that fits skips the tail of
+     a partial stripe round into the free list. *)
   let alloc_extent t n =
     if n < 0 then invalid_arg "Alloc.alloc_extent: negative size";
-    if n = 0 then [||]
-    else begin
-      let start =
-        if n < t.stripes || t.next_fresh mod t.stripes = 0 then t.next_fresh
-        else begin
-          let aligned = (t.next_fresh / t.stripes + 1) * t.stripes in
-          for b = aligned - 1 downto t.next_fresh do
-            t.free_list <- b :: t.free_list
-          done;
-          aligned
-        end
-      in
-      match t.capacity_blocks with
-      | Some cap when start + n > cap -> raise Out_of_space
-      | _ ->
-        t.next_fresh <- start + n;
-        t.live <- t.live + n;
-        Array.init n (fun i ->
-            let b = start + i in
-            Hashtbl.replace t.refs b 1;
-            b)
-    end
+    let start =
+      if n < t.stripes || t.next_fresh mod t.stripes = 0 then t.next_fresh
+      else (t.next_fresh / t.stripes + 1) * t.stripes
+    in
+    match t.capacity_blocks with
+    | Some cap when start + n > cap -> Array.init n (fun _ -> alloc t)
+    | _ ->
+      for b = start - 1 downto t.next_fresh do
+        t.free_list <- b :: t.free_list
+      done;
+      t.next_fresh <- start + n;
+      t.live <- t.live + n;
+      Array.init n (fun i ->
+          let b = start + i in
+          Hashtbl.replace t.refs b 1;
+          b)
 
   let refcount t block = Option.value ~default:0 (Hashtbl.find_opt t.refs block)
 
@@ -464,9 +464,9 @@ let test_btree_persist_and_reread () =
 (* Flushes [t] and returns the blocks written, in submission order. *)
 let flush_blocks dev t =
   let written = ref [] in
-  let tee writes =
-    written := List.map fst writes;
-    []
+  let tee blocks _ =
+    written := Array.to_list blocks;
+    ([||], [||])
   in
   Devarray.await dev (Btree.flush_dirty ~tee t);
   !written
@@ -835,14 +835,14 @@ let prop_btree_fold_range_matches_model =
 (* Flushes [t], logging each node write as its block and the digest of
    its bytes. *)
 let flush_logged log dev t =
-  let tee writes =
-    List.iter
-      (fun (b, c) ->
-        match c with
+  let tee blocks contents =
+    Array.iteri
+      (fun i b ->
+        match contents.(i) with
         | Blockdev.Data s -> Printf.bprintf log "%d:%s\n" b (Digest.to_hex (Digest.string s))
         | Blockdev.Seed _ | Blockdev.Zero -> Alcotest.failf "block %d is not a node" b)
-      writes;
-    []
+      blocks;
+    ([||], [||])
   in
   Devarray.await dev (Btree.flush_dirty ~tee t)
 
@@ -1091,14 +1091,14 @@ let test_store_pages_and_incremental () =
   let s = Store.format ~dev () in
   let g1 = Store.begin_generation s () in
   for i = 0 to 99 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (1000 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (1000 + i))
   done;
   ignore (Store.commit s ());
   let blocks_full = (Store.stats s).Store.live_blocks in
   (* Incremental: only 5 pages change. *)
   let g2 = Store.begin_generation s () in
   for i = 0 to 4 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (2000 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (2000 + i))
   done;
   ignore (Store.commit s ());
   let blocks_incr = (Store.stats s).Store.live_blocks in
@@ -1131,9 +1131,9 @@ let prop_page_map_matches_read_page =
       ignore (Store.begin_generation s ());
       Store.put_record s ~oid:5 "the object's own record";
       Store.put_blob s ~oid:5 ~index:0 "a blob after the pages";
-      List.iter (fun oid -> Store.put_page s ~oid ~pindex:0 ~seed:(Int64.of_int oid)) [ 4; 6 ];
+      List.iter (fun oid -> put_page s ~oid ~pindex:0 ~seed:(Int64.of_int oid)) [ 4; 6 ];
       List.iter
-        (fun i -> Store.put_page s ~oid:5 ~pindex:i ~seed:(Int64.of_int ((7 * i) + 1)))
+        (fun i -> put_page s ~oid:5 ~pindex:i ~seed:(Int64.of_int ((7 * i) + 1)))
         indexes;
       let g, d = Store.commit s () in
       Store.wait_durable s d;
@@ -1150,9 +1150,29 @@ let prop_page_map_matches_read_page =
       List.length expected = Array.length pindexes
       && pairs batch = expected
       && pairs peeked = expected
-      && Array.to_list (Store.read_pages_batch s g ~oid:5 ~pindexes:(Array.init 3001 Fun.id))
-         = expected
+      && Store.page_map s ~base:g g ~oid:5 = { Store.pindexes = [||]; blocks = [||] }
       && Store.page_map s g ~oid:9 = { Store.pindexes = [||]; blocks = [||] })
+
+(* A batched read delivers a latent sector as an empty block. A page
+   block always holds a seed, so on a store that verifies no checksums
+   the empty block still takes the verified single-block read: an
+   unreadable page raises as [read_page] does, and never reads as 0. *)
+let test_batch_read_unreadable_page () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init 4 (fun i -> (i, Int64.of_int (100 + i))));
+  let g, d = Store.commit s () in
+  Store.wait_durable s d;
+  let { Store.blocks; _ } = Store.page_map s g ~oid:1 in
+  Devarray.inject_latent dev blocks.(2);
+  Store.drop_caches s;
+  let unreadable f =
+    match f () with _ -> false | exception Store.Fail (Store.Unreadable_block _) -> true
+  in
+  check_bool "the store verifies no checksums" false (Store.protection s).Store.verify;
+  check_bool "read_page raises" true (unreadable (fun () -> Store.read_page s g ~oid:1 ~pindex:2));
+  check_bool "read_page_blocks raises" true (unreadable (fun () -> Store.read_page_blocks s blocks))
 
 (* A page or blob index takes the key's low 32 bits: a larger one would
    carry into the kind and oid bits and overwrite another object's
@@ -1163,13 +1183,13 @@ let test_store_index_bound () =
   let s = Store.format ~dev () in
   ignore (Store.begin_generation s ());
   Store.put_record s ~oid:2 "oid two's record";
-  Store.put_page s ~oid:1 ~pindex:0xFFFF_FFFF ~seed:7L;
+  put_page s ~oid:1 ~pindex:0xFFFF_FFFF ~seed:7L;
   let live = (Store.stats s).Store.live_blocks in
   let refused what f =
     check_bool what true (match f () with () -> false | exception Invalid_argument _ -> true)
   in
-  refused "put_page at 2^32" (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 32) ~seed:1L);
-  refused "put_page at 2^33" (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 33) ~seed:1L);
+  refused "put_page at 2^32" (fun () -> put_page s ~oid:1 ~pindex:(1 lsl 32) ~seed:1L);
+  refused "put_page at 2^33" (fun () -> put_page s ~oid:1 ~pindex:(1 lsl 33) ~seed:1L);
   refused "put_pages with one index at 2^33" (fun () ->
       Store.put_pages s ~oid:1 [| (3, 3L); (1 lsl 33, 4L) |]);
   refused "put_blob at 2^32" (fun () -> Store.put_blob s ~oid:1 ~index:(1 lsl 32) "blob");
@@ -1188,7 +1208,7 @@ let test_store_dedup () =
   let g = Store.begin_generation s () in
   (* 50 distinct oids all storing identical page content. *)
   for oid = 1 to 50 do
-    Store.put_page s ~oid ~pindex:0 ~seed:42L
+    put_page s ~oid ~pindex:0 ~seed:42L
   done;
   ignore (Store.commit s ());
   ignore g;
@@ -1197,7 +1217,7 @@ let test_store_dedup () =
   check_int "49 dedup hits" 49 st.Store.dedup_hits;
   (* Store-wide: a later generation hits the same content. *)
   ignore (Store.begin_generation s ());
-  Store.put_page s ~oid:99 ~pindex:7 ~seed:42L;
+  put_page s ~oid:99 ~pindex:7 ~seed:42L;
   ignore (Store.commit s ());
   check_int "cross-generation hit" 50 (Store.stats s).Store.dedup_hits
 
@@ -1208,7 +1228,7 @@ let test_store_gc_in_place () =
     List.init 5 (fun round ->
         let g = Store.begin_generation s () in
         for i = 0 to 49 do
-          Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int ((round * 1000) + i))
+          put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int ((round * 1000) + i))
         done;
         ignore (Store.commit s ());
         g)
@@ -1229,7 +1249,7 @@ let test_store_gc_all_then_reuse () =
   let s = Store.format ~dev () in
   ignore (Store.begin_generation s ());
   for i = 0 to 199 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
   done;
   ignore (Store.commit s ());
   let live_before = (Store.stats s).Store.live_blocks in
@@ -1267,7 +1287,7 @@ let test_store_recovery_roundtrip () =
   let g1 = Store.begin_generation s () in
   Store.put_record s ~oid:5 "object five";
   for i = 0 to 30 do
-    Store.put_page s ~oid:5 ~pindex:i ~seed:(Int64.of_int (500 + i))
+    put_page s ~oid:5 ~pindex:i ~seed:(Int64.of_int (500 + i))
   done;
   let _, durable = Store.commit s ~name:"snap" () in
   Store.wait_durable s durable;
@@ -1318,13 +1338,13 @@ let test_store_striped_torn_commit_keeps_old () =
   let s = Store.format ~dev () in
   let g1 = Store.begin_generation s () in
   for i = 0 to 63 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (100 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (100 + i))
   done;
   let _, durable1 = Store.commit s () in
   Store.wait_durable s durable1;
   ignore (Store.begin_generation s ());
   for i = 0 to 63 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (200 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (200 + i))
   done;
   let _, durable2 = Store.commit s () in
   (* Just before the barrier-ordered superblock lands: the stripes
@@ -1349,7 +1369,7 @@ let test_store_striped_commit_durable_at_barrier () =
   let s = Store.format ~dev () in
   ignore (Store.begin_generation s ());
   for i = 0 to 63 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (300 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (300 + i))
   done;
   let g2, durable = Store.commit s () in
   Clock.advance_to clock durable;
@@ -1367,12 +1387,12 @@ let test_store_dedup_rebuilt_after_recovery () =
   let _, dev = mkdev () in
   let s = Store.format ~dev () in
   ignore (Store.begin_generation s ());
-  Store.put_page s ~oid:1 ~pindex:0 ~seed:7L;
+  put_page s ~oid:1 ~pindex:0 ~seed:7L;
   let _, durable = Store.commit s () in
   Store.wait_durable s durable;
   let s' = Store.open_exn ~dev in
   ignore (Store.begin_generation s' ());
-  Store.put_page s' ~oid:2 ~pindex:0 ~seed:7L;
+  put_page s' ~oid:2 ~pindex:0 ~seed:7L;
   ignore (Store.commit s' ());
   check_bool "dedup hit after recovery" true ((Store.stats s').Store.dedup_hits >= 1)
 
@@ -1430,7 +1450,7 @@ let test_store_cold_read_charges_device () =
   let s = Store.format ~dev () in
   let g = Store.begin_generation s () in
   for i = 0 to 200 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
   done;
   Store.put_record s ~oid:1 "meta";
   let _, durable = Store.commit s () in
@@ -1459,7 +1479,7 @@ let prop_store_generations_independent =
             List.iter
               (fun (pindex, v) ->
                 Hashtbl.replace model (g, pindex) (Int64.of_int v);
-                Store.put_page s ~oid:1 ~pindex ~seed:(Int64.of_int v))
+                put_page s ~oid:1 ~pindex ~seed:(Int64.of_int v))
               writes;
             ignore (Store.commit s ());
             g)
@@ -1495,7 +1515,7 @@ let test_fsck_clean_store () =
   ignore (Store.begin_generation s ());
   Store.put_record s ~oid:1 "record";
   for i = 0 to 50 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int i)
   done;
   let _, d = Store.commit s () in
   Store.wait_durable s d;
@@ -1551,7 +1571,7 @@ let prop_store_history_invariants =
               List.iter
                 (fun (pindex, seed) ->
                   Hashtbl.replace cur_pages pindex seed;
-                  Store.put_page !store ~oid:1 ~pindex ~seed)
+                  put_page !store ~oid:1 ~pindex ~seed)
                 pages;
               let g, d = Store.commit !store () in
               Store.wait_durable !store d;
@@ -1635,7 +1655,7 @@ let test_store_out_of_space_degrades () =
   let s = Store.format ~dev () in
   let g1 = Store.begin_generation s () in
   Store.put_record s ~oid:1 "keep me";
-  Store.put_page s ~oid:1 ~pindex:0 ~seed:42L;
+  put_page s ~oid:1 ~pindex:0 ~seed:42L;
   let _, d = Store.commit s () in
   Store.wait_durable s d;
   (* A generation too big for the device must fail *typed* and leave
@@ -1643,7 +1663,7 @@ let test_store_out_of_space_degrades () =
   ignore (Store.begin_generation s ());
   (match
      (for i = 0 to 199 do
-        Store.put_page s ~oid:2 ~pindex:i ~seed:(Int64.of_int (1000 + i))
+        put_page s ~oid:2 ~pindex:i ~seed:(Int64.of_int (1000 + i))
       done;
       Store.commit_result s ())
    with
@@ -1671,8 +1691,8 @@ let test_store_corruption_healed_from_mirror () =
   let s = Store.format ~protection:full_protection ~dev () in
   ignore (Store.begin_generation s ());
   let g, d =
-    Store.put_page s ~oid:1 ~pindex:0 ~seed:777_777L;
-    Store.put_page s ~oid:1 ~pindex:1 ~seed:888_888L;
+    put_page s ~oid:1 ~pindex:0 ~seed:777_777L;
+    put_page s ~oid:1 ~pindex:1 ~seed:888_888L;
     Store.commit s ()
   in
   Store.wait_durable s d;
@@ -1694,7 +1714,7 @@ let test_store_latent_healed_by_scrub () =
   let _, dev = mkdev () in
   let s = Store.format ~protection:full_protection ~dev () in
   ignore (Store.begin_generation s ());
-  Store.put_page s ~oid:1 ~pindex:0 ~seed:123_123L;
+  put_page s ~oid:1 ~pindex:0 ~seed:123_123L;
   Store.put_record s ~oid:1 "metadata";
   let g, d = Store.commit s () in
   Store.wait_durable s d;
@@ -1721,11 +1741,11 @@ let test_store_unrecoverable_loss_drops_generation () =
   in
   ignore (Store.begin_generation s ());
   Store.put_record s ~oid:1 "gen one survives";
-  Store.put_page s ~oid:1 ~pindex:0 ~seed:111L;
+  put_page s ~oid:1 ~pindex:0 ~seed:111L;
   let g1, d1 = Store.commit s () in
   Store.wait_durable s d1;
   ignore (Store.begin_generation s ());
-  Store.put_page s ~oid:2 ~pindex:0 ~seed:222_222L;
+  put_page s ~oid:2 ~pindex:0 ~seed:222_222L;
   let g2, d2 = Store.commit s () in
   Store.wait_durable s d2;
   let victim = find_block dev ~seed:222_222L in
@@ -1755,7 +1775,7 @@ let test_store_transient_reads_retry () =
      p.Store.verify && p.Store.mirror);
   ignore (Store.begin_generation s ());
   for i = 0 to 63 do
-    Store.put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (5000 + i))
+    put_page s ~oid:1 ~pindex:i ~seed:(Int64.of_int (5000 + i))
   done;
   let g, d = Store.commit s () in
   Store.wait_durable s d;
@@ -1787,7 +1807,7 @@ let test_store_fault_storm_crash_recover_bitexact () =
     let pages =
       List.init 64 (fun i -> (i, Int64.of_int ((gnum * 1000) + i)))
     in
-    List.iter (fun (i, seed) -> Store.put_page s ~oid:1 ~pindex:i ~seed) pages;
+    List.iter (fun (i, seed) -> put_page s ~oid:1 ~pindex:i ~seed) pages;
     Store.put_record s ~oid:7 (Printf.sprintf "generation %d manifest" gnum);
     let g, d = Store.commit s () in
     Store.wait_durable s d;
@@ -2040,6 +2060,8 @@ let () =
           Alcotest.test_case "named checkpoints" `Quick test_store_named_checkpoints;
           qt prop_store_generations_independent;
           qt prop_page_map_matches_read_page;
+          Alcotest.test_case "a batched read never returns 0 for an unreadable page" `Quick
+            test_batch_read_unreadable_page;
         ] );
       ( "fsck",
         [

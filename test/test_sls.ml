@@ -218,6 +218,71 @@ let redis_fixture ~mib =
   in
   (m, g, dirty_14pct)
 
+(* A write-heavy kvstore of [mib] MiB, preloaded and persisted as its
+   container, on a machine of its own. *)
+let kv_fixture ?storage_blocks ?interval ~mib () =
+  let m = Machine.create ?storage_blocks () in
+  let k = m.Machine.kernel in
+  let c = Kernel.new_container k ~name:"kv" in
+  let nkeys = mib * 1024 * 1024 / 8 in
+  let cfg =
+    { (Aurora_apps.Kvstore.default_config ~nkeys ()) with
+      Aurora_apps.Kvstore.spec = Aurora_apps.Workload.write_heavy ~nkeys;
+      ops_per_step = 128;
+      preload = true }
+  in
+  let p = Aurora_apps.Kvstore.spawn k ~container:c.Container.cid cfg in
+  ignore (Scheduler.step_all k);
+  let g = Machine.persist m ?interval (`Container c.Container.cid) in
+  (m, g, p, cfg)
+
+(* A bounded device keeps taking checkpoints while history collection
+   frees blocks: once fresh space runs out, a checkpoint's extents take
+   the freed blocks. 40,000 blocks give this kvstore fresh space for
+   about 14 checkpoints, and a simulated second takes about 50. *)
+let test_bounded_device_reuses_freed_blocks () =
+  let m, _, _, _ =
+    kv_fixture ~storage_blocks:40_000 ~interval:(Duration.milliseconds 10) ~mib:16 ()
+  in
+  Machine.run m (Duration.seconds 1);
+  let count name = Metrics.count (Metrics.counter (Machine.metrics m) name) in
+  check_bool "checkpoints were taken" true (count "ckpt.count" >= 20);
+  check_int "no checkpoint degraded" 0 (count "ckpt.degraded");
+  check_bool "the store stays within the device" true
+    ((Store.stats m.Machine.disk_store).Store.live_blocks <= 40_000)
+
+(* A restored object is new to the kernel, so its next checkpoint must
+   capture its pages even when incremental: a restore marks every page
+   it installs dirty. Under each policy, and for a clone, an incremental
+   checkpoint right after the restore captures the region, and a
+   restore of that checkpoint gives the region back. *)
+let test_checkpoint_after_restore_keeps_pages () =
+  List.iter
+    (fun (what, policy, clone) ->
+      let m, g, p, cfg = kv_fixture ~mib:16 () in
+      let k = m.Machine.kernel in
+      let before = Aurora_apps.Kvstore.region_digest k p cfg in
+      ignore (Machine.checkpoint_now m g ~mode:`Full ());
+      let pid =
+        if clone then List.hd (fst (Machine.clone_group m g ~policy ()))
+        else begin
+          ignore (Machine.restore_group m g ~policy ());
+          p.Process.pid
+        end
+      in
+      let b = Machine.checkpoint_now m g ~mode:`Incremental () in
+      check_bool
+        (Printf.sprintf "%s: the incremental captures the region (%d pages)" what
+           b.Types.pages_captured)
+        true
+        (b.Types.pages_captured >= Aurora_apps.Kvstore.npages cfg);
+      ignore (Machine.restore_group m g ~policy ());
+      check_bool (what ^ ": restored again, the region is intact") true
+        (Int64.equal before
+           (Aurora_apps.Kvstore.region_digest k (Kernel.proc_exn k pid) cfg)))
+    [ ("eager", Types.Eager, false); ("lazy", Types.Lazy, false);
+      ("lazy prefetch", Types.Lazy_prefetch, false); ("clone", Types.Lazy_prefetch, true) ]
+
 let checkpoint_words_per_page m g ~mode =
   Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
@@ -300,8 +365,11 @@ let test_drain_ignores_unrelated_io () =
     Duration.(b.Types.durable_at <= Machine.now m);
   (* A large background write far outside the store's allocations:
      ~100 ms of device time the checkpoint pipeline does not own. *)
-  let raw = List.init 50_000 (fun i -> (1_000_000 + i, Aurora_device.Blockdev.Zero)) in
-  let raw_done = Aurora_device.Devarray.write_async m.Machine.nvme raw in
+  let raw_done =
+    Aurora_device.Devarray.write_async_arr m.Machine.nvme
+      (Array.init 50_000 (fun i -> 1_000_000 + i))
+      (Array.make 50_000 Aurora_device.Blockdev.Zero)
+  in
   Machine.drain_storage m;
   check_bool "drain does not await unrelated io" true
     Duration.(Machine.now m < raw_done)
@@ -314,8 +382,11 @@ let test_checkpoint_not_gated_by_raw_io () =
   let c, _ = spawn_walker m ~npages:32 ~limit:1_000_000 in
   let g = Machine.persist m (`Container c.Container.cid) in
   Machine.run m (Duration.milliseconds 1);
-  let raw = List.init 50_000 (fun i -> (1_000_000 + i, Aurora_device.Blockdev.Zero)) in
-  let raw_done = Aurora_device.Devarray.write_async m.Machine.nvme raw in
+  let raw_done =
+    Aurora_device.Devarray.write_async_arr m.Machine.nvme
+      (Array.init 50_000 (fun i -> 1_000_000 + i))
+      (Array.make 50_000 Aurora_device.Blockdev.Zero)
+  in
   let before = Machine.now m in
   let b = Machine.checkpoint_now m g () in
   check_bool "checkpoint committed" true (b.Types.status = `Ok);
@@ -816,6 +887,25 @@ let test_export_missing_record_typed () =
      | _ -> false
      | exception Restore.Error (Restore.Missing_record { what = "process"; _ }) -> true)
 
+(* A page no copy can deliver fails the export with the store's typed
+   error. The store of a fault-free machine verifies no checksums, and
+   export reads pages in batches, which deliver a latent sector as an
+   empty block: that block must take the verified single-block read,
+   not go into the image as a zero page. *)
+let test_export_unreadable_page_typed () =
+  let m, g, _, _ = kv_fixture ~mib:1 () in
+  let gen = (Machine.checkpoint_now m g ()).Types.gen in
+  Machine.drain_storage m;
+  let store = m.Machine.disk_store in
+  let oid = List.find (fun oid -> Store.page_count store gen ~oid > 0) (Store.oids store gen) in
+  let { Store.blocks; _ } = Store.page_map store gen ~oid in
+  Aurora_device.Devarray.inject_latent (Store.device store) blocks.(Array.length blocks / 2);
+  Store.drop_caches store;
+  check_bool "an unreadable page fails the export" true
+    (match Sendrecv.export store ~gen ~pgid:g.Types.pgid () with
+     | _ -> false
+     | exception Store.Fail (Store.Unreadable_block _) -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Replication                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1271,6 +1361,8 @@ let () =
           Alcotest.test_case "words per captured page" `Quick
             test_checkpoint_words_per_page;
           Alcotest.test_case "ship time reported" `Quick test_ship_time_reported;
+          Alcotest.test_case "a bounded device reuses freed blocks" `Quick
+            test_bounded_device_reuses_freed_blocks;
         ] );
       ( "restore",
         [
@@ -1287,6 +1379,8 @@ let () =
           Alcotest.test_case "clone scale-out" `Quick test_clone_scaleout;
           Alcotest.test_case "pipe contents cross checkpoint" `Quick
             test_restore_preserves_pipe;
+          Alcotest.test_case "a checkpoint after a restore keeps the pages" `Quick
+            test_checkpoint_after_restore_keeps_pages;
         ] );
       ( "external-consistency",
         [
@@ -1301,6 +1395,8 @@ let () =
             test_incremental_ship_smaller;
           Alcotest.test_case "export of a torn generation is typed" `Quick
             test_export_missing_record_typed;
+          Alcotest.test_case "export of an unreadable page is typed" `Quick
+            test_export_unreadable_page_typed;
         ] );
       ( "replication",
         [
