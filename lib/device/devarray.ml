@@ -1,18 +1,9 @@
 open Aurora_simtime
 
-(* A completion group attributes the writes of one commit epoch to a
-   per-stripe completion horizon, so a later barrier can await exactly
-   that epoch's I/O instead of [busy_until] of everything (which would
-   also cover unrelated app traffic and younger epochs). Plain data —
-   device arrays are marshalled into CLI universe files, so no
-   closures here. One completion horizon per stripe. *)
-type group = Duration.t array
-
 type t = {
   name : string;
   stripes : int;
   devs : Blockdev.t array;
-  mutable current : group option;
 }
 
 let create ?sched ?stripes ?capacity_blocks ?faults ~clock ~profile name =
@@ -35,7 +26,7 @@ let create ?sched ?stripes ?capacity_blocks ?faults ~clock ~profile name =
           ?faults:injectors.(i) ~clock ~profile
           (Printf.sprintf "%s.%d" name i))
   in
-  { name; stripes; devs; current = None }
+  { name; stripes; devs }
 
 let set_obs t obs = Array.iter (fun dev -> Blockdev.set_obs dev obs) t.devs
 
@@ -189,24 +180,6 @@ let write_oob t blocks contents =
     (device_keys t blocks);
   !completion
 
-(* --- completion groups ----------------------------------------------- *)
-
-let begin_group t =
-  let g = Array.make t.stripes Duration.zero in
-  t.current <- Some g;
-  g
-
-let end_group t =
-  match t.current with
-  | None -> invalid_arg "Devarray.end_group: no group open"
-  | Some g ->
-    t.current <- None;
-    g
-
-let discard_group t = t.current <- None
-
-let group_completion g = Array.fold_left Duration.max Duration.zero g
-
 let busy_until t =
   Array.fold_left
     (fun acc dev -> Duration.max acc (Blockdev.busy_until dev))
@@ -222,10 +195,7 @@ let write_async_arr ?not_before ?cls t blocks contents =
         sort_keys keys;
         let cs = decode keys ~n contents in
         let done_at = Blockdev.write_sorted ?not_before ?cls t.devs.(d) keys cs in
-        completion := Duration.max !completion done_at;
-        match t.current with
-        | None -> ()
-        | Some g -> g.(d) <- Duration.max g.(d) done_at
+        completion := Duration.max !completion done_at
       end)
     (device_keys t blocks);
   if Duration.equal !completion Duration.zero then

@@ -88,8 +88,10 @@ val write_async_arr :
     place orders in linear time.
     {!Blockdev.write_sorted} queues the column as one submission, with
     one transfer per run of contiguous physical blocks. Returns the
-    {e max} completion time; does not advance the clock. [cls] defaults
-    to [Flush]. The devices keep the per-device columns, not the
+    {e max} completion time over the devices written, which is when the
+    whole submission is durable (for empty columns, the later of now and
+    every queue's drain); does not advance the clock. [cls] defaults to
+    [Flush]. The devices keep the per-device columns, not the
     caller's. Raises [Invalid_argument] on a negative block or columns
     of different lengths. *)
 
@@ -99,31 +101,6 @@ val write_oob : t -> int array -> Blockdev.content array -> Duration.t
     behind queued transfers, so the write can become durable while
     earlier data submissions still drain. Used for the store's black-box
     slot; see {!Blockdev.write_oob}. *)
-
-(* --- completion groups ----------------------------------------------- *)
-
-type group
-(** Per-stripe completion horizon for one commit epoch's writes. While
-    a group is open, every async submission's per-device completion is
-    recorded into it; awaiting the group then covers exactly that
-    epoch's I/O — not unrelated app traffic or younger epochs that
-    happen to share the queues. Plain data (no closures): arrays are
-    marshalled into CLI universe files. *)
-
-val begin_group : t -> group
-(** Open a group and make it current. Submissions from now until
-    {!end_group} are attributed to it. *)
-
-val end_group : t -> group
-(** Close the current group and return it. Raises [Invalid_argument]
-    when no group is open. *)
-
-val discard_group : t -> unit
-(** Drop any open group without returning it (error-path cleanup). *)
-
-val group_completion : group -> Duration.t
-(** Max completion over the group's stripes — when all of the epoch's
-    writes are durable. [Duration.zero] for an empty group. *)
 
 val await : t -> Duration.t -> unit
 val flush : t -> unit

@@ -859,9 +859,9 @@ let write_superblock ?(after = Duration.zero) t =
      tables unreusable until this superblock lands).
 
      The superblock is ordered after exactly its own dependencies —
-     the table chunks just queued, the caller's completion group
-     ([after], covering this generation's data and tree writes), and
-     the previous superblock ([sb_horizon], which transitively covers
+     the table chunks just queued, [after] (when the caller's data and
+     tree submissions for this generation complete), and the previous
+     superblock ([sb_horizon], which transitively covers
      every older generation). That replaces the old whole-array
      commit barrier: unrelated app I/O and *younger* epochs sharing
      the queues no longer gate this commit, yet a durable superblock
@@ -1055,14 +1055,15 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   Hashtbl.replace t.gens g { root; name };
   (* Data pages fan out across all stripes (per-device extents,
      overlapping in simulated time); tree nodes follow on whichever
-     stripes their blocks map to; the superblock waits on the max of
-     this epoch's per-device completion times — tracked by a
-     completion group so younger epochs and unrelated traffic sharing
-     the queues don't gate it. *)
-  ignore (Devarray.begin_group t.dev);
+     stripes their blocks map to; the superblock waits on the later of
+     the two submissions' completions, so younger epochs and unrelated
+     traffic sharing the queues don't gate it. *)
   let blocks, contents = take_pending t in
   let data_blocks = Array.length blocks in
-  if data_blocks > 0 then ignore (Devarray.write_async_arr ~cls t.dev blocks contents);
+  let data_done =
+    if data_blocks > 0 then Devarray.write_async_arr ~cls t.dev blocks contents
+    else Duration.zero
+  in
   let prov = Hashtbl.find_opt t.provs g in
   (* The tee sees every flushed tree node, so provenance counts them
      even when the protection machinery (the tee's other job) is off. *)
@@ -1077,7 +1078,7 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
      | None -> ());
     extra
   in
-  ignore (Btree.flush_dirty ~tee:counting_tee ~cls t.tree);
+  let tree_done = Btree.flush_dirty ~tee:counting_tee ~cls t.tree in
   (* The gentable carries the provenance rows, so the commit-block
      count must be final before the table is encoded. Ints serialize
      fixed-width: a trial encoding has the same size as the real one,
@@ -1088,8 +1089,7 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
      p.pv_commit_blocks <-
        1 (* superblock *) + (chunks * if t.prot.mirror then 2 else 1)
    | None -> ());
-  let after = Devarray.group_completion (Devarray.end_group t.dev) in
-  let durable_at = write_superblock ~after t in
+  let durable_at = write_superblock ~after:(Duration.max data_done tree_done) t in
   let g, durable_at =
     if (Devarray.profile t.dev).Profile.volatile_cache then begin
       (* No power-loss protection: a synchronous flush is the only way
@@ -1109,7 +1109,6 @@ let rollback t g =
   Hashtbl.remove t.gen_durable g;
   t.open_gen <- None;
   t.pending <- [];
-  Devarray.discard_group t.dev;
   rebuild t
 
 let commit_result t ?name ?cls () =
@@ -1139,7 +1138,6 @@ let abort_generation t =
     Hashtbl.remove t.provs g;
     t.open_gen <- None;
     t.pending <- [];
-    Devarray.discard_group t.dev;
     rebuild t
 
 let wait_durable t at = Devarray.await t.dev at

@@ -34,10 +34,10 @@ type t = {
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;
 }
 
-let create ?clock ?capacity_pages () =
+let create ?clock () =
   let clock = match clock with Some c -> c | None -> Clock.create () in
   let t =
-    { clock; pool = Frame.create_pool ?capacity_pages (); registry = Registry.create ();
+    { clock; pool = Frame.create_pool (); registry = Registry.create ();
       netstack = Netstack.create (); fs = Memfs.create (); unix_ns = Hashtbl.create 8;
       procs = Hashtbl.create 16; next_pid = 1; containers = Hashtbl.create 4;
       next_cid = 1; obs = Obs.create clock; prng = Prng.create ~seed:0xA407AL;

@@ -143,8 +143,7 @@ let analyze spans ?gen () =
       (* Device writes inside the flush window. The superblock is the
          transfer that completes exactly at durability; the binding
          stripe is the device whose last non-superblock transfer
-         completes latest (its completion-group horizon gated the
-         superblock's not_before). *)
+         completes latest (it gated the superblock's not_before). *)
       let dev_writes =
         List.filter
           (fun (s : Span.span) ->

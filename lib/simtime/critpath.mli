@@ -6,8 +6,8 @@
     background-flush window ([ckpt.flush] on the [ckpt.pipeline]
     track, opened by the pipeline when the epoch retires), the
     store-side commit ([store.flush]) and the per-stripe device
-    transfers ([dev.write] on per-device tracks, ordered by the
-    commit's completion group, with the superblock write last).
+    transfers ([dev.write] on per-device tracks; the superblock write
+    comes last, ordered after the commit's data and tree writes).
 
     {!analyze} walks that chain for one generation and splits the
     interval from barrier entry to superblock durability into
@@ -19,7 +19,7 @@
     - [prep] — barrier exit to commit entry (recorder-ring
       serialization and put queuing),
     - [flush.<dev>] — commit entry to the superblock write, blamed on
-      the binding stripe (the device whose completion-group horizon
+      the binding stripe (the device whose last data or tree write
       gated the superblock's [not_before]),
     - [superblock] — the ordered superblock write itself.
 

@@ -345,9 +345,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?flush_cls () =
       Store.write_blackbox store (Recorder.export_blackbox recorder);
       Error (Store.describe_error e)
   in
-  (* The flush has the data now (or never will); release the held
-     frames either way. *)
-  List.iter (fun (_, c) -> Vmobject.release ~pool:k.Kernel.pool c) captures;
   let status, durable_at =
     match outcome with
     | Ok durable_at ->

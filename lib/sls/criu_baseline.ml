@@ -52,7 +52,6 @@ let checkpoint (k : Kernel.t) (g : Types.pgroup) ?name () =
   Aurora_slsfs.Slsfs.checkpoint_fs store k.Kernel.fs ~popen_of_vid:(fun _ -> 0);
   let gen', durable_at = Store.commit store ?name () in
   assert (gen = gen');
-  List.iter (fun (_, c) -> Vmobject.release ~pool:k.Kernel.pool c) captures;
   g.Types.last_gen <- Some gen;
   let breakdown =
     {

@@ -168,10 +168,10 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
   Metrics.on_snapshot obs.Obs.metrics (fun () -> sync_metrics m);
   m
 
-let create ?(storage_profile = Profile.optane_900p) ?stripes ?capacity_pages
+let create ?(storage_profile = Profile.optane_900p) ?stripes
     ?(fs_with_disk = false) ?dedup ?faults ?storage_blocks ?max_inflight_ckpts
     ?io_sched () =
-  let kernel0 = Kernel.create ?capacity_pages () in
+  let kernel0 = Kernel.create () in
   let clock = kernel0.Kernel.clock in
   let fs =
     if fs_with_disk then

@@ -76,7 +76,6 @@ and postmortem = {
 val create :
   ?storage_profile:Profile.t ->
   ?stripes:int ->
-  ?capacity_pages:int ->
   ?fs_with_disk:bool ->
   ?dedup:bool ->
   ?faults:Fault.plan ->

@@ -88,6 +88,8 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
       (Metrics.histogram k.Kernel.obs.Obs.metrics "restore.prefetch_us")
       read_time
   end;
+  (* The object is new to this kernel, so its first arming captures
+     every page installed here, incremental or not. *)
   if n > 0 then Vmobject.reserve obj ~pages:(pindexes.(n - 1) + 1);
   for i = 0 to n_eager - 1 do
     Vmobject.install obj eager_pindexes.(i) (Content.of_seed seeds.(i))
@@ -99,13 +101,6 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
       Vmobject.install_paged_out obj pindexes.(i)
         ~content:(Content.of_seed (Store.peek_page_block store blocks.(i)))
         ~read_cost:fault_cost
-  done;
-  (* Every installed page is dirty, as a page the application creates
-     is: the object is new to this kernel, so its next checkpoint must
-     capture the pages, incremental or not. Marked from the top, so the
-     dirty set grows to its size once. *)
-  for i = n - 1 downto 0 do
-    Vmobject.mark_dirty obj pindexes.(i)
   done;
   (n_eager, n - n_eager, read_time)
 

@@ -2,19 +2,16 @@
 
     A frame is one resident copy of a page. Its content lives unboxed in
     the owning {!Vmobject}'s columns, so the pool keeps only counts: the
-    copies resident now, against an optional capacity (which is what
-    creates memory pressure for the swap machinery), and every copy ever
-    made. A copy stays resident while its object holds it or while an
-    unreleased checkpoint capture does. *)
+    copies resident now, and every copy ever made. A copy stays resident
+    while its object holds it; a checkpoint capture holds contents by
+    value and pins no frame. *)
 
 type pool
 
-val create_pool : ?capacity_pages:int -> unit -> pool
-(** [capacity_pages] bounds residency; [None] means unbounded. *)
+val create_pool : unit -> pool
 
 val alloc : pool -> unit
-(** One new resident copy. Never fails; use {!over_capacity} to detect
-    pressure and trigger eviction. *)
+(** One new resident copy. Never fails: residency is unbounded. *)
 
 val release : pool -> int -> unit
 (** [n] copies leave residency. Raises [Invalid_argument] if fewer than
@@ -25,7 +22,3 @@ val resident : pool -> int
 
 val total_allocated : pool -> int
 (** Copies ever made — monotone; used by benches for fault counting. *)
-
-val over_capacity : pool -> int
-(** How many pages beyond capacity are resident (0 when unbounded or
-    under capacity). *)

@@ -9,8 +9,8 @@
     - demand-zero fill on first touch of an anonymous page,
     - fork copy-on-write through shadow objects ([needs_copy]),
     - Aurora's checkpoint copy-on-write on armed pages,
-    - major faults on [Paged_out] pages (swap or lazy-restore image),
-      charged at the backing device's read cost.
+    - major faults on [Paged_out] pages (left in a lazy restore's
+      image), charged at the backing device's read cost.
 
     Entries carry the knob `sls_mctl` exposes: whether the range is
     persisted at all. *)

@@ -54,33 +54,23 @@ end
 let heat_shift = 6
 let heat_chunk = 1 lsl heat_shift
 
-(* A page's state byte: its status in the low two bits, and the clock
-   algorithm's accessed bit. *)
+(* A page's state byte: absent (0), resident or paged out. *)
 let st_resident = 1
 let st_paged_out = 2
-let st_status = 3
-let st_accessed = 4
 
 type t = {
   oid : int;
   kind : kind;
   pool : Frame.pool;
-  (* Page columns, indexed by pindex, all [capacity t] slots long. The
-     last three stay empty until first needed: [costs] until a page is
-     paged out, [holds] until a resident page is armed, [stamps] until a
-     held copy is replaced. *)
+  (* Page columns, indexed by pindex, all [capacity t] slots long.
+     [costs] stays empty until a page is paged out. *)
   mutable seeds : Bytes.t; (* content, [Content.slot_bytes] a slot *)
   mutable states : Bytes.t; (* state byte *)
   mutable costs : Duration.t array; (* a paged-out page's read cost *)
-  mutable holds : int array; (* unreleased capture holds on the current copy *)
-  mutable stamps : int array; (* the current copy's stamp *)
-  mutable last_stamp : int;
-  (* Replaced copies that unreleased captures still hold: (pindex,
-     stamp) to the number of holds. *)
-  detached : (int * int, int) Hashtbl.t;
   mutable resident : int;
   mutable shadow : t option;
   mutable refcount : int;
+  mutable captured : bool; (* armed at least once *)
   dirty : Pageset.t;
   armed : Pageset.t;
   heat : int array Blockvec.t; (* chunk [pindex / heat_chunk]; empty until touched *)
@@ -93,9 +83,8 @@ let next_oid = ref 0
 let create ~pool kind =
   incr next_oid;
   { oid = !next_oid; kind; pool; seeds = Bytes.empty; states = Bytes.empty; costs = [||];
-    holds = [||]; stamps = [||]; last_stamp = 0; detached = Hashtbl.create 1; resident = 0;
-    shadow = None; refcount = 1; dirty = Pageset.create (); armed = Pageset.create ();
-    heat = Blockvec.create [||]; heated = 0; cow_breaks = 0 }
+    resident = 0; shadow = None; refcount = 1; captured = false; dirty = Pageset.create ();
+    armed = Pageset.create (); heat = Blockvec.create [||]; heated = 0; cow_breaks = 0 }
 
 let oid t = t.oid
 let kind t = t.kind
@@ -110,17 +99,11 @@ let[@inline] state t pindex =
   else 0
 
 let[@inline] set_state t pindex s = Bytes.unsafe_set t.states pindex (Char.unsafe_chr s)
-let[@inline] is_resident t pindex = state t pindex land st_status = st_resident
+let[@inline] is_resident t pindex = state t pindex = st_resident
 
 let status t pindex =
-  let s = state t pindex land st_status in
+  let s = state t pindex in
   if s = st_resident then Resident else if s = st_paged_out then Paged_out else Absent
-
-let holds t pindex =
-  if pindex >= 0 && pindex < Array.length t.holds then t.holds.(pindex) else 0
-
-let stamp t pindex = if pindex < Array.length t.stamps then t.stamps.(pindex) else 0
-let held t pindex = holds t pindex > 0
 
 (* Every column in use, lengthened to [n] slots. *)
 let resize t n =
@@ -139,9 +122,7 @@ let resize t n =
   in
   t.seeds <- bytes t.seeds Content.slot_bytes;
   t.states <- bytes t.states 1;
-  t.costs <- column t.costs Duration.zero;
-  t.holds <- column t.holds 0;
-  t.stamps <- column t.stamps 0
+  t.costs <- column t.costs Duration.zero
 
 (* Grows by doubling, so installing pages in order costs a constant
    amortized copy each. *)
@@ -163,7 +144,7 @@ let load t pindex ~offset =
   else Content.load Content.zero ~offset
 
 let read_cost t pindex =
-  if state t pindex land st_status = st_paged_out then t.costs.(pindex) else Duration.zero
+  if state t pindex = st_paged_out then t.costs.(pindex) else Duration.zero
 
 let fold_pages t ~init ~f =
   let acc = ref init in
@@ -178,21 +159,6 @@ let resident_count t = t.resident
 
 (* --- copies ------------------------------------------------------- *)
 
-(* The current copy of resident page [pindex] leaves the page. A copy
-   that unreleased captures hold stays resident, filed under its
-   (pindex, stamp) until the last hold is released, and the page's next
-   copy gets a fresh stamp so those captures keep naming the old
-   one. *)
-let drop_copy t pindex =
-  match holds t pindex with
-  | 0 -> Frame.release t.pool 1
-  | h ->
-    Hashtbl.replace t.detached (pindex, stamp t pindex) h;
-    t.holds.(pindex) <- 0;
-    if Array.length t.stamps = 0 then t.stamps <- Array.make (capacity t) 0;
-    t.last_stamp <- t.last_stamp + 1;
-    t.stamps.(pindex) <- t.last_stamp
-
 let incref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.incref: dead object";
   t.refcount <- t.refcount + 1
@@ -201,22 +167,11 @@ let rec decref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.decref: dead object";
   t.refcount <- t.refcount - 1;
   if t.refcount = 0 then begin
-    (* Held copies stay resident; the rest leave with the columns. *)
-    let kept = ref 0 in
-    Array.iteri
-      (fun pindex h ->
-        if h > 0 then begin
-          drop_copy t pindex;
-          incr kept
-        end)
-      t.holds;
-    Frame.release t.pool (t.resident - !kept);
+    Frame.release t.pool t.resident;
     t.resident <- 0;
     t.seeds <- Bytes.empty;
     t.states <- Bytes.empty;
     t.costs <- [||];
-    t.holds <- [||];
-    t.stamps <- [||];
     Pageset.clear t.dirty;
     Pageset.clear t.armed;
     Blockvec.clear t.heat;
@@ -235,20 +190,20 @@ let make_shadow t =
   s
 
 let rec resolve t pindex =
-  if state t pindex land st_status <> 0 then t
+  if state t pindex <> 0 then t
   else match t.shadow with Some backing -> resolve backing pindex | None -> t
 
 let install t pindex content =
   ensure t pindex;
-  if is_resident t pindex then drop_copy t pindex else t.resident <- t.resident + 1;
+  if is_resident t pindex then Frame.release t.pool 1 else t.resident <- t.resident + 1;
   Content.set t.seeds pindex content;
-  set_state t pindex (st_resident lor st_accessed);
+  set_state t pindex st_resident;
   Frame.alloc t.pool
 
 let install_paged_out t pindex ~content ~read_cost =
   ensure t pindex;
   if is_resident t pindex then begin
-    drop_copy t pindex;
+    Frame.release t.pool 1;
     t.resident <- t.resident - 1
   end;
   Content.set t.seeds pindex content;
@@ -258,23 +213,11 @@ let install_paged_out t pindex ~content ~read_cost =
 let page_in t pindex =
   match status t pindex with
   | Paged_out ->
-    set_state t pindex (st_resident lor st_accessed);
+    set_state t pindex st_resident;
     t.resident <- t.resident + 1;
     Frame.alloc t.pool
   | Resident -> invalid_arg "Vmobject.page_in: page already resident"
   | Absent -> invalid_arg "Vmobject.page_in: no such page"
-
-let page_out t pindex ~read_cost =
-  match status t pindex with
-  | Resident ->
-    if held t pindex then invalid_arg "Vmobject.page_out: a capture holds the page";
-    Frame.release t.pool 1;
-    t.resident <- t.resident - 1;
-    set_state t pindex st_paged_out;
-    (costs t).(pindex) <- read_cost;
-    Content.get t.seeds pindex
-  | Paged_out -> invalid_arg "Vmobject.page_out: already paged out"
-  | Absent -> invalid_arg "Vmobject.page_out: no such page"
 
 let write t pindex ~offset ~value =
   if not (is_resident t pindex) then invalid_arg "Vmobject.write: page not resident";
@@ -286,32 +229,26 @@ let set_content t pindex content =
 
 (* --- checkpoint support ------------------------------------------- *)
 
-type capture = { owner : t; pindexes : int array; seeds : Bytes.t; stamps : int array }
-
-(* A new hold on resident page [pindex]'s current copy; returns the
-   copy's stamp. *)
-let hold t pindex =
-  if Array.length t.holds = 0 then t.holds <- Array.make (capacity t) 0;
-  t.holds.(pindex) <- t.holds.(pindex) + 1;
-  stamp t pindex
+type capture = { pindexes : int array; seeds : Bytes.t }
 
 let arm t ~mode =
-  let present pindex = state t pindex land st_status <> 0 in
-  (* Dirty pages, plus pages never captured by any checkpoint (present
-     but neither armed nor dirty can only mean "captured before and
-     unmodified since", so those are skipped). A page is "never
-     captured" exactly when it is dirty — pages are marked dirty at
-     birth — so the dirty set is complete. A dirty mark on a page this
-     object does not hold captures nothing. Both walks go down. *)
+  let present pindex = state t pindex <> 0 in
+  (* The object's first arming captures every present page, whatever
+     the mode: none was captured before. After it, [`Dirty_only] walks
+     the pages written since the previous arming, which include every
+     page installed since (the fault paths mark a page they install
+     dirty). A dirty mark on a page this object does not hold captures
+     nothing. Both walks go down. *)
+  let every_page = match mode with `Full -> true | `Dirty_only -> not t.captured in
   let walk ~init ~f =
-    match mode with
-    | `Full ->
+    if every_page then begin
       let acc = ref init in
       for pindex = capacity t - 1 downto 0 do
         if present pindex then acc := f !acc pindex
       done;
       !acc
-    | `Dirty_only ->
+    end
+    else
       Pageset.fold_desc t.dirty ~init ~f:(fun acc pindex ->
           if present pindex then f acc pindex else acc)
   in
@@ -319,7 +256,6 @@ let arm t ~mode =
      size; the second fills them from the top. *)
   let n = walk ~init:0 ~f:(fun n _ -> n + 1) in
   let pindexes = Array.make n 0 and seeds = Bytes.create (n * Content.slot_bytes) in
-  let stamps = Array.make n (-1) in
   ignore
     (walk ~init:n ~f:(fun i pindex ->
          let i = i - 1 in
@@ -327,49 +263,24 @@ let arm t ~mode =
          pindexes.(i) <- pindex;
          Bytes.blit t.seeds (pindex * Content.slot_bytes) seeds (i * Content.slot_bytes)
            Content.slot_bytes;
-         if is_resident t pindex then stamps.(i) <- hold t pindex;
          i));
   Pageset.clear t.dirty;
-  { owner = t; pindexes; seeds; stamps }
-
-(* Drop one hold on copy [copy] of page [pindex] (none when [copy] is
-   -1). *)
-let unhold ~pool t pindex copy =
-  if copy >= 0 then begin
-    if holds t pindex > 0 && stamp t pindex = copy then t.holds.(pindex) <- t.holds.(pindex) - 1
-    else begin
-      let key = (pindex, copy) in
-      match Hashtbl.find_opt t.detached key with
-      | Some 1 ->
-        Hashtbl.remove t.detached key;
-        Frame.release pool 1
-      | Some h -> Hashtbl.replace t.detached key (h - 1)
-      | None -> invalid_arg "Vmobject.release: already released"
-    end
-  end
-
-let release_at ~pool c i = unhold ~pool c.owner c.pindexes.(i) c.stamps.(i)
-
-let release ~pool c =
-  for i = 0 to Array.length c.pindexes - 1 do
-    release_at ~pool c i
-  done
+  t.captured <- true;
+  { pindexes; seeds }
 
 (* --- the list view ---------------------------------------------------- *)
 
-type flush_item = { pindex : int; content : Content.t; owner : t; stamp : int }
+type flush_item = { pindex : int; content : Content.t }
 
 let arm_for_checkpoint t ~mode =
   let c = arm t ~mode in
   let items = ref [] in
   for i = Array.length c.pindexes - 1 downto 0 do
-    items :=
-      { pindex = c.pindexes.(i); content = Content.get c.seeds i; owner = t; stamp = c.stamps.(i) }
-      :: !items
+    items := { pindex = c.pindexes.(i); content = Content.get c.seeds i } :: !items
   done;
   !items
 
-let release_flush_item ~pool item = unhold ~pool item.owner item.pindex item.stamp
+let release_flush_item ~pool:_ _ = ()
 
 let is_armed t pindex = Pageset.mem t.armed pindex
 let cow_breaks t = t.cow_breaks
@@ -384,19 +295,16 @@ let disarm_for_write t pindex =
   if not (is_resident t pindex) then
     invalid_arg "Vmobject.disarm_for_write: page not resident";
   (* Aurora's COW: a new copy shared between all processes mapping this
-     object; the flusher keeps the old one while it holds it. *)
+     object; the capture already has the old content. *)
   Frame.alloc t.pool;
-  drop_copy t pindex;
-  set_state t pindex (st_resident lor st_accessed);
+  Frame.release t.pool 1;
   Pageset.remove t.armed pindex;
   t.cow_breaks <- t.cow_breaks + 1;
   mark_dirty t pindex
 
-(* --- heat / clock ------------------------------------------------- *)
+(* --- heat --------------------------------------------------------- *)
 
 let touch t pindex =
-  let s = state t pindex in
-  if s land st_status = st_resident then set_state t pindex (s lor st_accessed);
   let c = pindex asr heat_shift in
   let chunk =
     match Blockvec.get t.heat c with
@@ -410,14 +318,6 @@ let touch t pindex =
   let h = chunk.(i) in
   if h = 0 then t.heated <- t.heated + 1;
   chunk.(i) <- h + 1
-
-let take_accessed t pindex =
-  let s = state t pindex in
-  s land st_accessed <> 0
-  && begin
-    set_state t pindex (s land lnot st_accessed);
-    true
-  end
 
 let heat t pindex =
   match Blockvec.get t.heat (pindex asr heat_shift) with

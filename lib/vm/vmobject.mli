@@ -6,36 +6,35 @@
     copy-on-write builds. Aurora's key VM change lives here too:
 
     - {b Checkpoint arming} ({!arm}): during the serialization
-      barrier the orchestrator write-protects pages and takes stable
-      captures for the asynchronous flush, as page index, seed and
-      stamp columns. A later write
+      barrier the orchestrator write-protects pages and captures them
+      for the asynchronous flush, by value, as page index and seed
+      columns. A later write
       to an armed page triggers Aurora's modified COW: a {e new} copy
       replaces the old one {e inside the same object}, so every process
       mapping the object observes the new page (shared-memory semantics
       are preserved — the problem §3 describes with standard fork COW),
-      while the flush keeps the original.
+      while the flush keeps the original: the capture's own copy of its
+      content. A capture pins no page.
     - {b Object-level dirty tracking}: dirtiness is recorded per
       (object, page), not per process, so a page shared by many
       processes is flushed exactly once per checkpoint ("it thus never
       flushes the same page twice for shared memory or COW memory
       regions").
-    - {b Heat counters} approximate the clock algorithm's access
-      history; the checkpoint stores the hot set so lazy restore can
-      eagerly page in the hottest pages.
+    - {b Heat counters} count accesses per page; the checkpoint stores
+      the hot set so lazy restore can eagerly page in the hottest pages.
 
     Pages live in columns indexed by page index, with no record per
     page: the content seed (8 bytes), a state byte (absent, resident or
-    paged out, and the clock's accessed bit) and, from the first
-    page-out, the device cost of faulting the page back in. Storing into
-    a resident page updates its seed in place and allocates nothing. *)
+    paged out) and, from the first paged-out page, the device cost of
+    faulting the page back in. Storing into a resident page updates its
+    seed in place and allocates nothing. *)
 
 open Aurora_simtime
 
 type kind = Anonymous | Vnode of int  (** [Vnode v]: file-backed, vnode id [v] *)
 
-(** Where a page is. [Paged_out]: swapped out, or left behind in the
-    image by a lazy restore; faulting it in costs {!read_cost} of device
-    time. *)
+(** Where a page is. [Paged_out]: left behind in the image by a lazy
+    restore; faulting it in costs {!read_cost} of device time. *)
 type status = Absent | Resident | Paged_out
 
 type t
@@ -45,10 +44,9 @@ val oid : t -> int
 val kind : t -> kind
 val incref : t -> unit
 val decref : t -> unit
-(** At zero, releases all resident copies (a copy an unreleased
-    capture holds stays resident until its hold is released), drops the
-    page columns, clears the dirty, armed and heat state, and drops the
-    shadow reference. *)
+(** At zero, releases all resident copies, drops the page columns,
+    clears the dirty, armed and heat state, and drops the shadow
+    reference. *)
 
 val shadow_of : t -> t option
 val make_shadow : t -> t
@@ -83,11 +81,6 @@ val page_in : t -> int -> unit
 (** Make a [Paged_out] page resident: a fresh copy of its content.
     Raises [Invalid_argument] if the page is not paged out. *)
 
-val page_out : t -> int -> read_cost:Duration.t -> Content.t
-(** Convert a resident page to [Paged_out]; returns the content (for
-    the swap writer). Raises [Invalid_argument] if not resident or if
-    an unreleased capture holds its copy. *)
-
 val write : t -> int -> offset:int -> value:int64 -> unit
 (** Store into a resident page in place ({!Content.write}); allocates
     nothing. The caller takes any checkpoint-COW fault first. Raises
@@ -103,35 +96,23 @@ val load : t -> int -> offset:int -> int64
 (* --- checkpoint support ------------------------------------------- *)
 
 (** The pages one arming captured, in ascending page index order, as
-    three columns of one length: page [pindexes.(i)] had content
-    [Content.get seeds i], and [stamps.(i)] names the resident copy the
-    capture holds ([-1] when nothing is held: the page was paged out).
-    Until the flusher releases it ({!release}, {!release_at}), a held
-    copy stays resident, even after a COW fault, an install or
-    [owner]'s death replaces it, and page-out and the clock sweep
-    refuse it. *)
+    two columns of one length: page [pindexes.(i)] had content
+    [Content.get seeds i]. The capture holds the contents by value, so
+    it pins no copy: a COW fault, an install or the object's death may
+    replace or release a captured page at once. *)
 type capture = private {
-  owner : t;
   pindexes : int array;
   seeds : Bytes.t;  (** {!Content.slot_bytes} a page *)
-  stamps : int array;
 }
 
 val arm : t -> mode:[ `Full | `Dirty_only ] -> capture
 (** Write-protect pages and capture them for flushing, into columns
-    made at their exact size. [`Full] captures every page;
-    [`Dirty_only] captures pages written since the previous arming
-    (plus never-captured pages), at a cost proportional to the dirty
-    pages plus one read per 32 page indexes. Clears the dirty set;
-    already-armed clean pages stay armed. *)
-
-val release : pool:Frame.pool -> capture -> unit
-(** {!release_at} of every page of the capture. *)
-
-val release_at : pool:Frame.pool -> capture -> int -> unit
-(** Drops the hold of the capture's [i]th page. A replaced copy whose
-    last hold this was leaves [pool]'s residency. Raises
-    [Invalid_argument] if that hold was already released. *)
+    made at their exact size. [`Full] captures every present page;
+    [`Dirty_only] captures pages written since the previous arming, at a
+    cost proportional to the dirty pages plus one read per 32 page
+    indexes. The object's first arming captures every present page
+    whatever the mode, since none was captured before. Clears the dirty
+    set; already-armed clean pages stay armed. *)
 
 (** {2 The list view}
 
@@ -139,14 +120,16 @@ val release_at : pool:Frame.pool -> capture -> int -> unit
     replays and tests. Checkpoints and the CRIU baseline capture through
     the columns. *)
 
-type flush_item = private { pindex : int; content : Content.t; owner : t; stamp : int }
+type flush_item = private { pindex : int; content : Content.t }
 
 val arm_for_checkpoint : t -> mode:[ `Full | `Dirty_only ] -> flush_item list
 (** {!arm}, as one item per captured page, in ascending page index
     order. *)
 
 val release_flush_item : pool:Frame.pool -> flush_item -> unit
-(** {!release_at} of the item's page. *)
+(** Does nothing: an item holds its page by value and pins no copy. It
+    is kept because the two-clock benchmark's arming replay calls it;
+    delete it when that replay arms through {!arm}. *)
 
 val is_armed : t -> int -> bool
 val armed_count : t -> int
@@ -156,8 +139,9 @@ val mark_dirty : t -> int -> unit
 val disarm_for_write : t -> int -> unit
 (** Aurora's checkpoint-COW fault on an armed resident page: make a
     fresh copy of the page in place (all mappers now share it), unarm,
-    mark dirty. A capture holding the old copy keeps it. Raises
-    [Invalid_argument] if the page is not armed-resident. *)
+    mark dirty. The old copy leaves residency; a capture of it keeps
+    its content. Raises [Invalid_argument] if the page is not
+    armed-resident. *)
 
 val cow_breaks : t -> int
 (** COW breaks ({!disarm_for_write} faults) taken against this object
@@ -168,23 +152,16 @@ val reset_cow_breaks : t -> unit
 (** Zero the COW-break counter (the checkpoint engine resets it after
     folding the count into the attribution it publishes). *)
 
-(* --- heat / clock ------------------------------------------------- *)
+(* --- heat --------------------------------------------------------- *)
 
 val touch : t -> int -> unit
-(** Record an access: bumps the page's heat counter and sets a
-    resident page's accessed bit. Heat is kept in chunks of 64 pages;
-    the first touch of a page in a chunk allocates the chunk. *)
-
-val held : t -> int -> bool
-(** An unreleased capture holds the page's current copy. *)
-
-val take_accessed : t -> int -> bool
-(** Clear the page's accessed bit; true if it was set (the clock's
-    second chance). *)
+(** Record an access: bumps the page's heat counter. Heat is kept in
+    chunks of 64 pages; the first touch of a page in a chunk allocates
+    the chunk. *)
 
 val heat : t -> int -> int
 val age_heat : t -> unit
-(** Halve all heat counters (aging step of the clock approximation). *)
+(** Halve all heat counters. *)
 
 val hot_pages : t -> limit:int -> int list
 (** Up to [limit] page indexes with nonzero heat: heat descending, ties

@@ -1,8 +1,7 @@
 (* Cross-subsystem integration tests: whole-container checkpoints of
    applications composed of "processes that share memory or files in
    arbitrary ways" (§1) — every POSIX object class at once — plus
-   remote replication failover, swap/checkpoint interaction,
-   multi-group isolation, mctl exclusion, and checkpoint determinism. *)
+   remote replication failover, multi-group isolation, mctl exclusion, and checkpoint determinism. *)
 
 open Aurora_simtime
 open Aurora_vm
@@ -219,54 +218,6 @@ let test_remote_replication_failover () =
   let p' = Kernel.proc_exn b.Machine.kernel (List.hd pids) in
   check_bool "replicated state intact on the replica" true
     (Content.equal content (Vmmap.read p'.Process.vm ~vpn:mem.Vmmap.start_vpn))
-
-(* ------------------------------------------------------------------ *)
-(* Swap / checkpoint interaction                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_swapped_pages_enter_checkpoint () =
-  (* "When pages are swapped out due to memory pressure they are
-     incorporated into the subsequent checkpoint." *)
-  let m = Machine.create ~capacity_pages:16 () in
-  let k = m.Machine.kernel in
-  let c = Kernel.new_container k ~name:"pressure" in
-  let p = spawn_parked k ~container:c.Container.cid ~name:"big" in
-  let e = Syscall.mmap_anon k p ~npages:32 in
-  for i = 0 to 31 do
-    Syscall.mem_write k p ~vpn:(e.Vmmap.start_vpn + i) ~offset:0
-      ~value:(Int64.of_int (i + 1))
-  done;
-  let contents =
-    List.init 32 (fun i -> Vmmap.read p.Process.vm ~vpn:(e.Vmmap.start_vpn + i))
-  in
-  (* Memory pressure: swap out half the region to a swap device of
-     its own. *)
-  let swap =
-    Swap.create
-      ~dev:
-        (Aurora_device.Blockdev.create ~clock:(Machine.clock m)
-           ~profile:Aurora_device.Profile.optane_900p "swap0")
-      ~pool:k.Kernel.pool
-  in
-  let evicted =
-    Swap.rebalance swap ~objects:(Vmmap.distinct_objects p.Process.vm)
-  in
-  check_bool "pages were swapped out" true (evicted >= 16);
-  (* The checkpoint must capture resident AND swapped pages. *)
-  let g = Machine.persist m (`Container c.Container.cid) in
-  let b = Machine.checkpoint_now m g () in
-  check_int "all 32 pages in the checkpoint" 32 b.Types.pages_captured;
-  Store.wait_durable m.Machine.disk_store b.Types.durable_at;
-  Machine.crash m;
-  let m' = Machine.recover m in
-  let g' = Machine.persist m' (`Container c.Container.cid) in
-  let pids, _ = Machine.restore_group m' g' ~gen:b.Types.gen ~policy:Types.Eager () in
-  let p' = Kernel.proc_exn m'.Machine.kernel (List.hd pids) in
-  List.iteri
-    (fun i want ->
-      check_bool (Printf.sprintf "page %d content" i) true
-        (Content.equal want (Vmmap.read p'.Process.vm ~vpn:(e.Vmmap.start_vpn + i))))
-    contents
 
 (* ------------------------------------------------------------------ *)
 (* Group isolation                                                     *)
@@ -951,8 +902,6 @@ let () =
         ] );
       ( "memory",
         [
-          Alcotest.test_case "swapped pages enter checkpoints" `Quick
-            test_swapped_pages_enter_checkpoint;
           qt prop_roundtrip_random_memory;
         ] );
       ( "isolation",

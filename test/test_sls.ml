@@ -252,10 +252,10 @@ let test_bounded_device_reuses_freed_blocks () =
     ((Store.stats m.Machine.disk_store).Store.live_blocks <= 40_000)
 
 (* A restored object is new to the kernel, so its next checkpoint must
-   capture its pages even when incremental: a restore marks every page
-   it installs dirty. Under each policy, and for a clone, an incremental
-   checkpoint right after the restore captures the region, and a
-   restore of that checkpoint gives the region back. *)
+   capture its pages even when incremental: an object's first arming
+   captures every page it holds. Under each policy, and for a clone,
+   an incremental checkpoint right after the restore captures the
+   region, and a restore of that checkpoint gives the region back. *)
 let test_checkpoint_after_restore_keeps_pages () =
   List.iter
     (fun (what, policy, clone) ->

@@ -1,6 +1,6 @@
-(* Tests for the VM subsystem: page contents, frames, Mach-style
-   objects with shadow chains, fork COW, Aurora's checkpoint COW with
-   object-level dirty tracking, the clock algorithm, and swap. *)
+(* Tests for the VM subsystem: page contents, Mach-style objects with
+   shadow chains, fork COW, Aurora's checkpoint COW with object-level
+   dirty tracking, and page heat. *)
 
 open Aurora_simtime
 open Aurora_device
@@ -11,9 +11,9 @@ let check_bool = Alcotest.(check bool)
 
 let content_t : Content.t Alcotest.testable = Alcotest.testable Content.pp Content.equal
 
-let mkmap ?capacity_pages () =
+let mkmap () =
   let clock = Clock.create () in
-  let pool = Frame.create_pool ?capacity_pages () in
+  let pool = Frame.create_pool () in
   (clock, pool, Vmmap.create ~clock ~pool ())
 
 (* ------------------------------------------------------------------ *)
@@ -67,39 +67,6 @@ let prop_content_write_injective_ish =
       let a = Content.write Content.zero ~offset:off ~value:v1 in
       let b = Content.write Content.zero ~offset:off ~value:v2 in
       not (Content.equal a b))
-
-(* ------------------------------------------------------------------ *)
-(* Frame pool                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A resident copy has two kinds of reference: its object's and each
-   unreleased flush item's. It leaves residency when the last goes. *)
-let test_frame_refcounting () =
-  let pool = Frame.create_pool () in
-  let o = Vmobject.create ~pool Vmobject.Anonymous in
-  Vmobject.install o 0 Content.zero;
-  check_int "resident" 1 (Frame.resident pool);
-  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
-  check_int "still resident" 1 (Frame.resident pool);
-  let item = List.hd (Vmobject.arm_for_checkpoint o ~mode:`Full) in
-  Vmobject.decref o;
-  check_int "held by the flush item" 1 (Frame.resident pool);
-  Vmobject.release_flush_item ~pool item;
-  check_int "released" 0 (Frame.resident pool);
-  check_bool "double free" true
-    (try
-       Vmobject.release_flush_item ~pool item;
-       false
-     with Invalid_argument _ -> true)
-
-let test_frame_capacity_pressure () =
-  let pool = Frame.create_pool ~capacity_pages:2 () in
-  Frame.alloc pool;
-  Frame.alloc pool;
-  check_int "no pressure" 0 (Frame.over_capacity pool);
-  Frame.alloc pool;
-  check_int "one over" 1 (Frame.over_capacity pool);
-  check_int "total monotone" 3 (Frame.total_allocated pool)
 
 (* ------------------------------------------------------------------ *)
 (* Vmobject basics                                                     *)
@@ -162,19 +129,18 @@ let test_arm_full_captures_everything () =
   let items = Vmobject.arm_for_checkpoint o ~mode:`Full in
   check_int "all captured" 10 (List.length items);
   check_int "all armed" 10 (Vmobject.armed_count o);
-  check_int "dirty cleared" 0 (Vmobject.dirty_count o);
-  List.iter (Vmobject.release_flush_item ~pool) items
+  check_int "dirty cleared" 0 (Vmobject.dirty_count o)
 
 let test_arm_dirty_only_captures_dirty () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
   for i = 0 to 9 do
     Vmobject.install o i (Content.of_seed (Int64.of_int i));
-    Vmobject.mark_dirty o i
+    if i mod 2 = 0 then Vmobject.mark_dirty o i
   done;
+  (* The object's first arming captures every page, dirty or not. *)
   let first = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
-  check_int "first incremental = everything dirty" 10 (List.length first);
-  List.iter (Vmobject.release_flush_item ~pool) first;
+  check_int "first incremental = every page" 10 (List.length first);
   (* Nothing dirty now: next incremental captures nothing. *)
   let second = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
   check_int "clean incremental empty" 0 (List.length second);
@@ -182,30 +148,25 @@ let test_arm_dirty_only_captures_dirty () =
   Vmobject.disarm_for_write o 0;
   Vmobject.mark_dirty o 5 (* simulate an unarmed write *);
   let third = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
-  check_int "only dirtied captured" 2 (List.length third);
-  List.iter (Vmobject.release_flush_item ~pool) third
+  check_int "only dirtied captured" 2 (List.length third)
 
-let test_flush_item_keeps_frame_alive () =
+let test_capture_stable_under_writes () =
   let pool = Frame.create_pool () in
   let o = Vmobject.create ~pool Vmobject.Anonymous in
   Vmobject.install o 0 (Content.of_seed 9L);
-  let items = Vmobject.arm_for_checkpoint o ~mode:`Full in
-  (* COW write replaces the page; the flusher's reference must keep the
-     old copy's content stable. *)
+  let c = Vmobject.arm o ~mode:`Full in
+  (* A COW write replaces the page; the capture holds the old content
+     by value, so the old copy leaves residency at once. *)
   Vmobject.disarm_for_write o 0;
   Vmobject.write o 0 ~offset:0 ~value:1L;
-  (match items with
-   | [ item ] ->
-     Alcotest.check content_t "captured content unchanged" (Content.of_seed 9L)
-       item.Vmobject.content;
-     check_bool "the item holds a copy" true (item.Vmobject.stamp >= 0);
-     Alcotest.check content_t "the write went to the new copy"
-       (Content.write (Content.of_seed 9L) ~offset:0 ~value:1L)
-       (Vmobject.content o 0);
-     check_int "both frames resident" 2 (Frame.resident pool);
-     Vmobject.release_flush_item ~pool item;
-     check_int "old frame released after flush" 1 (Frame.resident pool)
-   | _ -> Alcotest.fail "expected one item")
+  check_int "one page captured" 1 (Array.length c.Vmobject.pindexes);
+  Alcotest.check content_t "captured content unchanged" (Content.of_seed 9L)
+    (Content.get c.Vmobject.seeds 0);
+  Alcotest.check content_t "the write went to the new copy"
+    (Content.write (Content.of_seed 9L) ~offset:0 ~value:1L)
+    (Vmobject.content o 0);
+  check_int "one frame resident" 1 (Frame.resident pool);
+  check_int "two copies made" 2 (Frame.total_allocated pool)
 
 let test_disarm_requires_armed () =
   let pool = Frame.create_pool () in
@@ -314,8 +275,7 @@ let test_aurora_cow_preserves_sharing () =
   (match items with
    | [ item ] ->
      check_bool "snapshot isolated" false
-       (Content.equal item.Vmobject.content (Vmmap.read m1 ~vpn:e1.Vmmap.start_vpn));
-     Vmobject.release_flush_item ~pool item
+       (Content.equal item.Vmobject.content (Vmmap.read m1 ~vpn:e1.Vmmap.start_vpn))
    | _ -> Alcotest.fail "one item");
   Vmobject.decref obj
 
@@ -324,7 +284,7 @@ let test_write_to_armed_charges_cow () =
   let e = Vmmap.map_anonymous m ~npages:1 () in
   let vpn = e.Vmmap.start_vpn in
   Vmmap.write m ~vpn ~offset:0 ~value:1L;
-  let items = Vmobject.arm_for_checkpoint e.Vmmap.obj ~mode:`Dirty_only in
+  ignore (Vmobject.arm e.Vmmap.obj ~mode:`Dirty_only);
   let before = Clock.now clock in
   Vmmap.write m ~vpn ~offset:0 ~value:2L;
   let elapsed = Duration.sub (Clock.now clock) before in
@@ -334,8 +294,7 @@ let test_write_to_armed_charges_cow () =
   let before2 = Clock.now clock in
   Vmmap.write m ~vpn ~offset:0 ~value:3L;
   check_bool "subsequent write cheap" true
-    Duration.(Duration.sub (Clock.now clock) before2 < Costmodel.cow_fault_service);
-  List.iter (Vmobject.release_flush_item ~pool:(Vmmap.pool m)) items
+    Duration.(Duration.sub (Clock.now clock) before2 < Costmodel.cow_fault_service)
 
 let test_never_flush_twice () =
   (* A page shared by two processes and written by both between
@@ -351,7 +310,6 @@ let test_never_flush_twice () =
   Vmmap.write m2 ~vpn:e2.Vmmap.start_vpn ~offset:8 ~value:2L;
   let items = Vmobject.arm_for_checkpoint obj ~mode:`Dirty_only in
   check_int "flushed once" 1 (List.length items);
-  List.iter (Vmobject.release_flush_item ~pool) items;
   Vmobject.decref obj
 
 let test_major_fault_paged_out () =
@@ -361,9 +319,10 @@ let test_major_fault_paged_out () =
   Vmmap.write m ~vpn ~offset:0 ~value:5L;
   let content = Vmmap.read m ~vpn in
   let cost = Duration.microseconds 50 in
-  ignore (Vmobject.page_out e.Vmmap.obj e.Vmmap.obj_offset ~read_cost:cost);
+  (* Leave the page behind in the image, as a lazy restore does. *)
+  Vmobject.install_paged_out e.Vmmap.obj e.Vmmap.obj_offset ~content ~read_cost:cost;
   let before = Clock.now clock in
-  Alcotest.check content_t "content back from swap" content (Vmmap.read m ~vpn);
+  Alcotest.check content_t "content faulted back in" content (Vmmap.read m ~vpn);
   check_bool "major fault charged device cost" true
     Duration.(Duration.sub (Clock.now clock) before >= cost);
   check_int "major fault counted" 1 (Vmmap.faults m).Vmmap.major
@@ -477,15 +436,14 @@ let prop_incremental_capture_equals_dirty =
   QCheck.Test.make ~name:"incremental checkpoint captures exactly dirtied pages"
     QCheck.(list_of_size Gen.(int_range 1 40) (int_bound 31))
     (fun touched ->
-      let _, pool, m = mkmap () in
+      let _, _, m = mkmap () in
       let e = Vmmap.map_anonymous m ~npages:32 () in
       let base = e.Vmmap.start_vpn in
       (* Populate and take a first checkpoint. *)
       for i = 0 to 31 do
         Vmmap.write m ~vpn:(base + i) ~offset:0 ~value:1L
       done;
-      let first = Vmobject.arm_for_checkpoint e.Vmmap.obj ~mode:`Dirty_only in
-      List.iter (Vmobject.release_flush_item ~pool) first;
+      ignore (Vmobject.arm e.Vmmap.obj ~mode:`Dirty_only);
       (* Touch a random subset. *)
       List.iter (fun p -> Vmmap.write m ~vpn:(base + p) ~offset:0 ~value:9L) touched;
       let expected = List.sort_uniq Int.compare touched in
@@ -493,7 +451,6 @@ let prop_incremental_capture_equals_dirty =
       let captured =
         List.sort Int.compare (List.map (fun i -> i.Vmobject.pindex) second)
       in
-      List.iter (Vmobject.release_flush_item ~pool) second;
       captured = expected)
 
 
@@ -548,26 +505,15 @@ let prop_fork_chain_generations =
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
-(* One captured page the model holds: an item of the list view, or
-   page [i] of a column capture. *)
-type hold = Item of Vmobject.flush_item | Page of Vmobject.capture * int
-
-let hold_pindex = function Item it -> it.Vmobject.pindex | Page (c, i) -> c.Vmobject.pindexes.(i)
-
 (* Each page's residency and content seed, and the dirty, armed and
-   heat state, as pure maps and sets. Each resident copy of a page has
-   an id: [copies] names the current one, [holds] counts the unreleased
-   captured pages holding each copy (current or replaced), and [items]
-   are those pages with the copy each holds. [allocated] counts every
-   copy ever made. *)
+   heat state, as pure maps and sets. [captured]: the object has been
+   armed. [allocated] counts every copy ever made. *)
 type model = {
   pages : (bool * int64) Imap.t;
   dirty : Iset.t;
   armed : Iset.t;
   heat : int Imap.t;
-  copies : int Imap.t;
-  holds : int Imap.t;
-  items : (hold * int option) list;
+  captured : bool;
   allocated : int;
 }
 
@@ -575,31 +521,23 @@ type obj_op =
   | Install of int * int64
   | Install_paged_out of int * int64
   | Page_in of int
-  | Page_out of int
   | Touch of int
   | Mark_dirty of int
   | Arm of [ `Full | `Dirty_only ] * [ `Columns | `Items ]
-  | Release of int
-  | Release_capture
   | Disarm of int
-  | Sweep of int
   | Age
 
 let show_obj_op = function
   | Install (p, s) -> Printf.sprintf "install %d %Ld" p s
   | Install_paged_out (p, s) -> Printf.sprintf "install_paged_out %d %Ld" p s
   | Page_in p -> Printf.sprintf "page_in %d" p
-  | Page_out p -> Printf.sprintf "page_out %d" p
   | Touch p -> Printf.sprintf "touch %d" p
   | Mark_dirty p -> Printf.sprintf "mark_dirty %d" p
   | Arm (mode, view) ->
     Printf.sprintf "arm %s %s"
       (match mode with `Full -> "full" | `Dirty_only -> "dirty_only")
       (match view with `Columns -> "columns" | `Items -> "items")
-  | Release i -> Printf.sprintf "release %d" i
-  | Release_capture -> "release capture"
   | Disarm p -> Printf.sprintf "disarm %d" p
-  | Sweep n -> Printf.sprintf "sweep %d" n
   | Age -> "age"
 
 let gen_obj_op =
@@ -613,15 +551,11 @@ let gen_obj_op =
     [ (4, map2 (fun p s -> Install (p, s)) pindex seed);
       (2, map2 (fun p s -> Install_paged_out (p, s)) pindex seed);
       (2, map (fun p -> Page_in p) pindex);
-      (2, map (fun p -> Page_out p) pindex);
       (5, map (fun p -> Touch p) pindex);
       (4, map (fun p -> Mark_dirty p) pindex);
       (1, map (fun v -> Arm (`Full, v)) view);
       (2, map (fun v -> Arm (`Dirty_only, v)) view);
-      (2, map (fun i -> Release i) (int_bound 1_000));
-      (1, return Release_capture);
       (3, map (fun p -> Disarm p) pindex);
-      (1, map (fun n -> Sweep n) (int_bound 8));
       (1, return Age) ]
 
 let model_hot_pages m ~limit =
@@ -631,32 +565,15 @@ let model_hot_pages m ~limit =
   |> List.filteri (fun i _ -> i < limit)
   |> List.map fst
 
-let held m c = Option.value ~default:0 (Imap.find_opt c m.holds)
+let model_resident m = Imap.fold (fun _ (r, _) n -> if r then n + 1 else n) m.pages 0
 
-(* The current copy of page [p] is held by an unreleased flush item. *)
-let page_held m p =
-  match Imap.find_opt p m.copies with Some c -> held m c > 0 | None -> false
-
-(* Resident copies: every page's current one, plus replaced copies that
-   an unreleased flush item still holds. *)
-let model_resident m =
-  let current = Imap.fold (fun _ c s -> Iset.add c s) m.copies Iset.empty in
-  Iset.cardinal (Imap.fold (fun c _ s -> Iset.add c s) m.holds current)
-
-let new_copy m p =
-  { m with copies = Imap.add p m.allocated m.copies; allocated = m.allocated + 1 }
-
-let add_hold m c d =
-  let n = held m c + d in
-  { m with holds = (if n = 0 then Imap.remove c m.holds else Imap.add c n m.holds) }
-
-(* Captured pages stay unreleased until a [Release] picks one, a
-   [Release_capture] takes a whole column capture at once, or the end,
-   so later operations meet pages whose copy is held: a COW fault, an
-   install or the object's death replaces the copy, which stays
-   resident until its last hold goes; page-out and the clock sweep
-   refuse a held copy. Arming goes through the columns or the list
-   view at random. *)
+(* The object's first arming captures every present page, whatever the
+   mode; later incremental ones capture the dirty pages. Every capture
+   is kept to the end, so later operations (a COW fault, an install,
+   the object's death) meet pages a capture took, and each capture must
+   still read as it did when it was taken: it holds its pages by value
+   and pins no frame. Arming goes through the columns or the list view
+   at random. *)
 let prop_vmobject_matches_model =
   QCheck.Test.make ~name:"vmobject agrees with a pure map model" ~count:150
     QCheck.(
@@ -667,7 +584,6 @@ let prop_vmobject_matches_model =
     (fun ops ->
       let pool = Frame.create_pool () in
       let o = Vmobject.create ~pool Vmobject.Anonymous in
-      let clock = Clockalg.create () in
       let fail step fmt =
         Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "step %d: %s" step msg) fmt
       in
@@ -681,8 +597,7 @@ let prop_vmobject_matches_model =
           |> List.rev
         in
         if got <> Imap.bindings m.pages then fail step "fold_pages differs";
-        let resident = Imap.fold (fun _ (r, _) n -> if r then n + 1 else n) m.pages 0 in
-        if Vmobject.resident_count o <> resident then fail step "resident_count";
+        if Vmobject.resident_count o <> model_resident m then fail step "resident_count";
         let heated = Imap.cardinal m.heat in
         List.iter
           (fun limit ->
@@ -690,44 +605,27 @@ let prop_vmobject_matches_model =
               fail step "hot_pages ~limit:%d" limit)
           [ 0; 1; 3; heated; heated + 1; max_int ]
       in
-      let release step m i =
-        match m.items with
-        | [] -> m
-        | items ->
-          let n = List.length items in
-          let item, copy = List.nth items (i mod n) in
-          (match item with
-           | Item it -> Vmobject.release_flush_item ~pool it
-           | Page (c, j) -> Vmobject.release_at ~pool c j);
-          let m = { m with items = List.filteri (fun j _ -> j <> i mod n) items } in
-          (match copy with Some c when held m c <= 0 -> fail step "hold underflow" | _ -> ());
-          (match copy with Some c -> add_hold m c (-1) | None -> m)
+      (* Each column capture taken, with the pages it read. *)
+      let captures = ref [] in
+      let capture_pages (c : Vmobject.capture) =
+        List.init (Array.length c.pindexes) (fun i ->
+            (c.pindexes.(i), Content.to_seed (Content.get c.seeds i)))
       in
       let step_op step m op =
         match op with
         | Install (p, s) ->
           Vmobject.install o p (Content.of_seed s);
-          new_copy { m with pages = Imap.add p (true, s) m.pages } p
+          { m with pages = Imap.add p (true, s) m.pages; allocated = m.allocated + 1 }
         | Install_paged_out (p, s) ->
           Vmobject.install_paged_out o p ~content:(Content.of_seed s) ~read_cost:Duration.zero;
-          { m with pages = Imap.add p (false, s) m.pages; copies = Imap.remove p m.copies }
+          { m with pages = Imap.add p (false, s) m.pages }
         | Page_in p -> (
           match Imap.find_opt p m.pages with
           | Some (false, s) ->
             Vmobject.page_in o p;
-            new_copy { m with pages = Imap.add p (true, s) m.pages } p
+            { m with pages = Imap.add p (true, s) m.pages; allocated = m.allocated + 1 }
           | Some (true, _) | None ->
             if not (raises (fun () -> Vmobject.page_in o p)) then fail step "page_in accepted";
-            m)
-        | Page_out p -> (
-          match Imap.find_opt p m.pages with
-          | Some (true, s) when not (page_held m p) ->
-            let c = Vmobject.page_out o p ~read_cost:Duration.zero in
-            if Content.to_seed c <> s then fail step "page_out content";
-            { m with pages = Imap.add p (false, s) m.pages; copies = Imap.remove p m.copies }
-          | Some _ | None ->
-            if not (raises (fun () -> Vmobject.page_out o p ~read_cost:Duration.zero)) then
-              fail step "page_out accepted";
             m)
         | Touch p ->
           Vmobject.touch o p;
@@ -736,109 +634,55 @@ let prop_vmobject_matches_model =
           Vmobject.mark_dirty o p;
           { m with dirty = Iset.add p m.dirty }
         | Arm (mode, view) ->
-          let items, pages =
+          let got =
             match view with
             | `Items ->
-              let items = Vmobject.arm_for_checkpoint o ~mode in
-              ( List.map (fun it -> Item it) items,
-                List.map (fun (it : Vmobject.flush_item) -> (it.pindex, it.stamp, it.content)) items )
+              List.map
+                (fun (it : Vmobject.flush_item) -> (it.pindex, Content.to_seed it.content))
+                (Vmobject.arm_for_checkpoint o ~mode)
             | `Columns ->
               let c = Vmobject.arm o ~mode in
-              let n = Array.length c.pindexes in
-              if Array.length c.stamps <> n || Bytes.length c.seeds <> n * Content.slot_bytes then
+              if Bytes.length c.seeds <> Array.length c.pindexes * Content.slot_bytes then
                 fail step "capture columns of different lengths";
-              ( List.init n (fun i -> Page (c, i)),
-                List.init n (fun i -> (c.pindexes.(i), c.stamps.(i), Content.get c.seeds i)) )
-          in
-          let got =
-            List.map
-              (fun (pindex, stamp, content) ->
-                if stamp >= 0 && not (Content.equal (Vmobject.content o pindex) content) then
-                  fail step "captured copy differs from its content";
-                (pindex, (stamp >= 0, Content.to_seed content)))
+              let pages = capture_pages c in
+              captures := (c, pages) :: !captures;
               pages
           in
+          let every_page = mode = `Full || not m.captured in
           let captured =
-            match mode with
-            | `Full -> Imap.bindings m.pages
-            | `Dirty_only ->
-              List.filter (fun (p, _) -> Iset.mem p m.dirty) (Imap.bindings m.pages)
+            Imap.bindings m.pages
+            |> List.filter (fun (p, _) -> every_page || Iset.mem p m.dirty)
+            |> List.map (fun (p, (_, s)) -> (p, s))
           in
-          if got <> captured then fail step "flush items differ";
+          if got <> captured then fail step "captured pages differ";
           let armed = List.fold_left (fun s (p, _) -> Iset.add p s) m.armed captured in
-          let m =
-            List.fold_left
-              (fun m h ->
-                let copy = Imap.find_opt (hold_pindex h) m.copies in
-                let m = { m with items = m.items @ [ (h, copy) ] } in
-                match copy with Some c -> add_hold m c 1 | None -> m)
-              { m with dirty = Iset.empty; armed } items
-          in
+          let m = { m with dirty = Iset.empty; armed; captured = true } in
           check_pages step m;
           m
-        | Release i -> release step m i
-        | Release_capture -> (
-          (* The newest column capture that still holds all of its
-             pages. *)
-          let whole (c : Vmobject.capture) =
-            List.length (List.filter (function Page (c', _), _ -> c' == c | _ -> false) m.items)
-            = Array.length c.pindexes
-          in
-          let captures =
-            List.filter_map (function Page (c, 0), _ when whole c -> Some c | _ -> None) m.items
-          in
-          match List.rev captures with
-          | [] -> m
-          | c :: _ ->
-            Vmobject.release ~pool c;
-            List.fold_left
-              (fun m (h, copy) ->
-                match h with
-                | Page (c', _) when c' == c ->
-                  (match copy with Some k when held m k <= 0 -> fail step "hold underflow" | _ -> ());
-                  let m = { m with items = List.filter (fun (h', _) -> h' != h) m.items } in
-                  (match copy with Some k -> add_hold m k (-1) | None -> m)
-                | _ -> m)
-              m m.items)
         | Disarm p -> (
           match Imap.find_opt p m.pages with
           | Some (true, s) when Iset.mem p m.armed ->
             Vmobject.disarm_for_write o p;
             if Content.to_seed (Vmobject.content o p) <> s then fail step "disarm content";
-            new_copy { m with armed = Iset.remove p m.armed; dirty = Iset.add p m.dirty } p
+            { m with armed = Iset.remove p m.armed; dirty = Iset.add p m.dirty;
+                     allocated = m.allocated + 1 }
           | _ ->
             if not (raises (fun () -> Vmobject.disarm_for_write o p)) then
               fail step "disarm accepted";
             m)
-        | Sweep want ->
-          let victims = Clockalg.sweep clock ~objects:[ o ] ~want in
-          if List.length victims > want then fail step "sweep over-delivered";
-          List.iter
-            (fun (v : Clockalg.victim) ->
-              if v.obj != o then fail step "sweep victim from elsewhere";
-              (match Imap.find_opt v.pindex m.pages with
-               | Some (true, _) -> ()
-               | _ -> fail step "sweep victim %d not resident" v.pindex);
-              if page_held m v.pindex then fail step "sweep took held page %d" v.pindex)
-            victims;
-          let evictable =
-            Imap.exists (fun p (r, _) -> r && not (page_held m p)) m.pages
-          in
-          if want > 0 && evictable && victims = [] then fail step "sweep found no victim";
-          m
         | Age ->
           Vmobject.age_heat o;
           { m with heat = Imap.filter_map (fun _ h -> if h / 2 = 0 then None else Some (h / 2)) m.heat }
       in
       let check_frames step m =
-        if Frame.resident pool <> model_resident m then fail step "frames held";
+        if Frame.resident pool <> model_resident m then fail step "frames resident";
         if Frame.total_allocated pool <> m.allocated then fail step "frames allocated"
       in
       let check_counts step m op =
         let p = match op with
-          | Install (p, _) | Install_paged_out (p, _) | Page_in p | Page_out p | Touch p
-          | Mark_dirty p | Disarm p -> p
-          | Arm _ | Release _ | Release_capture | Sweep _ | Age -> 0
+          | Install (p, _) | Install_paged_out (p, _) | Page_in p | Touch p | Mark_dirty p
+          | Disarm p -> p
+          | Arm _ | Age -> 0
         in
         if Vmobject.armed_count o <> Iset.cardinal m.armed then fail step "armed_count";
         if Vmobject.dirty_count o <> Iset.cardinal m.dirty then fail step "dirty_count";
@@ -849,7 +693,7 @@ let prop_vmobject_matches_model =
       in
       let empty =
         { pages = Imap.empty; dirty = Iset.empty; armed = Iset.empty; heat = Imap.empty;
-          copies = Imap.empty; holds = Imap.empty; items = []; allocated = 0 }
+          captured = false; allocated = 0 }
       in
       let m, _ =
         List.fold_left
@@ -861,17 +705,16 @@ let prop_vmobject_matches_model =
       in
       let last = List.length ops in
       check_pages last m;
-      (* At zero references every per-page array is cleared; copies that
-         unreleased items hold stay resident until the items go. *)
+      (* At zero references every copy leaves residency and every
+         per-page array is cleared. *)
       Vmobject.decref o;
-      let m = { m with pages = Imap.empty; copies = Imap.empty } in
-      check_frames last m;
-      let m = List.fold_left (fun m _ -> release last m 0) m m.items in
-      if m.items <> [] || not (Imap.is_empty m.holds) then fail last "items left";
-      if Frame.resident pool <> 0 then fail last "frames leaked";
+      check_frames last { m with pages = Imap.empty };
       check_pages last empty;
       if Vmobject.armed_count o <> 0 || Vmobject.dirty_count o <> 0 then
         fail last "sets survive decref";
+      List.iter
+        (fun (c, pages) -> if capture_pages c <> pages then fail last "a capture changed")
+        !captures;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -901,8 +744,7 @@ let test_hot_paths_allocate_nothing () =
   for i = 0 to npages - 1 do
     Syscall.mem_write k p ~vpn:(base + i) ~offset:0 ~value:(Int64.of_int i)
   done;
-  let pool = Vmmap.pool m in
-  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
+  ignore (Vmobject.arm o ~mode:`Full);
   for i = 0 to (npages / 2) - 1 do
     Vmobject.disarm_for_write o (2 * i)
   done;
@@ -952,7 +794,7 @@ let test_hot_paths_allocate_nothing () =
       done);
   check_int "no fault taken" 0 (Vmmap.faults m).Vmmap.ckpt_cow;
   (* Each write to an armed page takes Aurora's checkpoint COW fault. *)
-  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
+  ignore (Vmobject.arm o ~mode:`Full);
   let dw =
     minor_words_of (fun () ->
         for i = 0 to npages - 1 do
@@ -994,6 +836,30 @@ let test_install_and_teardown_words () =
   check_bool (Printf.sprintf "teardown of %d pages: %.0f words" npages dw) true (dw < 64.);
   check_int "released" 0 (Frame.resident pool)
 
+(* A capture holds its pages by value and pins nothing, so arming costs
+   the capture's two columns, a page index and an 8-byte seed a page,
+   and no per-page state in the object: on a fresh object's first Full
+   arming (which also sizes the armed set) and on a later incremental
+   one of every page. *)
+let test_arm_words () =
+  let o = Vmobject.create ~pool:(Frame.create_pool ()) Vmobject.Anonymous in
+  let npages = 65_536 in
+  for i = 0 to npages - 1 do
+    Vmobject.install o i (Content.of_seed (Int64.of_int i))
+  done;
+  let arm name mode =
+    let n = ref 0 in
+    let dw = words_of (fun () -> n := Array.length (Vmobject.arm o ~mode).Vmobject.pindexes) in
+    check_int (name ^ ": every page captured") npages !n;
+    check_bool (Printf.sprintf "%s: %.3f words a page" name (dw /. float_of_int npages))
+      true (dw <= 2.1 *. float_of_int npages)
+  in
+  arm "first Full arming" `Full;
+  for i = 0 to npages - 1 do
+    Vmobject.disarm_for_write o i
+  done;
+  arm "incremental arming" `Dirty_only
+
 (* [hot_pages] finds its cutoff by counting, so a small hot set of a
    large object costs the pages it lists, not a sort of every heated
    page. *)
@@ -1028,32 +894,8 @@ let test_first_touch_allocates_one_chunk () =
   Alcotest.(check (list int)) "hot set" [ 65_535 ] (Vmobject.hot_pages o ~limit:4)
 
 (* ------------------------------------------------------------------ *)
-(* Clock algorithm and swap                                            *)
+(* Page heat                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let test_clock_second_chance () =
-  let _, _, m = mkmap () in
-  let e = Vmmap.map_anonymous m ~npages:4 () in
-  let base = e.Vmmap.start_vpn in
-  for i = 0 to 3 do
-    Vmmap.write m ~vpn:(base + i) ~offset:0 ~value:1L
-  done;
-  let alg = Clockalg.create () in
-  let objs = [ e.Vmmap.obj ] in
-  (* All accessed bits set: first sweep must make two passes and still
-     find victims (bits cleared on first revolution). *)
-  let victims = Clockalg.sweep alg ~objects:objs ~want:2 in
-  check_int "two victims" 2 (List.length victims);
-  (* Re-touch one page: it should survive the next sweep. *)
-  Vmmap.write m ~vpn:base ~offset:0 ~value:2L;
-  let remaining = Clockalg.sweep alg ~objects:objs ~want:4 in
-  check_bool "touched page spared on first pass" true
-    (List.for_all
-       (fun v ->
-         (* victims are evicted lazily by swap; here the pages stay
-            resident, so just check we got some victims *)
-         Vmobject.status v.Clockalg.obj v.Clockalg.pindex = Vmobject.Resident)
-       remaining)
 
 let test_hot_set_ranking () =
   let _, _, m = mkmap () in
@@ -1104,47 +946,6 @@ let prop_hot_pages_matches_full_sort =
         (fun limit -> Vmobject.hot_pages o ~limit = take limit reference)
         [ 0; 1; limit; List.length pages; List.length pages + 1; max_int ])
 
-let test_swap_rebalance () =
-  let clock = Clock.create () in
-  let pool = Frame.create_pool ~capacity_pages:8 () in
-  let m = Vmmap.create ~clock ~pool () in
-  let dev = Blockdev.create ~clock ~profile:Profile.optane_900p "swap0" in
-  let swap = Swap.create ~dev ~pool in
-  let e = Vmmap.map_anonymous m ~npages:16 () in
-  let base = e.Vmmap.start_vpn in
-  for i = 0 to 15 do
-    Vmmap.write m ~vpn:(base + i) ~offset:0 ~value:(Int64.of_int (i + 1))
-  done;
-  check_int "over capacity" 8 (Frame.over_capacity pool);
-  let evicted = Swap.rebalance swap ~objects:(Vmmap.distinct_objects m) in
-  check_int "evicted to fit" 8 evicted;
-  check_int "pressure relieved" 0 (Frame.over_capacity pool);
-  check_int "swap accounted" 8 (Swap.pages_swapped swap);
-  (* Contents still correct: faults bring pages back. *)
-  for i = 0 to 15 do
-    let c = Vmmap.read m ~vpn:(base + i) in
-    check_bool "content survived swap" false (Content.is_zero c)
-  done;
-  check_bool "major faults occurred" true ((Vmmap.faults m).Vmmap.major >= 1)
-
-let test_swap_roundtrip_content () =
-  let clock = Clock.create () in
-  let pool = Frame.create_pool ~capacity_pages:4 () in
-  let m = Vmmap.create ~clock ~pool () in
-  let dev = Blockdev.create ~clock ~profile:Profile.nand_ssd "swap0" in
-  let swap = Swap.create ~dev ~pool in
-  let e = Vmmap.map_anonymous m ~npages:8 () in
-  let base = e.Vmmap.start_vpn in
-  let expected =
-    List.init 8 (fun i ->
-        Vmmap.write m ~vpn:(base + i) ~offset:0 ~value:(Int64.of_int (i * 7));
-        Vmmap.read m ~vpn:(base + i))
-  in
-  ignore (Swap.rebalance swap ~objects:(Vmmap.distinct_objects m));
-  List.iteri
-    (fun i c -> Alcotest.check content_t "roundtrip" c (Vmmap.read m ~vpn:(base + i)))
-    expected
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1158,11 +959,6 @@ let () =
           Alcotest.test_case "byte expansion" `Quick test_content_bytes;
           Alcotest.test_case "offset bounds" `Quick test_content_offset_bounds;
           qt prop_content_write_injective_ish;
-        ] );
-      ( "frame",
-        [
-          Alcotest.test_case "refcounting" `Quick test_frame_refcounting;
-          Alcotest.test_case "capacity pressure" `Quick test_frame_capacity_pressure;
         ] );
       ( "vmobject",
         [
@@ -1178,6 +974,7 @@ let () =
             test_first_touch_allocates_one_chunk;
           Alcotest.test_case "install and teardown words per page" `Quick
             test_install_and_teardown_words;
+          Alcotest.test_case "arming words per page" `Quick test_arm_words;
           Alcotest.test_case "hot_pages allocates per listed page" `Quick
             test_hot_pages_words;
         ] );
@@ -1188,7 +985,7 @@ let () =
           Alcotest.test_case "incremental captures dirty" `Quick
             test_arm_dirty_only_captures_dirty;
           Alcotest.test_case "flush capture stable under writes" `Quick
-            test_flush_item_keeps_frame_alive;
+            test_capture_stable_under_writes;
           Alcotest.test_case "disarm requires armed" `Quick test_disarm_requires_armed;
           Alcotest.test_case "aurora cow preserves sharing" `Quick
             test_aurora_cow_preserves_sharing;
@@ -1218,10 +1015,7 @@ let () =
         ] );
       ( "clock-swap",
         [
-          Alcotest.test_case "second chance" `Quick test_clock_second_chance;
           Alcotest.test_case "hot set ranking" `Quick test_hot_set_ranking;
           qt prop_hot_pages_matches_full_sort;
-          Alcotest.test_case "rebalance under pressure" `Quick test_swap_rebalance;
-          Alcotest.test_case "swap roundtrip" `Quick test_swap_roundtrip_content;
         ] );
     ]
